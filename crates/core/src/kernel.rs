@@ -138,13 +138,8 @@ impl KernelFunction {
     ) {
         debug_assert!(row_offset + tile.rows() <= gram_diag.len());
         debug_assert_eq!(tile.cols(), gram_diag.len());
-        for local_i in 0..tile.rows() {
-            let b_ii = gram_diag[row_offset + local_i];
-            let row = tile.row_mut(local_i);
-            for (j, value) in row.iter_mut().enumerate() {
-                *value = T::from_f64(self.apply(value.to_f64(), b_ii, gram_diag[j]));
-            }
-        }
+        let row_diag = &gram_diag[row_offset..row_offset + tile.rows()];
+        self.apply_to_rows(tile.as_mut_slice(), row_diag, gram_diag);
     }
 
     /// Transform a cross Gram tile `B = Q P̂ᵀ` (queries × training points)
@@ -164,10 +159,27 @@ impl KernelFunction {
     ) {
         debug_assert_eq!(tile.rows(), query_diag.len());
         debug_assert_eq!(tile.cols(), train_diag.len());
-        for (local_i, &b_ii) in query_diag.iter().enumerate() {
-            let row = tile.row_mut(local_i);
-            for (j, value) in row.iter_mut().enumerate() {
-                *value = T::from_f64(self.apply(value.to_f64(), b_ii, train_diag[j]));
+        self.apply_to_rows(tile.as_mut_slice(), query_diag, train_diag);
+    }
+
+    /// The per-entry transform behind every Gram-tile variant: `rows` is a
+    /// row-major block of `row_diag.len()` rows of `col_diag.len()` Gram
+    /// entries, where row `r` has diagonal entry `row_diag[r]` and column `c`
+    /// has `col_diag[c]`. Taking a plain slice lets callers hand disjoint row
+    /// chunks of one matrix to parallel workers.
+    pub(crate) fn apply_to_rows<T: Scalar>(
+        &self,
+        rows: &mut [T],
+        row_diag: &[f64],
+        col_diag: &[f64],
+    ) {
+        if col_diag.is_empty() {
+            return;
+        }
+        debug_assert_eq!(rows.len(), row_diag.len() * col_diag.len());
+        for (row, &b_ii) in rows.chunks_exact_mut(col_diag.len()).zip(row_diag) {
+            for (value, &b_jj) in row.iter_mut().zip(col_diag) {
+                *value = T::from_f64(self.apply(value.to_f64(), b_ii, b_jj));
             }
         }
     }

@@ -10,6 +10,7 @@ use crate::errors::CoreError;
 use crate::kernel::KernelFunction;
 use crate::strategy::{self, GramRoutine, KernelMatrixStrategy};
 use crate::Result;
+use popcorn_dense::parallel::par_chunks_rows;
 use popcorn_dense::{matmul_nt, symmetrize_lower, syrk, DenseMatrix, Scalar, Triangle};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::CsrMatrix;
@@ -110,6 +111,10 @@ pub fn compute_gram_csr<T: Scalar>(
 
 /// Apply the kernel function elementwise to a Gram matrix, charging the
 /// transform to the executor (shared tail of the dense and sparse paths).
+///
+/// Rows are transformed in place on the kernel worker threads; each entry
+/// gets the same arithmetic as [`KernelFunction::apply_to_gram`], which stays
+/// sequential for the single-core CPU reference.
 fn apply_kernel_to_gram<T: Scalar>(
     gram: &mut DenseMatrix<T>,
     kernel: KernelFunction,
@@ -128,7 +133,13 @@ fn apply_kernel_to_gram<T: Scalar>(
             kernel.flops_per_entry().max(1),
             elem,
         ),
-        || kernel.apply_to_gram(gram),
+        || {
+            let diag: Vec<f64> = (0..n).map(|i| gram[(i, i)].to_f64()).collect();
+            par_chunks_rows(gram.as_mut_slice(), n, |start_row, chunk| {
+                let row_diag = &diag[start_row..start_row + chunk.len() / n];
+                kernel.apply_to_rows(chunk, row_diag, &diag);
+            });
+        },
     );
 }
 

@@ -37,6 +37,7 @@ use crate::solver::FitInput;
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
+use popcorn_dense::microkernel::nt_product;
 use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, Streaming};
 use popcorn_sparse::CsrMatrix;
@@ -929,13 +930,19 @@ impl<T: Scalar> FittedModel<T> {
 }
 
 /// Dense cross Gram `B[i][j] = ⟨query_i, train_j⟩` over any layout pairing.
-/// Sparse rows are scatter-densified into a scratch vector so every pairing
-/// reduces to one dense-dot form.
+/// Dense pairs run the register-blocked [`nt_product`] microkernel. Sparse
+/// query rows are scatter-densified into a scratch vector so every other
+/// pairing reduces to one dense-dot form; all forms accumulate
+/// `fma(x_k, y_k, acc)` over ascending `k`.
 fn cross_gram<T: Scalar>(queries: FitInput<'_, T>, train: FitInput<'_, T>) -> DenseMatrix<T> {
     let q = queries.n();
     let n = train.n();
     let d = train.d();
     let mut out = DenseMatrix::<T>::zeros(q, n);
+    if let (FitInput::Dense(p), FitInput::Dense(t)) = (queries, train) {
+        nt_product(p, 0..q, t, None, |i, j, acc| out[(i, j)] = acc);
+        return out;
+    }
     let mut scratch = vec![T::ZERO; d];
     for i in 0..q {
         match queries {

@@ -8,7 +8,9 @@
 //! `matmul_tn`).
 
 use crate::errors::DenseError;
+use crate::fma::dispatch;
 use crate::matrix::DenseMatrix;
+use crate::microkernel::nt_product;
 use crate::parallel::par_chunks_rows;
 use crate::scalar::Scalar;
 use crate::Result;
@@ -50,10 +52,11 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
 /// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`.
-/// Rows of `C` are distributed across worker threads; within a thread the
-/// kernel uses `TILE`-blocked loops with the `k` dimension innermost for the
-/// `A · Bᵀ` case (dot products over contiguous rows) and a `i-k-j` ordering
-/// otherwise so the innermost loop always streams contiguous memory.
+/// Rows of `C` are distributed across worker threads. The `A · Bᵀ` case runs
+/// the register-blocked [`nt_product`] microkernel (dot products over
+/// contiguous rows); otherwise a `TILE`-blocked `i-k-j` ordering keeps the
+/// innermost loop streaming contiguous memory. Both run through the FMA
+/// [`dispatch`].
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T>,
@@ -108,23 +111,11 @@ pub fn gemm<T: Scalar>(
         Transpose::Yes => {
             // C[i][j] += alpha * dot(Aeff.row(i), B.row(j))
             let a_ref = a_eff.as_ref();
-            let b_ref = b;
             par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-                for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = start_row + local_i;
-                    let a_row = a_ref.row(i);
-                    for (jb, c_block) in c_row.chunks_mut(TILE).enumerate() {
-                        let j0 = jb * TILE;
-                        for (dj, c_ij) in c_block.iter_mut().enumerate() {
-                            let b_row = b_ref.row(j0 + dj);
-                            let mut acc = T::ZERO;
-                            for (x, y) in a_row.iter().zip(b_row.iter()) {
-                                acc = x.mul_add(*y, acc);
-                            }
-                            *c_ij += alpha * acc;
-                        }
-                    }
-                }
+                let rows = start_row..start_row + chunk.len() / n;
+                nt_product(a_ref, rows, b, None, |i, j, acc| {
+                    chunk[i * n + j] += alpha * acc
+                });
             });
         }
         Transpose::No => {
@@ -132,23 +123,28 @@ pub fn gemm<T: Scalar>(
             let a_ref = a_eff.as_ref();
             let b_ref = b;
             par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-                for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = start_row + local_i;
-                    let a_row = a_ref.row(i);
-                    for k0 in (0..ka).step_by(TILE) {
-                        let k_end = (k0 + TILE).min(ka);
-                        for (k, &a_ik) in a_row.iter().enumerate().take(k_end).skip(k0) {
-                            let aik = alpha * a_ik;
-                            if aik == T::ZERO {
-                                continue;
-                            }
-                            let b_row = b_ref.row(k);
-                            for (c_ij, b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                                *c_ij = aik.mul_add(*b_kj, *c_ij);
+                dispatch(
+                    #[inline(always)]
+                    || {
+                        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
+                            let i = start_row + local_i;
+                            let a_row = a_ref.row(i);
+                            for k0 in (0..ka).step_by(TILE) {
+                                let k_end = (k0 + TILE).min(ka);
+                                for (k, &a_ik) in a_row.iter().enumerate().take(k_end).skip(k0) {
+                                    let aik = alpha * a_ik;
+                                    if aik == T::ZERO {
+                                        continue;
+                                    }
+                                    let b_row = b_ref.row(k);
+                                    for (c_ij, b_kj) in c_row.iter_mut().zip(b_row.iter()) {
+                                        *c_ij = aik.mul_add(*b_kj, *c_ij);
+                                    }
+                                }
                             }
                         }
-                    }
-                }
+                    },
+                )
             });
         }
     }
@@ -184,8 +180,8 @@ pub fn matmul_tn<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<De
 /// panel operand once per tile per iteration would be pure waste.
 ///
 /// Each output entry is the same sequential `mul_add` dot product the full
-/// [`matmul_nt`] computes (same `TILE`-blocked column order, same
-/// `0 + α·acc` write), so the panel is **bit-identical** to the matching
+/// [`matmul_nt`] computes (the same [`nt_product`] microkernel, the same
+/// `0 + 1·acc` write), so the panel is **bit-identical** to the matching
 /// rows of the full product.
 pub fn matmul_nt_rows<T: Scalar>(
     a: &DenseMatrix<T>,
@@ -212,20 +208,10 @@ pub fn matmul_nt_rows<T: Scalar>(
         return Ok(c);
     }
     par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let a_row = a.row(r0 + start_row + local_i);
-            for (jb, c_block) in c_row.chunks_mut(TILE).enumerate() {
-                let j0 = jb * TILE;
-                for (dj, c_ij) in c_block.iter_mut().enumerate() {
-                    let b_row = b.row(j0 + dj);
-                    let mut acc = T::ZERO;
-                    for (x, y) in a_row.iter().zip(b_row.iter()) {
-                        acc = x.mul_add(*y, acc);
-                    }
-                    *c_ij += T::ONE * acc;
-                }
-            }
-        }
+        let rows = r0 + start_row..r0 + start_row + chunk.len() / n;
+        nt_product(a, rows, b, None, |i, j, acc| {
+            chunk[i * n + j] += T::ONE * acc
+        });
     });
     Ok(c)
 }

@@ -12,6 +12,8 @@
 //! * [`DenseMatrix`] — a row-major dense matrix over [`Scalar`] (`f32`/`f64`),
 //! * [`mod@gemm`] — general matrix multiply with transpose options and blocking,
 //! * [`mod@syrk`] — symmetric rank-k update computing only one triangle,
+//! * [`microkernel`] — the packed, register-blocked `A·Bᵀ` kernel behind
+//!   GEMM, SYRK and the cross Gram, run through the FMA dispatch in [`fma`],
 //! * elementwise maps, broadcast additions, row norms, diagonals and row-wise
 //!   argmin in [`ops`] and [`norms`],
 //! * a tiny scoped-thread helper in [`parallel`] used by every kernel.
@@ -21,8 +23,10 @@
 //! straightforward reference implementations.
 
 pub mod errors;
+pub mod fma;
 pub mod gemm;
 pub mod matrix;
+pub mod microkernel;
 pub mod norms;
 pub mod ops;
 pub mod parallel;

@@ -125,30 +125,6 @@ where
     });
 }
 
-/// Run `f` over every range of a row partition of `0..rows`, in parallel.
-///
-/// `f` must be safe to call concurrently on disjoint ranges. When only one
-/// worker thread is configured (or there is a single range) the closure runs
-/// on the calling thread with no spawning overhead.
-pub fn par_for_ranges<F>(rows: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let ranges = split_ranges(rows, num_threads());
-    if ranges.len() <= 1 {
-        for r in ranges {
-            f(r);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for r in ranges {
-            let f = &f;
-            scope.spawn(move || f(r));
-        }
-    });
-}
-
 /// Apply `f` to disjoint mutable row-chunks of `data` in parallel.
 ///
 /// `data` is interpreted as a row-major matrix with `row_len` elements per
@@ -210,7 +186,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn split_covers_everything_exactly_once() {
@@ -242,21 +217,6 @@ mod tests {
         let sizes: Vec<_> = ranges.iter().map(|r| r.end - r.start).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn par_for_ranges_visits_all_rows() {
-        let sum = AtomicU64::new(0);
-        par_for_ranges(1000, |r| {
-            let local: u64 = r.map(|i| i as u64).sum();
-            sum.fetch_add(local, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn par_for_ranges_zero_rows() {
-        par_for_ranges(0, |_| panic!("should not be called"));
     }
 
     #[test]

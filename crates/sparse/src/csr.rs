@@ -8,7 +8,14 @@
 use crate::csc::CscMatrix;
 use crate::errors::SparseError;
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::fma::dispatch;
+use popcorn_dense::parallel::{num_threads, par_chunks_rows_ranges, triangular_ranges};
+use popcorn_dense::{symmetrize_lower, DenseMatrix, Scalar, Triangle};
+
+/// Output rows one walk of a sparse row fills in [`CsrMatrix::gram`]: each
+/// stored entry meets eight scattered source rows at once, eight independent
+/// FMA chains.
+const GRAM_ROWS: usize = 8;
 
 /// A sparse matrix in Compressed Sparse Row format.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,11 +323,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// almost never structurally zero — and the downstream algorithm consumes
     /// a dense kernel matrix anyway.
     ///
-    /// Work is distributed over output rows; each worker scatters its source
-    /// row into a dense accumulator of length `cols` once, then streams the
-    /// rows of its lower triangle against it (the upper triangle is mirrored,
-    /// like the dense SYRK path), giving `O(rows · nnz / 2)` inner-product
-    /// work independent of the (possibly enormous) feature dimension.
+    /// Work is distributed over output rows; each worker scatters a block of
+    /// its source rows into a dense accumulator of `cols` entries once, then
+    /// streams the rows of their lower triangle against it (the upper
+    /// triangle is mirrored, like the dense SYRK path), giving
+    /// `O(rows · nnz / 2)` inner-product work independent of the (possibly
+    /// enormous) feature dimension. Every entry is the same sequential `fma`
+    /// fold as [`CsrMatrix::gram_sequential`]'s, so the two agree bit for bit.
     pub fn gram(&self) -> DenseMatrix<T> {
         let n = self.rows;
         let mut out = DenseMatrix::zeros(n, n);
@@ -329,19 +338,15 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         // Row i of the lower triangle streams i+1 rows, so the partition is
         // balanced by triangular weight, not row count.
-        let ranges =
-            popcorn_dense::parallel::triangular_ranges(n, popcorn_dense::parallel::num_threads());
-        popcorn_dense::parallel::par_chunks_rows_ranges(
-            out.as_mut_slice(),
-            n,
-            &ranges,
-            |start_row, chunk| {
-                let mut scatter = vec![T::ZERO; self.cols];
-                self.gram_fill_lower_rows(start_row, chunk, &mut scatter);
-            },
-        );
-        popcorn_dense::symmetrize_lower(&mut out, popcorn_dense::Triangle::Lower)
-            .expect("gram output is square");
+        let ranges = triangular_ranges(n, num_threads());
+        par_chunks_rows_ranges(out.as_mut_slice(), n, &ranges, |start_row, chunk| {
+            let mut scatter = vec![[T::ZERO; GRAM_ROWS]; self.cols];
+            dispatch(
+                #[inline(always)]
+                || self.gram_fill_lower_blocked(start_row, chunk, &mut scatter),
+            )
+        });
+        symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
         out
     }
 
@@ -355,17 +360,14 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         let mut scatter = vec![T::ZERO; self.cols];
         self.gram_fill_lower_rows(0, out.as_mut_slice(), &mut scatter);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                out[(i, j)] = out[(j, i)];
-            }
-        }
+        symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
         out
     }
 
     /// Compute the lower-triangle Gram entries for a contiguous block of
-    /// output rows (the shared kernel behind [`CsrMatrix::gram`] and
-    /// [`CsrMatrix::gram_sequential`]).
+    /// output rows, one row at a time: the single-core reference loop of
+    /// [`CsrMatrix::gram_sequential`]. Entry `(i, j ≤ i)` accumulates
+    /// `fma(v_jc, a_ic, acc)` over row `j`'s stored entries in ascending `c`.
     fn gram_fill_lower_rows(&self, start_row: usize, chunk: &mut [T], scatter: &mut [T]) {
         let n = self.rows;
         for (local_i, out_row) in chunk.chunks_exact_mut(n).enumerate() {
@@ -384,6 +386,50 @@ impl<T: Scalar> CsrMatrix<T> {
             }
             for &c in cols_i {
                 scatter[c] = T::ZERO;
+            }
+        }
+    }
+
+    /// [`CsrMatrix::gram_fill_lower_rows`] with [`GRAM_ROWS`] source rows
+    /// scattered side by side, so one walk of row `j` feeds all of them into
+    /// independent accumulators. Each entry keeps the reference loop's
+    /// operand sequence; only the entries `j ≤ i` are written. `scatter`
+    /// holds `cols` zeroed slots and is left zeroed. Inlined so the callers'
+    /// FMA dispatch covers it.
+    #[inline(always)]
+    fn gram_fill_lower_blocked(
+        &self,
+        start_row: usize,
+        chunk: &mut [T],
+        scatter: &mut [[T; GRAM_ROWS]],
+    ) {
+        let n = self.rows;
+        for (block, out) in chunk.chunks_mut(GRAM_ROWS * n).enumerate() {
+            let i0 = start_row + block * GRAM_ROWS;
+            let rows = out.len() / n;
+            for (r, i) in (i0..i0 + rows).enumerate() {
+                let (cols, vals) = self.row(i);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    scatter[c][r] = v;
+                }
+            }
+            for j in 0..i0 + rows {
+                let (cols_j, vals_j) = self.row(j);
+                let mut acc = [T::ZERO; GRAM_ROWS];
+                for (&c, &v) in cols_j.iter().zip(vals_j) {
+                    for (acc_r, &a_rc) in acc.iter_mut().zip(&scatter[c]) {
+                        *acc_r = v.mul_add(a_rc, *acc_r);
+                    }
+                }
+                // Row i0 + r keeps its lower triangle: r >= j - i0.
+                for (r, &sum) in acc[..rows].iter().enumerate().skip(j.saturating_sub(i0)) {
+                    out[r * n + j] = sum;
+                }
+            }
+            for (r, i) in (i0..i0 + rows).enumerate() {
+                for &c in self.row(i).0 {
+                    scatter[c][r] = T::ZERO;
+                }
             }
         }
     }
@@ -425,45 +471,37 @@ impl<T: Scalar> CsrMatrix<T> {
         if n == 0 || r0 == r1 {
             return out;
         }
-        let mut scatter = vec![T::ZERO; self.cols];
-        for (local_i, out_row) in out.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            let i = r0 + local_i;
-            let (cols_i, vals_i) = self.row(i);
-            // Lower triangle (j <= i): identical loop to gram_fill_lower_rows.
-            for (&c, &v) in cols_i.iter().zip(vals_i.iter()) {
-                scatter[c] = v;
-            }
-            for (j, out_ij) in out_row.iter_mut().enumerate().take(i + 1) {
-                let (cols_j, vals_j) = self.row(j);
-                let mut acc = T::ZERO;
-                for (&c, &v) in cols_j.iter().zip(vals_j.iter()) {
-                    acc = v.mul_add(scatter[c], acc);
-                }
-                *out_ij = acc;
-            }
-            for &c in cols_i {
-                scatter[c] = T::ZERO;
-            }
-            // Mirror region (j > i): gram computes B[j][i] with row i's
-            // entries driving the accumulation; replay that order here.
-            for (j, out_ij) in out_row.iter_mut().enumerate().skip(i + 1) {
-                let (cols_j, vals_j) = self.row(j);
-                let mut cursor = 0usize;
-                let mut acc = T::ZERO;
-                for (&c, &v) in cols_i.iter().zip(vals_i.iter()) {
-                    while cursor < cols_j.len() && cols_j[cursor] < c {
-                        cursor += 1;
+        let mut scatter = vec![[T::ZERO; GRAM_ROWS]; self.cols];
+        dispatch(
+            #[inline(always)]
+            || {
+                // Lower triangle (j <= i): gram's own loop.
+                self.gram_fill_lower_blocked(r0, out.as_mut_slice(), &mut scatter);
+                for (local_i, out_row) in out.as_mut_slice().chunks_exact_mut(n).enumerate() {
+                    let i = r0 + local_i;
+                    // Mirror region (j > i): gram computes B[j][i] with row
+                    // i's entries driving the accumulation; replay that order.
+                    let (cols_i, vals_i) = self.row(i);
+                    for (j, out_ij) in out_row.iter_mut().enumerate().skip(i + 1) {
+                        let (cols_j, vals_j) = self.row(j);
+                        let mut cursor = 0usize;
+                        let mut acc = T::ZERO;
+                        for (&c, &v) in cols_i.iter().zip(vals_i.iter()) {
+                            while cursor < cols_j.len() && cols_j[cursor] < c {
+                                cursor += 1;
+                            }
+                            let other = if cursor < cols_j.len() && cols_j[cursor] == c {
+                                vals_j[cursor]
+                            } else {
+                                T::ZERO
+                            };
+                            acc = v.mul_add(other, acc);
+                        }
+                        *out_ij = acc;
                     }
-                    let other = if cursor < cols_j.len() && cols_j[cursor] == c {
-                        vals_j[cursor]
-                    } else {
-                        T::ZERO
-                    };
-                    acc = v.mul_add(other, acc);
                 }
-                *out_ij = acc;
-            }
-        }
+            },
+        );
         out
     }
 
@@ -805,6 +843,44 @@ mod tests {
         });
         let sparse = CsrMatrix::from_dense(&dense);
         assert_eq!(sparse.gram_sequential(), sparse.gram());
+    }
+
+    fn check_gram_bits<T: Scalar>(n: usize, d: usize, bits: fn(T) -> u64) {
+        let m = crate::test_values::awkward_csr::<T>(n, d, 3);
+        // Entry (i, j ≤ i) walks row j's stored entries against row i;
+        // the upper triangle mirrors it.
+        let lower = |i: usize, j: usize| {
+            let (cols, vals) = m.row(j);
+            cols.iter()
+                .zip(vals)
+                .fold(T::ZERO, |acc, (&c, &v)| v.mul_add(m.get(i, c), acc))
+        };
+        let dispatched = m.gram();
+        let mut generic = DenseMatrix::zeros(n, n);
+        let mut scatter = vec![[T::ZERO; GRAM_ROWS]; d];
+        m.gram_fill_lower_blocked(0, generic.as_mut_slice(), &mut scatter);
+        symmetrize_lower(&mut generic, Triangle::Lower).unwrap();
+        let sequential = m.gram_sequential();
+        let panel = m.gram_panel(0, n);
+        for i in 0..n {
+            for j in 0..n {
+                let want = bits(if j <= i { lower(i, j) } else { lower(j, i) });
+                let at = format!("{n}x{d} entry ({i},{j})");
+                assert_eq!(bits(dispatched[(i, j)]), want, "gram: {at}");
+                assert_eq!(bits(generic[(i, j)]), want, "undispatched body: {at}");
+                assert_eq!(bits(sequential[(i, j)]), want, "gram_sequential: {at}");
+                assert_eq!(bits(panel[(i, j)]), want, "gram_panel: {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn gram_paths_match_the_sequential_fma_reference_bit_for_bit() {
+        // Row counts around the eight-row block, and d ∈ {0, 1, 7, 40}.
+        for (n, d) in [(1, 0), (5, 1), (9, 7), (23, 40)] {
+            check_gram_bits::<f32>(n, d, |x| u64::from(x.to_bits()));
+            check_gram_bits::<f64>(n, d, f64::to_bits);
+        }
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
 
+#[cfg(test)]
+mod test_values;
+
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, CsrRows};

@@ -15,6 +15,7 @@
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
 use crate::Result;
+use popcorn_dense::fma::dispatch;
 use popcorn_dense::parallel::par_chunks_rows;
 use popcorn_dense::{DenseMatrix, Scalar};
 
@@ -82,6 +83,12 @@ pub fn spmm_transpose_b<T: Scalar>(
 /// `E = −2 K Vᵀ` directly into the shared accumulator, with no intermediate
 /// matrix: output values are identical to the allocating variant bit for bit
 /// (each cell is an independent overwrite).
+///
+/// Each cell `(i, j)` accumulates `acc = fma(v, B[i, l], acc)` over row `j`'s
+/// stored entries `(l, v)` in ascending `l`, then writes `alpha · acc`. The
+/// loop is row-blocked: one walk of row `j` feeds eight rows of `B` into as
+/// many independent accumulators, which keeps the FMA units busy without
+/// touching any cell's operand order.
 pub fn spmm_transpose_b_into<T: Scalar>(
     alpha: T,
     b: &DenseMatrix<T>,
@@ -108,20 +115,59 @@ pub fn spmm_transpose_b_into<T: Scalar>(
         return Ok(());
     }
     par_chunks_rows(out, n, |start_row, chunk| {
-        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let i = start_row + local_i;
-            let b_row = b.row(i);
-            for (j, c_ij) in c_row.iter_mut().enumerate() {
-                let (cols, vals) = a.row(j);
-                let mut acc = T::ZERO;
-                for (&l, &v) in cols.iter().zip(vals.iter()) {
-                    acc = v.mul_add(b_row[l], acc);
-                }
-                *c_ij = alpha * acc;
-            }
-        }
+        dispatch(
+            #[inline(always)]
+            || fold_transpose_b_rows(alpha, b, a, start_row, chunk),
+        )
     });
     Ok(())
+}
+
+/// Rows of `B` one walk of a sparse row feeds: eight independent FMA chains
+/// cover the FMA latency and fill one 256-bit vector of `f32`.
+const FOLD_ROWS: usize = 8;
+
+/// The body of [`spmm_transpose_b_into`] for the output rows `chunk` holds,
+/// the first being row `start_row` of `B`.
+///
+/// Each block of [`FOLD_ROWS`] rows of `B` is first packed column-major into
+/// one panel, so the values a stored entry `(l, v)` meets sit side by side:
+/// the walk then reads one panel slot per entry instead of one cache line
+/// per row. The panel is the only scratch, `FOLD_ROWS · b.cols()` entries.
+#[inline(always)]
+fn fold_transpose_b_rows<T: Scalar>(
+    alpha: T,
+    b: &DenseMatrix<T>,
+    a: &CsrMatrix<T>,
+    start_row: usize,
+    chunk: &mut [T],
+) {
+    let n = a.rows();
+    let mut panel = vec![[T::ZERO; FOLD_ROWS]; b.cols()];
+    for (block, out) in chunk.chunks_mut(FOLD_ROWS * n).enumerate() {
+        let i0 = start_row + block * FOLD_ROWS;
+        let rows = out.len() / n;
+        // Rows past the chunk repeat its last row; their sums are dropped.
+        let b_rows: [&[T]; FOLD_ROWS] =
+            std::array::from_fn(|r| &b.row(i0 + r.min(rows - 1))[..panel.len()]);
+        for (l, slot) in panel.iter_mut().enumerate() {
+            for (x, b_r) in slot.iter_mut().zip(&b_rows) {
+                *x = b_r[l];
+            }
+        }
+        for j in 0..n {
+            let (cols, vals) = a.row(j);
+            let mut acc = [T::ZERO; FOLD_ROWS];
+            for (&l, &v) in cols.iter().zip(vals) {
+                for (acc_r, &b_rl) in acc.iter_mut().zip(&panel[l]) {
+                    *acc_r = v.mul_add(b_rl, *acc_r);
+                }
+            }
+            for (r, &sum) in acc[..rows].iter().enumerate() {
+                out[r * n + j] = alpha * sum;
+            }
+        }
+    }
 }
 
 /// `out[i, :] = alpha * (panel_row_i · Vᵀ)` where `V` is a selection matrix
@@ -178,17 +224,22 @@ pub fn spmm_csr_rows_selection_t_into<T: Scalar>(
         return Ok(());
     }
     par_chunks_rows(out, k, |start_row, chunk| {
-        for (local, out_row) in chunk.chunks_exact_mut(k).enumerate() {
-            out_row.fill(T::ZERO);
-            let (cols, vals) = panel.row(start_row + local);
-            for (&l, &v) in cols.iter().zip(vals.iter()) {
-                let j = labels[l];
-                out_row[j] = cluster_weights[j].mul_add(v, out_row[j]);
-            }
-            for c in out_row.iter_mut() {
-                *c = alpha * *c;
-            }
-        }
+        dispatch(
+            #[inline(always)]
+            || {
+                for (local, out_row) in chunk.chunks_exact_mut(k).enumerate() {
+                    out_row.fill(T::ZERO);
+                    let (cols, vals) = panel.row(start_row + local);
+                    for (&l, &v) in cols.iter().zip(vals.iter()) {
+                        let j = labels[l];
+                        out_row[j] = cluster_weights[j].mul_add(v, out_row[j]);
+                    }
+                    for c in out_row.iter_mut() {
+                        *c = alpha * *c;
+                    }
+                }
+            },
+        )
     });
     Ok(())
 }
@@ -196,6 +247,7 @@ pub fn spmm_csr_rows_selection_t_into<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_values::{awkward_csr, awkward_dense};
     use popcorn_dense::matmul;
 
     fn sparse_sample() -> CsrMatrix<f64> {
@@ -367,6 +419,51 @@ mod tests {
                     b.to_bits(),
                     "tile_rows {tile_rows} cell {i}: dense {a} sparse {b}"
                 );
+            }
+        }
+    }
+
+    /// `alpha · Σ_l fma(v_jl, b_il, acc)` per cell, one cell at a time.
+    fn fold_reference<T: Scalar>(alpha: T, b: &DenseMatrix<T>, a: &CsrMatrix<T>) -> Vec<T> {
+        let mut out = Vec::with_capacity(b.rows() * a.rows());
+        for i in 0..b.rows() {
+            for j in 0..a.rows() {
+                let (cols, vals) = a.row(j);
+                let acc = cols
+                    .iter()
+                    .zip(vals)
+                    .fold(T::ZERO, |acc, (&l, &v)| v.mul_add(b[(i, l)], acc));
+                out.push(alpha * acc);
+            }
+        }
+        out
+    }
+
+    fn check_fold_bits<T: Scalar>(m: usize, n: usize, d: usize, bits: fn(T) -> u64) {
+        let b = awkward_dense::<T>(m, d, 1);
+        let a = awkward_csr::<T>(n, d, 2);
+        let alpha = T::from_f64(-2.0);
+        let mut dispatched = vec![T::from_f64(7.0); m * n];
+        spmm_transpose_b_into(alpha, &b, &a, &mut dispatched).unwrap();
+        let mut generic = vec![T::from_f64(7.0); m * n];
+        fold_transpose_b_rows(alpha, &b, &a, 0, &mut generic);
+        let expected = fold_reference(alpha, &b, &a);
+        for (cell, &want) in expected.iter().enumerate() {
+            let at = format!("{m}x{n}x{d} cell {cell}");
+            assert_eq!(bits(dispatched[cell]), bits(want), "dispatched: {at}");
+            assert_eq!(bits(generic[cell]), bits(want), "generic: {at}");
+        }
+    }
+
+    #[test]
+    fn row_blocked_fold_matches_the_sequential_fma_reference_bit_for_bit() {
+        // Row counts around the eight-row block, and d ∈ {0, 1, 7, 40}.
+        for m in [1, 7, 8, 13, 17] {
+            for n in [1, 3, 16] {
+                for d in [0, 1, 7, 40] {
+                    check_fold_bits::<f32>(m, n, d, |x| u64::from(x.to_bits()));
+                    check_fold_bits::<f64>(m, n, d, f64::to_bits);
+                }
             }
         }
     }
