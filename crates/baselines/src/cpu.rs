@@ -248,7 +248,7 @@ impl<T: Scalar> Solver<T> for CpuKernelKmeans {
 
     /// Run the full pipeline: dense sequential kernel matrix (or the SpGEMM
     /// Gram path for CSR inputs) when it fits the host-memory model, a
-    /// streamed [`popcorn_core::TiledKernel`] otherwise, then sequential
+    /// streamed [`popcorn_core::ShardedKernelSource`] otherwise, then sequential
     /// iterations.
     fn fit_input_with(
         &self,

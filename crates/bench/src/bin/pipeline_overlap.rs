@@ -3,13 +3,13 @@
 //!
 //! Two claims from the executor/driver redesign, measured and verified:
 //!
-//! 1. **Persistent pool vs spawn-per-phase (measured).** The lockstep
-//!    restart driver used to spawn a scoped thread set per phase and per
-//!    tile; a tiled sweep with small tiles paid that spawn/join set per
-//!    tile. The persistent pool spawns workers once per drive and feeds
-//!    them phases over channels. This bench runs the same tiled
-//!    multi-restart sweep under both fan-outs (`BatchOptions::fanout`),
-//!    asserts bit-identity, and records both measured host wall-clocks.
+//! 1. **Persistent pool vs the inline drive (measured).** The lockstep
+//!    restart driver runs its phases inline on the driver thread at one
+//!    host thread; above that, the persistent pool spawns workers once per
+//!    drive and feeds them the same phases over channels, one round-trip
+//!    per tile. This bench runs the same tiled multi-restart sweep both
+//!    ways, asserts bit-identity, and records both measured host
+//!    wall-clocks.
 //!
 //! 2. **Double-buffered streaming (modeled).** With
 //!    `Streaming::DoubleBuffered`, a single tiled fit prices tile `t+1`'s
@@ -19,21 +19,20 @@
 //!    are bit-identical, and records serial vs overlapped modeled seconds.
 //!
 //! Kernel-level parallelism (POPCORN_NUM_THREADS) is pinned to 1 in a
-//! re-exec'd child so the measured pool-vs-spawn ratio isolates the
+//! re-exec'd child so the measured pool-vs-inline ratio isolates the
 //! driver's own fan-out; artifacts land in
 //! `experiment-results/BENCH_pipeline_overlap.json`.
 
 use popcorn_bench::harness::{execute_batch_with, ExecutedBatch};
 use popcorn_bench::{ExperimentOptions, Solver};
-use popcorn_core::batch::{BatchOptions, HostFanout, HostParallelism};
+use popcorn_core::batch::{BatchOptions, HostParallelism};
 use popcorn_core::solver::{FitInput, Solver as _};
 use popcorn_core::{KernelKmeans, TilePolicy};
 use popcorn_data::synthetic::uniform_dataset;
 use popcorn_gpusim::Streaming;
 
-/// Sweep shape: small tiles on purpose, so the spawn-per-phase fan-out pays
-/// its per-tile spawn/join cost many times per iteration while the pool
-/// pays one channel round-trip.
+/// Sweep shape: small tiles on purpose, so the pool pays its per-tile
+/// channel round-trip many times per iteration.
 const N: usize = 768;
 const D: usize = 12;
 const K: usize = 6;
@@ -78,8 +77,8 @@ fn run(options: &ExperimentOptions) {
         println!(
             "NOTE: this host reports {available} hardware thread(s) — a pool \
              speedup is not honestly measurable below 4 cores. The run still \
-             verifies the bit-identity contract under both fan-outs; treat \
-             the measured ratio as overhead accounting, not speedup."
+             verifies the bit-identity contract of the pool; treat the \
+             measured ratio as overhead accounting, not speedup."
         );
     }
     let threads = available.max(4);
@@ -89,7 +88,7 @@ fn run(options: &ExperimentOptions) {
         .with_max_iter(ITERATIONS)
         .with_tiling(TilePolicy::Rows(TILE_ROWS));
 
-    let run_fanout = |fanout: HostFanout| -> ExecutedBatch {
+    let run_threads = |threads: usize| -> ExecutedBatch {
         execute_batch_with(
             Solver::Popcorn,
             dataset.name(),
@@ -97,20 +96,18 @@ fn run(options: &ExperimentOptions) {
             config.clone(),
             &[K],
             RESTARTS,
-            &BatchOptions::default()
-                .with_host_threads(HostParallelism::Threads(threads))
-                .with_fanout(fanout),
+            &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
         )
         .expect("pipeline overlap batch")
     };
-    let spawn = run_fanout(HostFanout::SpawnPerPhase);
-    let pool = run_fanout(HostFanout::PersistentPool);
+    let inline = run_threads(1);
+    let pool = run_threads(threads);
 
-    // Bit-identity between the fan-outs is a hard contract; verify before
-    // reporting any timing.
-    assert_eq!(spawn.batch.results.len(), pool.batch.results.len());
-    assert_eq!(spawn.batch.best, pool.batch.best);
-    for (a, b) in spawn.batch.results.iter().zip(pool.batch.results.iter()) {
+    // Bit-identity between the inline drive and the pool is a hard
+    // contract; verify before reporting any timing.
+    assert_eq!(inline.batch.results.len(), pool.batch.results.len());
+    assert_eq!(inline.batch.best, pool.batch.best);
+    for (a, b) in inline.batch.results.iter().zip(pool.batch.results.iter()) {
         assert_eq!(a.labels, b.labels, "pool changed labels");
         assert_eq!(
             a.objective.to_bits(),
@@ -124,27 +121,29 @@ fn run(options: &ExperimentOptions) {
         }
     }
     assert_eq!(
-        spawn.batch.report.peak_resident_bytes,
+        inline.batch.report.peak_resident_bytes,
         pool.batch.report.peak_resident_bytes
     );
 
-    let spawn_seconds = spawn.batch.report.host_seconds;
+    let inline_seconds = inline.batch.report.host_seconds;
     let pool_seconds = pool.batch.report.host_seconds;
     let pool_ratio = if pool_seconds > 0.0 {
-        spawn_seconds / pool_seconds
+        inline_seconds / pool_seconds
     } else {
         1.0
     };
     let tiles_per_iteration = N.div_ceil(TILE_ROWS);
     println!(
-        "\nPersistent pool vs spawn-per-phase (n={N}, d={D}, k={K}, {RESTARTS} restarts, \
+        "\nPersistent pool vs inline drive (n={N}, d={D}, k={K}, {RESTARTS} restarts, \
          {ITERATIONS} iterations, {TILE_ROWS}-row tiles = {tiles_per_iteration} tiles/iteration, \
          {threads} host threads, kernel threads {}):",
         popcorn_dense::parallel::num_threads()
     );
-    println!("  spawn-per-phase: drive measured {spawn_seconds:.4} s");
+    println!("  inline drive:    drive measured {inline_seconds:.4} s");
     println!("  persistent pool: drive measured {pool_seconds:.4} s  ({pool_ratio:.2}x)");
-    println!("  bit-identity between fan-outs: verified (labels, objectives, traces, peak)");
+    println!(
+        "  bit-identity between pool and inline drive: verified (labels, objectives, traces, peak)"
+    );
 
     // Part 2: the modeled streaming overlap on a single tiled fit.
     let single = config.clone().with_seed(options.seed);
@@ -183,10 +182,10 @@ fn run(options: &ExperimentOptions) {
          \"host_threads\": {threads},\n  \
          \"kernel_threads\": {},\n  \
          \"speedup_measurable\": {},\n  \
-         \"spawn_per_phase_host_seconds\": {spawn_seconds:.6},\n  \
+         \"inline_host_seconds\": {inline_seconds:.6},\n  \
          \"persistent_pool_host_seconds\": {pool_seconds:.6},\n  \
-         \"pool_vs_spawn_ratio\": {pool_ratio:.4},\n  \
-         \"fanout_bit_identical\": true,\n  \
+         \"pool_vs_inline_ratio\": {pool_ratio:.4},\n  \
+         \"pool_bit_identical\": true,\n  \
          \"streaming\": {{\n    \"passes\": {},\n    \"tiles\": {},\n    \
          \"serial_modeled_seconds\": {serial_total:.9},\n    \
          \"streamed_modeled_seconds\": {streamed_total:.9},\n    \

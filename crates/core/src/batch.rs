@@ -22,13 +22,14 @@
 //!
 //! Large sweeps additionally run **host-parallel**: per-job engine work fans
 //! out across host threads ([`BatchOptions::host_threads`], CLI
-//! `--host-threads`). By default the lockstep driver runs a **persistent
-//! worker pool** ([`HostFanout::PersistentPool`]): workers are spawned once
+//! `--host-threads`). The lockstep driver runs one sequence of phases — seed,
+//! begin, one fold per tile, finish — either inline on the driver thread (one
+//! host thread) or on a **persistent worker pool**: workers are spawned once
 //! per drive, own fixed contiguous job chunks for its whole lifetime —
 //! seeding included — and synchronize per phase and per tile over channels,
-//! so many-small-tile sweeps no longer pay a spawn/join set per tile. All
+//! so many-small-tile sweeps never pay a spawn/join set per tile. All
 //! merging happens on the driver thread in fixed job order, so results and
-//! traces stay bit-identical to the sequential drive at any thread count.
+//! traces stay bit-identical to the inline drive at any thread count.
 //! [`BatchReport::host_seconds`] carries the measured wall-clock of the
 //! drive, and [`BatchReport::modeled_concurrent_seconds`] the stream-aware
 //! modeled wall-clock (jobs sharing one device serialize on the compute
@@ -94,49 +95,18 @@ impl HostParallelism {
     }
 }
 
-/// Which fan-out mechanism the lockstep driver uses for its per-job work
-/// when [`BatchOptions::host_threads`] resolves above one.
-///
-/// Both mechanisms execute the identical per-job work in the identical
-/// order-insensitive partition, so results, traces and residency are
-/// bit-identical between them (and to the sequential drive); they differ
-/// only in measured host wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HostFanout {
-    /// One persistent worker pool for the whole drive (the default): workers
-    /// are spawned once, own fixed contiguous job chunks from seeding through
-    /// the last iteration, and synchronize per phase and per tile over
-    /// channels.
-    #[default]
-    PersistentPool,
-    /// The historical mechanism: scoped threads spawned per phase (and per
-    /// tile inside the tile pass). Kept as an explicit opt-out so the
-    /// `pipeline_overlap` bench can measure, in-process, what the pool saves
-    /// on spawn/join overhead.
-    SpawnPerPhase,
-}
-
 /// Batch-level execution options (everything that is not part of a job's
 /// clustering configuration), passed to `Solver::fit_batch_with`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchOptions {
     /// Host threads the lockstep driver fans per-job work across.
     pub host_threads: HostParallelism,
-    /// How those threads are run: a persistent pool (default) or
-    /// spawn-per-phase scoped threads.
-    pub fanout: HostFanout,
 }
 
 impl BatchOptions {
     /// Builder-style setter for the host-thread policy.
     pub fn with_host_threads(mut self, host_threads: HostParallelism) -> Self {
         self.host_threads = host_threads;
-        self
-    }
-
-    /// Builder-style setter for the fan-out mechanism.
-    pub fn with_fanout(mut self, fanout: HostFanout) -> Self {
-        self.fanout = fanout;
         self
     }
 }
@@ -653,88 +623,12 @@ pub fn drive_shared_kernel_with(
 }
 
 /// Per-job state owned by the lockstep driver: the job's forked executor,
-/// its distance engine and its iteration state. Workers borrow disjoint
-/// contiguous chunks of these — for one phase under
-/// [`HostFanout::SpawnPerPhase`], for the whole drive under
-/// [`HostFanout::PersistentPool`].
+/// its distance engine and its iteration state. Pool workers borrow disjoint
+/// contiguous chunks of these for the whole drive.
 struct JobRun<T: Scalar> {
     executor: Box<dyn Executor>,
     engine: Box<dyn DistanceEngine<T>>,
     state: LoopState,
-}
-
-/// Seed one job: initial labels drawn on the job's own fork, then a fresh
-/// [`LoopState`]. Charges are identical in every fan-out mode — the shared
-/// `diag(K)` cache is pre-warmed on the shared executor before any seeding
-/// runs, and row pulls charge the job's fork deterministically.
-fn seed_job<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    source: &dyn KernelSource<T>,
-) -> Result<()> {
-    let labels = initial_assignments_source(
-        source,
-        job.config.k,
-        job.config.init,
-        job.config.seed,
-        &run.executor,
-    )?;
-    run.state = LoopState::new(labels, job.config.k);
-    Ok(())
-}
-
-/// `begin_iteration` for one job, if it is still active.
-fn begin_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    source: &dyn KernelSource<T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine.begin_iteration(
-            run.state.iteration(),
-            source,
-            run.state.labels(),
-            &run.executor,
-        )?;
-    }
-    Ok(())
-}
-
-/// Fold one tile of `K` into one job, if it is still active.
-fn tile_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    rows: &Range<usize>,
-    tile: &DenseMatrix<T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine.consume_tile(rows.clone(), tile, &run.executor)?;
-    }
-    Ok(())
-}
-
-/// Fold one CSR row panel of `K` into one job, if it is still active.
-fn csr_tile_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    rows: &Range<usize>,
-    panel: CsrRows<'_, T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine
-            .consume_csr_tile(rows.clone(), panel, &run.executor)?;
-    }
-    Ok(())
-}
-
-/// `finish_iteration` + assignment step for one job, if it is still active.
-fn finish_phase<T: Scalar>(job: &FitJob, run: &mut JobRun<T>) -> Result<()> {
-    if run.state.active(&job.config) {
-        let distances = run.engine.finish_iteration(&run.executor)?;
-        run.state.step(&distances, &job.config, &run.executor);
-        run.engine.recycle_distances(distances);
-    }
-    Ok(())
 }
 
 /// A raw pointer to the tile the driver is holding inside a `for_each_tile`
@@ -742,11 +636,13 @@ fn finish_phase<T: Scalar>(job: &FitJob, run: &mut JobRun<T>) -> Result<()> {
 ///
 /// # Safety
 ///
-/// The driver sends one `Tile` command per worker and then blocks until it
-/// has collected **all** workers' acknowledgements before returning from
-/// the visitor ([`pool_dispatch`]'s full barrier), so every dereference
-/// happens while the visitor's `&DenseMatrix` borrow is still live; workers
-/// never hold the pointer across commands.
+/// The driver either runs the phase inline or sends one `Tile` command per
+/// worker and then blocks until it has collected **all** workers'
+/// acknowledgements ([`pool_dispatch`]'s full barrier); both happen before
+/// it returns from the visitor, so every dereference happens while the
+/// visitor's `&DenseMatrix` borrow is still live; workers never hold the
+/// pointer across commands.
+#[derive(Clone, Copy)]
 struct TilePtr<T: Scalar>(*const DenseMatrix<T>);
 
 // SAFETY: see `TilePtr` — the ack barrier makes the pointee outlive every
@@ -763,6 +659,7 @@ unsafe impl<T: Scalar> Send for TilePtr<T> {}
 /// before returning from the visitor, so the borrowed CSR arrays outlive
 /// every reassembled view on the workers; workers never hold the parts
 /// across commands.
+#[derive(Clone, Copy)]
 struct CsrTilePtr<T: Scalar> {
     first_row: usize,
     row_ptrs: (*const usize, usize),
@@ -804,7 +701,9 @@ impl<T: Scalar> CsrTilePtr<T> {
 // every use on the receiving worker.
 unsafe impl<T: Scalar> Send for CsrTilePtr<T> {}
 
-/// One phase of work the driver broadcasts to every pool worker.
+/// One phase of work the driver runs inline or broadcasts to every pool
+/// worker.
+#[derive(Clone)]
 enum PoolCommand<T: Scalar> {
     /// Seed every job in the worker's chunk.
     Seed,
@@ -818,21 +717,16 @@ enum PoolCommand<T: Scalar> {
     Finish,
 }
 
-/// A pool worker's answer to one [`PoolCommand`].
-struct PoolAck {
-    /// Earliest failing job in the worker's chunk: `(global index, error)`.
-    error: Option<(usize, CoreError)>,
-    /// Jobs in the chunk still active after the phase.
-    active: usize,
-    /// Fold seconds the chunk's forks charged during a tile phase, when the
-    /// worker was told to measure them (streaming accounting; zero
-    /// otherwise).
-    consume: EngineSeconds,
-}
+/// A chunk's answer to one [`PoolCommand`]: what the phase reported, or the
+/// chunk's earliest failing job as `(global index, error)`.
+type PoolAck = std::result::Result<PhaseOutcome, (usize, CoreError)>;
 
-/// Execute one broadcast phase over a worker's chunk, mirroring the
-/// sequential drive within the chunk: jobs run in order and the chunk stops
-/// at its first failure.
+/// Execute one phase over a chunk of jobs: jobs run in order, a job that
+/// stopped iterating skips every phase after seeding, and the chunk stops at
+/// its first failure. Charges are identical at every thread count: seeding
+/// draws each job's initial labels on its own fork (the shared `diag(K)`
+/// cache is pre-warmed on the shared executor before any seeding runs, and
+/// row pulls charge the fork deterministically).
 fn pool_phase<T: Scalar>(
     chunk_start: usize,
     jobs: &[FitJob],
@@ -841,43 +735,53 @@ fn pool_phase<T: Scalar>(
     command: &PoolCommand<T>,
     measure: bool,
 ) -> PoolAck {
-    let mut error = None;
     let mut consume = EngineSeconds::default();
     for (offset, (job, run)) in jobs.iter().zip(runs.iter_mut()).enumerate() {
         // Streaming accounting: a tile's consume segment is the fold charges
         // across every fork, measured per job off its own trace.
         let mark = (measure && matches!(command, PoolCommand::Tile(..) | PoolCommand::CsrTile(..)))
             .then(|| run.executor.trace_len());
+        let JobRun {
+            executor,
+            engine,
+            state,
+        } = run;
         let outcome = match command {
-            PoolCommand::Seed => seed_job(job, run, source),
-            PoolCommand::Begin => begin_phase(job, run, source),
+            PoolCommand::Seed => {
+                let KernelKmeansConfig { k, init, seed, .. } = job.config;
+                initial_assignments_source(source, k, init, seed, executor)
+                    .map(|labels| *state = LoopState::new(labels, k))
+            }
+            _ if !state.active(&job.config) => Ok(()),
+            PoolCommand::Begin => {
+                engine.begin_iteration(state.iteration(), source, state.labels(), executor)
+            }
             // SAFETY: the driver holds the visitor's tile borrow until every
             // worker acks this command (see `TilePtr`).
-            PoolCommand::Tile(rows, tile) => tile_phase(job, run, rows, unsafe { &*tile.0 }),
+            PoolCommand::Tile(rows, tile) => {
+                engine.consume_tile(rows.clone(), unsafe { &*tile.0 }, executor)
+            }
             // SAFETY: same barrier, sparse panel (see `CsrTilePtr`).
             PoolCommand::CsrTile(rows, panel) => {
-                csr_tile_phase(job, run, rows, unsafe { panel.view() })
+                engine.consume_csr_tile(rows.clone(), unsafe { panel.view() }, executor)
             }
-            PoolCommand::Finish => finish_phase(job, run),
+            // `finish_iteration` + the assignment step.
+            PoolCommand::Finish => engine.finish_iteration(executor).map(|distances| {
+                state.step(&distances, &job.config, executor);
+                engine.recycle_distances(distances);
+            }),
         };
         if let Some(mark) = mark {
             consume.accumulate(run.executor.engine_seconds_since(mark));
         }
-        if let Err(e) = outcome {
-            error = Some((chunk_start + offset, e));
-            break;
-        }
+        outcome.map_err(|e| (chunk_start + offset, e))?;
     }
     let active = jobs
         .iter()
         .zip(runs.iter())
         .filter(|(job, run)| run.state.active(&job.config))
         .count();
-    PoolAck {
-        error,
-        active,
-        consume,
-    }
+    Ok(PhaseOutcome { active, consume })
 }
 
 /// Body of one persistent pool worker: execute broadcast phases over an
@@ -908,7 +812,7 @@ fn pool_worker<T: Scalar>(
 
 /// Broadcast one command to every pool worker, then block until every
 /// worker has acknowledged it. Returns the total count of still-active jobs
-/// reported by the acks.
+/// reported by the acks, and their summed fold seconds.
 ///
 /// The full barrier is what makes [`TilePtr`] sound, and what makes panic
 /// propagation safe: on a panic ack the driver still collects the remaining
@@ -919,14 +823,14 @@ fn pool_worker<T: Scalar>(
 fn pool_dispatch<T: Scalar>(
     senders: &[mpsc::Sender<PoolCommand<T>>],
     acks: &mpsc::Receiver<std::thread::Result<PoolAck>>,
-    make: impl Fn() -> PoolCommand<T>,
+    command: PoolCommand<T>,
 ) -> Result<PhaseOutcome> {
     let mut sent = 0usize;
     for sender in senders {
         // A send only fails if a worker exited, which it does solely after
         // shipping a panic ack — and the driver resumes panics at the very
         // next barrier, so in practice every send succeeds.
-        if sender.send(make()).is_ok() {
+        if sender.send(command.clone()).is_ok() {
             sent += 1;
         }
     }
@@ -937,18 +841,15 @@ fn pool_dispatch<T: Scalar>(
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
     for _ in 0..sent {
         match acks.recv() {
-            Ok(Ok(ack)) => {
+            Ok(Ok(Ok(outcome))) => {
                 received += 1;
-                active += ack.active;
-                consume.accumulate(ack.consume);
-                if let Some((index, error)) = ack.error {
-                    let earlier = match &earliest {
-                        Some((best, _)) => index < *best,
-                        None => true,
-                    };
-                    if earlier {
-                        earliest = Some((index, error));
-                    }
+                active += outcome.active;
+                consume.accumulate(outcome.consume);
+            }
+            Ok(Ok(Err((index, error)))) => {
+                received += 1;
+                if earliest.as_ref().is_none_or(|(best, _)| index < *best) {
+                    earliest = Some((index, error));
                 }
             }
             Ok(Err(payload)) => {
@@ -974,46 +875,60 @@ fn pool_dispatch<T: Scalar>(
     Ok(PhaseOutcome { active, consume })
 }
 
-/// What one pool barrier reported back: still-active jobs and, for tile
-/// phases under streaming measurement, the summed fold seconds.
+/// What one phase reported back.
 struct PhaseOutcome {
+    /// Jobs still active after the phase.
     active: usize,
+    /// Fold seconds the forks charged during a tile phase, when measured
+    /// (streaming accounting; zero otherwise).
     consume: EngineSeconds,
 }
 
-/// Seeding plus the lockstep iteration loop over `runs`, via the persistent
-/// worker pool: workers are spawned once, each owning a balanced contiguous
-/// chunk of jobs, and every phase (and every tile of the per-iteration tile
-/// pass) is one channel broadcast + ack barrier instead of a spawn/join set.
-fn pool_lockstep<T: Scalar>(
+/// Seeding plus the lockstep iteration loop over `runs`. At one host thread
+/// (or one job) every phase runs inline on the driver thread, as one chunk
+/// covering all jobs; otherwise workers are spawned once, each owning a
+/// balanced contiguous chunk of jobs, and every phase (and every tile of the
+/// per-iteration tile pass) is one channel broadcast + ack barrier. Both run
+/// the identical per-job work in job order within each chunk, so everything
+/// downstream of this call is bit-identical at any thread count.
+fn run_lockstep<T: Scalar>(
     jobs: &[FitJob],
     runs: &mut [JobRun<T>],
     source: &dyn KernelSource<T>,
     shared_executor: &dyn Executor,
     threads: usize,
-    seed_threads: usize,
     meter: &mut StreamMeter,
 ) -> Result<()> {
-    // Sharded sources seed on the driver thread before the pool spins up
-    // (see `run_lockstep` for why); the pool then only runs iterations.
-    if seed_threads <= 1 {
-        for (job, run) in jobs.iter().zip(runs.iter_mut()) {
-            seed_job(job, run, source)?;
-        }
-    }
-    let seed_in_pool = seed_threads > 1;
-    // `active` only changes in the finish phase, whose barrier returns the
-    // updated count — so the loop condition sees exactly what the
-    // sequential interleaving would. The initial count comes from the
-    // placeholder states, which answer `active()` identically to freshly
-    // seeded ones (both start unconverged at iteration 0).
-    let mut active = jobs
+    let measure = meter.active();
+    // `active` only changes in the finish phase, which returns the updated
+    // count — so the loop condition sees exactly what the sequential
+    // interleaving would. The initial count comes from the placeholder
+    // states, which answer `active()` identically to freshly seeded ones
+    // (both start unconverged at iteration 0).
+    let active = jobs
         .iter()
         .zip(runs.iter())
         .filter(|(job, run)| run.state.active(&job.config))
         .count();
+    let inline = |runs: &mut [JobRun<T>], command: PoolCommand<T>| {
+        pool_phase(0, jobs, runs, source, &command, measure).map_err(|(_, e)| e)
+    };
+    let pooled = threads > 1 && jobs.len() > 1;
+    // Kernel k-means++ row pulls on a *sharded* source go through the
+    // shared shard-activation state (`Executor::activate_shard` on the
+    // topology every fork shares), so seeding fans out only on single-shard
+    // topologies and otherwise runs on the driver thread before the pool
+    // spins up; per-fork row charges are deterministic either way.
+    let seed_in_pool = pooled && shared_executor.shard_count() == 1;
+    if !seed_in_pool {
+        inline(runs, PoolCommand::Seed)?;
+    }
+    if !pooled {
+        return lockstep(active, source, shared_executor, meter, &mut |command| {
+            inline(runs, command)
+        });
+    }
     let ranges = balanced_chunks(jobs.len(), threads);
-    let measure = meter.active();
     std::thread::scope(|scope| -> Result<()> {
         let (ack_tx, ack_rx) = mpsc::channel();
         let mut senders = Vec::with_capacity(ranges.len());
@@ -1039,153 +954,56 @@ fn pool_lockstep<T: Scalar>(
             senders.push(command_tx);
         }
         drop(ack_tx);
-
         if seed_in_pool {
-            pool_dispatch(&senders, &ack_rx, || PoolCommand::Seed)?;
+            pool_dispatch(&senders, &ack_rx, PoolCommand::Seed)?;
         }
-        while active > 0 {
-            pool_dispatch(&senders, &ack_rx, || PoolCommand::Begin)?;
-            meter.begin_pass(shared_executor);
-            // One tile pass over K serves every active job; a tiled source
-            // charges the recomputation once, to the shared executor, on
-            // this thread, while the per-job folds run on the pool. A
-            // CSR-resident source streams zero-copy sparse panels instead.
-            if source.csr().is_some() {
-                source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
-                    meter.tile_produced(shared_executor);
-                    let outcome = pool_dispatch(&senders, &ack_rx, || {
-                        PoolCommand::CsrTile(rows.clone(), CsrTilePtr::new(panel))
-                    })?;
-                    meter.tile_consumed_external(outcome.consume);
-                    Ok(())
-                })?;
-            } else {
-                source.for_each_tile(shared_executor, &mut |rows, tile| {
-                    meter.tile_produced(shared_executor);
-                    let outcome = pool_dispatch(&senders, &ack_rx, || {
-                        PoolCommand::Tile(rows.clone(), TilePtr(tile))
-                    })?;
-                    meter.tile_consumed_external(outcome.consume);
-                    Ok(())
-                })?;
-            }
-            meter.finish_pass();
-            active = pool_dispatch(&senders, &ack_rx, || PoolCommand::Finish)?.active;
-        }
-        // Dropping `senders` closes every command channel; workers drain
-        // and exit, and the scope joins them. An early `?` above takes the
+        // Dropping `senders` on return closes every command channel; workers
+        // drain and exit, and the scope joins them. An early `?` takes the
         // same path, so error returns never deadlock.
-        Ok(())
+        lockstep(active, source, shared_executor, meter, &mut |command| {
+            pool_dispatch(&senders, &ack_rx, command)
+        })
     })
 }
 
-/// Seeding plus the lockstep iteration loop over `runs`, dispatched to the
-/// configured [`HostFanout`]. Both fan-outs execute the identical per-job
-/// work in the identical chunk partition, so everything downstream of this
-/// call is bit-identical between them (and to the sequential drive).
-fn run_lockstep<T: Scalar>(
-    jobs: &[FitJob],
-    runs: &mut [JobRun<T>],
+/// The lockstep iteration loop over seeded jobs, whichever way `dispatch`
+/// runs a phase over them: per global iteration, `begin_iteration`, one tile
+/// pass over `K` serving every active job, then `finish_iteration` and the
+/// assignment step. A tiled source charges the recomputation once, to the
+/// shared executor, on the driver thread, while the per-job folds run in
+/// `dispatch`; a CSR-resident source streams zero-copy sparse panels
+/// instead. Streaming accounting prices the pass as it goes: produce
+/// segments are the tile recomputation on the shared executor, consume
+/// segments the per-job folds measured off each fork's own trace.
+fn lockstep<T: Scalar>(
+    mut active: usize,
     source: &dyn KernelSource<T>,
     shared_executor: &dyn Executor,
-    threads: usize,
-    fanout: HostFanout,
     meter: &mut StreamMeter,
+    dispatch: &mut dyn FnMut(PoolCommand<T>) -> Result<PhaseOutcome>,
 ) -> Result<()> {
-    // Kernel k-means++ row pulls on a *sharded* source go through the
-    // shared shard-activation state (`Executor::activate_shard` on the
-    // topology every fork shares), so seeding fans out only on single-shard
-    // topologies; per-fork row charges are deterministic either way.
-    let seed_threads = if shared_executor.shard_count() == 1 {
-        threads
-    } else {
-        1
-    };
-    if threads > 1 && jobs.len() > 1 && fanout == HostFanout::PersistentPool {
-        return pool_lockstep(
-            jobs,
-            runs,
-            source,
-            shared_executor,
-            threads,
-            seed_threads,
-            meter,
-        );
-    }
-    par_over_jobs(jobs, runs, seed_threads, |job, run| {
-        seed_job(job, run, source)
-    })?;
-    // Streaming accounting for the shared pass: produce segments are the
-    // tile recomputation on the shared executor; consume segments sum the
-    // per-job folds measured off each fork's own trace (marks taken per
-    // tile). All measurement runs on the driver thread, between phases.
-    let mut fork_marks: Vec<usize> = Vec::new();
-    loop {
-        if !jobs
-            .iter()
-            .zip(runs.iter())
-            .any(|(job, run)| run.state.active(&job.config))
-        {
-            break;
-        }
-        par_over_jobs(jobs, runs, threads, |job, run| {
-            begin_phase(job, run, source)
-        })?;
+    while active > 0 {
+        dispatch(PoolCommand::Begin)?;
         meter.begin_pass(shared_executor);
-        // One tile pass over K serves every active job; a tiled source
-        // charges the recomputation here, once, to the shared executor,
-        // while the per-job folds over the tile fan out across workers. A
-        // CSR-resident source streams zero-copy sparse panels instead.
         if source.csr().is_some() {
             source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
                 meter.tile_produced(shared_executor);
-                if meter.active() {
-                    mark_forks(runs, &mut fork_marks);
-                }
-                par_over_jobs(jobs, runs, threads, |job, run| {
-                    csr_tile_phase(job, run, &rows, panel)
-                })?;
-                if meter.active() {
-                    meter.tile_consumed_external(forks_consumed(runs, &fork_marks));
-                }
+                let outcome = dispatch(PoolCommand::CsrTile(rows, CsrTilePtr::new(panel)))?;
+                meter.tile_consumed_external(outcome.consume);
                 Ok(())
             })?;
         } else {
             source.for_each_tile(shared_executor, &mut |rows, tile| {
                 meter.tile_produced(shared_executor);
-                if meter.active() {
-                    mark_forks(runs, &mut fork_marks);
-                }
-                par_over_jobs(jobs, runs, threads, |job, run| {
-                    tile_phase(job, run, &rows, tile)
-                })?;
-                if meter.active() {
-                    meter.tile_consumed_external(forks_consumed(runs, &fork_marks));
-                }
+                let outcome = dispatch(PoolCommand::Tile(rows, TilePtr(tile)))?;
+                meter.tile_consumed_external(outcome.consume);
                 Ok(())
             })?;
         }
         meter.finish_pass();
-        par_over_jobs(jobs, runs, threads, |job, run| finish_phase(job, run))?;
+        active = dispatch(PoolCommand::Finish)?.active;
     }
     Ok(())
-}
-
-/// Snapshot every fork's trace length (the start of a consume segment).
-fn mark_forks<T: Scalar>(runs: &[JobRun<T>], marks: &mut Vec<usize>) {
-    marks.clear();
-    marks.extend(runs.iter().map(|run| run.executor.trace_len()));
-}
-
-/// Sum the engine seconds every fork charged since its mark — one tile's
-/// consume segment under the lockstep drive (forks share one device, so
-/// concurrent folds serialize on its engines).
-fn forks_consumed<T: Scalar>(runs: &[JobRun<T>], marks: &[usize]) -> EngineSeconds {
-    let mut total = EngineSeconds::default();
-    for (run, &mark) in runs.iter().zip(marks) {
-        total.accumulate(run.executor.engine_seconds_since(mark));
-    }
-    total
 }
 
 /// Drive every job's clustering iterations over one shared [`KernelSource`]
@@ -1237,13 +1055,12 @@ pub fn drive_shared_source<T: Scalar>(
 /// thread count**. What changes is only the measured host wall-clock
 /// ([`BatchReport::host_seconds`]).
 ///
-/// With the default [`HostFanout::PersistentPool`], workers are spawned
-/// **once per drive** and fed phases over channels, so a tiled sweep pays
-/// one channel round-trip per tile instead of a spawn/join set per tile —
-/// the pool lives from kernel k-means++ seeding (fanned across the same
-/// workers once the shared `diag(K)` cache is pre-warmed) through the last
-/// iteration. [`HostFanout::SpawnPerPhase`] keeps the historical
-/// scoped-spawn behaviour as an explicit opt-out for overhead comparisons.
+/// At one host thread the phases run inline on the driver thread. Above
+/// that, workers are spawned **once per drive** and fed phases over
+/// channels, so a tiled sweep pays one channel round-trip per tile instead
+/// of a spawn/join set per tile — the pool lives from kernel k-means++
+/// seeding (fanned across the same workers once the shared `diag(K)` cache
+/// is pre-warmed) through the last iteration.
 pub fn drive_shared_source_with<T: Scalar>(
     jobs: &[FitJob],
     source: &dyn KernelSource<T>,
@@ -1299,7 +1116,6 @@ pub fn drive_shared_source_with<T: Scalar>(
         source,
         shared_executor,
         threads,
-        options.fanout,
         &mut meter,
     )?;
 
@@ -1647,60 +1463,49 @@ mod tests {
         let points = blob_points();
         let jobs = FitJob::k_sweep(&config(2), &[2], 5);
         assert_eq!(jobs.len(), 5);
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            let batch = KernelKmeans::new(config(2))
-                .fit_batch_with(
-                    FitInput::from(&points),
-                    &jobs,
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(4))
-                        .with_fanout(fanout),
-                )
-                .unwrap();
-            assert_eq!(batch.report.host_threads, 4, "{fanout:?}");
-            // More threads than jobs clamp to the job count.
-            let batch = KernelKmeans::new(config(2))
-                .fit_batch_with(
-                    FitInput::from(&points),
-                    &jobs,
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(64))
-                        .with_fanout(fanout),
-                )
-                .unwrap();
-            assert_eq!(batch.report.host_threads, 5, "{fanout:?}");
-        }
+        let batch = KernelKmeans::new(config(2))
+            .fit_batch_with(
+                FitInput::from(&points),
+                &jobs,
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(4)),
+            )
+            .unwrap();
+        assert_eq!(batch.report.host_threads, 4);
+        // More threads than jobs clamp to the job count.
+        let batch = KernelKmeans::new(config(2))
+            .fit_batch_with(
+                FitInput::from(&points),
+                &jobs,
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(64)),
+            )
+            .unwrap();
+        assert_eq!(batch.report.host_threads, 5);
     }
 
     #[test]
     fn fanout_modes_produce_identical_batches() {
-        assert_eq!(HostFanout::default(), HostFanout::PersistentPool);
-        let options = BatchOptions::default().with_fanout(HostFanout::SpawnPerPhase);
-        assert_eq!(options.fanout, HostFanout::SpawnPerPhase);
+        // The inline one-thread drive and the pool over a tiled source: one
+        // phase dispatch per tile either way, identical batches.
         let points = blob_points();
-        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2);
-        let pool = KernelKmeans::new(config(2))
-            .fit_batch_with(
-                FitInput::from(&points),
-                &jobs,
-                &BatchOptions::default().with_host_threads(HostParallelism::Threads(3)),
-            )
-            .unwrap();
-        let spawn = KernelKmeans::new(config(2))
-            .fit_batch_with(
-                FitInput::from(&points),
-                &jobs,
-                &BatchOptions::default()
-                    .with_host_threads(HostParallelism::Threads(3))
-                    .with_fanout(HostFanout::SpawnPerPhase),
-            )
-            .unwrap();
-        assert_eq!(pool.best, spawn.best);
+        let tiled = config(2).with_tiling(TilePolicy::Rows(5));
+        let jobs = FitJob::k_sweep(&tiled, &[2, 3], 2);
+        let drive = |threads: usize| {
+            KernelKmeans::new(tiled.clone())
+                .fit_batch_with(
+                    FitInput::from(&points),
+                    &jobs,
+                    &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                )
+                .unwrap()
+        };
+        let (inline, pool) = (drive(1), drive(3));
+        assert_eq!(pool.report.host_threads, 3);
+        assert_eq!(inline.best, pool.best);
         assert_eq!(
-            pool.report.peak_resident_bytes,
-            spawn.report.peak_resident_bytes
+            inline.report.peak_resident_bytes,
+            pool.report.peak_resident_bytes
         );
-        for (a, b) in pool.results.iter().zip(spawn.results.iter()) {
+        for (a, b) in inline.results.iter().zip(pool.results.iter()) {
             assert_eq!(a.labels, b.labels);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
             assert_eq!(a.trace.len(), b.trace.len());
@@ -1750,36 +1555,32 @@ mod tests {
             FitJob::new(good.clone().with_seed(1), 1),
             FitJob::new(good, 2),
         ];
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            for threads in [2usize, 4] {
-                let exec = SimExecutor::a100_f32();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    drive_shared_source_with(
-                        &jobs,
-                        &source,
-                        &exec,
-                        exec.trace().len(),
-                        &BatchOptions::default()
-                            .with_host_threads(HostParallelism::Threads(threads))
-                            .with_fanout(fanout),
-                        |job| {
-                            Box::new(PanickingEngine {
-                                explode: job.config.seed == 1,
-                            })
-                        },
-                    )
-                }));
-                let payload = outcome.expect_err("worker panic must reach the driver");
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("<non-string payload>");
-                assert!(
-                    message.contains("injected worker panic"),
-                    "{fanout:?} threads {threads}: unexpected payload {message}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let exec = SimExecutor::a100_f32();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_shared_source_with(
+                    &jobs,
+                    &source,
+                    &exec,
+                    exec.trace().len(),
+                    &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                    |job| {
+                        Box::new(PanickingEngine {
+                            explode: job.config.seed == 1,
+                        })
+                    },
+                )
+            }));
+            let payload = outcome.expect_err("worker panic must reach the driver");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("<non-string payload>");
+            assert!(
+                message.contains("injected worker panic"),
+                "threads {threads}: unexpected payload {message}"
+            );
         }
     }
 
@@ -1867,28 +1668,24 @@ mod tests {
                 Ok(popcorn_dense::DenseMatrix::zeros(24, 2))
             }
         }
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            for threads in [1usize, 2, 4] {
-                let err = drive_shared_source_with(
-                    &jobs,
-                    &source,
-                    &exec,
-                    exec.trace().len(),
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(threads))
-                        .with_fanout(fanout),
-                    |job| {
-                        Box::new(FailingEngine {
-                            fail: job.config.seed == 1,
-                        })
-                    },
-                )
-                .unwrap_err();
-                assert!(
-                    matches!(&err, CoreError::InvalidConfig(m) if m.contains("injected")),
-                    "{fanout:?} threads {threads}: unexpected error {err}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let err = drive_shared_source_with(
+                &jobs,
+                &source,
+                &exec,
+                exec.trace().len(),
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                |job| {
+                    Box::new(FailingEngine {
+                        fail: job.config.seed == 1,
+                    })
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfig(m) if m.contains("injected")),
+                "threads {threads}: unexpected error {err}"
+            );
         }
     }
 

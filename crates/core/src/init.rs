@@ -7,7 +7,7 @@
 //! (`‖φ(pᵢ) − φ(p_c)‖² = K_ii + K_cc − 2K_ic`) and derives the initial
 //! labels from them.
 
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{KernelSource, PhaseResidency};
 use crate::{CoreError, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, SimExecutor};
@@ -99,21 +99,8 @@ pub fn kmeanspp_assignments_source<T: Scalar>(
     // their footprint counts towards the modeled peak; the guard frees it on
     // every exit path, so an error mid-seeding cannot leak tracked bytes
     // into a caller-attached executor's residency.
-    struct SeedingResidency<'a> {
-        executor: &'a dyn Executor,
-        bytes: u64,
-    }
-    impl Drop for SeedingResidency<'_> {
-        fn drop(&mut self) {
-            self.executor.track_free(self.bytes);
-        }
-    }
     let seeding_bytes = (k as u64 * n as u64) * std::mem::size_of::<T>() as u64 + n as u64 * 8;
-    executor.track_alloc(seeding_bytes);
-    let _seeding = SeedingResidency {
-        executor,
-        bytes: seeding_bytes,
-    };
+    let _seeding = PhaseResidency::track(executor, seeding_bytes);
     let center_rows = select_spread_rows(source, k, &diag, &mut rng, executor)?;
 
     // Assign every point to the nearest seed.

@@ -93,15 +93,6 @@ pub trait KernelSource<T: Scalar>: Sync {
     /// for the in-core backend).
     fn tile_rows(&self) -> usize;
 
-    /// Modeled bytes of `K` this source keeps resident while streaming: the
-    /// whole matrix for [`FullKernel`], one tile for [`TiledKernel`].
-    fn resident_bytes(&self) -> u64;
-
-    /// `true` when a single tile spans every row (the in-core case).
-    fn is_full(&self) -> bool {
-        self.tile_rows() >= self.n()
-    }
-
     /// `diag(K)` — the squared feature-space point norms `P̃` (paper §3.3).
     /// Charged to the executor on first call, cached afterwards.
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>>;
@@ -205,11 +196,6 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         self.matrix.rows()
     }
 
-    fn resident_bytes(&self) -> u64 {
-        let n = self.matrix.rows() as u64;
-        n * n * std::mem::size_of::<T>() as u64
-    }
-
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
         // Hold the lock across compute-and-store so concurrent first calls
         // (parallel per-job engines) charge the extraction exactly once.
@@ -263,18 +249,20 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         tile_rows: usize,
         executor: &dyn Executor,
     ) -> Result<Self> {
-        Self::build(points, kernel, tile_rows, executor, true)
+        let source = Self::build(points, kernel, tile_rows, executor)?;
+        let (n, elem) = (source.points.n(), std::mem::size_of::<T>());
+        executor.track_alloc(tile_bytes(source.tile_rows, n, elem) + n as u64 * elem as u64);
+        Ok(source)
     }
 
-    /// [`TiledKernel::new`] with the residency tracking made optional: the
-    /// row-sharded source plans and tracks *per-device* tile buffers itself,
-    /// so it suppresses this constructor's single-device tracking.
+    /// The exact panel producer alone: [`TiledKernel::new`] without the
+    /// residency tracking, for the sources whose shard stream tracks the
+    /// tile buffers it plans.
     pub(crate) fn build(
         points: FitInput<'a, T>,
         kernel: KernelFunction,
         tile_rows: usize,
         executor: &dyn Executor,
-        track_residency: bool,
     ) -> Result<Self> {
         let n = points.n();
         if tile_rows == 0 {
@@ -302,9 +290,6 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
             ),
             || Self::compute_gram_diag(&points),
         );
-        if track_residency {
-            executor.track_alloc(tile_bytes(tile_rows, n, elem) + n as u64 * elem as u64);
-        }
         let column_counts = match &points {
             FitInput::Dense(_) => None,
             FitInput::Sparse(p) => Some(p.column_counts()),
@@ -439,10 +424,6 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
         self.tile_rows
     }
 
-    fn resident_bytes(&self) -> u64 {
-        tile_bytes(self.tile_rows, self.points.n(), std::mem::size_of::<T>())
-    }
-
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
         let mut cache = self.diag_cache.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(diag) = cache.as_ref() {
@@ -501,18 +482,19 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
 /// single dispatch point between the in-core, streaming and multi-device
 /// paths.
 ///
-/// When the executor shards work across several devices
-/// ([`Executor::topology`], e.g. a [`popcorn_gpusim::ShardedExecutor`]), the
-/// kernel-matrix rows are partitioned by a [`crate::shard::ShardPlan`] and
-/// `run` receives a [`crate::shard::ShardedKernelSource`] — engines and the
-/// lockstep batch driver work unchanged, only *where* tiles are priced moves.
-/// Otherwise, when the planner keeps the full matrix, `compute_full` produces
-/// it (each solver computes and charges its kernel matrix its own way) and
-/// `run` receives a [`FullKernel`] over it; otherwise `run` receives a
-/// [`TiledKernel`] over the retained points. `k_budget` sizes the modeled
-/// `n × k` iteration workspace — a standalone fit passes its `k`, a batch
-/// passes the **sum** of its jobs' `k`s because the lockstep driver keeps
-/// every job's buffer live at once.
+/// The exact kernel-matrix rows are planned by
+/// [`crate::shard::ShardPlan::for_executor`]. When a single device keeps the
+/// full matrix, `compute_full` produces it (each solver computes and charges
+/// its kernel matrix its own way) and `run` receives a [`FullKernel`] over
+/// it. Otherwise `run` receives a [`crate::shard::ShardedKernelSource`] over
+/// the retained points: one plan entry streamed in tiles on a single device,
+/// or — when the executor shards work across several devices
+/// ([`Executor::topology`], e.g. a [`popcorn_gpusim::ShardedExecutor`]) —
+/// one contiguous row range per device; engines and the lockstep batch
+/// driver work unchanged, only *where* tiles are priced moves. `k_budget`
+/// sizes the modeled `n × k` iteration workspace — a standalone fit passes
+/// its `k`, a batch passes the **sum** of its jobs' `k`s because the
+/// lockstep driver keeps every job's buffer live at once.
 ///
 /// With [`KernelApprox::Nystrom`] and `landmarks < n`, `run` instead
 /// receives a [`crate::nystrom::NystromKernel`] — the rank-`m` factorization
@@ -528,8 +510,7 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
 /// to an exact fit by construction — traces included.
 ///
 /// Multi-device fits are *elastic*: the row partition is throughput-weighted
-/// over the devices the executor reports alive
-/// ([`crate::shard::ShardPlan::for_executor`]), and a
+/// over the devices the executor reports alive, and a
 /// [`CoreError::DeviceLost`] surfaced mid-fit (the executor's
 /// [`popcorn_gpusim::RecoveryPolicy::Abort`] path) is retried — up to
 /// [`DEVICE_LOSS_RETRIES`] times with exponential modeled backoff — by
@@ -547,47 +528,33 @@ pub fn run_with_source<T: Scalar, R>(
     compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
     mut run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
 ) -> Result<R> {
-    if executor.shard_count() > 1 {
-        // Elastic multi-device dispatch: a fit killed by a surfaced device
-        // loss is restarted on the surviving pool (the executor's liveness
-        // already excludes the dead device when the error reaches us).
-        let mut attempt = 0usize;
-        loop {
-            let result =
-                dispatch_sharded(input, kernel, approx, tiling, k_budget, executor, &mut run);
-            match result {
-                Err(CoreError::DeviceLost { .. }) if attempt < DEVICE_LOSS_RETRIES => {
-                    executor.note_recovery(&RecoveryReport {
-                        retries: 1,
-                        backoff_seconds: DEVICE_LOSS_BACKOFF_SECONDS * (1u64 << attempt) as f64,
-                        ..RecoveryReport::default()
-                    });
-                    attempt += 1;
-                }
-                result => return result,
+    // A fit killed by a surfaced device loss is restarted on the surviving
+    // pool (the executor's liveness already excludes the dead device when
+    // the error reaches us).
+    let mut compute_full = Some(compute_full);
+    let mut attempt = 0usize;
+    loop {
+        let result = dispatch(
+            input,
+            kernel,
+            approx,
+            tiling,
+            k_budget,
+            executor,
+            &mut compute_full,
+            &mut run,
+        );
+        match result {
+            Err(CoreError::DeviceLost { .. }) if attempt < DEVICE_LOSS_RETRIES => {
+                executor.note_recovery(&RecoveryReport {
+                    retries: 1,
+                    backoff_seconds: DEVICE_LOSS_BACKOFF_SECONDS * (1u64 << attempt) as f64,
+                    ..RecoveryReport::default()
+                });
+                attempt += 1;
             }
+            result => return result,
         }
-    }
-    if let Some(result) =
-        dispatch_approx(input, kernel, approx, tiling, k_budget, executor, &mut run)
-    {
-        return result;
-    }
-    let tile_rows = plan_tile_rows(
-        input.n(),
-        k_budget,
-        std::mem::size_of::<T>(),
-        input.upload_bytes(),
-        tiling,
-        executor.device(),
-    )?;
-    if tile_rows == input.n() {
-        let kernel_matrix = compute_full()?;
-        let source = FullKernel::new(&kernel_matrix)?;
-        run(&source)
-    } else {
-        let source = TiledKernel::new(input, kernel, tile_rows, executor)?;
-        run(&source)
     }
 }
 
@@ -599,79 +566,91 @@ pub const DEVICE_LOSS_RETRIES: usize = 2;
 /// each subsequent attempt.
 pub const DEVICE_LOSS_BACKOFF_SECONDS: f64 = 0.01;
 
-/// The approximation arms shared by the single- and multi-device dispatch:
-/// `Some(result)` when an approximate source handled the fit, `None` to fall
-/// through to the exact paths.
-fn dispatch_approx<T: Scalar, R>(
+/// One fit attempt of [`run_with_source`]: the approximate source `approx`
+/// asks for, else the exact kernel matrix.
+#[allow(clippy::too_many_arguments)]
+fn dispatch<T: Scalar, R>(
     input: FitInput<'_, T>,
     kernel: KernelFunction,
     approx: KernelApprox,
     tiling: TilePolicy,
     k_budget: usize,
     executor: &dyn Executor,
+    compute_full: &mut Option<impl FnOnce() -> Result<DenseMatrix<T>>>,
     run: &mut impl FnMut(&dyn KernelSource<T>) -> Result<R>,
-) -> Option<Result<R>> {
-    if let KernelApprox::Nystrom { landmarks, seed } = approx {
-        let m = landmarks.min(input.n());
-        if m < input.n() {
-            return Some(
-                crate::nystrom::NystromKernel::new(
-                    input, kernel, m, seed, tiling, k_budget, executor,
-                )
-                .and_then(|source| run(&source)),
-            );
+) -> Result<R> {
+    let n = input.n();
+    match approx {
+        KernelApprox::Nystrom { landmarks, seed } if landmarks.min(n) < n => {
+            let source = crate::nystrom::NystromKernel::new(
+                input, kernel, landmarks, seed, tiling, k_budget, executor,
+            )?;
+            return run(&source);
         }
-    }
-    if let KernelApprox::NystromAuto { epsilon, seed } = approx {
         // The adaptive search caps at full rank, so unlike the fixed-rank
         // arm there is no degenerate fall-through: a rank-n factorization is
         // still the factorization the search accepted.
-        return Some(
-            crate::nystrom::NystromKernel::new_adaptive(
+        KernelApprox::NystromAuto { epsilon, seed } => {
+            let source = crate::nystrom::NystromKernel::new_adaptive(
                 input, kernel, epsilon, seed, tiling, k_budget, executor,
-            )
-            .and_then(|source| run(&source)),
-        );
-    }
-    if let KernelApprox::Sparsified { sparsify } = approx {
-        if !sparsify.keeps_everything(input.n()) {
-            return Some(
-                crate::sparsified::SparsifiedKernel::build(
-                    input, kernel, sparsify, tiling, k_budget, executor,
-                )
-                .and_then(|source| run(&source)),
-            );
+            )?;
+            return run(&source);
         }
+        KernelApprox::Sparsified { sparsify } if !sparsify.keeps_everything(n) => {
+            let source = crate::sparsified::SparsifiedKernel::build(
+                input, kernel, sparsify, tiling, k_budget, executor,
+            )?;
+            return run(&source);
+        }
+        _ => {}
     }
-    None
-}
-
-/// One multi-device fit attempt: the approximation arms (their sources plan
-/// their own sharding), else an exact [`crate::shard::ShardedKernelSource`]
-/// over a throughput-weighted partition of the alive devices.
-fn dispatch_sharded<T: Scalar, R>(
-    input: FitInput<'_, T>,
-    kernel: KernelFunction,
-    approx: KernelApprox,
-    tiling: TilePolicy,
-    k_budget: usize,
-    executor: &dyn Executor,
-    run: &mut impl FnMut(&dyn KernelSource<T>) -> Result<R>,
-) -> Result<R> {
-    if let Some(result) = dispatch_approx(input, kernel, approx, tiling, k_budget, executor, run) {
-        return result;
-    }
+    let elem = std::mem::size_of::<T>();
     let plan = crate::shard::ShardPlan::for_executor(
-        input.n(),
+        n,
         k_budget,
-        std::mem::size_of::<T>(),
+        elem,
         input.upload_bytes(),
         tiling,
         executor,
     )?;
+    if executor.shard_count() <= 1 && plan.max_tile_rows() == n {
+        let compute_full = compute_full
+            .take()
+            .expect("only single-shard fits build the in-core matrix, and they never retry");
+        let kernel_matrix = compute_full()?;
+        return run(&FullKernel::new(&kernel_matrix)?);
+    }
     let source = crate::shard::ShardedKernelSource::new(input, kernel, plan, k_budget, executor)?
         .with_tiling(tiling);
     run(&source)
+}
+
+/// Tracks a phase's transient working set on the executor and frees it on
+/// drop, so an error mid-phase cannot leak tracked bytes into a
+/// caller-attached executor's residency.
+pub(crate) struct PhaseResidency<'a> {
+    executor: &'a dyn Executor,
+    bytes: u64,
+}
+
+impl<'a> PhaseResidency<'a> {
+    /// Track `bytes` until the guard drops.
+    pub(crate) fn track(executor: &'a dyn Executor, bytes: u64) -> Self {
+        executor.track_alloc(bytes);
+        Self { executor, bytes }
+    }
+
+    /// Track `bytes` more, freed with the rest.
+    pub(crate) fn grow(&mut self, bytes: u64) {
+        self.executor.track_alloc(bytes);
+        self.bytes += bytes;
+    }
+}
+
+impl Drop for PhaseResidency<'_> {
+    fn drop(&mut self) {
+        self.executor.track_free(self.bytes);
+    }
 }
 
 /// Bytes of one `rows × n` tile of `elem`-byte scalars (u64-safe).
@@ -813,7 +792,7 @@ mod tests {
         .unwrap();
         let source = FullKernel::new(&k).unwrap();
         assert_eq!(KernelSource::n(&source), 10);
-        assert!(source.is_full());
+        assert_eq!(source.tile_rows(), 10);
         let before = exec.trace().len();
         let mut tiles = 0;
         source
@@ -925,9 +904,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(source.tile_rows(), 5);
-        assert!(!source.is_full());
-        assert_eq!(source.resident_bytes(), 5 * 12 * 8);
-        assert!(exec.peak_resident_bytes() >= source.resident_bytes());
+        assert!(exec.peak_resident_bytes() >= 5 * 12 * 8);
         let before = exec.trace().len();
         let mut tile_shapes = Vec::new();
         source

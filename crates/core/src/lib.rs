@@ -42,9 +42,7 @@ pub mod solver;
 pub mod sparsified;
 pub mod strategy;
 
-pub use batch::{
-    BatchOptions, BatchReport, BatchResult, FitJob, HostFanout, HostParallelism, JobReport,
-};
+pub use batch::{BatchOptions, BatchReport, BatchResult, FitJob, HostParallelism, JobReport};
 pub use config::KernelKmeansConfig;
 pub use errors::CoreError;
 pub use init::Initialization;

@@ -1176,10 +1176,6 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         }
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.model.resident_bytes()
-    }
-
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Collected at extraction time from the fit's own tiles; resident, so
         // no new charge.

@@ -38,17 +38,14 @@
 
 use crate::init::select_spread_rows;
 use crate::kernel::KernelFunction;
-use crate::kernel_source::{plan_tile_rows, tile_bytes, KernelSource, TilePolicy, TileVisitor};
-use crate::shard::{DeviceShard, ShardPlan};
+use crate::kernel_source::{KernelSource, PhaseResidency, TilePolicy, TileVisitor, TiledKernel};
+use crate::shard::{RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
 use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase, RecoveryPolicy, RecoveryReport,
-};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 /// Which kernel-matrix representation a fit runs over: the exact `n × n`
 /// matrix (resident, tiled or sharded — the planner decides) or a rank-`m`
@@ -108,39 +105,6 @@ impl KernelApprox {
     }
 }
 
-/// Frees the landmark-phase working set (the sampled rows plus the sampling
-/// bookkeeping) on every exit path, mirroring the seeding guard in
-/// [`crate::init`].
-struct PhaseResidency<'a> {
-    executor: &'a dyn Executor,
-    bytes: u64,
-}
-
-impl Drop for PhaseResidency<'_> {
-    fn drop(&mut self) {
-        self.executor.track_free(self.bytes);
-    }
-}
-
-/// Restores "no active shard" on drop (the local copy of the guard in
-/// [`crate::shard`], for the multi-device tile stream).
-struct ActiveShard<'a> {
-    executor: &'a dyn Executor,
-}
-
-impl<'a> ActiveShard<'a> {
-    fn activate(executor: &'a dyn Executor, device: usize) -> Self {
-        executor.activate_shard(Some(device));
-        Self { executor }
-    }
-}
-
-impl Drop for ActiveShard<'_> {
-    fn drop(&mut self) {
-        self.executor.activate_shard(None);
-    }
-}
-
 /// A rank-`m` Nyström factorization of the kernel matrix, streamed through
 /// the [`KernelSource`] protocol as reconstructed row panels.
 ///
@@ -171,23 +135,11 @@ pub struct NystromKernel<T: Scalar> {
     /// `true` when the strict Cholesky fast path failed and the core
     /// pseudo-inverse came from the eigen-clip fallback.
     used_eigen_fallback: bool,
-    /// Multi-device row partition and pass counter (None on a single
-    /// device). Behind a mutex because a mid-fit device loss re-plans it;
-    /// the factors are replicated, so recovery is pure re-attribution.
-    plan: Option<Mutex<ElasticPlan>>,
-    /// Modeled resident budget the plan was built against (points +
-    /// factors), reused by elastic re-plans.
-    budget_bytes: u64,
-    /// The fit-level tile policy, honoured by elastic re-plans.
-    tiling: TilePolicy,
-    /// Total distance columns of the fit, sizing the per-pass all-reduce.
-    k_budget: usize,
-}
-
-/// The shard plan in force and the number of completed tile passes.
-struct ElasticPlan {
-    plan: ShardPlan,
-    pass: usize,
+    /// The panel walk. The factors are replicated on every device and
+    /// panels are recomputed each pass regardless, so a recovery moves only
+    /// attribution and each device's panel buffer: nothing is re-uploaded
+    /// and no cached tile is replayed.
+    stream: ShardStream,
 }
 
 impl<T: Scalar> NystromKernel<T> {
@@ -220,37 +172,19 @@ impl<T: Scalar> NystromKernel<T> {
         }
         let m = landmarks;
         let elem = std::mem::size_of::<T>();
-
-        // Residency plan: the factors (C, H and the diagonal) stay resident
-        // for the whole fit, so they join the points in the planner's
-        // workspace; the streamed panel is still `rows × n`, so the exact
-        // planner's capacity math carries over unchanged.
-        let factor_bytes = 2 * n as u64 * m as u64 * elem as u64 + n as u64 * elem as u64;
-        let budget_bytes = input.upload_bytes() + factor_bytes;
-        let (plan, tile_rows) = if executor.shard_count() > 1 {
-            let plan = ShardPlan::for_executor(n, k_budget, elem, budget_bytes, tiling, executor)?;
-            let tile_rows = plan.max_tile_rows().max(1);
-            (Some(plan), tile_rows)
-        } else {
-            let tile_rows =
-                plan_tile_rows(n, k_budget, elem, budget_bytes, tiling, executor.device())?;
-            (None, tile_rows)
-        };
+        let stream = plan_panels::<T>(n, m, input.upload_bytes(), tiling, k_budget, executor)?;
 
         // --- landmark sampling over the exact kernel, streamed ---------------
         // A single-row exact source supplies diag(K) and the sampled rows; the
         // full matrix is never resident. The sampled rows are the *columns* of
         // C (K is symmetric), so this phase's row fetches are exactly the
         // (priced) work of building the cross factor.
-        let exact = crate::kernel_source::TiledKernel::build(input, kernel, 1, executor, false)?;
+        let exact = TiledKernel::build(input, kernel, 1, executor)?;
         let exact_diag = exact.diag(executor)?;
-        let sampling_bytes =
-            m as u64 * n as u64 * elem as u64 + n as u64 * 8 + n as u64 * elem as u64;
-        executor.track_alloc(sampling_bytes);
-        let sampling = PhaseResidency {
+        let sampling = PhaseResidency::track(
             executor,
-            bytes: sampling_bytes,
-        };
+            m as u64 * n as u64 * elem as u64 + n as u64 * 8 + n as u64 * elem as u64,
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let landmark_rows = select_spread_rows(&exact, m, &exact_diag, &mut rng, executor)?;
 
@@ -260,37 +194,7 @@ impl<T: Scalar> NystromKernel<T> {
         // is released before the persistent factors land — the planner's
         // budget covers factors + tile, not factors + tile + transients.
         drop(sampling);
-        // The factors are resident for the rest of the fit; the tile buffer
-        // is per device under a shard plan, replicated factors on every
-        // device.
-        executor.track_alloc(factor_bytes);
-        match &plan {
-            Some(plan) => {
-                for shard in plan.shards() {
-                    if shard.tile_rows == 0 {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-                }
-            }
-            None => executor.track_alloc(tile_bytes(tile_rows, n, elem)),
-        }
-
-        Ok(Self {
-            cross: factors.cross,
-            hat: factors.hat,
-            core_pinv_t: factors.core_pinv_t,
-            diag: factors.diag,
-            landmarks: landmark_rows.into_iter().map(|(i, _)| i).collect(),
-            tile_rows,
-            error_bound: factors.error_bound,
-            used_eigen_fallback: factors.used_eigen_fallback,
-            plan: plan.map(|plan| Mutex::new(ElasticPlan { plan, pass: 0 })),
-            budget_bytes,
-            tiling,
-            k_budget,
-        })
+        Ok(Self::assemble(factors, landmark_rows, stream, executor))
     }
 
     /// Adaptive-rank construction (`--landmarks auto:EPS`): starting from
@@ -324,25 +228,18 @@ impl<T: Scalar> NystromKernel<T> {
         let elem = std::mem::size_of::<T>();
         let input_bytes = input.upload_bytes();
 
-        let exact = crate::kernel_source::TiledKernel::build(input, kernel, 1, executor, false)?;
+        let exact = TiledKernel::build(input, kernel, 1, executor)?;
         let exact_diag = exact.diag(executor)?;
         // The sampling working set grows as the rank doubles; the guard is
         // kept current so an error on any trial frees exactly what was
         // tracked.
-        let base_bytes = n as u64 * 8 + n as u64 * elem as u64;
-        executor.track_alloc(base_bytes);
-        let mut sampling = PhaseResidency {
-            executor,
-            bytes: base_bytes,
-        };
+        let mut sampling = PhaseResidency::track(executor, n as u64 * 8 + n as u64 * elem as u64);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut landmark_rows: Vec<(usize, Vec<T>)> = Vec::new();
         let mut best_dist: Vec<f64> = Vec::new();
         let mut m = 16.min(n);
         let factors = loop {
-            let delta = (m - landmark_rows.len()) as u64 * n as u64 * elem as u64;
-            executor.track_alloc(delta);
-            sampling.bytes += delta;
+            sampling.grow((m - landmark_rows.len()) as u64 * n as u64 * elem as u64);
             crate::init::extend_spread_rows(
                 &exact,
                 m,
@@ -354,12 +251,7 @@ impl<T: Scalar> NystromKernel<T> {
             )?;
             // The trial factors are transient until accepted: tracked for
             // the duration of the build, freed again when the rank doubles.
-            let trial_bytes = 2 * n as u64 * m as u64 * elem as u64 + n as u64 * elem as u64;
-            executor.track_alloc(trial_bytes);
-            let trial = PhaseResidency {
-                executor,
-                bytes: trial_bytes,
-            };
+            let trial = PhaseResidency::track(executor, factor_bytes::<T>(n, m));
             let factors = build_factors(&landmark_rows, &exact_diag, n, executor)?;
             if factors.error_bound <= epsilon || m == n {
                 drop(trial);
@@ -368,49 +260,43 @@ impl<T: Scalar> NystromKernel<T> {
             m = (m * 2).min(n);
             drop(trial);
         };
-        let m = landmark_rows.len();
         drop(sampling);
+        let stream = plan_panels::<T>(
+            n,
+            landmark_rows.len(),
+            input_bytes,
+            tiling,
+            k_budget,
+            executor,
+        )?;
+        Ok(Self::assemble(factors, landmark_rows, stream, executor))
+    }
 
-        // Residency plan over the accepted rank, mirroring `new`.
-        let factor_bytes = 2 * n as u64 * m as u64 * elem as u64 + n as u64 * elem as u64;
-        let budget_bytes = input_bytes + factor_bytes;
-        let (plan, tile_rows) = if executor.shard_count() > 1 {
-            let plan = ShardPlan::for_executor(n, k_budget, elem, budget_bytes, tiling, executor)?;
-            let tile_rows = plan.max_tile_rows().max(1);
-            (Some(plan), tile_rows)
-        } else {
-            let tile_rows =
-                plan_tile_rows(n, k_budget, elem, budget_bytes, tiling, executor.device())?;
-            (None, tile_rows)
-        };
-        executor.track_alloc(factor_bytes);
-        match &plan {
-            Some(plan) => {
-                for shard in plan.shards() {
-                    if shard.tile_rows == 0 {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-                }
-            }
-            None => executor.track_alloc(tile_bytes(tile_rows, n, elem)),
-        }
-
-        Ok(Self {
+    /// Keep the accepted factors resident — replicated on every device —
+    /// next to each device's panel buffer.
+    fn assemble(
+        factors: Factors<T>,
+        landmark_rows: Vec<(usize, Vec<T>)>,
+        stream: ShardStream,
+        executor: &dyn Executor,
+    ) -> Self {
+        executor.track_alloc(factor_bytes::<T>(
+            factors.cross.rows(),
+            factors.cross.cols(),
+        ));
+        let source = Self {
             cross: factors.cross,
             hat: factors.hat,
             core_pinv_t: factors.core_pinv_t,
             diag: factors.diag,
             landmarks: landmark_rows.into_iter().map(|(i, _)| i).collect(),
-            tile_rows,
+            tile_rows: stream.plan().max_tile_rows().max(1),
             error_bound: factors.error_bound,
             used_eigen_fallback: factors.used_eigen_fallback,
-            plan: plan.map(|plan| Mutex::new(ElasticPlan { plan, pass: 0 })),
-            budget_bytes,
-            tiling,
-            k_budget,
-        })
+            stream,
+        };
+        source.stream.track(&source, executor);
+        source
     }
 
     /// Number of landmarks `m` (the factorization rank).
@@ -435,10 +321,7 @@ impl<T: Scalar> NystromKernel<T> {
 
     /// Modeled resident bytes of the factors (C, H, diagonal).
     pub fn factor_bytes(&self) -> u64 {
-        let n = self.cross.rows() as u64;
-        let m = self.cross.cols() as u64;
-        let elem = std::mem::size_of::<T>() as u64;
-        2 * n * m * elem + n * elem
+        factor_bytes::<T>(self.cross.rows(), self.cross.cols())
     }
 
     /// Compute (and charge) one reconstructed panel `K̂[r0..r1, :]`.
@@ -459,95 +342,40 @@ impl<T: Scalar> NystromKernel<T> {
             || matmul_nt_rows(&self.hat, r0, r1, &self.cross),
         )?)
     }
-
-    /// Modeled payload of the per-pass all-reduce (matches the exact sharded
-    /// source: every device's rows of the `n × k` partials plus the cluster
-    /// statistics).
-    fn all_reduce_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<T>() as u64;
-        (self.cross.rows() as u64 + 1) * self.k_budget as u64 * elem
-    }
-
-    /// Drain due fault events at the pass boundary (multi-device plans
-    /// only), recover or surface any device loss, and return this pass's
-    /// shard walk — `None` on a single device.
-    fn begin_pass(&self, executor: &dyn Executor) -> Result<Option<Vec<DeviceShard>>> {
-        let Some(state) = &self.plan else {
-            return Ok(None);
-        };
-        let mut state = state.lock().unwrap_or_else(|p| p.into_inner());
-        let pass = state.pass;
-        while let Some(event) = executor.poll_fault(pass) {
-            match event.kind {
-                FaultKind::DeviceLost { device } => {
-                    if executor.recovery_policy() == RecoveryPolicy::Abort {
-                        return Err(CoreError::DeviceLost { device, pass });
-                    }
-                    self.recover(&mut state, device, pass, executor)?;
-                }
-                // Scale-up is lazy: the joiner is drafted by the next
-                // re-plan, not mid-fit (see the exact sharded source).
-                FaultKind::DeviceJoined { .. } => {}
-            }
-        }
-        state.pass += 1;
-        Ok(Some(state.plan.shards().to_vec()))
-    }
-
-    /// Resume-in-place after losing `lost`. The factors are replicated on
-    /// every device and reconstructed panels are recomputed each pass
-    /// regardless, so recovery is a plan splice: nothing is re-uploaded and
-    /// no cached tiles are replayed — only the migrated rows' attribution
-    /// (and the lost device's tile buffer) moves.
-    fn recover(
-        &self,
-        state: &mut ElasticPlan,
-        lost: usize,
-        pass: usize,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::DeviceLost { device: lost, pass });
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
-            .collect();
-        let n = self.cross.rows();
-        let elem = std::mem::size_of::<T>();
-        let (plan, carry) = state.plan.reassign_device(
-            lost,
-            self.k_budget,
-            elem,
-            self.budget_bytes,
-            self.tiling,
-            topology,
-            &alive,
-        )?;
-        let mut delta = RecoveryReport::default();
-        for shard in state.plan.shards() {
-            if shard.device != lost {
-                continue;
-            }
-            delta.rows_migrated += shard.rows.len() as u64;
-            if shard.tile_rows > 0 {
-                let _active = ActiveShard::activate(executor, lost);
-                executor.track_free(tile_bytes(shard.tile_rows, n, elem));
-            }
-        }
-        for (j, carried) in carry.iter().enumerate() {
-            if carried.is_none() {
-                let shard = &plan.shards()[j];
-                if shard.tile_rows > 0 {
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-                }
-            }
-        }
-        state.plan = plan;
-        executor.note_recovery(&delta);
-        Ok(())
-    }
 }
+
+/// Modeled bytes of rank-`m` factors over `n` points: `C` and `H`, both
+/// `n × m`, plus the reconstructed diagonal.
+fn factor_bytes<T: Scalar>(n: usize, m: usize) -> u64 {
+    let elem = std::mem::size_of::<T>() as u64;
+    2 * n as u64 * m as u64 * elem + n as u64 * elem
+}
+
+/// Plan the panel stream of a rank-`m` factorization. The factors stay
+/// resident for the whole fit, so they join the points in the planner's
+/// workspace; the streamed panel is still `rows × n`, so the exact
+/// planner's capacity math carries over unchanged.
+fn plan_panels<T: Scalar>(
+    n: usize,
+    m: usize,
+    input_bytes: u64,
+    tiling: TilePolicy,
+    k_budget: usize,
+    executor: &dyn Executor,
+) -> Result<ShardStream> {
+    let elem = std::mem::size_of::<T>();
+    let budget = RowBudget {
+        n,
+        k_budget,
+        elem,
+        input_bytes: input_bytes + factor_bytes::<T>(n, m),
+        tiling,
+    };
+    let plan = ShardPlan::for_executor(n, k_budget, elem, budget.input_bytes, tiling, executor)?;
+    Ok(ShardStream::new(plan, budget))
+}
+
+impl<T: Scalar> ShardRows for NystromKernel<T> {}
 
 impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
     fn n(&self) -> usize {
@@ -558,92 +386,24 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
         self.tile_rows
     }
 
-    fn resident_bytes(&self) -> u64 {
-        let n = self.cross.rows();
-        let elem = std::mem::size_of::<T>();
-        let tile = match &self.plan {
-            Some(state) => state
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .plan
-                .shards()
-                .iter()
-                .map(|s| tile_bytes(s.tile_rows, n, elem))
-                .max()
-                .unwrap_or(0),
-            None => tile_bytes(self.tile_rows, n, elem),
-        };
-        self.factor_bytes() + tile
-    }
-
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed (and charged) once at construction.
         Ok(self.diag.clone())
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
-        let _active = self.plan.as_ref().map(|state| {
-            let device = state
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .plan
-                .device_of(i);
-            ActiveShard::activate(executor, device)
-        });
+        let _active = self.stream.on_row(executor, i);
         let panel = self.compute_tile(i, i + 1, executor)?;
         Ok(panel.row(0).to_vec())
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        match self.begin_pass(executor)? {
-            None => {
-                let n = self.cross.rows();
-                let mut r0 = 0usize;
-                while r0 < n {
-                    let r1 = (r0 + self.tile_rows).min(n);
-                    let tile = self.compute_tile(r0, r1, executor)?;
-                    f(r0..r1, &tile)?;
-                    r0 = r1;
-                }
-            }
-            Some(shards) => {
-                // Global row order with per-device attribution — the exact
-                // sharded source's contract, over reconstructed panels.
-                for shard in &shards {
-                    if shard.rows.is_empty() {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    let mut r0 = shard.rows.start;
-                    while r0 < shard.rows.end {
-                        let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-                        let tile = self.compute_tile(r0, r1, executor)?;
-                        f(r0..r1, &tile)?;
-                        r0 = r1;
-                    }
-                }
-                let mut participants: Vec<usize> = shards
-                    .iter()
-                    .filter(|s| !s.rows.is_empty())
-                    .map(|s| s.device)
-                    .collect();
-                participants.sort_unstable();
-                participants.dedup();
-                if participants.len() > 1 {
-                    executor.charge(
-                        format!(
-                            "all-reduce distance partials (n={}, k={})",
-                            self.cross.rows(),
-                            self.k_budget
-                        ),
-                        Phase::PairwiseDistances,
-                        OpClass::AllReduce,
-                        OpCost::transfer(self.all_reduce_bytes()),
-                    );
-                }
-            }
-        }
-        Ok(())
+        // Global row order with per-device attribution — the exact sharded
+        // source's contract, over reconstructed panels.
+        self.stream.walk(self, executor, &mut |_, rows| {
+            let tile = self.compute_tile(rows.start, rows.end, executor)?;
+            f(rows, &tile)
+        })
     }
 
     fn approx_error_bound(&self) -> Option<f64> {

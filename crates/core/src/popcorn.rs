@@ -207,8 +207,8 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
 
     /// Run the full pipeline on dense or CSR points: upload, then — per the
     /// tiling plan — either a precomputed kernel matrix (GEMM/SYRK for dense,
-    /// SpGEMM for sparse) or a streamed [`crate::TiledKernel`] that recomputes row
-    /// tiles every iteration, then the clustering iterations. Tiling never
+    /// SpGEMM for sparse) or a streamed [`crate::ShardedKernelSource`] that
+    /// recomputes row tiles every iteration, then the clustering iterations. Tiling never
     /// changes the results, only what is resident and what is charged.
     fn fit_input_with(
         &self,

@@ -1,4 +1,5 @@
-//! Multi-device row sharding of the kernel matrix: [`ShardPlan`] and
+//! Multi-device row sharding of the kernel matrix: [`ShardPlan`], the
+//! elastic row stream every kernel representation walks, and the exact
 //! [`ShardedKernelSource`].
 //!
 //! Built exactly the way the roadmap prescribed — on [`KernelSource`]: a
@@ -30,25 +31,42 @@
 //! recover charge-once semantics at an `n` where every single device would
 //! have to recompute tiles each iteration.
 //!
+//! # One stream for every representation
+//!
+//! The exact, Nyström and sparsified CSR sources all walk their rows through
+//! one stream. It owns the plan and the pass counter, drains the fault
+//! schedule at every pass boundary, re-plans after a loss, moves residency,
+//! fills the [`RecoveryReport`], walks the entries in global row order and
+//! charges the all-reduce. A representation only says how a row range
+//! becomes a tile or a CSR view, what a device holds for a plan entry (a
+//! tile buffer, or a CSR slice) and what a recovery does besides moving rows
+//! (replay lost resident tiles, or re-upload CSR slices). A single-device
+//! fit is a one-entry plan walked by the same code; on a single-shard
+//! executor the stream never activates a shard and never polls for faults.
+//!
 //! # Elastic topologies
 //!
 //! Heterogeneous pools are planned by [`ShardPlan::balanced_by_throughput`]:
 //! shard sizes proportional to each device's modeled throughput (the
 //! geometric mean of its compute and bandwidth roofs), degenerating *exactly*
-//! to [`ShardPlan::balanced`] on uniform pools. The source also survives
+//! to [`ShardPlan::balanced`] on uniform pools. The stream also survives
 //! mid-fit device loss: at every pass boundary it drains the executor's fault
 //! schedule ([`popcorn_gpusim::Executor::poll_fault`]) and — under
 //! [`RecoveryPolicy::Resume`] — re-partitions the lost device's rows over the
 //! surviving devices (throughput-weighted, spliced in place so the global row
-//! order is unchanged) and continues. Because sharding never changes what is
-//! computed, a recovered fit is **bit-identical to a fresh fit on the
-//! surviving topology**; the only cost is the modeled re-shard work, which is
-//! accounted on a [`RecoveryReport`]. Under [`RecoveryPolicy::Abort`] the
-//! loss surfaces as [`CoreError::DeviceLost`] for the retry layers instead.
-//! Scale-up is lazy: a joined device becomes eligible immediately but is only
-//! drafted by the *next* re-plan (a later loss, or the next fit) — moving
-//! rows onto it mid-fit would discard survivors' resident tiles for no
-//! modeled win.
+//! order is unchanged) and continues. The re-plan counts what each survivor
+//! already holds: migrated rows stream at the largest tile height that fits
+//! beside those holdings, or through the survivor's own streaming buffer when
+//! that is taller, and a layout that must stay resident and cannot fit is a
+//! [`CoreError::DeviceShardMemoryExceeded`] naming the survivor. Because
+//! sharding never changes what is computed, a recovered fit is
+//! **bit-identical to a fresh fit on the surviving topology**; the only cost
+//! is the modeled re-shard work, which is accounted on a [`RecoveryReport`].
+//! Under [`RecoveryPolicy::Abort`] the loss surfaces as
+//! [`CoreError::DeviceLost`] for the retry layers instead. Scale-up is lazy:
+//! a joined device becomes eligible immediately but is only drafted by the
+//! *next* re-plan (a later loss, or the next fit) — moving rows onto it
+//! mid-fit would discard survivors' resident tiles for no modeled win.
 
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{
@@ -150,33 +168,21 @@ impl ShardPlan {
         topology: &DeviceTopology,
         alive: Option<&[bool]>,
     ) -> Result<Self> {
-        let p = topology.devices.len();
-        if let Some(mask) = alive {
-            if mask.len() != p {
-                return Err(CoreError::InvalidConfig(format!(
-                    "liveness mask covers {} devices but the topology has {p}",
-                    mask.len()
-                )));
-            }
-        }
-        let active: Vec<usize> = (0..p).filter(|&d| alive.is_none_or(|m| m[d])).collect();
-        if active.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "no alive devices left to shard the kernel matrix over".into(),
-            ));
-        }
-        let weights: Vec<u128> = active
-            .iter()
-            .map(|&d| throughput_weight(&topology.devices[d], elem))
-            .collect();
+        let budget = RowBudget {
+            n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        let active = alive_devices(topology, alive)?;
+        let weights = throughput_weights(&active, topology, elem);
         // Capacity caps only bind under Full — every device must hold its
         // whole shard resident; the streamed policies fit by sub-tiling.
         let caps: Vec<Option<usize>> = active
             .iter()
             .map(|&d| {
-                matches!(tiling, TilePolicy::Full).then(|| {
-                    full_resident_row_cap(n, k_budget, elem, input_bytes, &topology.devices[d])
-                })
+                (tiling == TilePolicy::Full).then(|| budget.resident_rows(&topology.devices[d], 0))
             })
             .collect();
         let counts = match capped_proportional_rows(n, &weights, &caps) {
@@ -192,8 +198,7 @@ impl ShardPlan {
                     .find(|((_, &rows), cap)| cap.is_some_and(|c| rows > c))
                     .map(|((&d, &rows), _)| (d, rows))
                     .expect("capacity exhaustion implies an overfull device");
-                let required = workspace_bytes(n, k_budget, elem, input_bytes)
-                    + tile_bytes(rows, n, elem) as u128;
+                let required = budget.workspace() + tile_bytes(rows, n, elem) as u128;
                 return Err(CoreError::DeviceShardMemoryExceeded {
                     device,
                     required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
@@ -201,41 +206,20 @@ impl ShardPlan {
                 });
             }
         };
-        let mut shards = Vec::with_capacity(active.len());
-        let mut start = 0usize;
-        for (&device, &count) in active.iter().zip(&counts) {
-            let end = start + count;
-            let tile_rows = if count == 0 {
-                0
-            } else {
-                plan_shard_tile_rows(
-                    n,
-                    count,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
-                    device,
-                )?
-            };
-            shards.push(DeviceShard {
-                device,
-                rows: start..end,
-                tile_rows,
-            });
-            start = end;
-        }
-        debug_assert_eq!(start, n);
-        Ok(Self { n, shards })
+        Self::from_counts(n, &active, &counts, |device, rows| {
+            budget.shard_tile_rows(rows.len(), &topology.devices[device], device)
+        })
     }
 
-    /// Plan over an executor's topology and liveness: the throughput-weighted
-    /// partition of [`ShardPlan::balanced_by_throughput`] restricted to the
-    /// devices the executor reports alive
-    /// ([`popcorn_gpusim::Executor::shard_alive`]). This is the entry point
-    /// the fit dispatcher uses, so a fit retried after a surfaced device loss
-    /// automatically plans over the survivors.
+    /// Plan over an executor's topology and liveness: on a sharded executor,
+    /// the throughput-weighted partition of
+    /// [`ShardPlan::balanced_by_throughput`] restricted to the devices the
+    /// executor reports alive ([`popcorn_gpusim::Executor::shard_alive`]).
+    /// This is the entry point the fit dispatcher uses, so a fit retried
+    /// after a surfaced device loss automatically plans over the survivors.
+    /// A single-shard executor gets a one-entry plan of
+    /// [`plan_tile_rows`]' height for its device, whose capacity error is the
+    /// plain [`CoreError::DeviceMemoryExceeded`].
     pub fn for_executor(
         n: usize,
         k_budget: usize,
@@ -244,26 +228,53 @@ impl ShardPlan {
         tiling: TilePolicy,
         executor: &dyn Executor,
     ) -> Result<Self> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::InvalidConfig(
-                "the executor reports multiple shards but no device topology; \
-                 an Executor implementation overriding shard_count() must also \
-                 override topology()"
-                    .into(),
-            ));
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
-            .collect();
-        Self::balanced_by_throughput(
-            n,
-            k_budget,
-            elem,
-            input_bytes,
-            tiling,
-            topology,
-            Some(&alive),
-        )
+        if executor.shard_count() > 1 {
+            let topology = executor_topology(executor)?;
+            return Self::balanced_by_throughput(
+                n,
+                k_budget,
+                elem,
+                input_bytes,
+                tiling,
+                topology,
+                Some(&alive_mask(executor, topology)),
+            );
+        }
+        let tile_rows = plan_tile_rows(n, k_budget, elem, input_bytes, tiling, executor.device())?;
+        Self::from_counts(n, &[0], &[n], |_, _| Ok(tile_rows))
+    }
+
+    /// Plan `0..n` over an executor's alive devices with a caller-supplied
+    /// per-entry fit check: `fit(spec, device, rows)` returns the entry's tile
+    /// height or its capacity error. A single-shard executor gets one entry
+    /// on its device, and its capacity error loses the device index; a
+    /// sharded one gets the uncapped throughput-weighted split.
+    pub(crate) fn for_executor_with(
+        n: usize,
+        elem: usize,
+        executor: &dyn Executor,
+        mut fit: impl FnMut(&DeviceSpec, usize, &Range<usize>) -> Result<usize>,
+    ) -> Result<Self> {
+        if executor.shard_count() <= 1 {
+            let tile_rows = fit(executor.device(), 0, &(0..n)).map_err(|e| match e {
+                CoreError::DeviceShardMemoryExceeded {
+                    required_bytes,
+                    available_bytes,
+                    ..
+                } => CoreError::DeviceMemoryExceeded {
+                    required_bytes,
+                    available_bytes,
+                },
+                other => other,
+            })?;
+            return Self::from_counts(n, &[0], &[n], |_, _| Ok(tile_rows));
+        }
+        let topology = executor_topology(executor)?;
+        let active = alive_devices(topology, Some(&alive_mask(executor, topology)))?;
+        let counts = proportional_rows(n, &throughput_weights(&active, topology, elem));
+        Self::from_counts(n, &active, &counts, |device, rows| {
+            fit(&topology.devices[device], device, rows)
+        })
     }
 
     /// Partition `0..n` at the given ascending split points (device `d` gets
@@ -287,37 +298,28 @@ impl ShardPlan {
                 boundaries.len()
             )));
         }
-        let mut shards = Vec::with_capacity(p);
+        let mut counts = Vec::with_capacity(p);
         let mut start = 0usize;
-        for (device, &end) in boundaries.iter().chain(std::iter::once(&n)).enumerate() {
+        for &end in boundaries.iter().chain(std::iter::once(&n)) {
             if end < start || end > n {
                 return Err(CoreError::InvalidConfig(format!(
                     "shard boundaries must be ascending and at most n = {n}"
                 )));
             }
-            let shard_rows = end - start;
-            let tile_rows = if shard_rows == 0 {
-                0
-            } else {
-                plan_shard_tile_rows(
-                    n,
-                    shard_rows,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
-                    device,
-                )?
-            };
-            shards.push(DeviceShard {
-                device,
-                rows: start..end,
-                tile_rows,
-            });
+            counts.push(end - start);
             start = end;
         }
-        Ok(Self { n, shards })
+        let budget = RowBudget {
+            n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        let devices: Vec<usize> = (0..p).collect();
+        Self::from_counts(n, &devices, &counts, |device, rows| {
+            budget.shard_tile_rows(rows.len(), &topology.devices[device], device)
+        })
     }
 
     /// Rebuild a plan from explicit entries, validating that they
@@ -342,10 +344,39 @@ impl ShardPlan {
         Ok(Self { n, shards })
     }
 
+    /// Consecutive entries of `counts[i]` rows on `devices[i]`, each sized
+    /// by `fit(device, rows)`.
+    fn from_counts(
+        n: usize,
+        devices: &[usize],
+        counts: &[usize],
+        mut fit: impl FnMut(usize, &Range<usize>) -> Result<usize>,
+    ) -> Result<Self> {
+        let mut shards = Vec::with_capacity(devices.len());
+        let mut start = 0usize;
+        for (&device, &count) in devices.iter().zip(counts) {
+            let rows = start..start + count;
+            start = rows.end;
+            let tile_rows = fit(device, &rows)?;
+            shards.push(DeviceShard {
+                device,
+                rows,
+                tile_rows,
+            });
+        }
+        debug_assert_eq!(start, n);
+        Ok(Self { n, shards })
+    }
+
     /// Re-partition the `lost` device's rows over the surviving (`alive` and
     /// not `lost`) devices, throughput-weighted, splicing the replacement
     /// chunks exactly where the lost entries sat so the global row order —
-    /// and therefore every fold order — is unchanged.
+    /// and therefore every fold order — is unchanged. Each survivor's new
+    /// rows are sized beside the tile buffers it already holds: they stream
+    /// at the largest tile height that fits — through a streaming buffer the
+    /// survivor already owns when that one is taller — and under
+    /// [`TilePolicy::Full`] a survivor that cannot hold them resident is a
+    /// [`CoreError::DeviceShardMemoryExceeded`].
     ///
     /// Returns the new plan and a carry map aligned with its entries:
     /// `Some(i)` marks an entry carried verbatim from index `i` of `self`
@@ -362,6 +393,32 @@ impl ShardPlan {
         topology: &DeviceTopology,
         alive: &[bool],
     ) -> Result<(ShardPlan, Vec<Option<usize>>)> {
+        let budget = RowBudget {
+            n: self.n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        let held: Vec<u64> = self.shards.iter().map(|s| budget.tile_buffer(s)).collect();
+        let (plan, carry, _) = self.splice(&held, lost, topology, alive, &budget, &DenseTiles)?;
+        Ok((plan, carry))
+    }
+
+    /// The one re-plan behind [`ShardPlan::reassign_device`] and the stream's
+    /// recovery, sizing each migrated chunk beside what its survivor already
+    /// holds (`held`, one figure per entry of `self`) for `rows`'
+    /// representation. Returns the new plan, its carry map and the bytes each
+    /// of its entries holds.
+    fn splice<R: ShardRows + ?Sized>(
+        &self,
+        held: &[u64],
+        lost: usize,
+        topology: &DeviceTopology,
+        alive: &[bool],
+        budget: &RowBudget,
+        rows: &R,
+    ) -> Result<(ShardPlan, Vec<Option<usize>>, Vec<u64>)> {
         let survivors: Vec<usize> = (0..topology.devices.len())
             .filter(|&d| d != lost && alive.get(d).copied().unwrap_or(false))
             .collect();
@@ -370,20 +427,30 @@ impl ShardPlan {
                 "device {lost} was lost but no alive devices remain to take over its rows"
             )));
         }
-        let weights: Vec<u128> = survivors
-            .iter()
-            .map(|&d| throughput_weight(&topology.devices[d], elem))
-            .collect();
-        let mut shards = Vec::with_capacity(self.shards.len() + survivors.len());
-        let mut carry = Vec::with_capacity(shards.capacity());
-        for (index, shard) in self.shards.iter().enumerate() {
+        let weights = throughput_weights(&survivors, topology, budget.elem);
+        // Per device: the bytes it holds, and the height of the tallest
+        // streaming tile buffer it owns (0 for none).
+        fn hold(holdings: &mut [(u64, usize)], shard: &DeviceShard, bytes: u64) {
+            if let Some((total, buffer)) = holdings.get_mut(shard.device) {
+                *total += bytes;
+                if bytes > 0 && !shard.is_resident() {
+                    *buffer = (*buffer).max(shard.tile_rows);
+                }
+            }
+        }
+        let mut holdings = vec![(0u64, 0usize); topology.devices.len()];
+        for (shard, &bytes) in self.shards.iter().zip(held) {
+            if shard.device != lost {
+                hold(&mut holdings, shard, bytes);
+            }
+        }
+        let (mut shards, mut carry, mut new_held) = (Vec::new(), Vec::new(), Vec::new());
+        for (index, (shard, &bytes)) in self.shards.iter().zip(held).enumerate() {
             if shard.device != lost {
                 shards.push(shard.clone());
                 carry.push(Some(index));
+                new_held.push(bytes);
                 continue;
-            }
-            if shard.rows.is_empty() {
-                continue; // nothing to migrate; the empty entry is dropped
             }
             let counts = proportional_rows(shard.rows.len(), &weights);
             let mut start = shard.rows.start;
@@ -391,28 +458,24 @@ impl ShardPlan {
                 if count == 0 {
                     continue;
                 }
-                let end = start + count;
-                let tile_rows = plan_shard_tile_rows(
-                    self.n,
-                    count,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
+                let range = start..start + count;
+                start = range.end;
+                let (total, buffer) = holdings[device];
+                let spec = &topology.devices[device];
+                let (tile_rows, bytes) =
+                    rows.migrated_chunk(budget, spec, device, &range, total, buffer)?;
+                let chunk = DeviceShard {
                     device,
-                )?;
-                shards.push(DeviceShard {
-                    device,
-                    rows: start..end,
+                    rows: range,
                     tile_rows,
-                });
+                };
+                hold(&mut holdings, &chunk, bytes);
+                shards.push(chunk);
                 carry.push(None);
-                start = end;
+                new_held.push(bytes);
             }
-            debug_assert_eq!(start, shard.rows.end);
         }
-        Ok((ShardPlan { n: self.n, shards }, carry))
+        Ok((ShardPlan { n: self.n, shards }, carry, new_held))
     }
 
     /// Number of points `n` the plan covers.
@@ -459,38 +522,50 @@ impl ShardPlan {
     }
 }
 
-/// Throughput-weighted split of `rows` over the devices marked alive,
-/// in device order — shared with the CSR-resident source, whose nnz-based
-/// capacity math cannot reuse the dense planner. Every alive device gets an
-/// entry (possibly empty); the counts always sum to `rows.len()`.
-pub(crate) fn split_rows_by_throughput(
-    rows: Range<usize>,
-    elem: usize,
-    topology: &DeviceTopology,
-    alive: &[bool],
-) -> Result<Vec<(usize, Range<usize>)>> {
-    let active: Vec<usize> = (0..topology.devices.len())
-        .filter(|&d| alive.get(d).copied().unwrap_or(false))
-        .collect();
+/// The devices `alive` leaves in the plan (all of them for `None`), after
+/// checking the mask covers the topology and keeps at least one device.
+fn alive_devices(topology: &DeviceTopology, alive: Option<&[bool]>) -> Result<Vec<usize>> {
+    let p = topology.devices.len();
+    if let Some(mask) = alive {
+        if mask.len() != p {
+            return Err(CoreError::InvalidConfig(format!(
+                "liveness mask covers {} devices but the topology has {p}",
+                mask.len()
+            )));
+        }
+    }
+    let active: Vec<usize> = (0..p).filter(|&d| alive.is_none_or(|m| m[d])).collect();
     if active.is_empty() {
         return Err(CoreError::InvalidConfig(
             "no alive devices left to shard the kernel matrix over".into(),
         ));
     }
-    let weights: Vec<u128> = active
+    Ok(active)
+}
+
+/// The topology of an executor that reports several shards.
+fn executor_topology(executor: &dyn Executor) -> Result<&DeviceTopology> {
+    executor.topology().ok_or_else(|| {
+        CoreError::InvalidConfig(
+            "the executor reports multiple shards but no device topology; an Executor \
+             implementation overriding shard_count() must also override topology()"
+                .into(),
+        )
+    })
+}
+
+/// Which devices of `topology` the executor reports alive.
+fn alive_mask(executor: &dyn Executor, topology: &DeviceTopology) -> Vec<bool> {
+    (0..topology.devices.len())
+        .map(|d| executor.shard_alive(d))
+        .collect()
+}
+
+fn throughput_weights(devices: &[usize], topology: &DeviceTopology, elem: usize) -> Vec<u128> {
+    devices
         .iter()
         .map(|&d| throughput_weight(&topology.devices[d], elem))
-        .collect();
-    let counts = proportional_rows(rows.len(), &weights);
-    let mut out = Vec::with_capacity(active.len());
-    let mut start = rows.start;
-    for (&device, &count) in active.iter().zip(&counts) {
-        let end = start + count;
-        out.push((device, start..end));
-        start = end;
-    }
-    debug_assert_eq!(start, rows.end);
-    Ok(out)
+        .collect()
 }
 
 /// Integer-scaled relative throughput of one device at the fit's element
@@ -559,84 +634,104 @@ fn capped_proportional_rows(
     }
 }
 
-/// Rows `spec` can hold resident next to the replicated fit workspace —
-/// the [`TilePolicy::Full`] capacity cap, matching [`plan_tile_rows`]'
-/// `workspace + rows·n·elem ≤ mem` check exactly.
-fn full_resident_row_cap(
-    n: usize,
-    k_budget: usize,
-    elem: usize,
-    input_bytes: u64,
-    spec: &DeviceSpec,
-) -> usize {
-    let mem = spec.mem_bytes as u128;
-    let workspace = workspace_bytes(n, k_budget, elem, input_bytes);
-    let per_row = (n as u128 * elem as u128).max(1);
-    if mem <= workspace {
-        return 0;
-    }
-    usize::try_from((mem - workspace) / per_row).unwrap_or(usize::MAX)
+/// The fit-level numbers a dense re-plan sizes tile buffers against: the
+/// replicated workspace of an `n`-point fit with `k_budget` distance columns
+/// and `input_bytes` of other replicated state, under the fit's policy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowBudget {
+    pub(crate) n: usize,
+    pub(crate) k_budget: usize,
+    pub(crate) elem: usize,
+    pub(crate) input_bytes: u64,
+    pub(crate) tiling: TilePolicy,
 }
 
-/// Per-device tile planning: map the fit-level [`TilePolicy`] onto one
-/// device's shard, reusing [`plan_tile_rows`] for the capacity math. A
-/// capacity rejection is promoted to
-/// [`CoreError::DeviceShardMemoryExceeded`] so the failing device of a
-/// heterogeneous pool is named.
-#[allow(clippy::too_many_arguments)]
-fn plan_shard_tile_rows(
-    n: usize,
-    shard_rows: usize,
-    k_budget: usize,
-    elem: usize,
-    input_bytes: u64,
-    tiling: TilePolicy,
-    topology: &DeviceTopology,
-    device: usize,
-) -> Result<usize> {
-    let spec = &topology.devices[device];
-    let plan = |policy: TilePolicy| {
-        plan_tile_rows(n, k_budget, elem, input_bytes, policy, spec).map_err(|e| match e {
-            CoreError::DeviceMemoryExceeded {
-                required_bytes,
-                available_bytes,
-            } => CoreError::DeviceShardMemoryExceeded {
-                device,
-                required_bytes,
-                available_bytes,
-            },
-            other => other,
-        })
-    };
-    match tiling {
-        // "Full" on a sharded fit means: every device keeps its whole shard
-        // resident; reject the topology if a device cannot.
-        TilePolicy::Full => plan(TilePolicy::Rows(shard_rows)),
-        TilePolicy::Rows(rows) => {
-            if rows == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "tile_rows must be at least 1".into(),
-                ));
+impl RowBudget {
+    /// The workspace every device holds besides its plan entries.
+    pub(crate) fn workspace(&self) -> u128 {
+        workspace_bytes(self.n, self.k_budget, self.elem, self.input_bytes)
+    }
+
+    /// Per-device tile planning: map the fit-level [`TilePolicy`] onto one
+    /// device's shard of `shard_rows` rows, reusing [`plan_tile_rows`] for
+    /// the capacity math. A capacity rejection is promoted to
+    /// [`CoreError::DeviceShardMemoryExceeded`] so the failing device of a
+    /// heterogeneous pool is named. An empty shard plans no tile.
+    fn shard_tile_rows(
+        &self,
+        shard_rows: usize,
+        spec: &DeviceSpec,
+        device: usize,
+    ) -> Result<usize> {
+        if shard_rows == 0 {
+            return Ok(0);
+        }
+        let plan = |policy: TilePolicy| {
+            plan_tile_rows(
+                self.n,
+                self.k_budget,
+                self.elem,
+                self.input_bytes,
+                policy,
+                spec,
+            )
+            .map_err(|e| match e {
+                CoreError::DeviceMemoryExceeded {
+                    required_bytes,
+                    available_bytes,
+                } => CoreError::DeviceShardMemoryExceeded {
+                    device,
+                    required_bytes,
+                    available_bytes,
+                },
+                other => other,
+            })
+        };
+        match self.tiling {
+            // "Full" on a sharded fit means: every device keeps its whole
+            // shard resident; reject the topology if a device cannot.
+            TilePolicy::Full => plan(TilePolicy::Rows(shard_rows)),
+            // `plan_tile_rows` rejects a zero height.
+            TilePolicy::Rows(rows) => plan(TilePolicy::Rows(rows.min(shard_rows))),
+            TilePolicy::Auto => {
+                let rows = plan(TilePolicy::Auto)?;
+                Ok(rows.min(shard_rows))
             }
-            plan(TilePolicy::Rows(rows.min(shard_rows)))
         }
-        TilePolicy::Auto => {
-            let rows = plan(TilePolicy::Auto)?;
-            Ok(rows.min(shard_rows))
-        }
+    }
+
+    /// Rows `spec` can hold resident next to the replicated fit workspace
+    /// and `held` bytes of other entries — with nothing held, the
+    /// [`TilePolicy::Full`] capacity cap, matching [`plan_tile_rows`]'
+    /// `workspace + rows·n·elem ≤ mem` check exactly.
+    fn resident_rows(&self, spec: &DeviceSpec, held: u64) -> usize {
+        let free = (spec.mem_bytes as u128).saturating_sub(self.workspace() + held as u128);
+        let per_row = (self.n as u128 * self.elem as u128).max(1);
+        usize::try_from(free / per_row).unwrap_or(usize::MAX)
+    }
+
+    /// One `tile_rows × n` buffer: what a dense entry holds.
+    fn tile_buffer(&self, shard: &DeviceShard) -> u64 {
+        tile_bytes(shard.tile_rows, self.n, self.elem)
     }
 }
 
-/// Restores "no active shard" on drop, so an error inside a shard's tile
-/// stream cannot leave the executor attributing unrelated work to a device.
-struct ActiveShard<'a> {
+/// Attributes work to one device while alive and restores "no active shard"
+/// on drop, so an error inside a shard's tile stream cannot leave the
+/// executor attributing unrelated work to a device.
+pub(crate) struct ActiveShard<'a> {
     executor: &'a dyn Executor,
 }
 
 impl<'a> ActiveShard<'a> {
-    fn activate(executor: &'a dyn Executor, device: usize) -> Self {
-        executor.activate_shard(Some(device));
-        Self { executor }
+    /// Activate `device` on a sharded executor; `None` on a single-shard
+    /// one, where activating shard 0 would move charges off the serial
+    /// bucket.
+    pub(crate) fn on(executor: &'a dyn Executor, device: usize) -> Option<Self> {
+        (executor.shard_count() > 1).then(|| {
+            executor.activate_shard(Some(device));
+            Self { executor }
+        })
     }
 }
 
@@ -646,13 +741,266 @@ impl Drop for ActiveShard<'_> {
     }
 }
 
-/// The plan in force and the number of completed tile passes. Guarded by its
-/// own mutex (separate from the resident cache) so `row()` — which only needs
-/// the owner lookup — can never deadlock against a tile stream holding the
-/// cache; lock order is always plan before cache.
+/// What a kernel representation adds to the [`ShardStream`]. The defaults
+/// describe dense tile buffers (exact and Nyström panels).
+///
+/// The stream calls these hooks while it holds its own state lock: a hook
+/// must not call back into the stream, and may take a representation lock
+/// (such as the exact source's resident cache) only after it.
+pub(crate) trait ShardRows {
+    /// Bytes a device holds for plan entry `shard`.
+    fn held_bytes(&self, budget: &RowBudget, shard: &DeviceShard) -> u64 {
+        budget.tile_buffer(shard)
+    }
+
+    /// How survivor `device` (`spec`) takes over the migrated `rows`: their
+    /// tile height and the bytes it newly holds for them, or its capacity
+    /// error. The device already holds `held` bytes for its other entries
+    /// and owns a streaming tile buffer of `buffer` rows (0 for none).
+    ///
+    /// Dense panels take the policy's height, shrunk to what fits beside the
+    /// holdings. When that falls short and the streaming buffer is taller,
+    /// they stream through that buffer instead — the device walks its entries
+    /// one after another — and hold nothing new. Under [`TilePolicy::Full`]
+    /// the rows must fit resident.
+    fn migrated_chunk(
+        &self,
+        budget: &RowBudget,
+        spec: &DeviceSpec,
+        device: usize,
+        rows: &Range<usize>,
+        held: u64,
+        buffer: usize,
+    ) -> Result<(usize, u64)> {
+        let planned = budget.shard_tile_rows(rows.len(), spec, device)?;
+        let fits = budget.resident_rows(spec, held);
+        let full = budget.tiling == TilePolicy::Full;
+        if !full && fits < planned && buffer > fits {
+            return Ok((planned.min(buffer), 0));
+        }
+        let needed = if full { rows.len() } else { 1 };
+        if fits < needed {
+            let required = budget.workspace()
+                + held as u128
+                + tile_bytes(needed, budget.n, budget.elem) as u128;
+            return Err(CoreError::DeviceShardMemoryExceeded {
+                device,
+                required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
+                available_bytes: spec.mem_bytes,
+            });
+        }
+        let tile_rows = planned.min(fits);
+        Ok((tile_rows, tile_bytes(tile_rows, budget.n, budget.elem)))
+    }
+
+    /// The side effect of one recovery beyond moving residency: `carry`
+    /// maps each entry of `plan` to the entry of `old` it was carried from
+    /// (`None` for a migrated chunk).
+    fn replanned(
+        &self,
+        _old: &ShardPlan,
+        _lost: usize,
+        _plan: &ShardPlan,
+        _carry: &[Option<usize>],
+        _executor: &dyn Executor,
+        _report: &mut RecoveryReport,
+    ) {
+    }
+}
+
+/// Dense tile buffers alone: what [`ShardPlan::reassign_device`] re-plans.
+struct DenseTiles;
+
+impl ShardRows for DenseTiles {}
+
+/// The callback of [`ShardStream::walk`]: `f(resident, rows)` for one tile.
+/// `resident` is `Some(entry)` when plan entry `entry` keeps all its rows in
+/// a buffer of its own — a tile the representation may cache across passes —
+/// and `None` while the entry streams.
+pub(crate) type EntryVisitor<'a> = dyn FnMut(Option<usize>, Range<usize>) -> Result<()> + 'a;
+
+/// The plan in force, the bytes each of its entries holds on its device (0
+/// for a chunk streaming through a buffer its device already owns) and the
+/// number of completed passes.
+#[derive(Debug)]
 struct PassState {
     plan: ShardPlan,
+    held: Vec<u64>,
     pass: usize,
+}
+
+/// The elastic row protocol, shared by every kernel representation: owns the
+/// [`ShardPlan`] and the pass counter, drains fault events at each pass
+/// boundary, re-plans after a loss (moving residency and filling the
+/// [`RecoveryReport`]), walks the entries in global row order under one
+/// [`ActiveShard`] guard per entry and charges the all-reduce when more than
+/// one device took part in the pass.
+#[derive(Debug)]
+pub(crate) struct ShardStream {
+    /// Behind a mutex because a mid-fit device loss re-plans it; the
+    /// [`KernelSource`] `Sync` contract rules out a `RefCell`. Lock order:
+    /// this state before any lock of the representation.
+    state: Mutex<PassState>,
+    pub(crate) budget: RowBudget,
+}
+
+impl ShardStream {
+    /// A stream over `plan`, re-planning against `budget`. Call
+    /// [`ShardStream::track`] once the owning representation exists.
+    pub(crate) fn new(plan: ShardPlan, budget: RowBudget) -> Self {
+        Self {
+            state: Mutex::new(PassState {
+                plan,
+                held: Vec::new(),
+                pass: 0,
+            }),
+            budget,
+        }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, PassState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// A snapshot of the plan in force (a device loss may re-plan between
+    /// passes).
+    pub(crate) fn plan(&self) -> ShardPlan {
+        self.state().plan.clone()
+    }
+
+    /// Track what every device holds for its entries, each on its owner.
+    pub(crate) fn track<R: ShardRows + ?Sized>(&self, rows: &R, executor: &dyn Executor) {
+        let state = &mut *self.state();
+        state.held = state
+            .plan
+            .shards()
+            .iter()
+            .map(|shard| {
+                let _active = ActiveShard::on(executor, shard.device);
+                let bytes = rows.held_bytes(&self.budget, shard);
+                executor.track_alloc(bytes);
+                bytes
+            })
+            .collect();
+    }
+
+    /// Attribute work on row `i` (a seed row pull) to the device owning it.
+    pub(crate) fn on_row<'e>(
+        &self,
+        executor: &'e dyn Executor,
+        i: usize,
+    ) -> Option<ActiveShard<'e>> {
+        ActiveShard::on(executor, self.state().plan.device_of(i))
+    }
+
+    /// One full pass: `f` for each tile of each entry in global row order,
+    /// with the entry's device active, then the all-reduce of the distance
+    /// partials when several devices took part.
+    pub(crate) fn walk<R: ShardRows + ?Sized>(
+        &self,
+        rows: &R,
+        executor: &dyn Executor,
+        f: &mut EntryVisitor<'_>,
+    ) -> Result<()> {
+        let (plan, held) = self.begin_pass(rows, executor)?;
+        for (index, (shard, &bytes)) in plan.shards().iter().zip(&held).enumerate() {
+            if shard.rows.is_empty() {
+                continue;
+            }
+            let resident = (shard.is_resident() && bytes > 0).then_some(index);
+            let _active = ActiveShard::on(executor, shard.device);
+            let mut r0 = shard.rows.start;
+            while r0 < shard.rows.end {
+                let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
+                f(resident, r0..r1)?;
+                r0 = r1;
+            }
+        }
+        if plan.participating_devices() > 1 {
+            // Every device's rows of the `n × k` partials plus the
+            // `k`-length cluster statistics.
+            let RowBudget {
+                n, k_budget, elem, ..
+            } = self.budget;
+            executor.charge(
+                format!("all-reduce distance partials (n={n}, k={k_budget})"),
+                Phase::PairwiseDistances,
+                OpClass::AllReduce,
+                OpCost::transfer((n as u64 + 1) * k_budget as u64 * elem as u64),
+            );
+        }
+        Ok(())
+    }
+
+    /// Drain due fault events at the pass boundary, recover (or surface) any
+    /// device loss, bump the pass counter and return this pass's plan with
+    /// its per-entry holdings.
+    fn begin_pass<R: ShardRows + ?Sized>(
+        &self,
+        rows: &R,
+        executor: &dyn Executor,
+    ) -> Result<(ShardPlan, Vec<u64>)> {
+        let mut state = self.state();
+        let pass = state.pass;
+        while let Some(event) = (executor.shard_count() > 1)
+            .then(|| executor.poll_fault(pass))
+            .flatten()
+        {
+            // Scale-up is lazy (scale-down is immediate): a joiner is alive
+            // from now on but only drafted by the next re-plan.
+            if let FaultKind::DeviceLost { device } = event.kind {
+                if executor.recovery_policy() == RecoveryPolicy::Abort {
+                    return Err(CoreError::DeviceLost { device, pass });
+                }
+                self.recover(&mut state, device, pass, rows, executor)?;
+            }
+        }
+        state.pass += 1;
+        Ok((state.plan.clone(), state.held.clone()))
+    }
+
+    /// Resume in place after losing `lost`: splice its rows over the
+    /// survivors beside what they hold, free its holdings, track the
+    /// migrated chunks on their new owners, run the representation's side
+    /// effect and account the recovery on the executor. Runs under the
+    /// state lock, so the [`ShardRows`] hooks must not re-enter the stream.
+    fn recover<R: ShardRows + ?Sized>(
+        &self,
+        state: &mut PassState,
+        lost: usize,
+        pass: usize,
+        rows: &R,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        let Some(topology) = executor.topology() else {
+            return Err(CoreError::DeviceLost { device: lost, pass });
+        };
+        let before = executor.total_modeled_seconds();
+        let alive = alive_mask(executor, topology);
+        let (plan, carry, held) =
+            state
+                .plan
+                .splice(&state.held, lost, topology, &alive, &self.budget, rows)?;
+        let mut delta = RecoveryReport::default();
+        for (shard, &bytes) in state.plan.shards().iter().zip(&state.held) {
+            if shard.device == lost {
+                delta.rows_migrated += shard.rows.len() as u64;
+                let _active = ActiveShard::on(executor, lost);
+                executor.track_free(bytes);
+            }
+        }
+        for ((shard, &bytes), carried) in plan.shards().iter().zip(&held).zip(&carry) {
+            if carried.is_none() {
+                let _active = ActiveShard::on(executor, shard.device);
+                executor.track_alloc(bytes);
+            }
+        }
+        rows.replanned(&state.plan, lost, &plan, &carry, executor, &mut delta);
+        delta.reshard_seconds = executor.total_modeled_seconds() - before;
+        (state.plan, state.held) = (plan, held);
+        executor.note_recovery(&delta);
+        Ok(())
+    }
 }
 
 /// A [`KernelSource`] that streams `K` in global row order while attributing
@@ -668,18 +1016,13 @@ struct PassState {
 /// moves.
 pub struct ShardedKernelSource<'a, T: Scalar> {
     inner: TiledKernel<'a, T>,
-    k_budget: usize,
-    /// Modeled upload footprint of the points — re-plans after a loss need
-    /// the same workspace math the original plan used.
-    input_bytes: u64,
-    /// The fit-level tile policy, honoured by elastic re-plans.
-    tiling: TilePolicy,
-    state: Mutex<PassState>,
-    /// Resident shards (`DeviceShard::is_resident`) are computed — and
-    /// charged to their device — exactly once, then replayed from this cache
-    /// on later passes, the multi-device analogue of [`crate::FullKernel`]'s
-    /// charge-once semantics. Streaming (sub-tiled) shards never cache: their
-    /// device cannot hold more than one tile. Indexed in lockstep with the
+    stream: ShardStream,
+    /// Resident shards (`DeviceShard::is_resident`, in a buffer of their own)
+    /// are computed — and charged to their device — exactly once, then
+    /// replayed from this cache on later passes, the multi-device analogue
+    /// of [`crate::FullKernel`]'s charge-once semantics. Streaming
+    /// (sub-tiled) shards, and migrated chunks streaming through a
+    /// survivor's buffer, never cache. Indexed in lockstep with the
     /// plan's entries; a recovery rebuilds it through the carry map so
     /// survivors keep their caches. A `Mutex` (not `RefCell`) so the source
     /// satisfies the [`KernelSource`] `Sync` contract; the tile stream itself
@@ -706,147 +1049,69 @@ impl<'a, T: Scalar> ShardedKernelSource<'a, T> {
             )));
         }
         let elem = std::mem::size_of::<T>();
-        let input_bytes = points.upload_bytes();
-        let inner =
-            TiledKernel::build(points, kernel, plan.max_tile_rows().max(1), executor, false)?;
+        let budget = RowBudget {
+            n,
+            k_budget,
+            elem,
+            input_bytes: points.upload_bytes(),
+            tiling: TilePolicy::Auto,
+        };
+        let inner = TiledKernel::build(points, kernel, plan.max_tile_rows().max(1), executor)?;
         // The kernel diagonal is read by every device's tile transform:
         // replicated bookkeeping, tracked on all devices.
         executor.track_alloc(n as u64 * elem as u64);
-        for shard in plan.shards() {
-            if shard.tile_rows == 0 {
-                continue;
-            }
-            let _active = ActiveShard::activate(executor, shard.device);
-            executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-        }
         let resident = Mutex::new(vec![None; plan.shards().len()]);
-        Ok(Self {
+        let source = Self {
             inner,
-            k_budget,
-            input_bytes,
-            tiling: TilePolicy::Auto,
-            state: Mutex::new(PassState { plan, pass: 0 }),
+            stream: ShardStream::new(plan, budget),
             resident,
-        })
+        };
+        source.stream.track(&source, executor);
+        Ok(source)
     }
 
-    /// Record the fit-level tile policy so elastic re-plans after a device
-    /// loss honour it. The constructor's plan was already built with it; this
-    /// only steers future [`ShardPlan::reassign_device`] calls (defaults to
-    /// [`TilePolicy::Auto`]).
+    /// Set the fit-level tile policy the stream's recovery re-plans size
+    /// migrated rows with after a device loss (defaults to
+    /// [`TilePolicy::Auto`]). The constructor's plan was already built with
+    /// it; this leaves that plan untouched.
     pub fn with_tiling(mut self, tiling: TilePolicy) -> Self {
-        self.tiling = tiling;
+        self.stream.budget.tiling = tiling;
         self
     }
 
     /// The row partition and per-device tiling currently in effect (a
     /// snapshot — a device loss may re-plan between passes).
     pub fn plan(&self) -> ShardPlan {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .clone()
+        self.stream.plan()
     }
+}
 
-    /// Modeled payload of the per-pass all-reduce: every device's rows of the
-    /// `n × k` distance partials plus the `k`-length cluster statistics.
-    fn all_reduce_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<T>() as u64;
-        (self.inner.n() as u64 + 1) * self.k_budget as u64 * elem
-    }
-
-    /// Drain due fault events at the pass boundary, recover (or surface) any
-    /// device loss, bump the pass counter and return this pass's shard walk.
-    fn begin_pass(&self, executor: &dyn Executor) -> Result<Vec<DeviceShard>> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let pass = state.pass;
-        while let Some(event) = executor.poll_fault(pass) {
-            match event.kind {
-                FaultKind::DeviceLost { device } => {
-                    if executor.recovery_policy() == RecoveryPolicy::Abort {
-                        return Err(CoreError::DeviceLost { device, pass });
-                    }
-                    self.recover(&mut state, device, pass, executor)?;
-                }
-                // Scale-up is lazy (scale-down is immediate): the joiner is
-                // alive from now on but is only drafted by the next re-plan —
-                // a later loss, or the next fit — because re-balancing onto
-                // it mid-fit would discard survivors' resident tiles.
-                FaultKind::DeviceJoined { .. } => {}
-            }
-        }
-        state.pass += 1;
-        Ok(state.plan.shards().to_vec())
-    }
-
-    /// Resume-in-place after losing `lost`: splice its rows over the
-    /// survivors, drop its buffers, carry the survivors' resident caches and
-    /// account the modeled recovery work on the executor.
-    fn recover(
+impl<T: Scalar> ShardRows for ShardedKernelSource<'_, T> {
+    /// The lost device's resident tiles are gone: count them as replayed
+    /// (their new owners recompute them in the next passes) and carry the
+    /// survivors' caches into the new plan.
+    fn replanned(
         &self,
-        state: &mut PassState,
+        old: &ShardPlan,
         lost: usize,
-        pass: usize,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::DeviceLost { device: lost, pass });
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
+        _plan: &ShardPlan,
+        carry: &[Option<usize>],
+        _executor: &dyn Executor,
+        report: &mut RecoveryReport,
+    ) {
+        let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
+        for (shard, cached) in old.shards().iter().zip(cache.iter()) {
+            if shard.device == lost && cached.is_some() {
+                report.replayed_tiles += 1;
+                report.replayed_bytes +=
+                    tile_bytes(shard.rows.len(), old.n(), std::mem::size_of::<T>());
+            }
+        }
+        let rebuilt = carry
+            .iter()
+            .map(|c| c.and_then(|i| cache[i].take()))
             .collect();
-        let elem = std::mem::size_of::<T>();
-        let n = self.inner.n();
-        let (plan, carry) = state.plan.reassign_device(
-            lost,
-            self.k_budget,
-            elem,
-            self.input_bytes,
-            self.tiling,
-            topology,
-            &alive,
-        )?;
-        let mut resident = self.resident.lock().unwrap_or_else(|p| p.into_inner());
-        let mut delta = RecoveryReport::default();
-        // The lost device's tile buffers — and any resident tiles cached in
-        // them — are gone; its rows will be recomputed by their new owners
-        // (charged naturally when the next passes stream the fresh chunks).
-        for (index, shard) in state.plan.shards().iter().enumerate() {
-            if shard.device != lost {
-                continue;
-            }
-            delta.rows_migrated += shard.rows.len() as u64;
-            if resident[index].is_some() {
-                delta.replayed_tiles += 1;
-                delta.replayed_bytes += tile_bytes(shard.rows.len(), n, elem);
-            }
-            if shard.tile_rows > 0 {
-                let _active = ActiveShard::activate(executor, lost);
-                executor.track_free(tile_bytes(shard.tile_rows, n, elem));
-            }
-        }
-        // Carry the survivors' caches into the new plan and track the fresh
-        // chunks' tile buffers on their owners. The points are replicated, so
-        // nothing is re-uploaded for the dense sharded source.
-        let mut rebuilt: Vec<Option<DenseMatrix<T>>> = Vec::with_capacity(plan.shards().len());
-        for (j, carried) in carry.iter().enumerate() {
-            rebuilt.push(match carried {
-                Some(i) => resident[*i].take(),
-                None => {
-                    let shard = &plan.shards()[j];
-                    if shard.tile_rows > 0 {
-                        let _active = ActiveShard::activate(executor, shard.device);
-                        executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-                    }
-                    None
-                }
-            });
-        }
-        *resident = rebuilt;
-        state.plan = plan;
-        executor.note_recovery(&delta);
-        Ok(())
+        *cache = rebuilt;
     }
 }
 
@@ -856,25 +1121,7 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
     }
 
     fn tile_rows(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .max_tile_rows()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        let n = self.inner.n();
-        let elem = std::mem::size_of::<T>();
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .shards()
-            .iter()
-            .map(|s| tile_bytes(s.tile_rows, n, elem))
-            .max()
-            .unwrap_or(0)
+        self.stream.plan().max_tile_rows()
     }
 
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
@@ -884,67 +1131,24 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
         // Seed rows are produced by (and priced on) the device owning them.
-        let device = self
-            .state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .device_of(i);
-        let _active = ActiveShard::activate(executor, device);
+        let _active = self.stream.on_row(executor, i);
         self.inner.row(i, executor)
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        // Global row order, so engines fold tiles exactly as a single-device
-        // stream would — only the pricing attribution moves between devices.
-        let shards = self.begin_pass(executor)?;
-        for (index, shard) in shards.iter().enumerate() {
-            if shard.rows.is_empty() {
-                continue;
+        self.stream.walk(self, executor, &mut |resident, rows| {
+            let Some(index) = resident else {
+                let tile = self.inner.compute_tile(rows.start, rows.end, executor)?;
+                return f(rows, &tile);
+            };
+            // The device holds its whole shard: compute (and charge) it on
+            // the first pass, replay it for free afterwards.
+            let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
+            if cache[index].is_none() {
+                cache[index] = Some(self.inner.compute_tile(rows.start, rows.end, executor)?);
             }
-            let _active = ActiveShard::activate(executor, shard.device);
-            if shard.is_resident() {
-                // The device holds its whole shard: compute (and charge) it
-                // on the first pass, replay it for free afterwards.
-                let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
-                if cache[index].is_none() {
-                    let tile =
-                        self.inner
-                            .compute_tile(shard.rows.start, shard.rows.end, executor)?;
-                    cache[index] = Some(tile);
-                }
-                let tile = cache[index].as_ref().expect("populated above");
-                f(shard.rows.clone(), tile)?;
-                continue;
-            }
-            let mut r0 = shard.rows.start;
-            while r0 < shard.rows.end {
-                let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-                let tile = self.inner.compute_tile(r0, r1, executor)?;
-                f(r0..r1, &tile)?;
-                r0 = r1;
-            }
-        }
-        let mut participants: Vec<usize> = shards
-            .iter()
-            .filter(|s| !s.rows.is_empty())
-            .map(|s| s.device)
-            .collect();
-        participants.sort_unstable();
-        participants.dedup();
-        if participants.len() > 1 {
-            executor.charge(
-                format!(
-                    "all-reduce distance partials (n={}, k={})",
-                    self.inner.n(),
-                    self.k_budget
-                ),
-                Phase::PairwiseDistances,
-                OpClass::AllReduce,
-                OpCost::transfer(self.all_reduce_bytes()),
-            );
-        }
-        Ok(())
+            f(rows, cache[index].as_ref().expect("populated above"))
+        })
     }
 }
 

@@ -36,19 +36,16 @@
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::INDEX_BYTES;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, workspace_bytes, CsrTileVisitor, KernelSource, TilePolicy,
+    plan_tile_rows, tile_bytes, CsrTileVisitor, KernelSource, PhaseResidency, TilePolicy,
     TileVisitor, TiledKernel,
 };
-use crate::shard::{split_rows_by_throughput, DeviceShard};
+use crate::shard::{ActiveShard, DeviceShard, RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase, RecoveryPolicy, RecoveryReport,
-};
+use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::CsrMatrix;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Per-row sparsification rule for the kernel matrix (surfaced on the CLI as
 /// `--sparsify {knn:N|threshold:T}`). The diagonal is always kept: `K_ii` is
@@ -103,38 +100,6 @@ impl Sparsify {
     }
 }
 
-/// Frees a phase's transient working set on every exit path (the local copy
-/// of the guard in [`crate::nystrom`]).
-struct PhaseResidency<'a> {
-    executor: &'a dyn Executor,
-    bytes: u64,
-}
-
-impl Drop for PhaseResidency<'_> {
-    fn drop(&mut self) {
-        self.executor.track_free(self.bytes);
-    }
-}
-
-/// Restores "no active shard" on drop (the local copy of the guard in
-/// [`crate::shard`], for the multi-device row stream).
-struct ActiveShard<'a> {
-    executor: &'a dyn Executor,
-}
-
-impl<'a> ActiveShard<'a> {
-    fn activate(executor: &'a dyn Executor, device: usize) -> Self {
-        executor.activate_shard(Some(device));
-        Self { executor }
-    }
-}
-
-impl Drop for ActiveShard<'_> {
-    fn drop(&mut self) {
-        self.executor.activate_shard(None);
-    }
-}
-
 /// A sparsified kernel matrix held CSR-resident and streamed as zero-copy
 /// row-panel views.
 ///
@@ -155,19 +120,8 @@ pub struct SparsifiedKernel<T: Scalar> {
     /// [`SparsifiedKernel::from_csr`].
     dropped_mass: Option<f64>,
     tile_rows: usize,
-    /// Multi-device row partition (None on a single device); interior-mutable
-    /// because a mid-fit device loss re-shards between passes.
-    shards: Option<Mutex<ElasticShards>>,
-    /// Total distance columns of the fit, sizing the per-pass all-reduce.
-    k_budget: usize,
-}
-
-/// The mutable multi-device state: the current row partition plus the pass
-/// counter that drives fault polling at pass boundaries.
-#[derive(Debug)]
-struct ElasticShards {
-    shards: Vec<DeviceShard>,
-    pass: usize,
+    /// The row walk; each device holds its entries' CSR slices.
+    stream: ShardStream,
 }
 
 impl<T: Scalar> SparsifiedKernel<T> {
@@ -205,22 +159,18 @@ impl<T: Scalar> SparsifiedKernel<T> {
             TilePolicy::Auto,
             executor.device(),
         )?;
-        let exact = TiledKernel::build(input, kernel, panel_rows, executor, false)?;
+        let exact = TiledKernel::build(input, kernel, panel_rows, executor)?;
         let diag = exact.diag(executor)?;
-        let build_bytes = tile_bytes(panel_rows, n, elem) + n as u64 * elem as u64 + n as u64 * 8;
-        executor.track_alloc(build_bytes);
-        let transient = PhaseResidency {
+        let transient = PhaseResidency::track(
             executor,
-            bytes: build_bytes,
-        };
+            tile_bytes(panel_rows, n, elem) + n as u64 * elem as u64 + n as u64 * 8,
+        );
 
         let mut kept_cols: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut kept_vals: Vec<Vec<T>> = vec![Vec::new(); n];
         let mut row_total_abs = vec![0.0f64; n];
-        let mut r0 = 0usize;
-        while r0 < n {
-            let r1 = (r0 + panel_rows).min(n);
-            let tile = exact.compute_tile(r0, r1, executor)?;
+        exact.for_each_tile(executor, &mut |rows, tile| {
+            let (r0, r1) = (rows.start, rows.end);
             executor.run(
                 format!(
                     "sparsify K rows {r0}..{r1} ({}, n={n})",
@@ -243,8 +193,8 @@ impl<T: Scalar> SparsifiedKernel<T> {
                     }
                 },
             );
-            r0 = r1;
-        }
+            Ok(())
+        })?;
 
         // Pattern symmetrization S ∪ Sᵀ: a kept (i, j) also keeps (j, i).
         // The kernel matrix is bitwise symmetric (entry (i,j) and (j,i) fold
@@ -337,9 +287,9 @@ impl<T: Scalar> SparsifiedKernel<T> {
         Self::finish(csr, diag, None, tiling, k_budget, 0, executor)
     }
 
-    /// Shared tail of both constructors: the nnz-budgeted fit check, the
-    /// panel-height choice, the multi-device row partition and the residency
-    /// tracking of the CSR + diagonal.
+    /// Shared tail of both constructors: the panel-height choice, the row
+    /// plan with its nnz-budgeted fit check, and the residency tracking of
+    /// the diagonal and each device's CSR slice.
     fn finish(
         csr: CsrMatrix<T>,
         diag: Vec<T>,
@@ -351,8 +301,6 @@ impl<T: Scalar> SparsifiedKernel<T> {
     ) -> Result<Self> {
         let n = csr.rows();
         let elem = std::mem::size_of::<T>();
-        let diag_bytes = n as u64 * elem as u64;
-        let csr_bytes = csr.storage_bytes(elem, INDEX_BYTES);
         // The engines consume zero-copy views of the resident CSR, so the
         // tile height is purely a batching choice — Rows(r) is honoured
         // verbatim, Auto and Full hand out one full-height panel.
@@ -365,77 +313,28 @@ impl<T: Scalar> SparsifiedKernel<T> {
             TilePolicy::Rows(rows) => rows.min(n),
             TilePolicy::Auto | TilePolicy::Full => n,
         };
-        let reject = |required: u128, available: u64| CoreError::DeviceMemoryExceeded {
-            required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
-            available_bytes: available,
+        let budget = RowBudget {
+            n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
         };
-        let workspace = workspace_bytes(n, k_budget, elem, input_bytes);
-        let shards = if executor.shard_count() > 1 {
-            let Some(topology) = executor.topology() else {
-                return Err(CoreError::InvalidConfig(
-                    "the executor reports multiple shards but no device topology; \
-                     an Executor implementation overriding shard_count() must also \
-                     override topology()"
-                        .into(),
-                ));
-            };
-            let alive: Vec<bool> = (0..topology.devices.len())
-                .map(|d| executor.shard_alive(d))
-                .collect();
-            let split = split_rows_by_throughput(0..n, elem, topology, &alive)?;
-            let mut shards = Vec::with_capacity(split.len());
-            for (device, rows) in split {
-                // Each device holds its own rows' CSR slice (plus the
-                // replicated workspace and diagonal).
-                let required =
-                    workspace + shard_csr_bytes(&csr, &rows, elem) as u128 + diag_bytes as u128;
-                let mem = topology.devices[device].mem_bytes;
-                if required > mem as u128 {
-                    return Err(CoreError::DeviceShardMemoryExceeded {
-                        device,
-                        required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
-                        available_bytes: mem,
-                    });
-                }
-                let tile_rows = tile_rows.min(rows.len());
-                shards.push(DeviceShard {
-                    device,
-                    rows,
-                    tile_rows,
-                });
-            }
-            Some(shards)
-        } else {
-            let required = workspace + csr_bytes as u128 + diag_bytes as u128;
-            let mem = executor.device().mem_bytes;
-            if required > mem as u128 {
-                return Err(reject(required, mem));
-            }
-            None
-        };
-        match &shards {
-            None => executor.track_alloc(csr_bytes + diag_bytes),
-            Some(shards) => {
-                // The diagonal is replicated bookkeeping (tracked on every
-                // device); each CSR row slice lives on its owning device.
-                executor.track_alloc(diag_bytes);
-                for shard in shards {
-                    if shard.rows.is_empty() {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    executor.track_alloc(shard_csr_bytes(&csr, &shard.rows, elem));
-                }
-            }
-        }
-        Ok(Self {
+        let plan = ShardPlan::for_executor_with(n, elem, executor, |spec, device, rows| {
+            fit_csr_rows(&csr, rows, 0, &budget, tile_rows, device, spec.mem_bytes)
+        })?;
+        // The diagonal is replicated bookkeeping (tracked on every device);
+        // each CSR row slice lives on its owning device.
+        executor.track_alloc(n as u64 * elem as u64);
+        let source = Self {
             csr,
             diag,
             dropped_mass,
             tile_rows,
-            shards: shards.map(|shards| Mutex::new(ElasticShards { shards, pass: 0 })),
-            k_budget,
-        })
+            stream: ShardStream::new(plan, budget),
+        };
+        source.stream.track(&source, executor);
+        Ok(source)
     }
 
     /// Stored entries of the sparsified matrix.
@@ -460,178 +359,64 @@ impl<T: Scalar> SparsifiedKernel<T> {
     pub fn dropped_mass(&self) -> Option<f64> {
         self.dropped_mass
     }
+}
 
-    /// Modeled payload of the per-pass all-reduce (matches the exact sharded
-    /// source).
-    fn all_reduce_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<T>() as u64;
-        (self.csr.rows() as u64 + 1) * self.k_budget as u64 * elem
+impl<T: Scalar> ShardRows for SparsifiedKernel<T> {
+    fn held_bytes(&self, budget: &RowBudget, shard: &DeviceShard) -> u64 {
+        shard_csr_bytes(&self.csr, &shard.rows, budget.elem)
     }
 
-    /// Drain due fault events at the pass boundary, recover (or surface) any
-    /// device loss, bump the pass counter and return this pass's shard walk
-    /// (`None` on a single device).
-    fn begin_pass(&self, executor: &dyn Executor) -> Result<Option<Vec<DeviceShard>>> {
-        let Some(state) = &self.shards else {
-            return Ok(None);
-        };
-        let mut state = state.lock().unwrap_or_else(|p| p.into_inner());
-        let pass = state.pass;
-        while let Some(event) = executor.poll_fault(pass) {
-            match event.kind {
-                FaultKind::DeviceLost { device } => {
-                    if executor.recovery_policy() == RecoveryPolicy::Abort {
-                        return Err(CoreError::DeviceLost { device, pass });
-                    }
-                    self.recover(&mut state, device, executor)?;
-                }
-                // Scale-up is lazy (scale-down is immediate), matching the
-                // dense sharded source: the joiner is alive from now on but
-                // is only drafted by the next re-shard.
-                FaultKind::DeviceJoined { .. } => {}
-            }
-        }
-        state.pass += 1;
-        Ok(Some(state.shards.clone()))
-    }
-
-    /// Resume-in-place after losing `lost`: splice its rows over the
-    /// survivors throughput-proportionally, drop its CSR slice and re-upload
-    /// the migrated slices to their new owners. Unlike the dense sharded
-    /// source (replicated points, recompute in place), the stored entries
-    /// only exist host-side, so migration is a modeled transfer.
-    fn recover(
+    /// A CSR slice stays resident: it fits beside the survivor's holdings
+    /// or the re-plan fails. Panels are zero-copy views, so there is no
+    /// buffer to share.
+    fn migrated_chunk(
         &self,
-        state: &mut ElasticShards,
+        budget: &RowBudget,
+        spec: &DeviceSpec,
+        device: usize,
+        rows: &Range<usize>,
+        held: u64,
+        _buffer: usize,
+    ) -> Result<(usize, u64)> {
+        let tile_rows = fit_csr_rows(
+            &self.csr,
+            rows,
+            held,
+            budget,
+            self.tile_rows,
+            device,
+            spec.mem_bytes,
+        )?;
+        Ok((tile_rows, shard_csr_bytes(&self.csr, rows, budget.elem)))
+    }
+
+    /// Unlike replicated points or factors, the stored entries only exist
+    /// host-side, so each migrated slice is re-uploaded to its new owner as
+    /// a charged transfer.
+    fn replanned(
+        &self,
+        _old: &ShardPlan,
         lost: usize,
+        plan: &ShardPlan,
+        carry: &[Option<usize>],
         executor: &dyn Executor,
-    ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::InvalidConfig(
-                "the executor reports multiple shards but no device topology; \
-                 an Executor implementation overriding shard_count() must also \
-                 override topology()"
-                    .into(),
-            ));
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
-            .collect();
+        report: &mut RecoveryReport,
+    ) {
         let elem = std::mem::size_of::<T>();
-        let before = executor.total_modeled_seconds();
-        let mut delta = RecoveryReport::default();
-        let mut rebuilt: Vec<DeviceShard> = Vec::with_capacity(state.shards.len() + 1);
-        for shard in &state.shards {
-            if shard.device != lost {
-                rebuilt.push(shard.clone());
-                continue;
-            }
-            delta.rows_migrated += shard.rows.len() as u64;
-            if !shard.rows.is_empty() {
-                let _active = ActiveShard::activate(executor, lost);
-                executor.track_free(shard_csr_bytes(&self.csr, &shard.rows, elem));
-            }
-            for (device, rows) in
-                split_rows_by_throughput(shard.rows.clone(), elem, topology, &alive)?
-            {
-                if rows.is_empty() {
-                    continue;
-                }
-                let bytes = shard_csr_bytes(&self.csr, &rows, elem);
-                let _active = ActiveShard::activate(executor, device);
-                executor.track_alloc(bytes);
-                executor.charge(
-                    format!(
-                        "re-upload sparsified K rows {}..{} after device {lost} loss",
-                        rows.start, rows.end
-                    ),
-                    Phase::KernelMatrix,
-                    OpClass::Transfer,
-                    OpCost::transfer(bytes),
-                );
-                delta.bytes_reuploaded += bytes;
-                rebuilt.push(DeviceShard {
-                    device,
-                    rows: rows.clone(),
-                    tile_rows: self.tile_rows.min(rows.len()),
-                });
-            }
+        for (shard, _) in plan.shards().iter().zip(carry).filter(|(_, c)| c.is_none()) {
+            let bytes = shard_csr_bytes(&self.csr, &shard.rows, elem);
+            let _active = ActiveShard::on(executor, shard.device);
+            executor.charge(
+                format!(
+                    "re-upload sparsified K rows {}..{} after device {lost} loss",
+                    shard.rows.start, shard.rows.end
+                ),
+                Phase::KernelMatrix,
+                OpClass::Transfer,
+                OpCost::transfer(bytes),
+            );
+            report.bytes_reuploaded += bytes;
         }
-        delta.reshard_seconds = executor.total_modeled_seconds() - before;
-        state.shards = rebuilt;
-        executor.note_recovery(&delta);
-        Ok(())
-    }
-
-    /// Walk the row ranges of one full pass — per-shard with device
-    /// attribution and a trailing all-reduce on a multi-device plan, plain
-    /// tiling otherwise.
-    fn stream(
-        &self,
-        executor: &dyn Executor,
-        f: &mut dyn FnMut(Range<usize>) -> Result<()>,
-    ) -> Result<()> {
-        match self.begin_pass(executor)? {
-            None => {
-                let n = self.csr.rows();
-                let mut r0 = 0usize;
-                while r0 < n {
-                    let r1 = (r0 + self.tile_rows).min(n);
-                    f(r0..r1)?;
-                    r0 = r1;
-                }
-            }
-            Some(shards) => {
-                for shard in &shards {
-                    if shard.rows.is_empty() {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    let mut r0 = shard.rows.start;
-                    while r0 < shard.rows.end {
-                        let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-                        f(r0..r1)?;
-                        r0 = r1;
-                    }
-                }
-                let mut participants: Vec<usize> = shards
-                    .iter()
-                    .filter(|s| !s.rows.is_empty())
-                    .map(|s| s.device)
-                    .collect();
-                participants.sort_unstable();
-                participants.dedup();
-                if participants.len() > 1 {
-                    executor.charge(
-                        format!(
-                            "all-reduce distance partials (n={}, k={})",
-                            self.csr.rows(),
-                            self.k_budget
-                        ),
-                        Phase::PairwiseDistances,
-                        OpClass::AllReduce,
-                        OpCost::transfer(self.all_reduce_bytes()),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The device owning row `i` (0 on a single device).
-    fn device_of(&self, i: usize) -> usize {
-        self.shards
-            .as_ref()
-            .and_then(|state| {
-                state
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .shards
-                    .iter()
-                    .find(|s| s.rows.contains(&i))
-                    .map(|s| s.device)
-            })
-            .unwrap_or(0)
     }
 }
 
@@ -644,20 +429,13 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
         self.tile_rows
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.csr_bytes() + self.csr.rows() as u64 * std::mem::size_of::<T>() as u64
-    }
-
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed (and charged) once at construction.
         Ok(self.diag.clone())
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
-        let _active = self
-            .shards
-            .as_ref()
-            .map(|_| ActiveShard::activate(executor, self.device_of(i)));
+        let _active = self.stream.on_row(executor, i);
         let n = self.csr.rows();
         let elem = std::mem::size_of::<T>();
         let (cols, vals) = self.csr.row(i);
@@ -687,7 +465,7 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
         let n = self.csr.rows();
         let elem = std::mem::size_of::<T>();
-        self.stream(executor, &mut |rows| {
+        self.stream.walk(self, executor, &mut |_, rows| {
             let panel = self.csr.rows_view(rows.clone());
             let tile = executor.run(
                 format!(
@@ -734,10 +512,37 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     ) -> Result<()> {
         // The panels are zero-copy views of the resident CSR: streaming
         // charges nothing, the engines charge their nnz-proportional folds.
-        self.stream(executor, &mut |rows| {
+        self.stream.walk(self, executor, &mut |_, rows| {
             f(rows.clone(), self.csr.rows_view(rows))
         })
     }
+}
+
+/// Panel height of the CSR `rows` on `device` (`mem` bytes, already holding
+/// `held` for its other entries), or its capacity error: the device keeps
+/// the rows' CSR slice resident next to the replicated workspace and
+/// diagonal.
+fn fit_csr_rows<T: Scalar>(
+    csr: &CsrMatrix<T>,
+    rows: &Range<usize>,
+    held: u64,
+    budget: &RowBudget,
+    panel_rows: usize,
+    device: usize,
+    mem: u64,
+) -> Result<usize> {
+    let required = budget.workspace()
+        + held as u128
+        + shard_csr_bytes(csr, rows, budget.elem) as u128
+        + budget.n as u128 * budget.elem as u128;
+    if required > mem as u128 {
+        return Err(CoreError::DeviceShardMemoryExceeded {
+            device,
+            required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
+            available_bytes: mem,
+        });
+    }
+    Ok(panel_rows.min(rows.len()))
 }
 
 /// Bytes of the CSR slice covering `rows` (that row range's stored entries
@@ -1158,11 +963,12 @@ mod tests {
     #[test]
     fn tile_policy_governs_panel_heights_only() {
         let points = sample_points(10, 3);
-        let (auto_src, exec) = build(&points, Sparsify::Knn { neighbors: 4 }, TilePolicy::Auto);
-        assert!(auto_src.is_full());
+        let (auto_src, auto_exec) =
+            build(&points, Sparsify::Knn { neighbors: 4 }, TilePolicy::Auto);
+        assert_eq!(auto_src.tile_rows(), 10);
         let mut panels = Vec::new();
         auto_src
-            .for_each_csr_tile(&exec, &mut |rows, _| {
+            .for_each_csr_tile(&auto_exec, &mut |rows, _| {
                 panels.push(rows);
                 Ok(())
             })
@@ -1179,12 +985,12 @@ mod tests {
             .unwrap();
         assert_eq!(panels, vec![0..4, 4..8, 8..10]);
         // Same resident bytes either way: tiles are views.
-        assert_eq!(auto_src.resident_bytes(), rows_src.resident_bytes());
+        assert_eq!(auto_exec.peak_resident_bytes(), exec.peak_resident_bytes());
     }
 
     #[test]
     fn device_loss_mid_stream_re_shards_and_re_uploads_csr_slices() {
-        use popcorn_gpusim::{FaultPlan, LinkSpec, ShardedExecutor};
+        use popcorn_gpusim::{FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor};
         let n = 60;
         let points = sample_points(n, 4);
         let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
@@ -1217,14 +1023,13 @@ mod tests {
         }
         // The walk no longer touches device 1 and the migration was accounted
         // as a modeled re-upload of the lost CSR slices.
-        let state = source.shards.as_ref().unwrap().lock().unwrap();
-        assert!(state.shards.iter().all(|s| s.device != 1));
+        let plan = source.stream.plan();
+        assert!(plan.shards().iter().all(|s| s.device != 1));
         assert_eq!(
-            state.shards.iter().map(|s| s.rows.len()).sum::<usize>(),
+            plan.shards().iter().map(|s| s.rows.len()).sum::<usize>(),
             n,
             "the re-shard must still cover every row"
         );
-        drop(state);
         let report = faulty.recovery_report().expect("recovery must be recorded");
         assert_eq!(report.events, 1);
         assert_eq!(report.devices_lost, 1);

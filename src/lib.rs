@@ -46,10 +46,10 @@ pub mod prelude {
     pub use popcorn_core::{AssignmentBatch, FittedModel, ModelFamily, OwnedPoints, RefitRequest};
     pub use popcorn_core::{
         BatchOptions, BatchReport, BatchResult, ClusteringResult, FitInput, FitJob, FullKernel,
-        HostFanout, HostParallelism, Initialization, JobReport, KernelApprox, KernelFunction,
-        KernelKmeans, KernelKmeansConfig, KernelMatrixStrategy, KernelSource, NystromKernel,
-        ShardPlan, ShardedKernelSource, Solver, SparsifiedKernel, Sparsify, TilePolicy,
-        TiledKernel, TimingBreakdown,
+        HostParallelism, Initialization, JobReport, KernelApprox, KernelFunction, KernelKmeans,
+        KernelKmeansConfig, KernelMatrixStrategy, KernelSource, NystromKernel, ShardPlan,
+        ShardedKernelSource, Solver, SparsifiedKernel, Sparsify, TilePolicy, TiledKernel,
+        TimingBreakdown,
     };
     pub use popcorn_data::{Dataset, PaperDataset, SparseDataset};
     pub use popcorn_dense::{DenseMatrix, Scalar};

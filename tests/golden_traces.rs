@@ -1,0 +1,226 @@
+//! Golden traces: FNV-1a hashes of everything a fixed-seed sharded fit
+//! reports besides its labels, recorded from the build that still carried
+//! one copy of the elastic shard protocol per kernel representation.
+//!
+//! The elastic row protocol (pass counter, fault polling, device-loss
+//! recovery, the per-device walk and the all-reduce charge) decides where
+//! work is priced and what each device holds, never what is computed. So a
+//! rewrite of it must leave three things exactly as they were: every trace
+//! record's name, phase, class and modeled-seconds bits; every
+//! [`RecoveryReport`] field; and each device's residency peak. The batch
+//! cases pin the lockstep restart drive the same way, at one host thread
+//! (the inline drive) and at two (the worker pool).
+
+use popcorn::core::batch::{BatchOptions, FitJob, HostParallelism};
+use popcorn::data::synthetic::gaussian_blobs;
+use popcorn::prelude::*;
+use popcorn_gpusim::OpTrace;
+use std::sync::Arc;
+
+/// FNV-1a over a stream of words, each as eight little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, text: &str) {
+        self.word(text.len() as u64);
+        for byte in text.bytes() {
+            self.word(u64::from(byte));
+        }
+    }
+
+    fn trace(&mut self, trace: &OpTrace) {
+        self.word(trace.len() as u64);
+        for record in trace.records() {
+            self.text(&record.name);
+            self.text(&format!("{:?}", record.phase));
+            self.text(&format!("{:?}", record.class));
+            self.word(record.modeled_seconds.to_bits());
+        }
+    }
+
+    fn result(&mut self, result: &ClusteringResult) {
+        for &label in &result.labels {
+            self.word(label as u64);
+        }
+        self.word(result.objective.to_bits());
+    }
+
+    fn recovery(&mut self, report: Option<RecoveryReport>) {
+        let Some(r) = report else {
+            self.word(u64::MAX);
+            return;
+        };
+        for word in [
+            r.events as u64,
+            r.devices_lost as u64,
+            r.devices_joined as u64,
+            r.rows_migrated,
+            r.bytes_reuploaded,
+            r.replayed_tiles as u64,
+            r.replayed_bytes,
+            r.reshard_seconds.to_bits(),
+            r.backoff_seconds.to_bits(),
+            r.retries as u64,
+        ] {
+            self.word(word);
+        }
+    }
+}
+
+fn points() -> DenseMatrix<f64> {
+    gaussian_blobs::<f64>(48, 4, 3, 2.5, 21).points().clone()
+}
+
+/// Enough fixed iterations that a loss scheduled at pass 3 always fires.
+fn config() -> KernelKmeansConfig {
+    KernelKmeansConfig::paper_defaults(3)
+        .with_seed(4)
+        .with_max_iter(6)
+        .with_convergence_check(false, 0.0)
+}
+
+fn three_a100s(faults: FaultPlan) -> Arc<ShardedExecutor> {
+    Arc::new(
+        ShardedExecutor::homogeneous(
+            DeviceSpec::a100_80gb(),
+            3,
+            LinkSpec::nvlink(),
+            std::mem::size_of::<f64>(),
+        )
+        .with_fault_plan(faults, RecoveryPolicy::Resume),
+    )
+}
+
+/// One sharded fit, hashed over its trace, recovery and per-device peaks.
+fn sharded_case(config: KernelKmeansConfig, faults: FaultPlan) -> u64 {
+    let points = points();
+    let executor = three_a100s(faults);
+    let result = KernelKmeans::new(config)
+        .with_shared_executor(executor.clone())
+        .fit(&points)
+        .expect("golden sharded fit runs");
+    let mut hash = Fnv::new();
+    hash.result(&result);
+    hash.trace(&executor.trace());
+    hash.recovery(executor.recovery_report());
+    for peak in executor.per_device_peak_resident_bytes() {
+        hash.word(peak);
+    }
+    hash.0
+}
+
+/// A 4-job restart sweep on one device, hashed over every job's result and
+/// the shared executor's full trace and residency peak.
+fn batch_case(threads: usize) -> u64 {
+    let points = points();
+    let executor = Arc::new(SimExecutor::new(
+        DeviceSpec::a100_80gb(),
+        std::mem::size_of::<f64>(),
+    ));
+    let config = config().with_tiling(TilePolicy::Rows(6));
+    let jobs = FitJob::restarts(&config, 0..4);
+    let batch = KernelKmeans::new(config)
+        .with_shared_executor(executor.clone())
+        .fit_batch_with(
+            FitInput::Dense(&points),
+            &jobs,
+            &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+        )
+        .expect("golden batch runs");
+    let mut hash = Fnv::new();
+    for result in &batch.results {
+        hash.result(result);
+        hash.trace(&result.trace);
+    }
+    hash.trace(&batch.report.shared_trace);
+    hash.trace(&executor.trace());
+    hash.word(batch.report.peak_resident_bytes);
+    hash.word(executor.peak_resident_bytes());
+    hash.0
+}
+
+/// Every case, by name, with its hash.
+fn cases() -> Vec<(String, u64)> {
+    let representations = [
+        ("exact auto", config()),
+        ("exact rows 7", config().with_tiling(TilePolicy::Rows(7))),
+        (
+            "nystrom m=16",
+            config().with_approx(KernelApprox::Nystrom {
+                landmarks: 16,
+                seed: 3,
+            }),
+        ),
+        (
+            "sparsified knn:4",
+            config().with_approx(KernelApprox::Sparsified {
+                sparsify: Sparsify::Knn { neighbors: 4 },
+            }),
+        ),
+    ];
+    let faults = [
+        ("no fault", FaultPlan::new()),
+        ("lose 1@1", FaultPlan::new().lose(1, 1)),
+        ("lose 2@1, 0@3", FaultPlan::new().lose(2, 1).lose(0, 3)),
+    ];
+    let mut cases = Vec::new();
+    for (name, config) in &representations {
+        for (fault, plan) in &faults {
+            cases.push((
+                format!("{name}, {fault}"),
+                sharded_case(config.clone(), plan.clone()),
+            ));
+        }
+    }
+    for threads in [1, 2] {
+        cases.push((
+            format!("batch rows 6, {threads} threads"),
+            batch_case(threads),
+        ));
+    }
+    cases
+}
+
+/// Hashes recorded by running [`cases`] on the earlier build.
+const GOLDEN: &[(&str, u64)] = &[
+    ("exact auto, no fault", 0x343ae62a6db10e12),
+    ("exact auto, lose 1@1", 0xa96e3255284dccf0),
+    ("exact auto, lose 2@1, 0@3", 0x15d33ccb82c3f05a),
+    ("exact rows 7, no fault", 0xc27248083bfb9eaf),
+    ("exact rows 7, lose 1@1", 0xd3e9d17a40e342fb),
+    ("exact rows 7, lose 2@1, 0@3", 0xa10cb7b2772fc541),
+    ("nystrom m=16, no fault", 0xe693e29620c51146),
+    ("nystrom m=16, lose 1@1", 0x7053121a6afdcbe8),
+    ("nystrom m=16, lose 2@1, 0@3", 0xef341b97caba4e8f),
+    ("sparsified knn:4, no fault", 0x32d969d4912ba08d),
+    ("sparsified knn:4, lose 1@1", 0xfd0003cdde3d924c),
+    ("sparsified knn:4, lose 2@1, 0@3", 0x6f21d20eb6faecef),
+    ("batch rows 6, 1 threads", 0x7daf062cab29406b),
+    ("batch rows 6, 2 threads", 0x7daf062cab29406b),
+];
+
+#[test]
+fn traces_match_the_earlier_build() {
+    let mut mismatches = Vec::new();
+    for (name, hash) in cases() {
+        match GOLDEN.iter().find(|(golden, _)| *golden == name) {
+            Some(&(_, golden)) if golden == hash => {}
+            Some(&(_, golden)) => {
+                mismatches.push(format!("{name}: hash {hash:#018x}, golden {golden:#018x}"))
+            }
+            None => mismatches.push(format!("{name}: no golden hash")),
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

@@ -9,14 +9,14 @@
 //! merge back into the shared executor happens on the driver thread in fixed
 //! job order, and these tests pin that contract.
 //!
-//! The proptests run the default [`HostFanout::PersistentPool`] (workers
-//! spawned once per drive, fed phases over channels, seeding included), so
-//! the whole bit-identity contract is exercised against the pool; dedicated
-//! tests below additionally pin pool-vs-spawn equivalence and the
+//! The proptests run the persistent worker pool (workers spawned once per
+//! drive, fed phases over channels, seeding included), so the whole
+//! bit-identity contract is exercised against the pool; dedicated tests
+//! below additionally pin pool-vs-inline equivalence and the
 //! streaming-pricing overlay for single fits.
 
 use popcorn::baselines::SolverKind;
-use popcorn::core::batch::{BatchOptions, FitJob, HostFanout, HostParallelism};
+use popcorn::core::batch::{BatchOptions, FitJob, HostParallelism};
 use popcorn::prelude::*;
 use popcorn_gpusim::{OpTrace, Streaming};
 use proptest::prelude::*;
@@ -334,13 +334,12 @@ fn concurrent_seconds_accounting_adds_up() {
     assert!(report.host_seconds >= 0.0);
 }
 
-/// The two fan-out mechanisms — the persistent worker pool (default) and
-/// the historical spawn-per-phase scoped threads — execute identical
-/// per-job work over identical chunk partitions: whole batches are
-/// bit-identical between them, to each other and to the sequential drive,
-/// across sources, seeding modes and thread counts. This is also the pool
-/// reuse test: one pool instance carries every phase of every iteration
-/// (and, for kmeans++, the seeding fan-out) of each drive.
+/// The persistent worker pool and the inline one-thread drive execute
+/// identical per-job work over identical chunk partitions: whole batches
+/// are bit-identical between them across sources, seeding modes and thread
+/// counts. This is also the pool reuse test: one pool instance carries
+/// every phase of every iteration (and, for kmeans++, the seeding fan-out)
+/// of each drive.
 #[test]
 fn fanout_modes_are_bit_identical() {
     let points = DenseMatrix::<f64>::from_fn(20, 4, |i, j| {
@@ -359,15 +358,7 @@ fn fanout_modes_are_bit_identical() {
                 let pool = KernelKmeans::new(config.clone())
                     .fit_batch_with(FitInput::Dense(&points), &jobs, &options(threads))
                     .unwrap();
-                let spawn = KernelKmeans::new(config.clone())
-                    .fit_batch_with(
-                        FitInput::Dense(&points),
-                        &jobs,
-                        &options(threads).with_fanout(HostFanout::SpawnPerPhase),
-                    )
-                    .unwrap();
                 assert_batches_identical("popcorn", &sequential, &pool, &context).unwrap();
-                assert_batches_identical("popcorn", &sequential, &spawn, &context).unwrap();
             }
         }
     }

@@ -564,3 +564,78 @@ fn sharding_crosses_the_full_kernel_memory_wall_under_per_device_caps() {
     // And the devices worked concurrently.
     assert!(executor.modeled_speedup() > 1.0);
 }
+
+/// A re-plan after a device loss sizes the migrated rows beside what each
+/// survivor already holds. Streamed policies shrink the migrated tiles until
+/// they fit, or stream them through the survivor's own tile buffer when its
+/// streamed shard already fills its memory (the 2.5 MiB case); a resident
+/// layout (`Full`, or a CSR slice) that cannot fit is a capacity error naming
+/// the survivor, never a silent overcommit.
+#[test]
+fn recovery_respects_survivor_capacity() {
+    const TIGHT_DEVICE_BYTES: u64 = 5 << 19;
+    let points = wall_points();
+    let elem = std::mem::size_of::<f64>();
+    let capped_pair = |cap: u64| {
+        Arc::new(
+            ShardedExecutor::homogeneous(
+                DeviceSpec::a100_80gb().with_mem_bytes(cap),
+                2,
+                LinkSpec::nvlink(),
+                elem,
+            )
+            .with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume),
+        )
+    };
+    let exact = base_config(2).with_seed(7);
+    let sparsified = exact.clone().with_approx(KernelApprox::Sparsified {
+        sparsify: Sparsify::Knn { neighbors: 400 },
+    });
+    for (name, config) in [
+        ("exact full", exact.clone().with_tiling(TilePolicy::Full)),
+        ("sparsified knn:400", sparsified),
+    ] {
+        let executor = capped_pair(SMALL_DEVICE_BYTES);
+        let err = KernelKmeans::new(config)
+            .with_shared_executor(executor.clone())
+            .fit(&points)
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::DeviceShardMemoryExceeded { device: 0, .. }),
+            "{name}: expected the survivor's capacity error, got {err:?}"
+        );
+        assert!(
+            !executor.device_alive()[1],
+            "{name}: the error must come from the recovery, not the initial plan"
+        );
+    }
+    let nystrom = exact.clone().with_approx(KernelApprox::Nystrom {
+        landmarks: 64,
+        seed: 3,
+    });
+    for (name, config, cap) in [
+        ("exact auto", exact.clone(), SMALL_DEVICE_BYTES),
+        ("nystrom m=64", nystrom, SMALL_DEVICE_BYTES),
+        ("exact auto, streamed survivor", exact, TIGHT_DEVICE_BYTES),
+    ] {
+        let executor = capped_pair(cap);
+        let recovered = KernelKmeans::new(config.clone())
+            .with_shared_executor(executor.clone())
+            .fit(&points)
+            .unwrap();
+        assert!(!executor.device_alive()[1], "{name}: the loss must fire");
+        let single = KernelKmeans::new(config).fit(&points).unwrap();
+        assert_eq!(recovered.labels, single.labels, "{name}");
+        assert_eq!(
+            recovered.objective.to_bits(),
+            single.objective.to_bits(),
+            "{name}"
+        );
+        for (device, &peak) in executor.per_device_peak_resident_bytes().iter().enumerate() {
+            assert!(
+                peak <= cap,
+                "{name}: device {device} peak {peak} exceeds its {cap} byte capacity"
+            );
+        }
+    }
+}
