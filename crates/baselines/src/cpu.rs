@@ -10,21 +10,25 @@
 //! Sparse (CSR) inputs are supported through the shared SpGEMM Gram path:
 //! the kernel matrix is formed directly from the sparse rows — the points
 //! are never densified — and the clustering loop proceeds identically.
+//!
+//! The distance engine itself, [`popcorn_core::rowsum::CpuEngine`], lives in
+//! the core crate, so a fitted CPU-reference model replays it at serve
+//! time; this module keeps the solver, its sequential kernel matrix and its
+//! single-core device model.
 
 use popcorn_core::batch::{self, BatchResult, FitJob};
 use popcorn_core::kernel::KernelFunction;
 use popcorn_core::kernel_matrix::spgemm_gram_cost;
 use popcorn_core::kernel_source::{run_with_source, KernelSource};
-use popcorn_core::pipeline::{self, DistanceEngine};
+use popcorn_core::pipeline;
 use popcorn_core::result::ClusteringResult;
-use popcorn_core::rowsum::RowSumFold;
+use popcorn_core::rowsum::CpuEngine;
 use popcorn_core::solver::{FitInput, Solver};
 use popcorn_core::{KernelKmeansConfig, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
 };
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Single-threaded dense CPU kernel k-means.
@@ -32,124 +36,6 @@ use std::sync::Arc;
 pub struct CpuKernelKmeans {
     config: KernelKmeansConfig,
     executor: Option<Arc<dyn Executor>>,
-}
-
-/// The PRMLT-style distance engine: one sequential pass over `K` per
-/// iteration, charged at CPU efficiencies. The pass streams `K` row by row,
-/// so it consumes the kernel matrix tile-wise without changing a single
-/// arithmetic operation: per tile it folds the shared [`RowSumFold`]
-/// accumulator (collecting `diag(K)` on the way during the first iteration),
-/// and the finish step assembles the distances from those sums.
-struct CpuEngine<T: Scalar> {
-    fold: RowSumFold<T>,
-}
-
-impl<T: Scalar> CpuEngine<T> {
-    fn new(k: usize) -> Self {
-        Self {
-            fold: RowSumFold::new(k),
-        }
-    }
-}
-
-impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
-    fn begin_iteration(
-        &mut self,
-        iteration: usize,
-        source: &dyn KernelSource<T>,
-        labels: &[usize],
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        self.fold
-            .begin_iteration(iteration, source.n(), labels, executor);
-        Ok(())
-    }
-
-    fn consume_tile(
-        &mut self,
-        rows: Range<usize>,
-        tile: &DenseMatrix<T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let n = tile.cols();
-        let t = rows.len();
-        let k = self.fold.k();
-        let elem = std::mem::size_of::<T>();
-        let iteration = self.fold.iteration();
-        let fold = &mut self.fold;
-        executor.run(
-            format!(
-                "cpu distances iteration {iteration} rows {}..{} (n={n}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::Gemm, // dense arithmetic at CPU efficiencies
-            OpCost::new(
-                2 * t as u64 * n as u64,
-                t as u64 * n as u64 * elem as u64,
-                t as u64 * k as u64 * elem as u64,
-            ),
-            || fold.accumulate_tile(rows.clone(), tile),
-        );
-        Ok(())
-    }
-
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: popcorn_sparse::CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // A sequential scalar loop touches only the stored entries, so the
-        // CPU reference *does* benefit from sparsity: the pass is charged
-        // per nnz, not per n².
-        let nnz = panel.nnz();
-        let t = rows.len();
-        let k = self.fold.k();
-        let elem = std::mem::size_of::<T>();
-        let iteration = self.fold.iteration();
-        let fold = &mut self.fold;
-        executor.run(
-            format!(
-                "cpu sparse distances iteration {iteration} rows {}..{} (nnz={nnz}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::Gemm, // scalar adds at CPU efficiencies
-            OpCost::new(
-                2 * nnz as u64,
-                nnz as u64 * (elem + popcorn_core::kernel_matrix::INDEX_BYTES) as u64,
-                t as u64 * k as u64 * elem as u64,
-            ),
-            || fold.accumulate_csr_tile(rows.clone(), panel),
-        );
-        Ok(())
-    }
-
-    fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
-        let row_sums = self.fold.take_row_sums();
-        let diag = self.fold.diag();
-        let labels = self.fold.labels();
-        let sizes = self.fold.sizes();
-        let k = self.fold.k();
-        let n = diag.len();
-        let iteration = self.fold.iteration();
-        // The assembly's modeled footprint is already part of the row-sum
-        // pass's charge (it covered the n x k write); run it under a
-        // zero-cost record so its measured host time stays attributed to the
-        // distance phase, as it was when one closure did the whole pass.
-        Ok(executor.run(
-            format!("cpu distances assembly iteration {iteration} (n={n}, k={k})"),
-            Phase::PairwiseDistances,
-            OpClass::Other,
-            OpCost::new(0, 0, 0),
-            || popcorn_core::rowsum::cpu_distance_assembly(&row_sums, diag, labels, sizes, k),
-        ))
-    }
-
-    fn recycle_distances(&mut self, distances: DenseMatrix<T>) {
-        self.fold.recycle(distances);
-    }
 }
 
 impl CpuKernelKmeans {
@@ -293,7 +179,6 @@ impl<T: Scalar> Solver<T> for CpuKernelKmeans {
         input.validate()?;
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
-        let mut engine = CpuEngine::<T>::new(config.k);
         popcorn_core::model::fit_model_via(
             popcorn_core::ModelFamily::CpuReference,
             input,
@@ -301,7 +186,6 @@ impl<T: Scalar> Solver<T> for CpuKernelKmeans {
             config,
             &*executor,
             || Ok(self.compute_kernel_matrix(input, config.kernel, &*executor)),
-            &mut engine,
         )
     }
 
@@ -313,14 +197,11 @@ impl<T: Scalar> Solver<T> for CpuKernelKmeans {
     ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
-        let mut make_engine =
-            |k: usize| -> Box<dyn pipeline::DistanceEngine<T>> { Box::new(CpuEngine::<T>::new(k)) };
         popcorn_core::model::refit_via(
             popcorn_core::ModelFamily::CpuReference,
             model,
             request,
             &*executor,
-            &mut make_engine,
             &|input, config, executor| {
                 Ok(self.compute_kernel_matrix(input, config.kernel, executor))
             },
@@ -400,6 +281,7 @@ fn compute_kernel_matrix_sequential<T: Scalar>(
 mod tests {
     use super::*;
     use popcorn_core::kernel_source::FullKernel;
+    use popcorn_core::pipeline::DistanceEngine;
     use popcorn_core::KernelKmeans;
     use popcorn_sparse::CsrMatrix;
 

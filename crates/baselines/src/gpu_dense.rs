@@ -18,7 +18,11 @@
 //! The host computation here produces numerically identical results to
 //! Popcorn; what differs is the cost accounting: kernel 1 and 2 are charged
 //! as [`OpClass::HandwrittenReduction`] with a utilization that *decreases*
-//! with `k`, reproducing the measured baseline behaviour.
+//! with `k` ([`popcorn_core::rowsum::reduction_utilization`]), reproducing
+//! the measured baseline behaviour. The three kernels form
+//! [`popcorn_core::rowsum::BaselineEngine`], which lives in the core crate so
+//! a fitted baseline model replays it at serve time; this module keeps the
+//! solver, its GEMM kernel matrix and its densifying data preparation.
 //!
 //! Sparse (CSR) inputs are accepted for driver uniformity, but — faithfully
 //! to the original — the baseline cannot consume sparse operands: the points
@@ -28,172 +32,23 @@
 use popcorn_core::batch::{self, BatchResult, FitJob};
 use popcorn_core::kernel::KernelFunction;
 use popcorn_core::kernel_source::{run_with_source, KernelSource};
-use popcorn_core::pipeline::{self, DistanceEngine};
+use popcorn_core::pipeline;
 use popcorn_core::result::ClusteringResult;
-use popcorn_core::rowsum::RowSumFold;
+use popcorn_core::rowsum::BaselineEngine;
 use popcorn_core::solver::{dense_upload_bytes, FitInput, Solver};
 use popcorn_core::{KernelKmeansConfig, Result};
 use popcorn_dense::{matmul_nt, DenseMatrix, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
 };
-use std::ops::Range;
+use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Utilization hint for the baseline's shared-memory row-reduction kernel.
-///
-/// Larger `k` means a longer shared-memory buffer per thread block, more bank
-/// conflicts and more serialization of the final write-back; the paper
-/// measures baseline throughput falling from ~409 to ~304 GFLOP/s as `k`
-/// grows from 10 to 100. The model captures that with a utilization that
-/// decays linearly in `k` down to a floor of 0.8.
-pub fn reduction_utilization(k: usize) -> f64 {
-    (1.0 - 0.002 * k.min(100) as f64).max(0.8)
-}
 
 /// The paper's dense CUDA baseline implementation of kernel k-means.
 #[derive(Debug, Clone)]
 pub struct DenseGpuBaseline {
     config: KernelKmeansConfig,
     executor: Option<Arc<dyn Executor>>,
-}
-
-/// The baseline's three-hand-written-kernels distance engine. Kernel 1 (the
-/// dominant row reduction) streams `K` row by row, so it consumes the matrix
-/// tile-wise — one launch per tile, one launch total for an in-core source —
-/// folding the shared [`RowSumFold`] accumulator (which collects `diag(K)`
-/// during the first iteration); kernels 2 and 3 run once per iteration after
-/// the last tile.
-struct BaselineEngine<T: Scalar> {
-    fold: RowSumFold<T>,
-}
-
-impl<T: Scalar> BaselineEngine<T> {
-    fn new(k: usize) -> Self {
-        Self {
-            fold: RowSumFold::new(k),
-        }
-    }
-}
-
-impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
-    fn begin_iteration(
-        &mut self,
-        iteration: usize,
-        source: &dyn KernelSource<T>,
-        labels: &[usize],
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        self.fold
-            .begin_iteration(iteration, source.n(), labels, executor);
-        Ok(())
-    }
-
-    fn consume_tile(
-        &mut self,
-        rows: Range<usize>,
-        tile: &DenseMatrix<T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let n = tile.cols();
-        let t = rows.len();
-        let k = self.fold.k();
-        let elem = std::mem::size_of::<T>();
-        let fold = &mut self.fold;
-
-        // Kernel 1: per-row reduction of K into an n x k buffer of
-        // cluster sums (the baseline's dominant kernel).
-        executor.run(
-            format!(
-                "baseline kernel 1: row reduction rows {}..{} (n={n}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::HandwrittenReduction,
-            OpCost::new(
-                2 * t as u64 * n as u64,
-                t as u64 * n as u64 * elem as u64,
-                t as u64 * k as u64 * elem as u64,
-            )
-            .with_utilization(reduction_utilization(k)),
-            || fold.accumulate_tile(rows.clone(), tile),
-        );
-        Ok(())
-    }
-
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: popcorn_sparse::CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // Faithful to the original: the baseline's row-reduction kernel has
-        // no sparse variant, so a CSR-resident K is folded correctly but
-        // *charged as if dense* — one thread per column, zeros included.
-        // This is exactly the cost asymmetry the sparse workloads expose.
-        let n = self.fold.labels().len();
-        let t = rows.len();
-        let k = self.fold.k();
-        let elem = std::mem::size_of::<T>();
-        let fold = &mut self.fold;
-        executor.run(
-            format!(
-                "baseline kernel 1: row reduction rows {}..{} (n={n}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::HandwrittenReduction,
-            OpCost::new(
-                2 * t as u64 * n as u64,
-                t as u64 * n as u64 * elem as u64,
-                t as u64 * k as u64 * elem as u64,
-            )
-            .with_utilization(reduction_utilization(k)),
-            || fold.accumulate_csr_tile(rows.clone(), panel),
-        );
-        Ok(())
-    }
-
-    fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
-        let row_sums = self.fold.take_row_sums();
-        let diag = self.fold.diag();
-        let labels = self.fold.labels();
-        let sizes = self.fold.sizes();
-        let n = diag.len();
-        let k = self.fold.k();
-        let elem = std::mem::size_of::<T>();
-
-        // Kernel 2: reduce the buffer into per-cluster norms
-        // Σ_{p,q∈L_c} K_pq / |L_c|² (the role Popcorn's SpMV plays).
-        let centroid_norms = executor.run(
-            format!("baseline kernel 2: centroid norms (n={n}, k={k})"),
-            Phase::PairwiseDistances,
-            OpClass::HandwrittenReduction,
-            OpCost::new(2 * n as u64, n as u64 * elem as u64, k as u64 * elem as u64)
-                .with_utilization(reduction_utilization(k)),
-            || popcorn_core::rowsum::baseline_centroid_norms(&row_sums, labels, sizes, k),
-        );
-
-        // Kernel 3: n*k threads assemble the distances.
-        Ok(executor.run(
-            format!("baseline kernel 3: distance assembly (n={n}, k={k})"),
-            Phase::PairwiseDistances,
-            OpClass::Elementwise,
-            OpCost::elementwise_elems(n as u64 * k as u64, 2, 1, 3, elem),
-            || {
-                popcorn_core::rowsum::baseline_distance_assembly(
-                    &row_sums,
-                    diag,
-                    &centroid_norms,
-                    sizes,
-                )
-            },
-        ))
-    }
-
-    fn recycle_distances(&mut self, distances: DenseMatrix<T>) {
-        self.fold.recycle(distances);
-    }
 }
 
 impl DenseGpuBaseline {
@@ -241,33 +96,17 @@ impl DenseGpuBaseline {
         pipeline::iterate(source, config, executor, &mut engine)
     }
 
-    /// The baseline's data preparation: densify CSR inputs (the baseline
-    /// cannot stream sparse operands into cuBLAS), charge the dense upload,
-    /// and hand the borrowed dense points to `f` — the single dispatch the
-    /// standalone and batched fits share.
+    /// The baseline's data preparation: densify CSR inputs, charge the
+    /// dense upload, and hand the dense points to `f` — the single dispatch
+    /// the standalone and batched fits share.
     fn with_dense_points<T: Scalar, R>(
         &self,
         input: FitInput<'_, T>,
         executor: &dyn Executor,
         f: impl FnOnce(&DenseMatrix<T>) -> Result<R>,
     ) -> Result<R> {
-        let n = input.n();
-        let d = input.d();
-        let elem = std::mem::size_of::<T>();
-
-        // The baseline cannot stream CSR operands into cuBLAS: sparse inputs
-        // are expanded to the dense layout before upload.
-        let densified = match input {
-            FitInput::Dense(_) => None,
-            FitInput::Sparse(_) => Some(executor.run(
-                format!("densify P ({n} x {d}, nnz={})", input.nnz()),
-                Phase::DataPreparation,
-                OpClass::Other,
-                OpCost::elementwise_elems(n as u64 * d as u64, 1, 1, 0, elem),
-                || input.to_dense(),
-            )),
-        };
-
+        let (n, d, elem) = (input.n(), input.d(), std::mem::size_of::<T>());
+        let points = dense_points(input, executor);
         executor.charge(
             format!("upload P ({n} x {d})"),
             Phase::DataPreparation,
@@ -275,11 +114,7 @@ impl DenseGpuBaseline {
             OpCost::transfer(dense_upload_bytes(n, d, elem)),
         );
         executor.track_alloc(dense_upload_bytes(n, d, elem));
-        match (&densified, input) {
-            (Some(dense), _) => f(dense),
-            (None, FitInput::Dense(p)) => f(p),
-            (None, FitInput::Sparse(_)) => unreachable!("sparse inputs are densified"),
-        }
+        f(&points)
     }
 
     /// The baseline's kernel matrix: always GEMM (§5.3 — never SYRK, never
@@ -371,7 +206,6 @@ impl<T: Scalar> Solver<T> for DenseGpuBaseline {
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
         self.with_dense_points(input, &executor, |points| {
-            let mut engine = BaselineEngine::<T>::new(config.k);
             popcorn_core::model::fit_model_via(
                 popcorn_core::ModelFamily::DenseBaseline,
                 FitInput::Dense(points),
@@ -379,7 +213,6 @@ impl<T: Scalar> Solver<T> for DenseGpuBaseline {
                 config,
                 &*executor,
                 || self.compute_kernel_matrix(points, config.kernel, &executor),
-                &mut engine,
             )
         })
     }
@@ -395,34 +228,13 @@ impl<T: Scalar> Solver<T> for DenseGpuBaseline {
     ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
-        let mut make_engine = |k: usize| -> Box<dyn pipeline::DistanceEngine<T>> {
-            Box::new(BaselineEngine::<T>::new(k))
-        };
         popcorn_core::model::refit_via(
             popcorn_core::ModelFamily::DenseBaseline,
             model,
             request,
             &*executor,
-            &mut make_engine,
             &|input, config, executor| {
-                let densified;
-                let points: &DenseMatrix<T> = match input {
-                    FitInput::Dense(points) => points,
-                    FitInput::Sparse(_) => {
-                        let n = input.n();
-                        let d = input.d();
-                        let elem = std::mem::size_of::<T>();
-                        densified = executor.run(
-                            format!("densify P ({n} x {d}, nnz={})", input.nnz()),
-                            Phase::DataPreparation,
-                            OpClass::Other,
-                            OpCost::elementwise_elems(n as u64 * d as u64, 1, 1, 0, elem),
-                            || input.to_dense(),
-                        );
-                        &densified
-                    }
-                };
-                self.compute_kernel_matrix(points, config.kernel, executor)
+                self.compute_kernel_matrix(&dense_points(input, executor), config.kernel, executor)
             },
         )
     }
@@ -463,10 +275,33 @@ impl<T: Scalar> Solver<T> for DenseGpuBaseline {
     }
 }
 
+/// The points in the dense layout: the baseline cannot stream CSR operands
+/// into cuBLAS, so sparse inputs are expanded first, charged as a
+/// data-preparation pass.
+fn dense_points<'a, T: Scalar>(
+    input: FitInput<'a, T>,
+    executor: &dyn Executor,
+) -> Cow<'a, DenseMatrix<T>> {
+    match input {
+        FitInput::Dense(points) => Cow::Borrowed(points),
+        FitInput::Sparse(_) => {
+            let (n, d, elem) = (input.n(), input.d(), std::mem::size_of::<T>());
+            Cow::Owned(executor.run(
+                format!("densify P ({n} x {d}, nnz={})", input.nnz()),
+                Phase::DataPreparation,
+                OpClass::Other,
+                OpCost::elementwise_elems(n as u64 * d as u64, 1, 1, 0, elem),
+                || input.to_dense(),
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use popcorn_core::kernel::KernelFunction;
+    use popcorn_core::rowsum::reduction_utilization;
     use popcorn_core::KernelKmeans;
     use popcorn_sparse::CsrMatrix;
 

@@ -8,10 +8,10 @@
 //! analytic totals match the modeled totals produced by actually running the
 //! solvers through the simulator.
 
-use popcorn_baselines::gpu_dense::reduction_utilization;
 use popcorn_core::distances::spmm_utilization;
 use popcorn_core::kernel::KernelFunction;
 use popcorn_core::result::TimingBreakdown;
+use popcorn_core::rowsum::reduction_utilization;
 use popcorn_core::strategy::{GramRoutine, KernelMatrixStrategy};
 use popcorn_gpusim::{CostModel, DeviceSpec, OpClass, OpCost};
 

@@ -32,6 +32,7 @@
 use crate::errors::CoreError;
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::{extract_point_norms, INDEX_BYTES};
+use crate::model::ResidentKernel;
 use crate::nystrom::KernelApprox;
 use crate::solver::FitInput;
 use crate::Result;
@@ -39,7 +40,7 @@ use popcorn_dense::{matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::{CsrMatrix, CsrRows};
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Kernel-matrix residency policy (surfaced on the CLI as `--tile-rows`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,21 +140,16 @@ pub trait KernelSource<T: Scalar>: Sync {
         ))
     }
 
-    /// The resident dense kernel matrix when this source keeps one — `None`
-    /// (the default) for streaming backends, `Some` for [`FullKernel`]. The
-    /// fitted-model extractor uses this to adopt the already-charged matrix
-    /// instead of re-streaming it at serve time.
-    fn full_matrix(&self) -> Option<&DenseMatrix<T>> {
-        None
-    }
-
-    /// The resident Nyström factors when this source is a low-rank
-    /// factorization — `None` (the default) for exact backends, `Some` for
-    /// [`crate::nystrom::NystromKernel`]. The fitted-model extractor keeps
-    /// the `O(n·m)` factors so out-of-sample assignment prices `q × m`, not
-    /// `q × n`.
-    fn nystrom_factors(&self) -> Option<crate::nystrom::NystromFactors<'_, T>> {
-        None
+    /// The kernel state this source keeps resident, as a fitted model keeps
+    /// it: [`crate::FittedModel`] extraction stores what this returns, so a
+    /// source that owns its state behind an `Arc` shares it with the model
+    /// instead of copying it. The default — for sources that recompute their
+    /// tiles every pass — is [`ResidentKernel::Streamed`] at this source's
+    /// tile height.
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Streamed {
+            tile_rows: self.tile_rows(),
+        }
     }
 }
 
@@ -216,8 +212,9 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         f(0..self.matrix.rows(), self.matrix)
     }
 
-    fn full_matrix(&self) -> Option<&DenseMatrix<T>> {
-        Some(self.matrix)
+    /// The borrowed matrix, copied once into the model's shared state.
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Full(Arc::new(self.matrix.clone()))
     }
 }
 

@@ -5,11 +5,14 @@
 //! the final labels, the training points, the kernel configuration, the
 //! per-cluster statistics of the distance assembly, and — crucially — the
 //! *resident* kernel state the fit already paid for (the full matrix, the
-//! sparsified CSR matrix, or the Nyström factors). Serving then prices:
+//! sparsified CSR matrix, or the Nyström factors), shared with the fit's
+//! kernel source behind an `Arc` ([`ResidentKernel`]). Serving then prices:
 //!
-//! * **training-set assignment** as one replayed distance pass over the
-//!   resident state — no kernel recomputation, no re-upload; for a converged
-//!   fit the replay reproduces the fit labels bit for bit;
+//! * **training-set assignment** as one pass of the family's own distance
+//!   engine ([`ModelFamily::engine`]) over the resident state, then one step
+//!   of the fit loop from the stored labels — no kernel recomputation, no
+//!   re-upload; for a converged fit the replay reproduces the fit labels bit
+//!   for bit;
 //! * **out-of-sample assignment** as a small cross-kernel product — `q × n`
 //!   against the training points for exact/sparse models, `q × m` against the
 //!   landmarks for Nyström models — never the `n × n` matrix;
@@ -21,7 +24,6 @@
 //! [`FittedModel::load`]) with every float stored as IEEE-754 bits, so a
 //! `fit → save → serve` handoff is lossless.
 
-use crate::assignment::{assign_clusters_into, repair_empty_clusters};
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::init::Initialization;
@@ -29,19 +31,20 @@ use crate::kernel::KernelFunction;
 use crate::kernel_matrix::INDEX_BYTES;
 use crate::kernel_source::{self, KernelSource, TilePolicy, TiledKernel};
 use crate::nystrom::{KernelApprox, NystromFactors};
-use crate::pipeline::{self, DistanceEngine};
+use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
 use crate::result::ClusteringResult;
-use crate::rowsum::{self, RowSumFold};
+use crate::rowsum::{self, BaselineEngine, CpuEngine, RowSumFold};
 use crate::solver::FitInput;
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::microkernel::nt_product;
 use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, Streaming};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming};
 use popcorn_sparse::CsrMatrix;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Which solver family produced a fitted model. Serving replays the family's
 /// exact finishing arithmetic, so training-set assignment stays bit-for-bit.
@@ -85,6 +88,23 @@ impl ModelFamily {
     /// Lloyd).
     pub fn is_kernel(self) -> bool {
         !matches!(self, ModelFamily::Lloyd)
+    }
+
+    /// The family's distance engine for `k` clusters — the one map from a
+    /// family to its engine, so fits, refits and training replays of a
+    /// model run the same per-iteration arithmetic and charges. Lloyd runs
+    /// no kernel distance engine.
+    pub fn engine<T: Scalar>(self, k: usize) -> Result<Box<dyn DistanceEngine<T>>> {
+        Ok(match self {
+            ModelFamily::Popcorn => Box::new(PopcornEngine::new(k)),
+            ModelFamily::CpuReference => Box::new(CpuEngine::new(k)),
+            ModelFamily::DenseBaseline => Box::new(BaselineEngine::new(k)),
+            ModelFamily::Lloyd => {
+                return Err(CoreError::Unsupported(
+                    "Lloyd models keep no kernel-matrix state and run no distance engine".into(),
+                ))
+            }
+        })
     }
 }
 
@@ -231,39 +251,30 @@ impl<T: Scalar> RefitRequest<T> {
     }
 }
 
-/// The Nyström factors a model keeps resident (boxed to keep
-/// [`ResidentKernel`] variants comparable in size).
+/// The kernel-matrix state a fit leaves resident on the (modeled) device. A
+/// kernel source hands out its own state through
+/// [`KernelSource::resident`]; the [`FittedModel`] frozen from the fit, its
+/// clones and the models refitted over it all keep that state behind the
+/// same `Arc`, so none of them copies a matrix or a factor.
 #[derive(Debug, Clone, PartialEq)]
-struct NystromResident<T: Scalar> {
-    /// `H = C W⁺`, `n × m`.
-    hat: DenseMatrix<T>,
-    /// Cross kernel `C = K[:, L]`, `n × m`.
-    cross: DenseMatrix<T>,
-    /// `W⁺` in `T` precision, `m × m`.
-    core_pinv_t: DenseMatrix<T>,
-    /// Landmark row indices into the training set.
-    landmarks: Vec<usize>,
-    /// The landmark points themselves, densified `m × d` (out-of-sample
-    /// queries only ever touch these, never the full training set).
-    landmark_points: DenseMatrix<T>,
-    /// Gram diagonal at the landmark rows (cross-kernel normalisation).
-    landmark_gram_diag: Vec<f64>,
-    /// Row-tile granularity the fit streamed reconstructed panels at.
-    tile_rows: usize,
-}
-
-/// The kernel-matrix state a fit left resident on the (modeled) device.
-#[derive(Debug, Clone, PartialEq)]
-enum ResidentKernel<T: Scalar> {
+pub enum ResidentKernel<T: Scalar> {
     /// The full `n × n` matrix (in-core fits).
-    Full { matrix: DenseMatrix<T> },
+    Full(Arc<DenseMatrix<T>>),
     /// The sparsified CSR matrix.
-    Csr { matrix: CsrMatrix<T> },
+    Csr(Arc<CsrMatrix<T>>),
     /// Nyström factors.
-    Nystrom(Box<NystromResident<T>>),
+    Nystrom {
+        /// The rank-`m` factorization.
+        factors: Arc<NystromFactors<T>>,
+        /// Row-tile granularity the fit streamed reconstructed panels at.
+        tile_rows: usize,
+    },
     /// Nothing but the points: tiles are honestly recomputed at serve time,
     /// exactly as the fit recomputed them.
-    Streamed { tile_rows: usize },
+    Streamed {
+        /// Row-tile granularity of the recomputed tiles.
+        tile_rows: usize,
+    },
     /// No kernel state at all (Lloyd models).
     None,
 }
@@ -356,9 +367,9 @@ impl<T: Scalar> FittedModel<T> {
     /// `"nystrom"`, `"streamed"` or `"none"`).
     pub fn resident_kind(&self) -> &'static str {
         match &self.resident {
-            ResidentKernel::Full { .. } => "full",
-            ResidentKernel::Csr { .. } => "csr",
-            ResidentKernel::Nystrom(_) => "nystrom",
+            ResidentKernel::Full(_) => "full",
+            ResidentKernel::Csr(_) => "csr",
+            ResidentKernel::Nystrom { .. } => "nystrom",
             ResidentKernel::Streamed { .. } => "streamed",
             ResidentKernel::None => "none",
         }
@@ -370,12 +381,12 @@ impl<T: Scalar> FittedModel<T> {
         let elem = std::mem::size_of::<T>() as u64;
         let n = self.n() as u64;
         match &self.resident {
-            ResidentKernel::Full { .. } => n * n * elem,
-            ResidentKernel::Csr { matrix } => {
+            ResidentKernel::Full(_) => n * n * elem,
+            ResidentKernel::Csr(matrix) => {
                 matrix.storage_bytes(std::mem::size_of::<T>(), INDEX_BYTES)
             }
-            ResidentKernel::Nystrom(nys) => {
-                let m = nys.landmarks.len() as u64;
+            ResidentKernel::Nystrom { factors, .. } => {
+                let m = factors.landmarks.len() as u64;
                 (2 * n * m + m * m) * elem
             }
             ResidentKernel::Streamed { tile_rows } => *tile_rows as u64 * n * elem,
@@ -483,8 +494,9 @@ impl<T: Scalar> FittedModel<T> {
         }
     }
 
-    /// Replay one distance pass under the stored labels and re-run the
-    /// assignment. For a converged fit (final iteration changed nothing) this
+    /// Replay one distance pass of the family's own engine over the resident
+    /// state under the stored labels, then one step of the fit loop from
+    /// them. For a converged fit (final iteration changed nothing) this
     /// reproduces the fit labels bit for bit, charging no kernel-matrix
     /// recomputation for `full`/`csr`/`nystrom` resident state (`streamed`
     /// models honestly recompute tiles, exactly as the fit did).
@@ -493,123 +505,18 @@ impl<T: Scalar> FittedModel<T> {
             return self.lloyd_assign(self.points.as_input(), executor);
         }
         let source = ModelSource::new(self, executor)?;
-        let distances = self.replay_distances(&source, executor)?;
-        let mut labels = Vec::new();
-        let stats = assign_clusters_into(&distances, &self.labels, &mut labels, executor);
-        // Mirror the fit loop's step exactly (pipeline::LoopState::step).
-        if self.config.repair_empty_clusters && stats.empty_clusters > 0 {
-            repair_empty_clusters(&mut labels, &distances, self.config.k);
-        }
-        Ok(labels)
-    }
-
-    /// One distance pass of the model's own family over a kernel source,
-    /// under the stored labels — the fit's per-iteration arithmetic, verbatim.
-    fn replay_distances(
-        &self,
-        source: &dyn KernelSource<T>,
-        executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
-        let k = self.config.k;
-        let n = self.n();
-        let elem = std::mem::size_of::<T>();
-        match self.family {
-            ModelFamily::Popcorn => {
-                let mut engine = PopcornEngine::<T>::new(k);
-                engine.begin_iteration(0, source, &self.labels, executor)?;
-                if source.csr().is_some() {
-                    source.for_each_csr_tile(executor, &mut |rows, panel| {
-                        engine.consume_csr_tile(rows, panel, executor)
-                    })?;
-                } else {
-                    source.for_each_tile(executor, &mut |rows, tile| {
-                        engine.consume_tile(rows, tile, executor)
-                    })?;
-                }
-                engine.finish_iteration(executor)
-            }
-            ModelFamily::CpuReference | ModelFamily::DenseBaseline => {
-                let mut fold = RowSumFold::<T>::new(k);
-                fold.begin_iteration(0, n, &self.labels, executor);
-                if source.csr().is_some() {
-                    source.for_each_csr_tile(executor, &mut |rows, panel| {
-                        let nnz = panel.nnz() as u64;
-                        executor.run(
-                            format!(
-                                "serve sparse distance fold rows {}..{} (nnz={nnz}, k={k})",
-                                rows.start, rows.end
-                            ),
-                            Phase::PairwiseDistances,
-                            OpClass::Gemm,
-                            OpCost::new(
-                                2 * nnz,
-                                nnz * (elem + INDEX_BYTES) as u64,
-                                rows.len() as u64 * k as u64 * elem as u64,
-                            ),
-                            || fold.accumulate_csr_tile(rows, panel),
-                        );
-                        Ok(())
-                    })?;
-                } else {
-                    source.for_each_tile(executor, &mut |rows, tile| {
-                        let t = rows.len() as u64;
-                        executor.run(
-                            format!(
-                                "serve distance fold rows {}..{} (n={n}, k={k})",
-                                rows.start, rows.end
-                            ),
-                            Phase::PairwiseDistances,
-                            OpClass::Gemm,
-                            OpCost::new(
-                                2 * t * n as u64,
-                                t * n as u64 * elem as u64,
-                                t * k as u64 * elem as u64,
-                            ),
-                            || fold.accumulate_tile(rows, tile),
-                        );
-                        Ok(())
-                    })?;
-                }
-                let row_sums = fold.take_row_sums();
-                let diag = fold.diag();
-                let sizes = fold.sizes();
-                let labels = fold.labels();
-                if self.family == ModelFamily::CpuReference {
-                    Ok(executor.run(
-                        format!("serve cpu distance assembly (n={n}, k={k})"),
-                        Phase::PairwiseDistances,
-                        OpClass::Other,
-                        OpCost::new(0, 0, 0),
-                        || rowsum::cpu_distance_assembly(&row_sums, diag, labels, sizes, k),
-                    ))
-                } else {
-                    let centroid_norms = executor.run(
-                        format!("serve baseline centroid norms (n={n}, k={k})"),
-                        Phase::PairwiseDistances,
-                        OpClass::Reduction,
-                        OpCost::new(2 * n as u64, n as u64 * elem as u64, k as u64 * elem as u64),
-                        || rowsum::baseline_centroid_norms(&row_sums, labels, sizes, k),
-                    );
-                    Ok(executor.run(
-                        format!("serve baseline distance assembly (n={n}, k={k})"),
-                        Phase::PairwiseDistances,
-                        OpClass::Elementwise,
-                        OpCost::elementwise_elems(n as u64 * k as u64, 2, 1, 3, elem),
-                        || {
-                            rowsum::baseline_distance_assembly(
-                                &row_sums,
-                                diag,
-                                &centroid_norms,
-                                sizes,
-                            )
-                        },
-                    ))
-                }
-            }
-            ModelFamily::Lloyd => Err(CoreError::Unsupported(
-                "Lloyd models keep no kernel-matrix state to replay".into(),
-            )),
-        }
+        let mut engine = self.family.engine(self.config.k)?;
+        let distances = pipeline::distance_pass(
+            &source,
+            engine.as_mut(),
+            0,
+            &self.labels,
+            &mut StreamMeter::new(Streaming::Off),
+            executor,
+        )?;
+        let mut state = LoopState::new(self.labels.clone(), self.config.k);
+        state.step(&distances, &self.config, executor);
+        Ok(state.labels().to_vec())
     }
 
     /// Out-of-sample assignment. All kernel families share the exact distance
@@ -637,8 +544,8 @@ impl<T: Scalar> FittedModel<T> {
             || TiledKernel::compute_gram_diag(&queries),
         );
         let (scores, qdiag) = match &self.resident {
-            ResidentKernel::Nystrom(nys) => {
-                self.nystrom_scores(nys, queries, &query_gram_diag, executor)?
+            ResidentKernel::Nystrom { factors, .. } => {
+                self.nystrom_scores(factors, queries, &query_gram_diag, executor)?
             }
             _ => self.exact_scores(queries, &query_gram_diag, executor)?,
         };
@@ -657,16 +564,8 @@ impl<T: Scalar> FittedModel<T> {
             OpClass::Elementwise,
             OpCost::elementwise_elems(q as u64 * k as u64, 2, 1, 3, elem),
             || {
-                DenseMatrix::<T>::from_fn(q, k, |i, c| {
-                    if sizes[c] == 0 {
-                        return T::from_f64(qdiag[i]);
-                    }
-                    let card = sizes[c] as f64;
-                    T::from_f64(
-                        qdiag[i] - 2.0 * scores[(i, c)].to_f64() / card
-                            + cluster_self[c] / (card * card),
-                    )
-                })
+                let norms = rowsum::centroid_norms(cluster_self, sizes);
+                rowsum::distance_assembly(&scores, |i| qdiag[i], sizes, &norms)
             },
         );
         Ok(executor.run(
@@ -774,7 +673,7 @@ impl<T: Scalar> FittedModel<T> {
     /// the training set is never touched.
     fn nystrom_scores(
         &self,
-        nys: &NystromResident<T>,
+        factors: &NystromFactors<T>,
         queries: FitInput<'_, T>,
         query_gram_diag: &[f64],
         executor: &dyn Executor,
@@ -782,7 +681,7 @@ impl<T: Scalar> FittedModel<T> {
         let q = queries.n();
         let d = self.d();
         let k = self.config.k;
-        let m = nys.landmarks.len();
+        let m = factors.landmarks.len();
         let elem = std::mem::size_of::<T>();
         let qnnz = queries.nnz() as u64;
         let mut k_xl = executor.run(
@@ -794,7 +693,10 @@ impl<T: Scalar> FittedModel<T> {
                 (qnnz + (m * d) as u64) * elem as u64,
                 q as u64 * m as u64 * elem as u64,
             ),
-            || cross_gram(queries, FitInput::Dense(&nys.landmark_points)),
+            || {
+                let landmark_points = self.landmark_points(&factors.landmarks);
+                cross_gram(queries, FitInput::Dense(&landmark_points))
+            },
         );
         executor.run(
             format!("serve landmark kernel map (q={q}, m={m})"),
@@ -811,7 +713,7 @@ impl<T: Scalar> FittedModel<T> {
                 self.config.kernel.apply_to_cross_tile(
                     &mut k_xl,
                     query_gram_diag,
-                    &nys.landmark_gram_diag,
+                    &self.landmark_gram_diag(&factors.landmarks),
                 )
             },
         );
@@ -820,7 +722,7 @@ impl<T: Scalar> FittedModel<T> {
             Phase::PairwiseDistances,
             OpClass::Gemm,
             OpCost::gemm(q, m, m, elem),
-            || matmul(&k_xl, &nys.core_pinv_t),
+            || matmul(&k_xl, &factors.core_pinv_t),
         )?;
         let qdiag = executor.run(
             format!("serve nystrom diag (q={q}, m={m})"),
@@ -850,6 +752,29 @@ impl<T: Scalar> FittedModel<T> {
             || matmul(&hat_q, fold),
         )?;
         Ok((scores, qdiag))
+    }
+
+    /// The landmark rows of the training points, densified `m × d` — all of
+    /// the training set an out-of-sample Nyström query touches.
+    fn landmark_points(&self, landmarks: &[usize]) -> DenseMatrix<T> {
+        let mut out = DenseMatrix::<T>::zeros(landmarks.len(), self.d());
+        for (r, &l) in landmarks.iter().enumerate() {
+            match &self.points {
+                OwnedPoints::Dense(p) => out.row_mut(r).copy_from_slice(p.row(l)),
+                OwnedPoints::Csr(p) => {
+                    let (cols, vals) = p.row(l);
+                    for (&j, &v) in cols.iter().zip(vals.iter()) {
+                        out[(r, j)] = v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The Gram diagonal at the landmark rows (cross-kernel normalisation).
+    fn landmark_gram_diag(&self, landmarks: &[usize]) -> Vec<f64> {
+        landmarks.iter().map(|&l| self.gram_diag[l]).collect()
     }
 
     /// Lloyd scoring: nearest stored centroid, with the Lloyd solver's exact
@@ -999,10 +924,11 @@ fn build_landmark_fold<T: Scalar>(
     fold
 }
 
-/// Freeze a finished fit into a [`FittedModel`]: adopt the source's resident
-/// kernel state (already charged by the fit — adoption is a host-side clone),
-/// and stream the source once under the final labels to collect `diag(K)`
-/// and the per-cluster statistics the serving assembly needs.
+/// Freeze a finished fit into a [`FittedModel`]: keep the source's resident
+/// kernel state (already charged by the fit, and shared rather than copied
+/// — see [`KernelSource::resident`]), and stream the source once under the
+/// final labels to collect `diag(K)` and the per-cluster statistics the
+/// serving assembly needs.
 fn extract<T: Scalar>(
     family: ModelFamily,
     config: &KernelKmeansConfig,
@@ -1081,37 +1007,11 @@ fn extract<T: Scalar>(
     let sizes = fold.sizes().to_vec();
     let cluster_self = rowsum::cluster_self_terms(&row_sums, &labels, k);
 
-    let resident = if let Some(f) = source.nystrom_factors() {
-        let m = f.landmarks.len();
-        let landmark_points = DenseMatrix::from_fn(m, d, |r, j| match store_input {
-            FitInput::Dense(p) => p[(f.landmarks[r], j)],
-            FitInput::Sparse(p) => p.get(f.landmarks[r], j),
-        });
-        let landmark_gram_diag = f.landmarks.iter().map(|&l| gram_diag[l]).collect();
-        ResidentKernel::Nystrom(Box::new(NystromResident {
-            hat: f.hat.clone(),
-            cross: f.cross.clone(),
-            core_pinv_t: f.core_pinv_t.clone(),
-            landmarks: f.landmarks.to_vec(),
-            landmark_points,
-            landmark_gram_diag,
-            tile_rows: source.tile_rows(),
-        }))
-    } else if let Some(csr) = source.csr() {
-        ResidentKernel::Csr {
-            matrix: csr.clone(),
-        }
-    } else if let Some(full) = source.full_matrix() {
-        ResidentKernel::Full {
-            matrix: full.clone(),
-        }
-    } else {
-        ResidentKernel::Streamed {
-            tile_rows: source.tile_rows(),
-        }
-    };
+    let resident = source.resident();
     let landmark_fold = match &resident {
-        ResidentKernel::Nystrom(nys) => Some(build_landmark_fold(&nys.cross, &labels, k)),
+        ResidentKernel::Nystrom { factors, .. } => {
+            Some(build_landmark_fold(&factors.cross, &labels, k))
+        }
         _ => None,
     };
     Ok(FittedModel {
@@ -1136,8 +1036,8 @@ fn extract<T: Scalar>(
 /// (they were paid for at fit time), Nyström panels are reconstructed under
 /// `Phase::PairwiseDistances` serve labels, and `streamed` models honestly
 /// recompute tiles through an inner [`TiledKernel`], exactly as the fit did.
-/// Forwarding the adoption hooks (`full_matrix`/`csr`/`nystrom_factors`)
-/// means a refit over this source re-extracts the same resident state.
+/// It hands the model's own state back through [`KernelSource::resident`],
+/// so a refit over this source shares it with the model.
 struct ModelSource<'a, T: Scalar> {
     model: &'a FittedModel<T>,
     tiled: Option<TiledKernel<'a, T>>,
@@ -1161,6 +1061,15 @@ impl<'a, T: Scalar> ModelSource<'a, T> {
         };
         Ok(Self { model, tiled })
     }
+
+    /// The recomputing source of a `streamed` model. Every engine folds
+    /// CSR-resident state panel by panel, so no other state streams dense
+    /// tiles through it.
+    fn tiled(&self) -> Result<&TiledKernel<'a, T>> {
+        self.tiled.as_ref().ok_or_else(|| {
+            CoreError::Unsupported("this model's kernel state streams no dense tiles".into())
+        })
+    }
 }
 
 impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
@@ -1170,8 +1079,9 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
 
     fn tile_rows(&self) -> usize {
         match &self.model.resident {
-            ResidentKernel::Nystrom(nys) => nys.tile_rows,
-            ResidentKernel::Streamed { tile_rows } => *tile_rows,
+            ResidentKernel::Nystrom { tile_rows, .. } | ResidentKernel::Streamed { tile_rows } => {
+                *tile_rows
+            }
             _ => self.model.n(),
         }
     }
@@ -1186,8 +1096,8 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         let n = self.model.n();
         let elem = std::mem::size_of::<T>();
         match &self.model.resident {
-            ResidentKernel::Full { matrix } => Ok(matrix.row(i).to_vec()),
-            ResidentKernel::Csr { matrix } => Ok(executor.run(
+            ResidentKernel::Full(matrix) => Ok(matrix.row(i).to_vec()),
+            ResidentKernel::Csr(matrix) => Ok(executor.run(
                 format!("serve gather K row {i} (nnz={})", matrix.row_nnz(i)),
                 Phase::PairwiseDistances,
                 OpClass::Elementwise,
@@ -1201,25 +1111,18 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
                     row
                 },
             )),
-            ResidentKernel::Nystrom(nys) => {
-                let m = nys.landmarks.len();
+            ResidentKernel::Nystrom { factors, .. } => {
+                let m = factors.landmarks.len();
                 let panel = executor.run(
                     format!("serve nystrom row {i} (n={n}, m={m})"),
                     Phase::PairwiseDistances,
                     OpClass::Gemm,
                     OpCost::gemm(1, n, m, elem),
-                    || matmul_nt_rows(&nys.hat, i, i + 1, &nys.cross),
+                    || matmul_nt_rows(&factors.hat, i, i + 1, &factors.cross),
                 )?;
                 Ok(panel.row(0).to_vec())
             }
-            ResidentKernel::Streamed { .. } => self
-                .tiled
-                .as_ref()
-                .expect("streamed model source keeps a tiled kernel")
-                .row(i, executor),
-            ResidentKernel::None => Err(CoreError::Unsupported(
-                "Lloyd models keep no kernel-matrix state to serve".into(),
-            )),
+            _ => self.tiled()?.row(i, executor),
         }
     }
 
@@ -1231,27 +1134,10 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         let n = self.model.n();
         let elem = std::mem::size_of::<T>();
         match &self.model.resident {
-            ResidentKernel::Full { matrix } => f(0..n, matrix),
-            ResidentKernel::Csr { matrix } => {
-                // Dense fallback for engines without a sparse fold; the CSR
-                // path below is what the pipeline actually drives.
-                let nnz = matrix.nnz() as u64;
-                let tile = executor.run(
-                    format!("serve densify K rows 0..{n} (nnz={nnz})"),
-                    Phase::PairwiseDistances,
-                    OpClass::Elementwise,
-                    OpCost::new(
-                        nnz,
-                        nnz * (elem + INDEX_BYTES) as u64,
-                        kernel_source::tile_bytes(n, n, elem),
-                    ),
-                    || matrix.to_dense(),
-                );
-                f(0..n, &tile)
-            }
-            ResidentKernel::Nystrom(nys) => {
-                let m = nys.landmarks.len();
-                let step = nys.tile_rows.max(1);
+            ResidentKernel::Full(matrix) => f(0..n, matrix),
+            ResidentKernel::Nystrom { factors, tile_rows } => {
+                let m = factors.landmarks.len();
+                let step = (*tile_rows).max(1);
                 let mut r0 = 0usize;
                 while r0 < n {
                     let r1 = (r0 + step).min(n);
@@ -1260,21 +1146,14 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
                         Phase::PairwiseDistances,
                         OpClass::Gemm,
                         OpCost::gemm(r1 - r0, n, m, elem),
-                        || matmul_nt_rows(&nys.hat, r0, r1, &nys.cross),
+                        || matmul_nt_rows(&factors.hat, r0, r1, &factors.cross),
                     )?;
                     f(r0..r1, &tile)?;
                     r0 = r1;
                 }
                 Ok(())
             }
-            ResidentKernel::Streamed { .. } => self
-                .tiled
-                .as_ref()
-                .expect("streamed model source keeps a tiled kernel")
-                .for_each_tile(executor, f),
-            ResidentKernel::None => Err(CoreError::Unsupported(
-                "Lloyd models keep no kernel-matrix state to serve".into(),
-            )),
+            _ => self.tiled()?.for_each_tile(executor, f),
         }
     }
 
@@ -1284,7 +1163,7 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
 
     fn csr(&self) -> Option<&CsrMatrix<T>> {
         match &self.model.resident {
-            ResidentKernel::Csr { matrix } => Some(matrix),
+            ResidentKernel::Csr(matrix) => Some(matrix),
             _ => None,
         }
     }
@@ -1294,45 +1173,26 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         _executor: &dyn Executor,
         f: &mut kernel_source::CsrTileVisitor<'_, T>,
     ) -> Result<()> {
-        match &self.model.resident {
-            ResidentKernel::Csr { matrix } => {
-                // Zero-copy view of the resident matrix, like the fit-time
-                // sparsified source: nothing to charge.
-                f(0..matrix.rows(), matrix.rows_view(0..matrix.rows()))
-            }
-            _ => Err(CoreError::Unsupported(
-                "this model keeps no CSR-resident kernel matrix".into(),
-            )),
-        }
+        // Zero-copy view of the resident matrix, like the fit-time
+        // sparsified source: nothing to charge.
+        let matrix = self.csr().ok_or_else(|| {
+            CoreError::Unsupported("this model keeps no CSR-resident kernel matrix".into())
+        })?;
+        f(0..matrix.rows(), matrix.rows_view(0..matrix.rows()))
     }
 
-    fn full_matrix(&self) -> Option<&DenseMatrix<T>> {
-        match &self.model.resident {
-            ResidentKernel::Full { matrix } => Some(matrix),
-            _ => None,
-        }
-    }
-
-    fn nystrom_factors(&self) -> Option<NystromFactors<'_, T>> {
-        match &self.model.resident {
-            ResidentKernel::Nystrom(nys) => Some(NystromFactors {
-                cross: &nys.cross,
-                hat: &nys.hat,
-                core_pinv_t: &nys.core_pinv_t,
-                diag: &self.model.kernel_diag,
-                landmarks: &nys.landmarks,
-            }),
-            _ => None,
-        }
+    fn resident(&self) -> ResidentKernel<T> {
+        self.model.resident.clone()
     }
 }
 
 /// Fit-and-extract driver shared by the kernel-family solvers: run the
-/// normal fit pipeline, then freeze the model off the same kernel source
-/// while it is still alive (so resident state is adopted, not recomputed).
-/// `run_input` is what the solver iterates over (the dense baseline
-/// densifies), `store_input` is what the model keeps (the original layout,
-/// so training-set recognition sees the caller's bytes).
+/// normal fit pipeline with the family's engine, then freeze the model off
+/// the same kernel source while it is still alive (so resident state is
+/// shared, not recomputed). `run_input` is what the solver iterates over
+/// (the dense baseline densifies), `store_input` is what the model keeps
+/// (the original layout, so training-set recognition sees the caller's
+/// bytes).
 pub fn fit_model_via<T: Scalar>(
     family: ModelFamily,
     run_input: FitInput<'_, T>,
@@ -1340,22 +1200,55 @@ pub fn fit_model_via<T: Scalar>(
     config: &KernelKmeansConfig,
     executor: &dyn Executor,
     compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
-    engine: &mut dyn DistanceEngine<T>,
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
-    kernel_source::run_with_source(
+    fit_and_extract(
+        family,
+        None,
         run_input,
-        config.kernel,
-        config.approx,
-        config.tiling,
-        config.k,
+        store_input,
+        config,
+        None,
         executor,
         compute_full,
-        |source| {
-            let result = pipeline::iterate(source, config, executor, engine)?;
-            let model = extract(family, config, &result, store_input, source, executor)?;
-            Ok((result, model))
-        },
     )
+}
+
+/// The one fit-then-extract body behind [`fit_model_via`] and every
+/// [`refit_via`] arm: iterate the family's engine from `init` (or the
+/// configured initialization) over `resident`'s own state when given, else
+/// over the source [`kernel_source::run_with_source`] plans for
+/// `run_input`, then freeze the model off that source.
+#[allow(clippy::too_many_arguments)]
+fn fit_and_extract<T: Scalar>(
+    family: ModelFamily,
+    resident: Option<&FittedModel<T>>,
+    run_input: FitInput<'_, T>,
+    store_input: FitInput<'_, T>,
+    config: &KernelKmeansConfig,
+    init: Option<Vec<usize>>,
+    executor: &dyn Executor,
+    compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
+) -> Result<(ClusteringResult, FittedModel<T>)> {
+    let mut engine = family.engine(config.k)?;
+    let mut fit = |source: &dyn KernelSource<T>| {
+        let result =
+            pipeline::iterate_init(source, config, executor, engine.as_mut(), init.clone())?;
+        let model = extract(family, config, &result, store_input, source, executor)?;
+        Ok((result, model))
+    };
+    match resident {
+        Some(model) => fit(&ModelSource::new(model, executor)?),
+        None => kernel_source::run_with_source(
+            run_input,
+            config.kernel,
+            config.approx,
+            config.tiling,
+            config.k,
+            executor,
+            compute_full,
+            fit,
+        ),
+    }
 }
 
 /// Full-kernel builder a solver hands to [`refit_via`] for the
@@ -1371,7 +1264,8 @@ pub type ComputeFullKernel<'a, T> = &'a dyn for<'b> Fn(
 ///
 /// * same kernel and approximation, no new points → iterate over the
 ///   model's resident state (the internal `ModelSource`): no re-upload,
-///   no kernel-matrix recomputation;
+///   no kernel-matrix recomputation, and the refitted model shares that
+///   state with this one;
 /// * changed kernel/approximation → rebuild the kernel state from the
 ///   stored points (still resident — no re-upload);
 /// * appended points → only the new rows are charged as an upload; a
@@ -1386,7 +1280,6 @@ pub fn refit_via<T: Scalar>(
     model: &FittedModel<T>,
     request: &RefitRequest<T>,
     executor: &dyn Executor,
-    make_engine: &mut dyn FnMut(usize) -> Box<dyn DistanceEngine<T>>,
     compute_full: ComputeFullKernel<'_, T>,
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
     if model.family != family {
@@ -1396,61 +1289,12 @@ pub fn refit_via<T: Scalar>(
             family.name()
         )));
     }
-    if !family.is_kernel() {
-        return Err(CoreError::Unsupported(
-            "refit_via serves kernel models; Lloyd refits go through the Lloyd solver".into(),
-        ));
-    }
     let config = request
         .config
         .clone()
         .unwrap_or_else(|| model.config.clone());
-
-    match &request.new_points {
-        None => {
-            let init = request.warm_start.then(|| model.labels.clone());
-            let reuse = config.kernel == model.config.kernel
-                && config.approx == model.config.approx
-                && !matches!(model.resident, ResidentKernel::None);
-            if reuse {
-                let source = ModelSource::new(model, executor)?;
-                let mut engine = make_engine(config.k);
-                let result =
-                    pipeline::iterate_init(&source, &config, executor, engine.as_mut(), init)?;
-                let new_model = extract(
-                    family,
-                    &config,
-                    &result,
-                    model.points.as_input(),
-                    &source,
-                    executor,
-                )?;
-                Ok((result, new_model))
-            } else {
-                let input = model.points.as_input();
-                let mut engine = make_engine(config.k);
-                kernel_source::run_with_source(
-                    input,
-                    config.kernel,
-                    config.approx,
-                    config.tiling,
-                    config.k,
-                    executor,
-                    || compute_full(input, &config, executor),
-                    |source| {
-                        let result = pipeline::iterate_init(
-                            source,
-                            &config,
-                            executor,
-                            engine.as_mut(),
-                            init.clone(),
-                        )?;
-                        let new_model = extract(family, &config, &result, input, source, executor)?;
-                        Ok((result, new_model))
-                    },
-                )
-            }
-        }
+    let (combined, init) = match &request.new_points {
+        None => (None, request.warm_start.then(|| model.labels.clone())),
         Some(new) => {
             let new_input = new.as_input();
             new_input.validate()?;
@@ -1474,30 +1318,24 @@ pub fn refit_via<T: Scalar>(
             // Only the appended rows cross the bus; the training points
             // stayed resident.
             new_input.charge_upload(executor);
-            let input = combined.as_input();
-            let mut engine = make_engine(config.k);
-            kernel_source::run_with_source(
-                input,
-                config.kernel,
-                config.approx,
-                config.tiling,
-                config.k,
-                executor,
-                || compute_full(input, &config, executor),
-                |source| {
-                    let result = pipeline::iterate_init(
-                        source,
-                        &config,
-                        executor,
-                        engine.as_mut(),
-                        init.clone(),
-                    )?;
-                    let new_model = extract(family, &config, &result, input, source, executor)?;
-                    Ok((result, new_model))
-                },
-            )
+            (Some(combined), init)
         }
-    }
+    };
+    let reuse = combined.is_none()
+        && config.kernel == model.config.kernel
+        && config.approx == model.config.approx
+        && !matches!(model.resident, ResidentKernel::None);
+    let input = combined.as_ref().unwrap_or(&model.points).as_input();
+    fit_and_extract(
+        family,
+        reuse.then_some(model),
+        input,
+        input,
+        &config,
+        init,
+        executor,
+        || compute_full(input, &config, executor),
+    )
 }
 
 const FORMAT_HEADER: &str = "popcorn-model v1";
@@ -1558,17 +1396,20 @@ fn push_usize_line(out: &mut String, tag: &str, values: &[usize]) {
     out.push('\n');
 }
 
+/// One untagged line of space-separated hex values.
+fn push_row<T: Scalar>(out: &mut String, values: &[T]) {
+    for (j, v) in values.iter().enumerate() {
+        if j > 0 {
+            out.push(' ');
+        }
+        out.push_str(&hex(v.to_f64()));
+    }
+    out.push('\n');
+}
+
 fn push_matrix<T: Scalar>(out: &mut String, m: &DenseMatrix<T>) {
     for i in 0..m.rows() {
-        let mut first = true;
-        for v in m.row(i) {
-            if !first {
-                out.push(' ');
-            }
-            first = false;
-            out.push_str(&hex(v.to_f64()));
-        }
-        out.push('\n');
+        push_row(out, m.row(i));
     }
 }
 
@@ -1621,7 +1462,7 @@ impl<'a> Reader<'a> {
         let Some((&count, rest)) = toks.split_first() else {
             return Err(self.bad(format!("'{tag}' line is missing its count")));
         };
-        let count = self.parse_usize(count)?;
+        let count = self.parse_int(count)?;
         if rest.len() != count {
             return Err(self.bad(format!(
                 "'{tag}' declares {count} values but carries {}",
@@ -1631,17 +1472,7 @@ impl<'a> Reader<'a> {
         Ok(rest.to_vec())
     }
 
-    fn parse_usize(&self, tok: &str) -> Result<usize> {
-        tok.parse()
-            .map_err(|_| self.bad(format!("invalid integer '{tok}'")))
-    }
-
-    fn parse_u64(&self, tok: &str) -> Result<u64> {
-        tok.parse()
-            .map_err(|_| self.bad(format!("invalid integer '{tok}'")))
-    }
-
-    fn parse_i32(&self, tok: &str) -> Result<i32> {
+    fn parse_int<I: std::str::FromStr>(&self, tok: &str) -> Result<I> {
         tok.parse()
             .map_err(|_| self.bad(format!("invalid integer '{tok}'")))
     }
@@ -1673,13 +1504,14 @@ impl<'a> Reader<'a> {
     fn usize_vec(&mut self, tag: &str) -> Result<Vec<usize>> {
         self.counted(tag)?
             .into_iter()
-            .map(|t| self.parse_usize(t))
+            .map(|t| self.parse_int(t))
             .collect()
     }
 
     /// `rows` untagged lines of exactly `cols` hex tokens.
     fn matrix<T: Scalar>(&mut self, rows: usize, cols: usize) -> Result<DenseMatrix<T>> {
-        let mut data = Vec::with_capacity(rows);
+        // Grown line by line: `rows` is only a claim of the file.
+        let mut data = Vec::new();
         for _ in 0..rows {
             let line = self.line()?;
             let row: Vec<T> = line
@@ -1699,6 +1531,12 @@ impl<'a> Reader<'a> {
 
     fn csr<T: Scalar>(&mut self, rows: usize, cols: usize, nnz: usize) -> Result<CsrMatrix<T>> {
         let ptrs = self.usize_vec("ptrs")?;
+        if ptrs.len() != rows.saturating_add(1) {
+            return Err(self.bad(format!(
+                "CSR block declares {rows} rows but carries {} row pointers",
+                ptrs.len()
+            )));
+        }
         let idx = self.usize_vec("cols")?;
         let vals = self.scalar_vec("vals")?;
         if idx.len() != nnz || vals.len() != nnz {
@@ -1821,27 +1659,27 @@ impl<T: Scalar> FittedModel<T> {
         push_f64_line(&mut out, "gram-diag", &self.gram_diag);
         push_scalar_line(&mut out, "kernel-diag", &self.kernel_diag);
         match &self.resident {
-            ResidentKernel::Full { matrix } => {
+            ResidentKernel::Full(matrix) => {
                 let _ = writeln!(out, "resident full {}", matrix.rows());
                 push_matrix(&mut out, matrix);
             }
-            ResidentKernel::Csr { matrix } => {
+            ResidentKernel::Csr(matrix) => {
                 let _ = writeln!(out, "resident csr {} {}", matrix.rows(), matrix.nnz());
                 push_csr(&mut out, matrix);
             }
-            ResidentKernel::Nystrom(nys) => {
-                let _ = writeln!(
-                    out,
-                    "resident nystrom {} {}",
-                    nys.landmarks.len(),
-                    nys.tile_rows
+            ResidentKernel::Nystrom { factors, tile_rows } => {
+                let landmarks = &factors.landmarks;
+                let _ = writeln!(out, "resident nystrom {} {tile_rows}", landmarks.len());
+                push_usize_line(&mut out, "landmarks", landmarks);
+                push_matrix(&mut out, &factors.hat);
+                push_matrix(&mut out, &factors.cross);
+                push_matrix(&mut out, &factors.core_pinv_t);
+                push_matrix(&mut out, &self.landmark_points(landmarks));
+                push_f64_line(
+                    &mut out,
+                    "landmark-gram-diag",
+                    &self.landmark_gram_diag(landmarks),
                 );
-                push_usize_line(&mut out, "landmarks", &nys.landmarks);
-                push_matrix(&mut out, &nys.hat);
-                push_matrix(&mut out, &nys.cross);
-                push_matrix(&mut out, &nys.core_pinv_t);
-                push_matrix(&mut out, &nys.landmark_points);
-                push_f64_line(&mut out, "landmark-gram-diag", &nys.landmark_gram_diag);
             }
             ResidentKernel::Streamed { tile_rows } => {
                 let _ = writeln!(out, "resident streamed {tile_rows}");
@@ -1863,15 +1701,7 @@ impl<T: Scalar> FittedModel<T> {
                 let d = centroids.first().map_or(0, Vec::len);
                 let _ = writeln!(out, "stats lloyd {} {d}", centroids.len());
                 for row in centroids {
-                    let mut first = true;
-                    for &v in row {
-                        if !first {
-                            out.push(' ');
-                        }
-                        first = false;
-                        out.push_str(&hex(v));
-                    }
-                    out.push('\n');
+                    push_row(&mut out, row);
                 }
             }
         }
@@ -1926,9 +1756,9 @@ impl<T: Scalar> FittedModel<T> {
 
         let mut config = KernelKmeansConfig::default();
         let toks = r.tagged("k")?;
-        config.k = r.parse_usize(toks.first().copied().unwrap_or(""))?;
+        config.k = r.parse_int(toks.first().copied().unwrap_or(""))?;
         let toks = r.tagged("max-iter")?;
-        config.max_iter = r.parse_usize(toks.first().copied().unwrap_or(""))?;
+        config.max_iter = r.parse_int(toks.first().copied().unwrap_or(""))?;
         let toks = r.tagged("tolerance")?;
         config.tolerance = r.parse_hex(toks.first().copied().unwrap_or(""))?;
         let toks = r.tagged("check-convergence")?;
@@ -1939,7 +1769,7 @@ impl<T: Scalar> FittedModel<T> {
             ["polynomial", g, c0, deg] => KernelFunction::Polynomial {
                 gamma: r.parse_hex(g)?,
                 coef0: r.parse_hex(c0)?,
-                degree: r.parse_i32(deg)?,
+                degree: r.parse_int(deg)?,
             },
             ["gaussian", g, s] => KernelFunction::Gaussian {
                 gamma: r.parse_hex(g)?,
@@ -1967,30 +1797,30 @@ impl<T: Scalar> FittedModel<T> {
             _ => return Err(r.bad("unknown init")),
         };
         let toks = r.tagged("seed")?;
-        config.seed = r.parse_u64(toks.first().copied().unwrap_or(""))?;
+        config.seed = r.parse_int(toks.first().copied().unwrap_or(""))?;
         let toks = r.tagged("repair")?;
         config.repair_empty_clusters = toks.first().copied() == Some("1");
         let toks = r.tagged("tiling")?;
         config.tiling = match toks.as_slice() {
             ["auto"] => TilePolicy::Auto,
             ["full"] => TilePolicy::Full,
-            ["rows", n] => TilePolicy::Rows(r.parse_usize(n)?),
+            ["rows", n] => TilePolicy::Rows(r.parse_int(n)?),
             _ => return Err(r.bad("unknown tiling policy")),
         };
         let toks = r.tagged("approx")?;
         config.approx = match toks.as_slice() {
             ["exact"] => KernelApprox::Exact,
             ["nystrom", m, s] => KernelApprox::Nystrom {
-                landmarks: r.parse_usize(m)?,
-                seed: r.parse_u64(s)?,
+                landmarks: r.parse_int(m)?,
+                seed: r.parse_int(s)?,
             },
             ["nystrom-auto", e, s] => KernelApprox::NystromAuto {
                 epsilon: r.parse_hex(e)?,
-                seed: r.parse_u64(s)?,
+                seed: r.parse_int(s)?,
             },
             ["sparsified-knn", nb] => KernelApprox::Sparsified {
                 sparsify: Sparsify::Knn {
-                    neighbors: r.parse_usize(nb)?,
+                    neighbors: r.parse_int(nb)?,
                 },
             },
             ["sparsified-threshold", t] => KernelApprox::Sparsified {
@@ -2011,11 +1841,11 @@ impl<T: Scalar> FittedModel<T> {
         let toks = r.tagged("points")?;
         let points = match toks.as_slice() {
             ["dense", n, d] => {
-                let (n, d) = (r.parse_usize(n)?, r.parse_usize(d)?);
+                let (n, d) = (r.parse_int(n)?, r.parse_int(d)?);
                 OwnedPoints::Dense(r.matrix(n, d)?)
             }
             ["csr", n, d, nnz] => {
-                let (n, d, nnz) = (r.parse_usize(n)?, r.parse_usize(d)?, r.parse_usize(nnz)?);
+                let (n, d, nnz) = (r.parse_int(n)?, r.parse_int(d)?, r.parse_int(nnz)?);
                 OwnedPoints::Csr(r.csr(n, d, nnz)?)
             }
             _ => return Err(r.bad("unknown points layout")),
@@ -2024,39 +1854,45 @@ impl<T: Scalar> FittedModel<T> {
         let kernel_diag: Vec<T> = r.scalar_vec("kernel-diag")?;
         let toks = r.tagged("resident")?;
         let resident = match toks.as_slice() {
-            ["full", n] => {
-                let n = r.parse_usize(n)?;
-                ResidentKernel::Full {
-                    matrix: r.matrix(n, n)?,
-                }
+            ["full", rows] => {
+                let rows = r.parse_int(rows)?;
+                ResidentKernel::Full(Arc::new(r.matrix(rows, rows)?))
             }
-            ["csr", n, nnz] => {
-                let (n, nnz) = (r.parse_usize(n)?, r.parse_usize(nnz)?);
-                ResidentKernel::Csr {
-                    matrix: r.csr(n, n, nnz)?,
-                }
+            ["csr", rows, nnz] => {
+                let (rows, nnz) = (r.parse_int(rows)?, r.parse_int(nnz)?);
+                ResidentKernel::Csr(Arc::new(r.csr(rows, rows, nnz)?))
             }
             ["nystrom", m, tile_rows] => {
-                let (m, tile_rows) = (r.parse_usize(m)?, r.parse_usize(tile_rows)?);
+                let (m, tile_rows) = (r.parse_int(m)?, r.parse_int(tile_rows)?);
                 let n = labels.len();
                 let landmarks = r.usize_vec("landmarks")?;
+                if landmarks.len() != m || landmarks.iter().any(|&l| l >= n) {
+                    return Err(r.bad(format!("expected {m} landmark rows below {n}")));
+                }
                 let hat = r.matrix(n, m)?;
                 let cross = r.matrix(n, m)?;
                 let core_pinv_t = r.matrix(m, m)?;
-                let landmark_points = r.matrix(m, points.d())?;
+                // The block also carries the landmark rows of the points
+                // and their Gram diagonal; the model derives both from its
+                // own points, so they are only checked for shape.
+                r.matrix::<T>(m, points.d())?;
                 let landmark_gram_diag = r.f64_vec("landmark-gram-diag")?;
-                ResidentKernel::Nystrom(Box::new(NystromResident {
-                    hat,
-                    cross,
-                    core_pinv_t,
-                    landmarks,
-                    landmark_points,
-                    landmark_gram_diag,
+                if landmark_gram_diag.len() != m {
+                    return Err(r.bad(format!("expected {m} landmark Gram diagonal entries")));
+                }
+                ResidentKernel::Nystrom {
+                    factors: Arc::new(NystromFactors {
+                        cross,
+                        hat,
+                        core_pinv_t,
+                        diag: kernel_diag.clone(),
+                        landmarks,
+                    }),
                     tile_rows,
-                }))
+                }
             }
             ["streamed", tile_rows] => ResidentKernel::Streamed {
-                tile_rows: r.parse_usize(tile_rows)?,
+                tile_rows: r.parse_int(tile_rows)?,
             },
             ["none"] => ResidentKernel::None,
             _ => return Err(r.bad("unknown resident kernel state")),
@@ -2068,23 +1904,12 @@ impl<T: Scalar> FittedModel<T> {
                 sizes: r.usize_vec("sizes")?,
             },
             ["lloyd", k, d] => {
-                let (k, d) = (r.parse_usize(k)?, r.parse_usize(d)?);
-                let mut centroids = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let line = r.line()?;
-                    let row: Vec<f64> = line
-                        .split_whitespace()
-                        .map(|t| r.parse_hex(t))
-                        .collect::<Result<_>>()?;
-                    if row.len() != d {
-                        return Err(r.bad(format!(
-                            "centroid carries {} values, expected {d}",
-                            row.len()
-                        )));
-                    }
-                    centroids.push(row);
+                let centroids = r.matrix::<f64>(r.parse_int(k)?, r.parse_int(d)?)?;
+                ModelStats::Lloyd {
+                    centroids: (0..centroids.rows())
+                        .map(|c| centroids.row(c).to_vec())
+                        .collect(),
                 }
-                ModelStats::Lloyd { centroids }
             }
             _ => return Err(r.bad("unknown stats block")),
         };
@@ -2096,23 +1921,52 @@ impl<T: Scalar> FittedModel<T> {
         };
         r.tagged("end")?;
 
+        // Every count must agree with the others before serving indexes by
+        // them.
         let n = labels.len();
-        if points.n() != n || gram_diag.len() != n {
-            return Err(CoreError::InvalidInput(format!(
-                "model carries {} labels, {} points and {} gram-diag entries",
-                n,
-                points.n(),
-                gram_diag.len()
-            )));
-        }
-        if config.k == 0 || labels.iter().any(|&l| l >= config.k) {
+        let k = config.k;
+        if k == 0 || labels.iter().any(|&l| l >= k) {
             return Err(CoreError::InvalidInput(
                 "model labels are out of range for its k".into(),
             ));
         }
+        let expect = |what: &str, got: usize, want: usize| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidInput(format!(
+                    "model carries {got} {what}, expected {want}"
+                )))
+            }
+        };
+        expect("points", points.n(), n)?;
+        expect("gram-diag entries", gram_diag.len(), n)?;
+        if family.is_kernel() {
+            expect("kernel-diag entries", kernel_diag.len(), n)?;
+        }
+        match &resident {
+            ResidentKernel::Full(matrix) => expect("resident matrix rows", matrix.rows(), n)?,
+            ResidentKernel::Csr(matrix) => expect("resident CSR rows", matrix.rows(), n)?,
+            _ => {}
+        }
+        match &stats {
+            ModelStats::Kernel {
+                cluster_self,
+                sizes,
+            } => {
+                expect("cluster-self entries", cluster_self.len(), k)?;
+                expect("cluster sizes", sizes.len(), k)?;
+            }
+            ModelStats::Lloyd { centroids } => {
+                expect("centroids", centroids.len(), k)?;
+                for centroid in centroids {
+                    expect("centroid values", centroid.len(), points.d())?;
+                }
+            }
+        }
         let landmark_fold = match &resident {
-            ResidentKernel::Nystrom(nys) => {
-                Some(build_landmark_fold(&nys.cross, &labels, config.k))
+            ResidentKernel::Nystrom { factors, .. } => {
+                Some(build_landmark_fold(&factors.cross, &labels, k))
             }
             _ => None,
         };
@@ -2239,6 +2093,73 @@ mod tests {
         assert_eq!(loaded, model);
         assert!(FittedModel::<f64>::load("not a model").is_err());
         assert!(FittedModel::<f64>::load(FORMAT_HEADER).is_err());
+        // Counts a file declares are only claims: each is checked against
+        // what the file carries and against the others, so a hostile count
+        // is a typed error, never a panic in the loader or in `assign`.
+        let with_line = |tag: &str, line: &str| {
+            text.lines()
+                .map(|l| match l.split_whitespace().next() {
+                    Some(t) if t == tag => line,
+                    _ => l,
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for hostile in [
+            text.replace("points dense 6 2", "points dense 18446744073709551615 2"),
+            with_line("sizes", "sizes 1 3"),
+            with_line("cluster-self", "cluster-self 1 0000000000000000"),
+        ] {
+            assert!(FittedModel::<f64>::load(&hostile).is_err());
+        }
+    }
+
+    /// Whether two resident states are one allocation.
+    fn same_allocation<T: Scalar>(a: &ResidentKernel<T>, b: &ResidentKernel<T>) -> bool {
+        match (a, b) {
+            (ResidentKernel::Full(a), ResidentKernel::Full(b)) => Arc::ptr_eq(a, b),
+            (ResidentKernel::Csr(a), ResidentKernel::Csr(b)) => Arc::ptr_eq(a, b),
+            (
+                ResidentKernel::Nystrom { factors: a, .. },
+                ResidentKernel::Nystrom { factors: b, .. },
+            ) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn clones_and_warm_refits_share_the_resident_kernel_state() {
+        let points = toy_points();
+        for (kind, approx) in [
+            ("full", KernelApprox::Exact),
+            (
+                "csr",
+                KernelApprox::Sparsified {
+                    sparsify: Sparsify::Knn { neighbors: 3 },
+                },
+            ),
+            (
+                "nystrom",
+                KernelApprox::Nystrom {
+                    landmarks: 3,
+                    seed: 1,
+                },
+            ),
+        ] {
+            let solver = KernelKmeans::new(toy_config().with_approx(approx));
+            let (_, model) = solver.fit_model(FitInput::Dense(&points)).unwrap();
+            assert_eq!(model.resident_kind(), kind);
+            let clone = model.clone();
+            assert!(
+                same_allocation(&model.resident, &clone.resident),
+                "{kind} clone"
+            );
+            let (_, refitted) = solver.refit(&model, &RefitRequest::warm()).unwrap();
+            assert!(
+                same_allocation(&model.resident, &refitted.resident),
+                "{kind} warm refit"
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@
 use crate::init::select_spread_rows;
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{KernelSource, PhaseResidency, TilePolicy, TileVisitor, TiledKernel};
+use crate::model::ResidentKernel;
 use crate::shard::{RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
@@ -46,6 +47,7 @@ use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Which kernel-matrix representation a fit runs over: the exact `n × n`
 /// matrix (resident, tiled or sharded — the planner decides) or a rank-`m`
@@ -105,6 +107,28 @@ impl KernelApprox {
     }
 }
 
+/// The factors of a rank-`m` Nyström approximation — everything derived
+/// from one fixed set of sampled landmark rows. A [`NystromKernel`] owns
+/// them behind an `Arc` and shares them, through
+/// [`KernelSource::resident`], with the fitted models frozen from it, so
+/// serving keeps the `O(n·m)` factors and prices out-of-sample assignment
+/// at `q × m`, not `q × n`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NystromFactors<T: Scalar> {
+    /// Cross kernel `C = K[:, L]`, `n × m`.
+    pub cross: DenseMatrix<T>,
+    /// `H = C · W⁺`, `n × m`; a reconstructed panel is `H[r0..r1, :] · Cᵀ`.
+    pub hat: DenseMatrix<T>,
+    /// `(W⁺)ᵀ = W⁺` in `T` precision, `m × m` — the factor an out-of-sample
+    /// query `x` needs to form its own hat row `h_x = k(x, L) · W⁺` with the
+    /// same arithmetic the training rows used.
+    pub core_pinv_t: DenseMatrix<T>,
+    /// Reconstructed diagonal `K̂_ii`, bit-identical to the tile entries.
+    pub diag: Vec<T>,
+    /// The landmark row indices, in D²-selection order.
+    pub landmarks: Vec<usize>,
+}
+
 /// A rank-`m` Nyström factorization of the kernel matrix, streamed through
 /// the [`KernelSource`] protocol as reconstructed row panels.
 ///
@@ -114,18 +138,7 @@ impl KernelApprox {
 /// `K̂[r0..r1, :] = H[r0..r1, :] · Cᵀ`, computed with the bit-stable panel
 /// GEMM and charged as one.
 pub struct NystromKernel<T: Scalar> {
-    /// Cross kernel `C = K[:, L]`, `n × m`.
-    cross: DenseMatrix<T>,
-    /// `H = C · W⁺`, `n × m`; a reconstructed panel is `H[r0..r1, :] · Cᵀ`.
-    hat: DenseMatrix<T>,
-    /// `(W⁺)ᵀ = W⁺` in `T` precision, `m × m` — the factor an out-of-sample
-    /// query `x` needs to form its own hat row `h_x = k(x, L) · W⁺` with the
-    /// same arithmetic the training rows used.
-    core_pinv_t: DenseMatrix<T>,
-    /// Reconstructed diagonal `K̂_ii`, bit-identical to the tile entries.
-    diag: Vec<T>,
-    /// The landmark row indices, in selection order.
-    landmarks: Vec<usize>,
+    factors: Arc<NystromFactors<T>>,
     /// Streaming tile height chosen by the residency planner.
     tile_rows: usize,
     /// Mean absolute diagonal reconstruction error `mean_i |K_ii − K̂_ii|` —
@@ -194,7 +207,7 @@ impl<T: Scalar> NystromKernel<T> {
         // is released before the persistent factors land — the planner's
         // budget covers factors + tile, not factors + tile + transients.
         drop(sampling);
-        Ok(Self::assemble(factors, landmark_rows, stream, executor))
+        Ok(Self::assemble(factors, stream, executor))
     }
 
     /// Adaptive-rank construction (`--landmarks auto:EPS`): starting from
@@ -252,10 +265,11 @@ impl<T: Scalar> NystromKernel<T> {
             // The trial factors are transient until accepted: tracked for
             // the duration of the build, freed again when the rank doubles.
             let trial = PhaseResidency::track(executor, factor_bytes::<T>(n, m));
-            let factors = build_factors(&landmark_rows, &exact_diag, n, executor)?;
-            if factors.error_bound <= epsilon || m == n {
+            let (factors, error_bound, used_eigen_fallback) =
+                build_factors(&landmark_rows, &exact_diag, n, executor)?;
+            if error_bound <= epsilon || m == n {
                 drop(trial);
-                break factors;
+                break (factors, error_bound, used_eigen_fallback);
             }
             m = (m * 2).min(n);
             drop(trial);
@@ -269,14 +283,13 @@ impl<T: Scalar> NystromKernel<T> {
             k_budget,
             executor,
         )?;
-        Ok(Self::assemble(factors, landmark_rows, stream, executor))
+        Ok(Self::assemble(factors, stream, executor))
     }
 
     /// Keep the accepted factors resident — replicated on every device —
     /// next to each device's panel buffer.
     fn assemble(
-        factors: Factors<T>,
-        landmark_rows: Vec<(usize, Vec<T>)>,
+        (factors, error_bound, used_eigen_fallback): (NystromFactors<T>, f64, bool),
         stream: ShardStream,
         executor: &dyn Executor,
     ) -> Self {
@@ -285,14 +298,10 @@ impl<T: Scalar> NystromKernel<T> {
             factors.cross.cols(),
         ));
         let source = Self {
-            cross: factors.cross,
-            hat: factors.hat,
-            core_pinv_t: factors.core_pinv_t,
-            diag: factors.diag,
-            landmarks: landmark_rows.into_iter().map(|(i, _)| i).collect(),
+            factors: Arc::new(factors),
             tile_rows: stream.plan().max_tile_rows().max(1),
-            error_bound: factors.error_bound,
-            used_eigen_fallback: factors.used_eigen_fallback,
+            error_bound,
+            used_eigen_fallback,
             stream,
         };
         source.stream.track(&source, executor);
@@ -301,12 +310,12 @@ impl<T: Scalar> NystromKernel<T> {
 
     /// Number of landmarks `m` (the factorization rank).
     pub fn rank(&self) -> usize {
-        self.cross.cols()
+        self.factors.cross.cols()
     }
 
     /// The landmark row indices, in D²-selection order.
     pub fn landmarks(&self) -> &[usize] {
-        &self.landmarks
+        &self.factors.landmarks
     }
 
     /// `true` when the core pseudo-inverse needed the eigen-clip fallback.
@@ -321,7 +330,7 @@ impl<T: Scalar> NystromKernel<T> {
 
     /// Modeled resident bytes of the factors (C, H, diagonal).
     pub fn factor_bytes(&self) -> u64 {
-        factor_bytes::<T>(self.cross.rows(), self.cross.cols())
+        factor_bytes::<T>(self.factors.cross.rows(), self.factors.cross.cols())
     }
 
     /// Compute (and charge) one reconstructed panel `K̂[r0..r1, :]`.
@@ -331,15 +340,15 @@ impl<T: Scalar> NystromKernel<T> {
         r1: usize,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let n = self.cross.rows();
-        let m = self.cross.cols();
+        let NystromFactors { cross, hat, .. } = &*self.factors;
+        let (n, m) = (cross.rows(), cross.cols());
         let elem = std::mem::size_of::<T>();
         Ok(executor.run(
             format!("nystrom panel rows {r0}..{r1} (n={n}, m={m})"),
             Phase::KernelMatrix,
             OpClass::Gemm,
             OpCost::gemm(r1 - r0, n, m, elem),
-            || matmul_nt_rows(&self.hat, r0, r1, &self.cross),
+            || matmul_nt_rows(hat, r0, r1, cross),
         )?)
     }
 }
@@ -379,7 +388,7 @@ impl<T: Scalar> ShardRows for NystromKernel<T> {}
 
 impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
     fn n(&self) -> usize {
-        self.cross.rows()
+        self.factors.cross.rows()
     }
 
     fn tile_rows(&self) -> usize {
@@ -388,7 +397,7 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
 
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed (and charged) once at construction.
-        Ok(self.diag.clone())
+        Ok(self.factors.diag.clone())
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
@@ -410,57 +419,27 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
         Some(self.error_bound)
     }
 
-    fn nystrom_factors(&self) -> Option<NystromFactors<'_, T>> {
-        Some(NystromFactors {
-            cross: &self.cross,
-            hat: &self.hat,
-            core_pinv_t: &self.core_pinv_t,
-            diag: &self.diag,
-            landmarks: &self.landmarks,
-        })
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Nystrom {
+            factors: Arc::clone(&self.factors),
+            tile_rows: self.tile_rows,
+        }
     }
 }
 
-/// Borrowed view of the Nyström factors, surfaced through
-/// [`KernelSource::nystrom_factors`] so a fitted-model extractor can keep
-/// the low-rank representation (`O(n·m)`) instead of re-deriving — or
-/// densifying — the kernel matrix at serve time.
-pub struct NystromFactors<'a, T: Scalar> {
-    /// Cross kernel `C = K[:, L]`, `n × m`.
-    pub cross: &'a DenseMatrix<T>,
-    /// `H = C · W⁺`, `n × m`.
-    pub hat: &'a DenseMatrix<T>,
-    /// `W⁺` in `T` precision, `m × m`.
-    pub core_pinv_t: &'a DenseMatrix<T>,
-    /// Reconstructed diagonal `K̂_ii`.
-    pub diag: &'a [T],
-    /// Landmark row indices, in D²-selection order.
-    pub landmarks: &'a [usize],
-}
-
-/// The outputs of one factor build: everything derived from a fixed set of
-/// sampled landmark rows.
-struct Factors<T: Scalar> {
-    cross: DenseMatrix<T>,
-    hat: DenseMatrix<T>,
-    core_pinv_t: DenseMatrix<T>,
-    diag: Vec<T>,
-    error_bound: f64,
-    used_eigen_fallback: bool,
-}
-
 /// Build (and charge) the factors from `m` sampled landmark rows: the cross
-/// factor `C`, the pseudo-inverted core, `H = C·W⁺`, the reconstructed
-/// diagonal and the trace-based quality bound. Shared verbatim between the
-/// fixed-rank and adaptive constructors so both charge identically and an
-/// adaptive fit that accepts rank `m` is bit-identical to a fixed rank-`m`
+/// factor `C`, the pseudo-inverted core, `H = C·W⁺` and the reconstructed
+/// diagonal, with the trace-based quality bound and whether the
+/// pseudo-inverse needed the eigen-clip fallback. Shared verbatim between
+/// the fixed-rank and adaptive constructors so both charge identically and
+/// an adaptive fit that accepts rank `m` is bit-identical to a fixed rank-`m`
 /// run.
 fn build_factors<T: Scalar>(
     landmark_rows: &[(usize, Vec<T>)],
     exact_diag: &[T],
     n: usize,
     executor: &dyn Executor,
-) -> Result<Factors<T>> {
+) -> Result<(NystromFactors<T>, f64, bool)> {
     let m = landmark_rows.len();
     let elem = std::mem::size_of::<T>();
     // C[i][j] = K[i, l_j] = landmark row j at position i (K symmetric).
@@ -530,14 +509,14 @@ fn build_factors<T: Scalar>(
             .sum::<f64>()
             / exact_diag.len() as f64
     };
-    Ok(Factors {
+    let factors = NystromFactors {
         cross,
         hat,
         core_pinv_t,
         diag,
-        error_bound,
-        used_eigen_fallback,
-    })
+        landmarks: landmark_rows.iter().map(|&(i, _)| i).collect(),
+    };
+    Ok((factors, error_bound, used_eigen_fallback))
 }
 
 /// Pseudo-inverse of a symmetric positive semi-definite matrix, std-only and

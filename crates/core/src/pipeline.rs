@@ -247,27 +247,15 @@ pub fn iterate_init<T: Scalar>(
     // streaming off. The trace itself is identical either way — the meter
     // only reads marks off it.
     let mut meter = StreamMeter::new(config.streaming);
-    let sparse = source.csr().is_some();
     while state.active(config) {
-        engine.begin_iteration(state.iteration(), source, state.labels(), executor)?;
-        meter.begin_pass(executor);
-        if sparse {
-            source.for_each_csr_tile(executor, &mut |rows, panel| {
-                meter.tile_produced(executor);
-                let folded = engine.consume_csr_tile(rows, panel, executor);
-                meter.tile_consumed(executor);
-                folded
-            })?;
-        } else {
-            source.for_each_tile(executor, &mut |rows, tile| {
-                meter.tile_produced(executor);
-                let folded = engine.consume_tile(rows, tile, executor);
-                meter.tile_consumed(executor);
-                folded
-            })?;
-        }
-        meter.finish_pass();
-        let distances = engine.finish_iteration(executor)?;
+        let distances = distance_pass(
+            source,
+            engine,
+            state.iteration(),
+            state.labels(),
+            &mut meter,
+            executor,
+        )?;
         state.step(&distances, config, executor);
         engine.recycle_distances(distances);
     }
@@ -277,6 +265,40 @@ pub fn iterate_init<T: Scalar>(
     result.streaming = meter.into_report();
     result.config = Some(config.clone());
     Ok(result)
+}
+
+/// One iteration's distance pass of `engine` over `source` under `labels`:
+/// `begin_iteration`, one fold per tile — zero-copy CSR panels when the
+/// source keeps `K` CSR-resident ([`KernelSource::csr`]), dense tiles
+/// otherwise — then `finish_iteration`. `meter` reads the pass's
+/// produce/consume segments off the trace and never changes it.
+pub(crate) fn distance_pass<T: Scalar>(
+    source: &dyn KernelSource<T>,
+    engine: &mut dyn DistanceEngine<T>,
+    iteration: usize,
+    labels: &[usize],
+    meter: &mut StreamMeter,
+    executor: &dyn Executor,
+) -> Result<DenseMatrix<T>> {
+    engine.begin_iteration(iteration, source, labels, executor)?;
+    meter.begin_pass(executor);
+    if source.csr().is_some() {
+        source.for_each_csr_tile(executor, &mut |rows, panel| {
+            meter.tile_produced(executor);
+            let folded = engine.consume_csr_tile(rows, panel, executor);
+            meter.tile_consumed(executor);
+            folded
+        })?;
+    } else {
+        source.for_each_tile(executor, &mut |rows, tile| {
+            meter.tile_produced(executor);
+            let folded = engine.consume_tile(rows, tile, executor);
+            meter.tile_consumed(executor);
+            folded
+        })?;
+    }
+    meter.finish_pass();
+    engine.finish_iteration(executor)
 }
 
 /// Assemble a [`ClusteringResult`] from loop state and the executor's trace.

@@ -255,7 +255,7 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
     }
 
     /// [`Solver::fit_input_with`] plus model extraction off the live kernel
-    /// source, so the model adopts the fit's resident state.
+    /// source, so the model shares the fit's resident state.
     fn fit_model_with(
         &self,
         input: FitInput<'_, T>,
@@ -267,7 +267,6 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
         let executor: &dyn Executor = &*executor;
         let _residency = ResidencyScope::new(executor);
         input.charge_upload(executor);
-        let mut engine = PopcornEngine::<T>::new(config.k);
         crate::model::fit_model_via(
             crate::model::ModelFamily::Popcorn,
             input,
@@ -279,7 +278,6 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
                     .compute_kernel_matrix(config.kernel, config.strategy, executor)?
                     .0)
             },
-            &mut engine,
         )
     }
 
@@ -293,15 +291,11 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
         let executor = self.executor_for::<T>();
         let executor: &dyn Executor = &*executor;
         let _residency = ResidencyScope::new(executor);
-        let mut make_engine = |k: usize| -> Box<dyn pipeline::DistanceEngine<T>> {
-            Box::new(PopcornEngine::<T>::new(k))
-        };
         crate::model::refit_via(
             crate::model::ModelFamily::Popcorn,
             model,
             request,
             executor,
-            &mut make_engine,
             &|input, config, executor| {
                 Ok(input
                     .compute_kernel_matrix(config.kernel, config.strategy, executor)?

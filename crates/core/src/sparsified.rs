@@ -39,6 +39,7 @@ use crate::kernel_source::{
     plan_tile_rows, tile_bytes, CsrTileVisitor, KernelSource, PhaseResidency, TilePolicy,
     TileVisitor, TiledKernel,
 };
+use crate::model::ResidentKernel;
 use crate::shard::{ActiveShard, DeviceShard, RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
@@ -46,6 +47,7 @@ use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::CsrMatrix;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Per-row sparsification rule for the kernel matrix (surfaced on the CLI as
 /// `--sparsify {knn:N|threshold:T}`). The diagonal is always kept: `K_ii` is
@@ -111,7 +113,8 @@ impl Sparsify {
 /// ([`TilePolicy::Auto`] / [`TilePolicy::Full`]); no height changes memory.
 #[derive(Debug)]
 pub struct SparsifiedKernel<T: Scalar> {
-    csr: CsrMatrix<T>,
+    /// Shared with the fitted models frozen from this source.
+    csr: Arc<CsrMatrix<T>>,
     /// `diag(K)` as the exact backends compute it — the sparsifier always
     /// keeps the diagonal, so these are the stored diagonal entries.
     diag: Vec<T>,
@@ -327,7 +330,7 @@ impl<T: Scalar> SparsifiedKernel<T> {
         // each CSR row slice lives on its owning device.
         executor.track_alloc(n as u64 * elem as u64);
         let source = Self {
-            csr,
+            csr: Arc::new(csr),
             diag,
             dropped_mass,
             tile_rows,
@@ -503,6 +506,10 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
 
     fn csr(&self) -> Option<&CsrMatrix<T>> {
         Some(&self.csr)
+    }
+
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Csr(Arc::clone(&self.csr))
     }
 
     fn for_each_csr_tile(

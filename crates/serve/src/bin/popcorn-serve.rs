@@ -6,6 +6,7 @@
 //! one line per answered request plus a stats footer. The kernel state is
 //! uploaded once at load time; every request pays only its marginal cost.
 
+use popcorn_baselines::SolverKind;
 use popcorn_core::model::{OwnedPoints, RefitRequest};
 use popcorn_core::ModelFamily;
 use popcorn_data::{csv, libsvm};
@@ -24,9 +25,8 @@ REQUESTS (executed in order; repeatable):
                   cold (bit-identical to a fresh fit)
 
 OPTIONS:
-  --model FILE    the model to serve (written by gpukmeans --save-model)
-  --solver STR    solver family executing refits: popcorn | cpu-reference |
-                  dense-gpu-baseline | lloyd    [default: the model's family]
+  --model FILE    the model to serve (written by gpukmeans --save-model);
+                  refits run the solver family that fitted it
   --queue INT     bounded request-queue capacity [default: 64]
   --workers INT   worker threads                 [default: 1]
   --labels-out F  write the labels of the LAST assignment to F
@@ -41,7 +41,6 @@ enum Scripted {
 
 struct ServeArgs {
     model: String,
-    solver: Option<String>,
     queue: usize,
     workers: usize,
     labels_out: Option<String>,
@@ -50,7 +49,6 @@ struct ServeArgs {
 
 fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
     let mut model = None;
-    let mut solver = None;
     let mut queue = 64usize;
     let mut workers = 1usize;
     let mut labels_out = None;
@@ -65,7 +63,6 @@ fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
         match arg.as_str() {
             "-h" | "--help" => return Err(USAGE.to_string()),
             "--model" => model = Some(value("--model", &mut iter)?),
-            "--solver" => solver = Some(value("--solver", &mut iter)?),
             "--queue" => {
                 queue = value("--queue", &mut iter)?
                     .parse()
@@ -95,7 +92,6 @@ fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
     }
     Ok(ServeArgs {
         model: model.ok_or_else(|| format!("--model is required\n\n{USAGE}"))?,
-        solver,
         queue,
         workers,
         labels_out,
@@ -126,28 +122,14 @@ fn load_queries(path: &str) -> Result<OwnedPoints<f32>, String> {
     }
 }
 
-fn solver_kind(
-    args: &ServeArgs,
-    family: ModelFamily,
-) -> Result<popcorn_baselines::SolverKind, String> {
-    use popcorn_baselines::SolverKind;
-    let Some(name) = &args.solver else {
-        // Default: the family that fitted the model executes its refits.
-        return Ok(match family {
-            ModelFamily::Popcorn => SolverKind::Popcorn,
-            ModelFamily::CpuReference => SolverKind::Cpu,
-            ModelFamily::DenseBaseline => SolverKind::DenseBaseline,
-            ModelFamily::Lloyd => SolverKind::Lloyd,
-        });
-    };
-    match name.as_str() {
-        "popcorn" => Ok(SolverKind::Popcorn),
-        "cpu-reference" => Ok(SolverKind::Cpu),
-        "dense-gpu-baseline" => Ok(SolverKind::DenseBaseline),
-        "lloyd" => Ok(SolverKind::Lloyd),
-        _ => Err(format!(
-            "--solver expects popcorn | cpu-reference | dense-gpu-baseline | lloyd, got '{name}'"
-        )),
+/// The solver family that fitted a model, which executes its refits (every
+/// solver rejects refitting another family's model).
+fn solver_kind(family: ModelFamily) -> SolverKind {
+    match family {
+        ModelFamily::Popcorn => SolverKind::Popcorn,
+        ModelFamily::CpuReference => SolverKind::Cpu,
+        ModelFamily::DenseBaseline => SolverKind::DenseBaseline,
+        ModelFamily::Lloyd => SolverKind::Lloyd,
     }
 }
 
@@ -165,7 +147,7 @@ fn run(args: &ServeArgs) -> Result<(), String> {
         );
     }
     println!("serving {}", model.describe());
-    let solver = solver_kind(args, model.family())?;
+    let solver = solver_kind(model.family());
     let server = Server::start(
         model,
         solver,
