@@ -18,7 +18,8 @@ use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::{
-    spmm_csr_rows_selection_t_into, spmm_transpose_b_into, spmv, CsrRows, SelectionMatrix,
+    spmm_csr_rows_selection_t_into, spmm_selection_rows_accumulate, spmm_transpose_b_into, spmv,
+    CsrRows, SelectionMatrix,
 };
 
 /// Utilization hint for the distance SpMM as a function of `k`.
@@ -56,10 +57,61 @@ pub fn accumulate_distance_tile<T: Scalar>(
     selection: &SelectionMatrix<T>,
     executor: &dyn Executor,
 ) -> Result<()> {
+    let k = selection.k();
+    let minus_two = T::from_f64(-2.0);
+    // Rows r0..r1 of the row-major accumulator are contiguous, so the SpMM
+    // writes the tile's slice of E in place — no intermediate matrix.
+    let out = &mut e.as_mut_slice()[rows.start * k..rows.end * k];
+    run_tile_fold(rows, selection, executor, || {
+        spmm_transpose_b_into(minus_two, tile, selection.csr(), out)
+    })
+}
+
+/// Accumulate one row tile's share of `Eᵀ = V K` (before the `−2`) into the
+/// `k × n` accumulator `e_t` — the fold [`accumulate_distance_tile`] gathers,
+/// in the paper's sparse-on-the-left orientation, for sources whose tile rows
+/// are also columns of `K` bit for bit
+/// ([`crate::KernelSource::symmetric_tiles`]). Every tile row streams once
+/// into its cluster's row of `e_t`; after the pass in ascending row order,
+/// [`scale_transposed`] gives the gather's `E` bit for bit. Charged under the
+/// gather's record.
+pub(crate) fn accumulate_distance_tile_t<T: Scalar>(
+    e_t: &mut [T],
+    rows: std::ops::Range<usize>,
+    tile: &DenseMatrix<T>,
+    selection: &SelectionMatrix<T>,
+    cluster_weights: &[T],
+    executor: &dyn Executor,
+) -> Result<()> {
+    let labels = &selection.assignments()[rows.clone()];
+    run_tile_fold(rows, selection, executor, || {
+        spmm_selection_rows_accumulate(tile, labels, cluster_weights, e_t)
+    })
+}
+
+/// `E[i][c] = −2 · Eᵀ[c][i]` from the `k × n` accumulator of
+/// [`accumulate_distance_tile_t`]: the gather's one trailing scale per cell.
+pub(crate) fn scale_transposed<T: Scalar>(e_t: &[T], e: &mut DenseMatrix<T>) {
+    let (n, k) = e.shape();
+    let minus_two = T::from_f64(-2.0);
+    for (i, row) in e.as_mut_slice().chunks_exact_mut(k).enumerate() {
+        for (c, cell) in row.iter_mut().enumerate() {
+            *cell = minus_two * e_t[c * n + i];
+        }
+    }
+}
+
+/// Run one dense tile fold under its record: a cuSPARSE-class SpMM over the
+/// tile's rows, named for the full product when the tile spans all of `K`.
+fn run_tile_fold<T: Scalar>(
+    rows: std::ops::Range<usize>,
+    selection: &SelectionMatrix<T>,
+    executor: &dyn Executor,
+    fold: impl FnOnce() -> popcorn_sparse::Result<()>,
+) -> Result<()> {
     let n = selection.n();
     let k = selection.k();
     let elem = std::mem::size_of::<T>();
-    let minus_two = T::from_f64(-2.0);
     let name = if rows.len() == n {
         format!("spmm E = -2*K*V^T (n={n}, k={k})")
     } else {
@@ -68,16 +120,13 @@ pub fn accumulate_distance_tile<T: Scalar>(
             rows.start, rows.end
         )
     };
-    // Rows r0..r1 of the row-major accumulator are contiguous, so the SpMM
-    // writes the tile's slice of E in place — no intermediate matrix.
-    let out = &mut e.as_mut_slice()[rows.start * k..rows.end * k];
     executor.run(
         name,
         Phase::PairwiseDistances,
         OpClass::SpMM,
         OpCost::spmm_kvt_rows(rows.len(), n, k, elem, INDEX_BYTES)
             .with_utilization(spmm_utilization(k)),
-        || spmm_transpose_b_into(minus_two, tile, selection.csr(), out),
+        fold,
     )?;
     Ok(())
 }

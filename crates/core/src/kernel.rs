@@ -13,6 +13,7 @@
 //! * the Gaussian kernel needs `B[i][j]`, `B[i][i]` and `B[j][j]`
 //!   (paper Eq. 12), i.e. the diagonal of `B` as well.
 
+use popcorn_dense::fma::dispatch;
 use popcorn_dense::{DenseMatrix, Scalar};
 
 /// A kernel function `κ(x, y)` evaluated from Gram-matrix entries.
@@ -90,11 +91,12 @@ impl KernelFunction {
                 gamma,
                 coef0,
                 degree,
-            } => (gamma * b_ij + coef0).powi(degree),
-            KernelFunction::Gaussian { gamma, sigma } => {
-                let sq_dist = b_ii + b_jj - 2.0 * b_ij;
-                (-gamma * sq_dist / (sigma * sigma)).exp()
+            } => {
+                let mut x = [gamma * b_ij + coef0];
+                powi_lanes(&mut x, degree);
+                x[0]
             }
+            KernelFunction::Gaussian { gamma, sigma } => gaussian(gamma, sigma, b_ij, b_ii, b_jj),
             KernelFunction::Sigmoid { gamma, coef0 } => (gamma * b_ij + coef0).tanh(),
         }
     }
@@ -167,6 +169,11 @@ impl KernelFunction {
     /// entries, where row `r` has diagonal entry `row_diag[r]` and column `c`
     /// has `col_diag[c]`. Taking a plain slice lets callers hand disjoint row
     /// chunks of one matrix to parallel workers.
+    ///
+    /// Each entry gets exactly [`KernelFunction::apply`]'s arithmetic, but the
+    /// kernel is matched once per call: the linear kernel is the identity
+    /// and leaves the entries untouched, and the polynomial kernel raises
+    /// whole blocks of entries to its power so the element loop vectorizes.
     pub(crate) fn apply_to_rows<T: Scalar>(
         &self,
         rows: &mut [T],
@@ -177,9 +184,39 @@ impl KernelFunction {
             return;
         }
         debug_assert_eq!(rows.len(), row_diag.len() * col_diag.len());
-        for (row, &b_ii) in rows.chunks_exact_mut(col_diag.len()).zip(row_diag) {
-            for (value, &b_jj) in row.iter_mut().zip(col_diag) {
-                *value = T::from_f64(self.apply(value.to_f64(), b_ii, b_jj));
+        match *self {
+            KernelFunction::Linear => {}
+            KernelFunction::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => dispatch(
+                #[inline(always)]
+                || {
+                    for block in rows.chunks_mut(MAP_LANES) {
+                        // Lanes past a short tail block compute a discarded 0^r.
+                        let mut x = [0.0f64; MAP_LANES];
+                        for (x, &value) in x.iter_mut().zip(block.iter()) {
+                            *x = gamma * value.to_f64() + coef0;
+                        }
+                        powi_lanes(&mut x, degree);
+                        for (value, &x) in block.iter_mut().zip(&x) {
+                            *value = T::from_f64(x);
+                        }
+                    }
+                },
+            ),
+            KernelFunction::Gaussian { gamma, sigma } => {
+                for (row, &b_ii) in rows.chunks_exact_mut(col_diag.len()).zip(row_diag) {
+                    for (value, &b_jj) in row.iter_mut().zip(col_diag) {
+                        *value = T::from_f64(gaussian(gamma, sigma, value.to_f64(), b_ii, b_jj));
+                    }
+                }
+            }
+            KernelFunction::Sigmoid { gamma, coef0 } => {
+                for value in rows.iter_mut() {
+                    *value = T::from_f64((gamma * value.to_f64() + coef0).tanh());
+                }
             }
         }
     }
@@ -193,6 +230,52 @@ impl KernelFunction {
             KernelFunction::Gaussian { .. } => 8,
             KernelFunction::Sigmoid { .. } => 10,
         }
+    }
+}
+
+/// Entries per block of the polynomial map: the block's power is one short
+/// loop per exponent bit over `MAP_LANES` lanes.
+const MAP_LANES: usize = 64;
+
+/// `κ(x, y) = exp(−γ‖x − y‖² / σ²)` from Gram entries. Symmetric in
+/// `(b_ii, b_jj)`: the one addition that reads both commutes.
+#[inline(always)]
+fn gaussian(gamma: f64, sigma: f64, b_ij: f64, b_ii: f64, b_jj: f64) -> f64 {
+    let sq_dist = b_ii + b_jj - 2.0 * b_ij;
+    (-gamma * sq_dist / (sigma * sigma)).exp()
+}
+
+/// Raise every lane of `x` to the integer power `degree` with exactly the
+/// multiplications of [`f64::powi`] (the runtime library's binary
+/// exponentiation): starting from `1`, multiply the product by the running
+/// square on each set bit of `|degree|`, low bit first, squaring between
+/// bits, and take `1 / product` for a negative `degree`. Every lane's result
+/// is therefore `x.powi(degree)` bit for bit; the exponent loop runs once
+/// per call, outside the lane loops, so those vectorize.
+#[inline(always)]
+fn powi_lanes<const N: usize>(x: &mut [f64; N], degree: i32) {
+    let mut product = [1.0f64; N];
+    let mut bits = degree.unsigned_abs();
+    loop {
+        if bits & 1 == 1 {
+            for (p, &a) in product.iter_mut().zip(x.iter()) {
+                *p *= a;
+            }
+        }
+        bits >>= 1;
+        if bits == 0 {
+            break;
+        }
+        for a in x.iter_mut() {
+            *a *= *a;
+        }
+    }
+    if degree < 0 {
+        for (a, &p) in x.iter_mut().zip(&product) {
+            *a = 1.0 / p;
+        }
+    } else {
+        *x = product;
     }
 }
 
@@ -377,6 +460,93 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Gram entries that stress the map's bit-identity: signed zeros,
+    /// subnormals of both precisions, ±∞, NaN, a value one ulp above 1,
+    /// overflow-prone magnitudes and ordinary values.
+    fn awkward_gram(i: usize) -> f64 {
+        const VALUES: [f64; 14] = [
+            0.0,
+            -0.0,
+            1e-310,
+            -1e-40,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e200,
+            -3e-5,
+            -2.5,
+            0.37,
+            3.7,
+            -1.0,
+        ];
+        VALUES[i % VALUES.len()]
+    }
+
+    /// The per-entry definition each map must reproduce, on the standard
+    /// library's `powi`, `exp` and `tanh`.
+    fn reference_entry(kernel: KernelFunction, b_ij: f64, b_ii: f64, b_jj: f64) -> f64 {
+        match kernel {
+            KernelFunction::Linear => b_ij,
+            KernelFunction::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => (gamma * b_ij + coef0).powi(std::hint::black_box(degree)),
+            KernelFunction::Gaussian { gamma, sigma } => {
+                (-gamma * (b_ii + b_jj - 2.0 * b_ij) / (sigma * sigma)).exp()
+            }
+            KernelFunction::Sigmoid { gamma, coef0 } => (gamma * b_ij + coef0).tanh(),
+        }
+    }
+
+    fn check_map_bits<T: Scalar>(kernel: KernelFunction, bits: fn(T) -> u64) {
+        // 9 x 150: rows straddle the map's lane blocks and end in a short one.
+        let (rows, cols) = (9, 150);
+        let gram =
+            DenseMatrix::<T>::from_fn(rows, cols, |i, j| T::from_f64(awkward_gram(i * 5 + j * 3)));
+        let row_diag: Vec<f64> = (0..rows).map(|i| awkward_gram(i * 7 + 2)).collect();
+        let col_diag: Vec<f64> = (0..cols).map(|j| awkward_gram(j * 11 + 1)).collect();
+        let mut mapped = gram.clone();
+        kernel.apply_to_cross_tile(&mut mapped, &row_diag, &col_diag);
+        for i in 0..rows {
+            for j in 0..cols {
+                let b_ij = gram[(i, j)].to_f64();
+                let want = reference_entry(kernel, b_ij, row_diag[i], col_diag[j]);
+                let at = format!("{kernel:?} entry ({i},{j}) of {b_ij}");
+                assert_eq!(bits(mapped[(i, j)]), bits(T::from_f64(want)), "map: {at}");
+                let scalar = kernel.apply(b_ij, row_diag[i], col_diag[j]);
+                assert_eq!(scalar.to_bits(), want.to_bits(), "apply: {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_kernel_maps_match_the_per_entry_definition_bit_for_bit() {
+        let mut kernels: Vec<KernelFunction> = (-3..=6)
+            .map(|degree| KernelFunction::Polynomial {
+                gamma: 0.7,
+                coef0: 1.0 + f64::EPSILON,
+                degree,
+            })
+            .collect();
+        kernels.extend([
+            KernelFunction::Linear,
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: -0.1,
+            },
+        ]);
+        for kernel in kernels {
+            check_map_bits::<f32>(kernel, |x| u64::from(x.to_bits()));
+            check_map_bits::<f64>(kernel, f64::to_bits);
         }
     }
 

@@ -37,25 +37,19 @@ pub fn compute_gram<T: Scalar>(
             OpCost::gemm(n, n, d, elem),
             || matmul_nt(points, points),
         )?,
-        GramRoutine::Syrk => {
-            let mut b = executor.run(
-                format!("syrk B = P*P^T lower (n={n}, d={d})"),
-                Phase::KernelMatrix,
-                OpClass::Syrk,
-                OpCost::syrk_with_mirror(n, d, elem)
-                    .with_utilization(strategy::syrk_utilization(n, d)),
-                || -> popcorn_dense::Result<DenseMatrix<T>> {
-                    let mut b = DenseMatrix::zeros(n, n);
-                    syrk(T::ONE, points, T::ZERO, &mut b, Triangle::Lower)?;
-                    symmetrize_lower(&mut b, Triangle::Lower)?;
-                    Ok(b)
-                },
-            )?;
-            // (the mirror copy's traffic is already part of syrk_with_mirror)
-            debug_assert!(b.is_square());
-            b.scale(T::ONE);
-            b
-        }
+        GramRoutine::Syrk => executor.run(
+            format!("syrk B = P*P^T lower (n={n}, d={d})"),
+            Phase::KernelMatrix,
+            OpClass::Syrk,
+            // The mirror copy's traffic is part of the SYRK charge.
+            OpCost::syrk_with_mirror(n, d, elem).with_utilization(strategy::syrk_utilization(n, d)),
+            || -> popcorn_dense::Result<DenseMatrix<T>> {
+                let mut b = DenseMatrix::zeros(n, n);
+                syrk(T::ONE, points, T::ZERO, &mut b, Triangle::Lower)?;
+                symmetrize_lower(&mut b, Triangle::Lower)?;
+                Ok(b)
+            },
+        )?,
         GramRoutine::SpGemm => {
             return Err(CoreError::InvalidInput(
                 "the SpGemm gram routine requires a sparse (CSR) input; \

@@ -140,6 +140,24 @@ pub trait KernelSource<T: Scalar>: Sync {
         ))
     }
 
+    /// `true` when this source promises that its tile rows are also columns
+    /// of `K`, bit for bit: `K[l][i]` and `K[i][l]` are the same bits for
+    /// every pair of points, so an engine may fold each tile row `l` in
+    /// place of column `l`. Tiles come in ascending row order on every
+    /// source, so the Popcorn engine then folds `Eᵀ = V K` row by row instead
+    /// of gathering `K Vᵀ`, and gets the gather's bits.
+    ///
+    /// A source returns `true` only where symmetry holds by construction: a
+    /// kernel matrix a solver computed from points (SYRK and SpGEMM mirror
+    /// their lower triangle, GEMM and the tile panels multiply commuting
+    /// operands in the same order for `(i, j)` and `(j, i)`, and every kernel
+    /// map is symmetric in `(b_ii, b_jj)`), or state checked on load. The
+    /// default, `false`, promises nothing: a caller's own matrix or a
+    /// reconstructed `K̂ = H·Cᵀ` keeps the gather.
+    fn symmetric_tiles(&self) -> bool {
+        false
+    }
+
     /// The kernel state this source keeps resident, as a fitted model keeps
     /// it: [`crate::FittedModel`] extraction stores what this returns, so a
     /// source that owns its state behind an `Arc` shares it with the model
@@ -159,10 +177,14 @@ pub trait KernelSource<T: Scalar>: Sync {
 pub struct FullKernel<'a, T: Scalar> {
     matrix: &'a DenseMatrix<T>,
     diag_cache: Mutex<Option<Vec<T>>>,
+    /// Whether the matrix is bitwise symmetric by construction
+    /// ([`KernelSource::symmetric_tiles`]).
+    symmetric: bool,
 }
 
 impl<'a, T: Scalar> FullKernel<'a, T> {
-    /// Wrap a precomputed kernel matrix (must be square).
+    /// Wrap a precomputed kernel matrix (must be square). Any square matrix
+    /// is accepted, so the source promises no symmetry.
     pub fn new(matrix: &'a DenseMatrix<T>) -> Result<Self> {
         if !matrix.is_square() {
             return Err(CoreError::InvalidInput(format!(
@@ -174,6 +196,16 @@ impl<'a, T: Scalar> FullKernel<'a, T> {
         Ok(Self {
             matrix,
             diag_cache: Mutex::new(None),
+            symmetric: false,
+        })
+    }
+
+    /// Wrap a kernel matrix a solver computed from points, which is bitwise
+    /// symmetric by construction (see [`KernelSource::symmetric_tiles`]).
+    pub(crate) fn computed(matrix: &'a DenseMatrix<T>) -> Result<Self> {
+        Ok(Self {
+            symmetric: true,
+            ..Self::new(matrix)?
         })
     }
 
@@ -210,6 +242,10 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
 
     fn for_each_tile(&self, _executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
         f(0..self.matrix.rows(), self.matrix)
+    }
+
+    fn symmetric_tiles(&self) -> bool {
+        self.symmetric
     }
 
     /// The borrowed matrix, copied once into the model's shared state.
@@ -473,6 +509,11 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
         }
         Ok(())
     }
+
+    /// The panels are rows of the full computed matrix, bit for bit.
+    fn symmetric_tiles(&self) -> bool {
+        true
+    }
 }
 
 /// Plan the residency for one fit and run it over the chosen source: the
@@ -615,7 +656,7 @@ fn dispatch<T: Scalar, R>(
             .take()
             .expect("only single-shard fits build the in-core matrix, and they never retry");
         let kernel_matrix = compute_full()?;
-        return run(&FullKernel::new(&kernel_matrix)?);
+        return run(&FullKernel::computed(&kernel_matrix)?);
     }
     let source = crate::shard::ShardedKernelSource::new(input, kernel, plan, k_budget, executor)?
         .with_tiling(tiling);

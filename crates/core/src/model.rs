@@ -1161,6 +1161,15 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         self.model.approx_error_bound
     }
 
+    /// A resident `full` matrix is the fit's computed `K` (checked symmetric
+    /// on load), and `streamed` state recomputes the fit's exact panels.
+    fn symmetric_tiles(&self) -> bool {
+        matches!(
+            self.model.resident,
+            ResidentKernel::Full(_) | ResidentKernel::Streamed { .. }
+        )
+    }
+
     fn csr(&self) -> Option<&CsrMatrix<T>> {
         match &self.model.resident {
             ResidentKernel::Csr(matrix) => Some(matrix),
@@ -1366,6 +1375,14 @@ impl ModelFormat {
     pub fn is_deprecated(&self) -> bool {
         matches!(self, ModelFormat::V0Headerless)
     }
+}
+
+/// Whether the square `matrix` holds the same value bits at `(i, j)` and
+/// `(j, i)` for every pair.
+fn bitwise_symmetric<T: Scalar>(matrix: &DenseMatrix<T>) -> bool {
+    (0..matrix.rows()).all(|i| {
+        (0..i).all(|j| matrix[(i, j)].to_f64().to_bits() == matrix[(j, i)].to_f64().to_bits())
+    })
 }
 
 fn hex(v: f64) -> String {
@@ -1945,7 +1962,15 @@ impl<T: Scalar> FittedModel<T> {
             expect("kernel-diag entries", kernel_diag.len(), n)?;
         }
         match &resident {
-            ResidentKernel::Full(matrix) => expect("resident matrix rows", matrix.rows(), n)?,
+            ResidentKernel::Full(matrix) => {
+                expect("resident matrix rows", matrix.rows(), n)?;
+                // Serving folds the rows of a resident K as its columns.
+                if !bitwise_symmetric(matrix) {
+                    return Err(CoreError::InvalidInput(
+                        "model's resident kernel matrix is not symmetric".into(),
+                    ));
+                }
+            }
             ResidentKernel::Csr(matrix) => expect("resident CSR rows", matrix.rows(), n)?,
             _ => {}
         }
@@ -2105,10 +2130,25 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
+        // One off-diagonal entry of the resident `full` block changed.
+        let asymmetric = {
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            let row = 1 + lines
+                .iter()
+                .position(|l| l.starts_with("resident full"))
+                .unwrap();
+            let mut tokens: Vec<String> =
+                lines[row].split_whitespace().map(str::to_string).collect();
+            let bits = u64::from_str_radix(&tokens[1], 16).unwrap() ^ 1;
+            tokens[1] = format!("{bits:016x}");
+            lines[row] = tokens.join(" ");
+            lines.join("\n")
+        };
         for hostile in [
             text.replace("points dense 6 2", "points dense 18446744073709551615 2"),
             with_line("sizes", "sizes 1 3"),
             with_line("cluster-self", "cluster-self 1 0000000000000000"),
+            asymmetric,
         ] {
             assert!(FittedModel::<f64>::load(&hostile).is_err());
         }

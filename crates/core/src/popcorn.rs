@@ -11,7 +11,8 @@
 use crate::batch::{self, BatchResult, FitJob};
 use crate::config::KernelKmeansConfig;
 use crate::distances::{
-    accumulate_distance_csr_tile, accumulate_distance_tile, finish_distances, selection_weights,
+    accumulate_distance_csr_tile, accumulate_distance_tile, accumulate_distance_tile_t,
+    finish_distances, scale_transposed, selection_weights,
 };
 use crate::kernel_source::{run_with_source, KernelSource};
 use crate::pipeline::{self, DistanceEngine};
@@ -38,6 +39,12 @@ pub struct KernelKmeans {
 /// lines 4–10). The point norms `P̃ = diag(K)` are extracted once on first
 /// use. With an in-core source (one tile) the per-iteration trace is the
 /// classic SpMM + gather + SpMV + assembly quartet.
+///
+/// Over a source whose tiles are symmetric
+/// ([`KernelSource::symmetric_tiles`]) each SpMM folds its tile into
+/// `Eᵀ = V K` row by row, streaming `K` once, and the iteration ends by
+/// writing `E = −2 · (Eᵀ)ᵀ`; over any other source it gathers `E = −2 K Vᵀ`.
+/// Both give the same bits under the same records.
 pub(crate) struct PopcornEngine<T: Scalar> {
     k: usize,
     point_norms: Option<Vec<T>>,
@@ -47,9 +54,14 @@ pub(crate) struct PopcornEngine<T: Scalar> {
     /// reused as the next `E` accumulator instead of allocating a fresh
     /// `n × k` buffer per pass (bit-identical: zeroed memory either way).
     spare: Option<DenseMatrix<T>>,
-    /// Per-cluster fold weights `1/|L_j|` for the sparse tile fold, rebuilt
-    /// in place each iteration so the CSR loop allocates nothing per tile.
+    /// Per-cluster fold weights `1/|L_j|` for the sparse and symmetric tile
+    /// folds, rebuilt in place each iteration so neither allocates per tile.
     cluster_weights: Vec<T>,
+    /// Whether this iteration's source has symmetric tiles.
+    symmetric: bool,
+    /// The `k × n` accumulator of `Eᵀ = V K` for symmetric sources, zeroed
+    /// in place each iteration. Host scratch: the modeled device holds `E`.
+    e_t: Vec<T>,
 }
 
 impl<T: Scalar> PopcornEngine<T> {
@@ -61,6 +73,8 @@ impl<T: Scalar> PopcornEngine<T> {
             e: None,
             spare: None,
             cluster_weights: Vec::new(),
+            symmetric: false,
+            e_t: Vec::new(),
         }
     }
 }
@@ -95,6 +109,11 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         self.cluster_weights.clear();
         self.cluster_weights.extend(selection_weights(&selection));
         self.selection = Some(selection);
+        self.symmetric = source.symmetric_tiles();
+        if self.symmetric {
+            self.e_t.clear();
+            self.e_t.resize(self.k * n, T::ZERO);
+        }
 
         // The n x k accumulator for E = -2 K V^T (becomes D in place). The
         // buffer is allocated once and recycled through recycle_distances
@@ -118,9 +137,14 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         tile: &DenseMatrix<T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let e = self.e.as_mut().expect("begin_iteration ran");
         let selection = self.selection.as_ref().expect("begin_iteration ran");
-        accumulate_distance_tile(e, rows, tile, selection, executor)
+        if self.symmetric {
+            let weights = &self.cluster_weights;
+            accumulate_distance_tile_t(&mut self.e_t, rows, tile, selection, weights, executor)
+        } else {
+            let e = self.e.as_mut().expect("begin_iteration ran");
+            accumulate_distance_tile(e, rows, tile, selection, executor)
+        }
     }
 
     fn consume_csr_tile(
@@ -135,7 +159,10 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
     }
 
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
-        let e = self.e.take().expect("begin_iteration ran");
+        let mut e = self.e.take().expect("begin_iteration ran");
+        if self.symmetric {
+            scale_transposed(&self.e_t, &mut e);
+        }
         let selection = self.selection.as_ref().expect("begin_iteration ran");
         let point_norms = self.point_norms.as_ref().expect("populated in begin");
         Ok(finish_distances(e, point_norms, selection, executor)?.distances)
@@ -355,6 +382,9 @@ mod tests {
     use crate::errors::CoreError;
     use crate::init::Initialization;
     use crate::kernel::KernelFunction;
+    use crate::kernel_source::{FullKernel, TilePolicy, TiledKernel};
+    use crate::nystrom::NystromKernel;
+    use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
     use popcorn_sparse::CsrMatrix;
 
@@ -565,6 +595,80 @@ mod tests {
             assert!(spgemm_time > 0.0, "sparse gram must be charged as SpGEMM");
             assert_eq!(sparse.trace.class_summary(OpClass::Gemm).0, 0.0);
         }
+    }
+
+    /// One distance pass of a fresh engine over `source`.
+    fn engine_distances(
+        source: &dyn KernelSource<f64>,
+        labels: &[usize],
+        k: usize,
+        exec: &SimExecutor,
+    ) -> Vec<u64> {
+        let mut engine = PopcornEngine::new(k);
+        engine.begin_iteration(0, source, labels, exec).unwrap();
+        source
+            .for_each_tile(exec, &mut |rows, tile| {
+                engine.consume_tile(rows, tile, exec)
+            })
+            .unwrap();
+        let distances = engine.finish_iteration(exec).unwrap();
+        distances.as_slice().iter().map(|d| d.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_distance_fold_follows_the_source() {
+        let points = blob_points();
+        let exec = SimExecutor::a100_f32();
+        let k = 4;
+        // Cluster 3 is empty.
+        let labels: Vec<usize> = (0..24).map(|i| [0, 2, 1, 2, 0][i % 5]).collect();
+        let selection = SelectionMatrix::from_assignments(&labels, k).unwrap();
+        let gather = |matrix: &DenseMatrix<f64>| -> Vec<u64> {
+            let norms = popcorn_dense::diagonal(matrix).unwrap();
+            let out = crate::distances::compute_distances(matrix, &norms, &selection, &exec);
+            let distances = out.unwrap().distances;
+            distances.as_slice().iter().map(|d| d.to_bits()).collect()
+        };
+
+        // A caller's matrix may be asymmetric: the engine keeps the gather.
+        let asymmetric = DenseMatrix::from_fn(24, 24, |i, j| ((i * 24 + j) as f64 * 0.37).sin());
+        let source = FullKernel::new(&asymmetric).unwrap();
+        assert!(!source.symmetric_tiles());
+        assert_eq!(
+            engine_distances(&source, &labels, k, &exec),
+            gather(&asymmetric)
+        );
+        // Folding its rows as columns would change the bits.
+        let as_computed = FullKernel::computed(&asymmetric).unwrap();
+        assert_ne!(
+            engine_distances(&as_computed, &labels, k, &exec),
+            gather(&asymmetric)
+        );
+
+        // The solver's computed K, whole or in tiles, folds row by row to the
+        // gather's bits.
+        let kernel = KernelFunction::paper_polynomial();
+        let strategy = KernelMatrixStrategy::default();
+        let (computed, _) =
+            crate::kernel_matrix::compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
+        let full = FullKernel::computed(&computed).unwrap();
+        let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 5, &exec).unwrap();
+        for source in [&full as &dyn KernelSource<f64>, &tiled] {
+            assert!(source.symmetric_tiles());
+            assert_eq!(
+                engine_distances(source, &labels, k, &exec),
+                gather(&computed)
+            );
+        }
+
+        // Reconstructed and sparsified kernels promise no symmetry.
+        let input = FitInput::Dense(&points);
+        let nystrom = NystromKernel::new(input, kernel, 6, 1, TilePolicy::Auto, k, &exec).unwrap();
+        let sparsify = Sparsify::Knn { neighbors: 3 };
+        let sparsified =
+            SparsifiedKernel::build(input, kernel, sparsify, TilePolicy::Auto, k, &exec).unwrap();
+        assert!(!nystrom.symmetric_tiles());
+        assert!(!sparsified.symmetric_tiles());
     }
 
     #[test]

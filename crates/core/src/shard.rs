@@ -1150,6 +1150,11 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
             f(rows, cache[index].as_ref().expect("populated above"))
         })
     }
+
+    /// Every tile is a panel of the exact tiled source, in global row order.
+    fn symmetric_tiles(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

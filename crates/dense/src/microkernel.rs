@@ -156,7 +156,14 @@ fn block<T: Scalar, const NR: usize>(
     panel: &[T],
 ) -> [[T; NR]; MR] {
     let d = m.cols();
-    let a: [&[T]; MR] = std::array::from_fn(|r| &m.row((rows.start + r).min(rows.end - 1))[..d]);
+    // Filled by a plain loop rather than `std::array::from_fn`, which the
+    // inliner may keep out of line: the row lengths must stay visible as `d`
+    // so the `a_r[k]` reads below share one index check and the loop keeps
+    // its row pointers in registers instead of spilling them.
+    let mut a: [&[T]; MR] = [&[]; MR];
+    for (r, a_r) in a.iter_mut().enumerate() {
+        *a_r = &m.row((rows.start + r).min(rows.end - 1))[..d];
+    }
     let mut acc = [[T::ZERO; NR]; MR];
     for (k, b_k) in panel[..NR * d].chunks_exact(NR).enumerate() {
         for (acc_r, a_r) in acc.iter_mut().zip(&a) {

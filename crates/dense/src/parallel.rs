@@ -168,6 +168,51 @@ where
     });
 }
 
+/// Apply `f` to disjoint column ranges of the row-major matrix `data`
+/// (`row_len` columns per row) in parallel — the column-split counterpart of
+/// [`par_chunks_rows`], for kernels that update every row but whose columns
+/// are independent.
+///
+/// Each call receives its column range and one mutable slice per row of
+/// `data`, holding that row's entries in the range.
+pub fn par_chunks_cols<T, F>(data: &mut [T], row_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+{
+    if row_len == 0 || data.is_empty() {
+        return;
+    }
+    debug_assert_eq!(
+        data.len() % row_len,
+        0,
+        "buffer is not a whole number of rows"
+    );
+    let ranges = split_ranges(row_len, num_threads());
+    let mut parts: Vec<Vec<&mut [T]>> = ranges
+        .iter()
+        .map(|_| Vec::with_capacity(data.len() / row_len))
+        .collect();
+    for row in data.chunks_exact_mut(row_len) {
+        let mut rest = row;
+        for (part, cols) in parts.iter_mut().zip(&ranges) {
+            let (head, tail) = rest.split_at_mut(cols.len());
+            part.push(head);
+            rest = tail;
+        }
+    }
+    if ranges.len() == 1 {
+        f(0..row_len, &mut parts[0]);
+        return;
+    }
+    std::thread::scope(|scope| {
+        for (cols, mut part) in ranges.into_iter().zip(parts) {
+            let f = &f;
+            scope.spawn(move || f(cols, &mut part));
+        }
+    });
+}
+
 /// Map a function over `0..n` in parallel, collecting the results in order.
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
@@ -230,6 +275,25 @@ mod tests {
             }
         });
         assert_eq!(data, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn par_chunks_cols_writes_disjoint_column_ranges() {
+        let mut data = vec![0u64; 3 * 7];
+        par_chunks_cols(&mut data, 7, |cols, rows| {
+            assert_eq!(rows.len(), 3);
+            for (r, row) in rows.iter_mut().enumerate() {
+                assert_eq!(row.len(), cols.len());
+                for (x, c) in row.iter_mut().zip(cols.clone()) {
+                    *x += (r * 10 + c) as u64;
+                }
+            }
+        });
+        let expected: Vec<u64> = (0..3)
+            .flat_map(|r| (0..7).map(move |c| (r * 10 + c) as u64))
+            .collect();
+        assert_eq!(data, expected);
+        par_chunks_cols(&mut data, 0, |_, _| panic!("no work expected"));
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub use csr::{CsrMatrix, CsrRows};
 pub use errors::SparseError;
 pub use selection::SelectionMatrix;
 pub use spgemm::spgemm;
-pub use spmm::{spmm, spmm_csr_rows_selection_t_into, spmm_transpose_b, spmm_transpose_b_into};
+pub use spmm::{
+    spmm, spmm_csr_rows_selection_t_into, spmm_selection_rows_accumulate, spmm_transpose_b,
+    spmm_transpose_b_into,
+};
 pub use spmv::spmv;
 
 /// Result alias used across the sparse crate.

@@ -1,23 +1,30 @@
 //! Sparse × dense matrix multiplication (SpMM).
 //!
-//! Popcorn's dominant per-iteration operation is `E = −2 · K Vᵀ`
-//! (paper Alg. 2 line 7), executed with cuSPARSE SpMM. Multiplying the dense
-//! kernel matrix by the transposed selection matrix is equivalent to
-//! `Eᵀ = −2 · V Kᵀ = −2 · V K` (K is symmetric), i.e. a sparse-times-dense
-//! product with the sparse operand on the left — which is the form cuSPARSE
-//! (and this module) computes. Both orientations are provided:
+//! Popcorn's dominant per-iteration operation is the distance fold
+//! `E = −2 · K Vᵀ` (paper Alg. 2 line 7), which cuSPARSE computes in the
+//! orientation with the sparse operand on the left, `Eᵀ = −2 · V Kᵀ =
+//! −2 · V K` (`K` is symmetric). Both orientations are provided:
 //!
-//! * [`spmm`]: `C = alpha * A_sparse * B_dense`  (A: m×k CSR, B: k×n dense)
-//! * [`spmm_transpose_b`]: `C = alpha * B_dense * A_sparseᵀ` (the literal
-//!   `K Vᵀ` shape used in Eq. 10), implemented column-gather style without
-//!   materialising `Vᵀ`.
+//! * [`spmm`]: `C = alpha * A_sparse * B_dense` (A: m×k CSR, B: k×n dense).
+//! * [`spmm_transpose_b`] / [`spmm_transpose_b_into`]:
+//!   `C = alpha * B_dense * A_sparseᵀ`, the literal `K Vᵀ` of Eq. 10. Each
+//!   output cell gathers the columns of `B` its sparse row selects, without
+//!   materialising `Vᵀ`; `B` need not be symmetric.
+//! * [`spmm_selection_rows_accumulate`]: the `Eᵀ = V K` orientation over one
+//!   row tile of `K` at a time, `V` given by the tile rows' cluster labels.
+//!   Each row of `K` is scaled and added into its cluster's accumulator row,
+//!   so `K` streams once. Over a bitwise symmetric `K` it reproduces the
+//!   gather's bits.
+//! * [`spmm_csr_rows_selection_t_into`]: the `K Vᵀ` fold over CSR row panels
+//!   of a sparse `K`, scattering each stored entry into its cluster.
 
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
-use popcorn_dense::parallel::par_chunks_rows;
+use popcorn_dense::parallel::{par_chunks_cols, par_chunks_rows};
 use popcorn_dense::{DenseMatrix, Scalar};
+use std::ops::Range;
 
 /// FLOPs performed by an SpMM between a sparse matrix with `nnz` stored
 /// entries and a dense matrix with `n_cols` columns: each stored entry
@@ -170,6 +177,73 @@ fn fold_transpose_b_rows<T: Scalar>(
     }
 }
 
+/// `acc[c, :] += V[c, rows] · tile` for the row tile `tile = K[rows, :]`: one
+/// tile's share of `Eᵀ = V K` before its `−2` scale. `V` is given by
+/// `labels` (the cluster of each tile row) and `cluster_weights` (`V`'s
+/// stored value per cluster, `1/|L_c|`); `acc` is the row-major
+/// `cluster_weights.len() × tile.cols()` accumulator.
+///
+/// Tile rows are folded in ascending order, row `l` as
+/// `acc[c(l), i] = fma(w_c(l), K[l, i], acc[c(l), i])` for every column `i`;
+/// the columns are split across the kernel threads. Walking the tiles of `K`
+/// in ascending row order from a zeroed `acc`, cell `(c, i)` therefore
+/// accumulates `fma(w_c, K[l, i], ·)` over `l ∈ L_c` ascending from `+0`:
+/// the operand sequence [`spmm_transpose_b_into`] gives its cell `(i, c)`,
+/// with `K[l, i]` in place of `K[i, l]`. When `K` is bitwise symmetric,
+/// `alpha · acc[c][i]` is the gather's `E[i][c]` bit for bit; for any other
+/// matrix this computes `V K`, not `(K Vᵀ)ᵀ`.
+pub fn spmm_selection_rows_accumulate<T: Scalar>(
+    tile: &DenseMatrix<T>,
+    labels: &[usize],
+    cluster_weights: &[T],
+    acc: &mut [T],
+) -> Result<()> {
+    let (rows, n) = tile.shape();
+    let k = cluster_weights.len();
+    if labels.len() != rows {
+        return Err(SparseError::DimensionMismatch {
+            op: "spmm_selection_rows_accumulate (labels)",
+            expected: (rows, 1),
+            found: (labels.len(), 1),
+        });
+    }
+    if acc.len() != k * n {
+        return Err(SparseError::DimensionMismatch {
+            op: "spmm_selection_rows_accumulate (accumulator)",
+            expected: (k, n),
+            found: (acc.len(), 1),
+        });
+    }
+    if let Some((point, &label)) = labels.iter().enumerate().find(|&(_, &c)| c >= k) {
+        return Err(SparseError::InvalidAssignment { point, label, k });
+    }
+    par_chunks_cols(acc, n, |cols, acc_rows| {
+        dispatch(
+            #[inline(always)]
+            || fold_selection_rows(tile, labels, cluster_weights, cols, acc_rows),
+        )
+    });
+    Ok(())
+}
+
+/// The body of [`spmm_selection_rows_accumulate`] for the columns `cols`,
+/// `acc[c]` holding cluster `c`'s accumulator entries in that range.
+#[inline(always)]
+fn fold_selection_rows<T: Scalar>(
+    tile: &DenseMatrix<T>,
+    labels: &[usize],
+    cluster_weights: &[T],
+    cols: Range<usize>,
+    acc: &mut [&mut [T]],
+) {
+    for (l, &c) in labels.iter().enumerate() {
+        let w = cluster_weights[c];
+        for (sum, &x) in acc[c].iter_mut().zip(&tile.row(l)[cols.clone()]) {
+            *sum = w.mul_add(x, *sum);
+        }
+    }
+}
+
 /// `out[i, :] = alpha * (panel_row_i · Vᵀ)` where `V` is a selection matrix
 /// given implicitly by `labels` (point → cluster) and `cluster_weights`
 /// (`V`'s stored value per cluster row, `1/|L_j|`), and `panel` is a sparse
@@ -248,6 +322,7 @@ pub fn spmm_csr_rows_selection_t_into<T: Scalar>(
 mod tests {
     use super::*;
     use crate::test_values::{awkward_csr, awkward_dense};
+    use crate::SelectionMatrix;
     use popcorn_dense::matmul;
 
     fn sparse_sample() -> CsrMatrix<f64> {
@@ -466,6 +541,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The selection fold over the row tiles of a symmetric `K`, each
+    /// folded both through the public entry and through the generic body,
+    /// then scaled by `−2`, against the gather's bits.
+    fn check_symmetric_fold_bits<T: Scalar>(n: usize, bits: fn(T) -> u64) {
+        let raw = awkward_dense::<T>(n, n, 3);
+        let kmat = DenseMatrix::from_fn(n, n, |i, j| raw[(i.min(j), i.max(j))]);
+        let k = 4;
+        // Cluster 1 is empty.
+        let labels: Vec<usize> = (0..n).map(|i| [0, 3, 0, 2, 3][i % 5]).collect();
+        let selection = SelectionMatrix::<T>::from_assignments(&labels, k).unwrap();
+        let weights: Vec<T> = selection
+            .cardinalities()
+            .iter()
+            .map(|&c| match c {
+                0 => T::ZERO,
+                c => T::ONE / T::from_usize(c),
+            })
+            .collect();
+        let alpha = T::from_f64(-2.0);
+        let mut gathered = vec![T::ZERO; n * k];
+        spmm_transpose_b_into(alpha, &kmat, selection.csr(), &mut gathered).unwrap();
+        for tile_rows in [1, 7, 8, 13, n] {
+            let mut dispatched = vec![T::ZERO; k * n];
+            let mut generic = vec![T::ZERO; k * n];
+            let mut r0 = 0;
+            while r0 < n {
+                let r1 = (r0 + tile_rows).min(n);
+                let tile = DenseMatrix::from_fn(r1 - r0, n, |li, j| kmat[(r0 + li, j)]);
+                let tile_labels = &labels[r0..r1];
+                spmm_selection_rows_accumulate(&tile, tile_labels, &weights, &mut dispatched)
+                    .unwrap();
+                let mut acc_rows: Vec<&mut [T]> = generic.chunks_exact_mut(n).collect();
+                fold_selection_rows(&tile, tile_labels, &weights, 0..n, &mut acc_rows);
+                r0 = r1;
+            }
+            for i in 0..n {
+                for c in 0..k {
+                    let want = bits(gathered[i * k + c]);
+                    let at = format!("n {n} tile_rows {tile_rows} cell ({i},{c})");
+                    assert_eq!(
+                        bits(alpha * dispatched[c * n + i]),
+                        want,
+                        "dispatched: {at}"
+                    );
+                    assert_eq!(bits(alpha * generic[c * n + i]), want, "generic: {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_row_fold_over_symmetric_k_matches_the_gather_bit_for_bit() {
+        for n in [13, 29, 40] {
+            check_symmetric_fold_bits::<f32>(n, |x| u64::from(x.to_bits()));
+            check_symmetric_fold_bits::<f64>(n, f64::to_bits);
+        }
+    }
+
+    #[test]
+    fn selection_row_fold_validates_its_inputs() {
+        let tile = DenseMatrix::<f64>::filled(2, 3, 1.0);
+        let weights = [0.5, 1.0];
+        let mut acc = vec![0.0; 6];
+        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, &mut acc).is_ok());
+        assert_eq!(acc, vec![0.5, 0.5, 0.5, 1.0, 1.0, 1.0]);
+        assert!(spmm_selection_rows_accumulate(&tile, &[0], &weights, &mut acc).is_err());
+        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, &mut acc[..4]).is_err());
+        assert!(matches!(
+            spmm_selection_rows_accumulate(&tile, &[0, 2], &weights, &mut acc),
+            Err(SparseError::InvalidAssignment {
+                point: 1,
+                label: 2,
+                k: 2
+            })
+        ));
     }
 
     #[test]
