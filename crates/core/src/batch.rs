@@ -11,29 +11,29 @@
 //!
 //! The kernel solvers (Popcorn, CPU reference, dense GPU baseline) override
 //! `fit_batch` with the shared-source **lockstep** driver in this module
-//! ([`drive_shared_source`]): all jobs advance one iteration at a time so a
-//! single tile pass over the [`KernelSource`] feeds every job — which is what
-//! makes the batched-tiled combination pay off when `K` is recomputed per
-//! tile. Lloyd's algorithm has no kernel matrix to share but still charges
-//! its single points upload once per batch ([`drive_shared_kernel`]).
-//! [`BatchReport`] records what the sharing bought: the modeled cost of the
-//! batch as executed (shared phase charged once) next to the modeled cost of
-//! the same jobs run independently.
+//! ([`drive_shared_source_with`]): all jobs advance one iteration at a time
+//! so a single tile pass over the [`KernelSource`] feeds every job — which is
+//! what makes the batched-tiled combination pay off when `K` is recomputed
+//! per tile. Lloyd's algorithm has no kernel matrix to share but still
+//! charges its single points upload once per batch
+//! ([`drive_shared_kernel_with`]). [`BatchReport`] records what the sharing
+//! bought: the modeled cost of the batch as executed (shared phase charged
+//! once) next to the modeled cost of the same jobs run independently.
 //!
 //! Large sweeps additionally run **host-parallel**: per-job engine work fans
 //! out across host threads ([`BatchOptions::host_threads`], CLI
 //! `--host-threads`). The lockstep driver runs one sequence of phases — seed,
-//! begin, one fold per tile, finish — either inline on the driver thread (one
-//! host thread) or on a **persistent worker pool**: workers are spawned once
-//! per drive, own fixed contiguous job chunks for its whole lifetime —
-//! seeding included — and synchronize per phase and per tile over channels,
-//! so many-small-tile sweeps never pay a spawn/join set per tile. All
-//! merging happens on the driver thread in fixed job order, so results and
-//! traces stay bit-identical to the inline drive at any thread count.
-//! [`BatchReport::host_seconds`] carries the measured wall-clock of the
-//! drive, and [`BatchReport::modeled_concurrent_seconds`] the stream-aware
-//! modeled wall-clock (jobs sharing one device serialize on the compute
-//! engine but overlap transfers across streams).
+//! begin, one fold per tile, finish — and each phase is one scoped fan-out
+//! over `min(threads, jobs)` balanced contiguous job chunks that joins before
+//! the driver moves on; at one host thread it runs inline and spawns
+//! nothing. A tile's borrow never leaves the source's visitor, so no pointer,
+//! channel or barrier crosses threads. All merging happens on the driver
+//! thread in fixed job order, so results and traces stay bit-identical to the
+//! inline drive at any thread count. [`BatchReport::host_seconds`] carries
+//! the measured wall-clock of the drive, and
+//! [`BatchReport::modeled_concurrent_seconds`] the stream-aware modeled
+//! wall-clock (jobs sharing one device serialize on the compute engine but
+//! overlap transfers across streams).
 
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
@@ -43,16 +43,14 @@ use crate::kernel_source::{KernelSource, TilePolicy};
 use crate::nystrom::KernelApprox;
 use crate::pipeline::{DistanceEngine, LoopState};
 use crate::result::ClusteringResult;
-use crate::solver::{FitInput, Solver};
+use crate::solver::FitInput;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::parallel::split_ranges;
+use popcorn_dense::Scalar;
 use popcorn_gpusim::{
     DeviceEngine, EngineSeconds, Executor, OpTrace, StreamMeter, Streaming, StreamingReport,
 };
-use popcorn_sparse::CsrRows;
-use std::ops::Range;
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// How many host threads a batch driver may fan per-job work out across.
@@ -457,37 +455,12 @@ pub fn trace_since(executor: &dyn Executor, mark: usize) -> OpTrace {
     trace
 }
 
-/// Partition `0..len` into exactly `min(workers, len)` contiguous ranges
-/// whose lengths differ by at most one (the first `len % chunks` ranges get
-/// the extra element).
-///
-/// This is what makes [`BatchReport::host_threads`] honest: the drivers
-/// report `min(threads, jobs)` workers and this partition guarantees
-/// precisely that many non-empty chunks, where the earlier
-/// `chunks(len.div_ceil(threads))` split could produce fewer (5 jobs on 4
-/// threads → ceil = 2 → only 3 chunks, one requested worker never spawned).
-fn balanced_chunks(len: usize, workers: usize) -> Vec<Range<usize>> {
-    let chunks = workers.min(len);
-    if chunks == 0 {
-        return Vec::new();
-    }
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for index in 0..chunks {
-        let size = base + usize::from(index < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
-}
-
 /// Fan `f` out over the jobs' per-job slots on exactly
 /// `min(threads, jobs.len())` scoped host threads (one balanced contiguous
 /// chunk each), preserving sequential semantics:
 ///
-/// * slots are split into contiguous chunks in **job order**, each worker
+/// * [`split_ranges`] cuts the slots into contiguous chunks in **job
+///   order**, as many as [`BatchReport::host_threads`] reports; each worker
 ///   owns its chunk exclusively, and within a chunk jobs run in order;
 /// * the returned error is the error of the earliest failing job (chunks are
 ///   ordered and each worker stops at its first failure, so the first
@@ -508,7 +481,7 @@ where
         }
         return Ok(());
     }
-    let ranges = balanced_chunks(jobs.len(), threads);
+    let ranges = split_ranges(jobs.len(), threads);
     let outcomes: Vec<std::thread::Result<Result<()>>> = std::thread::scope(|scope| {
         let mut rest = slots;
         let handles: Vec<_> = ranges
@@ -535,25 +508,6 @@ where
         }
     }
     Ok(())
-}
-
-/// Drive every job's clustering iterations over shared per-batch state whose
-/// trace the caller has already sliced into `shared_trace` (e.g. Lloyd's
-/// single shared upload) — sequential convenience wrapper over
-/// [`drive_shared_kernel_with`].
-pub fn drive_shared_kernel(
-    jobs: &[FitJob],
-    shared_executor: &dyn Executor,
-    shared_trace: OpTrace,
-    run_job: impl Fn(&FitJob, &dyn Executor) -> Result<ClusteringResult> + Sync,
-) -> Result<BatchResult> {
-    drive_shared_kernel_with(
-        jobs,
-        shared_executor,
-        shared_trace,
-        &BatchOptions::default(),
-        run_job,
-    )
 }
 
 /// Drive every job's clustering iterations over shared per-batch state whose
@@ -623,275 +577,47 @@ pub fn drive_shared_kernel_with(
 }
 
 /// Per-job state owned by the lockstep driver: the job's forked executor,
-/// its distance engine and its iteration state. Pool workers borrow disjoint
-/// contiguous chunks of these for the whole drive.
+/// its distance engine and its iteration state. Each phase's fan-out hands
+/// every worker a disjoint contiguous chunk of these.
 struct JobRun<T: Scalar> {
     executor: Box<dyn Executor>,
     engine: Box<dyn DistanceEngine<T>>,
     state: LoopState,
 }
 
-/// A raw pointer to the tile the driver is holding inside a `for_each_tile`
-/// visitor, smuggled to the pool workers through their command channels.
-///
-/// # Safety
-///
-/// The driver either runs the phase inline or sends one `Tile` command per
-/// worker and then blocks until it has collected **all** workers'
-/// acknowledgements ([`pool_dispatch`]'s full barrier); both happen before
-/// it returns from the visitor, so every dereference happens while the
-/// visitor's `&DenseMatrix` borrow is still live; workers never hold the
-/// pointer across commands.
-#[derive(Clone, Copy)]
-struct TilePtr<T: Scalar>(*const DenseMatrix<T>);
-
-// SAFETY: see `TilePtr` — the ack barrier makes the pointee outlive every
-// use on the receiving worker.
-unsafe impl<T: Scalar> Send for TilePtr<T> {}
-
-/// The raw parts of a [`CsrRows`] panel view the driver is holding inside a
-/// `for_each_csr_tile` visitor, smuggled to the pool workers through their
-/// command channels — the sparse counterpart of [`TilePtr`].
-///
-/// # Safety
-///
-/// Same contract as [`TilePtr`]: the driver blocks on the full ack barrier
-/// before returning from the visitor, so the borrowed CSR arrays outlive
-/// every reassembled view on the workers; workers never hold the parts
-/// across commands.
-#[derive(Clone, Copy)]
-struct CsrTilePtr<T: Scalar> {
-    first_row: usize,
-    row_ptrs: (*const usize, usize),
-    col_indices: (*const usize, usize),
-    values: (*const T, usize),
-    cols: usize,
-}
-
-impl<T: Scalar> CsrTilePtr<T> {
-    fn new(panel: CsrRows<'_, T>) -> Self {
-        let (first_row, row_ptrs, col_indices, values, cols) = panel.raw_slices();
-        Self {
-            first_row,
-            row_ptrs: (row_ptrs.as_ptr(), row_ptrs.len()),
-            col_indices: (col_indices.as_ptr(), col_indices.len()),
-            values: (values.as_ptr(), values.len()),
-            cols,
-        }
-    }
-
-    /// Reassemble the panel view.
-    ///
-    /// # Safety
-    ///
-    /// Callers must only dereference while the visitor's borrow is live on
-    /// the driver — i.e. before acking the command (see the type docs).
-    unsafe fn view(&self) -> CsrRows<'_, T> {
-        CsrRows::from_raw_slices(
-            self.first_row,
-            std::slice::from_raw_parts(self.row_ptrs.0, self.row_ptrs.1),
-            std::slice::from_raw_parts(self.col_indices.0, self.col_indices.1),
-            std::slice::from_raw_parts(self.values.0, self.values.1),
-            self.cols,
-        )
-    }
-}
-
-// SAFETY: see `CsrTilePtr` — the ack barrier makes the pointees outlive
-// every use on the receiving worker.
-unsafe impl<T: Scalar> Send for CsrTilePtr<T> {}
-
-/// One phase of work the driver runs inline or broadcasts to every pool
-/// worker.
-#[derive(Clone)]
-enum PoolCommand<T: Scalar> {
-    /// Seed every job in the worker's chunk.
-    Seed,
-    /// `begin_iteration` for every active job in the chunk.
-    Begin,
-    /// Fold one tile of `K` into every active job in the chunk.
-    Tile(Range<usize>, TilePtr<T>),
-    /// Fold one CSR row panel of `K` into every active job in the chunk.
-    CsrTile(Range<usize>, CsrTilePtr<T>),
-    /// `finish_iteration` + assignment step for every active job in the chunk.
-    Finish,
-}
-
-/// A chunk's answer to one [`PoolCommand`]: what the phase reported, or the
-/// chunk's earliest failing job as `(global index, error)`.
-type PoolAck = std::result::Result<PhaseOutcome, (usize, CoreError)>;
-
-/// Execute one phase over a chunk of jobs: jobs run in order, a job that
-/// stopped iterating skips every phase after seeding, and the chunk stops at
-/// its first failure. Charges are identical at every thread count: seeding
-/// draws each job's initial labels on its own fork (the shared `diag(K)`
-/// cache is pre-warmed on the shared executor before any seeding runs, and
-/// row pulls charge the fork deterministically).
-fn pool_phase<T: Scalar>(
-    chunk_start: usize,
+/// One phase of the lockstep loop: [`par_over_jobs`] over the jobs that are
+/// still iterating; jobs that stopped skip the phase.
+fn over_active<T: Scalar>(
     jobs: &[FitJob],
     runs: &mut [JobRun<T>],
-    source: &dyn KernelSource<T>,
-    command: &PoolCommand<T>,
-    measure: bool,
-) -> PoolAck {
-    let mut consume = EngineSeconds::default();
-    for (offset, (job, run)) in jobs.iter().zip(runs.iter_mut()).enumerate() {
-        // Streaming accounting: a tile's consume segment is the fold charges
-        // across every fork, measured per job off its own trace.
-        let mark = (measure && matches!(command, PoolCommand::Tile(..) | PoolCommand::CsrTile(..)))
-            .then(|| run.executor.trace_len());
-        let JobRun {
-            executor,
-            engine,
-            state,
-        } = run;
-        let outcome = match command {
-            PoolCommand::Seed => {
-                let KernelKmeansConfig { k, init, seed, .. } = job.config;
-                initial_assignments_source(source, k, init, seed, executor)
-                    .map(|labels| *state = LoopState::new(labels, k))
-            }
-            _ if !state.active(&job.config) => Ok(()),
-            PoolCommand::Begin => {
-                engine.begin_iteration(state.iteration(), source, state.labels(), executor)
-            }
-            // SAFETY: the driver holds the visitor's tile borrow until every
-            // worker acks this command (see `TilePtr`).
-            PoolCommand::Tile(rows, tile) => {
-                engine.consume_tile(rows.clone(), unsafe { &*tile.0 }, executor)
-            }
-            // SAFETY: same barrier, sparse panel (see `CsrTilePtr`).
-            PoolCommand::CsrTile(rows, panel) => {
-                engine.consume_csr_tile(rows.clone(), unsafe { panel.view() }, executor)
-            }
-            // `finish_iteration` + the assignment step.
-            PoolCommand::Finish => engine.finish_iteration(executor).map(|distances| {
-                state.step(&distances, &job.config, executor);
-                engine.recycle_distances(distances);
-            }),
-        };
-        if let Some(mark) = mark {
-            consume.accumulate(run.executor.engine_seconds_since(mark));
+    threads: usize,
+    f: impl Fn(&FitJob, &mut JobRun<T>) -> Result<()> + Sync,
+) -> Result<()> {
+    par_over_jobs(jobs, runs, threads, |job, run| {
+        if run.state.active(&job.config) {
+            f(job, run)
+        } else {
+            Ok(())
         }
-        outcome.map_err(|e| (chunk_start + offset, e))?;
-    }
-    let active = jobs
-        .iter()
-        .zip(runs.iter())
-        .filter(|(job, run)| run.state.active(&job.config))
-        .count();
-    Ok(PhaseOutcome { active, consume })
+    })
 }
 
-/// Body of one persistent pool worker: execute broadcast phases over an
-/// exclusively-owned chunk until the driver drops the command channel.
-/// Panics inside a phase are caught and shipped back as the ack, so the
-/// driver can resume them after the phase barrier.
-fn pool_worker<T: Scalar>(
-    chunk_start: usize,
-    jobs: &[FitJob],
-    runs: &mut [JobRun<T>],
-    source: &dyn KernelSource<T>,
-    measure: bool,
-    commands: mpsc::Receiver<PoolCommand<T>>,
-    acks: mpsc::Sender<std::thread::Result<PoolAck>>,
-) {
-    for command in commands.iter() {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool_phase(chunk_start, jobs, &mut *runs, source, &command, measure)
-        }));
-        let panicked = outcome.is_err();
-        if acks.send(outcome).is_err() || panicked {
-            // Driver gone, or this chunk's state is unreliable after a
-            // panic: either way this worker is done.
-            return;
-        }
-    }
-}
-
-/// Broadcast one command to every pool worker, then block until every
-/// worker has acknowledged it. Returns the total count of still-active jobs
-/// reported by the acks, and their summed fold seconds.
+/// Seeding plus the lockstep iteration loop over `runs`: per global
+/// iteration, `begin_iteration`, one tile pass over `K` serving every active
+/// job, then `finish_iteration` and the assignment step. Seeding, each of
+/// those phases and every tile of the pass is one [`par_over_jobs`] fan-out,
+/// so the per-job work and its order within a chunk are the same at every
+/// thread count, and everything downstream of this call is bit-identical.
+/// A tile's borrow never leaves the source's visitor: the fan-out over it
+/// joins before the visitor returns.
 ///
-/// The full barrier is what makes [`TilePtr`] sound, and what makes panic
-/// propagation safe: on a panic ack the driver still collects the remaining
-/// acks — so no worker can still be touching its chunk or the tile — before
-/// resuming the panic on the driver thread, exactly as if the job had
-/// panicked inline. Job errors surface as the error of the earliest failing
-/// job, matching the sequential drive.
-fn pool_dispatch<T: Scalar>(
-    senders: &[mpsc::Sender<PoolCommand<T>>],
-    acks: &mpsc::Receiver<std::thread::Result<PoolAck>>,
-    command: PoolCommand<T>,
-) -> Result<PhaseOutcome> {
-    let mut sent = 0usize;
-    for sender in senders {
-        // A send only fails if a worker exited, which it does solely after
-        // shipping a panic ack — and the driver resumes panics at the very
-        // next barrier, so in practice every send succeeds.
-        if sender.send(command.clone()).is_ok() {
-            sent += 1;
-        }
-    }
-    let mut active = 0usize;
-    let mut consume = EngineSeconds::default();
-    let mut received = 0usize;
-    let mut earliest: Option<(usize, CoreError)> = None;
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for _ in 0..sent {
-        match acks.recv() {
-            Ok(Ok(Ok(outcome))) => {
-                received += 1;
-                active += outcome.active;
-                consume.accumulate(outcome.consume);
-            }
-            Ok(Ok(Err((index, error)))) => {
-                received += 1;
-                if earliest.as_ref().is_none_or(|(best, _)| index < *best) {
-                    earliest = Some((index, error));
-                }
-            }
-            Ok(Err(payload)) => {
-                received += 1;
-                if panic.is_none() {
-                    panic = Some(payload);
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
-    if let Some((_, error)) = earliest {
-        return Err(error);
-    }
-    if sent < senders.len() || received < sent {
-        // Only reachable if a worker died without a panic ack — a driver
-        // bug, not a job failure, so fail loudly rather than mislabel it.
-        unreachable!("pool worker hung up without acknowledging a phase");
-    }
-    Ok(PhaseOutcome { active, consume })
-}
-
-/// What one phase reported back.
-struct PhaseOutcome {
-    /// Jobs still active after the phase.
-    active: usize,
-    /// Fold seconds the forks charged during a tile phase, when measured
-    /// (streaming accounting; zero otherwise).
-    consume: EngineSeconds,
-}
-
-/// Seeding plus the lockstep iteration loop over `runs`. At one host thread
-/// (or one job) every phase runs inline on the driver thread, as one chunk
-/// covering all jobs; otherwise workers are spawned once, each owning a
-/// balanced contiguous chunk of jobs, and every phase (and every tile of the
-/// per-iteration tile pass) is one channel broadcast + ack barrier. Both run
-/// the identical per-job work in job order within each chunk, so everything
-/// downstream of this call is bit-identical at any thread count.
-fn run_lockstep<T: Scalar>(
+/// A tiled source charges the recomputation once, to the shared executor,
+/// on the driver thread; a CSR-resident source streams zero-copy sparse
+/// panels instead. Streaming accounting prices the pass as it goes: produce
+/// segments are the tile recomputation on the shared executor, consume
+/// segments the per-job folds measured off each fork's own trace and summed
+/// in job order.
+fn lockstep<T: Scalar>(
     jobs: &[FitJob],
     runs: &mut [JobRun<T>],
     source: &dyn KernelSource<T>,
@@ -899,131 +625,70 @@ fn run_lockstep<T: Scalar>(
     threads: usize,
     meter: &mut StreamMeter,
 ) -> Result<()> {
-    let measure = meter.active();
-    // `active` only changes in the finish phase, which returns the updated
-    // count — so the loop condition sees exactly what the sequential
-    // interleaving would. The initial count comes from the placeholder
-    // states, which answer `active()` identically to freshly seeded ones
-    // (both start unconverged at iteration 0).
-    let active = jobs
-        .iter()
-        .zip(runs.iter())
-        .filter(|(job, run)| run.state.active(&job.config))
-        .count();
-    let inline = |runs: &mut [JobRun<T>], command: PoolCommand<T>| {
-        pool_phase(0, jobs, runs, source, &command, measure).map_err(|(_, e)| e)
-    };
-    let pooled = threads > 1 && jobs.len() > 1;
     // Kernel k-means++ row pulls on a *sharded* source go through the
     // shared shard-activation state (`Executor::activate_shard` on the
     // topology every fork shares), so seeding fans out only on single-shard
-    // topologies and otherwise runs on the driver thread before the pool
-    // spins up; per-fork row charges are deterministic either way.
-    let seed_in_pool = pooled && shared_executor.shard_count() == 1;
-    if !seed_in_pool {
-        inline(runs, PoolCommand::Seed)?;
-    }
-    if !pooled {
-        return lockstep(active, source, shared_executor, meter, &mut |command| {
-            inline(runs, command)
-        });
-    }
-    let ranges = balanced_chunks(jobs.len(), threads);
-    std::thread::scope(|scope| -> Result<()> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let mut senders = Vec::with_capacity(ranges.len());
-        let mut rest = &mut *runs;
-        for range in &ranges {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-            rest = tail;
-            let job_chunk = &jobs[range.clone()];
-            let (command_tx, command_rx) = mpsc::channel::<PoolCommand<T>>();
-            let acks = ack_tx.clone();
-            let chunk_start = range.start;
-            scope.spawn(move || {
-                pool_worker(
-                    chunk_start,
-                    job_chunk,
-                    chunk,
-                    source,
-                    measure,
-                    command_rx,
-                    acks,
-                )
-            });
-            senders.push(command_tx);
-        }
-        drop(ack_tx);
-        if seed_in_pool {
-            pool_dispatch(&senders, &ack_rx, PoolCommand::Seed)?;
-        }
-        // Dropping `senders` on return closes every command channel; workers
-        // drain and exit, and the scope joins them. An early `?` takes the
-        // same path, so error returns never deadlock.
-        lockstep(active, source, shared_executor, meter, &mut |command| {
-            pool_dispatch(&senders, &ack_rx, command)
-        })
-    })
-}
-
-/// The lockstep iteration loop over seeded jobs, whichever way `dispatch`
-/// runs a phase over them: per global iteration, `begin_iteration`, one tile
-/// pass over `K` serving every active job, then `finish_iteration` and the
-/// assignment step. A tiled source charges the recomputation once, to the
-/// shared executor, on the driver thread, while the per-job folds run in
-/// `dispatch`; a CSR-resident source streams zero-copy sparse panels
-/// instead. Streaming accounting prices the pass as it goes: produce
-/// segments are the tile recomputation on the shared executor, consume
-/// segments the per-job folds measured off each fork's own trace.
-fn lockstep<T: Scalar>(
-    mut active: usize,
-    source: &dyn KernelSource<T>,
-    shared_executor: &dyn Executor,
-    meter: &mut StreamMeter,
-    dispatch: &mut dyn FnMut(PoolCommand<T>) -> Result<PhaseOutcome>,
-) -> Result<()> {
-    while active > 0 {
-        dispatch(PoolCommand::Begin)?;
+    // topologies; per-fork row charges are deterministic either way.
+    let seed_threads = if shared_executor.shard_count() == 1 {
+        threads
+    } else {
+        1
+    };
+    par_over_jobs(jobs, runs, seed_threads, |job, run| {
+        let KernelKmeansConfig { k, init, seed, .. } = job.config;
+        let labels = initial_assignments_source(source, k, init, seed, &*run.executor)?;
+        run.state = LoopState::new(labels, k);
+        Ok(())
+    })?;
+    let measure = meter.active();
+    while jobs
+        .iter()
+        .zip(runs.iter())
+        .any(|(job, run)| run.state.active(&job.config))
+    {
+        over_active(jobs, runs, threads, |_, run| {
+            let (iteration, labels) = (run.state.iteration(), run.state.labels());
+            run.engine
+                .begin_iteration(iteration, source, labels, &*run.executor)
+        })?;
         meter.begin_pass(shared_executor);
+        // One tile's folds: a fan-out of `consume` over the active jobs.
+        let mut fold = |consume: &(dyn Fn(&mut JobRun<T>) -> Result<()> + Sync)| {
+            meter.tile_produced(shared_executor);
+            let marks: Vec<usize> = if measure {
+                runs.iter().map(|run| run.executor.trace_len()).collect()
+            } else {
+                Vec::new()
+            };
+            over_active(jobs, runs, threads, |_, run| consume(run))?;
+            let mut seconds = EngineSeconds::default();
+            for (run, &mark) in runs.iter().zip(&marks) {
+                seconds.accumulate(run.executor.engine_seconds_since(mark));
+            }
+            meter.tile_consumed_external(seconds);
+            Ok(())
+        };
         if source.csr().is_some() {
             source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
-                meter.tile_produced(shared_executor);
-                let outcome = dispatch(PoolCommand::CsrTile(rows, CsrTilePtr::new(panel)))?;
-                meter.tile_consumed_external(outcome.consume);
-                Ok(())
+                fold(&|run| {
+                    run.engine
+                        .consume_csr_tile(rows.clone(), panel, &*run.executor)
+                })
             })?;
         } else {
             source.for_each_tile(shared_executor, &mut |rows, tile| {
-                meter.tile_produced(shared_executor);
-                let outcome = dispatch(PoolCommand::Tile(rows, TilePtr(tile)))?;
-                meter.tile_consumed_external(outcome.consume);
-                Ok(())
+                fold(&|run| run.engine.consume_tile(rows.clone(), tile, &*run.executor))
             })?;
         }
         meter.finish_pass();
-        active = dispatch(PoolCommand::Finish)?.active;
+        over_active(jobs, runs, threads, |job, run| {
+            let distances = run.engine.finish_iteration(&*run.executor)?;
+            run.state.step(&distances, &job.config, &*run.executor);
+            run.engine.recycle_distances(distances);
+            Ok(())
+        })?;
     }
     Ok(())
-}
-
-/// Drive every job's clustering iterations over one shared [`KernelSource`]
-/// in **lockstep** — sequential convenience wrapper over
-/// [`drive_shared_source_with`].
-pub fn drive_shared_source<T: Scalar>(
-    jobs: &[FitJob],
-    source: &dyn KernelSource<T>,
-    shared_executor: &dyn Executor,
-    mark: usize,
-    make_engine: impl FnMut(&FitJob) -> Box<dyn DistanceEngine<T>>,
-) -> Result<BatchResult> {
-    drive_shared_source_with(
-        jobs,
-        source,
-        shared_executor,
-        mark,
-        &BatchOptions::default(),
-        make_engine,
-    )
 }
 
 /// Drive every job's clustering iterations over one shared [`KernelSource`]
@@ -1047,7 +712,7 @@ pub fn drive_shared_source<T: Scalar>(
 /// [`BatchOptions::host_threads`] fans the per-job seeding and
 /// `begin_iteration` / `consume_tile` / `finish_iteration` + assignment work
 /// of each phase out across host threads. The tile stream itself stays on
-/// the driver thread (one pass, charged once, exactly as before); workers
+/// the driver thread (one pass, charged once); workers
 /// own disjoint contiguous job chunks, every job's state/engine/executor is
 /// touched by at most one thread per phase, and all merging back into the
 /// shared executor happens on the driver thread in fixed job order — so
@@ -1055,12 +720,10 @@ pub fn drive_shared_source<T: Scalar>(
 /// thread count**. What changes is only the measured host wall-clock
 /// ([`BatchReport::host_seconds`]).
 ///
-/// At one host thread the phases run inline on the driver thread. Above
-/// that, workers are spawned **once per drive** and fed phases over
-/// channels, so a tiled sweep pays one channel round-trip per tile instead
-/// of a spawn/join set per tile — the pool lives from kernel k-means++
-/// seeding (fanned across the same workers once the shared `diag(K)` cache
-/// is pre-warmed) through the last iteration.
+/// At one host thread every phase runs inline on the driver thread and
+/// nothing is spawned. Above that, each phase — kernel k-means++ seeding
+/// included, once the shared `diag(K)` cache is pre-warmed — and each tile
+/// of the pass is one scoped fan-out that joins before the driver moves on.
 pub fn drive_shared_source_with<T: Scalar>(
     jobs: &[FitJob],
     source: &dyn KernelSource<T>,
@@ -1092,8 +755,8 @@ pub fn drive_shared_source_with<T: Scalar>(
     let shared_baseline = shared_executor.resident_bytes();
     // Forks and engines are built up front on the driver thread, in job
     // order, so every fork sees the same residency baseline it would in the
-    // sequential drive. The placeholder states are replaced by `seed_job`
-    // (on the pool workers or inline) before the first iteration.
+    // sequential drive. Seeding replaces the placeholder states before the
+    // first iteration.
     let mut runs: Vec<JobRun<T>> = jobs
         .iter()
         .map(|job| JobRun {
@@ -1110,7 +773,7 @@ pub fn drive_shared_source_with<T: Scalar>(
             .map(|job| job.config.streaming)
             .unwrap_or(Streaming::Off),
     );
-    run_lockstep(
+    lockstep(
         jobs,
         &mut runs,
         source,
@@ -1171,43 +834,6 @@ pub fn drive_shared_source_with<T: Scalar>(
     ))
 }
 
-/// The default `fit_batch`: independent `fit_input_with` calls, one per job —
-/// correct for any solver, shares nothing. Solvers that operate on a kernel
-/// matrix override `fit_batch` with the shared-`K` driver instead.
-pub fn fit_batch_independent<T: Scalar, S: Solver<T> + ?Sized>(
-    solver: &S,
-    input: FitInput<'_, T>,
-    jobs: &[FitJob],
-) -> Result<BatchResult> {
-    if jobs.is_empty() {
-        return Err(CoreError::InvalidConfig(
-            "fit_batch requires at least one job".into(),
-        ));
-    }
-    let start = Instant::now();
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut job_reports = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let result = solver.fit_input_with(input, &job.config)?;
-        job_reports.push(JobReport::new(job, &result, &result.trace));
-        results.push(result);
-    }
-    let peak = results
-        .iter()
-        .map(|r| r.peak_resident_bytes)
-        .max()
-        .unwrap_or(0);
-    Ok(assemble(
-        results,
-        OpTrace::new(),
-        job_reports,
-        peak,
-        1,
-        start.elapsed().as_secs_f64(),
-        None,
-    ))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     results: Vec<ClusteringResult>,
@@ -1244,6 +870,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::popcorn::KernelKmeans;
+    use crate::solver::Solver;
     use popcorn_dense::DenseMatrix;
     use popcorn_gpusim::SimExecutor;
     use popcorn_gpusim::{OpClass, OpCost, Phase};
@@ -1384,22 +1011,69 @@ mod tests {
             "the pipeline must hide some shared tile production"
         );
 
-        // The overlay is fan-out independent: the persistent pool measures
+        // The overlay is fan-out independent: the parallel drive measures
         // the same modeled segments the sequential drive does.
-        let pooled = solver
+        let parallel = solver
             .fit_batch_with(
                 FitInput::from(&points),
                 &jobs_on,
                 &BatchOptions::default().with_host_threads(HostParallelism::Threads(2)),
             )
             .unwrap();
-        let pooled_report = pooled.report.streaming.as_ref().expect("metered batch");
-        assert_eq!(pooled_report.passes, report.passes);
-        assert_eq!(pooled_report.tiles, report.tiles);
+        let parallel_report = parallel.report.streaming.as_ref().expect("metered batch");
+        assert_eq!(parallel_report.passes, report.passes);
+        assert_eq!(parallel_report.tiles, report.tiles);
         assert_eq!(
-            pooled_report.hidden_seconds.to_bits(),
+            parallel_report.hidden_seconds.to_bits(),
             report.hidden_seconds.to_bits()
         );
+
+        // A k-sweep gives every job its own fold cost, so a tile's consume
+        // sum depends on the order its per-job terms are added in: it must be
+        // the job order at every thread count, never the order the chunks
+        // happen to finish in. Two chunk sums commute, so only three or more
+        // chunks can expose a scheduling-dependent order; repeat the drive so
+        // such a race shows reliably.
+        let sweep_points = DenseMatrix::from_fn(60, 3, |i, j| {
+            (i % 4) as f64 * 5.0 + ((i * 3 + j) as f64 * 0.37).sin()
+        });
+        // No convergence check: every job folds every tile of all 4 passes.
+        let sweep = FitJob::k_sweep(
+            &KernelKmeansConfig::paper_defaults(2)
+                .with_max_iter(4)
+                .with_tiling(TilePolicy::Rows(7))
+                .with_streaming(Streaming::DoubleBuffered),
+            &[2, 3, 5, 7, 11, 13],
+            1,
+        );
+        let streaming_bits = |threads: usize| {
+            let batch = solver
+                .fit_batch_with(
+                    FitInput::from(&sweep_points),
+                    &sweep,
+                    &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                )
+                .unwrap();
+            let report = batch.report.streaming.expect("metered batch");
+            [
+                report.hidden_seconds,
+                report.produce.compute,
+                report.produce.copy,
+                report.consume.compute,
+                report.consume.copy,
+            ]
+            .map(f64::to_bits)
+        };
+        let sequential = streaming_bits(1);
+        for threads in [3usize, 6] {
+            for repetition in 0..25 {
+                assert_eq!(
+                    streaming_bits(threads),
+                    sequential,
+                    "{threads} threads, repetition {repetition}"
+                );
+            }
+        }
 
         // Mixed streaming policies cannot share one pass pricing.
         let mixed = vec![jobs_off[0].clone(), jobs_on[1].clone()];
@@ -1425,19 +1099,19 @@ mod tests {
     }
 
     #[test]
-    fn balanced_chunks_make_exactly_min_threads_jobs_workers() {
+    fn split_ranges_make_exactly_min_threads_jobs_workers() {
         // The regression this partition fixes: ceil(5/4) = 2 packs 5 jobs
         // into 3 chunks, so one of 4 requested workers never spawned while
         // the report still claimed 4.
-        assert_eq!(balanced_chunks(5, 4), vec![0..2, 2..3, 3..4, 4..5]);
-        assert_eq!(balanced_chunks(4, 8), vec![0..1, 1..2, 2..3, 3..4]);
-        assert_eq!(balanced_chunks(9, 3), vec![0..3, 3..6, 6..9]);
-        assert_eq!(balanced_chunks(1, 1), vec![0..1]);
-        assert!(balanced_chunks(0, 4).is_empty());
+        assert_eq!(split_ranges(5, 4), vec![0..2, 2..3, 3..4, 4..5]);
+        assert_eq!(split_ranges(4, 8), vec![0..1, 1..2, 2..3, 3..4]);
+        assert_eq!(split_ranges(9, 3), vec![0..3, 3..6, 6..9]);
+        assert_eq!(split_ranges(1, 1), vec![0..1]);
+        assert!(split_ranges(0, 4).is_empty());
         // Sizes always differ by at most one and cover 0..len exactly.
         for len in 0..40usize {
             for workers in 1..10usize {
-                let ranges = balanced_chunks(len, workers);
+                let ranges = split_ranges(len, workers);
                 assert_eq!(ranges.len(), workers.min(len));
                 let mut next = 0usize;
                 for range in &ranges {
@@ -1484,8 +1158,8 @@ mod tests {
 
     #[test]
     fn fanout_modes_produce_identical_batches() {
-        // The inline one-thread drive and the pool over a tiled source: one
-        // phase dispatch per tile either way, identical batches.
+        // The inline one-thread drive and the three-way fan-out over a tiled
+        // source: one phase per tile either way, identical batches.
         let points = blob_points();
         let tiled = config(2).with_tiling(TilePolicy::Rows(5));
         let jobs = FitJob::k_sweep(&tiled, &[2, 3], 2);
@@ -1498,14 +1172,14 @@ mod tests {
                 )
                 .unwrap()
         };
-        let (inline, pool) = (drive(1), drive(3));
-        assert_eq!(pool.report.host_threads, 3);
-        assert_eq!(inline.best, pool.best);
+        let (inline, fanned) = (drive(1), drive(3));
+        assert_eq!(fanned.report.host_threads, 3);
+        assert_eq!(inline.best, fanned.best);
         assert_eq!(
             inline.report.peak_resident_bytes,
-            pool.report.peak_resident_bytes
+            fanned.report.peak_resident_bytes
         );
-        for (a, b) in inline.results.iter().zip(pool.results.iter()) {
+        for (a, b) in inline.results.iter().zip(fanned.results.iter()) {
             assert_eq!(a.labels, b.labels);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
             assert_eq!(a.trace.len(), b.trace.len());
@@ -1513,7 +1187,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_resumes_worker_panics_on_the_driver() {
+    fn fanout_resumes_worker_panics_on_the_driver() {
         let points = blob_points();
         let kernel_matrix =
             crate::kernel::kernel_matrix_reference(&points, crate::KernelFunction::Linear);
@@ -1619,25 +1293,23 @@ mod tests {
 
     #[test]
     fn parallel_driver_surfaces_the_earliest_job_error() {
-        // Job 1 of 4 carries an invalid config (k = 0 slips past validate_jobs
-        // only if we bypass it — instead use a k > n job mix that the per-job
-        // seeding rejects): here we drive the raw lockstep driver with a job
-        // whose k exceeds n, so seeding fails for that job deterministically.
+        // Jobs 1 and 3 of 4 fail at their first tile fold with different
+        // messages. At two threads they sit in different chunks, at four each
+        // has its own, and job 1 fails only after job 3 has, so the later
+        // chunk always finishes first. The driver must still return job 1's
+        // error: chunk errors come back in chunk order.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
         let points = blob_points();
         let kernel_matrix =
             crate::kernel::kernel_matrix_reference(&points, crate::KernelFunction::Linear);
         let source = crate::FullKernel::new(&kernel_matrix).unwrap();
         let exec = SimExecutor::a100_f32();
-        let good = config(2);
-        let bad = config(2).with_seed(7); // same shape; failure injected via engine
-        let jobs = vec![
-            FitJob::new(good.clone(), 0),
-            FitJob::new(bad, 1),
-            FitJob::new(good, 2),
-        ];
-        // An engine that errors for seed 1 at the first consume_tile.
+        let jobs = FitJob::restarts(&config(2), 0..4);
         struct FailingEngine {
-            fail: bool,
+            seed: u64,
+            parallel: bool,
+            job_3_failed: Arc<AtomicBool>,
         }
         impl DistanceEngine<f64> for FailingEngine {
             fn begin_iteration(
@@ -1655,10 +1327,18 @@ mod tests {
                 _tile: &popcorn_dense::DenseMatrix<f64>,
                 _executor: &dyn Executor,
             ) -> Result<()> {
-                if self.fail {
-                    Err(CoreError::InvalidConfig("injected job failure".into()))
-                } else {
-                    Ok(())
+                match self.seed {
+                    1 => {
+                        while self.parallel && !self.job_3_failed.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        Err(CoreError::InvalidConfig("injected failure of job 1".into()))
+                    }
+                    3 => {
+                        self.job_3_failed.store(true, Ordering::SeqCst);
+                        Err(CoreError::InvalidConfig("injected failure of job 3".into()))
+                    }
+                    _ => Ok(()),
                 }
             }
             fn finish_iteration(
@@ -1669,6 +1349,7 @@ mod tests {
             }
         }
         for threads in [1usize, 2, 4] {
+            let job_3_failed = Arc::new(AtomicBool::new(false));
             let err = drive_shared_source_with(
                 &jobs,
                 &source,
@@ -1677,13 +1358,15 @@ mod tests {
                 &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
                 |job| {
                     Box::new(FailingEngine {
-                        fail: job.config.seed == 1,
+                        seed: job.config.seed,
+                        parallel: threads > 1,
+                        job_3_failed: Arc::clone(&job_3_failed),
                     })
                 },
             )
             .unwrap_err();
             assert!(
-                matches!(&err, CoreError::InvalidConfig(m) if m.contains("injected")),
+                matches!(&err, CoreError::InvalidConfig(m) if m == "injected failure of job 1"),
                 "threads {threads}: unexpected error {err}"
             );
         }

@@ -281,24 +281,20 @@ pub trait Solver<T: Scalar> {
     /// [`batch::BatchOptions`] (host-thread policy for the parallel restart
     /// driver).
     ///
-    /// The default implementation shares nothing (independent, sequential
-    /// `fit_input` calls — the jobs may share one executor, so they cannot
-    /// safely interleave). The kernel-matrix solvers override it with the
-    /// shared-`K` lockstep driver from [`crate::batch`]: the upload and the
-    /// kernel matrix are charged exactly once for the whole batch, every
+    /// The kernel-matrix solvers run the shared-`K` lockstep driver from
+    /// [`crate::batch`] ([`batch::drive_shared_source_with`]): the upload and
+    /// the kernel matrix are charged exactly once for the whole batch, every
     /// job's clustering iterations borrow the shared matrix, and per-job
-    /// engine work fans out across `options.host_threads` workers. Per-job
-    /// results are bit-identical to standalone `fit_input` calls either way,
-    /// at every thread count.
+    /// engine work fans out across `options.host_threads` workers. A solver
+    /// with no kernel matrix shares what it can the same way
+    /// ([`batch::drive_shared_kernel_with`]). Per-job results are
+    /// bit-identical to standalone `fit_input` calls at every thread count.
     fn fit_batch_with(
         &self,
         input: FitInput<'_, T>,
         jobs: &[FitJob],
         options: &batch::BatchOptions,
-    ) -> Result<BatchResult> {
-        let _ = options;
-        batch::fit_batch_independent(self, input, jobs)
-    }
+    ) -> Result<BatchResult>;
 
     /// Convenience: fit dense points.
     fn fit(&self, points: &DenseMatrix<T>) -> Result<ClusteringResult> {

@@ -578,31 +578,6 @@ pub struct CsrRows<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> CsrRows<'a, T> {
-    /// Reassemble a view from its raw slices (the inverse of the accessors).
-    ///
-    /// The lockstep batch driver smuggles views to its pool workers as raw
-    /// pointers and rebuilds them with this constructor; the debug assertions
-    /// pin the structural invariants a [`CsrMatrix::rows_view`]-produced view
-    /// always satisfies.
-    pub fn from_raw_slices(
-        first_row: usize,
-        row_ptrs: &'a [usize],
-        col_indices: &'a [usize],
-        values: &'a [T],
-        cols: usize,
-    ) -> Self {
-        debug_assert!(!row_ptrs.is_empty(), "row_ptrs must hold rows + 1 entries");
-        debug_assert_eq!(col_indices.len(), values.len());
-        debug_assert!(row_ptrs.last().copied().unwrap_or(0) <= col_indices.len());
-        Self {
-            first_row,
-            row_ptrs,
-            col_indices,
-            values,
-            cols,
-        }
-    }
-
     /// Absolute index of the panel's first row in the owning matrix.
     pub fn first_row(&self) -> usize {
         self.first_row
@@ -638,18 +613,6 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
             Ok(pos) => vals[pos],
             Err(_) => T::ZERO,
         }
-    }
-
-    /// The raw slices `(first_row, row_ptrs, col_indices, values, cols)` —
-    /// what [`CsrRows::from_raw_slices`] reassembles.
-    pub fn raw_slices(&self) -> (usize, &'a [usize], &'a [usize], &'a [T], usize) {
-        (
-            self.first_row,
-            self.row_ptrs,
-            self.col_indices,
-            self.values,
-            self.cols,
-        )
     }
 }
 
@@ -978,18 +941,6 @@ mod tests {
                 assert_eq!(panel.nnz(), nnz);
             }
         }
-    }
-
-    #[test]
-    fn rows_view_raw_slices_round_trip() {
-        let m = sample();
-        let panel = m.rows_view(1..3);
-        let (first, ptrs, cols, vals, width) = panel.raw_slices();
-        let rebuilt = CsrRows::from_raw_slices(first, ptrs, cols, vals, width);
-        assert_eq!(rebuilt.first_row(), 1);
-        assert_eq!(rebuilt.row_count(), 2);
-        assert_eq!(rebuilt.nnz(), panel.nnz());
-        assert_eq!(rebuilt.row(1), panel.row(1));
     }
 
     #[test]

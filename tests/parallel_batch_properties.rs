@@ -9,10 +9,10 @@
 //! merge back into the shared executor happens on the driver thread in fixed
 //! job order, and these tests pin that contract.
 //!
-//! The proptests run the persistent worker pool (workers spawned once per
-//! drive, fed phases over channels, seeding included), so the whole
-//! bit-identity contract is exercised against the pool; dedicated tests
-//! below additionally pin pool-vs-inline equivalence and the
+//! The proptests run the parallel fan-out (one scoped fan-out over balanced
+//! contiguous job chunks per phase and per tile, seeding included), so the
+//! whole bit-identity contract is exercised against it; dedicated tests
+//! below additionally pin fan-out-vs-inline equivalence and the
 //! streaming-pricing overlay for single fits.
 
 use popcorn::baselines::SolverKind;
@@ -334,12 +334,11 @@ fn concurrent_seconds_accounting_adds_up() {
     assert!(report.host_seconds >= 0.0);
 }
 
-/// The persistent worker pool and the inline one-thread drive execute
-/// identical per-job work over identical chunk partitions: whole batches
-/// are bit-identical between them across sources, seeding modes and thread
-/// counts. This is also the pool reuse test: one pool instance carries
-/// every phase of every iteration (and, for kmeans++, the seeding fan-out)
-/// of each drive.
+/// The parallel fan-out and the inline one-thread drive execute identical
+/// per-job work over identical chunk partitions: whole batches are
+/// bit-identical between them across sources, seeding modes and thread
+/// counts. Every phase of every iteration (and, for kmeans++, the seeding)
+/// fans out over the same chunks of each drive.
 #[test]
 fn fanout_modes_are_bit_identical() {
     let points = DenseMatrix::<f64>::from_fn(20, 4, |i, j| {
