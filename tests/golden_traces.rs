@@ -1,6 +1,9 @@
 //! Golden traces: FNV-1a hashes of everything a fixed-seed sharded fit
 //! reports besides its labels, recorded from the build that still carried
-//! one copy of the elastic shard protocol per kernel representation.
+//! one copy of the elastic shard protocol per kernel representation. The
+//! CPU-reference and dense-baseline batch cases and the CSR fit cases were
+//! recorded from the build that still carried one solver shell per kernel
+//! family.
 //!
 //! The elastic row protocol (pass counter, fault polling, device-loss
 //! recovery, the per-device walk and the all-reduce charge) decides where
@@ -8,11 +11,14 @@
 //! rewrite of it must leave three things exactly as they were: every trace
 //! record's name, phase, class and modeled-seconds bits; every
 //! [`RecoveryReport`] field; and each device's residency peak. The batch
-//! cases pin the lockstep restart drive the same way, at one host thread
-//! (the inline drive) and at two (the worker pool).
+//! cases pin every kernel family's lockstep restart drive the same way, at
+//! one host thread (the inline drive) and at two (the scoped fan-out), and
+//! one CSR fit per family pins what each family charges to move sparse
+//! points and build `K` from them.
 
+use popcorn::baselines::SolverKind;
 use popcorn::core::batch::{BatchOptions, FitJob, HostParallelism};
-use popcorn::data::synthetic::gaussian_blobs;
+use popcorn::data::synthetic::{gaussian_blobs, sparse_text_like};
 use popcorn::prelude::*;
 use popcorn_gpusim::OpTrace;
 use std::sync::Arc;
@@ -120,18 +126,23 @@ fn sharded_case(config: KernelKmeansConfig, faults: FaultPlan) -> u64 {
     hash.0
 }
 
-/// A 4-job restart sweep on one device, hashed over every job's result and
-/// the shared executor's full trace and residency peak.
-fn batch_case(threads: usize) -> u64 {
-    let points = points();
-    let executor = Arc::new(SimExecutor::new(
-        DeviceSpec::a100_80gb(),
+/// The family's default device, alone.
+fn default_executor(kind: SolverKind) -> Arc<SimExecutor> {
+    Arc::new(SimExecutor::new(
+        kind.default_device(),
         std::mem::size_of::<f64>(),
-    ));
+    ))
+}
+
+/// A 4-job restart sweep on the family's default device, hashed over every
+/// job's result and the shared executor's full trace and residency peak.
+fn batch_case(kind: SolverKind, threads: usize) -> u64 {
+    let points = points();
+    let executor = default_executor(kind);
     let config = config().with_tiling(TilePolicy::Rows(6));
     let jobs = FitJob::restarts(&config, 0..4);
-    let batch = KernelKmeans::new(config)
-        .with_shared_executor(executor.clone())
+    let batch = kind
+        .build_with_executor::<f64>(config, executor.clone())
         .fit_batch_with(
             FitInput::Dense(&points),
             &jobs,
@@ -146,6 +157,22 @@ fn batch_case(threads: usize) -> u64 {
     hash.trace(&batch.report.shared_trace);
     hash.trace(&executor.trace());
     hash.word(batch.report.peak_resident_bytes);
+    hash.word(executor.peak_resident_bytes());
+    hash.0
+}
+
+/// One fit of CSR points on the family's default device, hashed over its
+/// result and the executor's trace and residency peak.
+fn csr_case(kind: SolverKind) -> u64 {
+    let text = sparse_text_like::<f64>(60, 90, 3, 8, 22);
+    let executor = default_executor(kind);
+    let result = kind
+        .build_with_executor::<f64>(config(), executor.clone())
+        .fit_sparse(text.points())
+        .expect("golden csr fit runs");
+    let mut hash = Fnv::new();
+    hash.result(&result);
+    hash.trace(&executor.trace());
     hash.word(executor.peak_resident_bytes());
     hash.0
 }
@@ -183,11 +210,21 @@ fn cases() -> Vec<(String, u64)> {
             ));
         }
     }
-    for threads in [1, 2] {
-        cases.push((
-            format!("batch rows 6, {threads} threads"),
-            batch_case(threads),
-        ));
+    let batches = [
+        ("batch rows 6", SolverKind::Popcorn),
+        ("cpu-reference batch rows 6", SolverKind::Cpu),
+        ("dense-gpu-baseline batch rows 6", SolverKind::DenseBaseline),
+    ];
+    for (name, kind) in batches {
+        for threads in [1, 2] {
+            cases.push((
+                format!("{name}, {threads} threads"),
+                batch_case(kind, threads),
+            ));
+        }
+    }
+    for (_, kind) in batches {
+        cases.push((format!("{} csr fit", kind.name()), csr_case(kind)));
     }
     cases
 }
@@ -208,6 +245,19 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sparsified knn:4, lose 2@1, 0@3", 0x6f21d20eb6faecef),
     ("batch rows 6, 1 threads", 0x7daf062cab29406b),
     ("batch rows 6, 2 threads", 0x7daf062cab29406b),
+    ("cpu-reference batch rows 6, 1 threads", 0x1b9c8a0ebbf9914d),
+    ("cpu-reference batch rows 6, 2 threads", 0x1b9c8a0ebbf9914d),
+    (
+        "dense-gpu-baseline batch rows 6, 1 threads",
+        0xbe61979b9c29a251,
+    ),
+    (
+        "dense-gpu-baseline batch rows 6, 2 threads",
+        0xbe61979b9c29a251,
+    ),
+    ("popcorn csr fit", 0x4256f28ef4f9a95c),
+    ("cpu-reference csr fit", 0xe412eab9a36707c0),
+    ("dense-gpu-baseline csr fit", 0x205cc4443647dcf0),
 ];
 
 #[test]
@@ -219,7 +269,7 @@ fn traces_match_the_earlier_build() {
             Some(&(_, golden)) => {
                 mismatches.push(format!("{name}: hash {hash:#018x}, golden {golden:#018x}"))
             }
-            None => mismatches.push(format!("{name}: no golden hash")),
+            None => mismatches.push(format!("{name}: no golden hash {hash:#018x}")),
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
