@@ -11,76 +11,33 @@
 //! the kernel matrix is formed directly from the sparse rows — the points
 //! are never densified — and the clustering loop proceeds identically.
 //!
-//! The distance engine itself, [`popcorn_core::rowsum::CpuEngine`], lives in
-//! the core crate, so a fitted CPU-reference model replays it at serve
-//! time; this module keeps the solver, its sequential kernel matrix and its
-//! single-core device model.
+//! The solver is the [`KernelSolver`] shell over the [`CpuReference`]
+//! family, which uploads nothing (the points are host-resident) and builds
+//! `K` with the sequential loops below. Its distance engine,
+//! [`popcorn_core::rowsum::CpuEngine`], lives in the core crate, so a fitted
+//! CPU-reference model replays it at serve time.
 
-use popcorn_core::batch::{self, BatchResult, FitJob};
 use popcorn_core::kernel::KernelFunction;
 use popcorn_core::kernel_matrix::spgemm_gram_cost;
-use popcorn_core::kernel_source::{run_with_source, KernelSource};
-use popcorn_core::pipeline;
-use popcorn_core::result::ClusteringResult;
-use popcorn_core::rowsum::CpuEngine;
-use popcorn_core::solver::{FitInput, Solver};
-use popcorn_core::{KernelKmeansConfig, Result};
+use popcorn_core::solver::{FitInput, KernelFamily, KernelSolver};
+use popcorn_core::{KernelKmeansConfig, ModelFamily, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
-};
-use std::sync::Arc;
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 
-/// Single-threaded dense CPU kernel k-means.
-#[derive(Debug, Clone)]
-pub struct CpuKernelKmeans {
-    config: KernelKmeansConfig,
-    executor: Option<Arc<dyn Executor>>,
-}
+/// The PRMLT stand-in family: host-resident points, sequential `K`, the
+/// single-core EPYC device model.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuReference;
 
-impl CpuKernelKmeans {
-    /// Create a solver with the given configuration (same options as Popcorn).
-    pub fn new(config: KernelKmeansConfig) -> Self {
-        Self {
-            config,
-            executor: None,
-        }
-    }
+impl KernelFamily for CpuReference {
+    const FAMILY: ModelFamily = ModelFamily::CpuReference;
 
-    /// Use a specific executor (defaults to the single-core EPYC model).
-    pub fn with_executor(self, executor: impl Executor + 'static) -> Self {
-        self.with_shared_executor(Arc::new(executor))
-    }
-
-    /// Use an already-shared executor handle (the CLI's sharded topology
-    /// goes through this).
-    pub fn with_shared_executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// The solver configuration.
-    pub fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    fn executor_for<T: Scalar>(&self) -> Arc<dyn Executor> {
-        self.executor.clone().unwrap_or_else(|| {
-            Arc::new(SimExecutor::new(
-                DeviceSpec::epyc7763_single_core(),
-                std::mem::size_of::<T>(),
-            ))
-        })
-    }
-
-    fn iterate_source<T: Scalar>(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-        executor: &dyn Executor,
-    ) -> Result<ClusteringResult> {
-        let mut engine = CpuEngine::<T>::new(config.k);
-        pipeline::iterate(source, config, executor, &mut engine)
+    /// The points are host-resident: nothing crosses a bus.
+    fn prepare<T: Scalar>(
+        _input: FitInput<'_, T>,
+        _executor: &dyn Executor,
+    ) -> Option<DenseMatrix<T>> {
+        None
     }
 
     /// The PRMLT-style kernel matrix, charged at CPU efficiencies: dense
@@ -89,16 +46,16 @@ impl CpuKernelKmeans {
     /// product for CSR points (this solver models a single core — the shared
     /// `CsrMatrix::gram` is multi-threaded), charged with the same SpGEMM
     /// cost definition the shared sparse path uses.
-    fn compute_kernel_matrix<T: Scalar>(
-        &self,
+    fn kernel_matrix<T: Scalar>(
         input: FitInput<'_, T>,
-        kernel: KernelFunction,
+        config: &KernelKmeansConfig,
         executor: &dyn Executor,
-    ) -> DenseMatrix<T> {
+    ) -> Result<DenseMatrix<T>> {
+        let kernel = config.kernel;
         let elem = std::mem::size_of::<T>();
         // The full n x n matrix becomes resident under the host-memory model.
         executor.track_alloc(input.n() as u64 * input.n() as u64 * elem as u64);
-        match input {
+        Ok(match input {
             FitInput::Dense(points) => {
                 let (n, d) = (points.rows(), points.cols());
                 executor.run(
@@ -119,129 +76,12 @@ impl CpuKernelKmeans {
                     || compute_kernel_matrix_sequential_csr(points, kernel),
                 )
             }
-        }
+        })
     }
 }
 
-impl<T: Scalar> Solver<T> for CpuKernelKmeans {
-    fn name(&self) -> &'static str {
-        "cpu-reference"
-    }
-
-    fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    /// Run the full pipeline: dense sequential kernel matrix (or the SpGEMM
-    /// Gram path for CSR inputs) when it fits the host-memory model, a
-    /// streamed [`popcorn_core::ShardedKernelSource`] otherwise, then sequential
-    /// iterations.
-    fn fit_input_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        run_with_source(
-            input,
-            config.kernel,
-            config.approx,
-            config.tiling,
-            config.k,
-            &executor,
-            || Ok(self.compute_kernel_matrix(input, config.kernel, &executor)),
-            |source| self.iterate_source(source, config, &executor),
-        )
-    }
-
-    /// Run only the clustering iterations over a kernel source.
-    fn fit_from_source_with(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        self.iterate_source(source, config, &executor)
-    }
-
-    /// [`Solver::fit_input_with`] plus model extraction off the live kernel
-    /// source (no upload charge — this solver models host-resident points).
-    fn fit_model_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        popcorn_core::model::fit_model_via(
-            popcorn_core::ModelFamily::CpuReference,
-            input,
-            input,
-            config,
-            &*executor,
-            || Ok(self.compute_kernel_matrix(input, config.kernel, &*executor)),
-        )
-    }
-
-    /// Warm-start/mini-batch refits over the model's resident kernel state.
-    fn refit(
-        &self,
-        model: &popcorn_core::FittedModel<T>,
-        request: &popcorn_core::RefitRequest<T>,
-    ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        popcorn_core::model::refit_via(
-            popcorn_core::ModelFamily::CpuReference,
-            model,
-            request,
-            &*executor,
-            &|input, config, executor| {
-                Ok(self.compute_kernel_matrix(input, config.kernel, executor))
-            },
-        )
-    }
-
-    /// The restart protocol on one core: compute the sequential kernel matrix
-    /// exactly once (or stream tiles where one pass per iteration feeds every
-    /// job), then run every job's iterations over the shared source. The
-    /// *modeled* device stays a single core; `options.host_threads` only
-    /// fans the host-side simulation work across workers.
-    fn fit_batch_with(
-        &self,
-        input: FitInput<'_, T>,
-        jobs: &[FitJob],
-        options: &batch::BatchOptions,
-    ) -> Result<BatchResult> {
-        let plan = batch::validate_jobs(&input, jobs)?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        let mark = executor.trace().len();
-        // The lockstep driver keeps every job's n x k buffer live at once.
-        let k_budget = jobs.iter().map(|j| j.config.k).sum();
-        run_with_source(
-            input,
-            plan.kernel,
-            plan.approx,
-            plan.tiling,
-            k_budget,
-            &executor,
-            || Ok(self.compute_kernel_matrix(input, plan.kernel, &executor)),
-            |source| {
-                batch::drive_shared_source_with(jobs, source, &executor, mark, options, |job| {
-                    Box::new(CpuEngine::<T>::new(job.config.k))
-                })
-            },
-        )
-    }
-}
+/// Single-threaded dense CPU kernel k-means.
+pub type CpuKernelKmeans = KernelSolver<CpuReference>;
 
 /// Sequential sparse kernel-matrix computation: `CsrMatrix::gram_sequential`
 /// (one thread, one scatter buffer) plus the kernel application, honouring
@@ -280,9 +120,11 @@ fn compute_kernel_matrix_sequential<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popcorn_core::kernel_source::FullKernel;
+    use popcorn_core::kernel_source::{FullKernel, KernelSource};
     use popcorn_core::pipeline::DistanceEngine;
-    use popcorn_core::KernelKmeans;
+    use popcorn_core::rowsum::CpuEngine;
+    use popcorn_core::{KernelKmeans, Solver};
+    use popcorn_gpusim::{DeviceSpec, SimExecutor};
     use popcorn_sparse::CsrMatrix;
 
     fn blob_points() -> DenseMatrix<f64> {

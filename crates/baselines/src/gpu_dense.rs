@@ -21,112 +21,61 @@
 //! with `k` ([`popcorn_core::rowsum::reduction_utilization`]), reproducing
 //! the measured baseline behaviour. The three kernels form
 //! [`popcorn_core::rowsum::BaselineEngine`], which lives in the core crate so
-//! a fitted baseline model replays it at serve time; this module keeps the
-//! solver, its GEMM kernel matrix and its densifying data preparation.
+//! a fitted baseline model replays it at serve time. The solver is the
+//! [`KernelSolver`] shell over the [`DenseBaseline`] family, whose two hooks
+//! are the densifying data preparation and the GEMM kernel matrix.
 //!
 //! Sparse (CSR) inputs are accepted for driver uniformity, but — faithfully
 //! to the original — the baseline cannot consume sparse operands: the points
 //! are densified up front and the conversion is charged to the simulator,
 //! which is exactly the cost asymmetry the paper's sparse datasets expose.
 
-use popcorn_core::batch::{self, BatchResult, FitJob};
-use popcorn_core::kernel::KernelFunction;
-use popcorn_core::kernel_source::{run_with_source, KernelSource};
-use popcorn_core::pipeline;
-use popcorn_core::result::ClusteringResult;
-use popcorn_core::rowsum::BaselineEngine;
-use popcorn_core::solver::{dense_upload_bytes, FitInput, Solver};
-use popcorn_core::{KernelKmeansConfig, Result};
+use popcorn_core::solver::{dense_upload_bytes, FitInput, KernelFamily, KernelSolver};
+use popcorn_core::{KernelKmeansConfig, ModelFamily, Result};
 use popcorn_dense::{matmul_nt, DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
-};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use std::borrow::Cow;
-use std::sync::Arc;
 
-/// The paper's dense CUDA baseline implementation of kernel k-means.
-#[derive(Debug, Clone)]
-pub struct DenseGpuBaseline {
-    config: KernelKmeansConfig,
-    executor: Option<Arc<dyn Executor>>,
-}
+/// The paper's in-house CUDA baseline family: dense-only points, a GEMM
+/// kernel matrix, the hand-written distance kernels.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseBaseline;
 
-impl DenseGpuBaseline {
-    /// Create a solver with the given configuration.
-    pub fn new(config: KernelKmeansConfig) -> Self {
-        Self {
-            config,
-            executor: None,
-        }
-    }
+impl KernelFamily for DenseBaseline {
+    const FAMILY: ModelFamily = ModelFamily::DenseBaseline;
 
-    /// Use a specific executor (defaults to the A100 model).
-    pub fn with_executor(self, executor: impl Executor + 'static) -> Self {
-        self.with_shared_executor(Arc::new(executor))
-    }
-
-    /// Use an already-shared executor handle (the CLI's sharded topology
-    /// goes through this).
-    pub fn with_shared_executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// The solver configuration.
-    pub fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    fn executor_for<T: Scalar>(&self) -> Arc<dyn Executor> {
-        self.executor.clone().unwrap_or_else(|| {
-            Arc::new(SimExecutor::new(
-                DeviceSpec::a100_80gb(),
-                std::mem::size_of::<T>(),
-            ))
-        })
-    }
-
-    fn iterate_source<T: Scalar>(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-        executor: &dyn Executor,
-    ) -> Result<ClusteringResult> {
-        let mut engine = BaselineEngine::<T>::new(config.k);
-        pipeline::iterate(source, config, executor, &mut engine)
-    }
-
-    /// The baseline's data preparation: densify CSR inputs, charge the
-    /// dense upload, and hand the dense points to `f` — the single dispatch
-    /// the standalone and batched fits share.
-    fn with_dense_points<T: Scalar, R>(
-        &self,
+    /// Densify CSR points (charged), then upload the dense `P`.
+    fn prepare<T: Scalar>(
         input: FitInput<'_, T>,
         executor: &dyn Executor,
-        f: impl FnOnce(&DenseMatrix<T>) -> Result<R>,
-    ) -> Result<R> {
-        let (n, d, elem) = (input.n(), input.d(), std::mem::size_of::<T>());
+    ) -> Option<DenseMatrix<T>> {
         let points = dense_points(input, executor);
+        let (n, d) = (points.rows(), points.cols());
+        let bytes = dense_upload_bytes(n, d, std::mem::size_of::<T>());
         executor.charge(
             format!("upload P ({n} x {d})"),
             Phase::DataPreparation,
             OpClass::Transfer,
-            OpCost::transfer(dense_upload_bytes(n, d, elem)),
+            OpCost::transfer(bytes),
         );
-        executor.track_alloc(dense_upload_bytes(n, d, elem));
-        f(&points)
+        executor.track_alloc(bytes);
+        match points {
+            Cow::Owned(points) => Some(points),
+            Cow::Borrowed(_) => None,
+        }
     }
 
-    /// The baseline's kernel matrix: always GEMM (§5.3 — never SYRK, never
-    /// the dynamic selection).
-    fn compute_kernel_matrix<T: Scalar>(
-        &self,
-        points: &DenseMatrix<T>,
-        kernel: KernelFunction,
+    /// Always GEMM (§5.3 — never SYRK, never the dynamic selection). A
+    /// refit hands over the model's stored points, which may be CSR: they
+    /// are densified first (charged) — the fit's preparation minus the
+    /// upload, since the stored points stayed device-resident.
+    fn kernel_matrix<T: Scalar>(
+        input: FitInput<'_, T>,
+        config: &KernelKmeansConfig,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let n = points.rows();
-        let d = points.cols();
+        let points = dense_points(input, executor);
+        let (n, d) = (points.rows(), points.cols());
         let elem = std::mem::size_of::<T>();
         let kernel_matrix = executor.run(
             format!("gemm kernel matrix (n={n}, d={d})"),
@@ -134,8 +83,8 @@ impl DenseGpuBaseline {
             OpClass::Gemm,
             OpCost::gemm(n, n, d, elem),
             || -> Result<DenseMatrix<T>> {
-                let mut gram = matmul_nt(points, points)?;
-                kernel.apply_to_gram(&mut gram);
+                let mut gram = matmul_nt(&points, &points)?;
+                config.kernel.apply_to_gram(&mut gram);
                 Ok(gram)
             },
         )?;
@@ -144,136 +93,8 @@ impl DenseGpuBaseline {
     }
 }
 
-impl<T: Scalar> Solver<T> for DenseGpuBaseline {
-    fn name(&self) -> &'static str {
-        "dense-gpu-baseline"
-    }
-
-    fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    /// Run the full pipeline: densify CSR inputs (the baseline is dense-only
-    /// by design, and the densification is charged), upload, then a GEMM
-    /// kernel matrix when it fits — or streamed GEMM tiles when the planner
-    /// says the full matrix cannot be resident — and the iterations.
-    fn fit_input_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        self.with_dense_points(input, &executor, |points| {
-            run_with_source(
-                FitInput::Dense(points),
-                config.kernel,
-                config.approx,
-                config.tiling,
-                config.k,
-                &executor,
-                || self.compute_kernel_matrix(points, config.kernel, &executor),
-                |source| self.iterate_source(source, config, &executor),
-            )
-        })
-    }
-
-    /// Run only the clustering iterations over a kernel source (used by the
-    /// distance-phase comparison, Figure 4).
-    fn fit_from_source_with(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        self.iterate_source(source, config, &executor)
-    }
-
-    /// [`Solver::fit_input_with`] plus model extraction. The iterations run
-    /// over the densified upload, but the model stores the *original* points
-    /// (CSR inputs stay CSR in the model) so serving does not pin the dense
-    /// expansion.
-    fn fit_model_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        self.with_dense_points(input, &executor, |points| {
-            popcorn_core::model::fit_model_via(
-                popcorn_core::ModelFamily::DenseBaseline,
-                FitInput::Dense(points),
-                input,
-                config,
-                &*executor,
-                || self.compute_kernel_matrix(points, config.kernel, &executor),
-            )
-        })
-    }
-
-    /// Warm-start/mini-batch refits over the model's resident kernel state.
-    /// When the kernel matrix has to be rebuilt, CSR points are densified
-    /// first (charged), mirroring the cold-fit preparation minus the upload —
-    /// the points are already device-resident.
-    fn refit(
-        &self,
-        model: &popcorn_core::FittedModel<T>,
-        request: &popcorn_core::RefitRequest<T>,
-    ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        popcorn_core::model::refit_via(
-            popcorn_core::ModelFamily::DenseBaseline,
-            model,
-            request,
-            &*executor,
-            &|input, config, executor| {
-                self.compute_kernel_matrix(&dense_points(input, executor), config.kernel, executor)
-            },
-        )
-    }
-
-    /// The restart protocol on the baseline: densify (if needed), upload and
-    /// GEMM exactly once — or stream GEMM tiles with one pass per iteration
-    /// feeding every job — then run every job over the shared source, with
-    /// per-job folds fanned across `options.host_threads` workers.
-    fn fit_batch_with(
-        &self,
-        input: FitInput<'_, T>,
-        jobs: &[FitJob],
-        options: &batch::BatchOptions,
-    ) -> Result<BatchResult> {
-        let plan = batch::validate_jobs(&input, jobs)?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let _residency = ResidencyScope::new(&*executor);
-        let mark = executor.trace().len();
-        // The lockstep driver keeps every job's n x k buffer live at once.
-        let k_budget = jobs.iter().map(|j| j.config.k).sum();
-        self.with_dense_points(input, &executor, |points| {
-            run_with_source(
-                FitInput::Dense(points),
-                plan.kernel,
-                plan.approx,
-                plan.tiling,
-                k_budget,
-                &executor,
-                || self.compute_kernel_matrix(points, plan.kernel, &executor),
-                |source| {
-                    batch::drive_shared_source_with(jobs, source, &executor, mark, options, |job| {
-                        Box::new(BaselineEngine::<T>::new(job.config.k))
-                    })
-                },
-            )
-        })
-    }
-}
+/// The paper's dense CUDA baseline implementation of kernel k-means.
+pub type DenseGpuBaseline = KernelSolver<DenseBaseline>;
 
 /// The points in the dense layout: the baseline cannot stream CSR operands
 /// into cuBLAS, so sparse inputs are expanded first, charged as a
@@ -302,7 +123,8 @@ mod tests {
     use super::*;
     use popcorn_core::kernel::KernelFunction;
     use popcorn_core::rowsum::reduction_utilization;
-    use popcorn_core::KernelKmeans;
+    use popcorn_core::{KernelKmeans, Solver};
+    use popcorn_gpusim::DeviceSpec;
     use popcorn_sparse::CsrMatrix;
 
     fn blob_points() -> DenseMatrix<f64> {

@@ -15,6 +15,13 @@
 //!   examples to demonstrate the clustering-quality gap on non-linearly
 //!   separable data that motivates kernel k-means in the first place.
 //!
+//! The two kernel baselines are aliases of [`popcorn_core::KernelSolver`],
+//! the one shell Popcorn also runs on: this crate supplies only their
+//! [`popcorn_core::KernelFamily`] hooks ([`cpu::CpuReference`],
+//! [`gpu_dense::DenseBaseline`]) — how the points reach the device and how
+//! `K` is built. Their distance engines live in
+//! [`popcorn_core::rowsum`], so fitted models replay them at serve time.
+//!
 //! All solvers accept the same [`popcorn_core::KernelKmeansConfig`] (Lloyd
 //! ignores the kernel), implement the [`popcorn_core::Solver`] trait — so the
 //! CLI driver and experiment harness hold them as `Box<dyn Solver<T>>` and
@@ -29,7 +36,7 @@ pub use cpu::CpuKernelKmeans;
 pub use gpu_dense::DenseGpuBaseline;
 pub use lloyd::LloydKmeans;
 
-use popcorn_core::{KernelKmeans, KernelKmeansConfig, Solver};
+use popcorn_core::{KernelKmeans, KernelKmeansConfig, ModelFamily, Solver};
 use popcorn_dense::Scalar;
 use popcorn_gpusim::{DeviceSpec, Executor};
 use std::sync::Arc;
@@ -91,22 +98,36 @@ impl SolverKind {
         }
     }
 
-    /// The device this implementation models by default (the paper's A100,
-    /// except the CPU reference's single EPYC core).
-    pub fn default_device(self) -> DeviceSpec {
+    /// The model family this implementation fits.
+    pub fn family(self) -> ModelFamily {
         match self {
-            SolverKind::Cpu => DeviceSpec::epyc7763_single_core(),
-            _ => DeviceSpec::a100_80gb(),
+            SolverKind::Popcorn => ModelFamily::Popcorn,
+            SolverKind::DenseBaseline => ModelFamily::DenseBaseline,
+            SolverKind::Cpu => ModelFamily::CpuReference,
+            SolverKind::Lloyd => ModelFamily::Lloyd,
         }
+    }
+
+    /// The device this implementation models by default
+    /// ([`ModelFamily::default_device`]).
+    pub fn default_device(self) -> DeviceSpec {
+        self.family().default_device()
     }
 
     /// Display name (matches `Solver::name` of the built implementation).
     pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::Popcorn => "popcorn",
-            SolverKind::DenseBaseline => "dense-gpu-baseline",
-            SolverKind::Cpu => "cpu-reference",
-            SolverKind::Lloyd => "lloyd",
+        self.family().name()
+    }
+}
+
+/// The implementation that fits (and so refits) a family's models.
+impl From<ModelFamily> for SolverKind {
+    fn from(family: ModelFamily) -> Self {
+        match family {
+            ModelFamily::Popcorn => SolverKind::Popcorn,
+            ModelFamily::CpuReference => SolverKind::Cpu,
+            ModelFamily::DenseBaseline => SolverKind::DenseBaseline,
+            ModelFamily::Lloyd => SolverKind::Lloyd,
         }
     }
 }

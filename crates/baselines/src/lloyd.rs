@@ -18,11 +18,9 @@ use popcorn_core::kernel_source::KernelSource;
 use popcorn_core::pipeline::finalize;
 use popcorn_core::result::{ClusteringResult, IterationStats};
 use popcorn_core::solver::{FitInput, Solver};
-use popcorn_core::{CoreError, KernelKmeansConfig, Result};
+use popcorn_core::{CoreError, KernelKmeansConfig, ModelFamily, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
-};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor};
 use popcorn_sparse::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -184,7 +182,7 @@ impl LloydKmeans {
     fn executor_for<T: Scalar>(&self) -> Arc<dyn Executor> {
         self.executor.clone().unwrap_or_else(|| {
             Arc::new(SimExecutor::new(
-                DeviceSpec::a100_80gb(),
+                ModelFamily::Lloyd.default_device(),
                 std::mem::size_of::<T>(),
             ))
         })
@@ -345,7 +343,7 @@ impl LloydKmeans {
 
 impl<T: Scalar> Solver<T> for LloydKmeans {
     fn name(&self) -> &'static str {
-        "lloyd"
+        ModelFamily::Lloyd.name()
     }
 
     fn config(&self) -> &KernelKmeansConfig {
@@ -382,14 +380,14 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
         ))
     }
 
-    /// [`Solver::fit_input_with`] plus model extraction: the fitted model
-    /// stores the points and the centroids that produced the final labels, so
+    /// [`Solver::fit_input`] plus model extraction: the fitted model stores
+    /// the points and the centroids that produced the final labels, so
     /// serving replays the last assignment step bit-for-bit.
-    fn fit_model_with(
+    fn fit_model(
         &self,
         input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
     ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
+        let config = &self.config;
         config.validate(input.n())?;
         input.validate()?;
         let executor = self.executor_for::<T>();
@@ -414,7 +412,7 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
         model: &popcorn_core::FittedModel<T>,
         request: &popcorn_core::RefitRequest<T>,
     ) -> Result<(ClusteringResult, popcorn_core::FittedModel<T>)> {
-        if model.family() != popcorn_core::ModelFamily::Lloyd {
+        if model.family() != ModelFamily::Lloyd {
             return Err(CoreError::InvalidInput(format!(
                 "cannot refit a {} model with the lloyd solver",
                 model.family().name()

@@ -9,8 +9,8 @@
 //! `K`. Each per-job result is bit-identical to the equivalent standalone
 //! `fit_input` call — sharing changes the accounting, never the arithmetic.
 //!
-//! The kernel solvers (Popcorn, CPU reference, dense GPU baseline) override
-//! `fit_batch` with the shared-source **lockstep** driver in this module
+//! Every kernel family's solver ([`crate::KernelSolver`]) runs `fit_batch`
+//! through the shared-source **lockstep** driver in this module
 //! ([`drive_shared_source_with`]): all jobs advance one iteration at a time
 //! so a single tile pass over the [`KernelSource`] feeds every job — which is
 //! what makes the batched-tiled combination pay off when `K` is recomputed
@@ -38,13 +38,10 @@
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::init::initial_assignments_source;
-use crate::kernel::KernelFunction;
-use crate::kernel_source::{KernelSource, TilePolicy};
-use crate::nystrom::KernelApprox;
+use crate::kernel_source::KernelSource;
 use crate::pipeline::{DistanceEngine, LoopState};
 use crate::result::ClusteringResult;
 use crate::solver::FitInput;
-use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::parallel::split_ranges;
 use popcorn_dense::Scalar;
@@ -381,35 +378,16 @@ pub fn validate_job_configs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob])
     Ok(())
 }
 
-/// Everything a batch shares across its jobs: the kernel function and Gram
-/// strategy (one `K`), plus the tiling policy (one residency plan).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SharedFitPlan {
-    /// Kernel function shared by every job.
-    pub kernel: KernelFunction,
-    /// Gram routine selection strategy shared by every job.
-    pub strategy: KernelMatrixStrategy,
-    /// Kernel-matrix residency policy shared by every job.
-    pub tiling: TilePolicy,
-    /// Kernel-matrix representation (exact or Nyström) shared by every job.
-    pub approx: KernelApprox,
-}
-
 /// Validate a batch against an input: jobs must be non-empty, every config
 /// valid for `n`, and — because one `K` (or one tile stream) is shared —
-/// every job must use the same kernel function, Gram strategy and tiling
-/// policy. Returns the shared plan.
-pub fn validate_jobs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob]) -> Result<SharedFitPlan> {
+/// every job must use the same kernel function, Gram strategy, tiling
+/// policy, approximation and streaming policy, so the first job's config
+/// speaks for the shared phase.
+pub fn validate_jobs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob]) -> Result<()> {
     validate_job_configs(input, jobs)?;
-    let first = jobs.first().expect("validated non-empty");
-    let plan = SharedFitPlan {
-        kernel: first.config.kernel,
-        strategy: first.config.strategy,
-        tiling: first.config.tiling,
-        approx: first.config.approx,
-    };
+    let first = &jobs.first().expect("validated non-empty").config;
     for job in jobs {
-        if job.config.kernel != plan.kernel || job.config.strategy != plan.strategy {
+        if job.config.kernel != first.kernel || job.config.strategy != first.strategy {
             return Err(CoreError::InvalidConfig(
                 "all jobs in a batch must share the kernel function and Gram strategy \
                  so the kernel matrix can be shared; split differing kernels into \
@@ -417,14 +395,14 @@ pub fn validate_jobs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob]) -> Res
                     .into(),
             ));
         }
-        if job.config.tiling != plan.tiling {
+        if job.config.tiling != first.tiling {
             return Err(CoreError::InvalidConfig(
                 "all jobs in a batch must share the tiling policy so one residency \
                  plan (and one tile stream) can serve the whole batch"
                     .into(),
             ));
         }
-        if job.config.approx != plan.approx {
+        if job.config.approx != first.approx {
             return Err(CoreError::InvalidConfig(
                 "all jobs in a batch must share the kernel approximation so one \
                  kernel representation (exact matrix or Nyström factors) can be \
@@ -432,7 +410,7 @@ pub fn validate_jobs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob]) -> Res
                     .into(),
             ));
         }
-        if job.config.streaming != first.config.streaming {
+        if job.config.streaming != first.streaming {
             return Err(CoreError::InvalidConfig(
                 "all jobs in a batch must share the streaming policy: the lockstep \
                  driver runs one shared tile pass, so one produce/consume pricing \
@@ -441,7 +419,7 @@ pub fn validate_jobs<T: Scalar>(input: &FitInput<'_, T>, jobs: &[FitJob]) -> Res
             ));
         }
     }
-    Ok(plan)
+    Ok(())
 }
 
 /// The records appended to `executor` since it held `mark` records — the
@@ -703,9 +681,13 @@ fn lockstep<T: Scalar>(
 /// job's own operations (SpMM over the tile, argmin, ...) run on a forked
 /// executor, so per-job results stay bit-identical to standalone
 /// `fit_input` calls and per-job modeled times stay attributable. The caller
-/// charged the shared phase (upload, and the kernel matrix when in-core)
-/// starting at trace index `mark`; everything the tile stream charges during
-/// the loop lands on the shared executor and joins that shared slice.
+/// charged the shared phase (data preparation, and the kernel matrix when
+/// in-core) starting at trace index `mark`. The driver adds `diag(K)` to it
+/// when a job's engine reads the source's diagonal
+/// ([`DistanceEngine::reads_source_diag`]) or a job seeds with kernel
+/// k-means++, and everything the tile stream charges during the loop lands
+/// on the shared executor and joins that shared slice. `make_engine` builds
+/// each job's engine ([`crate::ModelFamily::engine`] for the solvers).
 ///
 /// # Host parallelism
 ///
@@ -730,38 +712,41 @@ pub fn drive_shared_source_with<T: Scalar>(
     shared_executor: &dyn Executor,
     mark: usize,
     options: &BatchOptions,
-    mut make_engine: impl FnMut(&FitJob) -> Box<dyn DistanceEngine<T>>,
+    make_engine: impl FnMut(&FitJob) -> Result<Box<dyn DistanceEngine<T>>>,
 ) -> Result<BatchResult> {
     if jobs.is_empty() {
         return Err(CoreError::InvalidConfig(
             "fit_batch requires at least one job".into(),
         ));
     }
-    let start = Instant::now();
-    let threads = options.host_threads.resolve().min(jobs.len());
-    // diag(K) is identical across jobs; kernel k-means++ seeding reads it
-    // for every job, so compute and charge it once in the shared phase
-    // instead of on whichever job's fork happens to seed first. Pre-warming
-    // it here is also what lets seeding fan out across workers without the
-    // first-to-seed job absorbing the shared charge.
-    if jobs
-        .iter()
-        .any(|j| j.config.init == crate::init::Initialization::KmeansPlusPlus)
+    let engines = jobs.iter().map(make_engine).collect::<Result<Vec<_>>>()?;
+    // diag(K) is identical across jobs. Engines that read it from the source
+    // and kernel k-means++ seeding would each pull it on whichever job's
+    // fork gets there first, so compute and charge it once in the shared
+    // phase. Pre-warming it here is also what lets seeding fan out across
+    // workers without the first-to-seed job absorbing the shared charge.
+    if engines.iter().any(|engine| engine.reads_source_diag())
+        || jobs
+            .iter()
+            .any(|j| j.config.init == crate::init::Initialization::KmeansPlusPlus)
     {
         source.diag(shared_executor)?;
     }
+    let start = Instant::now();
+    let threads = options.host_threads.resolve().min(jobs.len());
     // Residency at fork time: the shared state (points, kernel matrix or
     // tile buffer) every job's executor starts from.
     let shared_baseline = shared_executor.resident_bytes();
-    // Forks and engines are built up front on the driver thread, in job
-    // order, so every fork sees the same residency baseline it would in the
-    // sequential drive. Seeding replaces the placeholder states before the
-    // first iteration.
+    // Forks are built up front on the driver thread, in job order, so every
+    // fork sees the same residency baseline it would in the sequential
+    // drive. Seeding replaces the placeholder states before the first
+    // iteration.
     let mut runs: Vec<JobRun<T>> = jobs
         .iter()
-        .map(|job| JobRun {
+        .zip(engines)
+        .map(|(job, engine)| JobRun {
             executor: shared_executor.fork(),
-            engine: make_engine(job),
+            engine,
             state: LoopState::new(Vec::new(), job.config.k),
         })
         .collect();
@@ -871,6 +856,7 @@ mod tests {
     use super::*;
     use crate::popcorn::KernelKmeans;
     use crate::solver::Solver;
+    use crate::{KernelFunction, KernelMatrixStrategy, TilePolicy};
     use popcorn_dense::DenseMatrix;
     use popcorn_gpusim::SimExecutor;
     use popcorn_gpusim::{OpClass, OpCost, Phase};
@@ -1239,9 +1225,9 @@ mod tests {
                     exec.trace().len(),
                     &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
                     |job| {
-                        Box::new(PanickingEngine {
+                        Ok(Box::new(PanickingEngine {
                             explode: job.config.seed == 1,
-                        })
+                        }))
                     },
                 )
             }));
@@ -1357,11 +1343,11 @@ mod tests {
                 exec.trace().len(),
                 &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
                 |job| {
-                    Box::new(FailingEngine {
+                    Ok(Box::new(FailingEngine {
                         seed: job.config.seed,
                         parallel: threads > 1,
                         job_3_failed: Arc::clone(&job_3_failed),
-                    })
+                    }))
                 },
             )
             .unwrap_err();

@@ -47,15 +47,16 @@ pub struct KernelKmeansConfig {
     /// approximation error for `O(n·m)` memory — the only option in this
     /// configuration that can change results.
     pub approx: KernelApprox,
-    /// Tile-streaming policy for single fits: `Off` (the default) prices the
-    /// tile pipeline serially; `DoubleBuffered` prices tile `t+1`'s
-    /// production as hidden under tile `t`'s distance fold (first tile
-    /// exposed). Never changes labels, objectives or the operation trace —
-    /// only [`crate::ClusteringResult::modeled_wallclock_seconds`] and the
-    /// attached [`popcorn_gpusim::StreamingReport`]. The lockstep batch
-    /// driver ignores it: there, tile production is shared across jobs and
-    /// the stream-aware number is the batch report's
-    /// `modeled_concurrent_seconds`.
+    /// Tile-streaming policy: `Off` (the default) prices the tile pipeline
+    /// serially; `DoubleBuffered` prices tile `t+1`'s production as hidden
+    /// under tile `t`'s distance fold (first tile exposed). Never changes
+    /// labels, objectives or the operation trace — only
+    /// [`crate::ClusteringResult::modeled_wallclock_seconds`] and the
+    /// attached [`popcorn_gpusim::StreamingReport`]. A batch prices its one
+    /// shared tile pass the same way, into
+    /// [`crate::BatchReport::streaming`] (produce on the shared executor,
+    /// consume summed over the jobs' folds), so every job of a batch must
+    /// share one policy ([`crate::batch::validate_jobs`]).
     pub streaming: Streaming,
 }
 

@@ -19,7 +19,9 @@
 //! [`popcorn::KernelKmeans`] drives the loop on top of the
 //! `popcorn-dense`/`popcorn-sparse` substrates while charging every operation
 //! to a `popcorn-gpusim` executor, producing both real results and modeled
-//! A100 timings.
+//! A100 timings. It is the [`KernelSolver`] shell over the
+//! [`popcorn::Popcorn`] family; the baselines crate supplies the CPU
+//! reference and the dense GPU baseline as two more families of that shell.
 
 pub mod arithmetic;
 pub mod assignment;
@@ -57,7 +59,7 @@ pub use nystrom::{KernelApprox, NystromFactors, NystromKernel};
 pub use popcorn::KernelKmeans;
 pub use result::{ClusteringResult, IterationStats, TimingBreakdown};
 pub use shard::{DeviceShard, ShardPlan, ShardedKernelSource};
-pub use solver::{FitInput, Solver};
+pub use solver::{FitInput, KernelFamily, KernelSolver, Solver};
 pub use sparsified::{SparsifiedKernel, Sparsify};
 pub use strategy::{GramRoutine, KernelMatrixStrategy};
 

@@ -35,13 +35,15 @@ use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
 use crate::result::ClusteringResult;
 use crate::rowsum::{self, BaselineEngine, CpuEngine, RowSumFold};
-use crate::solver::FitInput;
+use crate::solver::{FitInput, KernelFamily};
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::microkernel::nt_product;
 use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming};
+use popcorn_gpusim::{
+    DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming,
+};
 use popcorn_sparse::CsrMatrix;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -81,6 +83,16 @@ impl ModelFamily {
             other => Err(CoreError::InvalidInput(format!(
                 "unknown model family '{other}'"
             ))),
+        }
+    }
+
+    /// The device the family's solver models unless handed an executor: the
+    /// single EPYC 7763 core for the CPU reference (PRMLT, §5.4), the paper's
+    /// A100 otherwise.
+    pub fn default_device(self) -> DeviceSpec {
+        match self {
+            ModelFamily::CpuReference => DeviceSpec::epyc7763_single_core(),
+            _ => DeviceSpec::a100_80gb(),
         }
     }
 
@@ -1195,49 +1207,24 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     }
 }
 
-/// Fit-and-extract driver shared by the kernel-family solvers: run the
-/// normal fit pipeline with the family's engine, then freeze the model off
-/// the same kernel source while it is still alive (so resident state is
-/// shared, not recomputed). `run_input` is what the solver iterates over
-/// (the dense baseline densifies), `store_input` is what the model keeps
-/// (the original layout, so training-set recognition sees the caller's
-/// bytes).
-pub fn fit_model_via<T: Scalar>(
-    family: ModelFamily,
-    run_input: FitInput<'_, T>,
-    store_input: FitInput<'_, T>,
-    config: &KernelKmeansConfig,
-    executor: &dyn Executor,
-    compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
-) -> Result<(ClusteringResult, FittedModel<T>)> {
-    fit_and_extract(
-        family,
-        None,
-        run_input,
-        store_input,
-        config,
-        None,
-        executor,
-        compute_full,
-    )
-}
-
-/// The one fit-then-extract body behind [`fit_model_via`] and every
-/// [`refit_via`] arm: iterate the family's engine from `init` (or the
-/// configured initialization) over `resident`'s own state when given, else
-/// over the source [`kernel_source::run_with_source`] plans for
-/// `run_input`, then freeze the model off that source.
-#[allow(clippy::too_many_arguments)]
-fn fit_and_extract<T: Scalar>(
-    family: ModelFamily,
+/// The one fit-then-extract body behind [`crate::KernelSolver`]'s
+/// `fit_model` and every [`refit_via`] arm: iterate the family's engine from
+/// `init` (or the configured initialization) over `resident`'s own state
+/// when given, else over the source [`kernel_source::run_with_source`] plans
+/// for `run_input`, then freeze the model off that source while it is still
+/// alive (so resident state is shared, not recomputed). `run_input` is what
+/// the fit iterates over (the dense baseline's prepared copy), `store_input`
+/// what the model keeps (the original layout, so training-set recognition
+/// sees the caller's bytes).
+pub(crate) fn fit_and_extract<F: KernelFamily, T: Scalar>(
     resident: Option<&FittedModel<T>>,
     run_input: FitInput<'_, T>,
     store_input: FitInput<'_, T>,
     config: &KernelKmeansConfig,
     init: Option<Vec<usize>>,
     executor: &dyn Executor,
-    compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
+    let family = F::FAMILY;
     let mut engine = family.engine(config.k)?;
     let mut fit = |source: &dyn KernelSource<T>| {
         let result =
@@ -1254,20 +1241,11 @@ fn fit_and_extract<T: Scalar>(
             config.tiling,
             config.k,
             executor,
-            compute_full,
+            || F::kernel_matrix(run_input, config, executor),
             fit,
         ),
     }
 }
-
-/// Full-kernel builder a solver hands to [`refit_via`] for the
-/// changed-kernel path: recompute `K` from points under its own charging
-/// policy (the dense baseline charges GEMM, the CPU reference its loop).
-pub type ComputeFullKernel<'a, T> = &'a dyn for<'b> Fn(
-    FitInput<'b, T>,
-    &KernelKmeansConfig,
-    &dyn Executor,
-) -> Result<DenseMatrix<T>>;
 
 /// Refit driver shared by the kernel-family solvers. Residency rules:
 ///
@@ -1276,7 +1254,8 @@ pub type ComputeFullKernel<'a, T> = &'a dyn for<'b> Fn(
 ///   no kernel-matrix recomputation, and the refitted model shares that
 ///   state with this one;
 /// * changed kernel/approximation → rebuild the kernel state from the
-///   stored points (still resident — no re-upload);
+///   stored points (still resident — no re-upload, and no data preparation:
+///   [`KernelFamily::kernel_matrix`] gets the stored points as they are);
 /// * appended points → only the new rows are charged as an upload; a
 ///   warm start seeds them through [`FittedModel::assign`].
 ///
@@ -1284,13 +1263,12 @@ pub type ComputeFullKernel<'a, T> = &'a dyn for<'b> Fn(
 /// [`pipeline::iterate_init`] with `None` — the cold fit's exact code path,
 /// so labels, objectives and iteration counts are bit-identical to a fresh
 /// fit of the same data and config.
-pub fn refit_via<T: Scalar>(
-    family: ModelFamily,
+pub(crate) fn refit_via<F: KernelFamily, T: Scalar>(
     model: &FittedModel<T>,
     request: &RefitRequest<T>,
     executor: &dyn Executor,
-    compute_full: ComputeFullKernel<'_, T>,
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
+    let family = F::FAMILY;
     if model.family != family {
         return Err(CoreError::InvalidInput(format!(
             "cannot refit a {} model with the {} solver",
@@ -1335,15 +1313,13 @@ pub fn refit_via<T: Scalar>(
         && config.approx == model.config.approx
         && !matches!(model.resident, ResidentKernel::None);
     let input = combined.as_ref().unwrap_or(&model.points).as_input();
-    fit_and_extract(
-        family,
+    fit_and_extract::<F, T>(
         reuse.then_some(model),
         input,
         input,
         &config,
         init,
         executor,
-        || compute_full(input, &config, executor),
     )
 }
 

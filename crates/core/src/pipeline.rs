@@ -6,9 +6,9 @@
 //! repair and a convergence check. The three implementations differ **only**
 //! in how the distance matrix is produced — Popcorn's SpMM/SpMV engine, the
 //! PRMLT-style sequential loops, or the baseline's three hand-written
-//! kernels. [`iterate`] owns the loop; each solver supplies a
-//! [`DistanceEngine`] for its distance phase, so the convergence/repair
-//! plumbing exists exactly once.
+//! kernels. [`iterate`] owns the loop; each family supplies a
+//! [`DistanceEngine`] for its distance phase ([`crate::ModelFamily::engine`]),
+//! so the convergence/repair plumbing exists exactly once.
 //!
 //! The kernel matrix reaches the loop as a [`KernelSource`], never as a
 //! borrowed full matrix: every iteration streams `K` in row tiles
@@ -89,6 +89,14 @@ pub trait DistanceEngine<T: Scalar>: Send {
     /// one). The default drops the matrix.
     fn recycle_distances(&mut self, distances: DenseMatrix<T>) {
         let _ = distances;
+    }
+
+    /// Whether `begin_iteration` reads [`KernelSource::diag`]. The lockstep
+    /// batch driver computes and charges that diagonal once, in the shared
+    /// phase, when any job's engine reads it. The default is `false`, for
+    /// engines that collect the diagonal from the tiles they fold.
+    fn reads_source_diag(&self) -> bool {
+        false
     }
 }
 

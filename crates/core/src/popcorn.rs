@@ -1,38 +1,58 @@
 //! The Popcorn kernel k-means solver (paper Algorithm 2).
 //!
-//! [`KernelKmeans`] wires the pieces together through the shared
-//! [`crate::pipeline`]: kernel-matrix computation with dynamic GEMM/SYRK
-//! selection (or SpGEMM for sparse inputs), the per-iteration SpMM + SpMV
-//! distance engine, argmin assignment and selection-matrix rebuild — all
-//! executed on the host substrates while every operation is charged to a
-//! [`SimExecutor`] so the result carries both measured host timings and
-//! modeled A100 timings broken down by phase.
+//! [`KernelKmeans`] is the [`KernelSolver`] shell over the [`Popcorn`]
+//! family: the points are uploaded in the layout they come in, the kernel
+//! matrix is computed with dynamic GEMM/SYRK selection (or SpGEMM for sparse
+//! inputs), and `PopcornEngine` runs the per-iteration SpMM + SpMV distance
+//! step — all executed on the host substrates while every operation is
+//! charged to a [`popcorn_gpusim::SimExecutor`] so the result carries both
+//! measured host timings and modeled A100 timings broken down by phase.
 
-use crate::batch::{self, BatchResult, FitJob};
 use crate::config::KernelKmeansConfig;
 use crate::distances::{
     accumulate_distance_csr_tile, accumulate_distance_tile, accumulate_distance_tile_t,
     finish_distances, scale_transposed, selection_weights,
 };
-use crate::kernel_source::{run_with_source, KernelSource};
-use crate::pipeline::{self, DistanceEngine};
-use crate::result::ClusteringResult;
-use crate::solver::{FitInput, Solver};
+use crate::kernel_source::KernelSource;
+use crate::model::ModelFamily;
+use crate::pipeline::DistanceEngine;
+use crate::solver::{FitInput, KernelFamily, KernelSolver};
 use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor,
-};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::SelectionMatrix;
 use std::ops::Range;
-use std::sync::Arc;
+
+/// The paper's matrix-centric family: the points cross the bus in their own
+/// layout, and `K` is one GEMM, SYRK or SpGEMM (§4.1–4.2).
+#[derive(Debug, Clone, Copy)]
+pub struct Popcorn;
+
+impl KernelFamily for Popcorn {
+    const FAMILY: ModelFamily = ModelFamily::Popcorn;
+
+    /// Data preparation: the host → device copy of `P̂` (paper §4.1).
+    fn prepare<T: Scalar>(
+        input: FitInput<'_, T>,
+        executor: &dyn Executor,
+    ) -> Option<DenseMatrix<T>> {
+        input.charge_upload(executor);
+        None
+    }
+
+    fn kernel_matrix<T: Scalar>(
+        input: FitInput<'_, T>,
+        config: &KernelKmeansConfig,
+        executor: &dyn Executor,
+    ) -> Result<DenseMatrix<T>> {
+        Ok(input
+            .compute_kernel_matrix(config.kernel, config.strategy, executor)?
+            .0)
+    }
+}
 
 /// The Popcorn kernel k-means solver.
-#[derive(Debug, Clone)]
-pub struct KernelKmeans {
-    config: KernelKmeansConfig,
-    executor: Option<Arc<dyn Executor>>,
-}
+pub type KernelKmeans = KernelSolver<Popcorn>;
 
 /// Popcorn's matrix-centric distance engine: rebuild `V`, one SpMM per kernel
 /// tile, one gather, one SpMV and one assembly kernel per iteration (Alg. 2
@@ -171,208 +191,10 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
     fn recycle_distances(&mut self, distances: DenseMatrix<T>) {
         self.spare = Some(distances);
     }
-}
 
-impl KernelKmeans {
-    /// Create a solver with the given configuration. The simulated device
-    /// defaults to the paper's A100 and is created lazily at `fit` time so
-    /// that the element width matches the scalar type used.
-    pub fn new(config: KernelKmeansConfig) -> Self {
-        Self {
-            config,
-            executor: None,
-        }
-    }
-
-    /// Use a specific simulator executor (e.g. a different device preset, a
-    /// shared profiler, or a multi-device [`popcorn_gpusim::ShardedExecutor`]).
-    /// The executor's trace is *not* reset by `fit`.
-    pub fn with_executor(self, executor: impl Executor + 'static) -> Self {
-        self.with_shared_executor(Arc::new(executor))
-    }
-
-    /// Use an already-shared executor handle (the CLI's sharded topology
-    /// goes through this).
-    pub fn with_shared_executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// The solver configuration.
-    pub fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    fn executor_for<T: Scalar>(&self) -> Arc<dyn Executor> {
-        self.executor.clone().unwrap_or_else(|| {
-            Arc::new(SimExecutor::new(
-                DeviceSpec::a100_80gb(),
-                std::mem::size_of::<T>(),
-            ))
-        })
-    }
-
-    fn iterate_source<T: Scalar>(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-        executor: &dyn Executor,
-    ) -> Result<ClusteringResult> {
-        let mut engine = PopcornEngine::new(config.k);
-        pipeline::iterate(source, config, executor, &mut engine)
-    }
-}
-
-impl<T: Scalar> Solver<T> for KernelKmeans {
-    fn name(&self) -> &'static str {
-        "popcorn"
-    }
-
-    fn config(&self) -> &KernelKmeansConfig {
-        &self.config
-    }
-
-    /// Run the full pipeline on dense or CSR points: upload, then — per the
-    /// tiling plan — either a precomputed kernel matrix (GEMM/SYRK for dense,
-    /// SpGEMM for sparse) or a streamed [`crate::ShardedKernelSource`] that
-    /// recomputes row tiles every iteration, then the clustering iterations. Tiling never
-    /// changes the results, only what is resident and what is charged.
-    fn fit_input_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let executor: &dyn Executor = &*executor;
-        let _residency = ResidencyScope::new(executor);
-
-        // Data preparation: host -> device copy of P̂ (paper §4.1).
-        input.charge_upload(executor);
-
-        run_with_source(
-            input,
-            config.kernel,
-            config.approx,
-            config.tiling,
-            config.k,
-            executor,
-            || {
-                Ok(input
-                    .compute_kernel_matrix(config.kernel, config.strategy, executor)?
-                    .0)
-            },
-            |source| self.iterate_source(source, config, executor),
-        )
-    }
-
-    /// Run only the clustering iterations over a kernel source. Used by the
-    /// distance-phase experiments (Figures 4–6), which exclude the
-    /// kernel-matrix time by design.
-    fn fit_from_source_with(
-        &self,
-        source: &dyn KernelSource<T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        let executor = self.executor_for::<T>();
-        let executor: &dyn Executor = &*executor;
-        let _residency = ResidencyScope::new(executor);
-        self.iterate_source(source, config, executor)
-    }
-
-    /// [`Solver::fit_input_with`] plus model extraction off the live kernel
-    /// source, so the model shares the fit's resident state.
-    fn fit_model_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<(ClusteringResult, crate::model::FittedModel<T>)> {
-        config.validate(input.n())?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let executor: &dyn Executor = &*executor;
-        let _residency = ResidencyScope::new(executor);
-        input.charge_upload(executor);
-        crate::model::fit_model_via(
-            crate::model::ModelFamily::Popcorn,
-            input,
-            input,
-            config,
-            executor,
-            || {
-                Ok(input
-                    .compute_kernel_matrix(config.kernel, config.strategy, executor)?
-                    .0)
-            },
-        )
-    }
-
-    /// Warm-start/mini-batch refits over the model's resident kernel state —
-    /// see [`crate::model::RefitRequest`] for the residency rules.
-    fn refit(
-        &self,
-        model: &crate::model::FittedModel<T>,
-        request: &crate::model::RefitRequest<T>,
-    ) -> Result<(ClusteringResult, crate::model::FittedModel<T>)> {
-        let executor = self.executor_for::<T>();
-        let executor: &dyn Executor = &*executor;
-        let _residency = ResidencyScope::new(executor);
-        crate::model::refit_via(
-            crate::model::ModelFamily::Popcorn,
-            model,
-            request,
-            executor,
-            &|input, config, executor| {
-                Ok(input
-                    .compute_kernel_matrix(config.kernel, config.strategy, executor)?
-                    .0)
-            },
-        )
-    }
-
-    /// The restart protocol: upload the points once, then either compute `K`
-    /// exactly once (in-core) or stream recomputed tiles where **one tile
-    /// pass per iteration feeds every job** (out-of-core) — the lockstep
-    /// driver in [`crate::batch`], fanning per-job work across
-    /// `options.host_threads` workers.
-    fn fit_batch_with(
-        &self,
-        input: FitInput<'_, T>,
-        jobs: &[FitJob],
-        options: &batch::BatchOptions,
-    ) -> Result<BatchResult> {
-        let plan = batch::validate_jobs(&input, jobs)?;
-        input.validate()?;
-        let executor = self.executor_for::<T>();
-        let executor: &dyn Executor = &*executor;
-        let _residency = ResidencyScope::new(executor);
-        let mark = executor.trace().len();
-        input.charge_upload(executor);
-        // The lockstep driver keeps every job's n x k buffer live at once, so
-        // the residency plan budgets the sum of the jobs' k values.
-        let k_budget = jobs.iter().map(|j| j.config.k).sum();
-        run_with_source(
-            input,
-            plan.kernel,
-            plan.approx,
-            plan.tiling,
-            k_budget,
-            executor,
-            || {
-                Ok(input
-                    .compute_kernel_matrix(plan.kernel, plan.strategy, executor)?
-                    .0)
-            },
-            |source| {
-                // P̃ = diag(K) is identical across jobs: compute and charge it
-                // once in the shared phase; per-job engines read the cache.
-                source.diag(executor)?;
-                batch::drive_shared_source_with(jobs, source, executor, mark, options, |job| {
-                    Box::new(PopcornEngine::new(job.config.k))
-                })
-            },
-        )
+    /// `P̃` comes from the source's `diag(K)`.
+    fn reads_source_diag(&self) -> bool {
+        true
     }
 }
 
@@ -384,8 +206,10 @@ mod tests {
     use crate::kernel::KernelFunction;
     use crate::kernel_source::{FullKernel, TilePolicy, TiledKernel};
     use crate::nystrom::NystromKernel;
+    use crate::solver::Solver;
     use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
+    use popcorn_gpusim::SimExecutor;
     use popcorn_sparse::CsrMatrix;
 
     /// Two well separated blobs in 2-D, 12 points each.

@@ -1,4 +1,5 @@
-//! The unified solver API: [`Solver`] and [`FitInput`].
+//! The unified solver API: [`Solver`], [`FitInput`] and the one kernel
+//! k-means shell, [`KernelSolver`].
 //!
 //! Every clustering implementation in this workspace — Popcorn itself and the
 //! three baselines — exposes the same surface: construct with a
@@ -7,26 +8,38 @@
 //! CLI driver and the experiment harness dispatch over `&dyn Solver<T>`, so
 //! adding a solver never adds another match arm to the drivers.
 //!
-//! [`FitInput`] is the layout-erased borrow of the points. It owns the logic
-//! that used to be duplicated in every solver's `fit`: input validation, the
-//! modeled host→device upload, and the kernel-matrix computation — dense
-//! inputs go through the GEMM/SYRK strategy (paper §4.2), sparse inputs
-//! through the SpGEMM Gram path, so the paper's sparse text workloads
-//! (scotus: ~99.9% zeros) are clustered without ever materializing a dense
-//! copy of the points.
+//! The three kernel k-means implementations (Popcorn, the CPU reference and
+//! the dense GPU baseline) run one Alg. 2 loop and differ only in how the
+//! points reach the device, how `K` is built and which distance engine runs.
+//! So they are one [`KernelSolver`] over a [`KernelFamily`]: the family's
+//! [`ModelFamily`] tag names the engine and default device, and two hooks
+//! prepare the points and build the in-core `K`. Everything else — validation,
+//! residency, the kernel-source plan, the loop, model extraction, refits and
+//! the lockstep batch — exists once.
+//!
+//! [`FitInput`] is the layout-erased borrow of the points. It owns input
+//! validation, the modeled host→device upload, and the kernel-matrix
+//! computation — dense inputs go through the GEMM/SYRK strategy (paper §4.2),
+//! sparse inputs through the SpGEMM Gram path, so the paper's sparse text
+//! workloads (scotus: ~99.9% zeros) are clustered without ever materializing
+//! a dense copy of the points.
 
 use crate::batch::{self, BatchResult, FitJob};
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::{self, INDEX_BYTES};
-use crate::kernel_source::{FullKernel, KernelSource};
+use crate::kernel_source::{run_with_source, FullKernel, KernelSource};
+use crate::model::{self, FittedModel, ModelFamily, RefitRequest};
+use crate::pipeline;
 use crate::result::ClusteringResult;
 use crate::strategy::{GramRoutine, KernelMatrixStrategy};
 use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
+use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor};
 use popcorn_sparse::CsrMatrix;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// A borrowed point matrix in whichever layout the caller has it.
 #[derive(Debug, Clone, Copy)]
@@ -167,13 +180,10 @@ pub fn dense_upload_bytes(rows: usize, cols: usize, elem: usize) -> u64 {
 /// The interface every clustering implementation exposes.
 ///
 /// Object-safe: the CLI driver and bench harness hold solvers as
-/// `Box<dyn Solver<f32>>` and drive them uniformly.
-///
-/// The `_with` variants take an explicit configuration instead of the
-/// solver's own — they are the per-job entry points of the batched multi-fit
-/// driver ([`Solver::fit_batch`]), which runs many `(config, seed)` jobs over
-/// one solver instance. `fit_input` / `fit_from_kernel` forward
-/// `self.config()` to them.
+/// `Box<dyn Solver<f32>>` and drive them uniformly. The `_with` variants take
+/// an explicit configuration instead of the solver's own, so one solver
+/// instance can run a job under another configuration (the property suites
+/// compare batches against standalone per-job fits through them).
 pub trait Solver<T: Scalar> {
     /// Short display name ("popcorn", "cpu-reference", ...).
     fn name(&self) -> &'static str;
@@ -187,20 +197,21 @@ pub trait Solver<T: Scalar> {
         self.fit_input_with(input, self.config())
     }
 
-    /// Run the full pipeline with an explicit configuration (the batch
-    /// driver's per-job entry point).
+    /// Run the full pipeline with an explicit configuration.
     fn fit_input_with(
         &self,
         input: FitInput<'_, T>,
         config: &KernelKmeansConfig,
     ) -> Result<ClusteringResult>;
 
-    /// Run only the clustering iterations on a precomputed kernel matrix
-    /// (used by the distance-phase experiments, Figures 4–6). Solvers that do
-    /// not operate on a kernel matrix (Lloyd) return
+    /// Run only the clustering iterations on a **borrowed** precomputed
+    /// kernel matrix (used by the distance-phase experiments, Figures 4–6) —
+    /// the single-tile case of [`Solver::fit_from_source_with`]. Solvers
+    /// that do not operate on a kernel matrix (Lloyd) return
     /// [`CoreError::Unsupported`].
     fn fit_from_kernel(&self, kernel_matrix: &DenseMatrix<T>) -> Result<ClusteringResult> {
-        self.fit_from_kernel_with(kernel_matrix, self.config())
+        let source = FullKernel::new(kernel_matrix)?;
+        self.fit_from_source_with(&source, self.config())
     }
 
     /// Run only the clustering iterations over a [`KernelSource`] — the
@@ -214,61 +225,21 @@ pub trait Solver<T: Scalar> {
         config: &KernelKmeansConfig,
     ) -> Result<ClusteringResult>;
 
-    /// Run only the clustering iterations on a **borrowed** precomputed
-    /// kernel matrix with an explicit configuration (the single-tile special
-    /// case of [`Solver::fit_from_source_with`]). Batch paths call this once
-    /// per job with the same shared `&K` — implementations must not copy the
-    /// matrix.
-    fn fit_from_kernel_with(
-        &self,
-        kernel_matrix: &DenseMatrix<T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<ClusteringResult> {
-        let source = FullKernel::new(kernel_matrix)?;
-        self.fit_from_source_with(&source, config)
-    }
-
     /// Fit and freeze a serving model in one pass — the result of
-    /// [`Solver::fit_input`] plus a [`crate::model::FittedModel`] that keeps
-    /// the fit's resident kernel state for assignment and refits.
-    fn fit_model(
-        &self,
-        input: FitInput<'_, T>,
-    ) -> Result<(ClusteringResult, crate::model::FittedModel<T>)> {
-        self.fit_model_with(input, self.config())
-    }
-
-    /// [`Solver::fit_model`] with an explicit configuration. The default
-    /// errs with [`CoreError::Unsupported`]; the shipped solvers override it.
-    fn fit_model_with(
-        &self,
-        input: FitInput<'_, T>,
-        config: &KernelKmeansConfig,
-    ) -> Result<(ClusteringResult, crate::model::FittedModel<T>)> {
-        let _ = (input, config);
-        Err(CoreError::Unsupported(format!(
-            "{} does not support fitted-model extraction",
-            self.name()
-        )))
-    }
+    /// [`Solver::fit_input`] plus a [`FittedModel`] that keeps the fit's
+    /// resident kernel state for assignment and refits.
+    fn fit_model(&self, input: FitInput<'_, T>) -> Result<(ClusteringResult, FittedModel<T>)>;
 
     /// Refit a fitted model: reuse its resident kernel state and stored
     /// points (charge-once residency), optionally warm-starting from the
-    /// stored labels and/or appending new points — see
-    /// [`crate::model::RefitRequest`]. With warm-start off and no new
-    /// points, the refit is bit-identical to a cold fit. The default errs
-    /// with [`CoreError::Unsupported`]; the shipped solvers override it.
+    /// stored labels and/or appending new points — see [`RefitRequest`].
+    /// With warm-start off and no new points, the refit is bit-identical to
+    /// a cold fit.
     fn refit(
         &self,
-        model: &crate::model::FittedModel<T>,
-        request: &crate::model::RefitRequest<T>,
-    ) -> Result<(ClusteringResult, crate::model::FittedModel<T>)> {
-        let _ = (model, request);
-        Err(CoreError::Unsupported(format!(
-            "{} does not support refits",
-            self.name()
-        )))
-    }
+        model: &FittedModel<T>,
+        request: &RefitRequest<T>,
+    ) -> Result<(ClusteringResult, FittedModel<T>)>;
 
     /// Fit every job of a batch over the same input, sharing whatever work
     /// is identical across jobs — the default-options convenience over
@@ -281,14 +252,15 @@ pub trait Solver<T: Scalar> {
     /// [`batch::BatchOptions`] (host-thread policy for the parallel restart
     /// driver).
     ///
-    /// The kernel-matrix solvers run the shared-`K` lockstep driver from
-    /// [`crate::batch`] ([`batch::drive_shared_source_with`]): the upload and
-    /// the kernel matrix are charged exactly once for the whole batch, every
-    /// job's clustering iterations borrow the shared matrix, and per-job
-    /// engine work fans out across `options.host_threads` workers. A solver
-    /// with no kernel matrix shares what it can the same way
-    /// ([`batch::drive_shared_kernel_with`]). Per-job results are
-    /// bit-identical to standalone `fit_input` calls at every thread count.
+    /// [`KernelSolver`] runs the shared-`K` lockstep driver
+    /// ([`batch::drive_shared_source_with`]) for every kernel family: the
+    /// family's data preparation and the kernel matrix are charged exactly
+    /// once for the whole batch, every job's clustering iterations borrow
+    /// the shared matrix, and per-job engine work fans out across
+    /// `options.host_threads` workers. Lloyd has no kernel matrix and shares
+    /// its points upload the same way ([`batch::drive_shared_kernel_with`]).
+    /// Per-job results are bit-identical to standalone `fit_input` calls at
+    /// every thread count.
     fn fit_batch_with(
         &self,
         input: FitInput<'_, T>,
@@ -304,6 +276,218 @@ pub trait Solver<T: Scalar> {
     /// Convenience: fit CSR points without densifying them.
     fn fit_sparse(&self, points: &CsrMatrix<T>) -> Result<ClusteringResult> {
         self.fit_input(FitInput::Sparse(points))
+    }
+}
+
+/// What sets one kernel k-means implementation apart from the others. The
+/// [`ModelFamily`] tag supplies the name, the distance engine
+/// ([`ModelFamily::engine`]) and the default device; the two hooks supply how
+/// the points reach the device and how the in-core `K` is built.
+/// [`KernelSolver`] does everything else the same way for every family.
+pub trait KernelFamily {
+    /// The family tag fitted models carry.
+    const FAMILY: ModelFamily;
+
+    /// Charge whatever moves the points to the device. Returns a dense copy
+    /// when the family cannot run on `input` as given; the fit then runs on
+    /// that copy, while a fitted model keeps `input` itself.
+    fn prepare<T: Scalar>(
+        input: FitInput<'_, T>,
+        executor: &dyn Executor,
+    ) -> Option<DenseMatrix<T>>;
+
+    /// Compute and charge the in-core kernel matrix of `input` under
+    /// `config`'s kernel function and Gram strategy. A refit that rebuilds
+    /// `K` hands over the model's stored points, unprepared.
+    fn kernel_matrix<T: Scalar>(
+        input: FitInput<'_, T>,
+        config: &KernelKmeansConfig,
+        executor: &dyn Executor,
+    ) -> Result<DenseMatrix<T>>;
+}
+
+/// The one kernel k-means solver shell, generic over its [`KernelFamily`].
+/// [`crate::KernelKmeans`] and the baselines' `CpuKernelKmeans` and
+/// `DenseGpuBaseline` are aliases of it.
+#[derive(Debug, Clone)]
+pub struct KernelSolver<F> {
+    config: KernelKmeansConfig,
+    executor: Option<Arc<dyn Executor>>,
+    family: PhantomData<F>,
+}
+
+impl<F: KernelFamily> KernelSolver<F> {
+    /// Create a solver with the given configuration. The simulated device
+    /// defaults to the family's ([`ModelFamily::default_device`]) and is
+    /// created at `fit` time so that the element width matches the scalar
+    /// type used.
+    pub fn new(config: KernelKmeansConfig) -> Self {
+        Self {
+            config,
+            executor: None,
+            family: PhantomData,
+        }
+    }
+
+    /// Use a specific simulator executor (e.g. a different device preset, a
+    /// shared profiler, or a multi-device [`popcorn_gpusim::ShardedExecutor`]).
+    /// The executor's trace is *not* reset by `fit`.
+    pub fn with_executor(self, executor: impl Executor + 'static) -> Self {
+        self.with_shared_executor(Arc::new(executor))
+    }
+
+    /// Use an already-shared executor handle (the CLI's sharded topology
+    /// goes through this).
+    pub fn with_shared_executor(mut self, executor: Arc<dyn Executor>) -> Self {
+        self.executor = Some(executor);
+        self
+    }
+
+    /// The solver configuration.
+    pub fn config(&self) -> &KernelKmeansConfig {
+        &self.config
+    }
+
+    fn executor_for<T: Scalar>(&self) -> Arc<dyn Executor> {
+        self.executor.clone().unwrap_or_else(|| {
+            Arc::new(SimExecutor::new(
+                F::FAMILY.default_device(),
+                std::mem::size_of::<T>(),
+            ))
+        })
+    }
+
+    /// Prepare `input` for the family, then hand `run` the kernel source
+    /// [`run_with_source`] plans for it under `config`, with an `n × k`
+    /// workspace of `k_budget` columns.
+    fn run_prepared<T: Scalar, R>(
+        input: FitInput<'_, T>,
+        config: &KernelKmeansConfig,
+        k_budget: usize,
+        executor: &dyn Executor,
+        run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
+    ) -> Result<R> {
+        let dense = F::prepare(input, executor);
+        let input = dense.as_ref().map_or(input, FitInput::Dense);
+        run_with_source(
+            input,
+            config.kernel,
+            config.approx,
+            config.tiling,
+            k_budget,
+            executor,
+            || F::kernel_matrix(input, config, executor),
+            run,
+        )
+    }
+
+    /// The clustering iterations over `source`, on the family's engine.
+    fn iterate<T: Scalar>(
+        source: &dyn KernelSource<T>,
+        config: &KernelKmeansConfig,
+        executor: &dyn Executor,
+    ) -> Result<ClusteringResult> {
+        let mut engine = F::FAMILY.engine(config.k)?;
+        pipeline::iterate(source, config, executor, engine.as_mut())
+    }
+}
+
+impl<T: Scalar, F: KernelFamily> Solver<T> for KernelSolver<F> {
+    fn name(&self) -> &'static str {
+        F::FAMILY.name()
+    }
+
+    fn config(&self) -> &KernelKmeansConfig {
+        &self.config
+    }
+
+    /// Prepare the points, then — per the tiling plan — either the in-core
+    /// kernel matrix or a streamed source that recomputes row tiles every
+    /// iteration, then the clustering iterations. Tiling never changes the
+    /// results, only what is resident and what is charged.
+    fn fit_input_with(
+        &self,
+        input: FitInput<'_, T>,
+        config: &KernelKmeansConfig,
+    ) -> Result<ClusteringResult> {
+        config.validate(input.n())?;
+        input.validate()?;
+        let executor = self.executor_for::<T>();
+        let executor: &dyn Executor = &*executor;
+        let _residency = ResidencyScope::new(executor);
+        Self::run_prepared(input, config, config.k, executor, |source| {
+            Self::iterate(source, config, executor)
+        })
+    }
+
+    /// Run only the clustering iterations over a kernel source. Used by the
+    /// distance-phase experiments (Figures 4–6), which exclude the
+    /// kernel-matrix time by design.
+    fn fit_from_source_with(
+        &self,
+        source: &dyn KernelSource<T>,
+        config: &KernelKmeansConfig,
+    ) -> Result<ClusteringResult> {
+        let executor = self.executor_for::<T>();
+        let _residency = ResidencyScope::new(&*executor);
+        Self::iterate(source, config, &*executor)
+    }
+
+    /// The fit plus model extraction off the live kernel source, so the
+    /// model shares the fit's resident state. The model stores `input` as
+    /// given, even where the fit ran on a prepared dense copy, so serving
+    /// does not pin the expansion.
+    fn fit_model(&self, input: FitInput<'_, T>) -> Result<(ClusteringResult, FittedModel<T>)> {
+        let config = &self.config;
+        config.validate(input.n())?;
+        input.validate()?;
+        let executor = self.executor_for::<T>();
+        let executor: &dyn Executor = &*executor;
+        let _residency = ResidencyScope::new(executor);
+        let dense = F::prepare(input, executor);
+        let prepared = dense.as_ref().map_or(input, FitInput::Dense);
+        model::fit_and_extract::<F, T>(None, prepared, input, config, None, executor)
+    }
+
+    /// Warm-start/mini-batch refits over the model's resident kernel state —
+    /// see [`RefitRequest`] for the residency rules.
+    fn refit(
+        &self,
+        model: &FittedModel<T>,
+        request: &RefitRequest<T>,
+    ) -> Result<(ClusteringResult, FittedModel<T>)> {
+        let executor = self.executor_for::<T>();
+        let _residency = ResidencyScope::new(&*executor);
+        model::refit_via::<F, T>(model, request, &*executor)
+    }
+
+    /// The restart protocol: prepare the points once, then either compute
+    /// `K` exactly once (in-core) or stream recomputed tiles where **one tile
+    /// pass per iteration feeds every job** (out-of-core) — the lockstep
+    /// driver in [`crate::batch`], fanning per-job work across
+    /// `options.host_threads` workers.
+    fn fit_batch_with(
+        &self,
+        input: FitInput<'_, T>,
+        jobs: &[FitJob],
+        options: &batch::BatchOptions,
+    ) -> Result<BatchResult> {
+        batch::validate_jobs(&input, jobs)?;
+        input.validate()?;
+        let executor = self.executor_for::<T>();
+        let executor: &dyn Executor = &*executor;
+        let _residency = ResidencyScope::new(executor);
+        let mark = executor.trace().len();
+        // Every job shares one `K` and one residency plan, so the first
+        // job's config speaks for them. The lockstep driver keeps every
+        // job's n x k buffer live at once, so the plan budgets the sum of
+        // the jobs' k values.
+        let k_budget = jobs.iter().map(|j| j.config.k).sum();
+        Self::run_prepared(input, &jobs[0].config, k_budget, executor, |source| {
+            batch::drive_shared_source_with(jobs, source, executor, mark, options, |job| {
+                F::FAMILY.engine(job.config.k)
+            })
+        })
     }
 }
 

@@ -8,7 +8,6 @@
 
 use popcorn_baselines::SolverKind;
 use popcorn_core::model::{OwnedPoints, RefitRequest};
-use popcorn_core::ModelFamily;
 use popcorn_data::{csv, libsvm};
 use popcorn_serve::{ServeOptions, ServeRequest, ServeResponse, Server, SubmitError};
 
@@ -122,17 +121,6 @@ fn load_queries(path: &str) -> Result<OwnedPoints<f32>, String> {
     }
 }
 
-/// The solver family that fitted a model, which executes its refits (every
-/// solver rejects refitting another family's model).
-fn solver_kind(family: ModelFamily) -> SolverKind {
-    match family {
-        ModelFamily::Popcorn => SolverKind::Popcorn,
-        ModelFamily::CpuReference => SolverKind::Cpu,
-        ModelFamily::DenseBaseline => SolverKind::DenseBaseline,
-        ModelFamily::Lloyd => SolverKind::Lloyd,
-    }
-}
-
 fn run(args: &ServeArgs) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.model)
         .map_err(|e| format!("cannot read {}: {e}", args.model))?;
@@ -147,7 +135,9 @@ fn run(args: &ServeArgs) -> Result<(), String> {
         );
     }
     println!("serving {}", model.describe());
-    let solver = solver_kind(model.family());
+    // The family that fitted the model executes its refits: every solver
+    // rejects refitting another family's model.
+    let solver = SolverKind::from(model.family());
     let server = Server::start(
         model,
         solver,
