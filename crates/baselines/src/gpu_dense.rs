@@ -19,7 +19,11 @@
 //! Popcorn; what differs is the cost accounting: kernel 1 and 2 are charged
 //! as [`OpClass::HandwrittenReduction`] with a utilization that *decreases*
 //! with `k` ([`popcorn_core::rowsum::reduction_utilization`]), reproducing
-//! the measured baseline behaviour. The three kernels form
+//! the measured baseline behaviour. On the host, kernel 1's row sums
+//! `Σ_{q ∈ L_c} K[i][q]` are the product `V·K` with `V`'s stored values set
+//! to one, so they run through Popcorn's own SpMM kernels (row by row over a
+//! computed, bitwise-symmetric `K`) and match the CPU reference's plain
+//! loop bit for bit. The three kernels form
 //! [`popcorn_core::rowsum::BaselineEngine`], which lives in the core crate so
 //! a fitted baseline model replays it at serve time. The solver is the
 //! [`KernelSolver`] shell over the [`DenseBaseline`] family, whose two hooks

@@ -17,10 +17,7 @@ use crate::kernel_matrix::INDEX_BYTES;
 use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
-use popcorn_sparse::{
-    spmm_csr_rows_selection_t_into, spmm_selection_rows_accumulate, spmm_transpose_b_into, spmv,
-    CsrRows, SelectionMatrix,
-};
+use popcorn_sparse::{spmm_transpose_b_into, spmv, SelectionMatrix};
 
 /// Utilization hint for the distance SpMM as a function of `k`.
 ///
@@ -57,60 +54,27 @@ pub fn accumulate_distance_tile<T: Scalar>(
     selection: &SelectionMatrix<T>,
     executor: &dyn Executor,
 ) -> Result<()> {
-    let k = selection.k();
+    let (n, k) = (selection.n(), selection.k());
     let minus_two = T::from_f64(-2.0);
     // Rows r0..r1 of the row-major accumulator are contiguous, so the SpMM
     // writes the tile's slice of E in place — no intermediate matrix.
     let out = &mut e.as_mut_slice()[rows.start * k..rows.end * k];
-    run_tile_fold(rows, selection, executor, || {
-        spmm_transpose_b_into(minus_two, tile, selection.csr(), out)
+    run_tile_fold::<T>(rows, n, k, executor, || {
+        spmm_transpose_b_into(minus_two, tile, selection.csr(), out)?;
+        Ok(())
     })
 }
 
-/// Accumulate one row tile's share of `Eᵀ = V K` (before the `−2`) into the
-/// `k × n` accumulator `e_t` — the fold [`accumulate_distance_tile`] gathers,
-/// in the paper's sparse-on-the-left orientation, for sources whose tile rows
-/// are also columns of `K` bit for bit
-/// ([`crate::KernelSource::symmetric_tiles`]). Every tile row streams once
-/// into its cluster's row of `e_t`; after the pass in ascending row order,
-/// [`scale_transposed`] gives the gather's `E` bit for bit. Charged under the
-/// gather's record.
-pub(crate) fn accumulate_distance_tile_t<T: Scalar>(
-    e_t: &mut [T],
+/// Run one dense tile fold of `E = −2 K Vᵀ` under its record: a
+/// cuSPARSE-class SpMM over the tile's rows, named for the full product when
+/// the tile spans all of `K`.
+pub(crate) fn run_tile_fold<T: Scalar>(
     rows: std::ops::Range<usize>,
-    tile: &DenseMatrix<T>,
-    selection: &SelectionMatrix<T>,
-    cluster_weights: &[T],
+    n: usize,
+    k: usize,
     executor: &dyn Executor,
+    fold: impl FnOnce() -> Result<()>,
 ) -> Result<()> {
-    let labels = &selection.assignments()[rows.clone()];
-    run_tile_fold(rows, selection, executor, || {
-        spmm_selection_rows_accumulate(tile, labels, cluster_weights, e_t)
-    })
-}
-
-/// `E[i][c] = −2 · Eᵀ[c][i]` from the `k × n` accumulator of
-/// [`accumulate_distance_tile_t`]: the gather's one trailing scale per cell.
-pub(crate) fn scale_transposed<T: Scalar>(e_t: &[T], e: &mut DenseMatrix<T>) {
-    let (n, k) = e.shape();
-    let minus_two = T::from_f64(-2.0);
-    for (i, row) in e.as_mut_slice().chunks_exact_mut(k).enumerate() {
-        for (c, cell) in row.iter_mut().enumerate() {
-            *cell = minus_two * e_t[c * n + i];
-        }
-    }
-}
-
-/// Run one dense tile fold under its record: a cuSPARSE-class SpMM over the
-/// tile's rows, named for the full product when the tile spans all of `K`.
-fn run_tile_fold<T: Scalar>(
-    rows: std::ops::Range<usize>,
-    selection: &SelectionMatrix<T>,
-    executor: &dyn Executor,
-    fold: impl FnOnce() -> popcorn_sparse::Result<()>,
-) -> Result<()> {
-    let n = selection.n();
-    let k = selection.k();
     let elem = std::mem::size_of::<T>();
     let name = if rows.len() == n {
         format!("spmm E = -2*K*V^T (n={n}, k={k})")
@@ -127,8 +91,31 @@ fn run_tile_fold<T: Scalar>(
         OpCost::spmm_kvt_rows(rows.len(), n, k, elem, INDEX_BYTES)
             .with_utilization(spmm_utilization(k)),
         fold,
-    )?;
-    Ok(())
+    )
+}
+
+/// Run one CSR panel fold of `E = −2 K Vᵀ` under its record: a
+/// cuSPARSE-class SpMM priced on the panel's `nnz`, not `rows × n`.
+pub(crate) fn run_csr_tile_fold<T: Scalar>(
+    rows: std::ops::Range<usize>,
+    nnz: usize,
+    n: usize,
+    k: usize,
+    executor: &dyn Executor,
+    fold: impl FnOnce() -> Result<()>,
+) -> Result<()> {
+    let elem = std::mem::size_of::<T>();
+    executor.run(
+        format!(
+            "spmm E[{}..{}] = -2*K_csr*V^T (n={n}, k={k}, nnz={nnz})",
+            rows.start, rows.end
+        ),
+        Phase::PairwiseDistances,
+        OpClass::SpMM,
+        OpCost::spmm_csr_kvt_rows(nnz, rows.len(), n, k, elem, INDEX_BYTES)
+            .with_utilization(spmm_utilization(k)),
+        fold,
+    )
 }
 
 /// Per-cluster fold weights `1/|L_j|` — exactly the stored values of the
@@ -148,46 +135,6 @@ pub fn selection_weights<T: Scalar>(selection: &SelectionMatrix<T>) -> Vec<T> {
             }
         })
         .collect()
-}
-
-/// Accumulate one CSR row panel's slice of `E = −2 K Vᵀ` into `e` — the
-/// nnz-proportional counterpart of [`accumulate_distance_tile`] for a
-/// CSR-resident kernel matrix.
-///
-/// The fold scatters each stored entry `(l, v)` of a panel row into output
-/// column `cluster(l)` in ascending column order — the same per-cell
-/// `mul_add` accumulation order the dense SpMM uses when it walks `V`'s
-/// column `l` structure — so a panel storing *every* entry reproduces the
-/// dense fold bit for bit. Charged as a cuSPARSE-class SpMM priced on the
-/// panel's nnz, not `rows × n`.
-pub fn accumulate_distance_csr_tile<T: Scalar>(
-    e: &mut DenseMatrix<T>,
-    rows: std::ops::Range<usize>,
-    panel: CsrRows<'_, T>,
-    selection: &SelectionMatrix<T>,
-    cluster_weights: &[T],
-    executor: &dyn Executor,
-) -> Result<()> {
-    let n = selection.n();
-    let k = selection.k();
-    let elem = std::mem::size_of::<T>();
-    let minus_two = T::from_f64(-2.0);
-    let labels = selection.assignments();
-    let out = &mut e.as_mut_slice()[rows.start * k..rows.end * k];
-    executor.run(
-        format!(
-            "spmm E[{}..{}] = -2*K_csr*V^T (n={n}, k={k}, nnz={})",
-            rows.start,
-            rows.end,
-            panel.nnz()
-        ),
-        Phase::PairwiseDistances,
-        OpClass::SpMM,
-        OpCost::spmm_csr_kvt_rows(panel.nnz(), rows.len(), n, k, elem, INDEX_BYTES)
-            .with_utilization(spmm_utilization(k)),
-        || spmm_csr_rows_selection_t_into(minus_two, panel, labels, cluster_weights, out, k),
-    )?;
-    Ok(())
 }
 
 /// Finish one iteration's distance matrix from the fully accumulated
@@ -314,6 +261,7 @@ pub fn compute_distances_reference<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::{FoldWeights, SelectionFold};
     use crate::kernel::{kernel_matrix_reference, KernelFunction};
     use popcorn_dense::diagonal;
     use popcorn_gpusim::SimExecutor;
@@ -483,22 +431,21 @@ mod tests {
             k_matrix.as_slice().to_vec(),
         )
         .unwrap();
+        let source = crate::FullKernel::new(&k_matrix).unwrap();
+        let mut fold = SelectionFold::new(FoldWeights::Mean, -2.0);
         for tile_rows in [1usize, 2, 4, 9] {
-            let mut e = DenseMatrix::zeros(9, 3);
+            fold.begin(&source, selection.clone(), false);
             let mut r0 = 0;
             while r0 < 9 {
                 let r1 = (r0 + tile_rows).min(9);
-                accumulate_distance_csr_tile(
-                    &mut e,
-                    r0..r1,
-                    all_entries.rows_view(r0..r1),
-                    &selection,
-                    &weights,
-                    &exec,
-                )
+                let panel = all_entries.rows_view(r0..r1);
+                run_csr_tile_fold::<f64>(r0..r1, panel.nnz(), 9, 3, &exec, || {
+                    fold.csr_panel(r0..r1, panel)
+                })
                 .unwrap();
                 r0 = r1;
             }
+            let e = fold.finish();
             for i in 0..9 {
                 for j in 0..3 {
                     assert_eq!(

@@ -29,6 +29,7 @@ pub mod batch;
 pub mod config;
 pub mod distances;
 pub mod errors;
+mod fold;
 pub mod init;
 pub mod kernel;
 pub mod kernel_matrix;

@@ -26,6 +26,7 @@
 
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
+use crate::fold::{FoldWeights, SelectionFold};
 use crate::init::Initialization;
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::INDEX_BYTES;
@@ -34,7 +35,7 @@ use crate::nystrom::{KernelApprox, NystromFactors};
 use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
 use crate::result::ClusteringResult;
-use crate::rowsum::{self, BaselineEngine, CpuEngine, RowSumFold};
+use crate::rowsum::{self, BaselineEngine, CpuEngine};
 use crate::solver::{FitInput, KernelFamily};
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
@@ -44,7 +45,7 @@ use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming,
 };
-use popcorn_sparse::CsrMatrix;
+use popcorn_sparse::{spmm_selection_rows_accumulate, CsrMatrix, SelectionMatrix};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -919,28 +920,27 @@ fn cross_gram<T: Scalar>(queries: FitInput<'_, T>, train: FitInput<'_, T>) -> De
 }
 
 /// `F[j][c] = Σ_{i ∈ L_c} C[i][j]` — the label fold of the cross factor,
-/// accumulated in `T` in row order (deterministic, so it can be rebuilt on
-/// load instead of being serialized).
+/// `(V·C)ᵀ` under unit weights, accumulated in `T` in row order
+/// (deterministic, so it can be rebuilt on load instead of being serialized).
 fn build_landmark_fold<T: Scalar>(
     cross: &DenseMatrix<T>,
     labels: &[usize],
     k: usize,
-) -> DenseMatrix<T> {
+) -> Result<DenseMatrix<T>> {
     let m = cross.cols();
-    let mut fold = DenseMatrix::<T>::zeros(m, k);
-    for (i, &c) in labels.iter().enumerate() {
-        for (j, &v) in cross.row(i).iter().enumerate() {
-            fold[(j, c)] += v;
-        }
-    }
-    fold
+    let mut fold_t = vec![T::ZERO; k * m];
+    spmm_selection_rows_accumulate(cross, labels, &vec![T::ONE; k], &mut fold_t)?;
+    Ok(DenseMatrix::from_fn(m, k, |j, c| fold_t[c * m + j]))
 }
 
 /// Freeze a finished fit into a [`FittedModel`]: keep the source's resident
 /// kernel state (already charged by the fit, and shared rather than copied
 /// — see [`KernelSource::resident`]), and stream the source once under the
 /// final labels to collect `diag(K)` and the per-cluster statistics the
-/// serving assembly needs.
+/// serving assembly needs. The row sums behind those statistics are `V·K`
+/// under unit weights: the shared fold runs them on Popcorn's SpMM kernels
+/// (row by row over a symmetric source), bit for bit the CPU reference's
+/// plain loop.
 fn extract<T: Scalar>(
     family: ModelFamily,
     config: &KernelKmeansConfig,
@@ -971,10 +971,12 @@ fn extract<T: Scalar>(
     );
 
     // One streamed pass collects diag(K) and the row sums for the
-    // per-cluster statistics. The source charges its own tile production
-    // (nothing for resident state); the fold itself is charged here.
-    let mut fold = RowSumFold::<T>::new(k);
-    fold.begin_iteration(0, n, &labels, executor);
+    // per-cluster statistics: the shared fold under unit weights. The source
+    // charges its own tile production (nothing for resident state); the fold
+    // itself is charged here, its n x k row-sum buffer held on the device.
+    executor.track_alloc(n as u64 * k as u64 * elem as u64);
+    let mut fold = SelectionFold::new(FoldWeights::Unit, 1.0);
+    fold.begin(source, SelectionMatrix::from_assignments(&labels, k)?, true);
     if source.csr().is_some() {
         source.for_each_csr_tile(executor, &mut |rows, panel| {
             let pnnz = panel.nnz() as u64;
@@ -990,9 +992,8 @@ fn extract<T: Scalar>(
                     pnnz * (elem + INDEX_BYTES) as u64,
                     rows.len() as u64 * k as u64 * elem as u64,
                 ),
-                || fold.accumulate_csr_tile(rows, panel),
-            );
-            Ok(())
+                || fold.csr_panel(rows, panel),
+            )
         })?;
     } else {
         source.for_each_tile(executor, &mut |rows, tile| {
@@ -1009,20 +1010,19 @@ fn extract<T: Scalar>(
                     t * n as u64 * elem as u64,
                     t * k as u64 * elem as u64,
                 ),
-                || fold.accumulate_tile(rows, tile),
-            );
-            Ok(())
+                || fold.tile(rows, tile),
+            )
         })?;
     }
-    let row_sums = fold.take_row_sums();
+    let row_sums = fold.finish();
     let kernel_diag = fold.diag().to_vec();
-    let sizes = fold.sizes().to_vec();
+    let sizes = fold.selection().cardinalities().to_vec();
     let cluster_self = rowsum::cluster_self_terms(&row_sums, &labels, k);
 
     let resident = source.resident();
     let landmark_fold = match &resident {
         ResidentKernel::Nystrom { factors, .. } => {
-            Some(build_landmark_fold(&factors.cross, &labels, k))
+            Some(build_landmark_fold(&factors.cross, &labels, k)?)
         }
         _ => None,
     };
@@ -1967,7 +1967,7 @@ impl<T: Scalar> FittedModel<T> {
         }
         let landmark_fold = match &resident {
             ResidentKernel::Nystrom { factors, .. } => {
-                Some(build_landmark_fold(&factors.cross, &labels, k))
+                Some(build_landmark_fold(&factors.cross, &labels, k)?)
             }
             _ => None,
         };
@@ -2045,6 +2045,27 @@ mod tests {
         assert_eq!(m.get(6, 1), 9.0);
 
         assert!(a.concat(&sb).is_err());
+    }
+
+    #[test]
+    fn extraction_holds_an_n_by_k_row_sum_buffer_on_the_device() {
+        // The statistics pass is charged like a row reduction that keeps its
+        // n × k buffer resident; a sharded fit's per-device peaks include it.
+        let points = toy_points();
+        let config = toy_config();
+        let (fit, model) = KernelKmeans::new(config.clone())
+            .fit_model(FitInput::Dense(&points))
+            .unwrap();
+        let ResidentKernel::Full(matrix) = &model.resident else {
+            panic!("an in-core fit keeps the full K")
+        };
+        let source = kernel_source::FullKernel::computed(matrix).unwrap();
+        let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
+        let input = FitInput::Dense(&points);
+        let family = ModelFamily::Popcorn;
+        let extracted = extract(family, &config, &fit, input, &source, &executor).unwrap();
+        assert_eq!(executor.resident_bytes(), 6 * 2 * 8);
+        assert_eq!(extracted.save(), model.save());
     }
 
     #[test]

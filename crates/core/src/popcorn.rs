@@ -9,10 +9,8 @@
 //! measured host timings and modeled A100 timings broken down by phase.
 
 use crate::config::KernelKmeansConfig;
-use crate::distances::{
-    accumulate_distance_csr_tile, accumulate_distance_tile, accumulate_distance_tile_t,
-    finish_distances, scale_transposed, selection_weights,
-};
+use crate::distances::{finish_distances, run_csr_tile_fold, run_tile_fold};
+use crate::fold::{FoldWeights, SelectionFold};
 use crate::kernel_source::KernelSource;
 use crate::model::ModelFamily;
 use crate::pipeline::DistanceEngine;
@@ -60,28 +58,15 @@ pub type KernelKmeans = KernelSolver<Popcorn>;
 /// use. With an in-core source (one tile) the per-iteration trace is the
 /// classic SpMM + gather + SpMV + assembly quartet.
 ///
-/// Over a source whose tiles are symmetric
-/// ([`KernelSource::symmetric_tiles`]) each SpMM folds its tile into
-/// `Eᵀ = V K` row by row, streaming `K` once, and the iteration ends by
-/// writing `E = −2 · (Eᵀ)ᵀ`; over any other source it gathers `E = −2 K Vᵀ`.
+/// Each SpMM is the shared fold (`crate::fold`) under `V`'s weights
+/// `1/|L_c|` and the scale `−2`: over a source whose tiles are symmetric
+/// ([`KernelSource::symmetric_tiles`]) it folds `Eᵀ = V K` row by row,
+/// streaming `K` once; over any other source it gathers `E = −2 K Vᵀ`.
 /// Both give the same bits under the same records.
 pub(crate) struct PopcornEngine<T: Scalar> {
     k: usize,
     point_norms: Option<Vec<T>>,
-    selection: Option<SelectionMatrix<T>>,
-    e: Option<DenseMatrix<T>>,
-    /// Recycled distance matrix from the previous iteration, zero-filled and
-    /// reused as the next `E` accumulator instead of allocating a fresh
-    /// `n × k` buffer per pass (bit-identical: zeroed memory either way).
-    spare: Option<DenseMatrix<T>>,
-    /// Per-cluster fold weights `1/|L_j|` for the sparse and symmetric tile
-    /// folds, rebuilt in place each iteration so neither allocates per tile.
-    cluster_weights: Vec<T>,
-    /// Whether this iteration's source has symmetric tiles.
-    symmetric: bool,
-    /// The `k × n` accumulator of `Eᵀ = V K` for symmetric sources, zeroed
-    /// in place each iteration. Host scratch: the modeled device holds `E`.
-    e_t: Vec<T>,
+    fold: SelectionFold<T>,
 }
 
 impl<T: Scalar> PopcornEngine<T> {
@@ -89,12 +74,7 @@ impl<T: Scalar> PopcornEngine<T> {
         Self {
             k,
             point_norms: None,
-            selection: None,
-            e: None,
-            spare: None,
-            cluster_weights: Vec::new(),
-            symmetric: false,
-            e_t: Vec::new(),
+            fold: SelectionFold::new(FoldWeights::Mean, -2.0),
         }
     }
 }
@@ -124,30 +104,13 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
             OpCost::elementwise(n, 1, 3, 0, elem),
             || SelectionMatrix::<T>::from_assignments(labels, self.k),
         )?;
-        // Fold weights for the sparse path, refreshed in place (bitwise the
-        // selection matrix's stored values).
-        self.cluster_weights.clear();
-        self.cluster_weights.extend(selection_weights(&selection));
-        self.selection = Some(selection);
-        self.symmetric = source.symmetric_tiles();
-        if self.symmetric {
-            self.e_t.clear();
-            self.e_t.resize(self.k * n, T::ZERO);
-        }
 
-        // The n x k accumulator for E = -2 K V^T (becomes D in place). The
-        // buffer is allocated once and recycled through recycle_distances
-        // across iterations.
+        // The n x k accumulator for E = -2 K V^T (becomes D in place),
+        // recycled through recycle_distances across iterations.
         if iteration == 0 {
             executor.track_alloc(n as u64 * self.k as u64 * elem as u64);
         }
-        self.e = Some(match self.spare.take() {
-            Some(mut spare) if spare.rows() == n && spare.cols() == self.k => {
-                spare.fill(T::ZERO);
-                spare
-            }
-            _ => DenseMatrix::zeros(n, self.k),
-        });
+        self.fold.begin(source, selection, false);
         Ok(())
     }
 
@@ -157,14 +120,8 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         tile: &DenseMatrix<T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let selection = self.selection.as_ref().expect("begin_iteration ran");
-        if self.symmetric {
-            let weights = &self.cluster_weights;
-            accumulate_distance_tile_t(&mut self.e_t, rows, tile, selection, weights, executor)
-        } else {
-            let e = self.e.as_mut().expect("begin_iteration ran");
-            accumulate_distance_tile(e, rows, tile, selection, executor)
-        }
+        let (fold, n) = (&mut self.fold, tile.cols());
+        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || fold.tile(rows, tile))
     }
 
     fn consume_csr_tile(
@@ -173,23 +130,20 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         panel: popcorn_sparse::CsrRows<'_, T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let e = self.e.as_mut().expect("begin_iteration ran");
-        let selection = self.selection.as_ref().expect("begin_iteration ran");
-        accumulate_distance_csr_tile(e, rows, panel, selection, &self.cluster_weights, executor)
+        let (fold, n, nnz) = (&mut self.fold, panel.cols(), panel.nnz());
+        run_csr_tile_fold::<T>(rows.clone(), nnz, n, self.k, executor, || {
+            fold.csr_panel(rows, panel)
+        })
     }
 
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
-        let mut e = self.e.take().expect("begin_iteration ran");
-        if self.symmetric {
-            scale_transposed(&self.e_t, &mut e);
-        }
-        let selection = self.selection.as_ref().expect("begin_iteration ran");
+        let e = self.fold.finish();
         let point_norms = self.point_norms.as_ref().expect("populated in begin");
-        Ok(finish_distances(e, point_norms, selection, executor)?.distances)
+        Ok(finish_distances(e, point_norms, self.fold.selection(), executor)?.distances)
     }
 
     fn recycle_distances(&mut self, distances: DenseMatrix<T>) {
-        self.spare = Some(distances);
+        self.fold.recycle(distances);
     }
 
     /// `P̃` comes from the source's `diag(K)`.
@@ -209,7 +163,7 @@ mod tests {
     use crate::solver::Solver;
     use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
-    use popcorn_gpusim::SimExecutor;
+    use popcorn_gpusim::{SimExecutor, StreamMeter, Streaming};
     use popcorn_sparse::CsrMatrix;
 
     /// Two well separated blobs in 2-D, 12 points each.
@@ -421,22 +375,39 @@ mod tests {
         }
     }
 
-    /// One distance pass of a fresh engine over `source`.
+    /// One distance pass of a fresh `family` engine over `source`, driven
+    /// as the fit drives it: CSR panels when the source keeps `K`
+    /// CSR-resident, dense tiles otherwise.
     fn engine_distances(
+        family: ModelFamily,
         source: &dyn KernelSource<f64>,
         labels: &[usize],
         k: usize,
         exec: &SimExecutor,
     ) -> Vec<u64> {
-        let mut engine = PopcornEngine::new(k);
-        engine.begin_iteration(0, source, labels, exec).unwrap();
+        let mut engine = family.engine::<f64>(k).unwrap();
+        let mut meter = StreamMeter::new(Streaming::Off);
+        let distances =
+            crate::pipeline::distance_pass(source, &mut *engine, 0, labels, &mut meter, exec);
+        let distances = distances.unwrap();
+        distances.as_slice().iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// The source's `K`, whole.
+    fn materialize(source: &dyn KernelSource<f64>, exec: &SimExecutor) -> DenseMatrix<f64> {
+        if let Some(csr) = source.csr() {
+            return csr.to_dense();
+        }
+        let n = source.n();
+        let mut matrix = DenseMatrix::zeros(n, n);
+        let out = matrix.as_mut_slice();
         source
             .for_each_tile(exec, &mut |rows, tile| {
-                engine.consume_tile(rows, tile, exec)
+                out[rows.start * n..rows.end * n].copy_from_slice(tile.as_slice());
+                Ok(())
             })
             .unwrap();
-        let distances = engine.finish_iteration(exec).unwrap();
-        distances.as_slice().iter().map(|d| d.to_bits()).collect()
+        matrix
     }
 
     #[test]
@@ -447,43 +418,39 @@ mod tests {
         // Cluster 3 is empty.
         let labels: Vec<usize> = (0..24).map(|i| [0, 2, 1, 2, 0][i % 5]).collect();
         let selection = SelectionMatrix::from_assignments(&labels, k).unwrap();
-        let gather = |matrix: &DenseMatrix<f64>| -> Vec<u64> {
-            let norms = popcorn_dense::diagonal(matrix).unwrap();
-            let out = crate::distances::compute_distances(matrix, &norms, &selection, &exec);
+        // Popcorn's reference: the gather over the source's matrix, under
+        // the source's own `diag(K)`.
+        let gather = |source: &dyn KernelSource<f64>| -> Vec<u64> {
+            let norms = source.diag(&exec).unwrap();
+            let matrix = materialize(source, &exec);
+            let out = crate::distances::compute_distances(&matrix, &norms, &selection, &exec);
             let distances = out.unwrap().distances;
             distances.as_slice().iter().map(|d| d.to_bits()).collect()
         };
+        let run = |family, source: &dyn KernelSource<f64>| {
+            engine_distances(family, source, &labels, k, &exec)
+        };
 
-        // A caller's matrix may be asymmetric: the engine keeps the gather.
+        // A caller's matrix may be asymmetric: the engines keep the gather.
         let asymmetric = DenseMatrix::from_fn(24, 24, |i, j| ((i * 24 + j) as f64 * 0.37).sin());
-        let source = FullKernel::new(&asymmetric).unwrap();
-        assert!(!source.symmetric_tiles());
-        assert_eq!(
-            engine_distances(&source, &labels, k, &exec),
-            gather(&asymmetric)
-        );
+        let caller = FullKernel::new(&asymmetric).unwrap();
+        assert!(!caller.symmetric_tiles());
         // Folding its rows as columns would change the bits.
         let as_computed = FullKernel::computed(&asymmetric).unwrap();
+        assert_ne!(run(ModelFamily::Popcorn, &as_computed), gather(&caller));
         assert_ne!(
-            engine_distances(&as_computed, &labels, k, &exec),
-            gather(&asymmetric)
+            run(ModelFamily::DenseBaseline, &as_computed),
+            run(ModelFamily::CpuReference, &caller)
         );
 
-        // The solver's computed K, whole or in tiles, folds row by row to the
-        // gather's bits.
+        // The solver's computed K, whole or in tiles, folds row by row.
         let kernel = KernelFunction::paper_polynomial();
         let strategy = KernelMatrixStrategy::default();
         let (computed, _) =
             crate::kernel_matrix::compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
         let full = FullKernel::computed(&computed).unwrap();
         let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 5, &exec).unwrap();
-        for source in [&full as &dyn KernelSource<f64>, &tiled] {
-            assert!(source.symmetric_tiles());
-            assert_eq!(
-                engine_distances(source, &labels, k, &exec),
-                gather(&computed)
-            );
-        }
+        assert!(full.symmetric_tiles() && tiled.symmetric_tiles());
 
         // Reconstructed and sparsified kernels promise no symmetry.
         let input = FitInput::Dense(&points);
@@ -493,6 +460,22 @@ mod tests {
             SparsifiedKernel::build(input, kernel, sparsify, TilePolicy::Auto, k, &exec).unwrap();
         assert!(!nystrom.symmetric_tiles());
         assert!(!sparsified.symmetric_tiles());
+
+        // Whichever path a source takes, Popcorn gets the gather's bits and
+        // the dense baseline's unit-weight fold the CPU reference's.
+        let sources: [&dyn KernelSource<f64>; 5] = [&caller, &full, &tiled, &nystrom, &sparsified];
+        for (case, source) in sources.into_iter().enumerate() {
+            assert_eq!(
+                run(ModelFamily::Popcorn, source),
+                gather(source),
+                "case {case}"
+            );
+            assert_eq!(
+                run(ModelFamily::DenseBaseline, source),
+                run(ModelFamily::CpuReference, source),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,32 @@
 //! The row-sum distance engines: [`CpuEngine`] (the CPU reference's) and
-//! [`BaselineEngine`] (the dense GPU baseline's), and the tile-wise fold
-//! they share.
+//! [`BaselineEngine`] (the dense GPU baseline's).
 //!
 //! Both engines compute their distances from the same intermediate:
-//! per-point, per-cluster row sums `Σ_{q ∈ L_c} K[i][q]`, folded row by row
-//! over the kernel matrix, with `diag(K)` collected for free on the first
-//! pass. Only the *charging* (which simulated kernel, which utilization) and
-//! the finishing arithmetic differ between the two solvers, so the fold
-//! itself ([`RowSumFold`]) lives here exactly once — keeping the engines bit
-//! for bit in lockstep by construction. The engines live in the core crate
-//! so a fitted model ([`crate::model`]) replays its own family's engine
-//! through [`crate::model::ModelFamily::engine`]; model extraction reuses the
-//! fold to collect the per-cluster statistics of the serving assembly.
+//! per-point, per-cluster row sums `Σ_{q ∈ L_c} K[i][q]`, folded over the
+//! kernel matrix tile by tile, with `diag(K)` collected from the first
+//! pass's tiles. Only the *charging* (which simulated kernel, which
+//! utilization) and the finishing arithmetic differ between the two solvers.
+//!
+//! The row sums are the product `V·K` with `V`'s stored values set to one,
+//! so the baseline folds them with the shared fold (`crate::fold`) that
+//! runs Popcorn's SpMM kernels, under unit weights and no trailing scale;
+//! model extraction does the same for the serving statistics. The CPU
+//! reference keeps its own plain, sequential loops (`RowSumFold`): they
+//! are the PRMLT-style reference, and the oracle the tests below compare the
+//! shared fold against bit for bit. `fma(1, x, acc)` rounds `acc + x` once,
+//! exactly as `+=` does, and each cell meets its operands in the same
+//! ascending order on both sides. The engines live in the core crate so a
+//! fitted model ([`crate::model`]) replays its own family's engine through
+//! [`crate::model::ModelFamily::engine`].
 
+use crate::fold::{FoldWeights, SelectionFold};
 use crate::kernel_matrix::INDEX_BYTES;
 use crate::kernel_source::KernelSource;
 use crate::pipeline::DistanceEngine;
 use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
-use popcorn_sparse::CsrRows;
+use popcorn_sparse::{CsrRows, SelectionMatrix};
 use std::ops::Range;
 
 /// Utilization hint for the baseline's shared-memory row-reduction kernel.
@@ -36,9 +43,9 @@ pub fn reduction_utilization(k: usize) -> f64 {
 /// The PRMLT-style distance engine: one sequential pass over `K` per
 /// iteration, charged at CPU efficiencies. The pass streams `K` row by row,
 /// so it consumes the kernel matrix tile-wise without changing a single
-/// arithmetic operation: per tile it folds the shared [`RowSumFold`]
-/// accumulator (collecting `diag(K)` on the way during the first iteration),
-/// and the finish step assembles the distances from those sums.
+/// arithmetic operation: per tile it runs the plain sequential loops of its
+/// `RowSumFold` (collecting `diag(K)` on the way during the first
+/// iteration), and the finish step assembles the distances from those sums.
 pub struct CpuEngine<T: Scalar> {
     fold: RowSumFold<T>,
 }
@@ -160,19 +167,22 @@ impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
 
 /// The baseline's three-hand-written-kernels distance engine. Kernel 1 (the
 /// dominant row reduction) streams `K` row by row, so it consumes the matrix
-/// tile-wise — one launch per tile, one launch total for an in-core source —
-/// folding the shared [`RowSumFold`] accumulator (which collects `diag(K)`
-/// during the first iteration); kernels 2 and 3 run once per iteration after
-/// the last tile.
+/// tile-wise — one launch per tile, one launch total for an in-core source.
+/// On the host it is the shared fold (`crate::fold`) under unit weights:
+/// the row sums are `V·K` with `V`'s stored values set to one, and the first
+/// iteration collects `diag(K)` from the same tiles. Kernels 2 and 3 run
+/// once per iteration after the last tile.
 pub struct BaselineEngine<T: Scalar> {
-    fold: RowSumFold<T>,
+    k: usize,
+    fold: SelectionFold<T>,
 }
 
 impl<T: Scalar> BaselineEngine<T> {
     /// A fresh engine for `k` clusters.
     pub fn new(k: usize) -> Self {
         Self {
-            fold: RowSumFold::new(k),
+            k,
+            fold: SelectionFold::new(FoldWeights::Unit, 1.0),
         }
     }
 
@@ -184,10 +194,10 @@ impl<T: Scalar> BaselineEngine<T> {
         rows: Range<usize>,
         n: usize,
         executor: &dyn Executor,
-        fold: impl FnOnce(&mut RowSumFold<T>, Range<usize>),
-    ) {
+        fold: impl FnOnce(&mut SelectionFold<T>, Range<usize>) -> Result<()>,
+    ) -> Result<()> {
         let t = rows.len();
-        let k = self.fold.k;
+        let k = self.k;
         let elem = std::mem::size_of::<T>();
         let state = &mut self.fold;
         executor.run(
@@ -204,7 +214,7 @@ impl<T: Scalar> BaselineEngine<T> {
             )
             .with_utilization(reduction_utilization(k)),
             || fold(state, rows),
-        );
+        )
     }
 }
 
@@ -216,8 +226,14 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         labels: &[usize],
         executor: &dyn Executor,
     ) -> Result<()> {
-        self.fold
-            .begin_iteration(iteration, source.n(), labels, executor);
+        let selection = SelectionMatrix::from_assignments(labels, self.k)?;
+        if iteration == 0 {
+            let n = source.n() as u64;
+            executor.track_alloc(n * self.k as u64 * std::mem::size_of::<T>() as u64);
+        }
+        // diag(K) comes from the tiles of this engine's first pass.
+        let first_pass = self.fold.diag().is_empty();
+        self.fold.begin(source, selection, first_pass);
         Ok(())
     }
 
@@ -228,9 +244,8 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         executor: &dyn Executor,
     ) -> Result<()> {
         self.row_reduction(rows, tile.cols(), executor, |fold, rows| {
-            fold.accumulate_tile(rows, tile)
-        });
-        Ok(())
+            fold.tile(rows, tile)
+        })
     }
 
     fn consume_csr_tile(
@@ -243,21 +258,16 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         // no sparse variant, so a CSR-resident K is folded correctly but
         // *charged as if dense* — one thread per column, zeros included.
         // This is exactly the cost asymmetry the sparse workloads expose.
-        let n = self.fold.labels.len();
-        self.row_reduction(rows, n, executor, |fold, rows| {
-            fold.accumulate_csr_tile(rows, panel)
-        });
-        Ok(())
+        self.row_reduction(rows, panel.cols(), executor, |fold, rows| {
+            fold.csr_panel(rows, panel)
+        })
     }
 
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
-        let row_sums = self.fold.take_row_sums();
-        let RowSumFold {
-            k,
-            ref labels,
-            ref sizes,
-            ..
-        } = self.fold;
+        let row_sums = self.fold.finish();
+        let k = self.k;
+        let selection = self.fold.selection();
+        let (labels, sizes) = (selection.assignments(), selection.cardinalities());
         let diag = self.fold.diag();
         let n = diag.len();
         let elem = std::mem::size_of::<T>();
@@ -294,9 +304,9 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
     }
 }
 
-/// Per-iteration row-sum state shared by the row-sum engines and the
-/// model-extraction pass.
-pub struct RowSumFold<T: Scalar> {
+/// The CPU reference's per-iteration row-sum state: plain sequential loops,
+/// `out[labels[q]] += K[i][q]`, undispatched.
+struct RowSumFold<T: Scalar> {
     k: usize,
     iteration: usize,
     diag: Option<Vec<T>>,
@@ -312,7 +322,7 @@ pub struct RowSumFold<T: Scalar> {
 
 impl<T: Scalar> RowSumFold<T> {
     /// A fresh fold for `k` clusters.
-    pub fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         Self {
             k,
             iteration: 0,
@@ -325,20 +335,15 @@ impl<T: Scalar> RowSumFold<T> {
         }
     }
 
-    /// Cluster cardinalities of the current labels.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
     /// `diag(K)`, available once the first iteration's tiles were folded and
     /// [`RowSumFold::take_row_sums`] sealed them.
-    pub fn diag(&self) -> &[T] {
+    fn diag(&self) -> &[T] {
         self.diag.as_ref().expect("first iteration folded")
     }
 
     /// Start one iteration: rebuild sizes, reset the row-sum buffer, and (on
     /// the first iteration) track the buffer's modeled residency.
-    pub fn begin_iteration(
+    fn begin_iteration(
         &mut self,
         iteration: usize,
         n: usize,
@@ -369,14 +374,14 @@ impl<T: Scalar> RowSumFold<T> {
 
     /// Hand an `n × k` buffer back for reuse as the next iteration's row-sum
     /// accumulator (see the engines' `recycle_distances`).
-    pub fn recycle(&mut self, buffer: DenseMatrix<T>) {
+    fn recycle(&mut self, buffer: DenseMatrix<T>) {
         self.spare = Some(buffer);
     }
 
     /// Fold one row tile of `K` into the row sums (collecting the diagonal
     /// during the first iteration). Callers wrap this in their own charged
     /// `executor.run` so each solver models its own kernel.
-    pub fn accumulate_tile(&mut self, rows: Range<usize>, tile: &DenseMatrix<T>) {
+    fn accumulate_tile(&mut self, rows: Range<usize>, tile: &DenseMatrix<T>) {
         let row_sums = self.row_sums.as_mut().expect("begin_iteration ran");
         let collect_diag = self.diag.is_none();
         for (local, i) in rows.enumerate() {
@@ -395,7 +400,7 @@ impl<T: Scalar> RowSumFold<T> {
     /// exact zeros, and `x + 0.0` preserves `x` bitwise, so at full density
     /// this matches [`RowSumFold::accumulate_tile`] bit for bit while only
     /// touching the stored entries.
-    pub fn accumulate_csr_tile(&mut self, rows: Range<usize>, panel: CsrRows<'_, T>) {
+    fn accumulate_csr_tile(&mut self, rows: Range<usize>, panel: CsrRows<'_, T>) {
         let row_sums = self.row_sums.as_mut().expect("begin_iteration ran");
         let collect_diag = self.diag.is_none();
         for (local, i) in rows.enumerate() {
@@ -417,7 +422,7 @@ impl<T: Scalar> RowSumFold<T> {
 
     /// Seal the iteration: hand the finished row sums to the caller (and, on
     /// the first iteration, promote the collected diagonal).
-    pub fn take_row_sums(&mut self) -> DenseMatrix<T> {
+    fn take_row_sums(&mut self) -> DenseMatrix<T> {
         if self.diag.is_none() {
             self.diag = Some(std::mem::take(&mut self.diag_pending));
         }
@@ -466,4 +471,134 @@ pub(crate) fn distance_assembly<T: Scalar>(
         let card = sizes[c] as f64;
         T::from_f64(diag(i) - 2.0 * sums[(i, c)].to_f64() / card + centroid_norms[c])
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel_source::FullKernel;
+    use popcorn_dense::parallel::NUM_THREADS_ENV;
+    use popcorn_gpusim::SimExecutor;
+    use popcorn_sparse::CsrMatrix;
+
+    const N: usize = 37;
+    const K: usize = 5;
+    /// Ragged row tiles: 5, 1, 13 and 18 rows.
+    const TILE_BOUNDS: [usize; 5] = [0, 5, 6, 19, N];
+
+    /// A kernel entry for `seed`: mostly ordinary values, with signed zeros,
+    /// subnormals in both precisions, ±∞ and ±3.4e38 (two of which overflow
+    /// an `f32` sum) mixed in.
+    fn awkward<T: Scalar>(seed: usize) -> T {
+        T::from_f64(match (seed * 7919) % 97 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2..=4 => -0.0,
+            5 => 0.0,
+            6 => 1e-40,
+            7 => -1e-310,
+            8 => 3.4e38,
+            9 => -3.4e38,
+            _ => (seed as f64 * 0.37).sin() * 3.0,
+        })
+    }
+
+    fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// Cluster 3 is empty.
+    fn labels() -> Vec<usize> {
+        (0..N).map(|i| [0, 4, 2, 1, 4, 0, 2][i % 7]).collect()
+    }
+
+    /// The tiles `matrix` or `panels` hold, one per ragged row range.
+    enum Tiles<'a, T: Scalar> {
+        Dense(&'a DenseMatrix<T>),
+        Csr(&'a CsrMatrix<T>),
+    }
+
+    /// Fold the ragged row tiles with `RowSumFold`'s plain loop and with the
+    /// shared fold under unit weights over `source`, and compare the row
+    /// sums and the collected diagonal bit for bit.
+    fn check_tiles<T: Scalar>(tiles: Tiles<'_, T>, source: &dyn KernelSource<T>) {
+        let exec = SimExecutor::a100_f32();
+        let labels = labels();
+        let mut plain = RowSumFold::new(K);
+        plain.begin_iteration(0, N, &labels, &exec);
+        let mut shared = SelectionFold::new(FoldWeights::Unit, 1.0);
+        let selection = SelectionMatrix::from_assignments(&labels, K).unwrap();
+        shared.begin(source, selection, true);
+        for rows in TILE_BOUNDS.windows(2).map(|w| w[0]..w[1]) {
+            match tiles {
+                Tiles::Dense(matrix) => {
+                    let slice = &matrix.as_slice()[rows.start * N..rows.end * N];
+                    let tile = DenseMatrix::from_vec(rows.len(), N, slice.to_vec()).unwrap();
+                    plain.accumulate_tile(rows.clone(), &tile);
+                    shared.tile(rows, &tile).unwrap();
+                }
+                Tiles::Csr(matrix) => {
+                    let panel = matrix.rows_view(rows.clone());
+                    plain.accumulate_csr_tile(rows.clone(), panel);
+                    shared.csr_panel(rows, panel).unwrap();
+                }
+            }
+        }
+        let (plain_sums, shared_sums) = (plain.take_row_sums(), shared.finish());
+        assert_eq!(bits(plain_sums.as_slice()), bits(shared_sums.as_slice()));
+        assert_eq!(bits(plain.diag()), bits(shared.diag()));
+    }
+
+    fn unit_weight_cases<T: Scalar>() {
+        // Symmetric dense K, folded row by row into Eᵀ.
+        let symmetric = DenseMatrix::<T>::from_fn(N, N, |i, j| awkward(i.min(j) * N + i.max(j)));
+        let computed = FullKernel::computed(&symmetric).unwrap();
+        assert!(computed.symmetric_tiles());
+        check_tiles(Tiles::Dense(&symmetric), &computed);
+
+        // Asymmetric dense K, gathered eight rows at a time.
+        let asymmetric = DenseMatrix::<T>::from_fn(N, N, |i, j| awkward(i * N + j + 11));
+        let caller = FullKernel::new(&asymmetric).unwrap();
+        assert!(!caller.symmetric_tiles());
+        check_tiles(Tiles::Dense(&asymmetric), &caller);
+
+        // CSR panels storing about two thirds of the entries, half of the
+        // diagonal ones among them; stored zeros stay explicit.
+        let (mut row_ptrs, mut cols, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..N {
+            for j in (0..N).filter(|&j| (i * 7 + j * 5 + (i * j) % 4) % 3 != 0) {
+                cols.push(j);
+                values.push(awkward::<T>(i * N + j + 29));
+            }
+            row_ptrs.push(cols.len());
+        }
+        let csr = CsrMatrix::from_raw(N, N, row_ptrs, cols, values).unwrap();
+        check_tiles(Tiles::Csr(&csr), &caller);
+    }
+
+    #[test]
+    fn the_shared_fold_under_unit_weights_is_the_plain_loop() {
+        unit_weight_cases::<f32>();
+        unit_weight_cases::<f64>();
+        // The kernel thread count is fixed per process, so the test reruns
+        // itself in child processes at one and three kernel threads.
+        if std::env::var_os(NUM_THREADS_ENV).is_none() {
+            let module = module_path!().split_once("::").expect("crate path").1;
+            let test = format!("{module}::the_shared_fold_under_unit_weights_is_the_plain_loop");
+            for threads in ["1", "3"] {
+                let exe = std::env::current_exe().unwrap();
+                let out = std::process::Command::new(exe)
+                    .args([test.as_str(), "--exact"])
+                    .env(NUM_THREADS_ENV, threads)
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    out.status.success() && stdout.contains("1 passed"),
+                    "{threads} kernel threads:\n{stdout}{}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
+        }
+    }
 }

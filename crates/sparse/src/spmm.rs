@@ -17,6 +17,11 @@
 //!   gather's bits.
 //! * [`spmm_csr_rows_selection_t_into`]: the `K Vᵀ` fold over CSR row panels
 //!   of a sparse `K`, scattering each stored entry into its cluster.
+//!
+//! With `V`'s stored values set to one (the indicator) and `alpha = 1`, the
+//! three folds compute the plain per-cluster row sums `Σ_{q ∈ L_c} K[i][q]`
+//! bit for bit: `fma(1, x, acc)` rounds `acc + x` once, exactly as `+=`
+//! does, and `1 · acc` is `acc`.
 
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
@@ -180,8 +185,8 @@ fn fold_transpose_b_rows<T: Scalar>(
 /// `acc[c, :] += V[c, rows] · tile` for the row tile `tile = K[rows, :]`: one
 /// tile's share of `Eᵀ = V K` before its `−2` scale. `V` is given by
 /// `labels` (the cluster of each tile row) and `cluster_weights` (`V`'s
-/// stored value per cluster, `1/|L_c|`); `acc` is the row-major
-/// `cluster_weights.len() × tile.cols()` accumulator.
+/// stored value per cluster: `1/|L_c|`, or one for plain row sums); `acc`
+/// is the row-major `cluster_weights.len() × tile.cols()` accumulator.
 ///
 /// Tile rows are folded in ascending order, row `l` as
 /// `acc[c(l), i] = fma(w_c(l), K[l, i], acc[c(l), i])` for every column `i`;
