@@ -512,7 +512,7 @@ mod tests {
         (0..N).map(|i| [0, 4, 2, 1, 4, 0, 2][i % 7]).collect()
     }
 
-    /// The tiles `matrix` or `panels` hold, one per ragged row range.
+    /// Where the ragged row tiles come from: dense rows or CSR panels.
     enum Tiles<'a, T: Scalar> {
         Dense(&'a DenseMatrix<T>),
         Csr(&'a CsrMatrix<T>),
