@@ -82,7 +82,9 @@ pub fn spgemm_gram_cost<T: Scalar>(points: &CsrMatrix<T>) -> OpCost {
 
 /// Compute the Gram matrix `B = P̂ P̂ᵀ` directly from CSR points, charging the
 /// product to the executor as an SpGEMM (cuSPARSE-class, §4.4) rather than a
-/// dense GEMM — the sparse input never gets densified.
+/// dense GEMM — the sparse input never gets densified. The host runs the
+/// structural row loop of [`CsrMatrix::gram`], which does the multiply-adds
+/// the charge counts and allocates nothing sized by the feature count.
 pub fn compute_gram_csr<T: Scalar>(
     points: &CsrMatrix<T>,
     executor: &dyn Executor,

@@ -38,7 +38,7 @@ use crate::solver::FitInput;
 use crate::Result;
 use popcorn_dense::{matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
-use popcorn_sparse::{CsrMatrix, CsrRows};
+use popcorn_sparse::{CsrMatrix, CsrRows, GramIndex};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -267,9 +267,10 @@ pub struct TiledKernel<'a, T: Scalar> {
     /// the Gaussian kernel reads it for every entry, and `diag()` derives the
     /// kernel diagonal `P̃` from it.
     gram_diag: Vec<f64>,
-    /// Per-column stored-entry counts of CSR points, computed once so each
-    /// tile's SpGEMM pricing costs `O(panel nnz)` instead of a full rescan.
-    column_counts: Option<Vec<u64>>,
+    /// The column index of CSR points, built once: every Gram panel walks
+    /// it, and each tile's SpGEMM pricing reads its column lengths in
+    /// `O(panel nnz)`. `O(nnz + n)` memory, never `O(d)`.
+    gram_index: Option<GramIndex<'a, T>>,
     diag_cache: Mutex<Option<Vec<T>>>,
 }
 
@@ -323,16 +324,16 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
             ),
             || Self::compute_gram_diag(&points),
         );
-        let column_counts = match &points {
+        let gram_index = match points {
             FitInput::Dense(_) => None,
-            FitInput::Sparse(p) => Some(p.column_counts()),
+            FitInput::Sparse(p) => Some(p.gram_index()),
         };
         Ok(Self {
             points,
             kernel,
             tile_rows,
             gram_diag,
-            column_counts,
+            gram_index,
             diag_cache: Mutex::new(None),
         })
     }
@@ -424,12 +425,12 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
             }
             FitInput::Sparse(p) => {
                 let storage = p.storage_bytes(elem, INDEX_BYTES);
-                let column_counts = self
-                    .column_counts
+                let index = self
+                    .gram_index
                     .as_ref()
-                    .expect("computed at construction for sparse points");
+                    .expect("built at construction for sparse points");
                 let cost = OpCost::new(
-                    p.gram_panel_flops_with(column_counts, r0, r1),
+                    index.panel_flops(r0, r1),
                     // The panel's CSR rows are streamed once against the full
                     // operand, mirroring the full SpGEMM's 2×storage reads.
                     storage + storage * t as u64 / n.max(1) as u64,
@@ -440,7 +441,7 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                     Phase::KernelMatrix,
                     OpClass::SpGEMM,
                     cost,
-                    || p.gram_panel(r0, r1),
+                    || index.gram_rows(r0, r1),
                 );
                 Ok(panel)
             }

@@ -375,6 +375,24 @@ mod tests {
         }
     }
 
+    #[test]
+    fn huge_feature_indices_fit_whole_and_tiled() {
+        // libSVM rows using feature 4e9: every buffer of the CSR fit must be
+        // sized by the stored entries, not by the feature count.
+        let csr = CsrMatrix::from_raw(
+            3,
+            4_000_000_001,
+            vec![0, 2, 4, 6],
+            vec![1, 4_000_000_000, 2, 3, 1, 4_000_000_000],
+            vec![0.5f64, 1.0, 0.25, 1.0, 1.0, 0.5],
+        )
+        .unwrap();
+        for tiling in [TilePolicy::Full, TilePolicy::Rows(2)] {
+            let fit = KernelKmeans::new(quick_config(2).with_tiling(tiling)).fit_sparse(&csr);
+            assert!(fit.is_ok(), "{tiling:?}: {:?}", fit.err());
+        }
+    }
+
     /// One distance pass of a fresh `family` engine over `source`, driven
     /// as the fit drives it: CSR panels when the source keeps `K`
     /// CSR-resident, dense tiles otherwise.

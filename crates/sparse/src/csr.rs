@@ -9,13 +9,9 @@ use crate::csc::CscMatrix;
 use crate::errors::SparseError;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
-use popcorn_dense::parallel::{num_threads, par_chunks_rows_ranges, triangular_ranges};
+use popcorn_dense::parallel::par_chunks_rows;
 use popcorn_dense::{symmetrize_lower, DenseMatrix, Scalar, Triangle};
-
-/// Output rows one walk of a sparse row fills in [`CsrMatrix::gram`]: each
-/// stored entry meets eight scattered source rows at once, eight independent
-/// FMA chains.
-const GRAM_ROWS: usize = 8;
+use std::borrow::Cow;
 
 /// A sparse matrix in Compressed Sparse Row format.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,33 +258,58 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Transpose as a new CSR matrix (counting-sort over columns, O(nnz)).
     pub fn transpose(&self) -> Self {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_indices {
-            counts[c + 1] += 1;
-        }
-        for j in 0..self.cols {
-            counts[j + 1] += counts[j];
-        }
-        let row_ptrs_t = counts.clone();
-        let mut col_indices_t = vec![0usize; self.nnz()];
-        let mut values_t = vec![T::ZERO; self.nnz()];
-        let mut next = counts;
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals.iter()) {
-                let pos = next[j];
-                col_indices_t[pos] = i;
-                values_t[pos] = v;
-                next[j] += 1;
-            }
-        }
+        let (row_ptrs, col_indices, values) = self.entries_by_slot(&self.col_indices, self.cols);
         Self {
             rows: self.cols,
             cols: self.rows,
-            row_ptrs: row_ptrs_t,
-            col_indices: col_indices_t,
-            values: values_t,
+            row_ptrs,
+            col_indices,
+            values,
         }
+    }
+
+    /// Counting sort of the stored entries by `slots` (one per entry, each
+    /// `< width`): for every slot, the rows storing it in ascending order
+    /// with their values, as `(ptrs, rows, values)` arrays. `O(nnz + width)`.
+    fn entries_by_slot(&self, slots: &[usize], width: usize) -> (Vec<usize>, Vec<usize>, Vec<T>) {
+        let mut ptrs = vec![0usize; width + 1];
+        for &s in slots {
+            ptrs[s + 1] += 1;
+        }
+        for s in 0..width {
+            ptrs[s + 1] += ptrs[s];
+        }
+        let mut rows = vec![0usize; slots.len()];
+        let mut values = vec![T::ZERO; slots.len()];
+        let mut next = ptrs.clone();
+        for i in 0..self.rows {
+            let entries = self.row_ptrs[i]..self.row_ptrs[i + 1];
+            for (&s, &v) in slots[entries.clone()].iter().zip(&self.values[entries]) {
+                rows[next[s]] = i;
+                values[next[s]] = v;
+                next[s] += 1;
+            }
+        }
+        (ptrs, rows, values)
+    }
+
+    /// The column slot of every stored entry, and the number of slots: the
+    /// column ids themselves when `cols ≤ nnz`, else each id's rank among
+    /// the ids that occur. Either way no buffer sized by the slots outgrows
+    /// the matrix, however large `cols` is.
+    fn column_slots(&self) -> (Cow<'_, [usize]>, usize) {
+        if self.cols <= self.nnz() {
+            return (Cow::Borrowed(&self.col_indices), self.cols);
+        }
+        let mut ids = self.col_indices.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        let slots = self
+            .col_indices
+            .iter()
+            .map(|c| ids.partition_point(|id| id < c))
+            .collect();
+        (Cow::Owned(slots), ids.len())
     }
 
     /// Convert to CSC format (equivalent to transposing the CSR structure).
@@ -323,31 +344,14 @@ impl<T: Scalar> CsrMatrix<T> {
     /// almost never structurally zero — and the downstream algorithm consumes
     /// a dense kernel matrix anyway.
     ///
-    /// Work is distributed over output rows; each worker scatters a block of
-    /// its source rows into a dense accumulator of `cols` entries once, then
-    /// streams the rows of their lower triangle against it (the upper
-    /// triangle is mirrored, like the dense SYRK path), giving
-    /// `O(rows · nnz / 2)` inner-product work independent of the (possibly
-    /// enormous) feature dimension. Every entry is the same sequential `fma`
-    /// fold as [`CsrMatrix::gram_sequential`]'s, so the two agree bit for bit.
+    /// Builds the matrix's [`GramIndex`] and runs its row loop over all rows
+    /// (see [`GramIndex::gram_rows`]): Gustavson's row-wise SpGEMM, touching
+    /// only the pairs of stored entries that share a column, the work
+    /// [`CsrMatrix::gram_flops`] counts. Output rows split evenly over the
+    /// kernel threads; every entry is bit-identical to
+    /// [`CsrMatrix::gram_sequential`]'s.
     pub fn gram(&self) -> DenseMatrix<T> {
-        let n = self.rows;
-        let mut out = DenseMatrix::zeros(n, n);
-        if n == 0 {
-            return out;
-        }
-        // Row i of the lower triangle streams i+1 rows, so the partition is
-        // balanced by triangular weight, not row count.
-        let ranges = triangular_ranges(n, num_threads());
-        par_chunks_rows_ranges(out.as_mut_slice(), n, &ranges, |start_row, chunk| {
-            let mut scatter = vec![[T::ZERO; GRAM_ROWS]; self.cols];
-            dispatch(
-                #[inline(always)]
-                || self.gram_fill_lower_blocked(start_row, chunk, &mut scatter),
-            )
-        });
-        symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
-        out
+        self.gram_index().gram_rows(0, self.rows)
     }
 
     /// Single-threaded variant of [`CsrMatrix::gram`], for callers that model
@@ -390,58 +394,40 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// [`CsrMatrix::gram_fill_lower_rows`] with [`GRAM_ROWS`] source rows
-    /// scattered side by side, so one walk of row `j` feeds all of them into
-    /// independent accumulators. Each entry keeps the reference loop's
-    /// operand sequence; only the entries `j ≤ i` are written. `scatter`
-    /// holds `cols` zeroed slots and is left zeroed. Inlined so the callers'
-    /// FMA dispatch covers it.
-    #[inline(always)]
-    fn gram_fill_lower_blocked(
-        &self,
-        start_row: usize,
-        chunk: &mut [T],
-        scatter: &mut [[T; GRAM_ROWS]],
-    ) {
-        let n = self.rows;
-        for (block, out) in chunk.chunks_mut(GRAM_ROWS * n).enumerate() {
-            let i0 = start_row + block * GRAM_ROWS;
-            let rows = out.len() / n;
-            for (r, i) in (i0..i0 + rows).enumerate() {
-                let (cols, vals) = self.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    scatter[c][r] = v;
-                }
+    /// Entry `(i, j)` of [`CsrMatrix::gram_sequential`] on its own: with
+    /// `lo = min(i, j)` and `hi = max(i, j)`, the fold over row `lo`'s
+    /// stored entries in ascending `c` of `fma(x_lo_c, x_hi_c, acc)`, where
+    /// `x_hi_c` is an exact `+0` when row `hi` stores no entry in column `c`
+    /// (a merge join standing in for the reference loop's scatter).
+    fn gram_entry(&self, i: usize, j: usize) -> T {
+        let (cols_lo, vals_lo) = self.row(i.min(j));
+        let (cols_hi, vals_hi) = self.row(i.max(j));
+        let mut cursor = 0usize;
+        let mut acc = T::ZERO;
+        for (&c, &v) in cols_lo.iter().zip(vals_lo) {
+            while cursor < cols_hi.len() && cols_hi[cursor] < c {
+                cursor += 1;
             }
-            for j in 0..i0 + rows {
-                let (cols_j, vals_j) = self.row(j);
-                let mut acc = [T::ZERO; GRAM_ROWS];
-                for (&c, &v) in cols_j.iter().zip(vals_j) {
-                    for (acc_r, &a_rc) in acc.iter_mut().zip(&scatter[c]) {
-                        *acc_r = v.mul_add(a_rc, *acc_r);
-                    }
-                }
-                // Row i0 + r keeps its lower triangle: r >= j - i0.
-                for (r, &sum) in acc[..rows].iter().enumerate().skip(j.saturating_sub(i0)) {
-                    out[r * n + j] = sum;
-                }
-            }
-            for (r, i) in (i0..i0 + rows).enumerate() {
-                for &c in self.row(i).0 {
-                    scatter[c][r] = T::ZERO;
-                }
-            }
+            let other = if cursor < cols_hi.len() && cols_hi[cursor] == c {
+                vals_hi[cursor]
+            } else {
+                T::ZERO
+            };
+            acc = v.mul_add(other, acc);
         }
+        acc
     }
 
     /// FMA-pair FLOP count of a Gustavson-style SpGEMM forming `A Aᵀ`: every
     /// pair of stored entries sharing a column contributes one multiply-add
     /// (2 FLOPs). Used to charge the sparse Gram computation to the cost
-    /// model as an SpGEMM rather than a dense GEMM.
+    /// model as an SpGEMM rather than a dense GEMM. Counts per occurring
+    /// column, so it allocates `O(nnz)`, never `O(cols)`.
     pub fn gram_flops(&self) -> u64 {
-        let mut column_counts = vec![0u64; self.cols];
-        for &c in &self.col_indices {
-            column_counts[c] += 1;
+        let (slots, width) = self.column_slots();
+        let mut column_counts = vec![0u64; width];
+        for &s in slots.iter() {
+            column_counts[s] += 1;
         }
         column_counts.iter().map(|&c| 2 * c * c).sum()
     }
@@ -453,90 +439,39 @@ impl<T: Scalar> CsrMatrix<T> {
     /// This is the compute kernel of the streaming/tiled kernel-matrix path:
     /// out-of-core fits recompute one panel at a time instead of holding the
     /// full `n × n` Gram matrix, and clustering results must not depend on
-    /// that choice. Bit-identity requires reproducing `gram`'s exact
-    /// accumulation orders: entries with `j ≤ i` iterate row `j`'s stored
-    /// entries against a scatter of row `i` (the lower-triangle order), while
-    /// entries with `j > i` — which `gram` fills by mirroring `B[j][i]` —
-    /// iterate row `i`'s stored entries against row `j` (a merge join standing
-    /// in for the scatter of row `j`, multiplying by an exact `0` where row
-    /// `j` has no entry, just as the scatter buffer would).
+    /// that choice. It is [`CsrMatrix::gram`]'s row loop over rows `r0..r1`
+    /// only; callers producing many panels of one matrix keep its
+    /// [`GramIndex`] and call [`GramIndex::gram_rows`] instead.
     pub fn gram_panel(&self, r0: usize, r1: usize) -> DenseMatrix<T> {
-        assert!(
-            r0 <= r1 && r1 <= self.rows,
-            "panel rows {r0}..{r1} out of range for {} rows",
-            self.rows
-        );
-        let n = self.rows;
-        let mut out = DenseMatrix::zeros(r1 - r0, n);
-        if n == 0 || r0 == r1 {
-            return out;
-        }
-        let mut scatter = vec![[T::ZERO; GRAM_ROWS]; self.cols];
-        dispatch(
-            #[inline(always)]
-            || {
-                // Lower triangle (j <= i): gram's own loop.
-                self.gram_fill_lower_blocked(r0, out.as_mut_slice(), &mut scatter);
-                for (local_i, out_row) in out.as_mut_slice().chunks_exact_mut(n).enumerate() {
-                    let i = r0 + local_i;
-                    // Mirror region (j > i): gram computes B[j][i] with row
-                    // i's entries driving the accumulation; replay that order.
-                    let (cols_i, vals_i) = self.row(i);
-                    for (j, out_ij) in out_row.iter_mut().enumerate().skip(i + 1) {
-                        let (cols_j, vals_j) = self.row(j);
-                        let mut cursor = 0usize;
-                        let mut acc = T::ZERO;
-                        for (&c, &v) in cols_i.iter().zip(vals_i.iter()) {
-                            while cursor < cols_j.len() && cols_j[cursor] < c {
-                                cursor += 1;
-                            }
-                            let other = if cursor < cols_j.len() && cols_j[cursor] == c {
-                                vals_j[cursor]
-                            } else {
-                                T::ZERO
-                            };
-                            acc = v.mul_add(other, acc);
-                        }
-                        *out_ij = acc;
-                    }
-                }
-            },
-        );
-        out
-    }
-
-    /// Stored entries per column — the histogram the Gustavson FLOP counts
-    /// are computed from. Depends only on the (immutable) structure, so
-    /// repeat panel pricers compute it once and reuse it via
-    /// [`CsrMatrix::gram_panel_flops_with`].
-    pub fn column_counts(&self) -> Vec<u64> {
-        let mut column_counts = vec![0u64; self.cols];
-        for &c in &self.col_indices {
-            column_counts[c] += 1;
-        }
-        column_counts
+        self.gram_index().gram_rows(r0, r1)
     }
 
     /// Gustavson FLOP count of [`CsrMatrix::gram_panel`] for rows `r0..r1`:
     /// each pair of stored entries sharing a column, with one member in the
     /// panel rows, contributes one multiply-add. Summing over a disjoint
     /// cover of `0..rows` reproduces [`CsrMatrix::gram_flops`] exactly.
+    /// Repeat pricers keep the [`GramIndex`] and call
+    /// [`GramIndex::panel_flops`].
     pub fn gram_panel_flops(&self, r0: usize, r1: usize) -> u64 {
-        self.gram_panel_flops_with(&self.column_counts(), r0, r1)
+        self.gram_index().panel_flops(r0, r1)
     }
 
-    /// [`CsrMatrix::gram_panel_flops`] against a precomputed
-    /// [`CsrMatrix::column_counts`] histogram, so per-tile pricing costs
-    /// `O(panel nnz)` instead of rescanning the whole matrix per tile.
-    pub fn gram_panel_flops_with(&self, column_counts: &[u64], r0: usize, r1: usize) -> u64 {
-        let mut flops = 0u64;
-        for i in r0..r1 {
-            let (cols_i, _) = self.row(i);
-            for &c in cols_i {
-                flops += 2 * column_counts[c];
-            }
+    /// The column index the Gram products walk, built in `O(nnz + rows)`
+    /// time and memory (see [`GramIndex`]).
+    pub fn gram_index(&self) -> GramIndex<'_, T> {
+        let (slots, width) = self.column_slots();
+        let (col_ptrs, row_indices, values) = self.entries_by_slot(&slots, width);
+        let columns =
+            CscMatrix::from_raw_unchecked(self.rows, width, col_ptrs, row_indices, values);
+        let non_finite_rows = (0..self.rows)
+            .filter(|&i| self.row(i).1.iter().any(|v| !v.is_finite()))
+            .collect();
+        GramIndex {
+            matrix: self,
+            columns,
+            slots,
+            non_finite_rows,
         }
-        flops
     }
 
     /// A zero-copy view of the contiguous row panel `self[r0..r1, :]`.
@@ -616,9 +551,155 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
     }
 }
 
+/// The column index of a [`CsrMatrix`] that its Gram products walk, built
+/// once per matrix by [`CsrMatrix::gram_index`].
+///
+/// It holds, for each column that occurs, the rows storing it in ascending
+/// order with their values (a CSC matrix over the occurring columns), each
+/// stored entry's column slot, and which rows hold a non-finite value.
+/// Memory is `O(nnz + rows)`, never `O(cols)`: when `cols ≤ nnz` the slots
+/// are the column ids, and wider matrices number their occurring columns
+/// first.
+///
+/// [`GramIndex::gram_rows`] is the one row loop behind
+/// [`CsrMatrix::gram`] and [`CsrMatrix::gram_panel`]. Output row `i` is
+/// computed in three steps:
+///
+/// 1. zero-fill the row;
+/// 2. for each stored `(c, x_ic)` of row `i` in ascending `c`, and each
+///    `(j, x_jc)` of column `c`, set `B[i][j] = fma(x_jc, x_ic, B[i][j])`;
+/// 3. the exact fix-up below.
+///
+/// Entry `(j, i)` gets the same products in the same ascending-`c` order,
+/// and the fused product is exact and commutes, so the output is bitwise
+/// symmetric without a mirror pass.
+///
+/// The reference ([`CsrMatrix::gram_sequential`]) folds entry `(i, j)`
+/// over row `lo = min(i, j)`, multiplying by row `hi = max(i, j)`'s value
+/// or by `+0` where `hi` stores none. With finite values each such extra
+/// `fma(x, +0, acc)` adds a `±0`, which can only turn an accumulator of
+/// `−0` into `+0`, and every later `fma` maps the accumulators `−0` and
+/// `+0` either to one value or to `−0` and `+0` again. So the two sums are
+/// equal, except that the reference may read `+0` where the structural sum
+/// is `−0`. With `x = ±∞` the reference gets `∞·0 = NaN`. The fix-up
+/// therefore recomputes an entry with the reference's own fold whenever
+/// row `i` or row `j` holds a non-finite value or the structural value is
+/// `−0`: one branch-free scan per row while it is in cache, and entry by
+/// entry only when the scan hits.
+#[derive(Debug)]
+pub struct GramIndex<'a, T: Scalar> {
+    matrix: &'a CsrMatrix<T>,
+    /// Column `s` holds the rows storing column slot `s`, ascending, with
+    /// their values.
+    columns: CscMatrix<T>,
+    /// Column slot of each stored entry of `matrix`, in CSR order.
+    slots: Cow<'a, [usize]>,
+    /// The rows storing a ±∞ or NaN, ascending.
+    non_finite_rows: Vec<usize>,
+}
+
+impl<T: Scalar> GramIndex<'_, T> {
+    /// Rows `r0..r1` of the Gram matrix `B = A Aᵀ`, bit-identical to the
+    /// same rows of [`CsrMatrix::gram_sequential`]. Rows split evenly over
+    /// the kernel threads.
+    pub fn gram_rows(&self, r0: usize, r1: usize) -> DenseMatrix<T> {
+        let n = self.matrix.rows;
+        assert!(
+            r0 <= r1 && r1 <= n,
+            "panel rows {r0}..{r1} out of range for {n} rows"
+        );
+        let mut out = DenseMatrix::zeros(r1 - r0, n);
+        par_chunks_rows(out.as_mut_slice(), n, |first, chunk| {
+            dispatch(
+                #[inline(always)]
+                || self.fill_rows(r0 + first, chunk),
+            )
+        });
+        out
+    }
+
+    /// Gustavson FLOP count of rows `r0..r1` of the Gram matrix: two for
+    /// each pair of a stored entry in those rows and a stored entry in its
+    /// column, the figure [`CsrMatrix::gram_panel_flops`] reports.
+    /// `O(panel nnz)`.
+    pub fn panel_flops(&self, r0: usize, r1: usize) -> u64 {
+        let ptrs = self.columns.col_ptrs();
+        let entries = self.matrix.row_ptrs[r0]..self.matrix.row_ptrs[r1];
+        self.slots[entries]
+            .iter()
+            .map(|&s| 2 * (ptrs[s + 1] - ptrs[s]) as u64)
+            .sum()
+    }
+
+    /// Whole Gram rows from `first_row` on into `chunk`, each structural
+    /// walk followed by its fix-up. Inlined so the callers' FMA dispatch
+    /// covers it.
+    #[inline(always)]
+    fn fill_rows(&self, first_row: usize, chunk: &mut [T]) {
+        let n = self.matrix.rows;
+        for (i, out_row) in (first_row..).zip(chunk.chunks_exact_mut(n)) {
+            self.structural_row(i, out_row);
+            self.fix_up_row(i, out_row);
+        }
+    }
+
+    /// Steps 1 and 2 of row `i`: the zero-fill and the structural walk.
+    #[inline(always)]
+    fn structural_row(&self, i: usize, out_row: &mut [T]) {
+        // Writing the row first faults each fresh output page in once; a
+        // read-modify-write first touch would fault it in twice.
+        out_row.fill(T::ZERO);
+        let entries = self.matrix.row_ptrs[i]..self.matrix.row_ptrs[i + 1];
+        for (&s, &x_ic) in self.slots[entries.clone()]
+            .iter()
+            .zip(&self.matrix.values[entries])
+        {
+            let (rows, values) = self.columns.col(s);
+            for (&j, &x_jc) in rows.iter().zip(values) {
+                out_row[j] = x_jc.mul_add(x_ic, out_row[j]);
+            }
+        }
+    }
+
+    /// Step 3 of row `i`: recompute with the reference fold every entry
+    /// whose row or column holds a non-finite value, or whose structural
+    /// value is `−0`.
+    #[inline(always)]
+    fn fix_up_row(&self, i: usize, out_row: &mut [T]) {
+        let m = self.matrix;
+        if self.non_finite_rows.binary_search(&i).is_ok() {
+            for (j, out) in out_row.iter_mut().enumerate() {
+                *out = m.gram_entry(i, j);
+            }
+            return;
+        }
+        for &j in &self.non_finite_rows {
+            out_row[j] = m.gram_entry(i, j);
+        }
+        // A branch-free scan: a hit is rare, a branch per entry is not.
+        let any_negative_zero = out_row
+            .iter()
+            .fold(false, |hit, &x| hit | is_negative_zero(x));
+        if any_negative_zero {
+            for (j, out) in out_row.iter_mut().enumerate() {
+                if is_negative_zero(*out) {
+                    *out = m.gram_entry(i, j);
+                }
+            }
+        }
+    }
+}
+
+/// Whether `x` is `−0`, by its bits.
+#[inline(always)]
+fn is_negative_zero<T: Scalar>(x: T) -> bool {
+    x.to_f64().to_bits() == (-0.0f64).to_bits()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popcorn_dense::parallel::NUM_THREADS_ENV;
 
     fn sample() -> CsrMatrix<f64> {
         // [1 0 2]
@@ -808,8 +889,8 @@ mod tests {
         assert_eq!(sparse.gram_sequential(), sparse.gram());
     }
 
-    fn check_gram_bits<T: Scalar>(n: usize, d: usize, bits: fn(T) -> u64) {
-        let m = crate::test_values::awkward_csr::<T>(n, d, 3);
+    fn check_gram_bits<T: Scalar>(m: &CsrMatrix<T>, bits: fn(T) -> u64) {
+        let (n, d) = m.shape();
         // Entry (i, j ≤ i) walks row j's stored entries against row i;
         // the upper triangle mirrors it.
         let lower = |i: usize, j: usize| {
@@ -820,9 +901,7 @@ mod tests {
         };
         let dispatched = m.gram();
         let mut generic = DenseMatrix::zeros(n, n);
-        let mut scatter = vec![[T::ZERO; GRAM_ROWS]; d];
-        m.gram_fill_lower_blocked(0, generic.as_mut_slice(), &mut scatter);
-        symmetrize_lower(&mut generic, Triangle::Lower).unwrap();
+        m.gram_index().fill_rows(0, generic.as_mut_slice());
         let sequential = m.gram_sequential();
         let panel = m.gram_panel(0, n);
         for i in 0..n {
@@ -837,12 +916,69 @@ mod tests {
         }
     }
 
+    /// Entries where the structural walk alone reads `−0` and the
+    /// reference `+0`: the ones only the fix-up's `−0` rule repairs.
+    fn negative_zero_repairs<T: Scalar>(m: &CsrMatrix<T>) -> usize {
+        let n = m.rows();
+        let (index, reference) = (m.gram_index(), m.gram_sequential());
+        let mut row = vec![T::ZERO; n];
+        (0..n)
+            .map(|i| {
+                index.structural_row(i, &mut row);
+                (0..n)
+                    .filter(|&j| {
+                        is_negative_zero(row[j]) && reference[(i, j)].to_f64().to_bits() == 0
+                    })
+                    .count()
+            })
+            .sum()
+    }
+
     #[test]
     fn gram_paths_match_the_sequential_fma_reference_bit_for_bit() {
-        // Row counts around the eight-row block, and d ∈ {0, 1, 7, 40}.
-        for (n, d) in [(1, 0), (5, 1), (9, 7), (23, 40)] {
-            check_gram_bits::<f32>(n, d, |x| u64::from(x.to_bits()));
-            check_gram_bits::<f64>(n, d, f64::to_bits);
+        use crate::test_values::{awkward_csr, finite_awkward_csr};
+        // Row counts around the thread split, and d ∈ {0, 1, 7, 40}: one
+        // input with ±∞ among its values, and one finite.
+        let shapes = [(1, 0), (5, 1), (9, 7), (23, 40)];
+        for (n, d) in shapes {
+            for m in [awkward_csr::<f32>(n, d, 3), finite_awkward_csr(n, d, 3)] {
+                check_gram_bits(&m, |x| u64::from(x.to_bits()));
+            }
+            for m in [awkward_csr::<f64>(n, d, 3), finite_awkward_csr(n, d, 3)] {
+                check_gram_bits(&m, f64::to_bits);
+            }
+        }
+        // The finite input needs the `−0` rule: without it, some entries
+        // would differ from the reference.
+        let (mut f32_repairs, mut f64_repairs) = (0, 0);
+        for (n, d) in shapes {
+            f32_repairs += negative_zero_repairs(&finite_awkward_csr::<f32>(n, d, 3));
+            f64_repairs += negative_zero_repairs(&finite_awkward_csr::<f64>(n, d, 3));
+        }
+        assert!(
+            f32_repairs > 0 && f64_repairs > 0,
+            "{f32_repairs} {f64_repairs}"
+        );
+        // The kernel thread count is fixed per process, so the test reruns
+        // itself in child processes at one and three kernel threads.
+        if std::env::var_os(NUM_THREADS_ENV).is_none() {
+            let module = module_path!().split_once("::").expect("crate path").1;
+            let test =
+                format!("{module}::gram_paths_match_the_sequential_fma_reference_bit_for_bit");
+            for threads in ["1", "3"] {
+                let exe = std::env::current_exe().unwrap();
+                let out = std::process::Command::new(exe)
+                    .args([test.as_str(), "--exact"])
+                    .env(NUM_THREADS_ENV, threads)
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    out.status.success() && stdout.contains("1 passed"),
+                    "{threads} kernel threads:\n{stdout}{}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
         }
     }
 
