@@ -3,8 +3,8 @@
 //! The PRMLT MATLAB implementation computes the kernel matrix densely and
 //! evaluates the kernel-trick distances with dense matrix arithmetic on a
 //! single core. This module reproduces that behaviour: straightforward
-//! sequential loops (no SpMM/SpMV, no multi-threading), charged to the
-//! single-core EPYC 7763 cost model. Numerically it solves exactly the same
+//! sequential loops (no SpMM/SpMV, no multi-threaded arithmetic), charged to
+//! the single-core EPYC 7763 cost model. Numerically it solves exactly the same
 //! problem as Popcorn, so the two can be cross-validated label-for-label.
 //!
 //! Sparse (CSR) inputs are supported through the shared SpGEMM Gram path:
@@ -84,8 +84,9 @@ impl KernelFamily for CpuReference {
 pub type CpuKernelKmeans = KernelSolver<CpuReference>;
 
 /// Sequential sparse kernel-matrix computation: `CsrMatrix::gram_sequential`
-/// (one thread, one scatter buffer) plus the kernel application, honouring
-/// this solver's single-core contract.
+/// (one thread, one scatter buffer; only its mirror copy is split across
+/// the kernel threads) plus the kernel application, honouring this solver's
+/// single-core contract.
 fn compute_kernel_matrix_sequential_csr<T: Scalar>(
     points: &popcorn_sparse::CsrMatrix<T>,
     kernel: KernelFunction,

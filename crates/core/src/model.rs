@@ -878,7 +878,9 @@ fn cross_gram<T: Scalar>(queries: FitInput<'_, T>, train: FitInput<'_, T>) -> De
     let d = train.d();
     let mut out = DenseMatrix::<T>::zeros(q, n);
     if let (FitInput::Dense(p), FitInput::Dense(t)) = (queries, train) {
-        nt_product(p, 0..q, t, None, |i, j, acc| out[(i, j)] = acc);
+        nt_product(p, 0..q, t, None, |i, j0, run| {
+            out.row_mut(i)[j0..][..run.len()].copy_from_slice(run)
+        });
         return out;
     }
     let mut scratch = vec![T::ZERO; d];

@@ -113,8 +113,11 @@ pub fn gemm<T: Scalar>(
             let a_ref = a_eff.as_ref();
             par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
                 let rows = start_row..start_row + chunk.len() / n;
-                nt_product(a_ref, rows, b, None, |i, j, acc| {
-                    chunk[i * n + j] += alpha * acc
+                nt_product(a_ref, rows, b, None, |i, j0, run| {
+                    let cells = &mut chunk[i * n + j0..][..run.len()];
+                    for (c, &acc) in cells.iter_mut().zip(run) {
+                        *c += alpha * acc;
+                    }
                 });
             });
         }
@@ -209,8 +212,11 @@ pub fn matmul_nt_rows<T: Scalar>(
     }
     par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
         let rows = r0 + start_row..r0 + start_row + chunk.len() / n;
-        nt_product(a, rows, b, None, |i, j, acc| {
-            chunk[i * n + j] += T::ONE * acc
+        nt_product(a, rows, b, None, |i, j0, run| {
+            let cells = &mut chunk[i * n + j0..][..run.len()];
+            for (c, &acc) in cells.iter_mut().zip(run) {
+                *c += T::ONE * acc;
+            }
         });
     });
     Ok(c)

@@ -14,8 +14,15 @@
 //! `NR` rows of `B` are packed `k`-major into one panel, so the `NR` values
 //! of step `k` sit side by side. An `MR × NR` block of the output then keeps
 //! its accumulators in registers and advances a whole row of them with one
-//! vector FMA per step. The only scratch is that one panel, `NR · d`
-//! elements per call.
+//! vector FMA per step.
+//!
+//! The loop order is Goto & van de Geijn's too: a chunk of whole panels, up
+//! to 64 KiB of `B`, is packed once, and every `MR`-row block of `A` sweeps
+//! it before the next chunk is packed. As in BLIS (Van Zee & van de
+//! Geijn, ACM TOMS 2015), the register block goes back to the caller one row
+//! run at a time, so each output row is written left to right and each
+//! caller's final write is a plain slice loop. The only scratch is that
+//! chunk, or a single panel when one panel alone exceeds it.
 
 use crate::fma;
 use crate::matrix::DenseMatrix;
@@ -28,13 +35,33 @@ use std::ops::Range;
 /// AVX2 registers for the two panel loads and the broadcast `a_ik`.
 const MR: usize = 6;
 
+/// Bytes of `B` packed at once. Each kernel thread holds its own chunk, so a
+/// larger one costs memory for a smaller gain: on a 2-vCPU Xeon, the
+/// 2000 × 2000 × 32 `f32` Nyström panel took 5.1–5.7 ms with 256 KiB,
+/// 5.9–6.5 ms with 64 KiB, and 9.9–11.1 ms packing one panel at a time.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Rows of `B` in one packed chunk: as many whole `NR`-row panels of `d`
+/// columns as fit in [`CHUNK_BYTES`], and at least one.
+fn chunk_rows<T: Scalar, const NR: usize>(d: usize) -> usize {
+    NR * (CHUNK_BYTES / (d.max(1) * std::mem::size_of::<T>() * NR)).max(1)
+}
+
 /// `A[a_rows, :] · Bᵀ`, restricted to one triangle when `triangle` is set.
 ///
-/// Calls `write(i, j, acc)` once for every output entry, where `i` counts
-/// from `a_rows.start` and `j` indexes the rows of `B`. `Triangle::Lower`
-/// keeps the entries with `j ≤ a_rows.start + i` (the row of `A` in the full
-/// matrix), `Triangle::Upper` those with `j ≥` it. Each caller keeps its own
-/// final write (`c += α·acc`, `prev + α·acc`, ...) in `write`.
+/// Hands the output to `write(i, j0, run)` one run of consecutive entries of
+/// one row at a time: `run[t]` is entry `(i, j0 + t)`, where `i` counts from
+/// `a_rows.start` and `j0 + t` indexes the rows of `B`. Every entry is
+/// written exactly once. `Triangle::Lower` keeps the entries with
+/// `j ≤ a_rows.start + i` (the row of `A` in the full matrix),
+/// `Triangle::Upper` those with `j ≥` it. Each caller applies its own final
+/// write (`c += α·acc`, `prev + α·acc`, ...) to every entry of the run.
+///
+/// `B` is packed in chunks of whole register panels, at most 64 KiB each.
+/// Every block of six rows of `A` sweeps a chunk before the next is packed,
+/// so each row of `B` is packed once per call and each output row is written
+/// left to right, in runs as wide as a panel. With fewer than six rows of
+/// `A` and no triangle, `A` is packed instead and `B` streams through.
 ///
 /// `a` and `b` must have the same number of columns.
 pub fn nt_product<T: Scalar>(
@@ -42,7 +69,7 @@ pub fn nt_product<T: Scalar>(
     a_rows: Range<usize>,
     b: &DenseMatrix<T>,
     triangle: Option<Triangle>,
-    mut write: impl FnMut(usize, usize, T),
+    mut write: impl FnMut(usize, usize, &[T]),
 ) {
     fma::dispatch(
         #[inline(always)]
@@ -57,7 +84,7 @@ fn nt_product_generic<T: Scalar>(
     a_rows: Range<usize>,
     b: &DenseMatrix<T>,
     triangle: Option<Triangle>,
-    write: &mut impl FnMut(usize, usize, T),
+    write: &mut impl FnMut(usize, usize, &[T]),
 ) {
     assert_eq!(a.cols(), b.cols(), "A·Bᵀ needs equal inner dimensions");
     if a_rows.is_empty() || b.rows() == 0 {
@@ -77,22 +104,27 @@ fn blocked<T: Scalar, const NR: usize>(
     a_rows: Range<usize>,
     b: &DenseMatrix<T>,
     triangle: Option<Triangle>,
-    write: &mut impl FnMut(usize, usize, T),
+    write: &mut impl FnMut(usize, usize, &[T]),
 ) {
-    let mut panel = vec![T::ZERO; NR * a.cols()];
+    let d = a.cols();
     if a_rows.len() < MR && triangle.is_none() {
         // Too few rows of A to pay for packing B: a one-row lookup would
         // copy all of B per request. Pack the A rows instead and stream B
         // through the block's row side. The exact product commutes, so
         // fma(b_jk, a_ik, acc) rounds exactly as fma(a_ik, b_jk, acc).
+        let mut panel = vec![T::ZERO; NR * d];
         pack::<T, NR>(&mut panel, a, a_rows.clone());
         for j0 in (0..b.rows()).step_by(MR) {
             let j1 = (j0 + MR).min(b.rows());
             let acc = block::<T, NR>(b, j0..j1, &panel);
-            for (j, sums) in (j0..j1).zip(&acc) {
-                for (i, &sum) in sums[..a_rows.len()].iter().enumerate() {
-                    write(i, j, sum);
+            // The block holds B rows by A rows: transpose each A row's lane
+            // into one run.
+            let mut run = [T::ZERO; MR];
+            for i in 0..a_rows.len() {
+                for (slot, sums) in run.iter_mut().zip(&acc[..j1 - j0]) {
+                    *slot = sums[i];
                 }
+                write(i, j0, &run[..j1 - j0]);
             }
         }
         return;
@@ -102,28 +134,42 @@ fn blocked<T: Scalar, const NR: usize>(
         Some(Triangle::Lower) => (0, a_rows.end.min(b.rows())),
         Some(Triangle::Upper) => (a_rows.start, b.rows()),
     };
-    for j0 in (lo..hi).step_by(NR) {
-        let j1 = (j0 + NR).min(hi);
-        pack::<T, NR>(&mut panel, b, j0..j1);
+    let chunk = chunk_rows::<T, NR>(d);
+    let panel_len = NR * d;
+    let mut panels = vec![T::ZERO; panel_len * chunk.min(hi.saturating_sub(lo)).div_ceil(NR)];
+    for c0 in (lo..hi).step_by(chunk) {
+        let c1 = (c0 + chunk).min(hi);
+        for (p, j0) in (c0..c1).step_by(NR).enumerate() {
+            let panel = &mut panels[p * panel_len..(p + 1) * panel_len];
+            pack::<T, NR>(panel, b, j0..(j0 + NR).min(c1));
+        }
         for i0 in a_rows.clone().step_by(MR) {
             let i1 = (i0 + MR).min(a_rows.end);
-            let outside = match triangle {
-                None => false,
-                Some(Triangle::Lower) => j0 >= i1,
-                Some(Triangle::Upper) => j1 <= i0,
-            };
-            if outside {
-                continue;
-            }
-            let acc = block::<T, NR>(a, i0..i1, &panel);
-            for (i, sums) in (i0..i1).zip(&acc) {
-                let cols = match triangle {
-                    None => j0..j1,
-                    Some(Triangle::Lower) => j0..j1.min(i + 1),
-                    Some(Triangle::Upper) => j0.max(i)..j1,
+            for (p, j0) in (c0..c1).step_by(NR).enumerate() {
+                let j1 = (j0 + NR).min(c1);
+                let outside = match triangle {
+                    None => false,
+                    Some(Triangle::Lower) => j0 >= i1,
+                    Some(Triangle::Upper) => j1 <= i0,
                 };
-                for j in cols {
-                    write(i - a_rows.start, j, sums[j - j0]);
+                if outside {
+                    continue;
+                }
+                let panel = &panels[p * panel_len..(p + 1) * panel_len];
+                let acc = block::<T, NR>(a, i0..i1, panel);
+                for (i, sums) in (i0..i1).zip(&acc) {
+                    let cols = match triangle {
+                        None => j0..j1,
+                        Some(Triangle::Lower) => j0..j1.min(i + 1),
+                        Some(Triangle::Upper) => j0.max(i)..j1,
+                    };
+                    if !cols.is_empty() {
+                        write(
+                            i - a_rows.start,
+                            cols.start,
+                            &sums[cols.start - j0..cols.end - j0],
+                        );
+                    }
                 }
             }
         }
@@ -179,6 +225,9 @@ fn block<T: Scalar, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{gemm, matmul_nt_rows, Transpose};
+    use crate::parallel::NUM_THREADS_ENV;
+    use crate::syrk::{symmetrize_lower, syrk};
 
     /// Awkward values: signed zeros, subnormals, infinities, and products
     /// whose fused and unfused roundings differ.
@@ -246,14 +295,18 @@ mod tests {
             let a_rows = if triangle.is_some() { m / 3..m } else { 0..m };
             for (form, apply) in write_forms::<T>() {
                 let mut dispatched = start.clone();
-                nt_product(&a, a_rows.clone(), &b, triangle, |i, j, acc| {
-                    let c = &mut dispatched[(i, j)];
-                    *c = apply(*c, acc)
+                nt_product(&a, a_rows.clone(), &b, triangle, |i, j0, run| {
+                    for (j, &acc) in (j0..).zip(run) {
+                        let c = &mut dispatched[(i, j)];
+                        *c = apply(*c, acc)
+                    }
                 });
                 let mut generic = start.clone();
-                nt_product_generic(&a, a_rows.clone(), &b, triangle, &mut |i, j, acc| {
-                    let c = &mut generic[(i, j)];
-                    *c = apply(*c, acc)
+                nt_product_generic(&a, a_rows.clone(), &b, triangle, &mut |i, j0, run| {
+                    for (j, &acc) in (j0..).zip(run) {
+                        let c = &mut generic[(i, j)];
+                        *c = apply(*c, acc)
+                    }
                 });
                 let mut expected = start.clone();
                 for i in a_rows.clone() {
@@ -285,6 +338,239 @@ mod tests {
             for d in [0, 1, 7, 33] {
                 check_bits::<f32>(m, n, d, |x| u64::from(x.to_bits()));
                 check_bits::<f64>(m, n, d, f64::to_bits);
+            }
+        }
+    }
+
+    /// The panel width and chunk height [`nt_product`] uses for `T`.
+    fn panel_and_chunk<T: Scalar>(d: usize) -> (usize, usize) {
+        if std::mem::size_of::<T>() == 4 {
+            (16, chunk_rows::<T, 16>(d))
+        } else {
+            (8, chunk_rows::<T, 8>(d))
+        }
+    }
+
+    /// Both paths write every entry of `A[a_rows, :]·Bᵀ` in `triangle`
+    /// exactly once, with the reference's bits, and no other entry.
+    fn check_written_once<T: Scalar>(
+        a: &DenseMatrix<T>,
+        a_rows: Range<usize>,
+        b: &DenseMatrix<T>,
+        triangle: Option<Triangle>,
+        bits: fn(T) -> u64,
+    ) {
+        let n = b.rows();
+        let want: Vec<Option<u64>> = a_rows
+            .clone()
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| in_triangle(triangle, i, j).then(|| bits(reference(a, i, b, j))))
+            .collect();
+        for dispatched in [true, false] {
+            let mut got: Vec<Option<T>> = vec![None; a_rows.len() * n];
+            let mut record = |i: usize, j0: usize, run: &[T]| {
+                for (j, &acc) in (j0..).zip(run) {
+                    let slot = &mut got[i * n + j];
+                    assert!(slot.is_none(), "entry ({i},{j}) written twice");
+                    *slot = Some(acc);
+                }
+            };
+            if dispatched {
+                nt_product(a, a_rows.clone(), b, triangle, record);
+            } else {
+                nt_product_generic(a, a_rows.clone(), b, triangle, &mut record);
+            }
+            for (e, (got, want)) in got.into_iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.map(bits),
+                    *want,
+                    "{triangle:?}, rows {a_rows:?} of {n}x{}, dispatched {dispatched}, \
+                     entry ({},{})",
+                    a.cols(),
+                    a_rows.start + e / n,
+                    e % n
+                );
+            }
+        }
+    }
+
+    fn check_chunk_edges<T: Scalar>(d: usize, bits: fn(T) -> u64) {
+        let (nr, chunk) = panel_and_chunk::<T>(d);
+        // A 13-row window of A: two register blocks and one partial row.
+        let w = 13;
+        // The swept rows of B end one panel short of, exactly at, and a
+        // partial panel past one and two chunks.
+        for span in [
+            chunk - nr,
+            chunk,
+            chunk + 3,
+            2 * chunk - nr,
+            2 * chunk,
+            2 * chunk + 3,
+        ] {
+            // Every triangle runs on an offset window. A triangle sweeps the
+            // rows of B from 0 up to the window's end (Lower) or from its
+            // start to the end of B (Upper), so each window sits where the
+            // sweep covers `span` rows.
+            for (triangle, a_rows, n) in [
+                (None, 5..5 + w, span),
+                (Some(Triangle::Lower), span - w..span, span),
+                (Some(Triangle::Upper), 5..5 + w, 5 + span),
+            ] {
+                let a = awkward::<T>(a_rows.end, d, 1);
+                let b = awkward::<T>(n, d, 2);
+                check_written_once(&a, a_rows, &b, triangle, bits);
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_edges_match_the_sequential_fma_reference_bit_for_bit() {
+        for d in [1, 33] {
+            check_chunk_edges::<f32>(d, |x| u64::from(x.to_bits()));
+            check_chunk_edges::<f64>(d, f64::to_bits);
+        }
+    }
+
+    /// [`awkward`] for long reductions: its infinities are kept to row 0, so
+    /// most sums stay finite, and rows 2 and 3 are all `−0` and all `+0`, so
+    /// the sums between them are exactly `+0`.
+    fn long_awkward<T: Scalar>(rows: usize, cols: usize, salt: usize) -> DenseMatrix<T> {
+        let mut m = awkward::<T>(rows, cols, salt);
+        for i in 1..rows {
+            for v in m.row_mut(i) {
+                *v = match i {
+                    2 => T::from_f64(-0.0),
+                    3 => T::ZERO,
+                    _ if !v.is_finite() => T::from_f64(0.75),
+                    _ => *v,
+                };
+            }
+        }
+        m
+    }
+
+    /// SYRK with the mirror, `matmul_nt_rows` and `gemm`'s `A·Bᵀ` branch
+    /// against the sequential-`fma` reference, with `B` spanning more than
+    /// two chunks.
+    fn check_products<T: Scalar>(d: usize, bits: fn(T) -> u64) {
+        let (nr, chunk) = panel_and_chunk::<T>(d);
+        let n = 2 * chunk + nr / 2 + 3;
+        let a = long_awkward::<T>(n, d, 4);
+        let b = long_awkward::<T>(n + 5, d, 5);
+        let alpha = T::from_f64(-1.0);
+        let gram = DenseMatrix::from_fn(n, n, |i, j| reference(&a, i, &a, j));
+        let cross = DenseMatrix::from_fn(n, n + 5, |i, j| reference(&a, i, &b, j));
+        for beta in [0.0, 0.5] {
+            let beta = T::from_f64(beta);
+            // The callers' final writes: `0 + α·acc` when β = 0, else
+            // `β·c + α·acc`.
+            let form = |c: T, acc: T| {
+                let prev = if beta == T::ZERO { T::ZERO } else { beta * c };
+                prev + alpha * acc
+            };
+            for triangle in [Triangle::Lower, Triangle::Upper] {
+                let start = awkward::<T>(n, n, 3);
+                let mut c = start.clone();
+                syrk(alpha, &a, beta, &mut c, triangle).unwrap();
+                symmetrize_lower(&mut c, triangle).unwrap();
+                for i in 0..n {
+                    for j in 0..n {
+                        let (r, s) = if in_triangle(Some(triangle), i, j) {
+                            (i, j)
+                        } else {
+                            (j, i)
+                        };
+                        let want = bits(form(start[(r, s)], gram[(r, s)]));
+                        assert_eq!(
+                            bits(c[(i, j)]),
+                            want,
+                            "syrk {triangle:?} beta {beta}, {n}x{d}, entry ({i},{j})"
+                        );
+                    }
+                }
+            }
+            let start = awkward::<T>(n, n + 5, 6);
+            let mut c = start.clone();
+            gemm(alpha, &a, Transpose::No, &b, Transpose::Yes, beta, &mut c).unwrap();
+            for i in 0..n {
+                for j in 0..n + 5 {
+                    let want = bits(form(start[(i, j)], cross[(i, j)]));
+                    assert_eq!(
+                        bits(c[(i, j)]),
+                        want,
+                        "gemm A·Bᵀ beta {beta}, {n}x{}x{d}, entry ({i},{j})",
+                        n + 5
+                    );
+                }
+            }
+        }
+        let (r0, r1) = (7, n - 4);
+        let panel = matmul_nt_rows(&a, r0, r1, &b).unwrap();
+        for i in r0..r1 {
+            for j in 0..n + 5 {
+                let want = bits(T::ZERO + T::ONE * cross[(i, j)]);
+                assert_eq!(
+                    bits(panel[(i - r0, j)]),
+                    want,
+                    "matmul_nt_rows {r0}..{r1}, {n}x{}x{d}, entry ({i},{j})",
+                    n + 5
+                );
+            }
+        }
+    }
+
+    /// The mirror against a plain element copy, both triangles.
+    fn check_mirror(n: usize) {
+        let start = DenseMatrix::<f32>::from_fn(n, n, |i, j| (i * n + j) as f32);
+        for triangle in [Triangle::Lower, Triangle::Upper] {
+            let mut c = start.clone();
+            symmetrize_lower(&mut c, triangle).unwrap();
+            for i in 0..n {
+                for j in 0..n {
+                    let want = if in_triangle(Some(triangle), i, j) {
+                        start[(i, j)]
+                    } else {
+                        start[(j, i)]
+                    };
+                    assert_eq!(
+                        c[(i, j)],
+                        want,
+                        "mirror {triangle:?}, n = {n}, entry ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_dense_products_match_the_sequential_fma_reference_across_chunks() {
+        check_products::<f32>(128, |x| u64::from(x.to_bits()));
+        check_products::<f64>(128, f64::to_bits);
+        // Sizes around the mirror's 256-row blocks.
+        for n in [1, 2, 3, 17, 255, 256, 257, 300, 513] {
+            check_mirror(n);
+        }
+        // The kernel thread count is fixed per process, so the test reruns
+        // itself in child processes at one and three kernel threads.
+        if std::env::var_os(NUM_THREADS_ENV).is_none() {
+            let module = module_path!().split_once("::").expect("crate path").1;
+            let test = format!(
+                "{module}::the_dense_products_match_the_sequential_fma_reference_across_chunks"
+            );
+            for threads in ["1", "3"] {
+                let exe = std::env::current_exe().unwrap();
+                let out = std::process::Command::new(exe)
+                    .args([test.as_str(), "--exact"])
+                    .env(NUM_THREADS_ENV, threads)
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    out.status.success() && stdout.contains("1 passed"),
+                    "{threads} kernel threads:\n{stdout}{}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
             }
         }
     }

@@ -356,6 +356,9 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Single-threaded variant of [`CsrMatrix::gram`], for callers that model
     /// strictly sequential hosts (e.g. the single-core CPU reference solver).
+    /// Its arithmetic runs on one thread; the mirror copy of the lower
+    /// triangle ([`symmetrize_lower`]) splits its rows across the kernel
+    /// threads.
     pub fn gram_sequential(&self) -> DenseMatrix<T> {
         let n = self.rows;
         let mut out = DenseMatrix::zeros(n, n);
