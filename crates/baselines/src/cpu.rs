@@ -36,8 +36,8 @@ impl KernelFamily for CpuReference {
     fn prepare<T: Scalar>(
         _input: FitInput<'_, T>,
         _executor: &dyn Executor,
-    ) -> Option<DenseMatrix<T>> {
-        None
+    ) -> Result<Option<DenseMatrix<T>>> {
+        Ok(None)
     }
 
     /// The PRMLT-style kernel matrix, charged at CPU efficiencies: dense

@@ -52,8 +52,8 @@ impl KernelFamily for DenseBaseline {
     fn prepare<T: Scalar>(
         input: FitInput<'_, T>,
         executor: &dyn Executor,
-    ) -> Option<DenseMatrix<T>> {
-        let points = dense_points(input, executor);
+    ) -> Result<Option<DenseMatrix<T>>> {
+        let points = dense_points(input, executor)?;
         let (n, d) = (points.rows(), points.cols());
         let bytes = dense_upload_bytes(n, d, std::mem::size_of::<T>());
         executor.charge(
@@ -63,10 +63,10 @@ impl KernelFamily for DenseBaseline {
             OpCost::transfer(bytes),
         );
         executor.track_alloc(bytes);
-        match points {
+        Ok(match points {
             Cow::Owned(points) => Some(points),
             Cow::Borrowed(_) => None,
-        }
+        })
     }
 
     /// Always GEMM (§5.3 — never SYRK, never the dynamic selection). A
@@ -78,7 +78,7 @@ impl KernelFamily for DenseBaseline {
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let points = dense_points(input, executor);
+        let points = dense_points(input, executor)?;
         let (n, d) = (points.rows(), points.cols());
         let elem = std::mem::size_of::<T>();
         let kernel_matrix = executor.run(
@@ -102,22 +102,22 @@ pub type DenseGpuBaseline = KernelSolver<DenseBaseline>;
 
 /// The points in the dense layout: the baseline cannot stream CSR operands
 /// into cuBLAS, so sparse inputs are expanded first, charged as a
-/// data-preparation pass.
+/// data-preparation pass. Errs when the `n × d` copy cannot be allocated.
 fn dense_points<'a, T: Scalar>(
     input: FitInput<'a, T>,
     executor: &dyn Executor,
-) -> Cow<'a, DenseMatrix<T>> {
+) -> Result<Cow<'a, DenseMatrix<T>>> {
     match input {
-        FitInput::Dense(points) => Cow::Borrowed(points),
+        FitInput::Dense(points) => Ok(Cow::Borrowed(points)),
         FitInput::Sparse(_) => {
             let (n, d, elem) = (input.n(), input.d(), std::mem::size_of::<T>());
-            Cow::Owned(executor.run(
+            Ok(Cow::Owned(executor.run(
                 format!("densify P ({n} x {d}, nnz={})", input.nnz()),
                 Phase::DataPreparation,
                 OpClass::Other,
                 OpCost::elementwise_elems(n as u64 * d as u64, 1, 1, 0, elem),
                 || input.to_dense(),
-            ))
+            )?))
         }
     }
 }
@@ -187,6 +187,29 @@ mod tests {
             .iter()
             .any(|r| r.name.starts_with("densify P")));
         assert_eq!(via_sparse.trace.len(), dense.trace.len() + 1);
+    }
+
+    #[test]
+    fn a_dense_copy_no_host_can_allocate_is_a_typed_error() {
+        // 3 x 2^59 f32 entries take 6.9e18 bytes, more than any host's
+        // address space holds, so the reservation fails everywhere.
+        let cols = 1usize << 59;
+        let (indices, values) = (vec![0, cols - 1, 1, 0], vec![0.5f32, 1.0, 0.25, 1.0]);
+        let csr = CsrMatrix::from_raw(3, cols, vec![0, 2, 3, 4], indices, values).unwrap();
+        let err = DenseGpuBaseline::new(config(2))
+            .fit_sparse(&csr)
+            .unwrap_err();
+        let bytes = 3 * (1u128 << 59) * 4;
+        assert_eq!(
+            err,
+            popcorn_core::CoreError::HostAllocationFailed {
+                what: "the dense copy of the points",
+                shape: (3, cols),
+                bytes,
+            }
+        );
+        let message = err.to_string();
+        assert!(message.contains(&format!("3 x {cols} entries need {bytes} bytes")));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn accumulate_distance_tile<T: Scalar>(
     // writes the tile's slice of E in place — no intermediate matrix.
     let out = &mut e.as_mut_slice()[rows.start * k..rows.end * k];
     run_tile_fold::<T>(rows, n, k, executor, || {
-        spmm_transpose_b_into(minus_two, tile, selection.csr(), out)?;
+        spmm_transpose_b_into(minus_two, tile, selection.csr(), None, out)?;
         Ok(())
     })
 }

@@ -43,6 +43,17 @@ pub enum CoreError {
         /// Kernel-matrix pass at which the loss was observed.
         pass: usize,
     },
+    /// A host buffer cannot be allocated: its size overflows, or the
+    /// allocator refused it (the dense copy of points whose largest feature
+    /// index is huge, say).
+    HostAllocationFailed {
+        /// What the buffer would hold.
+        what: &'static str,
+        /// Its shape, `(rows, cols)`.
+        shape: (usize, usize),
+        /// The bytes it needs, exact.
+        bytes: u128,
+    },
     /// An underlying dense kernel failed.
     Dense(DenseError),
     /// An underlying sparse kernel failed.
@@ -78,6 +89,14 @@ impl fmt::Display for CoreError {
                 f,
                 "device {device} was lost at kernel-matrix pass {pass}; the fit must be \
                  retried on the surviving topology"
+            ),
+            CoreError::HostAllocationFailed {
+                what,
+                shape: (rows, cols),
+                bytes,
+            } => write!(
+                f,
+                "cannot allocate {what} on the host: {rows} x {cols} entries need {bytes} bytes"
             ),
             CoreError::Dense(e) => write!(f, "dense kernel error: {e}"),
             CoreError::Sparse(e) => write!(f, "sparse kernel error: {e}"),

@@ -931,7 +931,7 @@ fn build_landmark_fold<T: Scalar>(
 ) -> Result<DenseMatrix<T>> {
     let m = cross.cols();
     let mut fold_t = vec![T::ZERO; k * m];
-    spmm_selection_rows_accumulate(cross, labels, &vec![T::ONE; k], &mut fold_t)?;
+    spmm_selection_rows_accumulate(cross, labels, &vec![T::ONE; k], None, &mut fold_t)?;
     Ok(DenseMatrix::from_fn(m, k, |j, c| fold_t[c * m + j]))
 }
 

@@ -33,9 +33,9 @@ impl KernelFamily for Popcorn {
     fn prepare<T: Scalar>(
         input: FitInput<'_, T>,
         executor: &dyn Executor,
-    ) -> Option<DenseMatrix<T>> {
+    ) -> Result<Option<DenseMatrix<T>>> {
         input.charge_upload(executor);
-        None
+        Ok(None)
     }
 
     fn kernel_matrix<T: Scalar>(
@@ -62,7 +62,8 @@ pub type KernelKmeans = KernelSolver<Popcorn>;
 /// `1/|L_c|` and the scale `−2`: over a source whose tiles are symmetric
 /// ([`KernelSource::symmetric_tiles`]) it folds `Eᵀ = V K` row by row,
 /// streaming `K` once; over any other source it gathers `E = −2 K Vᵀ`.
-/// Both give the same bits under the same records.
+/// Both give the same bits under the same records. After a fit's first
+/// pass the fold refolds only the clusters whose members changed.
 pub(crate) struct PopcornEngine<T: Scalar> {
     k: usize,
     point_norms: Option<Vec<T>>,
@@ -106,9 +107,11 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         )?;
 
         // The n x k accumulator for E = -2 K V^T (becomes D in place),
-        // recycled through recycle_distances across iterations.
+        // recycled through recycle_distances across iterations. A fit's
+        // first pass folds every cluster; later ones refold the changed.
         if iteration == 0 {
             executor.track_alloc(n as u64 * self.k as u64 * elem as u64);
+            self.fold.forget();
         }
         self.fold.begin(source, selection, false);
         Ok(())

@@ -170,8 +170,9 @@ impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
 /// tile-wise — one launch per tile, one launch total for an in-core source.
 /// On the host it is the shared fold (`crate::fold`) under unit weights:
 /// the row sums are `V·K` with `V`'s stored values set to one, and the first
-/// iteration collects `diag(K)` from the same tiles. Kernels 2 and 3 run
-/// once per iteration after the last tile.
+/// iteration collects `diag(K)` from the same tiles. Like Popcorn's, the fold
+/// refolds only the clusters whose members changed after a fit's first
+/// pass. Kernels 2 and 3 run once per iteration after the last tile.
 pub struct BaselineEngine<T: Scalar> {
     k: usize,
     fold: SelectionFold<T>,
@@ -230,6 +231,7 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         if iteration == 0 {
             let n = source.n() as u64;
             executor.track_alloc(n * self.k as u64 * std::mem::size_of::<T>() as u64);
+            self.fold.forget();
         }
         // diag(K) comes from the tiles of this engine's first pass.
         let first_pass = self.fold.diag().is_empty();

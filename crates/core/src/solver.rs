@@ -161,12 +161,32 @@ impl<'a, T: Scalar> FitInput<'a, T> {
 
     /// A dense copy of the points. Only the dense GPU baseline uses this —
     /// the paper's baseline implementation cannot consume sparse operands, so
-    /// it pays for the densification the other solvers avoid.
-    pub fn to_dense(&self) -> DenseMatrix<T> {
-        match self {
-            FitInput::Dense(p) => (*p).clone(),
-            FitInput::Sparse(p) => p.to_dense(),
+    /// it pays for the densification the other solvers avoid. CSR points
+    /// take `n × d` entries whatever they store, so the size is checked and
+    /// the buffer reserved fallibly: a libSVM file whose largest feature
+    /// index is 4e9 gets [`CoreError::HostAllocationFailed`], not an abort.
+    pub fn to_dense(&self) -> Result<DenseMatrix<T>> {
+        let p = match self {
+            FitInput::Dense(p) => return Ok((*p).clone()),
+            FitInput::Sparse(p) => p,
+        };
+        let (n, d) = (p.rows(), p.cols());
+        let failed = || CoreError::HostAllocationFailed {
+            what: "the dense copy of the points",
+            shape: (n, d),
+            bytes: n as u128 * d as u128 * std::mem::size_of::<T>() as u128,
+        };
+        let len = n.checked_mul(d).ok_or_else(failed)?;
+        let mut values = Vec::new();
+        values.try_reserve_exact(len).map_err(|_| failed())?;
+        values.resize(len, T::ZERO);
+        for i in 0..n {
+            let (cols, vals) = p.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                values[i * d + j] = v;
+            }
         }
+        Ok(DenseMatrix::from_vec(n, d, values)?)
     }
 }
 
@@ -290,11 +310,12 @@ pub trait KernelFamily {
 
     /// Charge whatever moves the points to the device. Returns a dense copy
     /// when the family cannot run on `input` as given; the fit then runs on
-    /// that copy, while a fitted model keeps `input` itself.
+    /// that copy, while a fitted model keeps `input` itself. Errs when that
+    /// copy cannot be allocated.
     fn prepare<T: Scalar>(
         input: FitInput<'_, T>,
         executor: &dyn Executor,
-    ) -> Option<DenseMatrix<T>>;
+    ) -> Result<Option<DenseMatrix<T>>>;
 
     /// Compute and charge the in-core kernel matrix of `input` under
     /// `config`'s kernel function and Gram strategy. A refit that rebuilds
@@ -367,7 +388,7 @@ impl<F: KernelFamily> KernelSolver<F> {
         executor: &dyn Executor,
         run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
     ) -> Result<R> {
-        let dense = F::prepare(input, executor);
+        let dense = F::prepare(input, executor)?;
         let input = dense.as_ref().map_or(input, FitInput::Dense);
         run_with_source(
             input,
@@ -444,7 +465,7 @@ impl<T: Scalar, F: KernelFamily> Solver<T> for KernelSolver<F> {
         let executor = self.executor_for::<T>();
         let executor: &dyn Executor = &*executor;
         let _residency = ResidencyScope::new(executor);
-        let dense = F::prepare(input, executor);
+        let dense = F::prepare(input, executor)?;
         let prepared = dense.as_ref().map_or(input, FitInput::Dense);
         model::fit_and_extract::<F, T>(None, prepared, input, config, None, executor)
     }

@@ -22,6 +22,12 @@
 //! three folds compute the plain per-cluster row sums `Σ_{q ∈ L_c} K[i][q]`
 //! bit for bit: `fma(1, x, acc)` rounds `acc + x` once, exactly as `+=`
 //! does, and `1 · acc` is `acc`.
+//!
+//! Each of the three folds takes the set of clusters (rows of `V`) to fold:
+//! `Some(set)` folds cluster `c` only where `set[c]` holds and leaves the
+//! other clusters' cells as they are, `None` folds every cluster. A folded
+//! cell gets the same bits either way, so a caller that keeps last pass's
+//! output can refold just the clusters whose members changed.
 
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
@@ -85,16 +91,18 @@ pub fn spmm_transpose_b<T: Scalar>(
     a: &CsrMatrix<T>,
 ) -> Result<DenseMatrix<T>> {
     let mut c = DenseMatrix::zeros(b.rows(), a.rows());
-    spmm_transpose_b_into(alpha, b, a, c.as_mut_slice())?;
+    spmm_transpose_b_into(alpha, b, a, None, c.as_mut_slice())?;
     Ok(c)
 }
 
 /// [`spmm_transpose_b`] writing into a caller-provided row-major buffer of
-/// `b.rows() × a.rows()` entries (every cell is overwritten). The streaming
-/// kernel-matrix path uses this to compute a row tile's slice of
-/// `E = −2 K Vᵀ` directly into the shared accumulator, with no intermediate
-/// matrix: output values are identical to the allocating variant bit for bit
-/// (each cell is an independent overwrite).
+/// `b.rows() × a.rows()` entries. The streaming kernel-matrix path uses this
+/// to compute a row tile's slice of `E = −2 K Vᵀ` directly into the shared
+/// accumulator, with no intermediate matrix: output values are identical to
+/// the allocating variant bit for bit (each cell is an independent
+/// overwrite). Under `clusters` (see the module docs) only the columns of
+/// the rows of `a` in the set are written, and only the columns of `b` those
+/// rows store are packed; `None` overwrites every cell.
 ///
 /// Each cell `(i, j)` accumulates `acc = fma(v, B[i, l], acc)` over row `j`'s
 /// stored entries `(l, v)` in ascending `l`, then writes `alpha · acc`. The
@@ -105,6 +113,7 @@ pub fn spmm_transpose_b_into<T: Scalar>(
     alpha: T,
     b: &DenseMatrix<T>,
     a: &CsrMatrix<T>,
+    clusters: Option<&[bool]>,
     out: &mut [T],
 ) -> Result<()> {
     if b.cols() != a.cols() {
@@ -123,16 +132,29 @@ pub fn spmm_transpose_b_into<T: Scalar>(
             found: (out.len(), 1),
         });
     }
+    check_clusters("spmm_transpose_b_into (clusters)", clusters, n)?;
     if m == 0 || n == 0 {
         return Ok(());
     }
     par_chunks_rows(out, n, |start_row, chunk| {
         dispatch(
             #[inline(always)]
-            || fold_transpose_b_rows(alpha, b, a, start_row, chunk),
+            || fold_transpose_b_rows(alpha, b, a, clusters, start_row, chunk),
         )
     });
     Ok(())
+}
+
+/// Check that a cluster set, if given, flags each of the `k` clusters.
+fn check_clusters(op: &'static str, clusters: Option<&[bool]>, k: usize) -> Result<()> {
+    match clusters {
+        Some(set) if set.len() != k => Err(SparseError::DimensionMismatch {
+            op,
+            expected: (k, 1),
+            found: (set.len(), 1),
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// Rows of `B` one walk of a sparse row feeds: eight independent FMA chains
@@ -146,11 +168,13 @@ const FOLD_ROWS: usize = 8;
 /// one panel, so the values a stored entry `(l, v)` meets sit side by side:
 /// the walk then reads one panel slot per entry instead of one cache line
 /// per row. The panel is the only scratch, `FOLD_ROWS · b.cols()` entries.
+/// Under a cluster set only the slots its rows of `a` read are packed.
 #[inline(always)]
 fn fold_transpose_b_rows<T: Scalar>(
     alpha: T,
     b: &DenseMatrix<T>,
     a: &CsrMatrix<T>,
+    clusters: Option<&[bool]>,
     start_row: usize,
     chunk: &mut [T],
 ) {
@@ -162,12 +186,26 @@ fn fold_transpose_b_rows<T: Scalar>(
         // Rows past the chunk repeat its last row; their sums are dropped.
         let b_rows: [&[T]; FOLD_ROWS] =
             std::array::from_fn(|r| &b.row(i0 + r.min(rows - 1))[..panel.len()]);
-        for (l, slot) in panel.iter_mut().enumerate() {
+        let pack = |slot: &mut [T; FOLD_ROWS], l: usize| {
             for (x, b_r) in slot.iter_mut().zip(&b_rows) {
                 *x = b_r[l];
             }
+        };
+        match clusters {
+            None => {
+                for (l, slot) in panel.iter_mut().enumerate() {
+                    pack(slot, l);
+                }
+            }
+            Some(set) => {
+                for j in (0..n).filter(|&j| set[j]) {
+                    for &l in a.row(j).0 {
+                        pack(&mut panel[l], l);
+                    }
+                }
+            }
         }
-        for j in 0..n {
+        for j in (0..n).filter(|&j| clusters.is_none_or(|set| set[j])) {
             let (cols, vals) = a.row(j);
             let mut acc = [T::ZERO; FOLD_ROWS];
             for (&l, &v) in cols.iter().zip(vals) {
@@ -187,6 +225,8 @@ fn fold_transpose_b_rows<T: Scalar>(
 /// `labels` (the cluster of each tile row) and `cluster_weights` (`V`'s
 /// stored value per cluster: `1/|L_c|`, or one for plain row sums); `acc`
 /// is the row-major `cluster_weights.len() × tile.cols()` accumulator.
+/// Under `clusters` (see the module docs) the tile rows of other clusters
+/// are skipped, and a tile with no row in the set does no work.
 ///
 /// Tile rows are folded in ascending order, row `l` as
 /// `acc[c(l), i] = fma(w_c(l), K[l, i], acc[c(l), i])` for every column `i`;
@@ -201,6 +241,7 @@ pub fn spmm_selection_rows_accumulate<T: Scalar>(
     tile: &DenseMatrix<T>,
     labels: &[usize],
     cluster_weights: &[T],
+    clusters: Option<&[bool]>,
     acc: &mut [T],
 ) -> Result<()> {
     let (rows, n) = tile.shape();
@@ -222,10 +263,16 @@ pub fn spmm_selection_rows_accumulate<T: Scalar>(
     if let Some((point, &label)) = labels.iter().enumerate().find(|&(_, &c)| c >= k) {
         return Err(SparseError::InvalidAssignment { point, label, k });
     }
+    check_clusters("spmm_selection_rows_accumulate (clusters)", clusters, k)?;
+    if let Some(set) = clusters {
+        if !labels.iter().any(|&c| set[c]) {
+            return Ok(());
+        }
+    }
     par_chunks_cols(acc, n, |cols, acc_rows| {
         dispatch(
             #[inline(always)]
-            || fold_selection_rows(tile, labels, cluster_weights, cols, acc_rows),
+            || fold_selection_rows(tile, labels, cluster_weights, clusters, cols, acc_rows),
         )
     });
     Ok(())
@@ -238,10 +285,14 @@ fn fold_selection_rows<T: Scalar>(
     tile: &DenseMatrix<T>,
     labels: &[usize],
     cluster_weights: &[T],
+    clusters: Option<&[bool]>,
     cols: Range<usize>,
     acc: &mut [&mut [T]],
 ) {
     for (l, &c) in labels.iter().enumerate() {
+        if clusters.is_some_and(|set| !set[c]) {
+            continue;
+        }
         let w = cluster_weights[c];
         for (sum, &x) in acc[c].iter_mut().zip(&tile.row(l)[cols.clone()]) {
             *sum = w.mul_add(x, *sum);
@@ -268,12 +319,16 @@ fn fold_selection_rows<T: Scalar>(
 /// produces. Cost is `O(panel_nnz + rows · k)` instead of `O(rows · n · k)`.
 ///
 /// Accumulation happens directly in `out` (the caller's slice of the shared
-/// `n × k` accumulator): no scratch buffer, no allocation.
+/// `n × k` accumulator): no scratch buffer, no allocation. Under `clusters`
+/// (see the module docs) only the cells of the clusters in the set are
+/// zeroed, folded and scaled, and stored entries of other clusters are
+/// skipped.
 pub fn spmm_csr_rows_selection_t_into<T: Scalar>(
     alpha: T,
     panel: CsrRows<'_, T>,
     labels: &[usize],
     cluster_weights: &[T],
+    clusters: Option<&[bool]>,
     out: &mut [T],
     k: usize,
 ) -> Result<()> {
@@ -299,28 +354,58 @@ pub fn spmm_csr_rows_selection_t_into<T: Scalar>(
             found: (cluster_weights.len(), 1),
         });
     }
+    check_clusters("spmm_csr_rows_selection_t_into (clusters)", clusters, k)?;
     if rows == 0 || k == 0 {
         return Ok(());
     }
+    let weights = cluster_weights;
     par_chunks_rows(out, k, |start_row, chunk| {
         dispatch(
             #[inline(always)]
-            || {
-                for (local, out_row) in chunk.chunks_exact_mut(k).enumerate() {
-                    out_row.fill(T::ZERO);
-                    let (cols, vals) = panel.row(start_row + local);
-                    for (&l, &v) in cols.iter().zip(vals.iter()) {
-                        let j = labels[l];
-                        out_row[j] = cluster_weights[j].mul_add(v, out_row[j]);
-                    }
-                    for c in out_row.iter_mut() {
-                        *c = alpha * *c;
-                    }
+            || match clusters {
+                None => fold_csr_rows(alpha, panel, labels, weights, |_| true, start_row, chunk),
+                Some(set) => {
+                    fold_csr_rows(alpha, panel, labels, weights, |c| set[c], start_row, chunk)
                 }
             },
         )
     });
     Ok(())
+}
+
+/// The body of [`spmm_csr_rows_selection_t_into`] for the output rows
+/// `chunk` holds, the first being panel row `start_row`; `folds(c)` says
+/// whether cluster `c` is in the set (always, without one).
+#[inline(always)]
+fn fold_csr_rows<T: Scalar>(
+    alpha: T,
+    panel: CsrRows<'_, T>,
+    labels: &[usize],
+    cluster_weights: &[T],
+    folds: impl Fn(usize) -> bool,
+    start_row: usize,
+    chunk: &mut [T],
+) {
+    let k = cluster_weights.len();
+    for (local, out_row) in chunk.chunks_exact_mut(k).enumerate() {
+        for (c, cell) in out_row.iter_mut().enumerate() {
+            if folds(c) {
+                *cell = T::ZERO;
+            }
+        }
+        let (cols, vals) = panel.row(start_row + local);
+        for (&l, &v) in cols.iter().zip(vals.iter()) {
+            let j = labels[l];
+            if folds(j) {
+                out_row[j] = cluster_weights[j].mul_add(v, out_row[j]);
+            }
+        }
+        for (c, cell) in out_row.iter_mut().enumerate() {
+            if folds(c) {
+                *cell = alpha * *cell;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -481,12 +566,14 @@ mod tests {
             while r0 < n {
                 let r1 = (r0 + tile_rows).min(n);
                 let tile = DenseMatrix::from_fn(r1 - r0, n, |li, j| kmat[(r0 + li, j)]);
-                spmm_transpose_b_into(-2.0, &tile, &v, &mut dense_out[r0 * k..r1 * k]).unwrap();
+                spmm_transpose_b_into(-2.0, &tile, &v, None, &mut dense_out[r0 * k..r1 * k])
+                    .unwrap();
                 spmm_csr_rows_selection_t_into(
                     -2.0,
                     sparse_k.rows_view(r0..r1),
                     &labels,
                     &weights,
+                    None,
                     &mut sparse_out[r0 * k..r1 * k],
                     k,
                 )
@@ -524,9 +611,9 @@ mod tests {
         let a = awkward_csr::<T>(n, d, 2);
         let alpha = T::from_f64(-2.0);
         let mut dispatched = vec![T::from_f64(7.0); m * n];
-        spmm_transpose_b_into(alpha, &b, &a, &mut dispatched).unwrap();
+        spmm_transpose_b_into(alpha, &b, &a, None, &mut dispatched).unwrap();
         let mut generic = vec![T::from_f64(7.0); m * n];
-        fold_transpose_b_rows(alpha, &b, &a, 0, &mut generic);
+        fold_transpose_b_rows(alpha, &b, &a, None, 0, &mut generic);
         let expected = fold_reference(alpha, &b, &a);
         for (cell, &want) in expected.iter().enumerate() {
             let at = format!("{m}x{n}x{d} cell {cell}");
@@ -568,7 +655,7 @@ mod tests {
             .collect();
         let alpha = T::from_f64(-2.0);
         let mut gathered = vec![T::ZERO; n * k];
-        spmm_transpose_b_into(alpha, &kmat, selection.csr(), &mut gathered).unwrap();
+        spmm_transpose_b_into(alpha, &kmat, selection.csr(), None, &mut gathered).unwrap();
         for tile_rows in [1, 7, 8, 13, n] {
             let mut dispatched = vec![T::ZERO; k * n];
             let mut generic = vec![T::ZERO; k * n];
@@ -577,10 +664,10 @@ mod tests {
                 let r1 = (r0 + tile_rows).min(n);
                 let tile = DenseMatrix::from_fn(r1 - r0, n, |li, j| kmat[(r0 + li, j)]);
                 let tile_labels = &labels[r0..r1];
-                spmm_selection_rows_accumulate(&tile, tile_labels, &weights, &mut dispatched)
+                spmm_selection_rows_accumulate(&tile, tile_labels, &weights, None, &mut dispatched)
                     .unwrap();
                 let mut acc_rows: Vec<&mut [T]> = generic.chunks_exact_mut(n).collect();
-                fold_selection_rows(&tile, tile_labels, &weights, 0..n, &mut acc_rows);
+                fold_selection_rows(&tile, tile_labels, &weights, None, 0..n, &mut acc_rows);
                 r0 = r1;
             }
             for i in 0..n {
@@ -611,12 +698,15 @@ mod tests {
         let tile = DenseMatrix::<f64>::filled(2, 3, 1.0);
         let weights = [0.5, 1.0];
         let mut acc = vec![0.0; 6];
-        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, &mut acc).is_ok());
+        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, None, &mut acc).is_ok());
         assert_eq!(acc, vec![0.5, 0.5, 0.5, 1.0, 1.0, 1.0]);
-        assert!(spmm_selection_rows_accumulate(&tile, &[0], &weights, &mut acc).is_err());
-        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, &mut acc[..4]).is_err());
+        assert!(spmm_selection_rows_accumulate(&tile, &[0], &weights, None, &mut acc).is_err());
+        let short = &mut acc[..4];
+        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, None, short).is_err());
+        let set = Some(&[true][..]);
+        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, set, &mut acc).is_err());
         assert!(matches!(
-            spmm_selection_rows_accumulate(&tile, &[0, 2], &weights, &mut acc),
+            spmm_selection_rows_accumulate(&tile, &[0, 2], &weights, None, &mut acc),
             Err(SparseError::InvalidAssignment {
                 point: 1,
                 label: 2,
@@ -637,6 +727,7 @@ mod tests {
             csr.rows_view(0..3),
             &labels,
             &weights,
+            None,
             &mut out,
             2
         )
@@ -647,6 +738,7 @@ mod tests {
             csr.rows_view(0..3),
             &labels[..2],
             &weights,
+            None,
             &mut out,
             2
         )
@@ -657,6 +749,7 @@ mod tests {
             csr.rows_view(0..3),
             &labels,
             &weights,
+            None,
             &mut out[..4],
             2
         )
@@ -667,9 +760,93 @@ mod tests {
             csr.rows_view(0..3),
             &labels,
             &weights[..1],
+            None,
             &mut out,
             2
         )
         .is_err());
+    }
+
+    /// Each fold under the cluster set `set`, into outputs holding a
+    /// sentinel in every cell it may not write, against the same fold over
+    /// every cluster: the set's cells match bit for bit and the others keep
+    /// the sentinel.
+    fn check_cluster_set<T: Scalar>(set: &[bool], bits: fn(T) -> u64) {
+        let (n, k) = (29, set.len());
+        let raw = awkward_dense::<T>(n, n, 5);
+        let kmat = DenseMatrix::from_fn(n, n, |i, j| raw[(i.min(j), i.max(j))]);
+        // The last cluster is empty.
+        let labels: Vec<usize> = (0..n).map(|i| (i * 7 + i / 3) % (k - 1)).collect();
+        let selection = SelectionMatrix::<T>::from_assignments(&labels, k).unwrap();
+        let weights: Vec<T> = selection
+            .cardinalities()
+            .iter()
+            .map(|&c| match c {
+                0 => T::ZERO,
+                c => T::ONE / T::from_usize(c),
+            })
+            .collect();
+        let (alpha, sentinel) = (T::from_f64(-2.0), T::from_f64(7.0));
+        let check = |full: &[T], subset: &[T], cluster_of: &dyn Fn(usize) -> usize, at: &str| {
+            for (cell, (&want, &got)) in full.iter().zip(subset).enumerate() {
+                let want = if set[cluster_of(cell)] {
+                    want
+                } else {
+                    sentinel
+                };
+                assert_eq!(bits(got), bits(want), "{at} set {set:?} cell {cell}");
+            }
+        };
+
+        let mut full = vec![sentinel; n * k];
+        let mut subset = full.clone();
+        spmm_transpose_b_into(alpha, &kmat, selection.csr(), None, &mut full).unwrap();
+        spmm_transpose_b_into(alpha, &kmat, selection.csr(), Some(set), &mut subset).unwrap();
+        check(&full, &subset, &|cell| cell % k, "gather");
+
+        let csr = awkward_csr::<T>(n, n, 6);
+        let mut full = vec![sentinel; n * k];
+        let mut subset = full.clone();
+        for (set, out) in [(None, &mut full), (Some(set), &mut subset)] {
+            let view = csr.rows_view(0..n);
+            spmm_csr_rows_selection_t_into(alpha, view, &labels, &weights, set, out, k).unwrap();
+        }
+        check(&full, &subset, &|cell| cell % k, "csr");
+
+        // The row path accumulates: the set's rows start from zero.
+        let mut full = vec![T::ZERO; k * n];
+        let mut subset = vec![sentinel; k * n];
+        for (c, row) in subset.chunks_exact_mut(n).enumerate() {
+            if set[c] {
+                row.fill(T::ZERO);
+            }
+        }
+        for rows in [0..7, 7..8, 8..n] {
+            let tile = DenseMatrix::from_fn(rows.len(), n, |li, j| kmat[(rows.start + li, j)]);
+            let tile_labels = &labels[rows];
+            spmm_selection_rows_accumulate(&tile, tile_labels, &weights, None, &mut full).unwrap();
+            spmm_selection_rows_accumulate(&tile, tile_labels, &weights, Some(set), &mut subset)
+                .unwrap();
+        }
+        check(&full, &subset, &|cell| cell / n, "rows");
+    }
+
+    #[test]
+    fn cluster_sets_fold_only_their_clusters_bit_for_bit() {
+        let sets: [&[bool]; 5] = [
+            &[true, false, true, false, true],
+            &[false, true, false, false, false],
+            &[false, false, false, false, true],
+            &[false; 5],
+            &[true; 5],
+        ];
+        for set in sets {
+            check_cluster_set::<f32>(set, |x| u64::from(x.to_bits()));
+            check_cluster_set::<f64>(set, f64::to_bits);
+        }
+        let (b, a) = (DenseMatrix::<f64>::zeros(2, 3), sparse_sample());
+        let mut out = vec![0.0; 4];
+        assert!(spmm_transpose_b_into(1.0, &b, &a, Some(&[true; 2]), &mut out).is_ok());
+        assert!(spmm_transpose_b_into(1.0, &b, &a, Some(&[true]), &mut out).is_err());
     }
 }
