@@ -40,6 +40,20 @@
 //! first iteration), over another source (by address), `n` or `k`, or when
 //! the last pass never finished.
 //!
+//! # Reading only the columns dirty clusters read
+//!
+//! On the gather path a pass that refolds some but not all clusters reads
+//! only the columns of `K` whose point now belongs to a dirty cluster. It
+//! names them ([`SelectionFold::columns`]), so a source that reconstructs
+//! its tiles ([`crate::nystrom::NystromKernel`]) produces just those
+//! columns ([`KernelSource::for_each_tile_of`]). A compact tile folds under
+//! `V` restricted to the listed columns: each dirty cluster's row keeps its
+//! members at their positions in the list, so cell `(i, c)` meets the same
+//! operands in the same ascending order, and the clean clusters' cells stay
+//! untouched. A full-width tile folds as before, so a source may ignore the
+//! request. A pass that collects `diag(K)` needs every tile row's own column
+//! and requests none.
+//!
 //! The fold charges nothing: each caller runs it under its own record, which
 //! prices the paper's full SpMM whatever the cache skips.
 
@@ -90,6 +104,15 @@ pub(crate) struct SelectionFold<T: Scalar> {
     folded: Option<PassKey>,
     /// Per cluster, whether this pass refolds it.
     dirty: Vec<bool>,
+    /// Whether this pass reads only `columns`.
+    narrow: bool,
+    /// The columns a narrow pass reads: the points whose cluster is dirty,
+    /// ascending.
+    columns: Vec<usize>,
+    /// `V` restricted to `columns` (`k × columns.len()`): a dirty cluster's
+    /// row holds its members' positions in `columns` under its weight, a
+    /// clean cluster's row is empty. Rebuilt in its own buffers each pass.
+    restricted: Option<CsrMatrix<T>>,
     /// Recycled `n × k` buffer, reused as the next `E`.
     spare: Option<DenseMatrix<T>>,
     /// `diag(K)` read off the tiles of the pass that asked for it.
@@ -132,6 +155,9 @@ impl<T: Scalar> SelectionFold<T> {
             pass: None,
             folded: None,
             dirty: Vec::new(),
+            narrow: false,
+            columns: Vec::new(),
+            restricted: None,
             spare: None,
             diag: Vec::new(),
             collect_diag: false,
@@ -145,9 +171,10 @@ impl<T: Scalar> SelectionFold<T> {
     }
 
     /// Start a pass of `source` under `selection`: mark the clusters it
-    /// refolds and zero their accumulator rows. With `collect_diag` the pass
-    /// also reads `diag(K)` off its tiles: `tile[i][i]`, or a CSR row's
-    /// stored diagonal entry (zero if absent).
+    /// refolds, zero their accumulator rows and, on a gather pass that
+    /// refolds some but not all clusters, list the columns it reads. With
+    /// `collect_diag` the pass also reads `diag(K)` off its tiles:
+    /// `tile[i][i]`, or a CSR row's stored diagonal entry (zero if absent).
     pub(crate) fn begin(
         &mut self,
         source: &dyn KernelSource<T>,
@@ -178,6 +205,10 @@ impl<T: Scalar> SelectionFold<T> {
             for (row, _) in rows.filter(|&(_, &dirty)| dirty) {
                 row.fill(T::ZERO);
             }
+        }
+        self.narrow = gathers && !collect_diag && self.dirty.contains(&false);
+        if self.narrow {
+            self.restrict(&selection);
         }
         self.selection = Some(selection);
         self.pass = Some(key);
@@ -212,12 +243,55 @@ impl<T: Scalar> SelectionFold<T> {
         }
     }
 
+    /// List the columns a narrow pass under `selection` reads, the points
+    /// whose cluster is dirty, and restrict `V` to them. The list ascends, so
+    /// each restricted row keeps its members' order.
+    fn restrict(&mut self, selection: &SelectionMatrix<T>) {
+        let labels = selection.assignments();
+        self.columns.clear();
+        self.columns
+            .extend((0..labels.len()).filter(|&l| self.dirty[labels[l]]));
+        let (mut row_ptrs, mut cols, mut values) = self
+            .restricted
+            .take()
+            .map(CsrMatrix::into_raw)
+            .unwrap_or_default();
+        row_ptrs.clear();
+        cols.clear();
+        values.clear();
+        row_ptrs.push(0);
+        for (c, &dirty) in self.dirty.iter().enumerate() {
+            if dirty {
+                let members = selection.csr().row(c).0;
+                let positions = members
+                    .iter()
+                    .map(|l| self.columns.partition_point(|p| p < l));
+                cols.extend(positions);
+                values.resize(cols.len(), self.cluster_weights[c]);
+            }
+            row_ptrs.push(cols.len());
+        }
+        let (k, width) = (self.dirty.len(), self.columns.len());
+        self.restricted = Some(CsrMatrix::from_raw_unchecked(
+            k, width, row_ptrs, cols, values,
+        ));
+    }
+
+    /// The columns of `K` this pass reads, ascending, when it reads fewer
+    /// than all: on the gather path, when some but not all clusters are
+    /// dirty and the pass does not collect `diag(K)`. They are the points
+    /// whose cluster is dirty, none when no cluster is. `None` otherwise.
+    pub(crate) fn columns(&self) -> Option<&[usize]> {
+        self.narrow.then_some(self.columns.as_slice())
+    }
+
     /// This pass's selection matrix.
     pub(crate) fn selection(&self) -> &SelectionMatrix<T> {
         self.selection.as_ref().expect("begin ran")
     }
 
-    /// Fold the row tile `tile = K[rows, :]`.
+    /// Fold the row tile `tile = K[rows, :]`, or on a narrow pass the
+    /// compact tile `K[rows, columns]` (see the module docs).
     pub(crate) fn tile(&mut self, rows: Range<usize>, tile: &DenseMatrix<T>) -> Result<()> {
         let selection = self.selection.as_ref().expect("begin ran");
         if self.collect_diag {
@@ -233,8 +307,14 @@ impl<T: Scalar> SelectionFold<T> {
             let labels = &selection.assignments()[rows];
             spmm_selection_rows_accumulate(tile, labels, weights, clusters, &mut self.acc)?;
         } else {
-            let k = selection.k();
-            let v = self.indicator.as_ref().unwrap_or(selection.csr());
+            let (n, k) = (selection.n(), selection.k());
+            // A tile of any other width meets the full `V` and errs there.
+            let v = match self.restricted.as_ref().filter(|_| self.narrow) {
+                Some(restricted) if tile.cols() != n && tile.cols() == restricted.cols() => {
+                    restricted
+                }
+                _ => self.indicator.as_ref().unwrap_or(selection.csr()),
+            };
             // Rows r0..r1 of the row-major `E` are contiguous.
             let out = &mut self.acc[rows.start * k..rows.end * k];
             spmm_transpose_b_into(self.scale, tile, v, clusters, out)?;
@@ -303,7 +383,6 @@ mod tests {
     use super::*;
     use crate::kernel_source::{FullKernel, TilePolicy};
     use crate::sparsified::SparsifiedKernel;
-    use popcorn_dense::parallel::NUM_THREADS_ENV;
     use popcorn_gpusim::SimExecutor;
 
     const N: usize = 37;
@@ -325,11 +404,14 @@ mod tests {
         })
     }
 
-    /// The fold's three paths.
-    #[derive(Debug, Clone, Copy)]
+    /// The fold's three paths, the gather twice: over a source that hands
+    /// out full tiles whatever the fold requests, and over one that serves
+    /// exactly the requested columns (as the Nyström source does).
+    #[derive(Debug, Clone, Copy, PartialEq)]
     enum Path {
         Rows,
         Gather,
+        Columns,
         Csr,
     }
 
@@ -338,7 +420,7 @@ mod tests {
     fn matrix<T: Scalar>(path: Path, salt: usize) -> DenseMatrix<T> {
         DenseMatrix::from_fn(N, N, |i, j| match path {
             Path::Rows => entry(i.min(j) * N + i.max(j) + salt * N * N),
-            Path::Gather | Path::Csr => entry(i * N + j + salt * N * N),
+            Path::Gather | Path::Columns | Path::Csr => entry(i * N + j + salt * N * N),
         })
     }
 
@@ -356,28 +438,49 @@ mod tests {
         CsrMatrix::from_raw(N, N, row_ptrs, cols, values).unwrap()
     }
 
+    /// How a pass hands its tiles to the fold.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Drive {
+        /// Full-width tiles whatever the fold requests: a resident source,
+        /// or the lockstep batch driver.
+        Full,
+        /// Tiles of exactly the requested columns, full ones when the fold
+        /// requests none.
+        Requested,
+        /// Full-width tiles to a pass that collects `diag(K)`.
+        Diag,
+    }
+
     /// One pass of `fold` over `source` (whose dense rows are `m`) under
-    /// `labels`, in ragged row tiles. With `fail` the second tile has a
-    /// column too few, so the pass errs before `finish`.
+    /// `labels`, in ragged row tiles handed out as `drive` says. With `fail`
+    /// the second tile has a column too few, so the pass errs before
+    /// `finish`.
     fn pass<T: Scalar>(
         fold: &mut SelectionFold<T>,
         source: &dyn KernelSource<T>,
         m: &DenseMatrix<T>,
         labels: &[usize],
+        drive: Drive,
         fail: bool,
     ) -> Result<DenseMatrix<T>> {
-        fold.begin(source, SelectionMatrix::from_assignments(labels, K)?, false);
+        let selection = SelectionMatrix::from_assignments(labels, K)?;
+        fold.begin(source, selection, drive == Drive::Diag);
+        let columns: Vec<usize> = match fold.columns() {
+            Some(columns) if drive == Drive::Requested => columns.to_vec(),
+            _ => (0..N).collect(),
+        };
         for (t, rows) in TILE_BOUNDS.windows(2).map(|w| w[0]..w[1]).enumerate() {
-            let cols = if fail && t == 1 { N - 1 } else { N };
+            let width = columns.len() - usize::from(fail && t == 1);
             match source.csr() {
-                Some(_) if cols < N => {
-                    let short = CsrMatrix::zeros(rows.len(), cols);
+                Some(_) if width < N => {
+                    let short = CsrMatrix::zeros(rows.len(), width);
                     fold.csr_panel(rows.clone(), short.rows_view(0..rows.len()))?
                 }
                 Some(csr) => fold.csr_panel(rows.clone(), csr.rows_view(rows))?,
                 None => {
-                    let tile =
-                        DenseMatrix::from_fn(rows.len(), cols, |r, j| m[(rows.start + r, j)]);
+                    let tile = DenseMatrix::from_fn(rows.len(), width, |r, p| {
+                        m[(rows.start + r, columns[p])]
+                    });
                     fold.tile(rows, &tile)?
                 }
             }
@@ -385,8 +488,8 @@ mod tests {
         Ok(fold.finish())
     }
 
-    fn bits<T: Scalar>(e: &DenseMatrix<T>) -> Vec<u64> {
-        e.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+    fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|v| v.to_f64().to_bits()).collect()
     }
 
     /// Move the first member of cluster `from` to cluster `to`.
@@ -451,8 +554,9 @@ mod tests {
     ];
 
     /// Drive one fold along `path` through the label sequence. After every
-    /// pass, check which clusters it refolded and compare its `E` with a
-    /// freshly built fold's, bit for bit.
+    /// pass, check which clusters it refolded and which columns it
+    /// requested, and compare its `E` (and any `diag(K)` it collected) with
+    /// a freshly built fold's, bit for bit.
     fn check_sequence<T: Scalar>(path: Path, weights: FoldWeights, scale: f64) {
         let exec = SimExecutor::a100_f32();
         let matrices = [matrix::<T>(path, 0), matrix::<T>(path, 1)];
@@ -461,32 +565,53 @@ mod tests {
             .map(|m| -> Box<dyn KernelSource<T> + '_> {
                 match path {
                     Path::Rows => Box::new(FullKernel::computed(m).unwrap()),
-                    Path::Gather => Box::new(FullKernel::new(m).unwrap()),
+                    Path::Gather | Path::Columns => Box::new(FullKernel::new(m).unwrap()),
                     Path::Csr => Box::new(
                         SparsifiedKernel::from_csr(csr_of(m), TilePolicy::Full, K, &exec).unwrap(),
                     ),
                 }
             })
             .collect();
+        let drive = match path {
+            Path::Columns => Drive::Requested,
+            _ => Drive::Full,
+        };
         let at = |step: &str| {
             format!(
                 "{path:?} {weights:?} {}: {step}",
                 std::any::type_name::<T>()
             )
         };
-        let check = |fold: &mut SelectionFold<T>, step, s: usize, labels: &[usize], dirty| {
+        let check = |fold: &mut SelectionFold<T>,
+                     step: &str,
+                     s: usize,
+                     labels: &[usize],
+                     dirty: &[usize],
+                     drive: Drive| {
             let (source, m) = (&*sources[s], &matrices[s]);
-            let e = pass(fold, source, m, labels, false).unwrap();
-            let want = pass(
-                &mut SelectionFold::new(weights, scale),
-                source,
-                m,
-                labels,
-                false,
-            );
-            assert_eq!(bits(&e), bits(&want.unwrap()), "{}", at(step));
+            let e = pass(fold, source, m, labels, drive, false).unwrap();
+            let mut fresh = SelectionFold::new(weights, scale);
+            let want = pass(&mut fresh, source, m, labels, drive, false);
+            let want = want.unwrap();
+            assert_eq!(bits(e.as_slice()), bits(want.as_slice()), "{}", at(step));
+            if drive == Drive::Diag {
+                assert_eq!(bits(fold.diag()), bits(fresh.diag()), "diag, {}", at(step));
+            }
             let refolded: Vec<usize> = (0..K).filter(|&c| fold.dirty[c]).collect();
             assert_eq!(refolded, dirty, "refolded clusters, {}", at(step));
+            // The gather requests the members of the dirty clusters under
+            // the new labels, unless it refolds every cluster or reads the
+            // diagonal.
+            let gathers = matches!(path, Path::Gather | Path::Columns);
+            let narrow = gathers && drive != Drive::Diag && dirty.len() < K;
+            let members = (0..N).filter(|&l| dirty.contains(&labels[l]));
+            let requested = narrow.then(|| members.collect::<Vec<_>>());
+            assert_eq!(
+                fold.columns().map(<[usize]>::to_vec),
+                requested,
+                "requested columns, {}",
+                at(step)
+            );
             fold.recycle(e);
         };
 
@@ -495,45 +620,47 @@ mod tests {
         let mut labels: Vec<usize> = (0..N).map(|i| [0, 4, 2, 1, 4, 0, 2][i % 7]).collect();
         for (step, s, change, dirty) in STEPS {
             change(&mut labels);
-            check(&mut fold, step, s, &labels, dirty);
+            check(&mut fold, step, s, &labels, dirty, drive);
         }
+        // A request answered with full tiles, as the lockstep driver does.
+        move_first(&mut labels, 0, 3);
+        let full_tiles = "a request answered with full tiles";
+        check(&mut fold, full_tiles, 0, &labels, &[0, 3], Drive::Full);
+        // A pass that reads the diagonal needs every column.
+        move_first(&mut labels, 1, 2);
+        check(
+            &mut fold,
+            "a pass collecting diag(K)",
+            0,
+            &labels,
+            &[1, 2],
+            Drive::Diag,
+        );
         // A pass that errs before `finish`, after folding its first tile.
         move_first(&mut labels, 2, 4);
-        let failed = pass(&mut fold, &*sources[0], &matrices[0], &labels, true);
+        let failed = pass(&mut fold, &*sources[0], &matrices[0], &labels, drive, true);
         assert!(failed.is_err(), "{}", at("a failed pass"));
-        check(&mut fold, "the pass after a failed one", 0, &labels, ALL);
+        check(
+            &mut fold,
+            "the pass after a failed one",
+            0,
+            &labels,
+            ALL,
+            drive,
+        );
         fold.forget();
-        check(&mut fold, "a pass after forget", 0, &labels, ALL);
+        check(&mut fold, "a pass after forget", 0, &labels, ALL, drive);
     }
 
     #[test]
     fn refolding_the_changed_clusters_matches_a_fresh_fold_bit_for_bit() {
-        for path in [Path::Rows, Path::Gather, Path::Csr] {
+        for path in [Path::Rows, Path::Gather, Path::Columns, Path::Csr] {
             check_sequence::<f32>(path, FoldWeights::Mean, -2.0);
             check_sequence::<f64>(path, FoldWeights::Mean, -2.0);
             check_sequence::<f32>(path, FoldWeights::Unit, 1.0);
             check_sequence::<f64>(path, FoldWeights::Unit, 1.0);
         }
-        // The kernel thread count is fixed per process, so the test reruns
-        // itself in child processes at one and three kernel threads.
-        if std::env::var_os(NUM_THREADS_ENV).is_none() {
-            let module = module_path!().split_once("::").expect("crate path").1;
-            let name = "refolding_the_changed_clusters_matches_a_fresh_fold_bit_for_bit";
-            let test = format!("{module}::{name}");
-            for threads in ["1", "3"] {
-                let exe = std::env::current_exe().unwrap();
-                let out = std::process::Command::new(exe)
-                    .args([test.as_str(), "--exact"])
-                    .env(NUM_THREADS_ENV, threads)
-                    .output()
-                    .unwrap();
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                assert!(
-                    out.status.success() && stdout.contains("1 passed"),
-                    "{threads} kernel threads:\n{stdout}{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-            }
-        }
+        let name = "refolding_the_changed_clusters_matches_a_fresh_fold_bit_for_bit";
+        crate::test_support::rerun_at_kernel_threads(module_path!(), name);
     }
 }

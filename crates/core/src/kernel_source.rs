@@ -23,6 +23,11 @@
 //!   (see `CsrMatrix::gram_panel` and the dense GEMM's per-entry dot
 //!   products), so labels, objectives and histories match to the last bit.
 //!
+//! A reader that needs only some columns of `K` streams through
+//! [`KernelSource::for_each_tile_of`]: [`crate::nystrom::NystromKernel`]
+//! then reconstructs just those columns, while resident and exact sources
+//! keep handing out full tiles.
+//!
 //! [`plan_tile_rows`] is the residency planner: given the device's
 //! [`DeviceSpec::mem_bytes`] capacity it keeps the full matrix when it fits,
 //! picks the largest fitting tile under [`TilePolicy::Auto`], or rejects the
@@ -107,6 +112,23 @@ pub trait KernelSource<T: Scalar>: Sync {
     /// `(r1 - r0) × n`). [`TiledKernel`] charges each tile's recomputation to
     /// the executor here; [`FullKernel`] charges nothing.
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()>;
+
+    /// [`KernelSource::for_each_tile`] for a reader of only some columns of
+    /// `K`: `columns`, ascending and distinct (`None` for every column). A
+    /// source may then hand out compact tiles `K[r0..r1, columns]`, exactly
+    /// `columns.len()` wide, their column `p` being `K`'s column
+    /// `columns[p]`, bit for bit. Every tile is either that or `n` wide, and
+    /// each is charged as the full tile it stands for. The default streams
+    /// full tiles: a resident matrix has nothing to save.
+    fn for_each_tile_of(
+        &self,
+        executor: &dyn Executor,
+        columns: Option<&[usize]>,
+        f: &mut TileVisitor<'_, T>,
+    ) -> Result<()> {
+        let _ = columns;
+        self.for_each_tile(executor, f)
+    }
 
     /// A cheap quality bound for *approximate* sources — `None` (the
     /// default) for exact backends, `Some(bound)` for lossy ones (e.g. the

@@ -44,6 +44,8 @@ pub mod shard;
 pub mod solver;
 pub mod sparsified;
 pub mod strategy;
+#[cfg(test)]
+mod test_support;
 
 pub use batch::{BatchOptions, BatchReport, BatchResult, FitJob, HostParallelism, JobReport};
 pub use config::KernelKmeansConfig;

@@ -41,7 +41,7 @@ use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::microkernel::nt_product;
-use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
+use popcorn_dense::{matmul, DenseMatrix, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming,
 };
@@ -1127,13 +1127,9 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
             )),
             ResidentKernel::Nystrom { factors, .. } => {
                 let m = factors.landmarks.len();
-                let panel = executor.run(
-                    format!("serve nystrom row {i} (n={n}, m={m})"),
-                    Phase::PairwiseDistances,
-                    OpClass::Gemm,
-                    OpCost::gemm(1, n, m, elem),
-                    || matmul_nt_rows(&factors.hat, i, i + 1, &factors.cross),
-                )?;
+                let name = format!("serve nystrom row {i} (n={n}, m={m})");
+                let panel =
+                    factors.panel(name, Phase::PairwiseDistances, i..i + 1, None, executor)?;
                 Ok(panel.row(0).to_vec())
             }
             _ => self.tiled()?.row(i, executor),
@@ -1145,23 +1141,30 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         executor: &dyn Executor,
         f: &mut kernel_source::TileVisitor<'_, T>,
     ) -> Result<()> {
+        self.for_each_tile_of(executor, None, f)
+    }
+
+    /// Nyström panels reconstruct only the requested columns, as the fit's
+    /// source does; resident and streamed exact state hand out full tiles.
+    fn for_each_tile_of(
+        &self,
+        executor: &dyn Executor,
+        columns: Option<&[usize]>,
+        f: &mut kernel_source::TileVisitor<'_, T>,
+    ) -> Result<()> {
         let n = self.model.n();
-        let elem = std::mem::size_of::<T>();
         match &self.model.resident {
             ResidentKernel::Full(matrix) => f(0..n, matrix),
             ResidentKernel::Nystrom { factors, tile_rows } => {
                 let m = factors.landmarks.len();
+                let cross = factors.cross_rows(columns);
                 let step = (*tile_rows).max(1);
                 let mut r0 = 0usize;
                 while r0 < n {
                     let r1 = (r0 + step).min(n);
-                    let tile = executor.run(
-                        format!("serve nystrom panel rows {r0}..{r1} (n={n}, m={m})"),
-                        Phase::PairwiseDistances,
-                        OpClass::Gemm,
-                        OpCost::gemm(r1 - r0, n, m, elem),
-                        || matmul_nt_rows(&factors.hat, r0, r1, &factors.cross),
-                    )?;
+                    let name = format!("serve nystrom panel rows {r0}..{r1} (n={n}, m={m})");
+                    let phase = Phase::PairwiseDistances;
+                    let tile = factors.panel(name, phase, r0..r1, cross.as_ref(), executor)?;
                     f(r0..r1, &tile)?;
                     r0 = r1;
                 }

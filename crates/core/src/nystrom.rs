@@ -47,6 +47,7 @@ use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which kernel-matrix representation a fit runs over: the exact `n × n`
@@ -127,6 +128,46 @@ pub struct NystromFactors<T: Scalar> {
     pub diag: Vec<T>,
     /// The landmark row indices, in D²-selection order.
     pub landmarks: Vec<usize>,
+}
+
+impl<T: Scalar> NystromFactors<T> {
+    /// `C[columns, :]`, the cross factor rows a column panel
+    /// ([`NystromFactors::panel`]) multiplies by; `None` when the reader
+    /// asks for every column.
+    pub(crate) fn cross_rows(&self, columns: Option<&[usize]>) -> Option<DenseMatrix<T>> {
+        let columns = columns.filter(|columns| columns.len() < self.cross.rows())?;
+        Some(DenseMatrix::from_fn(
+            columns.len(),
+            self.cross.cols(),
+            |p, j| self.cross[(columns[p], j)],
+        ))
+    }
+
+    /// The reconstructed panel `K̂[rows, :] = H[rows, :]·Cᵀ`, or with
+    /// `cross = Some(C[columns, :])` only its columns `columns`:
+    /// `H[rows, :]·C[columns, :]ᵀ`. Each entry is the same sequential `fma`
+    /// dot product under the same `0 + 1·acc` write, so a column panel's
+    /// entries are the full panel's bit for bit. Either way the record `name`
+    /// in `phase` charges the full `rows × n × m` GEMM.
+    pub(crate) fn panel(
+        &self,
+        name: String,
+        phase: Phase,
+        rows: Range<usize>,
+        cross: Option<&DenseMatrix<T>>,
+        executor: &dyn Executor,
+    ) -> Result<DenseMatrix<T>> {
+        let (n, m) = self.cross.shape();
+        let elem = std::mem::size_of::<T>();
+        let cross = cross.unwrap_or(&self.cross);
+        Ok(executor.run(
+            name,
+            phase,
+            OpClass::Gemm,
+            OpCost::gemm(rows.len(), n, m, elem),
+            || matmul_nt_rows(&self.hat, rows.start, rows.end, cross),
+        )?)
+    }
 }
 
 /// A rank-`m` Nyström factorization of the kernel matrix, streamed through
@@ -333,23 +374,21 @@ impl<T: Scalar> NystromKernel<T> {
         factor_bytes::<T>(self.factors.cross.rows(), self.factors.cross.cols())
     }
 
-    /// Compute (and charge) one reconstructed panel `K̂[r0..r1, :]`.
+    /// Compute (and charge) the reconstructed panel `K̂[rows, :]`, or its
+    /// columns `C[columns, :]` holds ([`NystromFactors::panel`]).
     fn compute_tile(
         &self,
-        r0: usize,
-        r1: usize,
+        rows: Range<usize>,
+        cross: Option<&DenseMatrix<T>>,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let NystromFactors { cross, hat, .. } = &*self.factors;
-        let (n, m) = (cross.rows(), cross.cols());
-        let elem = std::mem::size_of::<T>();
-        Ok(executor.run(
-            format!("nystrom panel rows {r0}..{r1} (n={n}, m={m})"),
-            Phase::KernelMatrix,
-            OpClass::Gemm,
-            OpCost::gemm(r1 - r0, n, m, elem),
-            || matmul_nt_rows(hat, r0, r1, cross),
-        )?)
+        let (n, m) = self.factors.cross.shape();
+        let name = format!(
+            "nystrom panel rows {}..{} (n={n}, m={m})",
+            rows.start, rows.end
+        );
+        self.factors
+            .panel(name, Phase::KernelMatrix, rows, cross, executor)
     }
 }
 
@@ -402,15 +441,30 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
         let _active = self.stream.on_row(executor, i);
-        let panel = self.compute_tile(i, i + 1, executor)?;
+        let panel = self.compute_tile(i..i + 1, None, executor)?;
         Ok(panel.row(0).to_vec())
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
+        self.for_each_tile_of(executor, None, f)
+    }
+
+    /// Reconstructs only the requested columns: `C[columns, :]` is gathered
+    /// once per pass, and each tile is `H[r0..r1, :]·C[columns, :]ᵀ`, compact
+    /// because first-touching a zeroed full-width tile would cost about as
+    /// much as computing it. Records, residency and the shard walk are a
+    /// full pass's.
+    fn for_each_tile_of(
+        &self,
+        executor: &dyn Executor,
+        columns: Option<&[usize]>,
+        f: &mut TileVisitor<'_, T>,
+    ) -> Result<()> {
+        let cross = self.factors.cross_rows(columns);
         // Global row order with per-device attribution — the exact sharded
         // source's contract, over reconstructed panels.
         self.stream.walk(self, executor, &mut |_, rows| {
-            let tile = self.compute_tile(rows.start, rows.end, executor)?;
+            let tile = self.compute_tile(rows.clone(), cross.as_ref(), executor)?;
             f(rows, &tile)
         })
     }
@@ -764,7 +818,7 @@ mod tests {
         }
         fixed
             .for_each_tile(&exec, &mut |rows, tile| {
-                let mirror = adaptive.compute_tile(rows.start, rows.end, &exec).unwrap();
+                let mirror = adaptive.compute_tile(rows.clone(), None, &exec).unwrap();
                 for local in 0..rows.len() {
                     for j in 0..40 {
                         assert_eq!(tile[(local, j)].to_bits(), mirror[(local, j)].to_bits());
@@ -978,6 +1032,92 @@ mod tests {
                 })
                 .unwrap();
         }
+    }
+
+    /// One pass of `source` over `columns` on `exec`: each tile with its
+    /// rows, and the records the pass charged (host seconds left out).
+    #[allow(clippy::type_complexity)]
+    fn column_pass<T: Scalar>(
+        source: &NystromKernel<T>,
+        exec: &dyn Executor,
+        columns: Option<&[usize]>,
+    ) -> (
+        Vec<(Range<usize>, DenseMatrix<T>)>,
+        Vec<(String, Phase, OpClass, OpCost, u64)>,
+    ) {
+        let mark = exec.trace().len();
+        let mut tiles = Vec::new();
+        source
+            .for_each_tile_of(exec, columns, &mut |rows, tile| {
+                tiles.push((rows, tile.clone()));
+                Ok(())
+            })
+            .unwrap();
+        let records = exec.trace().records()[mark..]
+            .iter()
+            .map(|r| {
+                let seconds = r.modeled_seconds.to_bits();
+                (r.name.clone(), r.phase, r.class, r.cost, seconds)
+            })
+            .collect();
+        (tiles, records)
+    }
+
+    fn column_tiles_match_full_tiles<T: Scalar>() {
+        use popcorn_gpusim::{DeviceSpec, LinkSpec, ShardedExecutor};
+        let n = 23;
+        let points = sample_points(n, 5).cast::<T>();
+        let lists: [Vec<usize>; 5] = [
+            vec![],
+            vec![11],
+            vec![0, n - 1],
+            (0..n).step_by(2).collect(),
+            (0..n).collect(),
+        ];
+        let single = SimExecutor::a100_f32();
+        let sharded =
+            ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
+        let executors: [(&dyn Executor, usize); 2] = [(&single, 1), (&sharded, 3)];
+        for (exec, devices) in executors {
+            // Ragged tiles: 7, 7, 7 and 2 rows on one device, shorter ones
+            // at the shard boundaries on three.
+            let source = NystromKernel::new(
+                FitInput::Dense(&points),
+                KernelFunction::paper_polynomial(),
+                6,
+                7,
+                TilePolicy::Rows(7),
+                4,
+                exec,
+            )
+            .unwrap();
+            let (full, full_records) = column_pass(&source, exec, None);
+            for columns in &lists {
+                let at = format!("{devices} device(s), columns {columns:?}");
+                let (tiles, records) = column_pass(&source, exec, Some(columns));
+                assert_eq!(records, full_records, "{at}");
+                assert_eq!(tiles.len(), full.len(), "{at}");
+                for ((rows, tile), (full_rows, full_tile)) in tiles.iter().zip(&full) {
+                    assert_eq!(rows, full_rows, "{at}");
+                    assert_eq!(tile.shape(), (rows.len(), columns.len()), "{at}");
+                    for local in 0..rows.len() {
+                        for (p, &j) in columns.iter().enumerate() {
+                            let (got, want) = (tile[(local, p)], full_tile[(local, j)]);
+                            let (got, want) = (got.to_f64().to_bits(), want.to_f64().to_bits());
+                            assert_eq!(got, want, "{at} ({local}, {j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_tiles_are_the_full_tiles_columns_under_the_same_records() {
+        column_tiles_match_full_tiles::<f32>();
+        column_tiles_match_full_tiles::<f64>();
+        let name = "column_tiles_are_the_full_tiles_columns_under_the_same_records";
+        crate::test_support::rerun_at_kernel_threads(module_path!(), name);
     }
 
     #[test]

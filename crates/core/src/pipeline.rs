@@ -79,6 +79,15 @@ pub trait DistanceEngine<T: Scalar>: Send {
         ))
     }
 
+    /// The columns of `K` this iteration's fold reads, ascending, once
+    /// `begin_iteration` ran: the source may then hand out compact tiles of
+    /// just those columns ([`KernelSource::for_each_tile_of`]), and
+    /// `consume_tile` takes them as well as full ones. The default, `None`,
+    /// reads every column.
+    fn columns(&self) -> Option<&[usize]> {
+        None
+    }
+
     /// Produce the `n × k` distance matrix once every tile was consumed.
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>>;
 
@@ -277,9 +286,10 @@ pub fn iterate_init<T: Scalar>(
 
 /// One iteration's distance pass of `engine` over `source` under `labels`:
 /// `begin_iteration`, one fold per tile — zero-copy CSR panels when the
-/// source keeps `K` CSR-resident ([`KernelSource::csr`]), dense tiles
-/// otherwise — then `finish_iteration`. `meter` reads the pass's
-/// produce/consume segments off the trace and never changes it.
+/// source keeps `K` CSR-resident ([`KernelSource::csr`]), dense tiles of the
+/// columns the engine reads ([`DistanceEngine::columns`]) otherwise — then
+/// `finish_iteration`. `meter` reads the pass's produce/consume segments off
+/// the trace and never changes it.
 pub(crate) fn distance_pass<T: Scalar>(
     source: &dyn KernelSource<T>,
     engine: &mut dyn DistanceEngine<T>,
@@ -298,7 +308,9 @@ pub(crate) fn distance_pass<T: Scalar>(
             folded
         })?;
     } else {
-        source.for_each_tile(executor, &mut |rows, tile| {
+        // A copy, because the tiles go back to the engine mutably.
+        let columns = engine.columns().map(<[usize]>::to_vec);
+        source.for_each_tile_of(executor, columns.as_deref(), &mut |rows, tile| {
             meter.tile_produced(executor);
             let folded = engine.consume_tile(rows, tile, executor);
             meter.tile_consumed(executor);

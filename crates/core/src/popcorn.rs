@@ -63,7 +63,9 @@ pub type KernelKmeans = KernelSolver<Popcorn>;
 /// ([`KernelSource::symmetric_tiles`]) it folds `Eᵀ = V K` row by row,
 /// streaming `K` once; over any other source it gathers `E = −2 K Vᵀ`.
 /// Both give the same bits under the same records. After a fit's first
-/// pass the fold refolds only the clusters whose members changed.
+/// pass the fold refolds only the clusters whose members changed, and on the
+/// gather path it asks the source for only the columns those clusters read
+/// ([`DistanceEngine::columns`]).
 pub(crate) struct PopcornEngine<T: Scalar> {
     k: usize,
     point_norms: Option<Vec<T>>,
@@ -123,7 +125,9 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         tile: &DenseMatrix<T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let (fold, n) = (&mut self.fold, tile.cols());
+        // Charged as the full tile's rows of `n` columns, compact or not.
+        let n = self.fold.selection().n();
+        let fold = &mut self.fold;
         run_tile_fold::<T>(rows.clone(), n, self.k, executor, || fold.tile(rows, tile))
     }
 
@@ -137,6 +141,10 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         run_csr_tile_fold::<T>(rows.clone(), nnz, n, self.k, executor, || {
             fold.csr_panel(rows, panel)
         })
+    }
+
+    fn columns(&self) -> Option<&[usize]> {
+        self.fold.columns()
     }
 
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {

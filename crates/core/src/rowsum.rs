@@ -172,7 +172,8 @@ impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
 /// the row sums are `V·K` with `V`'s stored values set to one, and the first
 /// iteration collects `diag(K)` from the same tiles. Like Popcorn's, the fold
 /// refolds only the clusters whose members changed after a fit's first
-/// pass. Kernels 2 and 3 run once per iteration after the last tile.
+/// pass, and asks a gathering source for only the columns they read.
+/// Kernels 2 and 3 run once per iteration after the last tile.
 pub struct BaselineEngine<T: Scalar> {
     k: usize,
     fold: SelectionFold<T>,
@@ -245,9 +246,9 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         tile: &DenseMatrix<T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        self.row_reduction(rows, tile.cols(), executor, |fold, rows| {
-            fold.tile(rows, tile)
-        })
+        // Charged as the full tile's rows of `n` columns, compact or not.
+        let n = self.fold.selection().n();
+        self.row_reduction(rows, n, executor, |fold, rows| fold.tile(rows, tile))
     }
 
     fn consume_csr_tile(
@@ -263,6 +264,10 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         self.row_reduction(rows, panel.cols(), executor, |fold, rows| {
             fold.csr_panel(rows, panel)
         })
+    }
+
+    fn columns(&self) -> Option<&[usize]> {
+        self.fold.columns()
     }
 
     fn finish_iteration(&mut self, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
@@ -479,7 +484,6 @@ pub(crate) fn distance_assembly<T: Scalar>(
 mod tests {
     use super::*;
     use crate::kernel_source::FullKernel;
-    use popcorn_dense::parallel::NUM_THREADS_ENV;
     use popcorn_gpusim::SimExecutor;
     use popcorn_sparse::CsrMatrix;
 
@@ -582,25 +586,7 @@ mod tests {
     fn the_shared_fold_under_unit_weights_is_the_plain_loop() {
         unit_weight_cases::<f32>();
         unit_weight_cases::<f64>();
-        // The kernel thread count is fixed per process, so the test reruns
-        // itself in child processes at one and three kernel threads.
-        if std::env::var_os(NUM_THREADS_ENV).is_none() {
-            let module = module_path!().split_once("::").expect("crate path").1;
-            let test = format!("{module}::the_shared_fold_under_unit_weights_is_the_plain_loop");
-            for threads in ["1", "3"] {
-                let exe = std::env::current_exe().unwrap();
-                let out = std::process::Command::new(exe)
-                    .args([test.as_str(), "--exact"])
-                    .env(NUM_THREADS_ENV, threads)
-                    .output()
-                    .unwrap();
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                assert!(
-                    out.status.success() && stdout.contains("1 passed"),
-                    "{threads} kernel threads:\n{stdout}{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-            }
-        }
+        let name = "the_shared_fold_under_unit_weights_is_the_plain_loop";
+        crate::test_support::rerun_at_kernel_threads(module_path!(), name);
     }
 }

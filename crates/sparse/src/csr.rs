@@ -125,6 +125,12 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
+    /// The raw arrays `(row_ptrs, col_indices, values)`, handed back so a
+    /// caller that rebuilds a matrix of the same kind can reuse them.
+    pub fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<T>) {
+        (self.row_ptrs, self.col_indices, self.values)
+    }
+
     /// An empty (all-zero) CSR matrix of the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
@@ -358,41 +364,44 @@ impl<T: Scalar> CsrMatrix<T> {
     /// strictly sequential hosts (e.g. the single-core CPU reference solver).
     /// Its arithmetic runs on one thread; the mirror copy of the lower
     /// triangle ([`symmetrize_lower`]) splits its rows across the kernel
-    /// threads.
+    /// threads. Its scatter has one slot per column that occurs, so no
+    /// buffer is sized by the feature count.
     pub fn gram_sequential(&self) -> DenseMatrix<T> {
         let n = self.rows;
         let mut out = DenseMatrix::zeros(n, n);
         if n == 0 {
             return out;
         }
-        let mut scatter = vec![T::ZERO; self.cols];
-        self.gram_fill_lower_rows(0, out.as_mut_slice(), &mut scatter);
+        let (slots, width) = self.column_slots();
+        let mut scatter = vec![T::ZERO; width];
+        self.gram_fill_lower_rows(out.as_mut_slice(), &slots, &mut scatter);
         symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
         out
     }
 
-    /// Compute the lower-triangle Gram entries for a contiguous block of
-    /// output rows, one row at a time: the single-core reference loop of
-    /// [`CsrMatrix::gram_sequential`]. Entry `(i, j ≤ i)` accumulates
-    /// `fma(v_jc, a_ic, acc)` over row `j`'s stored entries in ascending `c`.
-    fn gram_fill_lower_rows(&self, start_row: usize, chunk: &mut [T], scatter: &mut [T]) {
+    /// Compute the lower-triangle Gram entries, one row at a time: the
+    /// single-core reference loop of [`CsrMatrix::gram_sequential`]. Entry
+    /// `(i, j ≤ i)` accumulates `fma(v_jc, a_ic, acc)` over row `j`'s stored
+    /// entries in ascending `c`, reading `a_ic` from the scatter slot
+    /// `slots` gives column `c`.
+    fn gram_fill_lower_rows(&self, out: &mut [T], slots: &[usize], scatter: &mut [T]) {
         let n = self.rows;
-        for (local_i, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let i = start_row + local_i;
-            let (cols_i, vals_i) = self.row(i);
-            for (&c, &v) in cols_i.iter().zip(vals_i.iter()) {
-                scatter[c] = v;
+        let row_slots = |i: usize| &slots[self.row_ptrs[i]..self.row_ptrs[i + 1]];
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let (slots_i, vals_i) = (row_slots(i), self.row(i).1);
+            for (&s, &v) in slots_i.iter().zip(vals_i.iter()) {
+                scatter[s] = v;
             }
             for (j, out_ij) in out_row.iter_mut().enumerate().take(i + 1) {
-                let (cols_j, vals_j) = self.row(j);
+                let (slots_j, vals_j) = (row_slots(j), self.row(j).1);
                 let mut acc = T::ZERO;
-                for (&c, &v) in cols_j.iter().zip(vals_j.iter()) {
-                    acc = v.mul_add(scatter[c], acc);
+                for (&s, &v) in slots_j.iter().zip(vals_j.iter()) {
+                    acc = v.mul_add(scatter[s], acc);
                 }
                 *out_ij = acc;
             }
-            for &c in cols_i {
-                scatter[c] = T::ZERO;
+            for &s in slots_i {
+                scatter[s] = T::ZERO;
             }
         }
     }
@@ -1030,6 +1039,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sequential_gram_of_astronomical_feature_indices_matches_gram() {
+        // 2^61 f32 columns: a scatter sized by the feature count would need
+        // 2^63 bytes. Both Grams size theirs by the columns that occur.
+        let cols = 1usize << 61;
+        let m = CsrMatrix::from_raw(
+            3,
+            cols,
+            vec![0, 2, 4, 7],
+            vec![1, cols - 1, 2, 3, 1, 3, cols - 1],
+            vec![0.5f32, 1.0, -0.25, 1.0, 1.0, 1e-40, 0.5],
+        )
+        .unwrap();
+        let bits = |g: DenseMatrix<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect();
+        let (sequential, gram): (Vec<u32>, Vec<u32>) = (bits(m.gram_sequential()), bits(m.gram()));
+        assert_eq!(sequential, gram);
+        assert_eq!(f32::from_bits(gram[0]), 1.25);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::csr::CsrMatrix;
 use crate::errors::SparseError;
 use crate::Result;
-use popcorn_dense::parallel::par_map_indexed;
+use popcorn_dense::fma::dispatch;
 use popcorn_dense::Scalar;
 
 /// FLOPs performed by an SpMV over a matrix with `nnz` stored entries.
@@ -17,6 +17,11 @@ pub fn spmv_flops(nnz: usize) -> u64 {
 }
 
 /// `y = alpha * A * x` for CSR `A` (m×n) and dense `x` (length n).
+///
+/// Runs on the calling thread, FMA-dispatched: the distance step's `V z`
+/// folds only `n` stored entries, a few thousand FMAs, which cost less than
+/// starting the kernel threads would. Each row is its own sequential `fma`
+/// fold.
 pub fn spmv<T: Scalar>(alpha: T, a: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>> {
     if x.len() != a.cols() {
         return Err(SparseError::DimensionMismatch {
@@ -25,14 +30,21 @@ pub fn spmv<T: Scalar>(alpha: T, a: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>> {
             found: (x.len(), 1),
         });
     }
-    Ok(par_map_indexed(a.rows(), |i| {
-        let (cols, vals) = a.row(i);
-        let mut acc = T::ZERO;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            acc = v.mul_add(x[j], acc);
-        }
-        alpha * acc
-    }))
+    let mut y = Vec::with_capacity(a.rows());
+    dispatch(
+        #[inline(always)]
+        || {
+            for i in 0..a.rows() {
+                let (cols, vals) = a.row(i);
+                let mut acc = T::ZERO;
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc = v.mul_add(x[j], acc);
+                }
+                y.push(alpha * acc);
+            }
+        },
+    );
+    Ok(y)
 }
 
 /// `y = alpha * Aᵀ * x` for CSR `A` (m×n) and dense `x` (length m), computed
