@@ -34,9 +34,10 @@
 //! are densified up front and the conversion is charged to the simulator,
 //! which is exactly the cost asymmetry the paper's sparse datasets expose.
 
+use popcorn_core::kernel_matrix::gemm_kernel_matrix;
 use popcorn_core::solver::{dense_upload_bytes, FitInput, KernelFamily, KernelSolver};
 use popcorn_core::{KernelKmeansConfig, ModelFamily, Result};
-use popcorn_dense::{matmul_nt, DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use std::borrow::Cow;
 
@@ -86,11 +87,7 @@ impl KernelFamily for DenseBaseline {
             Phase::KernelMatrix,
             OpClass::Gemm,
             OpCost::gemm(n, n, d, elem),
-            || -> Result<DenseMatrix<T>> {
-                let mut gram = matmul_nt(&points, &points)?;
-                config.kernel.apply_to_gram(&mut gram);
-                Ok(gram)
-            },
+            || gemm_kernel_matrix(&points, config.kernel),
         )?;
         executor.track_alloc(n as u64 * n as u64 * elem as u64);
         Ok(kernel_matrix)

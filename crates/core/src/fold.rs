@@ -384,6 +384,7 @@ mod tests {
     use crate::kernel_source::{FullKernel, TilePolicy};
     use crate::sparsified::SparsifiedKernel;
     use popcorn_gpusim::SimExecutor;
+    use std::sync::Arc;
 
     const N: usize = 37;
     const K: usize = 5;
@@ -564,7 +565,7 @@ mod tests {
             .iter()
             .map(|m| -> Box<dyn KernelSource<T> + '_> {
                 match path {
-                    Path::Rows => Box::new(FullKernel::computed(m).unwrap()),
+                    Path::Rows => Box::new(FullKernel::computed(Arc::new(m.clone())).unwrap()),
                     Path::Gather | Path::Columns => Box::new(FullKernel::new(m).unwrap()),
                     Path::Csr => Box::new(
                         SparsifiedKernel::from_csr(csr_of(m), TilePolicy::Full, K, &exec).unwrap(),

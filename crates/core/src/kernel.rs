@@ -116,109 +116,26 @@ impl KernelFunction {
 
     /// Transform a Gram matrix `B = P̂ P̂ᵀ` into the kernel matrix `K` in
     /// place (paper Eq. 11–12). The diagonal of `B` is captured first so the
-    /// Gaussian kernel sees the original `xᵀx` values.
+    /// Gaussian kernel sees the original `xᵀx` values. Each entry gets the
+    /// arithmetic of the map every kernel-matrix producer fuses into its
+    /// write-back, so a map applied after the product and one fused into it
+    /// store the same bits. Sequential, for the single-core CPU reference.
     pub fn apply_to_gram<T: Scalar>(&self, b: &mut DenseMatrix<T>) {
         let n = b.rows();
         debug_assert!(b.is_square(), "Gram matrix must be square");
-        let diag: Vec<f64> = (0..n).map(|i| b[(i, i)].to_f64()).collect();
-        self.apply_to_gram_tile(b, 0, &diag);
-    }
-
-    /// Transform a row tile `B[row_offset .. row_offset + tile.rows(), :]` of
-    /// a Gram matrix into the corresponding kernel-matrix rows in place.
-    ///
-    /// `gram_diag` holds the **full** Gram diagonal (`xᵀx` per point, as
-    /// `f64` exactly as [`KernelFunction::apply_to_gram`] captures it) — the
-    /// Gaussian kernel needs the diagonal entries of both the tile's rows and
-    /// every column. The full-matrix transform above is the single-tile
-    /// special case, so tiled and in-core kernel matrices agree bit for bit.
-    pub fn apply_to_gram_tile<T: Scalar>(
-        &self,
-        tile: &mut DenseMatrix<T>,
-        row_offset: usize,
-        gram_diag: &[f64],
-    ) {
-        debug_assert!(row_offset + tile.rows() <= gram_diag.len());
-        debug_assert_eq!(tile.cols(), gram_diag.len());
-        let row_diag = &gram_diag[row_offset..row_offset + tile.rows()];
-        self.apply_to_rows(tile.as_mut_slice(), row_diag, gram_diag);
-    }
-
-    /// Transform a cross Gram tile `B = Q P̂ᵀ` (queries × training points)
-    /// into the cross kernel tile in place.
-    ///
-    /// `query_diag[row]` holds `qᵀq` for each tile row and `train_diag[col]`
-    /// holds `xᵀx` for each training column, both as `f64` exactly as the
-    /// Gram-diagonal extraction captures them. The per-entry arithmetic is
-    /// identical to [`KernelFunction::apply_to_gram_tile`] — a query that
-    /// coincides bitwise with a training point therefore reproduces that
-    /// point's kernel row bit for bit.
-    pub fn apply_to_cross_tile<T: Scalar>(
-        &self,
-        tile: &mut DenseMatrix<T>,
-        query_diag: &[f64],
-        train_diag: &[f64],
-    ) {
-        debug_assert_eq!(tile.rows(), query_diag.len());
-        debug_assert_eq!(tile.cols(), train_diag.len());
-        self.apply_to_rows(tile.as_mut_slice(), query_diag, train_diag);
-    }
-
-    /// The per-entry transform behind every Gram-tile variant: `rows` is a
-    /// row-major block of `row_diag.len()` rows of `col_diag.len()` Gram
-    /// entries, where row `r` has diagonal entry `row_diag[r]` and column `c`
-    /// has `col_diag[c]`. Taking a plain slice lets callers hand disjoint row
-    /// chunks of one matrix to parallel workers.
-    ///
-    /// Each entry gets exactly [`KernelFunction::apply`]'s arithmetic, but the
-    /// kernel is matched once per call: the linear kernel is the identity
-    /// and leaves the entries untouched, and the polynomial kernel raises
-    /// whole blocks of entries to its power so the element loop vectorizes.
-    pub(crate) fn apply_to_rows<T: Scalar>(
-        &self,
-        rows: &mut [T],
-        row_diag: &[f64],
-        col_diag: &[f64],
-    ) {
-        if col_diag.is_empty() {
+        if n == 0 {
             return;
         }
-        debug_assert_eq!(rows.len(), row_diag.len() * col_diag.len());
-        match *self {
-            KernelFunction::Linear => {}
-            KernelFunction::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => dispatch(
-                #[inline(always)]
-                || {
-                    for block in rows.chunks_mut(MAP_LANES) {
-                        // Lanes past a short tail block compute a discarded 0^r.
-                        let mut x = [0.0f64; MAP_LANES];
-                        for (x, &value) in x.iter_mut().zip(block.iter()) {
-                            *x = gamma * value.to_f64() + coef0;
-                        }
-                        powi_lanes(&mut x, degree);
-                        for (value, &x) in block.iter_mut().zip(&x) {
-                            *value = T::from_f64(x);
-                        }
-                    }
-                },
-            ),
-            KernelFunction::Gaussian { gamma, sigma } => {
-                for (row, &b_ii) in rows.chunks_exact_mut(col_diag.len()).zip(row_diag) {
-                    for (value, &b_jj) in row.iter_mut().zip(col_diag) {
-                        *value = T::from_f64(gaussian(gamma, sigma, value.to_f64(), b_ii, b_jj));
-                    }
+        let diag: Vec<f64> = (0..n).map(|i| b[(i, i)].to_f64()).collect();
+        let map = KernelMap::new(*self, &diag, &diag);
+        dispatch(
+            #[inline(always)]
+            || {
+                for (i, row) in b.as_mut_slice().chunks_exact_mut(n).enumerate() {
+                    map.run(i, 0, row);
                 }
-            }
-            KernelFunction::Sigmoid { gamma, coef0 } => {
-                for value in rows.iter_mut() {
-                    *value = T::from_f64((gamma * value.to_f64() + coef0).tanh());
-                }
-            }
-        }
+            },
+        )
     }
 
     /// Number of floating point operations the elementwise transform performs
@@ -233,9 +150,104 @@ impl KernelFunction {
     }
 }
 
-/// Entries per block of the polynomial map: the block's power is one short
-/// loop per exponent bit over `MAP_LANES` lanes.
-const MAP_LANES: usize = 64;
+/// The kernel map as the write-back of a Gram product (epilogue fusion, as
+/// in CUTLASS): every producer of exact kernel entries — the GEMM, SYRK and
+/// CSR kernel matrices, the baseline's GEMM, the tiled panels and rows,
+/// serve's cross kernel — stores each run of Gram entries and hands it to
+/// [`KernelMap::run`] before moving on, so each entry of `K` is written
+/// once, already mapped, instead of being read back by a second pass.
+///
+/// Each entry gets exactly [`KernelFunction::apply`]'s arithmetic, but the
+/// kernel is matched once per run: the linear kernel is the identity and
+/// leaves the run untouched, and the polynomial kernel raises the whole run
+/// to its power in lanes as wide as the products' register blocks, so the
+/// element loop vectorizes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelMap<'a> {
+    kernel: KernelFunction,
+    row_diag: &'a [f64],
+    col_diag: &'a [f64],
+}
+
+impl<'a> KernelMap<'a> {
+    /// The map of a product whose row `i` has Gram diagonal `row_diag[i]`
+    /// and column `j` has `col_diag[j]` (`xᵀx` as `f64`, exactly as
+    /// `TiledKernel::compute_gram_diag` replays the Gram paths' diagonal).
+    /// Only the Gaussian reads them; other kernels may pass empty slices.
+    pub(crate) fn new(kernel: KernelFunction, row_diag: &'a [f64], col_diag: &'a [f64]) -> Self {
+        Self {
+            kernel,
+            row_diag,
+            col_diag,
+        }
+    }
+
+    /// Map in place the run `cells` of Gram entries `(i, j0 ..)`.
+    #[inline(always)]
+    pub(crate) fn run<T: Scalar>(&self, i: usize, j0: usize, cells: &mut [T]) {
+        match self.kernel {
+            KernelFunction::Linear => {}
+            KernelFunction::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => {
+                // One block per run of the dense products: 16 lanes for
+                // `f32` (the register block's width), 8 for `f64`.
+                if std::mem::size_of::<T>() == 4 {
+                    polynomial::<T, 16>(cells, gamma, coef0, degree)
+                } else {
+                    polynomial::<T, 8>(cells, gamma, coef0, degree)
+                }
+            }
+            KernelFunction::Gaussian { gamma, sigma } => {
+                let b_ii = self.row_diag[i];
+                let col_diag = &self.col_diag[j0..j0 + cells.len()];
+                for (value, &b_jj) in cells.iter_mut().zip(col_diag) {
+                    *value = T::from_f64(gaussian(gamma, sigma, value.to_f64(), b_ii, b_jj));
+                }
+            }
+            KernelFunction::Sigmoid { gamma, coef0 } => {
+                for value in cells.iter_mut() {
+                    *value = T::from_f64((gamma * value.to_f64() + coef0).tanh());
+                }
+            }
+        }
+    }
+}
+
+/// `(γ·b + c)^r` over `cells` in blocks of `L` lanes: the block's power is
+/// one short loop per exponent bit. Whole blocks have a length the compiler
+/// knows, so each is straight-line vector code; lanes past a short tail
+/// block compute a discarded `0^r`.
+#[inline(always)]
+fn polynomial<T: Scalar, const L: usize>(cells: &mut [T], gamma: f64, coef0: f64, degree: i32) {
+    let mut blocks = cells.chunks_exact_mut(L);
+    for block in &mut blocks {
+        let block: &mut [T; L] = block.try_into().expect("an exact chunk");
+        power_block(block, gamma, coef0, degree);
+    }
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        let mut block = [T::ZERO; L];
+        block[..tail.len()].copy_from_slice(tail);
+        power_block(&mut block, gamma, coef0, degree);
+        tail.copy_from_slice(&block[..tail.len()]);
+    }
+}
+
+/// `(γ·b + c)^r` over one block of `L` lanes, in place.
+#[inline(always)]
+fn power_block<T: Scalar, const L: usize>(block: &mut [T; L], gamma: f64, coef0: f64, degree: i32) {
+    let mut x = [0.0f64; L];
+    for (x, &value) in x.iter_mut().zip(block.iter()) {
+        *x = gamma * value.to_f64() + coef0;
+    }
+    powi_lanes(&mut x, degree);
+    for (value, &x) in block.iter_mut().zip(&x) {
+        *value = T::from_f64(x);
+    }
+}
 
 /// `κ(x, y) = exp(−γ‖x − y‖² / σ²)` from Gram entries. Symmetric in
 /// `(b_ii, b_jj)`: the one addition that reads both commutes.
@@ -448,8 +460,8 @@ mod tests {
         ] {
             let mut square = matmul_nt(&points, &points).unwrap();
             let mut cross = square.clone();
-            kernel.apply_to_gram_tile(&mut square, 0, &diag);
-            kernel.apply_to_cross_tile(&mut cross, &diag, &diag);
+            kernel.apply_to_gram(&mut square);
+            map_in_runs(KernelMap::new(kernel, &diag, &diag), &mut cross);
             for i in 0..points.rows() {
                 for j in 0..points.rows() {
                     assert_eq!(
@@ -503,6 +515,25 @@ mod tests {
         }
     }
 
+    /// Map `m` through `map` in runs of uneven widths, as the products
+    /// hand them out: whole lane blocks, short runs, and runs wider than a
+    /// block.
+    fn map_in_runs<T: Scalar>(map: KernelMap<'_>, m: &mut DenseMatrix<T>) {
+        const WIDTHS: [usize; 6] = [16, 3, 8, 6, 1, 37];
+        for i in 0..m.rows() {
+            let row = m.row_mut(i);
+            let mut j0 = 0;
+            for &width in WIDTHS.iter().cycle() {
+                if j0 == row.len() {
+                    break;
+                }
+                let j1 = (j0 + width).min(row.len());
+                map.run(i, j0, &mut row[j0..j1]);
+                j0 = j1;
+            }
+        }
+    }
+
     fn check_map_bits<T: Scalar>(kernel: KernelFunction, bits: fn(T) -> u64) {
         // 9 x 150: rows straddle the map's lane blocks and end in a short one.
         let (rows, cols) = (9, 150);
@@ -511,7 +542,7 @@ mod tests {
         let row_diag: Vec<f64> = (0..rows).map(|i| awkward_gram(i * 7 + 2)).collect();
         let col_diag: Vec<f64> = (0..cols).map(|j| awkward_gram(j * 11 + 1)).collect();
         let mut mapped = gram.clone();
-        kernel.apply_to_cross_tile(&mut mapped, &row_diag, &col_diag);
+        map_in_runs(KernelMap::new(kernel, &row_diag, &col_diag), &mut mapped);
         for i in 0..rows {
             for j in 0..cols {
                 let b_ij = gram[(i, j)].to_f64();

@@ -1,17 +1,23 @@
 //! Kernel matrix computation (paper §3.2 and §4.2).
 //!
-//! `K` is computed in two steps: the Gram matrix `B = P̂ P̂ᵀ` with either GEMM
-//! or SYRK (chosen by [`KernelMatrixStrategy`]), then an elementwise
-//! application of the kernel function (`thrust::transform` in the original).
-//! Each step is charged to the simulator so the experiments can attribute
+//! `K` is the Gram matrix `B = P̂ P̂ᵀ`, computed with either GEMM or SYRK
+//! (chosen by [`KernelMatrixStrategy`]), or SpGEMM for CSR points, under an
+//! elementwise application of the kernel function (`thrust::transform` in
+//! the original). The map runs in the product's write-back (`KernelMap`):
+//! each entry of `K` is written once, already mapped, into memory it first
+//! touches with that write. The trace keeps the paper's two steps, the
+//! product's record and then the map's, so the experiments can attribute
 //! time exactly as the paper's Figure 8 does.
 
 use crate::errors::CoreError;
-use crate::kernel::KernelFunction;
+use crate::kernel::{KernelFunction, KernelMap};
+use crate::kernel_source::TiledKernel;
+use crate::solver::FitInput;
 use crate::strategy::{self, GramRoutine, KernelMatrixStrategy};
 use crate::Result;
-use popcorn_dense::parallel::par_chunks_rows;
-use popcorn_dense::{matmul_nt, symmetrize_lower, syrk, DenseMatrix, Scalar, Triangle};
+use popcorn_dense::{
+    matmul_nt_rows_with, symmetrize_lower, syrk_with, DenseMatrix, Scalar, Triangle,
+};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::CsrMatrix;
 
@@ -26,6 +32,16 @@ pub fn compute_gram<T: Scalar>(
     routine: GramRoutine,
     executor: &dyn Executor,
 ) -> Result<DenseMatrix<T>> {
+    dense_gram(points, routine, executor, |_, _, _| {})
+}
+
+/// [`compute_gram`] with `epilogue` fused into the product's write-back.
+fn dense_gram<T: Scalar>(
+    points: &DenseMatrix<T>,
+    routine: GramRoutine,
+    executor: &dyn Executor,
+    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+) -> Result<DenseMatrix<T>> {
     let n = points.rows();
     let d = points.cols();
     let elem = std::mem::size_of::<T>();
@@ -35,7 +51,7 @@ pub fn compute_gram<T: Scalar>(
             Phase::KernelMatrix,
             OpClass::Gemm,
             OpCost::gemm(n, n, d, elem),
-            || matmul_nt(points, points),
+            || matmul_nt_rows_with(points, 0, n, points, epilogue),
         )?,
         GramRoutine::Syrk => executor.run(
             format!("syrk B = P*P^T lower (n={n}, d={d})"),
@@ -44,8 +60,11 @@ pub fn compute_gram<T: Scalar>(
             // The mirror copy's traffic is part of the SYRK charge.
             OpCost::syrk_with_mirror(n, d, elem).with_utilization(strategy::syrk_utilization(n, d)),
             || -> popcorn_dense::Result<DenseMatrix<T>> {
+                // The mirror copies mapped entries: every kernel map is
+                // symmetric in `(b_ii, b_jj)`, so they are the bits a map
+                // of the mirrored Gram would store.
                 let mut b = DenseMatrix::zeros(n, n);
-                syrk(T::ONE, points, T::ZERO, &mut b, Triangle::Lower)?;
+                syrk_with(T::ONE, points, T::ZERO, &mut b, Triangle::Lower, epilogue)?;
                 symmetrize_lower(&mut b, Triangle::Lower)?;
                 Ok(b)
             },
@@ -89,6 +108,15 @@ pub fn compute_gram_csr<T: Scalar>(
     points: &CsrMatrix<T>,
     executor: &dyn Executor,
 ) -> Result<DenseMatrix<T>> {
+    Ok(csr_gram(points, executor, |_, _, _| {}))
+}
+
+/// [`compute_gram_csr`] with `epilogue` run on each finished row.
+fn csr_gram<T: Scalar>(
+    points: &CsrMatrix<T>,
+    executor: &dyn Executor,
+    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+) -> DenseMatrix<T> {
     let n = points.rows();
     let d = points.cols();
     let nnz = points.nnz();
@@ -97,46 +125,39 @@ pub fn compute_gram_csr<T: Scalar>(
         Phase::KernelMatrix,
         OpClass::SpGEMM,
         spgemm_gram_cost(points),
-        || points.gram(),
+        || points.gram_index().gram_rows_with(0, n, epilogue),
     );
     // The full n x n matrix becomes device-resident.
     let elem = std::mem::size_of::<T>();
     executor.track_alloc(n as u64 * n as u64 * elem as u64);
-    Ok(gram)
+    gram
 }
 
-/// Apply the kernel function elementwise to a Gram matrix, charging the
-/// transform to the executor (shared tail of the dense and sparse paths).
-///
-/// Rows are transformed in place on the kernel worker threads; each entry
-/// gets the same arithmetic as [`KernelFunction::apply_to_gram`], which stays
-/// sequential for the single-core CPU reference.
-fn apply_kernel_to_gram<T: Scalar>(
-    gram: &mut DenseMatrix<T>,
-    kernel: KernelFunction,
+/// The Gram diagonal `kernel`'s map reads: `xᵀx` per point as the Gram
+/// paths compute it ([`TiledKernel::compute_gram_diag`]) for the Gaussian,
+/// nothing for the kernels that read only `b_ij`.
+pub(crate) fn map_diag<T: Scalar>(kernel: KernelFunction, points: &FitInput<'_, T>) -> Vec<f64> {
+    if kernel.needs_diagonal() {
+        TiledKernel::compute_gram_diag(points)
+    } else {
+        Vec::new()
+    }
+}
+
+/// Charge a kernel map fused into a product's write-back as the
+/// elementwise transform of `entries` Gram entries, recorded after the
+/// product: the map's host time is inside the product's record.
+pub(crate) fn charge_kernel_map<T: Scalar>(
     executor: &dyn Executor,
+    name: String,
+    phase: Phase,
+    kernel: KernelFunction,
+    entries: u64,
 ) {
-    let n = gram.rows();
     let elem = std::mem::size_of::<T>();
-    executor.run(
-        format!("apply {} kernel to B (n={n})", kernel.name()),
-        Phase::KernelMatrix,
-        OpClass::Elementwise,
-        OpCost::elementwise_elems(
-            n as u64 * n as u64,
-            1,
-            1,
-            kernel.flops_per_entry().max(1),
-            elem,
-        ),
-        || {
-            let diag: Vec<f64> = (0..n).map(|i| gram[(i, i)].to_f64()).collect();
-            par_chunks_rows(gram.as_mut_slice(), n, |start_row, chunk| {
-                let row_diag = &diag[start_row..start_row + chunk.len() / n];
-                kernel.apply_to_rows(chunk, row_diag, &diag);
-            });
-        },
-    );
+    let flops = kernel.flops_per_entry().max(1);
+    let cost = OpCost::elementwise_elems(entries, 1, 1, flops, elem);
+    executor.charge(name, phase, OpClass::Elementwise, cost);
 }
 
 /// Compute the kernel matrix `K = kernel(P̂ P̂ᵀ)`, returning the matrix and
@@ -148,23 +169,69 @@ pub fn compute_kernel_matrix<T: Scalar>(
     executor: &dyn Executor,
 ) -> Result<(DenseMatrix<T>, GramRoutine)> {
     let routine = strategy.select(points.rows(), points.cols());
-    let mut gram = compute_gram(points, routine, executor)?;
-    apply_kernel_to_gram(&mut gram, kernel, executor);
-    Ok((gram, routine))
+    let diag = map_diag(kernel, &FitInput::Dense(points));
+    let map = KernelMap::new(kernel, &diag, &diag);
+    let matrix = dense_gram(
+        points,
+        routine,
+        executor,
+        #[inline(always)]
+        |i, j0, cells| map.run(i, j0, cells),
+    )?;
+    charge_apply::<T>(kernel, points.rows(), executor);
+    Ok((matrix, routine))
 }
 
 /// Compute the kernel matrix `K = kernel(P̂ P̂ᵀ)` from CSR points: SpGEMM Gram
-/// product followed by the same elementwise kernel application the dense path
-/// uses. The GEMM/SYRK strategy does not apply — the routine is always
-/// [`GramRoutine::SpGemm`].
+/// product under the same kernel map the dense path uses. The GEMM/SYRK
+/// strategy does not apply — the routine is always [`GramRoutine::SpGemm`].
 pub fn compute_kernel_matrix_csr<T: Scalar>(
     points: &CsrMatrix<T>,
     kernel: KernelFunction,
     executor: &dyn Executor,
 ) -> Result<(DenseMatrix<T>, GramRoutine)> {
-    let mut gram = compute_gram_csr(points, executor)?;
-    apply_kernel_to_gram(&mut gram, kernel, executor);
-    Ok((gram, GramRoutine::SpGemm))
+    let diag = map_diag(kernel, &FitInput::Sparse(points));
+    let map = KernelMap::new(kernel, &diag, &diag);
+    let matrix = csr_gram(
+        points,
+        executor,
+        #[inline(always)]
+        |i, j0, cells| map.run(i, j0, cells),
+    );
+    charge_apply::<T>(kernel, points.rows(), executor);
+    Ok((matrix, GramRoutine::SpGemm))
+}
+
+/// `K = kernel(P̂ P̂ᵀ)` over dense points by one GEMM whose write-back
+/// applies the kernel map, recording nothing: for a solver that charges
+/// the product and the map as one operation (the dense baseline, §5.3).
+/// Bit-identical to [`compute_kernel_matrix`] on the GEMM route.
+pub fn gemm_kernel_matrix<T: Scalar>(
+    points: &DenseMatrix<T>,
+    kernel: KernelFunction,
+) -> Result<DenseMatrix<T>> {
+    let n = points.rows();
+    let diag = map_diag(kernel, &FitInput::Dense(points));
+    let map = KernelMap::new(kernel, &diag, &diag);
+    Ok(matmul_nt_rows_with(
+        points,
+        0,
+        n,
+        points,
+        #[inline(always)]
+        |i, j0, cells| map.run(i, j0, cells),
+    )?)
+}
+
+/// The record of the in-core kernel map over the whole `n × n` matrix.
+fn charge_apply<T: Scalar>(kernel: KernelFunction, n: usize, executor: &dyn Executor) {
+    charge_kernel_map::<T>(
+        executor,
+        format!("apply {} kernel to B (n={n})", kernel.name()),
+        Phase::KernelMatrix,
+        kernel,
+        n as u64 * n as u64,
+    );
 }
 
 /// Extract `diag(K)` — the squared feature-space norms of the points (`P̃`,
@@ -288,6 +355,118 @@ mod tests {
         let norms = extract_point_norms(&k, &exec).unwrap();
         for i in 0..8 {
             assert_eq!(norms[i], k[(i, i)]);
+        }
+    }
+
+    /// Points whose Gram entries include `±∞` and NaN among ordinary
+    /// values, with rows of `−0` and `+0`: one row in seven holds an
+    /// infinity, and rows 2 and 3 are all `−0` and all `+0`.
+    fn awkward_points<T: Scalar>(n: usize, d: usize) -> DenseMatrix<T> {
+        DenseMatrix::from_fn(n, d, |i, j| {
+            let v = match (i, (i * 31 + j * 17) % 61) {
+                (2, _) => -0.0,
+                (3, _) => 0.0,
+                (_, 0) if i % 7 == 0 => f64::INFINITY,
+                (_, 1) if i % 7 == 0 => f64::NEG_INFINITY,
+                (_, 2..=9) => -0.0,
+                _ => ((i * d + j) as f64 * 0.37).sin() * 0.2,
+            };
+            T::from_f64(v)
+        })
+    }
+
+    /// Every entry's bits (`f32` widens exactly, NaN payloads included).
+    fn bits<T: Scalar>(m: &DenseMatrix<T>) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn all_kernels() -> [KernelFunction; 4] {
+        [
+            KernelFunction::Linear,
+            KernelFunction::paper_polynomial(),
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: 0.1,
+            },
+        ]
+    }
+
+    /// The mapped matrix of every route against its Gram product followed
+    /// by `apply_to_gram`, and the route's records: the product's, then the
+    /// map's, which carries no host time of its own.
+    fn check_mapped_routes<T: Scalar>() {
+        // At d = 512 the microkernel packs 32 rows of B per chunk in f32 and
+        // 16 in f64, so 100 rows span four and seven chunks.
+        let (n, d) = (100, 512);
+        let points = awkward_points::<T>(n, d);
+        let csr = CsrMatrix::from_dense(&points);
+        let map_record = |exec: &SimExecutor, kernel: KernelFunction| {
+            let trace = exec.trace();
+            let records = trace.records();
+            let map = records.last().unwrap();
+            assert_eq!(
+                map.name,
+                format!("apply {} kernel to B (n={n})", kernel.name())
+            );
+            assert_eq!(map.host_seconds, 0.0);
+            assert_eq!(records.len(), 2);
+            records[0].name.clone()
+        };
+        for kernel in all_kernels() {
+            for (strategy, routine) in [
+                (KernelMatrixStrategy::ForceGemm, GramRoutine::Gemm),
+                (KernelMatrixStrategy::ForceSyrk, GramRoutine::Syrk),
+            ] {
+                let exec = SimExecutor::a100_f32();
+                let (mapped, selected) =
+                    compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
+                assert_eq!(selected, routine);
+                let product = map_record(&exec, kernel);
+                let oracle_exec = SimExecutor::a100_f32();
+                let mut oracle = compute_gram(&points, routine, &oracle_exec).unwrap();
+                assert_eq!(oracle_exec.trace().records()[0].name, product);
+                kernel.apply_to_gram(&mut oracle);
+                assert!(
+                    bits(&mapped) == bits(&oracle),
+                    "{} over {routine:?}",
+                    kernel.name()
+                );
+            }
+            let exec = SimExecutor::a100_f32();
+            let (mapped, _) = compute_kernel_matrix_csr(&csr, kernel, &exec).unwrap();
+            let product = map_record(&exec, kernel);
+            let oracle_exec = SimExecutor::a100_f32();
+            let mut oracle = compute_gram_csr(&csr, &oracle_exec).unwrap();
+            assert_eq!(oracle_exec.trace().records()[0].name, product);
+            kernel.apply_to_gram(&mut oracle);
+            assert!(bits(&mapped) == bits(&oracle), "{} over CSR", kernel.name());
+        }
+    }
+
+    #[test]
+    fn every_route_writes_the_gram_under_apply_to_gram_bit_for_bit() {
+        check_mapped_routes::<f32>();
+        check_mapped_routes::<f64>();
+        crate::test_support::rerun_at_kernel_threads(
+            module_path!(),
+            "every_route_writes_the_gram_under_apply_to_gram_bit_for_bit",
+        );
+    }
+
+    #[test]
+    fn the_baselines_gemm_kernel_matrix_is_the_gemm_route() {
+        let points = awkward_points::<f32>(100, 512);
+        for kernel in all_kernels() {
+            let exec = SimExecutor::a100_f32();
+            let (routed, _) =
+                compute_kernel_matrix(&points, kernel, KernelMatrixStrategy::ForceGemm, &exec)
+                    .unwrap();
+            let fused = gemm_kernel_matrix(&points, kernel).unwrap();
+            assert!(bits(&fused) == bits(&routed), "{}", kernel.name());
         }
     }
 

@@ -16,8 +16,8 @@
 //!   every fit used before this abstraction existed.
 //! * [`TiledKernel`] retains only the (dense or CSR) points and recomputes
 //!   `K[r0..r1, :]` per tile — a GEMM panel for dense points, a Gustavson
-//!   SpGEMM panel for CSR points, each followed by the elementwise kernel
-//!   application — never holding more than `tile_rows × n` scalars of `K`.
+//!   SpGEMM panel for CSR points, each applying the kernel function in its
+//!   write-back — never holding more than `tile_rows × n` scalars of `K`.
 //!   Results are **bit-identical** to the in-core path: the panel kernels
 //!   reproduce the full computation's per-entry accumulation order exactly
 //!   (see `CsrMatrix::gram_panel` and the dense GEMM's per-entry dot
@@ -35,13 +35,13 @@
 //! device could never hold.
 
 use crate::errors::CoreError;
-use crate::kernel::KernelFunction;
-use crate::kernel_matrix::{extract_point_norms, INDEX_BYTES};
+use crate::kernel::{KernelFunction, KernelMap};
+use crate::kernel_matrix::{charge_kernel_map, extract_point_norms, INDEX_BYTES};
 use crate::model::ResidentKernel;
 use crate::nystrom::KernelApprox;
 use crate::solver::FitInput;
 use crate::Result;
-use popcorn_dense::{matmul_nt_rows, DenseMatrix, Scalar};
+use popcorn_dense::{matmul_nt_rows_with, DenseMatrix, Scalar};
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::{CsrMatrix, CsrRows, GramIndex};
 use std::ops::Range;
@@ -193,57 +193,73 @@ pub trait KernelSource<T: Scalar>: Sync {
     }
 }
 
-/// The in-core backend: a borrowed, precomputed kernel matrix. One tile spans
-/// all rows and streaming charges nothing — the matrix was already computed
+/// The in-core backend: a precomputed kernel matrix. One tile spans all
+/// rows and streaming charges nothing — the matrix was already computed
 /// (and charged) by the kernel-matrix phase.
 pub struct FullKernel<'a, T: Scalar> {
-    matrix: &'a DenseMatrix<T>,
+    matrix: Matrix<'a, T>,
     diag_cache: Mutex<Option<Vec<T>>>,
     /// Whether the matrix is bitwise symmetric by construction
     /// ([`KernelSource::symmetric_tiles`]).
     symmetric: bool,
 }
 
+/// How a [`FullKernel`] holds its matrix.
+enum Matrix<'a, T: Scalar> {
+    /// A caller's matrix, copied into a fitted model that keeps it.
+    Borrowed(&'a DenseMatrix<T>),
+    /// A matrix a solver computed, shared with a fitted model that keeps it.
+    Shared(Arc<DenseMatrix<T>>),
+}
+
 impl<'a, T: Scalar> FullKernel<'a, T> {
     /// Wrap a precomputed kernel matrix (must be square). Any square matrix
     /// is accepted, so the source promises no symmetry.
     pub fn new(matrix: &'a DenseMatrix<T>) -> Result<Self> {
-        if !matrix.is_square() {
-            return Err(CoreError::InvalidInput(format!(
-                "kernel matrix must be square, got {}x{}",
-                matrix.rows(),
-                matrix.cols()
-            )));
-        }
-        Ok(Self {
-            matrix,
-            diag_cache: Mutex::new(None),
-            symmetric: false,
-        })
+        Self::wrap(Matrix::Borrowed(matrix), false)
     }
 
     /// Wrap a kernel matrix a solver computed from points, which is bitwise
-    /// symmetric by construction (see [`KernelSource::symmetric_tiles`]).
-    pub(crate) fn computed(matrix: &'a DenseMatrix<T>) -> Result<Self> {
-        Ok(Self {
-            symmetric: true,
-            ..Self::new(matrix)?
-        })
+    /// symmetric by construction (see [`KernelSource::symmetric_tiles`]). A
+    /// fitted model extracted from this source shares the `Arc` instead of
+    /// copying the matrix.
+    pub(crate) fn computed(matrix: Arc<DenseMatrix<T>>) -> Result<Self> {
+        Self::wrap(Matrix::Shared(matrix), true)
+    }
+
+    fn wrap(matrix: Matrix<'a, T>, symmetric: bool) -> Result<Self> {
+        let source = Self {
+            matrix,
+            diag_cache: Mutex::new(None),
+            symmetric,
+        };
+        let m = source.matrix();
+        if !m.is_square() {
+            return Err(CoreError::InvalidInput(format!(
+                "kernel matrix must be square, got {}x{}",
+                m.rows(),
+                m.cols()
+            )));
+        }
+        Ok(source)
     }
 
     /// The wrapped matrix.
     pub fn matrix(&self) -> &DenseMatrix<T> {
-        self.matrix
+        match &self.matrix {
+            Matrix::Borrowed(m) => m,
+            Matrix::Shared(m) => m,
+        }
     }
 }
 
 impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
     fn n(&self) -> usize {
-        self.matrix.rows()
+        self.matrix().rows()
     }
 
     fn tile_rows(&self) -> usize {
-        self.matrix.rows()
+        self.matrix().rows()
     }
 
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
@@ -253,33 +269,37 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         if let Some(diag) = cache.as_ref() {
             return Ok(diag.clone());
         }
-        let diag = extract_point_norms(self.matrix, executor)?;
+        let diag = extract_point_norms(self.matrix(), executor)?;
         *cache = Some(diag.clone());
         Ok(diag)
     }
 
     fn row(&self, i: usize, _executor: &dyn Executor) -> Result<Vec<T>> {
-        Ok(self.matrix.row(i).to_vec())
+        Ok(self.matrix().row(i).to_vec())
     }
 
     fn for_each_tile(&self, _executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        f(0..self.matrix.rows(), self.matrix)
+        f(0..self.n(), self.matrix())
     }
 
     fn symmetric_tiles(&self) -> bool {
         self.symmetric
     }
 
-    /// The borrowed matrix, copied once into the model's shared state.
+    /// A computed matrix is shared with the model; a caller's matrix is
+    /// copied once into the model's shared state.
     fn resident(&self) -> ResidentKernel<T> {
-        ResidentKernel::Full(Arc::new(self.matrix.clone()))
+        ResidentKernel::Full(match &self.matrix {
+            Matrix::Borrowed(m) => Arc::new((*m).clone()),
+            Matrix::Shared(m) => Arc::clone(m),
+        })
     }
 }
 
 /// The out-of-core backend: retains the points (dense or CSR) and recomputes
-/// `K[r0..r1, :]` per tile via GEMM / SpGEMM panels plus the elementwise
-/// kernel application, charging every panel to the executor. Never holds more
-/// than `tile_rows × n` scalars of `K`.
+/// `K[r0..r1, :]` per tile via GEMM / SpGEMM panels whose write-back applies
+/// the kernel function, charging every panel and its map to the executor.
+/// Never holds more than `tile_rows × n` scalars of `K`.
 pub struct TiledKernel<'a, T: Scalar> {
     points: FitInput<'a, T>,
     kernel: KernelFunction,
@@ -360,38 +380,31 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         })
     }
 
-    /// The Gram diagonal as captured for the kernel application.
+    /// The Gram diagonal as captured for the kernel map.
     pub fn gram_diag(&self) -> &[f64] {
         &self.gram_diag
     }
 
     /// Compute (and charge) one finished kernel-matrix tile `K[r0..r1, :]`:
-    /// the Gram panel followed by the elementwise kernel application — the
-    /// step both this source's own streaming loop and the row-sharded source
-    /// price per tile.
+    /// the Gram panel with the kernel map in its write-back, recorded as the
+    /// panel and then the map — the step both this source's own streaming
+    /// loop and the row-sharded source price per tile.
     pub(crate) fn compute_tile(
         &self,
         r0: usize,
         r1: usize,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let n = self.points.n();
-        let elem = std::mem::size_of::<T>();
-        let mut tile = self.gram_panel(r0, r1, executor)?;
-        let kernel = self.kernel;
-        let gram_diag = &self.gram_diag;
-        executor.run(
-            format!("apply {} kernel to K tile rows {r0}..{r1}", kernel.name()),
-            Phase::KernelMatrix,
-            OpClass::Elementwise,
-            OpCost::elementwise_elems(
-                (r1 - r0) as u64 * n as u64,
-                1,
-                1,
-                kernel.flops_per_entry().max(1),
-                elem,
+        let tile = self.kernel_panel(r0, r1, executor)?;
+        charge_kernel_map::<T>(
+            executor,
+            format!(
+                "apply {} kernel to K tile rows {r0}..{r1}",
+                self.kernel.name()
             ),
-            || kernel.apply_to_gram_tile(&mut tile, r0, gram_diag),
+            Phase::KernelMatrix,
+            self.kernel,
+            (r1 - r0) as u64 * self.points.n() as u64,
         );
         Ok(tile)
     }
@@ -427,13 +440,20 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         }
     }
 
-    /// Compute rows `r0..r1` of the **Gram** matrix, charged as a GEMM or
-    /// SpGEMM panel, bit-identical to the same rows of the full Gram.
-    fn gram_panel(&self, r0: usize, r1: usize, executor: &dyn Executor) -> Result<DenseMatrix<T>> {
+    /// Compute rows `r0..r1` of `K`, charged as a GEMM or SpGEMM panel of
+    /// the Gram matrix whose write-back applies the kernel map: bit-identical
+    /// to the same rows of the full kernel matrix.
+    fn kernel_panel(
+        &self,
+        r0: usize,
+        r1: usize,
+        executor: &dyn Executor,
+    ) -> Result<DenseMatrix<T>> {
         let t = r1 - r0;
         let n = self.points.n();
         let d = self.points.d();
         let elem = std::mem::size_of::<T>();
+        let map = KernelMap::new(self.kernel, &self.gram_diag, &self.gram_diag);
         match &self.points {
             FitInput::Dense(p) => {
                 let panel = executor.run(
@@ -441,7 +461,16 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                     Phase::KernelMatrix,
                     OpClass::Gemm,
                     OpCost::gemm(t, n, d, elem),
-                    || matmul_nt_rows(p, r0, r1, p),
+                    || {
+                        matmul_nt_rows_with(
+                            p,
+                            r0,
+                            r1,
+                            p,
+                            #[inline(always)]
+                            |i, j0, cells| map.run(i, j0, cells),
+                        )
+                    },
                 )?;
                 Ok(panel)
             }
@@ -463,7 +492,14 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                     Phase::KernelMatrix,
                     OpClass::SpGEMM,
                     cost,
-                    || index.gram_rows(r0, r1),
+                    || {
+                        index.gram_rows_with(
+                            r0,
+                            r1,
+                            #[inline(always)]
+                            |i, j0, cells| map.run(i, j0, cells),
+                        )
+                    },
                 );
                 Ok(panel)
             }
@@ -506,19 +542,15 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
-        let n = self.points.n();
-        let elem = std::mem::size_of::<T>();
-        let mut panel = self.gram_panel(i, i + 1, executor)?;
-        let kernel = self.kernel;
-        let gram_diag = &self.gram_diag;
-        executor.run(
-            format!("apply {} kernel to K row {i}", kernel.name()),
+        let panel = self.kernel_panel(i, i + 1, executor)?;
+        charge_kernel_map::<T>(
+            executor,
+            format!("apply {} kernel to K row {i}", self.kernel.name()),
             Phase::KernelMatrix,
-            OpClass::Elementwise,
-            OpCost::elementwise(n, 1, 1, kernel.flops_per_entry().max(1), elem),
-            || kernel.apply_to_gram_tile(&mut panel, i, gram_diag),
+            self.kernel,
+            self.points.n() as u64,
         );
-        Ok(panel.row(0).to_vec())
+        Ok(panel.into_vec())
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
@@ -678,8 +710,7 @@ fn dispatch<T: Scalar, R>(
         let compute_full = compute_full
             .take()
             .expect("only single-shard fits build the in-core matrix, and they never retry");
-        let kernel_matrix = compute_full()?;
-        return run(&FullKernel::computed(&kernel_matrix)?);
+        return run(&FullKernel::computed(Arc::new(compute_full()?))?);
     }
     let source = crate::shard::ShardedKernelSource::new(input, kernel, plan, k_budget, executor)?
         .with_tiling(tiling);
@@ -807,8 +838,8 @@ pub fn plan_tile_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel_matrix::compute_kernel_matrix;
-    use crate::strategy::KernelMatrixStrategy;
+    use crate::kernel_matrix::{compute_gram, compute_gram_csr, compute_kernel_matrix};
+    use crate::strategy::{GramRoutine, KernelMatrixStrategy};
     use popcorn_gpusim::SimExecutor;
     use popcorn_gpusim::GIB;
     use popcorn_sparse::CsrMatrix;
@@ -951,6 +982,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Points whose Gram entries include `±∞` and NaN among ordinary
+    /// values, with a row of `−0`.
+    fn awkward_points<T: Scalar>(n: usize, d: usize) -> DenseMatrix<T> {
+        DenseMatrix::from_fn(n, d, |i, j| {
+            let v = match (i, (i * 31 + j * 17) % 61) {
+                (2, _) => -0.0,
+                (_, 0) if i % 7 == 0 => f64::INFINITY,
+                (_, 1) if i % 7 == 0 => f64::NEG_INFINITY,
+                (_, 2..=9) => -0.0,
+                _ => ((i * d + j) as f64 * 0.37).sin() * 0.2,
+            };
+            T::from_f64(v)
+        })
+    }
+
+    fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Tiles and rows of a tiled source under `TilePolicy::Rows(7)` against
+    /// the Gram product followed by `apply_to_gram`, dense and CSR, with
+    /// each tile recorded as its panel and then its map.
+    fn check_tiles_against_the_two_step_oracle<T: Scalar>() {
+        // At d = 512 a panel's B spans four packed chunks in f32, seven in
+        // f64; 100 rows make 14 tiles of 7 and one of 2.
+        let (n, d) = (100, 512);
+        let points = awkward_points::<T>(n, d);
+        let csr = CsrMatrix::from_dense(&points);
+        for kernel in [
+            KernelFunction::Linear,
+            KernelFunction::paper_polynomial(),
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: 0.1,
+            },
+        ] {
+            let exec = SimExecutor::a100_f32();
+            for input in [FitInput::Dense(&points), FitInput::Sparse(&csr)] {
+                let mut oracle = match input {
+                    FitInput::Dense(p) => compute_gram(p, GramRoutine::Gemm, &exec).unwrap(),
+                    FitInput::Sparse(p) => compute_gram_csr(p, &exec).unwrap(),
+                };
+                kernel.apply_to_gram(&mut oracle);
+                let source = TiledKernel::new(input, kernel, 7, &exec).unwrap();
+                let mut tiles = 0;
+                source
+                    .for_each_tile(&exec, &mut |rows, tile| {
+                        tiles += 1;
+                        let at = format!(
+                            "{} tile {rows:?}, sparse {}",
+                            kernel.name(),
+                            input.is_sparse()
+                        );
+                        let want = &oracle.as_slice()[rows.start * n..rows.end * n];
+                        assert!(bits(tile.as_slice()) == bits(want), "{at}");
+                        let trace = exec.trace();
+                        let [.., panel, map] = trace.records() else {
+                            panic!("{at}: no records")
+                        };
+                        assert!(panel
+                            .name
+                            .contains(&format!("K tile rows {}..{}", rows.start, rows.end)));
+                        assert_eq!(
+                            map.name,
+                            format!(
+                                "apply {} kernel to K tile rows {}..{}",
+                                kernel.name(),
+                                rows.start,
+                                rows.end
+                            )
+                        );
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(tiles, 15);
+                for i in [0, 2, 7, 50, n - 1] {
+                    let row = source.row(i, &exec).unwrap();
+                    assert!(
+                        bits(&row) == bits(oracle.row(i)),
+                        "{} row {i}",
+                        kernel.name()
+                    );
+                    let trace = exec.trace();
+                    let map = trace.records().last().unwrap();
+                    assert_eq!(
+                        map.name,
+                        format!("apply {} kernel to K row {i}", kernel.name())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiles_and_rows_write_the_gram_under_apply_to_gram_bit_for_bit() {
+        check_tiles_against_the_two_step_oracle::<f32>();
+        check_tiles_against_the_two_step_oracle::<f64>();
+        crate::test_support::rerun_at_kernel_threads(
+            module_path!(),
+            "tiles_and_rows_write_the_gram_under_apply_to_gram_bit_for_bit",
+        );
+    }
+
+    #[test]
+    fn a_computed_matrix_is_shared_with_the_model_and_a_callers_is_copied() {
+        let points = sample_points(9, 3);
+        let exec = SimExecutor::a100_f32();
+        let (k, _) = compute_kernel_matrix(
+            &points,
+            KernelFunction::paper_polynomial(),
+            KernelMatrixStrategy::default(),
+            &exec,
+        )
+        .unwrap();
+        let shared = Arc::new(k);
+        let computed = FullKernel::computed(Arc::clone(&shared)).unwrap();
+        assert!(computed.symmetric_tiles());
+        let ResidentKernel::Full(resident) = computed.resident() else {
+            panic!("a full source keeps the full matrix")
+        };
+        assert!(Arc::ptr_eq(&resident, &shared));
+
+        let caller = FullKernel::new(shared.as_ref()).unwrap();
+        assert!(!caller.symmetric_tiles());
+        let ResidentKernel::Full(copy) = caller.resident() else {
+            panic!("a full source keeps the full matrix")
+        };
+        assert!(!Arc::ptr_eq(&copy, &shared));
+        assert!(!std::ptr::eq(copy.as_ref(), shared.as_ref()));
+        assert!(bits(copy.as_slice()) == bits(shared.as_slice()));
+        let rectangular = Arc::new(DenseMatrix::<f64>::zeros(3, 4));
+        assert!(FullKernel::computed(rectangular).is_err());
     }
 
     #[test]

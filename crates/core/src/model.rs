@@ -28,8 +28,8 @@ use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::fold::{FoldWeights, SelectionFold};
 use crate::init::Initialization;
-use crate::kernel::KernelFunction;
-use crate::kernel_matrix::INDEX_BYTES;
+use crate::kernel::{KernelFunction, KernelMap};
+use crate::kernel_matrix::{charge_kernel_map, INDEX_BYTES};
 use crate::kernel_source::{self, KernelSource, TilePolicy, TiledKernel};
 use crate::nystrom::{KernelApprox, NystromFactors};
 use crate::pipeline::{self, DistanceEngine, LoopState};
@@ -624,7 +624,8 @@ impl<T: Scalar> FittedModel<T> {
         let qnnz = queries.nnz() as u64;
         let buffer_bytes = q as u64 * n as u64 * elem as u64;
         executor.track_alloc(buffer_bytes);
-        let mut cross = executor.run(
+        let kernel = self.config.kernel;
+        let cross = executor.run(
             format!("serve cross gram (q={q}, n={n}, d={d})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
@@ -633,24 +634,17 @@ impl<T: Scalar> FittedModel<T> {
                 (qnnz + tnnz) * elem as u64,
                 buffer_bytes,
             ),
-            || cross_gram(queries, train),
+            || {
+                let map = KernelMap::new(kernel, query_gram_diag, &self.gram_diag);
+                cross_kernel(queries, train, map)
+            },
         );
-        executor.run(
+        charge_kernel_map::<T>(
+            executor,
             format!("serve cross kernel map (q={q}, n={n})"),
             Phase::PairwiseDistances,
-            OpClass::Elementwise,
-            OpCost::elementwise_elems(
-                q as u64 * n as u64,
-                1,
-                1,
-                self.config.kernel.flops_per_entry().max(1),
-                elem,
-            ),
-            || {
-                self.config
-                    .kernel
-                    .apply_to_cross_tile(&mut cross, query_gram_diag, &self.gram_diag)
-            },
+            kernel,
+            q as u64 * n as u64,
         );
         let qdiag: Vec<f64> = query_gram_diag
             .iter()
@@ -697,7 +691,8 @@ impl<T: Scalar> FittedModel<T> {
         let m = factors.landmarks.len();
         let elem = std::mem::size_of::<T>();
         let qnnz = queries.nnz() as u64;
-        let mut k_xl = executor.run(
+        let kernel = self.config.kernel;
+        let k_xl = executor.run(
             format!("serve landmark cross gram (q={q}, m={m}, d={d})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
@@ -708,27 +703,17 @@ impl<T: Scalar> FittedModel<T> {
             ),
             || {
                 let landmark_points = self.landmark_points(&factors.landmarks);
-                cross_gram(queries, FitInput::Dense(&landmark_points))
+                let landmark_diag = self.landmark_gram_diag(&factors.landmarks);
+                let map = KernelMap::new(kernel, query_gram_diag, &landmark_diag);
+                cross_kernel(queries, FitInput::Dense(&landmark_points), map)
             },
         );
-        executor.run(
+        charge_kernel_map::<T>(
+            executor,
             format!("serve landmark kernel map (q={q}, m={m})"),
             Phase::PairwiseDistances,
-            OpClass::Elementwise,
-            OpCost::elementwise_elems(
-                q as u64 * m as u64,
-                1,
-                1,
-                self.config.kernel.flops_per_entry().max(1),
-                elem,
-            ),
-            || {
-                self.config.kernel.apply_to_cross_tile(
-                    &mut k_xl,
-                    query_gram_diag,
-                    &self.landmark_gram_diag(&factors.landmarks),
-                )
-            },
+            kernel,
+            q as u64 * m as u64,
         );
         let hat_q = executor.run(
             format!("serve nystrom project (q={q}, m={m})"),
@@ -867,58 +852,111 @@ impl<T: Scalar> FittedModel<T> {
     }
 }
 
-/// Dense cross Gram `B[i][j] = ⟨query_i, train_j⟩` over any layout pairing.
-/// Dense pairs run the register-blocked [`nt_product`] microkernel. Sparse
-/// query rows are scatter-densified into a scratch vector so every other
-/// pairing reduces to one dense-dot form; all forms accumulate
-/// `fma(x_k, y_k, acc)` over ascending `k`.
-fn cross_gram<T: Scalar>(queries: FitInput<'_, T>, train: FitInput<'_, T>) -> DenseMatrix<T> {
+/// The cross kernel `K[i][j] = κ(query_i, train_j)` over any layout
+/// pairing: the cross Gram `⟨query_i, train_j⟩` under `map`, applied in the
+/// write-back. Dense pairs run the register-blocked [`nt_product`]
+/// microkernel and map each run as they store it; the other pairings fill
+/// and map one row at a time. Every entry is the accumulator of
+/// `fma(x_k, y_k, acc)` over ascending `k`, stored as it is.
+fn cross_kernel<T: Scalar>(
+    queries: FitInput<'_, T>,
+    train: FitInput<'_, T>,
+    map: KernelMap<'_>,
+) -> DenseMatrix<T> {
     let q = queries.n();
     let n = train.n();
-    let d = train.d();
     let mut out = DenseMatrix::<T>::zeros(q, n);
-    if let (FitInput::Dense(p), FitInput::Dense(t)) = (queries, train) {
-        nt_product(p, 0..q, t, None, |i, j0, run| {
-            out.row_mut(i)[j0..][..run.len()].copy_from_slice(run)
-        });
-        return out;
-    }
-    let mut scratch = vec![T::ZERO; d];
-    for i in 0..q {
-        match queries {
-            FitInput::Dense(p) => scratch.copy_from_slice(p.row(i)),
-            FitInput::Sparse(p) => {
+    match (queries, train) {
+        (FitInput::Dense(p), FitInput::Dense(t)) => {
+            nt_product(
+                p,
+                0..q,
+                t,
+                None,
+                #[inline(always)]
+                |i, j0, run| {
+                    let cells = &mut out.row_mut(i)[j0..][..run.len()];
+                    cells.copy_from_slice(run);
+                    map.run(i, j0, cells);
+                },
+            );
+        }
+        (FitInput::Sparse(p), FitInput::Dense(t)) => {
+            // The query row scattered into a dense scratch: the training
+            // points are `n × d` already, so `d` is bounded by them.
+            let mut scratch = vec![T::ZERO; t.cols()];
+            for i in 0..q {
                 scratch.iter_mut().for_each(|v| *v = T::ZERO);
                 let (cols, vals) = p.row(i);
                 for (&c, &v) in cols.iter().zip(vals.iter()) {
                     scratch[c] = v;
                 }
+                let out_row = out.row_mut(i);
+                for (j, slot) in out_row.iter_mut().enumerate() {
+                    *slot = dense_dot(&scratch, t.row(j));
+                }
+                map.run(i, 0, out_row);
             }
         }
-        let out_row = out.row_mut(i);
-        match train {
-            FitInput::Dense(p) => {
+        (FitInput::Dense(p), FitInput::Sparse(t)) => {
+            for i in 0..q {
+                let query = p.row(i);
+                let out_row = out.row_mut(i);
                 for (j, slot) in out_row.iter_mut().enumerate() {
-                    let mut acc = T::ZERO;
-                    for (&x, &y) in scratch.iter().zip(p.row(j).iter()) {
-                        acc = x.mul_add(y, acc);
-                    }
-                    *slot = acc;
-                }
-            }
-            FitInput::Sparse(p) => {
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    let (cols, vals) = p.row(j);
+                    let (cols, vals) = t.row(j);
                     let mut acc = T::ZERO;
                     for (&c, &v) in cols.iter().zip(vals.iter()) {
-                        acc = v.mul_add(scratch[c], acc);
+                        acc = v.mul_add(query[c], acc);
                     }
                     *slot = acc;
                 }
+                map.run(i, 0, out_row);
+            }
+        }
+        (FitInput::Sparse(p), FitInput::Sparse(t)) => {
+            // A merge join of the two sorted rows: no buffer sized by the
+            // feature count, which a libSVM index of 4e9 makes 16 GB.
+            for i in 0..q {
+                let query = p.row(i);
+                let out_row = out.row_mut(i);
+                for (j, slot) in out_row.iter_mut().enumerate() {
+                    *slot = sparse_dot(t.row(j), query);
+                }
+                map.run(i, 0, out_row);
             }
         }
     }
     out
+}
+
+/// `fma(x_k, y_k, acc)` over ascending `k`, from `acc = 0`.
+fn dense_dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for (&x, &y) in x.iter().zip(y) {
+        acc = x.mul_add(y, acc);
+    }
+    acc
+}
+
+/// `fma(v, q_c, acc)` over the stored entries `(c, v)` of `row` in
+/// ascending `c`, from `acc = 0`, where `q_c` is `query`'s value in column
+/// `c`, or `+0` where it stores none: the dot product a dense scatter of
+/// `query` would give, found by walking both sorted rows.
+fn sparse_dot<T: Scalar>(row: (&[usize], &[T]), query: (&[usize], &[T])) -> T {
+    let ((cols, vals), (q_cols, q_vals)) = (row, query);
+    let mut cursor = 0usize;
+    let mut acc = T::ZERO;
+    for (&c, &v) in cols.iter().zip(vals) {
+        while cursor < q_cols.len() && q_cols[cursor] < c {
+            cursor += 1;
+        }
+        let q_c = match q_cols.get(cursor) {
+            Some(&qc) if qc == c => q_vals[cursor],
+            _ => T::ZERO,
+        };
+        acc = v.mul_add(q_c, acc);
+    }
+    acc
 }
 
 /// `F[j][c] = Σ_{i ∈ L_c} C[i][j]` — the label fold of the cross factor,
@@ -2014,6 +2052,137 @@ mod tests {
         KernelKmeansConfig::paper_defaults(2).with_max_iter(10)
     }
 
+    /// Awkward values for the cross kernel: `−0` entries, one row in
+    /// seven holding an infinity, ordinary values.
+    fn awkward_points(n: usize, d: usize, salt: usize) -> DenseMatrix<f32> {
+        DenseMatrix::from_fn(n, d, |i, j| {
+            match (i + salt, (i * 31 + j * 17 + salt) % 61) {
+                (r, 0) if r % 7 == 0 => f32::INFINITY,
+                (r, 1) if r % 7 == 0 => f32::NEG_INFINITY,
+                (_, 2..=15) => -0.0,
+                (_, 16..=30) => 0.0,
+                _ => ((i * d + j + salt) as f32 * 0.37).sin() * 0.2,
+            }
+        })
+    }
+
+    /// The cross Gram of one layout pairing, one entry at a time, as the
+    /// serving path computed it before the map moved into its write-back:
+    /// a query scattered into a dense row, folded against every column of
+    /// a dense training row or the stored entries of a sparse one.
+    fn two_step_cross_gram(
+        queries: FitInput<'_, f32>,
+        train: FitInput<'_, f32>,
+    ) -> DenseMatrix<f32> {
+        let d = train.d();
+        DenseMatrix::from_fn(queries.n(), train.n(), |i, j| {
+            let mut scratch = vec![0.0f32; d];
+            match queries {
+                FitInput::Dense(p) => scratch.copy_from_slice(p.row(i)),
+                FitInput::Sparse(p) => {
+                    let (cols, vals) = p.row(i);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        scratch[c] = v;
+                    }
+                }
+            }
+            match train {
+                FitInput::Dense(t) => scratch
+                    .iter()
+                    .zip(t.row(j))
+                    .fold(0.0, |acc, (&x, &y)| x.mul_add(y, acc)),
+                FitInput::Sparse(t) => {
+                    let (cols, vals) = t.row(j);
+                    cols.iter()
+                        .zip(vals)
+                        .fold(0.0, |acc, (&c, &v)| v.mul_add(scratch[c], acc))
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn the_cross_kernel_is_the_cross_gram_under_the_map_bit_for_bit() {
+        // 100 training rows at d = 512 span four packed chunks of B; three
+        // queries take the packed-query path, thirteen the blocked one.
+        let train = awkward_points(100, 512, 0);
+        let train_csr = CsrMatrix::from_dense(&train);
+        let train_diag = TiledKernel::compute_gram_diag(&FitInput::Dense(&train));
+        for q in [3, 13] {
+            let queries = awkward_points(q, 512, 5);
+            let queries_csr = CsrMatrix::from_dense(&queries);
+            let query_diag = TiledKernel::compute_gram_diag(&FitInput::Dense(&queries));
+            for kernel in [
+                KernelFunction::Linear,
+                KernelFunction::paper_polynomial(),
+                KernelFunction::Gaussian {
+                    gamma: 0.7,
+                    sigma: 1.3,
+                },
+                KernelFunction::Sigmoid {
+                    gamma: 0.2,
+                    coef0: 0.1,
+                },
+            ] {
+                for queries in [FitInput::Dense(&queries), FitInput::Sparse(&queries_csr)] {
+                    for train in [FitInput::Dense(&train), FitInput::Sparse(&train_csr)] {
+                        let map = KernelMap::new(kernel, &query_diag, &train_diag);
+                        let fused = cross_kernel(queries, train, map);
+                        let gram = two_step_cross_gram(queries, train);
+                        let at = format!(
+                            "{}, q = {q}, sparse queries {}, sparse training points {}",
+                            kernel.name(),
+                            queries.is_sparse(),
+                            train.is_sparse()
+                        );
+                        for i in 0..q {
+                            for j in 0..train.n() {
+                                let b = gram[(i, j)].to_f64();
+                                let want = kernel.apply(b, query_diag[i], train_diag[j]) as f32;
+                                assert_eq!(
+                                    fused[(i, j)].to_bits(),
+                                    want.to_bits(),
+                                    "{at}: entry ({i},{j})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        crate::test_support::rerun_at_kernel_threads(
+            module_path!(),
+            "the_cross_kernel_is_the_cross_gram_under_the_map_bit_for_bit",
+        );
+    }
+
+    #[test]
+    fn a_csr_model_over_2_pow_61_columns_assigns_a_sparse_query() {
+        // Dense, one row of these f32 points would take 2^63 bytes: a
+        // buffer sized by the feature count cannot even be requested.
+        let cols = 1usize << 61;
+        let far = cols - 1;
+        let points = CsrMatrix::<f32>::from_raw(
+            3,
+            cols,
+            vec![0, 2, 4, 6],
+            vec![0, far, 1, 2, 0, far],
+            vec![0.5, 1.0, 0.25, 1.0, 1.0, 0.5],
+        )
+        .unwrap();
+        let (fit, model) = KernelKmeans::new(KernelKmeansConfig::paper_defaults(2))
+            .fit_model(FitInput::Sparse(&points))
+            .unwrap();
+        // Point 0 as a one-row query: its kernel row, and so its label
+        // under the settled fit's statistics, is point 0's.
+        let query =
+            CsrMatrix::<f32>::from_raw(1, cols, vec![0, 2], vec![0, far], vec![0.5, 1.0]).unwrap();
+        let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f32>());
+        let batch = model.assign(FitInput::Sparse(&query), &executor).unwrap();
+        assert!(!batch.replayed_training);
+        assert_eq!(batch.labels, vec![fit.labels[0]]);
+    }
+
     #[test]
     fn family_names_roundtrip() {
         for family in [
@@ -2064,7 +2233,7 @@ mod tests {
         let ResidentKernel::Full(matrix) = &model.resident else {
             panic!("an in-core fit keeps the full K")
         };
-        let source = kernel_source::FullKernel::computed(matrix).unwrap();
+        let source = kernel_source::FullKernel::computed(Arc::clone(matrix)).unwrap();
         let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
         let input = FitInput::Dense(&points);
         let family = ModelFamily::Popcorn;

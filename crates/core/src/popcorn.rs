@@ -176,6 +176,7 @@ mod tests {
     use crate::strategy::KernelMatrixStrategy;
     use popcorn_gpusim::{SimExecutor, StreamMeter, Streaming};
     use popcorn_sparse::CsrMatrix;
+    use std::sync::Arc;
 
     /// Two well separated blobs in 2-D, 12 points each.
     fn blob_points() -> DenseMatrix<f64> {
@@ -465,7 +466,7 @@ mod tests {
         let caller = FullKernel::new(&asymmetric).unwrap();
         assert!(!caller.symmetric_tiles());
         // Folding its rows as columns would change the bits.
-        let as_computed = FullKernel::computed(&asymmetric).unwrap();
+        let as_computed = FullKernel::computed(Arc::new(asymmetric.clone())).unwrap();
         assert_ne!(run(ModelFamily::Popcorn, &as_computed), gather(&caller));
         assert_ne!(
             run(ModelFamily::DenseBaseline, &as_computed),
@@ -477,7 +478,7 @@ mod tests {
         let strategy = KernelMatrixStrategy::default();
         let (computed, _) =
             crate::kernel_matrix::compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
-        let full = FullKernel::computed(&computed).unwrap();
+        let full = FullKernel::computed(Arc::new(computed)).unwrap();
         let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 5, &exec).unwrap();
         assert!(full.symmetric_tiles() && tiled.symmetric_tiles());
 

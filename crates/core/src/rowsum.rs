@@ -486,6 +486,7 @@ mod tests {
     use crate::kernel_source::FullKernel;
     use popcorn_gpusim::SimExecutor;
     use popcorn_sparse::CsrMatrix;
+    use std::sync::Arc;
 
     const N: usize = 37;
     const K: usize = 5;
@@ -558,7 +559,7 @@ mod tests {
     fn unit_weight_cases<T: Scalar>() {
         // Symmetric dense K, folded row by row into Eᵀ.
         let symmetric = DenseMatrix::<T>::from_fn(N, N, |i, j| awkward(i.min(j) * N + i.max(j)));
-        let computed = FullKernel::computed(&symmetric).unwrap();
+        let computed = FullKernel::computed(Arc::new(symmetric.clone())).unwrap();
         assert!(computed.symmetric_tiles());
         check_tiles(Tiles::Dense(&symmetric), &computed);
 

@@ -86,8 +86,15 @@ pub fn gemm<T: Scalar>(
         return Ok(());
     }
 
-    // Scale C by beta first; the accumulation below is purely additive.
-    if beta == T::ZERO {
+    // With β = 0 the `A·Bᵀ` path writes `0 + α·acc` into every cell from
+    // its parallel row split, so a fresh output is first touched by that
+    // write: no serial fill, no read. Filling first and adding gives the
+    // same bits. Where the product cannot overwrite (`k = 0`, `α = 0`, the
+    // `i-k-j` path), C is scaled by β first and the accumulation below is
+    // purely additive.
+    let overwrite = beta == T::ZERO && ka != 0 && alpha != T::ZERO && op_b == Transpose::Yes;
+    if overwrite {
+    } else if beta == T::ZERO {
         c.fill(T::ZERO);
     } else if beta != T::ONE {
         c.scale(beta);
@@ -109,14 +116,20 @@ pub fn gemm<T: Scalar>(
 
     match op_b {
         Transpose::Yes => {
-            // C[i][j] += alpha * dot(Aeff.row(i), B.row(j))
+            // C[i][j] (= 0 or +=) alpha * dot(Aeff.row(i), B.row(j))
             let a_ref = a_eff.as_ref();
             par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
                 let rows = start_row..start_row + chunk.len() / n;
                 nt_product(a_ref, rows, b, None, |i, j0, run| {
                     let cells = &mut chunk[i * n + j0..][..run.len()];
-                    for (c, &acc) in cells.iter_mut().zip(run) {
-                        *c += alpha * acc;
+                    if overwrite {
+                        for (c, &acc) in cells.iter_mut().zip(run) {
+                            *c = T::ZERO + alpha * acc;
+                        }
+                    } else {
+                        for (c, &acc) in cells.iter_mut().zip(run) {
+                            *c += alpha * acc;
+                        }
                     }
                 });
             });
@@ -192,6 +205,22 @@ pub fn matmul_nt_rows<T: Scalar>(
     r1: usize,
     b: &DenseMatrix<T>,
 ) -> Result<DenseMatrix<T>> {
+    matmul_nt_rows_with(a, r0, r1, b, |_, _, _| {})
+}
+
+/// [`matmul_nt_rows`] with an epilogue fused into the write-back: each run
+/// of entries is stored once as `0 + 1·acc` into the fresh output, then
+/// handed to `epilogue(i, j0, cells)` while it is in registers and cache,
+/// where `cells[t]` is entry `(i, j0 + t)` and `i` is the row of `A`. A
+/// product whose entries are mapped (the kernel matrix, paper §4.2) thus
+/// writes each entry once, already mapped, instead of making a second pass.
+pub fn matmul_nt_rows_with<T: Scalar>(
+    a: &DenseMatrix<T>,
+    r0: usize,
+    r1: usize,
+    b: &DenseMatrix<T>,
+    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+) -> Result<DenseMatrix<T>> {
     if a.cols() != b.cols() {
         return Err(DenseError::DimensionMismatch {
             op: "matmul_nt_rows (inner dimension)",
@@ -207,17 +236,25 @@ pub fn matmul_nt_rows<T: Scalar>(
     }
     let n = b.rows();
     let mut c = DenseMatrix::zeros(r1 - r0, n);
-    if r0 == r1 || n == 0 || a.cols() == 0 {
+    if r0 == r1 || n == 0 {
         return Ok(c);
     }
     par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
         let rows = r0 + start_row..r0 + start_row + chunk.len() / n;
-        nt_product(a, rows, b, None, |i, j0, run| {
-            let cells = &mut chunk[i * n + j0..][..run.len()];
-            for (c, &acc) in cells.iter_mut().zip(run) {
-                *c += T::ONE * acc;
-            }
-        });
+        nt_product(
+            a,
+            rows,
+            b,
+            None,
+            #[inline(always)]
+            |i, j0, run| {
+                let cells = &mut chunk[i * n + j0..][..run.len()];
+                for (c, &acc) in cells.iter_mut().zip(run) {
+                    *c = T::ZERO + T::ONE * acc;
+                }
+                epilogue(r0 + start_row + i, j0, cells);
+            },
+        );
     });
     Ok(c)
 }
@@ -323,6 +360,29 @@ mod tests {
         let mut c = DenseMatrix::filled(1, 1, f64::NAN);
         gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c).unwrap();
         assert_eq!(c[(0, 0)], 11.0);
+    }
+
+    #[test]
+    fn gemm_beta_zero_overwrites_garbage_on_the_nt_path() {
+        // The A·Bᵀ path writes `0 + α·acc` over every cell without reading
+        // it: NaN in C must not survive, and a `−0` product stores `+0`.
+        let a = DenseMatrix::<f64>::from_fn(7, 5, |i, j| ((i * 5 + j) as f64 * 0.3).sin());
+        let mut b = DenseMatrix::<f64>::from_fn(19, 5, |i, j| ((i + 3 * j) as f64 * 0.7).cos());
+        b.row_mut(4).fill(-0.0);
+        let mut c = DenseMatrix::filled(7, 19, f64::NAN);
+        gemm(-1.5, &a, Transpose::No, &b, Transpose::Yes, 0.0, &mut c).unwrap();
+        for i in 0..7 {
+            for j in 0..19 {
+                let acc = a
+                    .row(i)
+                    .iter()
+                    .zip(b.row(j))
+                    .fold(0.0f64, |acc, (&x, &y)| x.mul_add(y, acc));
+                let want = 0.0 + -1.5 * acc;
+                assert_eq!(c[(i, j)].to_bits(), want.to_bits(), "entry ({i},{j})");
+            }
+        }
+        assert_eq!(c[(0, 4)].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -34,12 +34,14 @@ pub mod scalar;
 pub mod syrk;
 
 pub use errors::DenseError;
-pub use gemm::{gemm, matmul, matmul_nt, matmul_nt_rows, matmul_tn, Transpose};
+pub use gemm::{
+    gemm, matmul, matmul_nt, matmul_nt_rows, matmul_nt_rows_with, matmul_tn, Transpose,
+};
 pub use matrix::DenseMatrix;
 pub use norms::{diagonal, frobenius_norm, row_argmin, row_argmin_into, row_sq_norms};
 pub use ops::{add_col_broadcast, add_row_broadcast, axpy, hadamard, scale_in_place};
 pub use scalar::Scalar;
-pub use syrk::{symmetrize_lower, syrk, syrk_full, Triangle};
+pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_with, Triangle};
 
 /// Result alias used across the dense crate.
 pub type Result<T> = std::result::Result<T, DenseError>;

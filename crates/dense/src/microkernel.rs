@@ -35,6 +35,10 @@ use std::ops::Range;
 /// AVX2 registers for the two panel loads and the broadcast `a_ik`.
 const MR: usize = 6;
 
+/// Longest run handed to the caller when fewer than `MR` rows of `A` stream
+/// `B` through: whole register blocks of `B` rows, gathered per `A` row.
+const SMALL_RUN: usize = 16 * MR;
+
 /// Bytes of `B` packed at once. Each kernel thread holds its own chunk, so a
 /// larger one costs memory for a smaller gain: on a 2-vCPU Xeon, the
 /// 2000 × 2000 × 32 `f32` Nyström panel took 5.1–5.7 ms with 256 KiB,
@@ -61,7 +65,8 @@ fn chunk_rows<T: Scalar, const NR: usize>(d: usize) -> usize {
 /// Every block of six rows of `A` sweeps a chunk before the next is packed,
 /// so each row of `B` is packed once per call and each output row is written
 /// left to right, in runs as wide as a panel. With fewer than six rows of
-/// `A` and no triangle, `A` is packed instead and `B` streams through.
+/// `A` and no triangle, `A` is packed instead and `B` streams through, in
+/// runs of up to 96 entries.
 ///
 /// `a` and `b` must have the same number of columns.
 pub fn nt_product<T: Scalar>(
@@ -114,17 +119,23 @@ fn blocked<T: Scalar, const NR: usize>(
         // fma(b_jk, a_ik, acc) rounds exactly as fma(a_ik, b_jk, acc).
         let mut panel = vec![T::ZERO; NR * d];
         pack::<T, NR>(&mut panel, a, a_rows.clone());
-        for j0 in (0..b.rows()).step_by(MR) {
-            let j1 = (j0 + MR).min(b.rows());
-            let acc = block::<T, NR>(b, j0..j1, &panel);
-            // The block holds B rows by A rows: transpose each A row's lane
-            // into one run.
-            let mut run = [T::ZERO; MR];
-            for i in 0..a_rows.len() {
-                for (slot, sums) in run.iter_mut().zip(&acc[..j1 - j0]) {
-                    *slot = sums[i];
+        // Each block holds B rows by A rows: its lanes are transposed into
+        // one run per A row, gathered over several blocks so the caller's
+        // write sees runs of up to `SMALL_RUN` entries, not `MR`.
+        let mut runs = [[T::ZERO; SMALL_RUN]; MR];
+        for s0 in (0..b.rows()).step_by(SMALL_RUN) {
+            let s1 = (s0 + SMALL_RUN).min(b.rows());
+            for j0 in (s0..s1).step_by(MR) {
+                let j1 = (j0 + MR).min(s1);
+                let acc = block::<T, NR>(b, j0..j1, &panel);
+                for (i, run) in runs.iter_mut().enumerate().take(a_rows.len()) {
+                    for (slot, sums) in run[j0 - s0..].iter_mut().zip(&acc[..j1 - j0]) {
+                        *slot = sums[i];
+                    }
                 }
-                write(i, j0, &run[..j1 - j0]);
+            }
+            for (i, run) in runs.iter().enumerate().take(a_rows.len()) {
+                write(i, s0, &run[..s1 - s0]);
             }
         }
         return;
@@ -271,14 +282,16 @@ mod tests {
     /// output so `−0.0` handling shows.
     fn write_forms<T: Scalar>() -> Vec<WriteForm<T>> {
         vec![
-            ("gemm: c += alpha·acc", |c, acc| {
+            ("gemm beta != 0: c += alpha·acc", |c, acc| {
                 c + T::from_f64(-2.0) * acc
             }),
-            ("matmul_nt_rows: c += 1·acc", |c, acc| c + T::ONE * acc),
+            ("matmul_nt_rows: 0 + 1·acc", |_, acc| {
+                T::ZERO + T::ONE * acc
+            }),
             ("syrk: prev + alpha·acc", |c, acc| {
                 T::from_f64(0.5) * c + T::from_f64(3.0) * acc
             }),
-            ("syrk beta=0: 0 + alpha·acc", |_, acc| {
+            ("gemm, syrk beta=0: 0 + alpha·acc", |_, acc| {
                 T::ZERO + T::from_f64(-1.0) * acc
             }),
             ("cross_gram: acc", |_, acc| acc),
@@ -332,9 +345,10 @@ mod tests {
     #[test]
     fn every_path_matches_the_sequential_fma_reference_bit_for_bit() {
         // Rows not a multiple of MR, columns not a multiple of NR (16 for
-        // f32, 8 for f64), fewer A rows than MR (the packed-A path), and
-        // d ∈ {0, 1, 7} plus a longer reduction.
-        for (m, n) in [(1, 5), (5, 23), (6, 16), (13, 37), (20, 9)] {
+        // f32, 8 for f64), fewer A rows than MR (the packed-A path, whose
+        // runs gather up to 96 rows of B), and d ∈ {0, 1, 7} plus a longer
+        // reduction.
+        for (m, n) in [(1, 5), (5, 23), (2, 203), (6, 16), (13, 37), (20, 9)] {
             for d in [0, 1, 7, 33] {
                 check_bits::<f32>(m, n, d, |x| u64::from(x.to_bits()));
                 check_bits::<f64>(m, n, d, f64::to_bits);

@@ -9,8 +9,9 @@
 //!   `coalescedReduction` in the original code).
 
 use crate::errors::DenseError;
+use crate::fma::dispatch;
 use crate::matrix::DenseMatrix;
-use crate::parallel::{par_chunks_rows, par_map_indexed};
+use crate::parallel::par_map_indexed;
 use crate::scalar::Scalar;
 use crate::Result;
 
@@ -57,23 +58,29 @@ pub fn row_argmin<T: Scalar>(m: &DenseMatrix<T>) -> Vec<usize> {
 /// [`row_argmin`] into a caller-provided buffer (cleared and resized), so hot
 /// loops reuse one allocation across iterations. Identical per-row scan —
 /// same ties, same non-finite handling.
+///
+/// Runs on the calling thread, FMA-dispatched: the assignment step scans
+/// an `n × k` distance matrix, a few thousand short rows, which cost less
+/// than starting the kernel threads would.
 pub fn row_argmin_into<T: Scalar>(m: &DenseMatrix<T>, out: &mut Vec<usize>) {
     out.clear();
-    out.resize(m.rows(), 0);
-    par_chunks_rows(out, 1, |start, chunk| {
-        for (offset, slot) in chunk.iter_mut().enumerate() {
-            let row = m.row(start + offset);
-            let mut best = 0usize;
-            let mut best_val = T::INFINITY;
-            for (j, &v) in row.iter().enumerate() {
-                if v < best_val {
-                    best_val = v;
-                    best = j;
+    out.reserve(m.rows());
+    dispatch(
+        #[inline(always)]
+        || {
+            for i in 0..m.rows() {
+                let mut best = 0usize;
+                let mut best_val = T::INFINITY;
+                for (j, &v) in m.row(i).iter().enumerate() {
+                    if v < best_val {
+                        best_val = v;
+                        best = j;
+                    }
                 }
+                out.push(best);
             }
-            *slot = best;
-        }
-    });
+        },
+    );
 }
 
 /// Value of the smallest element in each row.

@@ -45,6 +45,22 @@ pub fn syrk<T: Scalar>(
     c: &mut DenseMatrix<T>,
     triangle: Triangle,
 ) -> Result<()> {
+    syrk_with(alpha, a, beta, c, triangle, |_, _, _| {})
+}
+
+/// [`syrk`] with an epilogue fused into the write-back: each run of the
+/// triangle's entries, once stored, goes to `epilogue(i, j0, cells)`, where
+/// `cells[t]` is entry `(i, j0 + t)` of `C`. With β = 0 every entry of the
+/// triangle is written once, `0 + α·acc`, so a fresh `C` is first touched
+/// by that write.
+pub fn syrk_with<T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<T>,
+    beta: T,
+    c: &mut DenseMatrix<T>,
+    triangle: Triangle,
+    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+) -> Result<()> {
     let n = a.rows();
     if c.shape() != (n, n) {
         return Err(DenseError::DimensionMismatch {
@@ -62,21 +78,29 @@ pub fn syrk<T: Scalar>(
     let ranges = weighted_row_ranges(n, triangle == Triangle::Lower);
     par_chunks_rows_ranges(c.as_mut_slice(), n, &ranges, |start_row, chunk| {
         let rows = start_row..start_row + chunk.len() / n;
-        nt_product(a, rows, a, Some(triangle), |i, j0, run| {
-            let cells = &mut chunk[i * n + j0..][..run.len()];
-            // The β test stays out of the entry loop: with it inside, the
-            // SYRK of a 4000 × 48 `f32` matrix took 78–88 ms instead of
-            // 30–35 ms on a 2-vCPU Xeon.
-            if beta == T::ZERO {
-                for (c, &acc) in cells.iter_mut().zip(run) {
-                    *c = T::ZERO + alpha * acc;
+        nt_product(
+            a,
+            rows,
+            a,
+            Some(triangle),
+            #[inline(always)]
+            |i, j0, run| {
+                let cells = &mut chunk[i * n + j0..][..run.len()];
+                // The β test stays out of the entry loop: with it inside, the
+                // SYRK of a 4000 × 48 `f32` matrix took 78–88 ms instead of
+                // 30–35 ms on a 2-vCPU Xeon.
+                if beta == T::ZERO {
+                    for (c, &acc) in cells.iter_mut().zip(run) {
+                        *c = T::ZERO + alpha * acc;
+                    }
+                } else {
+                    for (c, &acc) in cells.iter_mut().zip(run) {
+                        *c = beta * *c + alpha * acc;
+                    }
                 }
-            } else {
-                for (c, &acc) in cells.iter_mut().zip(run) {
-                    *c = beta * *c + alpha * acc;
-                }
-            }
-        });
+                epilogue(start_row + i, j0, cells);
+            },
+        );
     });
     Ok(())
 }

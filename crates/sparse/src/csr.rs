@@ -615,6 +615,20 @@ impl<T: Scalar> GramIndex<'_, T> {
     /// same rows of [`CsrMatrix::gram_sequential`]. Rows split evenly over
     /// the kernel threads.
     pub fn gram_rows(&self, r0: usize, r1: usize) -> DenseMatrix<T> {
+        self.gram_rows_with(r0, r1, |_, _, _| {})
+    }
+
+    /// [`GramIndex::gram_rows`] with a per-row epilogue: once row `i` of the
+    /// Gram matrix is final (after its fix-up), `epilogue(i, 0, row)` runs on
+    /// it while it is in cache, on the thread that computed it. A product
+    /// whose entries are mapped (the kernel matrix, paper §4.2) thus stores
+    /// them mapped, with no second pass over the output.
+    pub fn gram_rows_with(
+        &self,
+        r0: usize,
+        r1: usize,
+        epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+    ) -> DenseMatrix<T> {
         let n = self.matrix.rows;
         assert!(
             r0 <= r1 && r1 <= n,
@@ -624,7 +638,7 @@ impl<T: Scalar> GramIndex<'_, T> {
         par_chunks_rows(out.as_mut_slice(), n, |first, chunk| {
             dispatch(
                 #[inline(always)]
-                || self.fill_rows(r0 + first, chunk),
+                || self.fill_rows(r0 + first, chunk, &epilogue),
             )
         });
         out
@@ -644,14 +658,20 @@ impl<T: Scalar> GramIndex<'_, T> {
     }
 
     /// Whole Gram rows from `first_row` on into `chunk`, each structural
-    /// walk followed by its fix-up. Inlined so the callers' FMA dispatch
-    /// covers it.
+    /// walk followed by its fix-up and the epilogue. Inlined so the
+    /// callers' FMA dispatch covers it.
     #[inline(always)]
-    fn fill_rows(&self, first_row: usize, chunk: &mut [T]) {
+    fn fill_rows(
+        &self,
+        first_row: usize,
+        chunk: &mut [T],
+        epilogue: &impl Fn(usize, usize, &mut [T]),
+    ) {
         let n = self.matrix.rows;
         for (i, out_row) in (first_row..).zip(chunk.chunks_exact_mut(n)) {
             self.structural_row(i, out_row);
             self.fix_up_row(i, out_row);
+            epilogue(i, 0, out_row);
         }
     }
 
@@ -913,7 +933,8 @@ mod tests {
         };
         let dispatched = m.gram();
         let mut generic = DenseMatrix::zeros(n, n);
-        m.gram_index().fill_rows(0, generic.as_mut_slice());
+        m.gram_index()
+            .fill_rows(0, generic.as_mut_slice(), &|_, _, _| {});
         let sequential = m.gram_sequential();
         let panel = m.gram_panel(0, n);
         for i in 0..n {
