@@ -199,16 +199,16 @@ pub trait KernelSource<T: Scalar>: Sync {
 pub struct FullKernel<'a, T: Scalar> {
     matrix: Matrix<'a, T>,
     diag_cache: Mutex<Option<Vec<T>>>,
-    /// Whether the matrix is bitwise symmetric by construction
-    /// ([`KernelSource::symmetric_tiles`]).
-    symmetric: bool,
 }
 
 /// How a [`FullKernel`] holds its matrix.
 enum Matrix<'a, T: Scalar> {
-    /// A caller's matrix, copied into a fitted model that keeps it.
+    /// A caller's matrix, copied into a fitted model that keeps it. Any
+    /// square matrix is accepted, so it promises no symmetry.
     Borrowed(&'a DenseMatrix<T>),
-    /// A matrix a solver computed, shared with a fitted model that keeps it.
+    /// A matrix a solver computed from points, shared with a fitted model
+    /// that keeps it. It is bitwise symmetric by construction (see
+    /// [`KernelSource::symmetric_tiles`]).
     Shared(Arc<DenseMatrix<T>>),
 }
 
@@ -216,7 +216,7 @@ impl<'a, T: Scalar> FullKernel<'a, T> {
     /// Wrap a precomputed kernel matrix (must be square). Any square matrix
     /// is accepted, so the source promises no symmetry.
     pub fn new(matrix: &'a DenseMatrix<T>) -> Result<Self> {
-        Self::wrap(Matrix::Borrowed(matrix), false)
+        Self::wrap(Matrix::Borrowed(matrix))
     }
 
     /// Wrap a kernel matrix a solver computed from points, which is bitwise
@@ -224,14 +224,13 @@ impl<'a, T: Scalar> FullKernel<'a, T> {
     /// fitted model extracted from this source shares the `Arc` instead of
     /// copying the matrix.
     pub(crate) fn computed(matrix: Arc<DenseMatrix<T>>) -> Result<Self> {
-        Self::wrap(Matrix::Shared(matrix), true)
+        Self::wrap(Matrix::Shared(matrix))
     }
 
-    fn wrap(matrix: Matrix<'a, T>, symmetric: bool) -> Result<Self> {
+    fn wrap(matrix: Matrix<'a, T>) -> Result<Self> {
         let source = Self {
             matrix,
             diag_cache: Mutex::new(None),
-            symmetric,
         };
         let m = source.matrix();
         if !m.is_square() {
@@ -283,7 +282,7 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
     }
 
     fn symmetric_tiles(&self) -> bool {
-        self.symmetric
+        matches!(self.matrix, Matrix::Shared(_))
     }
 
     /// A computed matrix is shared with the model; a caller's matrix is

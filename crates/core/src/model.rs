@@ -40,6 +40,7 @@ use crate::solver::{FitInput, KernelFamily};
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
+use popcorn_dense::fma::dispatch;
 use popcorn_dense::microkernel::nt_product;
 use popcorn_dense::{matmul, DenseMatrix, Scalar};
 use popcorn_gpusim::{
@@ -881,80 +882,92 @@ fn cross_kernel<T: Scalar>(
                 },
             );
         }
-        (FitInput::Sparse(p), FitInput::Dense(t)) => {
-            // The query row scattered into a dense scratch: the training
-            // points are `n × d` already, so `d` is bounded by them.
-            let mut scratch = vec![T::ZERO; t.cols()];
-            for i in 0..q {
-                scratch.iter_mut().for_each(|v| *v = T::ZERO);
-                let (cols, vals) = p.row(i);
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    scratch[c] = v;
-                }
-                let out_row = out.row_mut(i);
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    *slot = dense_dot(&scratch, t.row(j));
-                }
-                map.run(i, 0, out_row);
-            }
-        }
-        (FitInput::Dense(p), FitInput::Sparse(t)) => {
-            for i in 0..q {
-                let query = p.row(i);
-                let out_row = out.row_mut(i);
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    let (cols, vals) = t.row(j);
-                    let mut acc = T::ZERO;
+        // The other pairings fold one entry at a time, in the FMA dispatch:
+        // each `mul_add` is one instruction there, not a library call.
+        (FitInput::Sparse(p), FitInput::Dense(t)) => dispatch(
+            #[inline(always)]
+            || {
+                // The query row scattered into a dense scratch: the training
+                // points are `n × d` already, so `d` is bounded by them.
+                let mut scratch = vec![T::ZERO; t.cols()];
+                for i in 0..q {
+                    scratch.iter_mut().for_each(|v| *v = T::ZERO);
+                    let (cols, vals) = p.row(i);
                     for (&c, &v) in cols.iter().zip(vals.iter()) {
-                        acc = v.mul_add(query[c], acc);
+                        scratch[c] = v;
                     }
-                    *slot = acc;
+                    let out_row = out.row_mut(i);
+                    for (j, slot) in out_row.iter_mut().enumerate() {
+                        *slot = dense_dot(&scratch, t.row(j));
+                    }
+                    map.run(i, 0, out_row);
                 }
-                map.run(i, 0, out_row);
-            }
-        }
-        (FitInput::Sparse(p), FitInput::Sparse(t)) => {
-            // A merge join of the two sorted rows: no buffer sized by the
-            // feature count, which a libSVM index of 4e9 makes 16 GB.
-            for i in 0..q {
-                let query = p.row(i);
-                let out_row = out.row_mut(i);
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    *slot = sparse_dot(t.row(j), query);
+            },
+        ),
+        (FitInput::Dense(p), FitInput::Sparse(t)) => dispatch(
+            #[inline(always)]
+            || {
+                for i in 0..q {
+                    let query = p.row(i);
+                    let out_row = out.row_mut(i);
+                    for (j, slot) in out_row.iter_mut().enumerate() {
+                        let (cols, vals) = t.row(j);
+                        let mut acc = T::ZERO;
+                        for (&c, &v) in cols.iter().zip(vals.iter()) {
+                            acc = v.mul_add(query[c], acc);
+                        }
+                        *slot = acc;
+                    }
+                    map.run(i, 0, out_row);
                 }
-                map.run(i, 0, out_row);
-            }
-        }
+            },
+        ),
+        (FitInput::Sparse(p), FitInput::Sparse(t)) => dispatch(
+            #[inline(always)]
+            || {
+                // The query row scattered into one slot per column the
+                // training points store: no buffer sized by the feature
+                // count, which a libSVM index of 4e9 makes 16 GB. A query
+                // column no training entry stores has no slot, and no entry
+                // reads it.
+                let columns = t.column_slots();
+                let (row_ptrs, slots) = (t.row_ptrs(), columns.entries());
+                let mut scratch = vec![T::ZERO; columns.width()];
+                for i in 0..q {
+                    let (cols, vals) = p.row(i);
+                    for (&c, &v) in cols.iter().zip(vals.iter()) {
+                        if let Some(s) = columns.slot_of(c) {
+                            scratch[s] = v;
+                        }
+                    }
+                    let out_row = out.row_mut(i);
+                    for (j, slot) in out_row.iter_mut().enumerate() {
+                        let row_slots = &slots[row_ptrs[j]..row_ptrs[j + 1]];
+                        let mut acc = T::ZERO;
+                        for (&s, &v) in row_slots.iter().zip(t.row(j).1) {
+                            acc = v.mul_add(scratch[s], acc);
+                        }
+                        *slot = acc;
+                    }
+                    map.run(i, 0, out_row);
+                    for &c in cols {
+                        if let Some(s) = columns.slot_of(c) {
+                            scratch[s] = T::ZERO;
+                        }
+                    }
+                }
+            },
+        ),
     }
     out
 }
 
 /// `fma(x_k, y_k, acc)` over ascending `k`, from `acc = 0`.
+#[inline(always)]
 fn dense_dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     let mut acc = T::ZERO;
     for (&x, &y) in x.iter().zip(y) {
         acc = x.mul_add(y, acc);
-    }
-    acc
-}
-
-/// `fma(v, q_c, acc)` over the stored entries `(c, v)` of `row` in
-/// ascending `c`, from `acc = 0`, where `q_c` is `query`'s value in column
-/// `c`, or `+0` where it stores none: the dot product a dense scatter of
-/// `query` would give, found by walking both sorted rows.
-fn sparse_dot<T: Scalar>(row: (&[usize], &[T]), query: (&[usize], &[T])) -> T {
-    let ((cols, vals), (q_cols, q_vals)) = (row, query);
-    let mut cursor = 0usize;
-    let mut acc = T::ZERO;
-    for (&c, &v) in cols.iter().zip(vals) {
-        while cursor < q_cols.len() && q_cols[cursor] < c {
-            cursor += 1;
-        }
-        let q_c = match q_cols.get(cursor) {
-            Some(&qc) if qc == c => q_vals[cursor],
-            _ => T::ZERO,
-        };
-        acc = v.mul_add(q_c, acc);
     }
     acc
 }
@@ -2105,12 +2118,34 @@ mod tests {
     fn the_cross_kernel_is_the_cross_gram_under_the_map_bit_for_bit() {
         // 100 training rows at d = 512 span four packed chunks of B; three
         // queries take the packed-query path, thirteen the blocked one.
+        // The CSR rows are also spread over 200 times as many columns, more
+        // than they store, so the training points' column slots are ranks;
+        // each wide query also stores the last column, which no training
+        // row stores. Spread, every sparse dot product keeps its bits.
+        let widen = |m: &CsrMatrix<f32>, last: bool| {
+            let cols = m.cols() * 200;
+            let (mut ptrs, mut idx, mut vals) = (vec![0], Vec::new(), Vec::new());
+            for i in 0..m.rows() {
+                let (c, v) = m.row(i);
+                idx.extend(c.iter().map(|&c| c * 200));
+                vals.extend_from_slice(v);
+                if last {
+                    idx.push(cols - 1);
+                    vals.push(1.5);
+                }
+                ptrs.push(idx.len());
+            }
+            CsrMatrix::from_raw(m.rows(), cols, ptrs, idx, vals).unwrap()
+        };
         let train = awkward_points(100, 512, 0);
         let train_csr = CsrMatrix::from_dense(&train);
+        let train_wide = widen(&train_csr, false);
+        assert!(train_wide.cols() > train_wide.nnz());
         let train_diag = TiledKernel::compute_gram_diag(&FitInput::Dense(&train));
         for q in [3, 13] {
             let queries = awkward_points(q, 512, 5);
             let queries_csr = CsrMatrix::from_dense(&queries);
+            let queries_wide = widen(&queries_csr, true);
             let query_diag = TiledKernel::compute_gram_diag(&FitInput::Dense(&queries));
             for kernel in [
                 KernelFunction::Linear,
@@ -2147,6 +2182,25 @@ mod tests {
                             }
                         }
                     }
+                }
+                let map = KernelMap::new(kernel, &query_diag, &train_diag);
+                let narrow = cross_kernel(
+                    FitInput::Sparse(&queries_csr),
+                    FitInput::Sparse(&train_csr),
+                    map,
+                );
+                let wide = cross_kernel(
+                    FitInput::Sparse(&queries_wide),
+                    FitInput::Sparse(&train_wide),
+                    map,
+                );
+                for (i, (a, b)) in narrow.as_slice().iter().zip(wide.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{}, q = {q}, wide entry {i}",
+                        kernel.name()
+                    );
                 }
             }
         }

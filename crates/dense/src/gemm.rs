@@ -86,15 +86,8 @@ pub fn gemm<T: Scalar>(
         return Ok(());
     }
 
-    // With β = 0 the `A·Bᵀ` path writes `0 + α·acc` into every cell from
-    // its parallel row split, so a fresh output is first touched by that
-    // write: no serial fill, no read. Filling first and adding gives the
-    // same bits. Where the product cannot overwrite (`k = 0`, `α = 0`, the
-    // `i-k-j` path), C is scaled by β first and the accumulation below is
-    // purely additive.
-    let overwrite = beta == T::ZERO && ka != 0 && alpha != T::ZERO && op_b == Transpose::Yes;
-    if overwrite {
-    } else if beta == T::ZERO {
+    // Scale C by beta first; the accumulation below is purely additive.
+    if beta == T::ZERO {
         c.fill(T::ZERO);
     } else if beta != T::ONE {
         c.scale(beta);
@@ -116,20 +109,14 @@ pub fn gemm<T: Scalar>(
 
     match op_b {
         Transpose::Yes => {
-            // C[i][j] (= 0 or +=) alpha * dot(Aeff.row(i), B.row(j))
+            // C[i][j] += alpha * dot(Aeff.row(i), B.row(j))
             let a_ref = a_eff.as_ref();
             par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
                 let rows = start_row..start_row + chunk.len() / n;
                 nt_product(a_ref, rows, b, None, |i, j0, run| {
                     let cells = &mut chunk[i * n + j0..][..run.len()];
-                    if overwrite {
-                        for (c, &acc) in cells.iter_mut().zip(run) {
-                            *c = T::ZERO + alpha * acc;
-                        }
-                    } else {
-                        for (c, &acc) in cells.iter_mut().zip(run) {
-                            *c += alpha * acc;
-                        }
+                    for (c, &acc) in cells.iter_mut().zip(run) {
+                        *c += alpha * acc;
                     }
                 });
             });
@@ -178,10 +165,12 @@ pub fn matmul<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<Dense
 ///
 /// This is the shape used for the kernel matrix `B = P̂ P̂ᵀ` (paper §3.2) and
 /// the distances product `P Cᵀ` (paper Eq. 5).
+///
+/// Every entry is written once, as `0 + 1·acc`, from the parallel row
+/// split ([`matmul_nt_rows`] over all rows of `A`): the same bits as
+/// [`gemm`] with `β = 0`, without its serial fill of the fresh output.
 pub fn matmul_nt<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-    let mut c = DenseMatrix::zeros(a.rows(), b.rows());
-    gemm(T::ONE, a, Transpose::No, b, Transpose::Yes, T::ZERO, &mut c)?;
-    Ok(c)
+    matmul_nt_rows(a, 0, a.rows(), b)
 }
 
 /// Convenience wrapper: `Aᵀ * B` as a freshly allocated matrix.
@@ -357,32 +346,12 @@ mod tests {
     fn gemm_beta_zero_overwrites_garbage() {
         let a = mat(&[&[1.0, 2.0]]);
         let b = mat(&[&[3.0], &[4.0]]);
-        let mut c = DenseMatrix::filled(1, 1, f64::NAN);
-        gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c).unwrap();
-        assert_eq!(c[(0, 0)], 11.0);
-    }
-
-    #[test]
-    fn gemm_beta_zero_overwrites_garbage_on_the_nt_path() {
-        // The A·Bᵀ path writes `0 + α·acc` over every cell without reading
-        // it: NaN in C must not survive, and a `−0` product stores `+0`.
-        let a = DenseMatrix::<f64>::from_fn(7, 5, |i, j| ((i * 5 + j) as f64 * 0.3).sin());
-        let mut b = DenseMatrix::<f64>::from_fn(19, 5, |i, j| ((i + 3 * j) as f64 * 0.7).cos());
-        b.row_mut(4).fill(-0.0);
-        let mut c = DenseMatrix::filled(7, 19, f64::NAN);
-        gemm(-1.5, &a, Transpose::No, &b, Transpose::Yes, 0.0, &mut c).unwrap();
-        for i in 0..7 {
-            for j in 0..19 {
-                let acc = a
-                    .row(i)
-                    .iter()
-                    .zip(b.row(j))
-                    .fold(0.0f64, |acc, (&x, &y)| x.mul_add(y, acc));
-                let want = 0.0 + -1.5 * acc;
-                assert_eq!(c[(i, j)].to_bits(), want.to_bits(), "entry ({i},{j})");
-            }
+        // Both the i-k-j path and the A·Bᵀ path.
+        for (b, op_b) in [(b.clone(), Transpose::No), (b.transpose(), Transpose::Yes)] {
+            let mut c = DenseMatrix::filled(1, 1, f64::NAN);
+            gemm(1.0, &a, Transpose::No, &b, op_b, 0.0, &mut c).unwrap();
+            assert_eq!(c[(0, 0)], 11.0);
         }
-        assert_eq!(c[(0, 4)].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

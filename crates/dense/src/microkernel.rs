@@ -282,7 +282,7 @@ mod tests {
     /// output so `−0.0` handling shows.
     fn write_forms<T: Scalar>() -> Vec<WriteForm<T>> {
         vec![
-            ("gemm beta != 0: c += alpha·acc", |c, acc| {
+            ("gemm: c += alpha·acc", |c, acc| {
                 c + T::from_f64(-2.0) * acc
             }),
             ("matmul_nt_rows: 0 + 1·acc", |_, acc| {
@@ -291,7 +291,7 @@ mod tests {
             ("syrk: prev + alpha·acc", |c, acc| {
                 T::from_f64(0.5) * c + T::from_f64(3.0) * acc
             }),
-            ("gemm, syrk beta=0: 0 + alpha·acc", |_, acc| {
+            ("syrk beta=0: 0 + alpha·acc", |_, acc| {
                 T::ZERO + T::from_f64(-1.0) * acc
             }),
             ("cross_gram: acc", |_, acc| acc),

@@ -299,23 +299,31 @@ impl<T: Scalar> CsrMatrix<T> {
         (ptrs, rows, values)
     }
 
-    /// The column slot of every stored entry, and the number of slots: the
-    /// column ids themselves when `cols ≤ nnz`, else each id's rank among
-    /// the ids that occur. Either way no buffer sized by the slots outgrows
-    /// the matrix, however large `cols` is.
-    fn column_slots(&self) -> (Cow<'_, [usize]>, usize) {
+    /// The column slot of every stored entry: the column ids themselves
+    /// when `cols ≤ nnz`, else each id's rank among the ids that occur.
+    /// Either way no buffer sized by the slots outgrows the matrix, however
+    /// large `cols` is. Built in `O(nnz log nnz)` at most.
+    pub fn column_slots(&self) -> ColumnSlots<'_> {
         if self.cols <= self.nnz() {
-            return (Cow::Borrowed(&self.col_indices), self.cols);
+            return ColumnSlots {
+                entries: Cow::Borrowed(&self.col_indices),
+                ids: None,
+                width: self.cols,
+            };
         }
         let mut ids = self.col_indices.clone();
         ids.sort_unstable();
         ids.dedup();
-        let slots = self
+        let entries = self
             .col_indices
             .iter()
             .map(|c| ids.partition_point(|id| id < c))
             .collect();
-        (Cow::Owned(slots), ids.len())
+        ColumnSlots {
+            entries: Cow::Owned(entries),
+            width: ids.len(),
+            ids: Some(ids),
+        }
     }
 
     /// Convert to CSC format (equivalent to transposing the CSR structure).
@@ -372,9 +380,9 @@ impl<T: Scalar> CsrMatrix<T> {
         if n == 0 {
             return out;
         }
-        let (slots, width) = self.column_slots();
-        let mut scatter = vec![T::ZERO; width];
-        self.gram_fill_lower_rows(out.as_mut_slice(), &slots, &mut scatter);
+        let slots = self.column_slots();
+        let mut scatter = vec![T::ZERO; slots.width()];
+        self.gram_fill_lower_rows(out.as_mut_slice(), slots.entries(), &mut scatter);
         symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
         out
     }
@@ -436,9 +444,9 @@ impl<T: Scalar> CsrMatrix<T> {
     /// model as an SpGEMM rather than a dense GEMM. Counts per occurring
     /// column, so it allocates `O(nnz)`, never `O(cols)`.
     pub fn gram_flops(&self) -> u64 {
-        let (slots, width) = self.column_slots();
-        let mut column_counts = vec![0u64; width];
-        for &s in slots.iter() {
+        let slots = self.column_slots();
+        let mut column_counts = vec![0u64; slots.width()];
+        for &s in slots.entries() {
             column_counts[s] += 1;
         }
         column_counts.iter().map(|&c| 2 * c * c).sum()
@@ -471,7 +479,11 @@ impl<T: Scalar> CsrMatrix<T> {
     /// The column index the Gram products walk, built in `O(nnz + rows)`
     /// time and memory (see [`GramIndex`]).
     pub fn gram_index(&self) -> GramIndex<'_, T> {
-        let (slots, width) = self.column_slots();
+        let ColumnSlots {
+            entries: slots,
+            width,
+            ..
+        } = self.column_slots();
         let (col_ptrs, row_indices, values) = self.entries_by_slot(&slots, width);
         let columns =
             CscMatrix::from_raw_unchecked(self.rows, width, col_ptrs, row_indices, values);
@@ -505,6 +517,42 @@ impl<T: Scalar> CsrMatrix<T> {
             col_indices: &self.col_indices,
             values: &self.values,
             cols: self.cols,
+        }
+    }
+}
+
+/// A numbering of the columns a [`CsrMatrix`] stores entries in
+/// ([`CsrMatrix::column_slots`]): a scatter of one row, or of a row of
+/// another matrix with the same columns, needs one slot per occurring
+/// column, never one per feature.
+#[derive(Debug, Clone)]
+pub struct ColumnSlots<'a> {
+    /// The slot of every stored entry, in CSR order.
+    entries: Cow<'a, [usize]>,
+    /// The column ids that occur, ascending, when the slots are their
+    /// ranks; `None` when the slots are the column ids themselves.
+    ids: Option<Vec<usize>>,
+    width: usize,
+}
+
+impl ColumnSlots<'_> {
+    /// Number of slots.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The slot of every stored entry, in CSR order: stored entry `e` sits
+    /// in column slot `entries()[e]`.
+    pub fn entries(&self) -> &[usize] {
+        &self.entries
+    }
+
+    /// The slot of column `col`, or `None` when it has none, in which case
+    /// no stored entry is in column `col`.
+    pub fn slot_of(&self, col: usize) -> Option<usize> {
+        match &self.ids {
+            None => (col < self.width).then_some(col),
+            Some(ids) => ids.binary_search(&col).ok(),
         }
     }
 }
@@ -745,6 +793,29 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn column_slots_number_the_columns_that_occur() {
+        // Three columns, four entries: the slots are the column ids.
+        let narrow = sample();
+        let slots = narrow.column_slots();
+        assert_eq!((slots.width(), slots.entries()), (3, &[0, 2, 0, 1][..]));
+        assert_eq!((slots.slot_of(1), slots.slot_of(3)), (Some(1), None));
+        // More columns than entries: the slots are ranks of the ids that
+        // occur, and a column no entry stores has none.
+        let wide = CsrMatrix::<f64>::from_raw(
+            2,
+            1 << 40,
+            vec![0, 2, 3],
+            vec![7, 1 << 39, 7],
+            vec![1.0, 2.0, 3.0],
+        )
+        .unwrap();
+        let slots = wide.column_slots();
+        assert_eq!((slots.width(), slots.entries()), (2, &[0, 1, 0][..]));
+        assert_eq!(slots.slot_of(1 << 39), Some(1));
+        assert_eq!((slots.slot_of(0), slots.slot_of(8)), (None, None));
     }
 
     #[test]

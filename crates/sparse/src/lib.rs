@@ -30,7 +30,7 @@ mod test_values;
 
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
-pub use csr::{CsrMatrix, CsrRows, GramIndex};
+pub use csr::{ColumnSlots, CsrMatrix, CsrRows, GramIndex};
 pub use errors::SparseError;
 pub use selection::SelectionMatrix;
 pub use spgemm::spgemm;
