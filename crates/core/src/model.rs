@@ -15,7 +15,9 @@
 //!   for bit;
 //! * **out-of-sample assignment** as a small cross-kernel product — `q × n`
 //!   against the training points for exact/sparse models, `q × m` against the
-//!   landmarks for Nyström models — never the `n × n` matrix;
+//!   landmarks for Nyström models — never the `n × n` matrix; the `q × n`
+//!   product is folded into the `q × k` scores as it is written, so the host
+//!   never holds it;
 //! * **refits** ([`crate::solver::Solver::refit`]) that reuse the resident
 //!   kernel state and optionally warm-start from the stored labels; with
 //!   warm-start disabled a refit is bit-identical to a cold fit.
@@ -608,7 +610,10 @@ impl<T: Scalar> FittedModel<T> {
     }
 
     /// Exact/sparse/streamed models: score queries against every training
-    /// point — a `q × n` cross-kernel product folded by label.
+    /// point — a `q × n` cross-kernel product folded by label as it is
+    /// written ([`cross_scores`]), so the host holds no `q × n` buffer. The
+    /// simulated device does: its records charge the product, the map and
+    /// the fold over the full buffer, as the paper's separate kernels would.
     fn exact_scores(
         &self,
         queries: FitInput<'_, T>,
@@ -626,7 +631,7 @@ impl<T: Scalar> FittedModel<T> {
         let buffer_bytes = q as u64 * n as u64 * elem as u64;
         executor.track_alloc(buffer_bytes);
         let kernel = self.config.kernel;
-        let cross = executor.run(
+        let scores = executor.run(
             format!("serve cross gram (q={q}, n={n}, d={d})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
@@ -637,7 +642,7 @@ impl<T: Scalar> FittedModel<T> {
             ),
             || {
                 let map = KernelMap::new(kernel, query_gram_diag, &self.gram_diag);
-                cross_kernel(queries, train, map)
+                cross_scores(queries, train, map, &self.labels, k)
             },
         );
         charge_kernel_map::<T>(
@@ -651,7 +656,9 @@ impl<T: Scalar> FittedModel<T> {
             .iter()
             .map(|&g| self.config.kernel.apply(g, g, g))
             .collect();
-        let scores = executor.run(
+        // The fold ran in the product's write-back, so its host time is the
+        // cross gram's.
+        executor.charge(
             format!("serve score fold (q={q}, n={n}, k={k})"),
             Phase::PairwiseDistances,
             OpClass::Reduction,
@@ -660,17 +667,6 @@ impl<T: Scalar> FittedModel<T> {
                 q as u64 * n as u64 * elem as u64,
                 q as u64 * k as u64 * elem as u64,
             ),
-            || {
-                let mut s = DenseMatrix::<T>::zeros(q, k);
-                for i in 0..q {
-                    let row = cross.row(i);
-                    let out = s.row_mut(i);
-                    for (j, &v) in row.iter().enumerate() {
-                        out[self.labels[j]] += v;
-                    }
-                }
-                s
-            },
         );
         executor.track_free(buffer_bytes);
         Ok((scores, qdiag))
@@ -697,16 +693,25 @@ impl<T: Scalar> FittedModel<T> {
             format!("serve landmark cross gram (q={q}, m={m}, d={d})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
+            // The modeled device reads the landmark rows dense; saturated,
+            // that read stays defined for any feature count.
             OpCost::new(
                 2 * qnnz * m as u64,
-                (qnnz + (m * d) as u64) * elem as u64,
+                (m as u64)
+                    .saturating_mul(d as u64)
+                    .saturating_add(qnnz)
+                    .saturating_mul(elem as u64),
                 q as u64 * m as u64 * elem as u64,
             ),
             || {
                 let landmark_points = self.landmark_points(&factors.landmarks);
                 let landmark_diag = self.landmark_gram_diag(&factors.landmarks);
                 let map = KernelMap::new(kernel, query_gram_diag, &landmark_diag);
-                cross_kernel(queries, FitInput::Dense(&landmark_points), map)
+                let mut k_xl = DenseMatrix::<T>::zeros(q, m);
+                cross_kernel(queries, landmark_points.as_input(), map, |i, j0, run| {
+                    k_xl.row_mut(i)[j0..][..run.len()].copy_from_slice(run)
+                });
+                k_xl
             },
         );
         charge_kernel_map::<T>(
@@ -753,22 +758,34 @@ impl<T: Scalar> FittedModel<T> {
         Ok((scores, qdiag))
     }
 
-    /// The landmark rows of the training points, densified `m × d` — all of
-    /// the training set an out-of-sample Nyström query touches.
-    fn landmark_points(&self, landmarks: &[usize]) -> DenseMatrix<T> {
-        let mut out = DenseMatrix::<T>::zeros(landmarks.len(), self.d());
-        for (r, &l) in landmarks.iter().enumerate() {
-            match &self.points {
-                OwnedPoints::Dense(p) => out.row_mut(r).copy_from_slice(p.row(l)),
-                OwnedPoints::Csr(p) => {
-                    let (cols, vals) = p.row(l);
-                    for (&j, &v) in cols.iter().zip(vals.iter()) {
-                        out[(r, j)] = v;
-                    }
+    /// The landmark rows of the training points, in the points' own layout
+    /// — all of the training set an out-of-sample Nyström query touches. A
+    /// CSR model's rows stay CSR, so no buffer is sized by the feature
+    /// count.
+    fn landmark_points(&self, landmarks: &[usize]) -> OwnedPoints<T> {
+        match &self.points {
+            OwnedPoints::Dense(p) => {
+                OwnedPoints::Dense(DenseMatrix::from_fn(landmarks.len(), p.cols(), |r, j| {
+                    p[(landmarks[r], j)]
+                }))
+            }
+            OwnedPoints::Csr(p) => {
+                let (mut ptrs, mut idx, mut vals) = (vec![0], Vec::new(), Vec::new());
+                for &l in landmarks {
+                    let (cols, values) = p.row(l);
+                    idx.extend_from_slice(cols);
+                    vals.extend_from_slice(values);
+                    ptrs.push(idx.len());
                 }
+                OwnedPoints::Csr(CsrMatrix::from_raw_unchecked(
+                    landmarks.len(),
+                    p.cols(),
+                    ptrs,
+                    idx,
+                    vals,
+                ))
             }
         }
-        out
     }
 
     /// The Gram diagonal at the landmark rows (cross-kernel normalisation).
@@ -855,18 +872,23 @@ impl<T: Scalar> FittedModel<T> {
 
 /// The cross kernel `K[i][j] = κ(query_i, train_j)` over any layout
 /// pairing: the cross Gram `⟨query_i, train_j⟩` under `map`, applied in the
-/// write-back. Dense pairs run the register-blocked [`nt_product`]
-/// microkernel and map each run as they store it; the other pairings fill
-/// and map one row at a time. Every entry is the accumulator of
-/// `fma(x_k, y_k, acc)` over ascending `k`, stored as it is.
+/// write-back. Each mapped run of row `i` goes to `emit(i, j0, run)`, where
+/// `run[t]` is entry `(i, j0 + t)`; no `q × n` matrix is ever held. Every
+/// entry is emitted exactly once, and each row's runs arrive left to right
+/// without gaps, so an epilogue that folds them adds a row's terms in
+/// ascending `j`. Dense pairs run the register-blocked [`nt_product`]
+/// microkernel, which hands out its runs in that order, and map each run in
+/// one reused training row; the other pairings fill and map that row whole.
+/// Every entry is the accumulator of `fma(x_k, y_k, acc)` over ascending
+/// `k`, mapped as it is.
 fn cross_kernel<T: Scalar>(
     queries: FitInput<'_, T>,
     train: FitInput<'_, T>,
     map: KernelMap<'_>,
-) -> DenseMatrix<T> {
+    mut emit: impl FnMut(usize, usize, &[T]),
+) {
     let q = queries.n();
-    let n = train.n();
-    let mut out = DenseMatrix::<T>::zeros(q, n);
+    let mut row = vec![T::ZERO; train.n()];
     match (queries, train) {
         (FitInput::Dense(p), FitInput::Dense(t)) => {
             nt_product(
@@ -876,9 +898,10 @@ fn cross_kernel<T: Scalar>(
                 None,
                 #[inline(always)]
                 |i, j0, run| {
-                    let cells = &mut out.row_mut(i)[j0..][..run.len()];
+                    let cells = &mut row[j0..][..run.len()];
                     cells.copy_from_slice(run);
                     map.run(i, j0, cells);
+                    emit(i, j0, cells);
                 },
             );
         }
@@ -896,11 +919,11 @@ fn cross_kernel<T: Scalar>(
                     for (&c, &v) in cols.iter().zip(vals.iter()) {
                         scratch[c] = v;
                     }
-                    let out_row = out.row_mut(i);
-                    for (j, slot) in out_row.iter_mut().enumerate() {
+                    for (j, slot) in row.iter_mut().enumerate() {
                         *slot = dense_dot(&scratch, t.row(j));
                     }
-                    map.run(i, 0, out_row);
+                    map.run(i, 0, &mut row);
+                    emit(i, 0, &row);
                 }
             },
         ),
@@ -909,8 +932,7 @@ fn cross_kernel<T: Scalar>(
             || {
                 for i in 0..q {
                     let query = p.row(i);
-                    let out_row = out.row_mut(i);
-                    for (j, slot) in out_row.iter_mut().enumerate() {
+                    for (j, slot) in row.iter_mut().enumerate() {
                         let (cols, vals) = t.row(j);
                         let mut acc = T::ZERO;
                         for (&c, &v) in cols.iter().zip(vals.iter()) {
@@ -918,7 +940,8 @@ fn cross_kernel<T: Scalar>(
                         }
                         *slot = acc;
                     }
-                    map.run(i, 0, out_row);
+                    map.run(i, 0, &mut row);
+                    emit(i, 0, &row);
                 }
             },
         ),
@@ -940,8 +963,7 @@ fn cross_kernel<T: Scalar>(
                             scratch[s] = v;
                         }
                     }
-                    let out_row = out.row_mut(i);
-                    for (j, slot) in out_row.iter_mut().enumerate() {
+                    for (j, slot) in row.iter_mut().enumerate() {
                         let row_slots = &slots[row_ptrs[j]..row_ptrs[j + 1]];
                         let mut acc = T::ZERO;
                         for (&s, &v) in row_slots.iter().zip(t.row(j).1) {
@@ -949,7 +971,8 @@ fn cross_kernel<T: Scalar>(
                         }
                         *slot = acc;
                     }
-                    map.run(i, 0, out_row);
+                    map.run(i, 0, &mut row);
+                    emit(i, 0, &row);
                     for &c in cols {
                         if let Some(s) = columns.slot_of(c) {
                             scratch[s] = T::ZERO;
@@ -959,7 +982,27 @@ fn cross_kernel<T: Scalar>(
             },
         ),
     }
-    out
+}
+
+/// The label fold of the cross kernel, `S[i][c] = Σ_{j ∈ L_c} K[i][j]`
+/// (`Eᵀ`'s cross term before its `−2/|L_c|` scale), added in
+/// [`cross_kernel`]'s write-back: each score sums its terms in ascending
+/// `j`, as a fold over the finished matrix would.
+fn cross_scores<T: Scalar>(
+    queries: FitInput<'_, T>,
+    train: FitInput<'_, T>,
+    map: KernelMap<'_>,
+    labels: &[usize],
+    k: usize,
+) -> DenseMatrix<T> {
+    let mut scores = DenseMatrix::<T>::zeros(queries.n(), k);
+    cross_kernel(queries, train, map, |i, j0, run| {
+        let out = scores.row_mut(i);
+        for (&c, &v) in labels[j0..][..run.len()].iter().zip(run) {
+            out[c] += v;
+        }
+    });
+    scores
 }
 
 /// `fma(x_k, y_k, acc)` over ascending `k`, from `acc = 0`.
@@ -1723,7 +1766,12 @@ impl<T: Scalar> FittedModel<T> {
                 push_matrix(&mut out, &factors.hat);
                 push_matrix(&mut out, &factors.cross);
                 push_matrix(&mut out, &factors.core_pinv_t);
-                push_matrix(&mut out, &self.landmark_points(landmarks));
+                // The file keeps its dense landmark block.
+                let landmark_points = match self.landmark_points(landmarks) {
+                    OwnedPoints::Dense(p) => p,
+                    OwnedPoints::Csr(p) => p.to_dense(),
+                };
+                push_matrix(&mut out, &landmark_points);
                 push_f64_line(
                     &mut out,
                     "landmark-gram-diag",
@@ -2114,10 +2162,30 @@ mod tests {
         })
     }
 
+    /// The cross kernel gathered into a matrix, checking the contract the
+    /// score fold relies on: each row's runs arrive left to right, without
+    /// gaps or overlaps, and cover the row.
+    fn gathered_cross_kernel(
+        queries: FitInput<'_, f32>,
+        train: FitInput<'_, f32>,
+        map: KernelMap<'_>,
+    ) -> DenseMatrix<f32> {
+        let mut out = DenseMatrix::<f32>::zeros(queries.n(), train.n());
+        let mut next = vec![0; queries.n()];
+        cross_kernel(queries, train, map, |i, j0, run| {
+            assert_eq!(j0, next[i], "row {i}: a run starts out of order");
+            next[i] += run.len();
+            out.row_mut(i)[j0..][..run.len()].copy_from_slice(run);
+        });
+        assert!(next.iter().all(|&j| j == train.n()), "rows left unwritten");
+        out
+    }
+
     #[test]
     fn the_cross_kernel_is_the_cross_gram_under_the_map_bit_for_bit() {
-        // 100 training rows at d = 512 span four packed chunks of B; three
-        // queries take the packed-query path, thirteen the blocked one.
+        // 100 training rows at d = 512 span four packed chunks of B; one and
+        // three queries take the packed-query path, thirteen the blocked
+        // one.
         // The CSR rows are also spread over 200 times as many columns, more
         // than they store, so the training points' column slots are ranks;
         // each wide query also stores the last column, which no training
@@ -2142,7 +2210,12 @@ mod tests {
         let train_wide = widen(&train_csr, false);
         assert!(train_wide.cols() > train_wide.nnz());
         let train_diag = TiledKernel::compute_gram_diag(&FitInput::Dense(&train));
-        for q in [3, 13] {
+        // Interleaved labels: every run mixes clusters, so each score sums
+        // terms from many runs, and adding them out of order would round
+        // differently.
+        let k = 5;
+        let labels: Vec<usize> = (0..train.rows()).map(|j| (j * 3 + j / 7) % k).collect();
+        for q in [1, 3, 13] {
             let queries = awkward_points(q, 512, 5);
             let queries_csr = CsrMatrix::from_dense(&queries);
             let queries_wide = widen(&queries_csr, true);
@@ -2162,7 +2235,8 @@ mod tests {
                 for queries in [FitInput::Dense(&queries), FitInput::Sparse(&queries_csr)] {
                     for train in [FitInput::Dense(&train), FitInput::Sparse(&train_csr)] {
                         let map = KernelMap::new(kernel, &query_diag, &train_diag);
-                        let fused = cross_kernel(queries, train, map);
+                        let fused = gathered_cross_kernel(queries, train, map);
+                        let scores = cross_scores(queries, train, map, &labels, k);
                         let gram = two_step_cross_gram(queries, train);
                         let at = format!(
                             "{}, q = {q}, sparse queries {}, sparse training points {}",
@@ -2171,6 +2245,8 @@ mod tests {
                             train.is_sparse()
                         );
                         for i in 0..q {
+                            // The plain fold over the finished row.
+                            let mut want_scores = vec![0.0f32; k];
                             for j in 0..train.n() {
                                 let b = gram[(i, j)].to_f64();
                                 let want = kernel.apply(b, query_diag[i], train_diag[j]) as f32;
@@ -2179,17 +2255,25 @@ mod tests {
                                     want.to_bits(),
                                     "{at}: entry ({i},{j})"
                                 );
+                                want_scores[labels[j]] += want;
+                            }
+                            for (c, want) in want_scores.iter().enumerate() {
+                                assert_eq!(
+                                    scores[(i, c)].to_bits(),
+                                    want.to_bits(),
+                                    "{at}: score ({i},{c})"
+                                );
                             }
                         }
                     }
                 }
                 let map = KernelMap::new(kernel, &query_diag, &train_diag);
-                let narrow = cross_kernel(
+                let narrow = gathered_cross_kernel(
                     FitInput::Sparse(&queries_csr),
                     FitInput::Sparse(&train_csr),
                     map,
                 );
-                let wide = cross_kernel(
+                let wide = gathered_cross_kernel(
                     FitInput::Sparse(&queries_wide),
                     FitInput::Sparse(&train_wide),
                     map,
@@ -2213,7 +2297,8 @@ mod tests {
     #[test]
     fn a_csr_model_over_2_pow_61_columns_assigns_a_sparse_query() {
         // Dense, one row of these f32 points would take 2^63 bytes: a
-        // buffer sized by the feature count cannot even be requested.
+        // buffer sized by the feature count cannot even be requested, by
+        // the cross kernel or by a Nyström model's landmark rows.
         let cols = 1usize << 61;
         let far = cols - 1;
         let points = CsrMatrix::<f32>::from_raw(
@@ -2224,17 +2309,121 @@ mod tests {
             vec![0.5, 1.0, 0.25, 1.0, 1.0, 0.5],
         )
         .unwrap();
-        let (fit, model) = KernelKmeans::new(KernelKmeansConfig::paper_defaults(2))
-            .fit_model(FitInput::Sparse(&points))
+        for config in [
+            KernelKmeansConfig::paper_defaults(2),
+            KernelKmeansConfig::paper_defaults(2).with_approx(KernelApprox::Nystrom {
+                landmarks: 2,
+                seed: 1,
+            }),
+        ] {
+            let (fit, model) = KernelKmeans::new(config)
+                .fit_model(FitInput::Sparse(&points))
+                .unwrap();
+            // Point 0 as a one-row query: its kernel row, and so its label
+            // under the settled fit's statistics, is point 0's.
+            let query =
+                CsrMatrix::<f32>::from_raw(1, cols, vec![0, 2], vec![0, far], vec![0.5, 1.0])
+                    .unwrap();
+            let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f32>());
+            let batch = model.assign(FitInput::Sparse(&query), &executor).unwrap();
+            assert!(!batch.replayed_training);
+            assert_eq!(
+                batch.labels,
+                vec![fit.labels[0]],
+                "{}",
+                model.resident_kind()
+            );
+        }
+    }
+
+    #[test]
+    fn a_csr_nystrom_model_scores_queries_as_its_densified_points_do() {
+        // Two entries in three are zero. The CSR model's landmark rows stay
+        // CSR; the same model over the densified points takes the dense
+        // paths. A zero term leaves a finite accumulator's bits as they are.
+        let dense = DenseMatrix::<f32>::from_fn(60, 12, |i, j| match (i + 2 * j) % 3 {
+            0 => ((i * 12 + j) as f32 * 0.37).sin() + (i % 4) as f32 * 2.0,
+            _ => 0.0,
+        });
+        let csr = CsrMatrix::from_dense(&dense);
+        let queries = DenseMatrix::<f32>::from_fn(7, 12, |i, j| match (i + j) % 3 {
+            0 => ((i * 5 + j) as f32 * 0.61).cos() * 3.0,
+            1 => -0.0,
+            _ => 0.0,
+        });
+        let queries_csr = CsrMatrix::from_dense(&queries);
+        for kernel in [
+            KernelFunction::Linear,
+            KernelFunction::paper_polynomial(),
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: 0.1,
+            },
+        ] {
+            let config = KernelKmeansConfig::paper_defaults(4)
+                .with_kernel(kernel)
+                .with_approx(KernelApprox::Nystrom {
+                    landmarks: 8,
+                    seed: 3,
+                });
+            let (_, model) = KernelKmeans::new(config)
+                .fit_model(FitInput::Sparse(&csr))
+                .unwrap();
+            let ResidentKernel::Nystrom { factors, .. } = &model.resident else {
+                panic!("a Nyström fit keeps its factors")
+            };
+            let mut densified = model.clone();
+            densified.points = OwnedPoints::Dense(dense.clone());
+            for queries in [FitInput::Dense(&queries), FitInput::Sparse(&queries_csr)] {
+                let diag = TiledKernel::compute_gram_diag(&queries);
+                let executor = SimExecutor::new(DeviceSpec::a100_80gb(), 4);
+                let (scores, qdiag) = model
+                    .nystrom_scores(factors, queries, &diag, &executor)
+                    .unwrap();
+                let (want, want_qdiag) = densified
+                    .nystrom_scores(factors, queries, &diag, &executor)
+                    .unwrap();
+                let at = format!("{}, sparse queries {}", kernel.name(), queries.is_sparse());
+                for (c, (a, b)) in scores.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}: score {c}");
+                }
+                for (i, (a, b)) in qdiag.iter().zip(&want_qdiag).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}: diagonal {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_file_row_pointer_past_nnz_is_an_error() {
+        // One inner entry of the resident CSR block's `ptrs` line raised
+        // past nnz: the loader sliced the column indices by it and panicked.
+        let config = toy_config().with_approx(KernelApprox::Sparsified {
+            sparsify: Sparsify::Knn { neighbors: 5 },
+        });
+        let (_, model) = KernelKmeans::new(config)
+            .fit_model(FitInput::Dense(&toy_points()))
             .unwrap();
-        // Point 0 as a one-row query: its kernel row, and so its label
-        // under the settled fit's statistics, is point 0's.
-        let query =
-            CsrMatrix::<f32>::from_raw(1, cols, vec![0, 2], vec![0, far], vec![0.5, 1.0]).unwrap();
-        let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f32>());
-        let batch = model.assign(FitInput::Sparse(&query), &executor).unwrap();
-        assert!(!batch.replayed_training);
-        assert_eq!(batch.labels, vec![fit.labels[0]]);
+        assert_eq!(model.resident_kind(), "csr");
+        let text = model.save();
+        let hostile = text
+            .lines()
+            .map(|line| match line.strip_prefix("ptrs ") {
+                Some(rest) => {
+                    let mut tokens: Vec<&str> = rest.split_whitespace().collect();
+                    tokens[2] = "999999999";
+                    format!("ptrs {}", tokens.join(" "))
+                }
+                None => line.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_ne!(hostile.trim_end(), text.trim_end());
+        assert!(FittedModel::<f64>::load(&hostile).is_err());
     }
 
     #[test]

@@ -188,9 +188,9 @@ impl OpCost {
         self
     }
 
-    /// Total bytes moved.
+    /// Total bytes moved (saturated, so any two counts add).
     pub fn total_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
+        self.bytes_read.saturating_add(self.bytes_written)
     }
 
     /// Arithmetic intensity in FLOP/byte (0 when no bytes are moved).

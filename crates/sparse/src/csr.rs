@@ -67,6 +67,17 @@ impl<T: Scalar> CsrMatrix<T> {
                 ),
             });
         }
+        // Every pointer is checked before any row is sliced: a pointer past
+        // nnz inside a monotone prefix would otherwise slice past the end.
+        if let Some(i) = row_ptrs.iter().position(|&p| p > values.len()) {
+            return Err(SparseError::InvalidStructure {
+                reason: format!(
+                    "row_ptrs[{i}] = {} exceeds nnz {}",
+                    row_ptrs[i],
+                    values.len()
+                ),
+            });
+        }
         for i in 0..rows {
             if row_ptrs[i] > row_ptrs[i + 1] {
                 return Err(SparseError::InvalidStructure {
@@ -844,6 +855,10 @@ mod tests {
     #[test]
     fn from_raw_rejects_non_monotone() {
         let e = CsrMatrix::<f64>::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0]);
+        assert!(matches!(e, Err(SparseError::InvalidStructure { .. })));
+        // Monotone up to a pointer past nnz: rejected, not sliced.
+        let e =
+            CsrMatrix::<f64>::from_raw(2, 2, vec![0, 999_999_999, 2], vec![0, 1], vec![1.0, 2.0]);
         assert!(matches!(e, Err(SparseError::InvalidStructure { .. })));
     }
 
