@@ -21,7 +21,7 @@ use popcorn_core::kernel::KernelFunction;
 use popcorn_core::kernel_matrix::spgemm_gram_cost;
 use popcorn_core::solver::{FitInput, KernelFamily, KernelSolver};
 use popcorn_core::{KernelKmeansConfig, ModelFamily, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 
 /// The PRMLT stand-in family: host-resident points, sequential `K`, the
@@ -45,12 +45,13 @@ impl KernelFamily for CpuReference {
     /// PRMLT does not use SYRK), or a *sequential* Gustavson-style Gram
     /// product for CSR points (this solver models a single core — the shared
     /// `CsrMatrix::gram` is multi-threaded), charged with the same SpGEMM
-    /// cost definition the shared sparse path uses.
+    /// cost definition the shared sparse path uses. The host computes and
+    /// keeps the lower triangle, packed.
     fn kernel_matrix<T: Scalar>(
         input: FitInput<'_, T>,
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
+    ) -> Result<PackedSymmetric<T>> {
         let kernel = config.kernel;
         let elem = std::mem::size_of::<T>();
         // The full n x n matrix becomes resident under the host-memory model.
@@ -83,38 +84,33 @@ impl KernelFamily for CpuReference {
 /// Single-threaded dense CPU kernel k-means.
 pub type CpuKernelKmeans = KernelSolver<CpuReference>;
 
-/// Sequential sparse kernel-matrix computation: `CsrMatrix::gram_sequential`
-/// (one thread, one scatter buffer; only its mirror copy is split across
-/// the kernel threads) plus the kernel application, honouring this solver's
-/// single-core contract.
+/// Sequential sparse kernel-matrix computation: the packed rows of
+/// `CsrMatrix::gram_sequential_packed` (one thread, one scatter buffer)
+/// plus the kernel application, honouring this solver's single-core
+/// contract.
 fn compute_kernel_matrix_sequential_csr<T: Scalar>(
     points: &popcorn_sparse::CsrMatrix<T>,
     kernel: KernelFunction,
-) -> DenseMatrix<T> {
-    let mut gram = points.gram_sequential();
-    kernel.apply_to_gram(&mut gram);
+) -> PackedSymmetric<T> {
+    let mut gram = points.gram_sequential_packed();
+    kernel.apply_to_packed(&mut gram);
     gram
 }
 
-/// Sequential dense kernel-matrix computation (no blocking, no threads).
+/// Sequential dense kernel-matrix computation (no blocking, no threads):
+/// entry `(i, j ≤ i)` is the plain dot product of rows `i` and `j`.
 fn compute_kernel_matrix_sequential<T: Scalar>(
     points: &DenseMatrix<T>,
     kernel: KernelFunction,
-) -> DenseMatrix<T> {
-    let n = points.rows();
-    let mut gram = DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        let row_i = points.row(i);
-        for j in 0..n {
-            let row_j = points.row(j);
-            let mut acc = T::ZERO;
-            for (&a, &b) in row_i.iter().zip(row_j.iter()) {
-                acc = a.mul_add(b, acc);
-            }
-            gram[(i, j)] = acc;
+) -> PackedSymmetric<T> {
+    let mut gram = PackedSymmetric::from_fn(points.rows(), |i, j| {
+        let mut acc = T::ZERO;
+        for (&a, &b) in points.row(i).iter().zip(points.row(j)) {
+            acc = a.mul_add(b, acc);
         }
-    }
-    kernel.apply_to_gram(&mut gram);
+        acc
+    });
+    kernel.apply_to_packed(&mut gram);
     gram
 }
 

@@ -21,9 +21,9 @@
 //! with `k` ([`popcorn_core::rowsum::reduction_utilization`]), reproducing
 //! the measured baseline behaviour. On the host, kernel 1's row sums
 //! `Σ_{q ∈ L_c} K[i][q]` are the product `V·K` with `V`'s stored values set
-//! to one, so they run through Popcorn's own SpMM kernels (row by row over a
-//! computed, bitwise-symmetric `K`) and match the CPU reference's plain
-//! loop bit for bit. The three kernels form
+//! to one, so they run through Popcorn's own SpMM kernels (over the packed
+//! lower triangle of the computed, bitwise-symmetric `K`) and match the CPU
+//! reference's plain loop bit for bit. The three kernels form
 //! [`popcorn_core::rowsum::BaselineEngine`], which lives in the core crate so
 //! a fitted baseline model replays it at serve time. The solver is the
 //! [`KernelSolver`] shell over the [`DenseBaseline`] family, whose two hooks
@@ -37,7 +37,7 @@
 use popcorn_core::kernel_matrix::gemm_kernel_matrix;
 use popcorn_core::solver::{dense_upload_bytes, FitInput, KernelFamily, KernelSolver};
 use popcorn_core::{KernelKmeansConfig, ModelFamily, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use std::borrow::Cow;
 
@@ -78,7 +78,7 @@ impl KernelFamily for DenseBaseline {
         input: FitInput<'_, T>,
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
+    ) -> Result<PackedSymmetric<T>> {
         let points = dense_points(input, executor)?;
         let (n, d) = (points.rows(), points.cols());
         let elem = std::mem::size_of::<T>();

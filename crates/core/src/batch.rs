@@ -38,7 +38,7 @@
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::init::initial_assignments_source;
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{for_each_panel, KernelSource};
 use crate::pipeline::{DistanceEngine, LoopState};
 use crate::result::ClusteringResult;
 use crate::solver::FitInput;
@@ -646,18 +646,9 @@ fn lockstep<T: Scalar>(
             meter.tile_consumed_external(seconds);
             Ok(())
         };
-        if source.csr().is_some() {
-            source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
-                fold(&|run| {
-                    run.engine
-                        .consume_csr_tile(rows.clone(), panel, &*run.executor)
-                })
-            })?;
-        } else {
-            source.for_each_tile(shared_executor, &mut |rows, tile| {
-                fold(&|run| run.engine.consume_tile(rows.clone(), tile, &*run.executor))
-            })?;
-        }
+        for_each_panel(source, shared_executor, None, &mut |rows, panel| {
+            fold(&|run| run.engine.consume(rows.clone(), panel, &*run.executor))
+        })?;
         meter.finish_pass();
         over_active(jobs, runs, threads, |job, run| {
             let distances = run.engine.finish_iteration(&*run.executor)?;

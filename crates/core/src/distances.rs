@@ -440,7 +440,7 @@ mod tests {
                 let r1 = (r0 + tile_rows).min(9);
                 let panel = all_entries.rows_view(r0..r1);
                 run_csr_tile_fold::<f64>(r0..r1, panel.nnz(), 9, 3, &exec, || {
-                    fold.csr_panel(r0..r1, panel)
+                    fold.panel(r0..r1, crate::kernel_source::Panel::Csr(panel))
                 })
                 .unwrap();
                 r0 = r1;

@@ -5,14 +5,14 @@
 //!
 //! The row sums `Σ_{q ∈ L_c} K[i][q]` the baseline and extraction need are
 //! the same product with `V`'s stored values set to one (the indicator,
-//! [`SelectionMatrix::indicator`]) and no trailing scale. Each tile takes
-//! one of three paths, all in `popcorn-sparse`:
+//! [`SelectionMatrix::indicator`]) and no trailing scale. Each panel takes
+//! the path of its kind ([`Panel`]), all in `popcorn-sparse`:
 //!
-//! * sources with symmetric tiles ([`KernelSource::symmetric_tiles`]) fold
-//!   `Eᵀ = V·K` row by row into a `k × n` accumulator
-//!   ([`spmm_selection_rows_accumulate`]), streaming `K` once, and the pass
-//!   ends by writing `E = scale·(Eᵀ)ᵀ`;
-//! * other dense tiles gather `E = scale·K·Vᵀ` eight rows at a time
+//! * packed lower panels of a symmetric `K` fold `Eᵀ = V·K` into a `k × n`
+//!   accumulator ([`spmm_selection_lower_accumulate`]), each stored entry
+//!   read once for the two cells it feeds, and the pass ends by writing
+//!   `E = scale·(Eᵀ)ᵀ`;
+//! * dense row tiles gather `E = scale·K·Vᵀ` eight rows at a time
 //!   ([`spmm_transpose_b_into`]);
 //! * CSR panels scatter their stored entries
 //!   ([`spmm_csr_rows_selection_t_into`]).
@@ -57,11 +57,11 @@
 //! The fold charges nothing: each caller runs it under its own record, which
 //! prices the paper's full SpMM whatever the cache skips.
 
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{KernelSource, Panel, PanelKind};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use popcorn_sparse::{
-    spmm_csr_rows_selection_t_into, spmm_selection_rows_accumulate, spmm_transpose_b_into,
+    spmm_csr_rows_selection_t_into, spmm_selection_lower_accumulate, spmm_transpose_b_into,
     CsrMatrix, CsrRows, SelectionMatrix,
 };
 use std::ops::Range;
@@ -91,11 +91,11 @@ pub(crate) struct SelectionFold<T: Scalar> {
     cluster_weights: Vec<T>,
     /// The indicator of `V`, which the gather walks under unit weights.
     indicator: Option<CsrMatrix<T>>,
-    /// Whether this pass's tiles fold row by row into `Eᵀ`.
-    symmetric: bool,
-    /// `Eᵀ` (`k × n`, unscaled) on the symmetric path; `E` (`n × k`,
-    /// scaled) on the gather and CSR paths, whose output `E` becomes the
-    /// distance matrix in place and so cannot keep the values.
+    /// Whether this pass's panels are packed lower rows, folded into `Eᵀ`.
+    lower: bool,
+    /// `Eᵀ` (`k × n`, unscaled) on the lower path; `E` (`n × k`, scaled) on
+    /// the gather and CSR paths, whose output `E` becomes the distance
+    /// matrix in place and so cannot keep the values.
     acc: Vec<T>,
     /// The pass in progress, from `begin` to `finish`.
     pass: Option<PassKey>,
@@ -150,7 +150,7 @@ impl<T: Scalar> SelectionFold<T> {
             selection: None,
             cluster_weights: Vec::new(),
             indicator: None,
-            symmetric: false,
+            lower: false,
             acc: Vec::new(),
             pass: None,
             folded: None,
@@ -189,9 +189,9 @@ impl<T: Scalar> SelectionFold<T> {
                 .extend(crate::distances::selection_weights(&selection)),
             FoldWeights::Unit => self.cluster_weights.resize(k, T::ONE),
         }
-        let csr = source.csr().is_some();
-        self.symmetric = !csr && source.symmetric_tiles();
-        let gathers = !csr && !self.symmetric;
+        let kind = source.panel_kind();
+        self.lower = kind == PanelKind::Lower;
+        let gathers = kind == PanelKind::Rows;
         self.indicator =
             (gathers && self.weights == FoldWeights::Unit).then(|| selection.indicator());
         let key = PassKey {
@@ -200,7 +200,7 @@ impl<T: Scalar> SelectionFold<T> {
             k,
         };
         self.mark_dirty(key, &selection);
-        if self.symmetric {
+        if self.lower {
             let rows = self.acc.chunks_exact_mut(n).zip(&self.dirty);
             for (row, _) in rows.filter(|&(_, &dirty)| dirty) {
                 row.fill(T::ZERO);
@@ -290,9 +290,18 @@ impl<T: Scalar> SelectionFold<T> {
         self.selection.as_ref().expect("begin ran")
     }
 
-    /// Fold the row tile `tile = K[rows, :]`, or on a narrow pass the
+    /// Fold one panel of the kind the pass's source hands out.
+    pub(crate) fn panel(&mut self, rows: Range<usize>, panel: Panel<'_, T>) -> Result<()> {
+        match panel {
+            Panel::Rows(tile) => self.tile(rows, tile),
+            Panel::Lower(panel) => self.lower_panel(panel),
+            Panel::Csr(panel) => self.csr_panel(rows, panel),
+        }
+    }
+
+    /// Fold the dense row tile `tile = K[rows, :]`, or on a narrow pass the
     /// compact tile `K[rows, columns]` (see the module docs).
-    pub(crate) fn tile(&mut self, rows: Range<usize>, tile: &DenseMatrix<T>) -> Result<()> {
+    fn tile(&mut self, rows: Range<usize>, tile: &DenseMatrix<T>) -> Result<()> {
         let selection = self.selection.as_ref().expect("begin ran");
         if self.collect_diag {
             for (local, i) in rows.clone().enumerate() {
@@ -302,28 +311,36 @@ impl<T: Scalar> SelectionFold<T> {
         let Some(clusters) = refold(&self.dirty) else {
             return Ok(());
         };
-        let weights = &self.cluster_weights;
-        if self.symmetric {
-            let labels = &selection.assignments()[rows];
-            spmm_selection_rows_accumulate(tile, labels, weights, clusters, &mut self.acc)?;
-        } else {
-            let (n, k) = (selection.n(), selection.k());
-            // A tile of any other width meets the full `V` and errs there.
-            let v = match self.restricted.as_ref().filter(|_| self.narrow) {
-                Some(restricted) if tile.cols() != n && tile.cols() == restricted.cols() => {
-                    restricted
-                }
-                _ => self.indicator.as_ref().unwrap_or(selection.csr()),
-            };
-            // Rows r0..r1 of the row-major `E` are contiguous.
-            let out = &mut self.acc[rows.start * k..rows.end * k];
-            spmm_transpose_b_into(self.scale, tile, v, clusters, out)?;
+        let (n, k) = (selection.n(), selection.k());
+        // A tile of any other width meets the full `V` and errs there.
+        let v = match self.restricted.as_ref().filter(|_| self.narrow) {
+            Some(restricted) if tile.cols() != n && tile.cols() == restricted.cols() => restricted,
+            _ => self.indicator.as_ref().unwrap_or(selection.csr()),
+        };
+        // Rows r0..r1 of the row-major `E` are contiguous.
+        let out = &mut self.acc[rows.start * k..rows.end * k];
+        spmm_transpose_b_into(self.scale, tile, v, clusters, out)?;
+        Ok(())
+    }
+
+    /// Fold the packed lower rows `panel = K[r, 0..=r]` of a symmetric `K`.
+    fn lower_panel(&mut self, panel: PackedRows<'_, T>) -> Result<()> {
+        let selection = self.selection.as_ref().expect("begin ran");
+        if self.collect_diag {
+            for i in panel.rows() {
+                self.diag[i] = panel.row(i)[i];
+            }
         }
+        let Some(clusters) = refold(&self.dirty) else {
+            return Ok(());
+        };
+        let weights = &self.cluster_weights;
+        spmm_selection_lower_accumulate(panel, selection, weights, clusters, &mut self.acc)?;
         Ok(())
     }
 
     /// Fold the CSR row panel `panel = K[rows, :]`.
-    pub(crate) fn csr_panel(&mut self, rows: Range<usize>, panel: CsrRows<'_, T>) -> Result<()> {
+    fn csr_panel(&mut self, rows: Range<usize>, panel: CsrRows<'_, T>) -> Result<()> {
         let selection = self.selection.as_ref().expect("begin ran");
         if self.collect_diag {
             for (local, i) in rows.clone().enumerate() {
@@ -354,7 +371,7 @@ impl<T: Scalar> SelectionFold<T> {
             Some(spare) if spare.shape() == (n, k) => spare,
             _ => DenseMatrix::zeros(n, k),
         };
-        if self.symmetric {
+        if self.lower {
             for (i, row) in e.as_mut_slice().chunks_exact_mut(k).enumerate() {
                 for (c, cell) in row.iter_mut().enumerate() {
                     *cell = self.scale * self.acc[c * n + i];
@@ -383,6 +400,7 @@ mod tests {
     use super::*;
     use crate::kernel_source::{FullKernel, TilePolicy};
     use crate::sparsified::SparsifiedKernel;
+    use popcorn_dense::PackedSymmetric;
     use popcorn_gpusim::SimExecutor;
     use std::sync::Arc;
 
@@ -390,18 +408,25 @@ mod tests {
     const K: usize = 5;
     const ALL: &[usize] = &[0, 1, 2, 3, 4];
     /// Ragged row tiles: 5, 1, 13 and 18 rows.
-    const TILE_BOUNDS: [usize; 5] = [0, 5, 6, 19, N];
+    const TILE_BOUNDS: &[usize] = &[0, 5, 6, 19, N];
+    /// The whole matrix in one tile.
+    const WHOLE: &[usize] = &[0, N];
 
-    /// A finite kernel entry for `seed`: signed zeros, subnormals in both
-    /// precisions and `1 + ε` among ordinary values.
+    /// A kernel entry for `seed`: signed zeros, subnormals in both
+    /// precisions and `1 + ε` among ordinary values, with a rare ±∞ or NaN.
     fn entry<T: Scalar>(seed: usize) -> T {
-        T::from_f64(match (seed * 7919) % 61 {
-            0..=2 => -0.0,
-            3 => 0.0,
-            4 => 1e-40,
-            5 => -1e-310,
-            6 => 1.0 + f64::EPSILON,
-            _ => (seed as f64 * 0.37).sin() * 3.0,
+        T::from_f64(match (seed * 7919) % 401 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            _ => match (seed * 7919) % 61 {
+                0..=2 => -0.0,
+                3 => 0.0,
+                4 => 1e-40,
+                5 => -1e-310,
+                6 => 1.0 + f64::EPSILON,
+                _ => (seed as f64 * 0.37).sin() * 3.0,
+            },
         })
     }
 
@@ -410,17 +435,17 @@ mod tests {
     /// exactly the requested columns (as the Nyström source does).
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Path {
-        Rows,
+        Lower,
         Gather,
         Columns,
         Csr,
     }
 
-    /// The `salt`-th kernel matrix of a path: bitwise symmetric for the row
-    /// path.
+    /// The `salt`-th kernel matrix of a path: bitwise symmetric for the
+    /// packed path.
     fn matrix<T: Scalar>(path: Path, salt: usize) -> DenseMatrix<T> {
         DenseMatrix::from_fn(N, N, |i, j| match path {
-            Path::Rows => entry(i.min(j) * N + i.max(j) + salt * N * N),
+            Path::Lower => entry(i.min(j) * N + i.max(j) + salt * N * N),
             Path::Gather | Path::Columns | Path::Csr => entry(i * N + j + salt * N * N),
         })
     }
@@ -453,14 +478,16 @@ mod tests {
     }
 
     /// One pass of `fold` over `source` (whose dense rows are `m`) under
-    /// `labels`, in ragged row tiles handed out as `drive` says. With `fail`
-    /// the second tile has a column too few, so the pass errs before
-    /// `finish`.
+    /// `labels`, in the row tiles `bounds` handed out as `drive` says, in
+    /// the source's panel kind. With `fail` the second tile (the only one of
+    /// a whole pass) has a column too few (or, packed, runs past the last
+    /// row), so the pass errs before `finish`.
     fn pass<T: Scalar>(
         fold: &mut SelectionFold<T>,
         source: &dyn KernelSource<T>,
         m: &DenseMatrix<T>,
         labels: &[usize],
+        bounds: &[usize],
         drive: Drive,
         fail: bool,
     ) -> Result<DenseMatrix<T>> {
@@ -470,23 +497,60 @@ mod tests {
             Some(columns) if drive == Drive::Requested => columns.to_vec(),
             _ => (0..N).collect(),
         };
-        for (t, rows) in TILE_BOUNDS.windows(2).map(|w| w[0]..w[1]).enumerate() {
-            let width = columns.len() - usize::from(fail && t == 1);
-            match source.csr() {
-                Some(_) if width < N => {
+        let packed = PackedSymmetric::from_lower(m).unwrap();
+        let past_the_end = PackedSymmetric::<T>::zeros(N + 1);
+        for (t, rows) in bounds.windows(2).map(|w| w[0]..w[1]).enumerate() {
+            let broken = fail && t == (bounds.len() - 2).min(1);
+            let width = columns.len() - usize::from(broken);
+            match source.panel_kind() {
+                PanelKind::Csr if broken => {
                     let short = CsrMatrix::zeros(rows.len(), width);
-                    fold.csr_panel(rows.clone(), short.rows_view(0..rows.len()))?
+                    fold.panel(rows.clone(), Panel::Csr(short.rows_view(0..rows.len())))?
                 }
-                Some(csr) => fold.csr_panel(rows.clone(), csr.rows_view(rows))?,
-                None => {
+                PanelKind::Csr => {
+                    let csr = source.csr().unwrap();
+                    fold.panel(rows.clone(), Panel::Csr(csr.rows_view(rows)))?
+                }
+                PanelKind::Lower if broken => {
+                    let panel = past_the_end.rows(rows.start..N + 1);
+                    fold.panel(rows, Panel::Lower(panel))?
+                }
+                PanelKind::Lower => fold.panel(rows.clone(), Panel::Lower(packed.rows(rows)))?,
+                PanelKind::Rows => {
                     let tile = DenseMatrix::from_fn(rows.len(), width, |r, p| {
                         m[(rows.start + r, columns[p])]
                     });
-                    fold.tile(rows, &tile)?
+                    fold.panel(rows, Panel::Rows(&tile))?
                 }
             }
         }
         Ok(fold.finish())
+    }
+
+    /// The row-fold oracle of `m` under `labels`: rows `l` in ascending
+    /// order, `acc[c(l), i] = fma(w_c(l), m[l, i], acc)` from `+0` for every
+    /// column `i`, then `E[i][c] = scale · acc[c][i]`.
+    fn row_fold<T: Scalar>(
+        m: &DenseMatrix<T>,
+        labels: &[usize],
+        weights: FoldWeights,
+        scale: f64,
+    ) -> Vec<T> {
+        let selection = SelectionMatrix::<T>::from_assignments(labels, K).unwrap();
+        let w: Vec<T> = match weights {
+            FoldWeights::Mean => crate::distances::selection_weights(&selection),
+            FoldWeights::Unit => vec![T::ONE; K],
+        };
+        let mut acc = [T::ZERO; K * N];
+        for (l, &c) in labels.iter().enumerate() {
+            for (sum, &x) in acc[c * N..(c + 1) * N].iter_mut().zip(m.row(l)) {
+                *sum = w[c].mul_add(x, *sum);
+            }
+        }
+        let scale = T::from_f64(scale);
+        (0..N * K)
+            .map(|e| scale * acc[(e % K) * N + e / K])
+            .collect()
     }
 
     fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
@@ -554,18 +618,21 @@ mod tests {
         ("a switch back", 0, |_| {}, ALL),
     ];
 
-    /// Drive one fold along `path` through the label sequence. After every
-    /// pass, check which clusters it refolded and which columns it
-    /// requested, and compare its `E` (and any `diag(K)` it collected) with
-    /// a freshly built fold's, bit for bit.
-    fn check_sequence<T: Scalar>(path: Path, weights: FoldWeights, scale: f64) {
+    /// Drive one fold along `path` through the label sequence, in the row
+    /// tiles `bounds`. After every pass, check which clusters it refolded
+    /// and which columns it requested, and compare its `E` (and any
+    /// `diag(K)` it collected) with a freshly built fold's, bit for bit, and
+    /// on the packed path with the row-fold oracle over the full matrix.
+    fn check_sequence<T: Scalar>(path: Path, weights: FoldWeights, scale: f64, bounds: &[usize]) {
         let exec = SimExecutor::a100_f32();
         let matrices = [matrix::<T>(path, 0), matrix::<T>(path, 1)];
         let sources: Vec<Box<dyn KernelSource<T> + '_>> = matrices
             .iter()
             .map(|m| -> Box<dyn KernelSource<T> + '_> {
                 match path {
-                    Path::Rows => Box::new(FullKernel::computed(Arc::new(m.clone())).unwrap()),
+                    Path::Lower => Box::new(FullKernel::computed(Arc::new(
+                        PackedSymmetric::from_lower(m).unwrap(),
+                    ))),
                     Path::Gather | Path::Columns => Box::new(FullKernel::new(m).unwrap()),
                     Path::Csr => Box::new(
                         SparsifiedKernel::from_csr(csr_of(m), TilePolicy::Full, K, &exec).unwrap(),
@@ -590,11 +657,15 @@ mod tests {
                      dirty: &[usize],
                      drive: Drive| {
             let (source, m) = (&*sources[s], &matrices[s]);
-            let e = pass(fold, source, m, labels, drive, false).unwrap();
+            let e = pass(fold, source, m, labels, bounds, drive, false).unwrap();
             let mut fresh = SelectionFold::new(weights, scale);
-            let want = pass(&mut fresh, source, m, labels, drive, false);
+            let want = pass(&mut fresh, source, m, labels, bounds, drive, false);
             let want = want.unwrap();
             assert_eq!(bits(e.as_slice()), bits(want.as_slice()), "{}", at(step));
+            if path == Path::Lower {
+                let oracle = row_fold(m, labels, weights, scale);
+                assert_eq!(bits(e.as_slice()), bits(&oracle), "row fold, {}", at(step));
+            }
             if drive == Drive::Diag {
                 assert_eq!(bits(fold.diag()), bits(fresh.diag()), "diag, {}", at(step));
             }
@@ -637,9 +708,17 @@ mod tests {
             &[1, 2],
             Drive::Diag,
         );
-        // A pass that errs before `finish`, after folding its first tile.
+        // A pass that errs before `finish`.
         move_first(&mut labels, 2, 4);
-        let failed = pass(&mut fold, &*sources[0], &matrices[0], &labels, drive, true);
+        let failed = pass(
+            &mut fold,
+            &*sources[0],
+            &matrices[0],
+            &labels,
+            bounds,
+            drive,
+            true,
+        );
         assert!(failed.is_err(), "{}", at("a failed pass"));
         check(
             &mut fold,
@@ -655,11 +734,13 @@ mod tests {
 
     #[test]
     fn refolding_the_changed_clusters_matches_a_fresh_fold_bit_for_bit() {
-        for path in [Path::Rows, Path::Gather, Path::Columns, Path::Csr] {
-            check_sequence::<f32>(path, FoldWeights::Mean, -2.0);
-            check_sequence::<f64>(path, FoldWeights::Mean, -2.0);
-            check_sequence::<f32>(path, FoldWeights::Unit, 1.0);
-            check_sequence::<f64>(path, FoldWeights::Unit, 1.0);
+        for path in [Path::Lower, Path::Gather, Path::Columns, Path::Csr] {
+            for bounds in [TILE_BOUNDS, WHOLE] {
+                check_sequence::<f32>(path, FoldWeights::Mean, -2.0, bounds);
+                check_sequence::<f64>(path, FoldWeights::Mean, -2.0, bounds);
+                check_sequence::<f32>(path, FoldWeights::Unit, 1.0, bounds);
+                check_sequence::<f64>(path, FoldWeights::Unit, 1.0, bounds);
+            }
         }
         let name = "refolding_the_changed_clusters_matches_a_fresh_fold_bit_for_bit";
         crate::test_support::rerun_at_kernel_threads(module_path!(), name);

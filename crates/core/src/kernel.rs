@@ -14,7 +14,7 @@
 //!   (paper Eq. 12), i.e. the diagonal of `B` as well.
 
 use popcorn_dense::fma::dispatch;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedSymmetric, Scalar};
 
 /// A kernel function `κ(x, y)` evaluated from Gram-matrix entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,6 +133,22 @@ impl KernelFunction {
             || {
                 for (i, row) in b.as_mut_slice().chunks_exact_mut(n).enumerate() {
                     map.run(i, 0, row);
+                }
+            },
+        )
+    }
+
+    /// [`KernelFunction::apply_to_gram`] over the packed lower triangle of
+    /// a Gram matrix: every stored entry gets the same map, under the same
+    /// captured diagonal. Sequential, for the single-core CPU reference.
+    pub fn apply_to_packed<T: Scalar>(&self, b: &mut PackedSymmetric<T>) {
+        let diag: Vec<f64> = b.diagonal().iter().map(|x| x.to_f64()).collect();
+        let map = KernelMap::new(*self, &diag, &diag);
+        dispatch(
+            #[inline(always)]
+            || {
+                for i in 0..b.n() {
+                    map.run(i, 0, b.row_mut(i));
                 }
             },
         )

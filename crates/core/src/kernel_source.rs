@@ -7,26 +7,40 @@
 //! `K` in this workspace, however, only ever needs it **row tile by row
 //! tile**: the distance SpMM, the baselines' row reductions and the CPU
 //! reference all stream complete rows. [`KernelSource`] captures exactly that
-//! access pattern — `for_each_tile` hands out contiguous row panels
-//! `K[r0..r1, :]` — so the iteration pipeline no longer cares whether `K` is
-//! resident or recomputed:
+//! access pattern — row panels in ascending order — so the iteration
+//! pipeline no longer cares whether `K` is resident or recomputed:
 //!
-//! * [`FullKernel`] wraps a precomputed dense matrix; one tile spans all rows
-//!   and nothing extra is charged. This is the in-core fast path and is what
+//! * [`FullKernel`] wraps a precomputed matrix; one tile spans all rows and
+//!   nothing extra is charged. This is the in-core fast path and is what
 //!   every fit used before this abstraction existed.
 //! * [`TiledKernel`] retains only the (dense or CSR) points and recomputes
-//!   `K[r0..r1, :]` per tile — a GEMM panel for dense points, a Gustavson
-//!   SpGEMM panel for CSR points, each applying the kernel function in its
-//!   write-back — never holding more than `tile_rows × n` scalars of `K`.
-//!   Results are **bit-identical** to the in-core path: the panel kernels
-//!   reproduce the full computation's per-entry accumulation order exactly
-//!   (see `CsrMatrix::gram_panel` and the dense GEMM's per-entry dot
+//!   each panel — a GEMM panel for dense points, a Gustavson SpGEMM panel
+//!   for CSR points, each applying the kernel function in its write-back —
+//!   never holding more than `tile_rows × n` scalars of `K`. Results are
+//!   **bit-identical** to the in-core path: the panel kernels reproduce the
+//!   full computation's per-entry accumulation order exactly (see
+//!   `CsrMatrix::gram_panel` and the dense products' per-entry dot
 //!   products), so labels, objectives and histories match to the last bit.
 //!
-//! A reader that needs only some columns of `K` streams through
-//! [`KernelSource::for_each_tile_of`]: [`crate::nystrom::NystromKernel`]
-//! then reconstructs just those columns, while resident and exact sources
-//! keep handing out full tiles.
+//! A panel comes in one of three kinds ([`Panel`]), and [`for_each_panel`]
+//! is the one place that asks a source for its kind:
+//!
+//! * **lower** panels, the packed rows `K[r, 0..=r]`, from every source of
+//!   an exact symmetric `K` a solver computed: the in-core matrix, which the
+//!   host keeps as its packed lower triangle, the tiled and sharded panels,
+//!   and a fitted model's resident or recomputed `K`. A source that hands
+//!   them out is symmetric by construction, and half of each panel's work
+//!   and bytes go;
+//! * **CSR** panels of a sparsified `K`;
+//! * **dense row** tiles `K[r0..r1, :]` from every other source: a caller's
+//!   own matrix, which promises no symmetry, and the Nyström
+//!   reconstruction. A reader that needs only some columns of `K` streams
+//!   them through [`KernelSource::for_each_tile_of`]:
+//!   [`crate::nystrom::NystromKernel`] then reconstructs just those columns.
+//!
+//! Every source also hands out full dense rows ([`KernelSource::row`],
+//! [`KernelSource::for_each_tile`]) for the readers that need them: kernel
+//! k-means++ seeding and the kNN sparsifier's selection pass.
 //!
 //! [`plan_tile_rows`] is the residency planner: given the device's
 //! [`DeviceSpec::mem_bytes`] capacity it keeps the full matrix when it fits,
@@ -36,12 +50,16 @@
 
 use crate::errors::CoreError;
 use crate::kernel::{KernelFunction, KernelMap};
-use crate::kernel_matrix::{charge_kernel_map, extract_point_norms, INDEX_BYTES};
+use crate::kernel_matrix::{
+    charge_kernel_map, extract_dense_point_norms, extract_point_norms, INDEX_BYTES,
+};
 use crate::model::ResidentKernel;
 use crate::nystrom::KernelApprox;
 use crate::solver::FitInput;
 use crate::Result;
-use popcorn_dense::{matmul_nt_rows_with, DenseMatrix, Scalar};
+use popcorn_dense::{
+    matmul_nt_rows_with, syrk_packed_with, DenseMatrix, PackedRows, PackedSymmetric, Scalar,
+};
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::{CsrMatrix, CsrRows, GramIndex};
 use std::ops::Range;
@@ -80,10 +98,64 @@ pub type TileVisitor<'a, T> = dyn FnMut(Range<usize>, &DenseMatrix<T>) -> Result
 /// row-panel view `K[r0..r1, :]` of the resident CSR kernel matrix.
 pub type CsrTileVisitor<'a, T> = dyn FnMut(Range<usize>, CsrRows<'_, T>) -> Result<()> + 'a;
 
+/// The lower-tile visitor callback type of
+/// [`KernelSource::for_each_lower_tile`]: each call hands out the packed
+/// rows `K[r, 0..=r]` for `r ∈ r0..r1`.
+pub type LowerTileVisitor<'a, T> = dyn FnMut(Range<usize>, PackedRows<'_, T>) -> Result<()> + 'a;
+
+/// The kind of row panel a source hands out (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanelKind {
+    /// Dense row tiles `K[r0..r1, :]`, or compact column tiles.
+    Rows,
+    /// Packed lower rows `K[r, 0..=r]` of a symmetric `K`.
+    Lower,
+    /// CSR row panels of a sparse `K`.
+    Csr,
+}
+
+/// One row panel of `K`, of the kind its source hands out.
+#[derive(Debug, Clone, Copy)]
+pub enum Panel<'t, T: Scalar> {
+    /// Dense rows, full or compact ([`KernelSource::for_each_tile_of`]).
+    Rows(&'t DenseMatrix<T>),
+    /// Packed lower rows ([`KernelSource::for_each_lower_tile`]).
+    Lower(PackedRows<'t, T>),
+    /// CSR rows ([`KernelSource::for_each_csr_tile`]).
+    Csr(CsrRows<'t, T>),
+}
+
+/// The panel visitor callback type of [`for_each_panel`].
+pub type PanelVisitor<'a, T> = dyn FnMut(Range<usize>, Panel<'_, T>) -> Result<()> + 'a;
+
+/// Stream `source`'s panels, in ascending row order, in the kind it hands
+/// out: the one dispatch over the panel kinds, shared by the fit, the
+/// lockstep batch and model extraction. `columns` are the columns the
+/// reader needs when it reads dense rows ([`KernelSource::for_each_tile_of`]).
+pub fn for_each_panel<T: Scalar>(
+    source: &dyn KernelSource<T>,
+    executor: &dyn Executor,
+    columns: Option<&[usize]>,
+    f: &mut PanelVisitor<'_, T>,
+) -> Result<()> {
+    match source.panel_kind() {
+        PanelKind::Rows => source.for_each_tile_of(executor, columns, &mut |rows, tile| {
+            f(rows, Panel::Rows(tile))
+        }),
+        PanelKind::Lower => {
+            source.for_each_lower_tile(executor, &mut |rows, tile| f(rows, Panel::Lower(tile)))
+        }
+        PanelKind::Csr => {
+            source.for_each_csr_tile(executor, &mut |rows, tile| f(rows, Panel::Csr(tile)))
+        }
+    }
+}
+
 /// Row-tile access to the kernel matrix `K`.
 ///
 /// The iteration pipeline and the batch driver consume `K` exclusively
-/// through this trait; whether the matrix is resident ([`FullKernel`]) or
+/// through this trait, in the panel kind the source hands out
+/// ([`for_each_panel`]); whether the matrix is resident ([`FullKernel`]) or
 /// recomputed per tile ([`TiledKernel`]) is invisible to them — including in
 /// the results, which are bit-identical across backends.
 ///
@@ -142,11 +214,21 @@ pub trait KernelSource<T: Scalar>: Sync {
 
     /// The resident CSR form of `K` when this source keeps one — `None` (the
     /// default) for dense backends, `Some` for
-    /// [`crate::sparsified::SparsifiedKernel`]. The iteration pipeline and
-    /// the batch drivers use this to switch the per-tile fold from dense
-    /// panel GEMM to the nnz-proportional sparse fold.
+    /// [`crate::sparsified::SparsifiedKernel`].
     fn csr(&self) -> Option<&CsrMatrix<T>> {
         None
+    }
+
+    /// The kind of panel [`for_each_panel`] streams from this source: CSR
+    /// panels when it keeps a CSR matrix, dense rows by default. A source of
+    /// packed lower rows says [`PanelKind::Lower`] and implements
+    /// [`KernelSource::for_each_lower_tile`].
+    fn panel_kind(&self) -> PanelKind {
+        if self.csr().is_some() {
+            PanelKind::Csr
+        } else {
+            PanelKind::Rows
+        }
     }
 
     /// Stream the resident CSR matrix as contiguous row-panel views, calling
@@ -162,22 +244,25 @@ pub trait KernelSource<T: Scalar>: Sync {
         ))
     }
 
-    /// `true` when this source promises that its tile rows are also columns
-    /// of `K`, bit for bit: `K[l][i]` and `K[i][l]` are the same bits for
-    /// every pair of points, so an engine may fold each tile row `l` in
-    /// place of column `l`. Tiles come in ascending row order on every
-    /// source, so the Popcorn engine then folds `Eᵀ = V K` row by row instead
-    /// of gathering `K Vᵀ`, and gets the gather's bits.
-    ///
-    /// A source returns `true` only where symmetry holds by construction: a
-    /// kernel matrix a solver computed from points (SYRK and SpGEMM mirror
-    /// their lower triangle, GEMM and the tile panels multiply commuting
-    /// operands in the same order for `(i, j)` and `(j, i)`, and every kernel
-    /// map is symmetric in `(b_ii, b_jj)`), or state checked on load. The
-    /// default, `false`, promises nothing: a caller's own matrix or a
-    /// reconstructed `K̂ = H·Cᵀ` keeps the gather.
-    fn symmetric_tiles(&self) -> bool {
-        false
+    /// Stream `K` as packed lower rows, calling `f(r0..r1, panel)` with
+    /// `panel` holding `K[r, 0..=r]` for each `r` in `r0..r1`, in ascending
+    /// row order and charged as the full tiles they stand for. Only sources
+    /// of [`PanelKind::Lower`] support this, and they promise that `K` is
+    /// bitwise symmetric — `K[l][i]` and `K[i][l]` are the same bits, so a
+    /// fold may read either from the stored one — by construction: a kernel
+    /// matrix a solver computed from points (GEMM and SYRK entries are the
+    /// same sequential dot product, the SpGEMM walk multiplies commuting
+    /// operands in the same order for `(i, j)` and `(j, i)`, and every
+    /// kernel map is symmetric in `(b_ii, b_jj)`), or state checked on load.
+    /// The default errs.
+    fn for_each_lower_tile(
+        &self,
+        _executor: &dyn Executor,
+        _f: &mut LowerTileVisitor<'_, T>,
+    ) -> Result<()> {
+        Err(CoreError::Unsupported(
+            "this kernel source hands out no packed lower rows".into(),
+        ))
     }
 
     /// The kernel state this source keeps resident, as a fitted model keeps
@@ -203,62 +288,55 @@ pub struct FullKernel<'a, T: Scalar> {
 
 /// How a [`FullKernel`] holds its matrix.
 enum Matrix<'a, T: Scalar> {
-    /// A caller's matrix, copied into a fitted model that keeps it. Any
-    /// square matrix is accepted, so it promises no symmetry.
+    /// A caller's full matrix. Any square matrix is accepted, so it promises
+    /// no symmetry: its tiles are dense rows.
     Borrowed(&'a DenseMatrix<T>),
-    /// A matrix a solver computed from points, shared with a fitted model
-    /// that keeps it. It is bitwise symmetric by construction (see
-    /// [`KernelSource::symmetric_tiles`]).
-    Shared(Arc<DenseMatrix<T>>),
+    /// A matrix a solver computed from points, kept as its packed lower
+    /// triangle and shared with a fitted model that keeps it. Its tiles are
+    /// lower panels (see [`KernelSource::for_each_lower_tile`]).
+    Shared(Arc<PackedSymmetric<T>>),
 }
 
 impl<'a, T: Scalar> FullKernel<'a, T> {
-    /// Wrap a precomputed kernel matrix (must be square). Any square matrix
-    /// is accepted, so the source promises no symmetry.
+    /// Wrap a caller's precomputed kernel matrix (must be square). Any
+    /// square matrix is accepted, so the source promises no symmetry and
+    /// hands out full rows.
     pub fn new(matrix: &'a DenseMatrix<T>) -> Result<Self> {
-        Self::wrap(Matrix::Borrowed(matrix))
+        if !matrix.is_square() {
+            return Err(CoreError::InvalidInput(format!(
+                "kernel matrix must be square, got {}x{}",
+                matrix.rows(),
+                matrix.cols()
+            )));
+        }
+        Ok(Self::wrap(Matrix::Borrowed(matrix)))
     }
 
-    /// Wrap a kernel matrix a solver computed from points, which is bitwise
-    /// symmetric by construction (see [`KernelSource::symmetric_tiles`]). A
-    /// fitted model extracted from this source shares the `Arc` instead of
-    /// copying the matrix.
-    pub(crate) fn computed(matrix: Arc<DenseMatrix<T>>) -> Result<Self> {
+    /// Wrap the packed lower triangle of a kernel matrix a solver computed
+    /// from points. A fitted model extracted from this source shares the
+    /// `Arc` instead of copying the matrix.
+    pub(crate) fn computed(matrix: Arc<PackedSymmetric<T>>) -> Self {
         Self::wrap(Matrix::Shared(matrix))
     }
 
-    fn wrap(matrix: Matrix<'a, T>) -> Result<Self> {
-        let source = Self {
+    fn wrap(matrix: Matrix<'a, T>) -> Self {
+        Self {
             matrix,
             diag_cache: Mutex::new(None),
-        };
-        let m = source.matrix();
-        if !m.is_square() {
-            return Err(CoreError::InvalidInput(format!(
-                "kernel matrix must be square, got {}x{}",
-                m.rows(),
-                m.cols()
-            )));
-        }
-        Ok(source)
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &DenseMatrix<T> {
-        match &self.matrix {
-            Matrix::Borrowed(m) => m,
-            Matrix::Shared(m) => m,
         }
     }
 }
 
 impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
     fn n(&self) -> usize {
-        self.matrix().rows()
+        match &self.matrix {
+            Matrix::Borrowed(m) => m.rows(),
+            Matrix::Shared(m) => m.n(),
+        }
     }
 
     fn tile_rows(&self) -> usize {
-        self.matrix().rows()
+        self.n()
     }
 
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
@@ -268,28 +346,61 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         if let Some(diag) = cache.as_ref() {
             return Ok(diag.clone());
         }
-        let diag = extract_point_norms(self.matrix(), executor)?;
+        let diag = match &self.matrix {
+            Matrix::Borrowed(m) => extract_dense_point_norms(m, executor)?,
+            Matrix::Shared(m) => extract_point_norms(m, executor)?,
+        };
         *cache = Some(diag.clone());
         Ok(diag)
     }
 
     fn row(&self, i: usize, _executor: &dyn Executor) -> Result<Vec<T>> {
-        Ok(self.matrix().row(i).to_vec())
+        Ok(match &self.matrix {
+            Matrix::Borrowed(m) => m.row(i).to_vec(),
+            Matrix::Shared(m) => {
+                let mut row = vec![T::ZERO; m.n()];
+                m.full_row_into(i, &mut row);
+                row
+            }
+        })
     }
 
+    /// One tile of full rows: the caller's matrix, or the computed one
+    /// expanded from its triangle.
     fn for_each_tile(&self, _executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        f(0..self.n(), self.matrix())
+        match &self.matrix {
+            Matrix::Borrowed(m) => f(0..m.rows(), m),
+            Matrix::Shared(m) => f(0..m.n(), &m.to_dense()),
+        }
     }
 
-    fn symmetric_tiles(&self) -> bool {
-        matches!(self.matrix, Matrix::Shared(_))
+    fn panel_kind(&self) -> PanelKind {
+        match self.matrix {
+            Matrix::Borrowed(_) => PanelKind::Rows,
+            Matrix::Shared(_) => PanelKind::Lower,
+        }
+    }
+
+    fn for_each_lower_tile(
+        &self,
+        _executor: &dyn Executor,
+        f: &mut LowerTileVisitor<'_, T>,
+    ) -> Result<()> {
+        match &self.matrix {
+            Matrix::Shared(m) => f(0..m.n(), m.rows(0..m.n())),
+            Matrix::Borrowed(_) => Err(CoreError::Unsupported(
+                "a caller's kernel matrix promises no symmetry to pack".into(),
+            )),
+        }
     }
 
     /// A computed matrix is shared with the model; a caller's matrix is
-    /// copied once into the model's shared state.
+    /// copied once into the model's shared state, as its lower triangle.
     fn resident(&self) -> ResidentKernel<T> {
         ResidentKernel::Full(match &self.matrix {
-            Matrix::Borrowed(m) => Arc::new((*m).clone()),
+            Matrix::Borrowed(m) => {
+                Arc::new(PackedSymmetric::from_lower(m).expect("checked square"))
+            }
             Matrix::Shared(m) => Arc::clone(m),
         })
     }
@@ -384,27 +495,39 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         &self.gram_diag
     }
 
+    /// This source's row tiles, in ascending order.
+    fn tiles(&self) -> impl Iterator<Item = Range<usize>> {
+        let (n, step) = (self.points.n(), self.tile_rows);
+        (0..n).step_by(step).map(move |r0| r0..(r0 + step).min(n))
+    }
+
     /// Compute (and charge) one finished kernel-matrix tile `K[r0..r1, :]`:
     /// the Gram panel with the kernel map in its write-back, recorded as the
-    /// panel and then the map — the step both this source's own streaming
-    /// loop and the row-sharded source price per tile.
+    /// panel and then the map. The full-row producer, for the readers of
+    /// full rows: seeding's rows and the sparsifier's selection pass.
     pub(crate) fn compute_tile(
         &self,
         r0: usize,
         r1: usize,
         executor: &dyn Executor,
     ) -> Result<DenseMatrix<T>> {
-        let tile = self.kernel_panel(r0, r1, executor)?;
-        charge_kernel_map::<T>(
-            executor,
-            format!(
-                "apply {} kernel to K tile rows {r0}..{r1}",
-                self.kernel.name()
-            ),
-            Phase::KernelMatrix,
-            self.kernel,
-            (r1 - r0) as u64 * self.points.n() as u64,
-        );
+        let tile = self.kernel_panel(r0, r1, false, executor)?;
+        self.charge_map(format_args!("tile rows {r0}..{r1}"), r1 - r0, executor);
+        Ok(DenseMatrix::from_vec(r1 - r0, self.points.n(), tile)?)
+    }
+
+    /// [`TiledKernel::compute_tile`] for the lower panel: the packed rows
+    /// `K[r, 0..=r]` for `r ∈ r0..r1`, about half the work and the bytes of
+    /// the full tile, under the same records — the step both this source's
+    /// own streaming loop and the row-sharded source price per tile.
+    pub(crate) fn compute_lower_tile(
+        &self,
+        r0: usize,
+        r1: usize,
+        executor: &dyn Executor,
+    ) -> Result<Vec<T>> {
+        let tile = self.kernel_panel(r0, r1, true, executor)?;
+        self.charge_map(format_args!("tile rows {r0}..{r1}"), r1 - r0, executor);
         Ok(tile)
     }
 
@@ -439,28 +562,37 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         }
     }
 
-    /// Compute rows `r0..r1` of `K`, charged as a GEMM or SpGEMM panel of
-    /// the Gram matrix whose write-back applies the kernel map: bit-identical
-    /// to the same rows of the full kernel matrix.
+    /// Compute rows `r0..r1` of `K` — whole rows, or with `lower` their
+    /// packed lower parts — charged as a GEMM or SpGEMM panel of the Gram
+    /// matrix whose write-back applies the kernel map, and then the map:
+    /// bit-identical to the same entries of the full kernel matrix.
     fn kernel_panel(
         &self,
         r0: usize,
         r1: usize,
+        lower: bool,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
+    ) -> Result<Vec<T>> {
         let t = r1 - r0;
         let n = self.points.n();
         let d = self.points.d();
         let elem = std::mem::size_of::<T>();
         let map = KernelMap::new(self.kernel, &self.gram_diag, &self.gram_diag);
-        match &self.points {
-            FitInput::Dense(p) => {
-                let panel = executor.run(
-                    format!("gemm K tile rows {r0}..{r1} (n={n}, d={d})"),
-                    Phase::KernelMatrix,
-                    OpClass::Gemm,
-                    OpCost::gemm(t, n, d, elem),
-                    || {
+        let panel = match &self.points {
+            FitInput::Dense(p) => executor.run(
+                format!("gemm K tile rows {r0}..{r1} (n={n}, d={d})"),
+                Phase::KernelMatrix,
+                OpClass::Gemm,
+                OpCost::gemm(t, n, d, elem),
+                || {
+                    if lower {
+                        syrk_packed_with(
+                            p,
+                            r0..r1,
+                            #[inline(always)]
+                            |i, j0, cells| map.run(i, j0, cells),
+                        )
+                    } else {
                         matmul_nt_rows_with(
                             p,
                             r0,
@@ -469,10 +601,10 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                             #[inline(always)]
                             |i, j0, cells| map.run(i, j0, cells),
                         )
-                    },
-                )?;
-                Ok(panel)
-            }
+                        .map(DenseMatrix::into_vec)
+                    }
+                },
+            )?,
             FitInput::Sparse(p) => {
                 let storage = p.storage_bytes(elem, INDEX_BYTES);
                 let index = self
@@ -486,23 +618,46 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                     storage + storage * t as u64 / n.max(1) as u64,
                     tile_bytes(t, n, elem),
                 );
-                let panel = executor.run(
+                executor.run(
                     format!("spgemm K tile rows {r0}..{r1} (n={n}, d={d})"),
                     Phase::KernelMatrix,
                     OpClass::SpGEMM,
                     cost,
                     || {
-                        index.gram_rows_with(
-                            r0,
-                            r1,
-                            #[inline(always)]
-                            |i, j0, cells| map.run(i, j0, cells),
-                        )
+                        if lower {
+                            index.gram_lower_rows_with(
+                                r0,
+                                r1,
+                                #[inline(always)]
+                                |i, j0, cells| map.run(i, j0, cells),
+                            )
+                        } else {
+                            index
+                                .gram_rows_with(
+                                    r0,
+                                    r1,
+                                    #[inline(always)]
+                                    |i, j0, cells| map.run(i, j0, cells),
+                                )
+                                .into_vec()
+                        }
                     },
-                );
-                Ok(panel)
+                )
             }
-        }
+        };
+        Ok(panel)
+    }
+
+    /// The record of the map fused into the panel of rows `rows`, named for
+    /// `what` it produced.
+    fn charge_map(&self, what: std::fmt::Arguments<'_>, rows: usize, executor: &dyn Executor) {
+        charge_kernel_map::<T>(
+            executor,
+            format!("apply {} kernel to K {what}", self.kernel.name()),
+            Phase::KernelMatrix,
+            self.kernel,
+            rows as u64 * self.points.n() as u64,
+        );
     }
 }
 
@@ -541,32 +696,34 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
-        let panel = self.kernel_panel(i, i + 1, executor)?;
-        charge_kernel_map::<T>(
-            executor,
-            format!("apply {} kernel to K row {i}", self.kernel.name()),
-            Phase::KernelMatrix,
-            self.kernel,
-            self.points.n() as u64,
-        );
-        Ok(panel.into_vec())
+        let row = self.kernel_panel(i, i + 1, false, executor)?;
+        self.charge_map(format_args!("row {i}"), 1, executor);
+        Ok(row)
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        let n = self.points.n();
-        let mut r0 = 0usize;
-        while r0 < n {
-            let r1 = (r0 + self.tile_rows).min(n);
-            let tile = self.compute_tile(r0, r1, executor)?;
-            f(r0..r1, &tile)?;
-            r0 = r1;
+        for rows in self.tiles() {
+            let tile = self.compute_tile(rows.start, rows.end, executor)?;
+            f(rows, &tile)?;
         }
         Ok(())
     }
 
     /// The panels are rows of the full computed matrix, bit for bit.
-    fn symmetric_tiles(&self) -> bool {
-        true
+    fn panel_kind(&self) -> PanelKind {
+        PanelKind::Lower
+    }
+
+    fn for_each_lower_tile(
+        &self,
+        executor: &dyn Executor,
+        f: &mut LowerTileVisitor<'_, T>,
+    ) -> Result<()> {
+        for rows in self.tiles() {
+            let tile = self.compute_lower_tile(rows.start, rows.end, executor)?;
+            f(rows.clone(), PackedRows::new(rows, &tile)?)?;
+        }
+        Ok(())
     }
 }
 
@@ -617,7 +774,7 @@ pub fn run_with_source<T: Scalar, R>(
     tiling: TilePolicy,
     k_budget: usize,
     executor: &dyn Executor,
-    compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
+    compute_full: impl FnOnce() -> Result<PackedSymmetric<T>>,
     mut run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
 ) -> Result<R> {
     // A fit killed by a surfaced device loss is restarted on the surviving
@@ -668,7 +825,7 @@ fn dispatch<T: Scalar, R>(
     tiling: TilePolicy,
     k_budget: usize,
     executor: &dyn Executor,
-    compute_full: &mut Option<impl FnOnce() -> Result<DenseMatrix<T>>>,
+    compute_full: &mut Option<impl FnOnce() -> Result<PackedSymmetric<T>>>,
     run: &mut impl FnMut(&dyn KernelSource<T>) -> Result<R>,
 ) -> Result<R> {
     let n = input.n();
@@ -709,7 +866,7 @@ fn dispatch<T: Scalar, R>(
         let compute_full = compute_full
             .take()
             .expect("only single-shard fits build the in-core matrix, and they never retry");
-        return run(&FullKernel::computed(Arc::new(compute_full()?))?);
+        return run(&FullKernel::computed(Arc::new(compute_full()?)));
     }
     let source = crate::shard::ShardedKernelSource::new(input, kernel, plan, k_budget, executor)?
         .with_tiling(tiling);
@@ -881,6 +1038,7 @@ mod tests {
             &exec,
         )
         .unwrap();
+        let k = k.to_dense();
         let source = FullKernel::new(&k).unwrap();
         assert_eq!(KernelSource::n(&source), 10);
         assert_eq!(source.tile_rows(), 10);
@@ -1062,6 +1220,49 @@ mod tests {
                     })
                     .unwrap();
                 assert_eq!(tiles, 15);
+                // The packed panels: the oracle's lower triangle, under the
+                // same records, in ragged tiles.
+                for tile_rows in [7, 30] {
+                    let ragged = TiledKernel::new(input, kernel, tile_rows, &exec).unwrap();
+                    let (mut tiles, mut seen) = (0, Vec::new());
+                    ragged
+                        .for_each_lower_tile(&exec, &mut |rows, panel| {
+                            tiles += 1;
+                            assert_eq!(panel.rows(), rows);
+                            seen.extend(bits(panel.as_slice()));
+                            let trace = exec.trace();
+                            let [.., product, map] = trace.records() else {
+                                panic!("no records")
+                            };
+                            let t = rows.len();
+                            assert!(product
+                                .name
+                                .contains(&format!("K tile rows {}..{}", rows.start, rows.end)));
+                            if !input.is_sparse() {
+                                let elem = std::mem::size_of::<T>();
+                                assert_eq!(product.cost, OpCost::gemm(t, n, d, elem));
+                            }
+                            assert_eq!(
+                                map.name,
+                                format!(
+                                    "apply {} kernel to K tile rows {}..{}",
+                                    kernel.name(),
+                                    rows.start,
+                                    rows.end
+                                )
+                            );
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert_eq!(tiles, n.div_ceil(tile_rows));
+                    let want: Vec<u64> = (0..n).flat_map(|i| bits(&oracle.row(i)[..=i])).collect();
+                    assert!(
+                        seen == want,
+                        "{} packed tiles of {tile_rows}, sparse {}",
+                        kernel.name(),
+                        input.is_sparse()
+                    );
+                }
                 for i in [0, 2, 7, 50, n - 1] {
                     let row = source.row(i, &exec).unwrap();
                     assert!(
@@ -1102,23 +1303,32 @@ mod tests {
         )
         .unwrap();
         let shared = Arc::new(k);
-        let computed = FullKernel::computed(Arc::clone(&shared)).unwrap();
-        assert!(computed.symmetric_tiles());
+        let computed = FullKernel::computed(Arc::clone(&shared));
+        assert_eq!(computed.panel_kind(), PanelKind::Lower);
         let ResidentKernel::Full(resident) = computed.resident() else {
             panic!("a full source keeps the full matrix")
         };
         assert!(Arc::ptr_eq(&resident, &shared));
 
-        let caller = FullKernel::new(shared.as_ref()).unwrap();
-        assert!(!caller.symmetric_tiles());
+        let full = shared.to_dense();
+        let caller = FullKernel::new(&full).unwrap();
+        assert_eq!(caller.panel_kind(), PanelKind::Rows);
         let ResidentKernel::Full(copy) = caller.resident() else {
             panic!("a full source keeps the full matrix")
         };
         assert!(!Arc::ptr_eq(&copy, &shared));
         assert!(!std::ptr::eq(copy.as_ref(), shared.as_ref()));
         assert!(bits(copy.as_slice()) == bits(shared.as_slice()));
-        let rectangular = Arc::new(DenseMatrix::<f64>::zeros(3, 4));
-        assert!(FullKernel::computed(rectangular).is_err());
+        let rectangular = DenseMatrix::<f64>::zeros(3, 4);
+        assert!(FullKernel::new(&rectangular).is_err());
+        // Both hand out the same full rows.
+        for i in [0, 4, 8] {
+            let (a, b) = (
+                computed.row(i, &exec).unwrap(),
+                caller.row(i, &exec).unwrap(),
+            );
+            assert!(bits(&a) == bits(&b));
+        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub use errors::CoreError;
 pub use init::Initialization;
 pub use kernel::KernelFunction;
 pub use kernel_source::{
-    CsrTileVisitor, FullKernel, KernelSource, TilePolicy, TileVisitor, TiledKernel,
+    for_each_panel, CsrTileVisitor, FullKernel, KernelSource, LowerTileVisitor, Panel, PanelKind,
+    PanelVisitor, TilePolicy, TileVisitor, TiledKernel,
 };
 pub use model::{
     AssignmentBatch, FittedModel, ModelFamily, ModelFormat, OwnedPoints, RefitRequest,

@@ -32,7 +32,7 @@ use crate::fold::{FoldWeights, SelectionFold};
 use crate::init::Initialization;
 use crate::kernel::{KernelFunction, KernelMap};
 use crate::kernel_matrix::{charge_kernel_map, INDEX_BYTES};
-use crate::kernel_source::{self, KernelSource, TilePolicy, TiledKernel};
+use crate::kernel_source::{self, KernelSource, Panel, PanelKind, TilePolicy, TiledKernel};
 use crate::nystrom::{KernelApprox, NystromFactors};
 use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
@@ -44,11 +44,11 @@ use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
 use popcorn_dense::microkernel::nt_product;
-use popcorn_dense::{matmul, DenseMatrix, Scalar};
+use popcorn_dense::{matmul, DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming,
 };
-use popcorn_sparse::{spmm_selection_rows_accumulate, CsrMatrix, SelectionMatrix};
+use popcorn_sparse::{CsrMatrix, SelectionMatrix};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -274,8 +274,9 @@ impl<T: Scalar> RefitRequest<T> {
 /// same `Arc`, so none of them copies a matrix or a factor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResidentKernel<T: Scalar> {
-    /// The full `n × n` matrix (in-core fits).
-    Full(Arc<DenseMatrix<T>>),
+    /// The symmetric `n × n` matrix of an in-core fit, kept as its packed
+    /// lower triangle (the modeled device holds it whole).
+    Full(Arc<PackedSymmetric<T>>),
     /// The sparsified CSR matrix.
     Csr(Arc<CsrMatrix<T>>),
     /// Nyström factors.
@@ -1016,17 +1017,22 @@ fn dense_dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 }
 
 /// `F[j][c] = Σ_{i ∈ L_c} C[i][j]` — the label fold of the cross factor,
-/// `(V·C)ᵀ` under unit weights, accumulated in `T` in row order
-/// (deterministic, so it can be rebuilt on load instead of being serialized).
+/// `(V·C)ᵀ` under unit weights, accumulated in `T` in row order (`acc + x`
+/// rounds as `fma(1, x, acc)` does; deterministic, so it can be rebuilt on
+/// load instead of being serialized).
 fn build_landmark_fold<T: Scalar>(
     cross: &DenseMatrix<T>,
     labels: &[usize],
     k: usize,
-) -> Result<DenseMatrix<T>> {
+) -> DenseMatrix<T> {
     let m = cross.cols();
     let mut fold_t = vec![T::ZERO; k * m];
-    spmm_selection_rows_accumulate(cross, labels, &vec![T::ONE; k], None, &mut fold_t)?;
-    Ok(DenseMatrix::from_fn(m, k, |j, c| fold_t[c * m + j]))
+    for (i, &c) in labels.iter().enumerate() {
+        for (sum, &x) in fold_t[c * m..(c + 1) * m].iter_mut().zip(cross.row(i)) {
+            *sum += x;
+        }
+    }
+    DenseMatrix::from_fn(m, k, |j, c| fold_t[c * m + j])
 }
 
 /// Freeze a finished fit into a [`FittedModel`]: keep the source's resident
@@ -1035,8 +1041,8 @@ fn build_landmark_fold<T: Scalar>(
 /// final labels to collect `diag(K)` and the per-cluster statistics the
 /// serving assembly needs. The row sums behind those statistics are `V·K`
 /// under unit weights: the shared fold runs them on Popcorn's SpMM kernels
-/// (row by row over a symmetric source), bit for bit the CPU reference's
-/// plain loop.
+/// (over the packed lower rows of a computed `K`), bit for bit the CPU
+/// reference's plain loop.
 fn extract<T: Scalar>(
     family: ModelFamily,
     config: &KernelKmeansConfig,
@@ -1073,43 +1079,38 @@ fn extract<T: Scalar>(
     executor.track_alloc(n as u64 * k as u64 * elem as u64);
     let mut fold = SelectionFold::new(FoldWeights::Unit, 1.0);
     fold.begin(source, SelectionMatrix::from_assignments(&labels, k)?, true);
-    if source.csr().is_some() {
-        source.for_each_csr_tile(executor, &mut |rows, panel| {
-            let pnnz = panel.nnz() as u64;
-            executor.run(
-                format!(
-                    "serve stats fold rows {}..{} (nnz={pnnz}, k={k})",
-                    rows.start, rows.end
-                ),
-                Phase::DataPreparation,
-                OpClass::Reduction,
-                OpCost::new(
-                    pnnz,
-                    pnnz * (elem + INDEX_BYTES) as u64,
-                    rows.len() as u64 * k as u64 * elem as u64,
-                ),
-                || fold.csr_panel(rows, panel),
-            )
-        })?;
-    } else {
-        source.for_each_tile(executor, &mut |rows, tile| {
-            let t = rows.len() as u64;
-            executor.run(
-                format!(
-                    "serve stats fold rows {}..{} (n={n}, k={k})",
-                    rows.start, rows.end
-                ),
-                Phase::DataPreparation,
-                OpClass::Reduction,
+    kernel_source::for_each_panel(source, executor, None, &mut |rows, panel| {
+        let (r0, r1, t) = (rows.start, rows.end, rows.len() as u64);
+        let (name, cost) = match panel {
+            Panel::Csr(csr) => {
+                let pnnz = csr.nnz() as u64;
+                (
+                    format!("serve stats fold rows {r0}..{r1} (nnz={pnnz}, k={k})"),
+                    OpCost::new(
+                        pnnz,
+                        pnnz * (elem + INDEX_BYTES) as u64,
+                        t * k as u64 * elem as u64,
+                    ),
+                )
+            }
+            // Charged as the full tile's rows of `n` columns.
+            Panel::Rows(_) | Panel::Lower(_) => (
+                format!("serve stats fold rows {r0}..{r1} (n={n}, k={k})"),
                 OpCost::new(
                     t * n as u64,
                     t * n as u64 * elem as u64,
                     t * k as u64 * elem as u64,
                 ),
-                || fold.tile(rows, tile),
-            )
-        })?;
-    }
+            ),
+        };
+        executor.run(
+            name,
+            Phase::DataPreparation,
+            OpClass::Reduction,
+            cost,
+            || fold.panel(rows, panel),
+        )
+    })?;
     let row_sums = fold.finish();
     let kernel_diag = fold.diag().to_vec();
     let sizes = fold.selection().cardinalities().to_vec();
@@ -1118,7 +1119,7 @@ fn extract<T: Scalar>(
     let resident = source.resident();
     let landmark_fold = match &resident {
         ResidentKernel::Nystrom { factors, .. } => {
-            Some(build_landmark_fold(&factors.cross, &labels, k)?)
+            Some(build_landmark_fold(&factors.cross, &labels, k))
         }
         _ => None,
     };
@@ -1204,7 +1205,11 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         let n = self.model.n();
         let elem = std::mem::size_of::<T>();
         match &self.model.resident {
-            ResidentKernel::Full(matrix) => Ok(matrix.row(i).to_vec()),
+            ResidentKernel::Full(matrix) => {
+                let mut row = vec![T::ZERO; n];
+                matrix.full_row_into(i, &mut row);
+                Ok(row)
+            }
             ResidentKernel::Csr(matrix) => Ok(executor.run(
                 format!("serve gather K row {i} (nnz={})", matrix.row_nnz(i)),
                 Phase::PairwiseDistances,
@@ -1239,7 +1244,8 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     }
 
     /// Nyström panels reconstruct only the requested columns, as the fit's
-    /// source does; resident and streamed exact state hand out full tiles.
+    /// source does; resident and streamed exact state hand out full rows
+    /// (the fit's passes read their lower panels instead).
     fn for_each_tile_of(
         &self,
         executor: &dyn Executor,
@@ -1248,7 +1254,7 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     ) -> Result<()> {
         let n = self.model.n();
         match &self.model.resident {
-            ResidentKernel::Full(matrix) => f(0..n, matrix),
+            ResidentKernel::Full(matrix) => f(0..n, &matrix.to_dense()),
             ResidentKernel::Nystrom { factors, tile_rows } => {
                 let m = factors.landmarks.len();
                 let cross = factors.cross_rows(columns);
@@ -1273,12 +1279,25 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     }
 
     /// A resident `full` matrix is the fit's computed `K` (checked symmetric
-    /// on load), and `streamed` state recomputes the fit's exact panels.
-    fn symmetric_tiles(&self) -> bool {
-        matches!(
-            self.model.resident,
-            ResidentKernel::Full(_) | ResidentKernel::Streamed { .. }
-        )
+    /// on load), and `streamed` state recomputes the fit's exact panels:
+    /// both hand out packed lower rows.
+    fn panel_kind(&self) -> PanelKind {
+        match &self.model.resident {
+            ResidentKernel::Full(_) | ResidentKernel::Streamed { .. } => PanelKind::Lower,
+            ResidentKernel::Csr(_) => PanelKind::Csr,
+            _ => PanelKind::Rows,
+        }
+    }
+
+    fn for_each_lower_tile(
+        &self,
+        executor: &dyn Executor,
+        f: &mut kernel_source::LowerTileVisitor<'_, T>,
+    ) -> Result<()> {
+        match &self.model.resident {
+            ResidentKernel::Full(matrix) => f(0..matrix.n(), matrix.rows(0..matrix.n())),
+            _ => self.tiled()?.for_each_lower_tile(executor, f),
+        }
     }
 
     fn csr(&self) -> Option<&CsrMatrix<T>> {
@@ -1452,14 +1471,6 @@ impl ModelFormat {
     }
 }
 
-/// Whether the square `matrix` holds the same value bits at `(i, j)` and
-/// `(j, i)` for every pair.
-fn bitwise_symmetric<T: Scalar>(matrix: &DenseMatrix<T>) -> bool {
-    (0..matrix.rows()).all(|i| {
-        (0..i).all(|j| matrix[(i, j)].to_f64().to_bits() == matrix[(j, i)].to_f64().to_bits())
-    })
-}
-
 fn hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
@@ -1621,6 +1632,42 @@ impl<'a> Reader<'a> {
         Ok(DenseMatrix::from_rows(&data)?)
     }
 
+    /// `rows` untagged lines of exactly `rows` hex tokens, kept as the
+    /// packed lower triangle with no `rows × rows` intermediate, and whether
+    /// every upper entry holds its lower twin's bits. Every line is parsed
+    /// and counted before the comparison, so a malformed line is reported
+    /// first, at its own line.
+    fn packed_symmetric<T: Scalar>(&mut self, rows: usize) -> Result<(PackedSymmetric<T>, bool)> {
+        // Grown row by row: `rows` is only a claim of the file.
+        let (mut lower, mut lines) = (Vec::new(), Vec::new());
+        for i in 0..rows {
+            let line = self.line()?;
+            let mut count = 0usize;
+            for tok in line.split_whitespace() {
+                let x = self.parse_scalar::<T>(tok)?;
+                if count <= i {
+                    lower.push(x);
+                }
+                count += 1;
+            }
+            if count != rows {
+                return Err(self.bad(format!(
+                    "matrix row carries {count} values, expected {rows}"
+                )));
+            }
+            lines.push(line);
+        }
+        let matrix = PackedSymmetric::from_vec(rows, lower)?;
+        let bits = |x: T| x.to_f64().to_bits();
+        let symmetric = lines.iter().enumerate().all(|(i, line)| {
+            line.split_whitespace()
+                .zip(0..)
+                .skip(i + 1)
+                .all(|(tok, j)| self.parse_scalar::<T>(tok).map(bits) == Ok(bits(matrix[(j, i)])))
+        });
+        Ok((matrix, symmetric))
+    }
+
     fn csr<T: Scalar>(&mut self, rows: usize, cols: usize, nnz: usize) -> Result<CsrMatrix<T>> {
         let ptrs = self.usize_vec("ptrs")?;
         if ptrs.len() != rows.saturating_add(1) {
@@ -1752,8 +1799,15 @@ impl<T: Scalar> FittedModel<T> {
         push_scalar_line(&mut out, "kernel-diag", &self.kernel_diag);
         match &self.resident {
             ResidentKernel::Full(matrix) => {
-                let _ = writeln!(out, "resident full {}", matrix.rows());
-                push_matrix(&mut out, matrix);
+                // The file keeps the full rows, each expanded from the
+                // packed triangle.
+                let n = matrix.n();
+                let _ = writeln!(out, "resident full {n}");
+                let mut row = vec![T::ZERO; n];
+                for i in 0..n {
+                    matrix.full_row_into(i, &mut row);
+                    push_row(&mut out, &row);
+                }
             }
             ResidentKernel::Csr(matrix) => {
                 let _ = writeln!(out, "resident csr {} {}", matrix.rows(), matrix.nnz());
@@ -1950,10 +2004,13 @@ impl<T: Scalar> FittedModel<T> {
         let gram_diag = r.f64_vec("gram-diag")?;
         let kernel_diag: Vec<T> = r.scalar_vec("kernel-diag")?;
         let toks = r.tagged("resident")?;
+        let mut asymmetric = false;
         let resident = match toks.as_slice() {
             ["full", rows] => {
                 let rows = r.parse_int(rows)?;
-                ResidentKernel::Full(Arc::new(r.matrix(rows, rows)?))
+                let (matrix, symmetric) = r.packed_symmetric(rows)?;
+                asymmetric = !symmetric;
+                ResidentKernel::Full(Arc::new(matrix))
             }
             ["csr", rows, nnz] => {
                 let (rows, nnz) = (r.parse_int(rows)?, r.parse_int(nnz)?);
@@ -2043,9 +2100,10 @@ impl<T: Scalar> FittedModel<T> {
         }
         match &resident {
             ResidentKernel::Full(matrix) => {
-                expect("resident matrix rows", matrix.rows(), n)?;
-                // Serving folds the rows of a resident K as its columns.
-                if !bitwise_symmetric(matrix) {
+                expect("resident matrix rows", matrix.n(), n)?;
+                // The model keeps the lower triangle and reads each upper
+                // entry from its twin.
+                if asymmetric {
                     return Err(CoreError::InvalidInput(
                         "model's resident kernel matrix is not symmetric".into(),
                     ));
@@ -2071,7 +2129,7 @@ impl<T: Scalar> FittedModel<T> {
         }
         let landmark_fold = match &resident {
             ResidentKernel::Nystrom { factors, .. } => {
-                Some(build_landmark_fold(&factors.cross, &labels, k)?)
+                Some(build_landmark_fold(&factors.cross, &labels, k))
             }
             _ => None,
         };
@@ -2476,13 +2534,19 @@ mod tests {
         let ResidentKernel::Full(matrix) = &model.resident else {
             panic!("an in-core fit keeps the full K")
         };
-        let source = kernel_source::FullKernel::computed(Arc::clone(matrix)).unwrap();
+        let source = kernel_source::FullKernel::computed(Arc::clone(matrix));
         let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
         let input = FitInput::Dense(&points);
         let family = ModelFamily::Popcorn;
         let extracted = extract(family, &config, &fit, input, &source, &executor).unwrap();
         assert_eq!(executor.resident_bytes(), 6 * 2 * 8);
         assert_eq!(extracted.save(), model.save());
+        // The fold over the packed rows and the one over the same matrix's
+        // dense rows give the same statistics.
+        let full = matrix.to_dense();
+        let rows = kernel_source::FullKernel::new(&full).unwrap();
+        let folded = extract(family, &config, &fit, input, &rows, &executor).unwrap();
+        assert_eq!(folded.save(), model.save());
     }
 
     #[test]
@@ -2530,6 +2594,8 @@ mod tests {
         let text = model.save();
         let loaded = FittedModel::<f64>::load(&text).unwrap();
         assert_eq!(loaded, model);
+        // The packed resident `K` is written back as the same full rows.
+        assert_eq!(loaded.save(), text);
         assert!(FittedModel::<f64>::load("not a model").is_err());
         assert!(FittedModel::<f64>::load(FORMAT_HEADER).is_err());
         // Counts a file declares are only claims: each is checked against

@@ -22,10 +22,10 @@
 use crate::assignment::{assign_clusters_into, repair_empty_clusters};
 use crate::config::KernelKmeansConfig;
 use crate::init::initial_assignments_source;
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{for_each_panel, KernelSource, Panel};
 use crate::result::{ClusteringResult, IterationStats, TimingBreakdown};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use popcorn_gpusim::{Executor, StreamMeter};
 use popcorn_sparse::CsrRows;
 use std::ops::Range;
@@ -77,6 +77,38 @@ pub trait DistanceEngine<T: Scalar>: Send {
         Err(crate::CoreError::Unsupported(
             "this distance engine has no sparse kernel-tile fold".into(),
         ))
+    }
+
+    /// Fold the packed lower rows `panel = K[r, 0..=r]` (`r ∈ rows`) of a
+    /// symmetric `K` — the half-size counterpart of
+    /// [`DistanceEngine::consume_tile`], driven when the source hands out
+    /// lower panels ([`KernelSource::for_each_lower_tile`]). Bit-identical
+    /// to folding the full rows; the default errs for engines without a
+    /// packed path.
+    fn consume_lower_tile(
+        &mut self,
+        rows: Range<usize>,
+        panel: PackedRows<'_, T>,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        let _ = (rows, panel, executor);
+        Err(crate::CoreError::Unsupported(
+            "this distance engine has no packed kernel-tile fold".into(),
+        ))
+    }
+
+    /// Fold one panel of whichever kind ([`for_each_panel`]).
+    fn consume(
+        &mut self,
+        rows: Range<usize>,
+        panel: Panel<'_, T>,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        match panel {
+            Panel::Rows(tile) => self.consume_tile(rows, tile, executor),
+            Panel::Lower(panel) => self.consume_lower_tile(rows, panel, executor),
+            Panel::Csr(panel) => self.consume_csr_tile(rows, panel, executor),
+        }
     }
 
     /// The columns of `K` this iteration's fold reads, ascending, once
@@ -285,11 +317,10 @@ pub fn iterate_init<T: Scalar>(
 }
 
 /// One iteration's distance pass of `engine` over `source` under `labels`:
-/// `begin_iteration`, one fold per tile — zero-copy CSR panels when the
-/// source keeps `K` CSR-resident ([`KernelSource::csr`]), dense tiles of the
-/// columns the engine reads ([`DistanceEngine::columns`]) otherwise — then
-/// `finish_iteration`. `meter` reads the pass's produce/consume segments off
-/// the trace and never changes it.
+/// `begin_iteration`, one fold per panel of the kind the source hands out
+/// ([`for_each_panel`]; dense tiles of the columns the engine reads,
+/// [`DistanceEngine::columns`]), then `finish_iteration`. `meter` reads the
+/// pass's produce/consume segments off the trace and never changes it.
 pub(crate) fn distance_pass<T: Scalar>(
     source: &dyn KernelSource<T>,
     engine: &mut dyn DistanceEngine<T>,
@@ -300,23 +331,14 @@ pub(crate) fn distance_pass<T: Scalar>(
 ) -> Result<DenseMatrix<T>> {
     engine.begin_iteration(iteration, source, labels, executor)?;
     meter.begin_pass(executor);
-    if source.csr().is_some() {
-        source.for_each_csr_tile(executor, &mut |rows, panel| {
-            meter.tile_produced(executor);
-            let folded = engine.consume_csr_tile(rows, panel, executor);
-            meter.tile_consumed(executor);
-            folded
-        })?;
-    } else {
-        // A copy, because the tiles go back to the engine mutably.
-        let columns = engine.columns().map(<[usize]>::to_vec);
-        source.for_each_tile_of(executor, columns.as_deref(), &mut |rows, tile| {
-            meter.tile_produced(executor);
-            let folded = engine.consume_tile(rows, tile, executor);
-            meter.tile_consumed(executor);
-            folded
-        })?;
-    }
+    // A copy, because the panels go back to the engine mutably.
+    let columns = engine.columns().map(<[usize]>::to_vec);
+    for_each_panel(source, executor, columns.as_deref(), &mut |rows, panel| {
+        meter.tile_produced(executor);
+        let folded = engine.consume(rows, panel, executor);
+        meter.tile_consumed(executor);
+        folded
+    })?;
     meter.finish_pass();
     engine.finish_iteration(executor)
 }

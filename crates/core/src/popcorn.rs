@@ -11,12 +11,12 @@
 use crate::config::KernelKmeansConfig;
 use crate::distances::{finish_distances, run_csr_tile_fold, run_tile_fold};
 use crate::fold::{FoldWeights, SelectionFold};
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{KernelSource, Panel};
 use crate::model::ModelFamily;
 use crate::pipeline::DistanceEngine;
 use crate::solver::{FitInput, KernelFamily, KernelSolver};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedRows, PackedSymmetric, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::SelectionMatrix;
 use std::ops::Range;
@@ -42,7 +42,7 @@ impl KernelFamily for Popcorn {
         input: FitInput<'_, T>,
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
+    ) -> Result<PackedSymmetric<T>> {
         Ok(input
             .compute_kernel_matrix(config.kernel, config.strategy, executor)?
             .0)
@@ -59,10 +59,10 @@ pub type KernelKmeans = KernelSolver<Popcorn>;
 /// classic SpMM + gather + SpMV + assembly quartet.
 ///
 /// Each SpMM is the shared fold (`crate::fold`) under `V`'s weights
-/// `1/|L_c|` and the scale `−2`: over a source whose tiles are symmetric
-/// ([`KernelSource::symmetric_tiles`]) it folds `Eᵀ = V K` row by row,
-/// streaming `K` once; over any other source it gathers `E = −2 K Vᵀ`.
-/// Both give the same bits under the same records. After a fit's first
+/// `1/|L_c|` and the scale `−2`: over a source of packed lower panels
+/// ([`KernelSource::for_each_lower_tile`]) it folds `Eᵀ = V K`, reading each
+/// stored entry once for both cells it feeds; over dense row tiles it
+/// gathers `E = −2 K Vᵀ`. Both give the same bits under the same records. After a fit's first
 /// pass the fold refolds only the clusters whose members changed, and on the
 /// gather path it asks the source for only the columns those clusters read
 /// ([`DistanceEngine::columns`]).
@@ -128,7 +128,23 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         // Charged as the full tile's rows of `n` columns, compact or not.
         let n = self.fold.selection().n();
         let fold = &mut self.fold;
-        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || fold.tile(rows, tile))
+        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || {
+            fold.panel(rows, Panel::Rows(tile))
+        })
+    }
+
+    fn consume_lower_tile(
+        &mut self,
+        rows: Range<usize>,
+        panel: PackedRows<'_, T>,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        // Charged as the full tile's rows of `n` columns.
+        let n = self.fold.selection().n();
+        let fold = &mut self.fold;
+        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || {
+            fold.panel(rows, Panel::Lower(panel))
+        })
     }
 
     fn consume_csr_tile(
@@ -139,7 +155,7 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
     ) -> Result<()> {
         let (fold, n, nnz) = (&mut self.fold, panel.cols(), panel.nnz());
         run_csr_tile_fold::<T>(rows.clone(), nnz, n, self.k, executor, || {
-            fold.csr_panel(rows, panel)
+            fold.panel(rows, Panel::Csr(panel))
         })
     }
 
@@ -169,7 +185,7 @@ mod tests {
     use crate::errors::CoreError;
     use crate::init::Initialization;
     use crate::kernel::KernelFunction;
-    use crate::kernel_source::{FullKernel, TilePolicy, TiledKernel};
+    use crate::kernel_source::{FullKernel, PanelKind, TilePolicy, TiledKernel};
     use crate::nystrom::NystromKernel;
     use crate::solver::Solver;
     use crate::sparsified::{SparsifiedKernel, Sparsify};
@@ -464,23 +480,25 @@ mod tests {
         // A caller's matrix may be asymmetric: the engines keep the gather.
         let asymmetric = DenseMatrix::from_fn(24, 24, |i, j| ((i * 24 + j) as f64 * 0.37).sin());
         let caller = FullKernel::new(&asymmetric).unwrap();
-        assert!(!caller.symmetric_tiles());
-        // Folding its rows as columns would change the bits.
-        let as_computed = FullKernel::computed(Arc::new(asymmetric.clone())).unwrap();
+        assert_eq!(caller.panel_kind(), PanelKind::Rows);
+        // Folding only its lower triangle would change the bits.
+        let lower = PackedSymmetric::from_lower(&asymmetric).unwrap();
+        let as_computed = FullKernel::computed(Arc::new(lower));
         assert_ne!(run(ModelFamily::Popcorn, &as_computed), gather(&caller));
         assert_ne!(
             run(ModelFamily::DenseBaseline, &as_computed),
             run(ModelFamily::CpuReference, &caller)
         );
 
-        // The solver's computed K, whole or in tiles, folds row by row.
+        // The solver's computed K, whole or in tiles, folds its packed rows.
         let kernel = KernelFunction::paper_polynomial();
         let strategy = KernelMatrixStrategy::default();
         let (computed, _) =
             crate::kernel_matrix::compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
-        let full = FullKernel::computed(Arc::new(computed)).unwrap();
+        let full = FullKernel::computed(Arc::new(computed));
         let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 5, &exec).unwrap();
-        assert!(full.symmetric_tiles() && tiled.symmetric_tiles());
+        assert_eq!(full.panel_kind(), PanelKind::Lower);
+        assert_eq!(tiled.panel_kind(), PanelKind::Lower);
 
         // Reconstructed and sparsified kernels promise no symmetry.
         let input = FitInput::Dense(&points);
@@ -488,8 +506,8 @@ mod tests {
         let sparsify = Sparsify::Knn { neighbors: 3 };
         let sparsified =
             SparsifiedKernel::build(input, kernel, sparsify, TilePolicy::Auto, k, &exec).unwrap();
-        assert!(!nystrom.symmetric_tiles());
-        assert!(!sparsified.symmetric_tiles());
+        assert_eq!(nystrom.panel_kind(), PanelKind::Rows);
+        assert_eq!(sparsified.panel_kind(), PanelKind::Csr);
 
         // Whichever path a source takes, Popcorn gets the gather's bits and
         // the dense baseline's unit-weight fold the CPU reference's.

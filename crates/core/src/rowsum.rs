@@ -21,10 +21,10 @@
 
 use crate::fold::{FoldWeights, SelectionFold};
 use crate::kernel_matrix::INDEX_BYTES;
-use crate::kernel_source::KernelSource;
+use crate::kernel_source::{KernelSource, Panel};
 use crate::pipeline::DistanceEngine;
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::{CsrRows, SelectionMatrix};
 use std::ops::Range;
@@ -45,7 +45,9 @@ pub fn reduction_utilization(k: usize) -> f64 {
 /// so it consumes the kernel matrix tile-wise without changing a single
 /// arithmetic operation: per tile it runs the plain sequential loops of its
 /// `RowSumFold` (collecting `diag(K)` on the way during the first
-/// iteration), and the finish step assembles the distances from those sums.
+/// iteration), over full rows or over packed lower rows, whose stored
+/// entries each feed both their cells, and the finish step assembles the
+/// distances from those sums.
 pub struct CpuEngine<T: Scalar> {
     fold: RowSumFold<T>,
 }
@@ -56,6 +58,38 @@ impl<T: Scalar> CpuEngine<T> {
         Self {
             fold: RowSumFold::new(k),
         }
+    }
+}
+
+impl<T: Scalar> CpuEngine<T> {
+    /// Run `fold` over `rows` of `n` columns under the record of the
+    /// sequential dense pass.
+    fn dense_pass(
+        &mut self,
+        rows: Range<usize>,
+        n: usize,
+        executor: &dyn Executor,
+        fold: impl FnOnce(&mut RowSumFold<T>),
+    ) {
+        let t = rows.len();
+        let k = self.fold.k;
+        let elem = std::mem::size_of::<T>();
+        let iteration = self.fold.iteration;
+        let state = &mut self.fold;
+        executor.run(
+            format!(
+                "cpu distances iteration {iteration} rows {}..{} (n={n}, k={k})",
+                rows.start, rows.end
+            ),
+            Phase::PairwiseDistances,
+            OpClass::Gemm, // dense arithmetic at CPU efficiencies
+            OpCost::new(
+                2 * t as u64 * n as u64,
+                t as u64 * n as u64 * elem as u64,
+                t as u64 * k as u64 * elem as u64,
+            ),
+            || fold(state),
+        );
     }
 }
 
@@ -78,26 +112,21 @@ impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
         tile: &DenseMatrix<T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let n = tile.cols();
-        let t = rows.len();
-        let k = self.fold.k;
-        let elem = std::mem::size_of::<T>();
-        let iteration = self.fold.iteration;
-        let fold = &mut self.fold;
-        executor.run(
-            format!(
-                "cpu distances iteration {iteration} rows {}..{} (n={n}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::Gemm, // dense arithmetic at CPU efficiencies
-            OpCost::new(
-                2 * t as u64 * n as u64,
-                t as u64 * n as u64 * elem as u64,
-                t as u64 * k as u64 * elem as u64,
-            ),
-            || fold.accumulate_tile(rows.clone(), tile),
-        );
+        self.dense_pass(rows.clone(), tile.cols(), executor, |fold| {
+            fold.accumulate_tile(rows, tile)
+        });
+        Ok(())
+    }
+
+    fn consume_lower_tile(
+        &mut self,
+        rows: Range<usize>,
+        panel: PackedRows<'_, T>,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        // Charged as the full rows the packed ones stand for.
+        let n = self.fold.labels.len();
+        self.dense_pass(rows, n, executor, |fold| fold.accumulate_lower_tile(panel));
         Ok(())
     }
 
@@ -248,7 +277,21 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
     ) -> Result<()> {
         // Charged as the full tile's rows of `n` columns, compact or not.
         let n = self.fold.selection().n();
-        self.row_reduction(rows, n, executor, |fold, rows| fold.tile(rows, tile))
+        self.row_reduction(rows, n, executor, |fold, rows| {
+            fold.panel(rows, Panel::Rows(tile))
+        })
+    }
+
+    fn consume_lower_tile(
+        &mut self,
+        rows: Range<usize>,
+        panel: PackedRows<'_, T>,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        let n = self.fold.selection().n();
+        self.row_reduction(rows, n, executor, |fold, rows| {
+            fold.panel(rows, Panel::Lower(panel))
+        })
     }
 
     fn consume_csr_tile(
@@ -262,7 +305,7 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         // *charged as if dense* — one thread per column, zeros included.
         // This is exactly the cost asymmetry the sparse workloads expose.
         self.row_reduction(rows, panel.cols(), executor, |fold, rows| {
-            fold.csr_panel(rows, panel)
+            fold.panel(rows, Panel::Csr(panel))
         })
     }
 
@@ -403,6 +446,33 @@ impl<T: Scalar> RowSumFold<T> {
         }
     }
 
+    /// Fold the packed lower rows `panel = K[r, 0..=r]` of a symmetric `K`
+    /// into the row sums (collecting the diagonal during the first
+    /// iteration): row `r` adds `K[r, q]` to `out[r][lab[q]]` for `q ≤ r`,
+    /// and to `out[q][lab[r]]` for `q < r`. Over rows in ascending order,
+    /// each cell `(i, c)` then sums `K[i, q]` over ascending `q` as
+    /// [`RowSumFold::accumulate_tile`] does: `q ≤ i` from row `i`, each
+    /// `q > i` from row `q`.
+    fn accumulate_lower_tile(&mut self, panel: PackedRows<'_, T>) {
+        let row_sums = self.row_sums.as_mut().expect("begin_iteration ran");
+        let k = self.k;
+        let sums = row_sums.as_mut_slice();
+        let collect_diag = self.diag.is_none();
+        for r in panel.rows() {
+            let row = panel.row(r);
+            if collect_diag {
+                self.diag_pending[r] = row[r];
+            }
+            let label = self.labels[r];
+            for (q, &v) in row.iter().enumerate() {
+                sums[r * k + self.labels[q]] += v;
+                if q < r {
+                    sums[q * k + label] += v;
+                }
+            }
+        }
+    }
+
     /// Fold one CSR row panel of `K` into the row sums. Absent entries are
     /// exact zeros, and `x + 0.0` preserves `x` bitwise, so at full density
     /// this matches [`RowSumFold::accumulate_tile`] bit for bit while only
@@ -483,7 +553,8 @@ pub(crate) fn distance_assembly<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel_source::FullKernel;
+    use crate::kernel_source::{FullKernel, PanelKind};
+    use popcorn_dense::PackedSymmetric;
     use popcorn_gpusim::SimExecutor;
     use popcorn_sparse::CsrMatrix;
     use std::sync::Arc;
@@ -519,20 +590,26 @@ mod tests {
         (0..N).map(|i| [0, 4, 2, 1, 4, 0, 2][i % 7]).collect()
     }
 
-    /// Where the ragged row tiles come from: dense rows or CSR panels.
+    /// Where the ragged row tiles come from: dense rows, packed lower rows
+    /// or CSR panels.
     enum Tiles<'a, T: Scalar> {
         Dense(&'a DenseMatrix<T>),
+        Lower(&'a PackedSymmetric<T>),
         Csr(&'a CsrMatrix<T>),
     }
 
     /// Fold the ragged row tiles with `RowSumFold`'s plain loop and with the
     /// shared fold under unit weights over `source`, and compare the row
-    /// sums and the collected diagonal bit for bit.
+    /// sums and the collected diagonal bit for bit. Packed lower rows are
+    /// folded by the plain packed loop too, and the plain full-row loop over
+    /// the rows they expand to is the oracle of both.
     fn check_tiles<T: Scalar>(tiles: Tiles<'_, T>, source: &dyn KernelSource<T>) {
         let exec = SimExecutor::a100_f32();
         let labels = labels();
         let mut plain = RowSumFold::new(K);
         plain.begin_iteration(0, N, &labels, &exec);
+        let mut packed = RowSumFold::new(K);
+        packed.begin_iteration(0, N, &labels, &exec);
         let mut shared = SelectionFold::new(FoldWeights::Unit, 1.0);
         let selection = SelectionMatrix::from_assignments(&labels, K).unwrap();
         shared.begin(source, selection, true);
@@ -542,31 +619,43 @@ mod tests {
                     let slice = &matrix.as_slice()[rows.start * N..rows.end * N];
                     let tile = DenseMatrix::from_vec(rows.len(), N, slice.to_vec()).unwrap();
                     plain.accumulate_tile(rows.clone(), &tile);
-                    shared.tile(rows, &tile).unwrap();
+                    shared.panel(rows, Panel::Rows(&tile)).unwrap();
+                }
+                Tiles::Lower(matrix) => {
+                    plain.accumulate_tile(rows.clone(), &matrix.full_rows(rows.clone()));
+                    packed.accumulate_lower_tile(matrix.rows(rows.clone()));
+                    shared
+                        .panel(rows.clone(), Panel::Lower(matrix.rows(rows)))
+                        .unwrap();
                 }
                 Tiles::Csr(matrix) => {
                     let panel = matrix.rows_view(rows.clone());
                     plain.accumulate_csr_tile(rows.clone(), panel);
-                    shared.csr_panel(rows, panel).unwrap();
+                    shared.panel(rows, Panel::Csr(panel)).unwrap();
                 }
             }
         }
         let (plain_sums, shared_sums) = (plain.take_row_sums(), shared.finish());
         assert_eq!(bits(plain_sums.as_slice()), bits(shared_sums.as_slice()));
         assert_eq!(bits(plain.diag()), bits(shared.diag()));
+        if let Tiles::Lower(_) = tiles {
+            let packed_sums = packed.take_row_sums();
+            assert_eq!(bits(plain_sums.as_slice()), bits(packed_sums.as_slice()));
+            assert_eq!(bits(plain.diag()), bits(packed.diag()));
+        }
     }
 
     fn unit_weight_cases<T: Scalar>() {
-        // Symmetric dense K, folded row by row into Eᵀ.
-        let symmetric = DenseMatrix::<T>::from_fn(N, N, |i, j| awkward(i.min(j) * N + i.max(j)));
-        let computed = FullKernel::computed(Arc::new(symmetric.clone())).unwrap();
-        assert!(computed.symmetric_tiles());
-        check_tiles(Tiles::Dense(&symmetric), &computed);
+        // Symmetric K as its packed lower triangle, folded into Eᵀ.
+        let symmetric = PackedSymmetric::<T>::from_fn(N, |i, j| awkward(j * N + i));
+        let computed = FullKernel::computed(Arc::new(symmetric.clone()));
+        assert_eq!(computed.panel_kind(), PanelKind::Lower);
+        check_tiles(Tiles::Lower(&symmetric), &computed);
 
         // Asymmetric dense K, gathered eight rows at a time.
         let asymmetric = DenseMatrix::<T>::from_fn(N, N, |i, j| awkward(i * N + j + 11));
         let caller = FullKernel::new(&asymmetric).unwrap();
-        assert!(!caller.symmetric_tiles());
+        assert_eq!(caller.panel_kind(), PanelKind::Rows);
         check_tiles(Tiles::Dense(&asymmetric), &caller);
 
         // CSR panels storing about two thirds of the entries, half of the

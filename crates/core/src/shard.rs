@@ -70,11 +70,12 @@
 
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, workspace_bytes, KernelSource, TilePolicy, TileVisitor, TiledKernel,
+    plan_tile_rows, tile_bytes, workspace_bytes, KernelSource, LowerTileVisitor, PanelKind,
+    TilePolicy, TileVisitor, TiledKernel,
 };
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, DeviceTopology, Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase,
     RecoveryPolicy, RecoveryReport,
@@ -1027,8 +1028,19 @@ pub struct ShardedKernelSource<'a, T: Scalar> {
     /// survivors keep their caches. A `Mutex` (not `RefCell`) so the source
     /// satisfies the [`KernelSource`] `Sync` contract; the tile stream itself
     /// always runs on the driver thread.
-    resident: Mutex<Vec<Option<DenseMatrix<T>>>>,
+    resident: Mutex<Vec<Option<Held<T>>>>,
 }
+
+/// A resident shard's panel, in the kind the pass that computed it asked
+/// for: packed lower rows for the fits, full rows for a reader of whole
+/// rows. A pass of the other kind recomputes and replaces it.
+enum Held<T: Scalar> {
+    Rows(DenseMatrix<T>),
+    Lower(Vec<T>),
+}
+
+/// The visitor of [`ShardedKernelSource::walk_held`]'s panels.
+type HeldVisitor<'a, T> = dyn FnMut(Range<usize>, &Held<T>) -> Result<()> + 'a;
 
 impl<'a, T: Scalar> ShardedKernelSource<'a, T> {
     /// Build a sharded source over retained points. Charges the (replicated)
@@ -1060,7 +1072,7 @@ impl<'a, T: Scalar> ShardedKernelSource<'a, T> {
         // The kernel diagonal is read by every device's tile transform:
         // replicated bookkeeping, tracked on all devices.
         executor.track_alloc(n as u64 * elem as u64);
-        let resident = Mutex::new(vec![None; plan.shards().len()]);
+        let resident = Mutex::new((0..plan.shards().len()).map(|_| None).collect());
         let source = Self {
             inner,
             stream: ShardStream::new(plan, budget),
@@ -1136,24 +1148,58 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        self.stream.walk(self, executor, &mut |resident, rows| {
-            let Some(index) = resident else {
-                let tile = self.inner.compute_tile(rows.start, rows.end, executor)?;
-                return f(rows, &tile);
-            };
-            // The device holds its whole shard: compute (and charge) it on
-            // the first pass, replay it for free afterwards.
-            let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
-            if cache[index].is_none() {
-                cache[index] = Some(self.inner.compute_tile(rows.start, rows.end, executor)?);
-            }
-            f(rows, cache[index].as_ref().expect("populated above"))
+        self.walk_held(executor, false, &mut |rows, held| match held {
+            Held::Rows(tile) => f(rows, tile),
+            Held::Lower(_) => unreachable!("a pass of full rows holds full rows"),
         })
     }
 
     /// Every tile is a panel of the exact tiled source, in global row order.
-    fn symmetric_tiles(&self) -> bool {
-        true
+    fn panel_kind(&self) -> PanelKind {
+        PanelKind::Lower
+    }
+
+    fn for_each_lower_tile(
+        &self,
+        executor: &dyn Executor,
+        f: &mut LowerTileVisitor<'_, T>,
+    ) -> Result<()> {
+        self.walk_held(executor, true, &mut |rows, held| match held {
+            Held::Lower(tile) => f(rows.clone(), PackedRows::new(rows, tile)?),
+            Held::Rows(_) => unreachable!("a pass of lower rows holds lower rows"),
+        })
+    }
+}
+
+impl<T: Scalar> ShardedKernelSource<'_, T> {
+    /// One pass of the shard stream over lower panels (`lower`) or full
+    /// rows: a resident shard's panel is computed (and charged) on the first
+    /// pass that asks for its kind, and replayed for free afterwards.
+    fn walk_held(
+        &self,
+        executor: &dyn Executor,
+        lower: bool,
+        f: &mut HeldVisitor<'_, T>,
+    ) -> Result<()> {
+        let compute = |rows: &Range<usize>| -> Result<Held<T>> {
+            let (r0, r1) = (rows.start, rows.end);
+            Ok(if lower {
+                Held::Lower(self.inner.compute_lower_tile(r0, r1, executor)?)
+            } else {
+                Held::Rows(self.inner.compute_tile(r0, r1, executor)?)
+            })
+        };
+        self.stream.walk(self, executor, &mut |resident, rows| {
+            let Some(index) = resident else {
+                return f(rows.clone(), &compute(&rows)?);
+            };
+            let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
+            let held_kind = |held: &Held<T>| matches!(held, Held::Lower(_)) == lower;
+            if !cache[index].as_ref().is_some_and(held_kind) {
+                cache[index] = Some(compute(&rows)?);
+            }
+            f(rows, cache[index].as_ref().expect("populated above"))
+        })
     }
 }
 

@@ -35,7 +35,7 @@ use crate::pipeline;
 use crate::result::ClusteringResult;
 use crate::strategy::{GramRoutine, KernelMatrixStrategy};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor};
 use popcorn_sparse::CsrMatrix;
 use std::marker::PhantomData;
@@ -150,7 +150,7 @@ impl<'a, T: Scalar> FitInput<'a, T> {
         kernel: KernelFunction,
         strategy: KernelMatrixStrategy,
         executor: &dyn Executor,
-    ) -> Result<(DenseMatrix<T>, GramRoutine)> {
+    ) -> Result<(PackedSymmetric<T>, GramRoutine)> {
         match self {
             FitInput::Dense(p) => {
                 kernel_matrix::compute_kernel_matrix(p, kernel, strategy, executor)
@@ -318,13 +318,14 @@ pub trait KernelFamily {
     ) -> Result<Option<DenseMatrix<T>>>;
 
     /// Compute and charge the in-core kernel matrix of `input` under
-    /// `config`'s kernel function and Gram strategy. A refit that rebuilds
-    /// `K` hands over the model's stored points, unprepared.
+    /// `config`'s kernel function and Gram strategy, as its packed lower
+    /// triangle. A refit that rebuilds `K` hands over the model's stored
+    /// points, unprepared.
     fn kernel_matrix<T: Scalar>(
         input: FitInput<'_, T>,
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>>;
+    ) -> Result<PackedSymmetric<T>>;
 }
 
 /// The one kernel k-means solver shell, generic over its [`KernelFamily`].
@@ -612,6 +613,7 @@ mod tests {
                 .compute_kernel_matrix(kernel, KernelMatrixStrategy::default(), &exec)
                 .unwrap();
             assert_eq!(routine, GramRoutine::SpGemm);
+            let (from_dense, from_sparse) = (from_dense.to_dense(), from_sparse.to_dense());
             assert!(from_dense.approx_eq(&from_sparse, 1e-12, 1e-12));
         }
     }

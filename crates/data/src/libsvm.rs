@@ -114,7 +114,10 @@ fn parse_raw(text: &str) -> Result<RawLibsvm> {
 ///
 /// `d_hint` optionally forces the number of features (useful when the tail
 /// features of the file happen to be all-zero); otherwise the maximum feature
-/// index seen determines `d`.
+/// index seen determines `d`. The dense matrix takes `n × d` entries however
+/// few the file stores, so the size is checked and the buffer reserved
+/// fallibly: a feature index of 2^61 gets a [`DataError::Shape`], not an
+/// abort.
 pub fn parse_libsvm<T: Scalar>(
     name: impl Into<String>,
     text: &str,
@@ -123,12 +126,23 @@ pub fn parse_libsvm<T: Scalar>(
     let raw = parse_raw(text)?;
     let d = raw.d(d_hint);
     let n = raw.rows.len();
-    let mut points = DenseMatrix::<T>::zeros(n, d);
-    for (i, features) in raw.rows.iter().enumerate() {
+    let failed = || {
+        DataError::Shape(format!(
+            "cannot allocate a dense {n} x {d} matrix: it needs {} bytes",
+            n as u128 * d as u128 * std::mem::size_of::<T>() as u128
+        ))
+    };
+    let len = n.checked_mul(d).ok_or_else(failed)?;
+    let mut values = Vec::new();
+    values.try_reserve_exact(len).map_err(|_| failed())?;
+    values.resize(len, T::ZERO);
+    for (row, features) in values.chunks_exact_mut(d.max(1)).zip(&raw.rows) {
         for &(j, v) in features {
-            points[(i, j)] = T::from_f64(v);
+            row[j] = T::from_f64(v);
         }
     }
+    let points =
+        DenseMatrix::from_vec(n, d, values).map_err(|e| DataError::Shape(e.to_string()))?;
     Dataset::with_labels(name, points, raw.class_ids())
 }
 
@@ -251,6 +265,11 @@ mod tests {
         assert!(parse_libsvm::<f64>("t", "1 a:1.0\n", None).is_err());
         assert!(parse_libsvm::<f64>("t", "1 1:xyz\n", None).is_err());
         assert!(parse_libsvm::<f64>("t", "\n\n", None).is_err());
+        // A feature index whose dense row cannot be allocated.
+        assert!(matches!(
+            parse_libsvm::<f32>("t", "1 2305843009213693952:1.0\n", None),
+            Err(DataError::Shape(_))
+        ));
     }
 
     #[test]

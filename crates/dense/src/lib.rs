@@ -12,6 +12,7 @@
 //! * [`DenseMatrix`] — a row-major dense matrix over [`Scalar`] (`f32`/`f64`),
 //! * [`mod@gemm`] — general matrix multiply with transpose options and blocking,
 //! * [`mod@syrk`] — symmetric rank-k update computing only one triangle,
+//! * [`packed`] — the lower triangle of a symmetric matrix, packed by rows,
 //! * [`microkernel`] — the packed, register-blocked `A·Bᵀ` kernel behind
 //!   GEMM, SYRK and the cross Gram, run through the FMA dispatch in [`fma`],
 //! * elementwise maps, broadcast additions, row norms, diagonals and row-wise
@@ -29,6 +30,7 @@ pub mod matrix;
 pub mod microkernel;
 pub mod norms;
 pub mod ops;
+pub mod packed;
 pub mod parallel;
 pub mod scalar;
 pub mod syrk;
@@ -40,8 +42,9 @@ pub use gemm::{
 pub use matrix::DenseMatrix;
 pub use norms::{diagonal, frobenius_norm, row_argmin, row_argmin_into, row_sq_norms};
 pub use ops::{add_col_broadcast, add_row_broadcast, axpy, hadamard, scale_in_place};
+pub use packed::{packed_len, packed_offset, PackedRows, PackedSymmetric};
 pub use scalar::Scalar;
-pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_with, Triangle};
+pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_packed_with, syrk_with, Triangle};
 
 /// Result alias used across the dense crate.
 pub type Result<T> = std::result::Result<T, DenseError>;

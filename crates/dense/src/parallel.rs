@@ -180,7 +180,18 @@ where
     T: Send,
     F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
 {
-    if row_len == 0 || data.is_empty() {
+    par_chunks_cols_ranges(data, row_len, &split_ranges(row_len, num_threads()), f)
+}
+
+/// [`par_chunks_cols`] over the given column ranges, one call each: they
+/// must be contiguous, non-empty and start at column 0, and may end before
+/// `row_len`, in which case the columns past the last range are left alone.
+pub fn par_chunks_cols_ranges<T, F>(data: &mut [T], row_len: usize, ranges: &[Range<usize>], f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+{
+    if row_len == 0 || data.is_empty() || ranges.is_empty() {
         return;
     }
     debug_assert_eq!(
@@ -188,25 +199,25 @@ where
         0,
         "buffer is not a whole number of rows"
     );
-    let ranges = split_ranges(row_len, num_threads());
+    debug_assert!(ranges[0].start == 0 && ranges.last().unwrap().end <= row_len);
     let mut parts: Vec<Vec<&mut [T]>> = ranges
         .iter()
         .map(|_| Vec::with_capacity(data.len() / row_len))
         .collect();
     for row in data.chunks_exact_mut(row_len) {
         let mut rest = row;
-        for (part, cols) in parts.iter_mut().zip(&ranges) {
+        for (part, cols) in parts.iter_mut().zip(ranges) {
             let (head, tail) = rest.split_at_mut(cols.len());
             part.push(head);
             rest = tail;
         }
     }
     if ranges.len() == 1 {
-        f(0..row_len, &mut parts[0]);
+        f(ranges[0].clone(), &mut parts[0]);
         return;
     }
     std::thread::scope(|scope| {
-        for (cols, mut part) in ranges.into_iter().zip(parts) {
+        for (cols, mut part) in ranges.iter().cloned().zip(parts) {
             let f = &f;
             scope.spawn(move || f(cols, &mut part));
         }

@@ -6,11 +6,18 @@
 //! cuSPARSE SpMM/SpMV need the full matrix, the explicitly computed triangle
 //! is then mirrored into the other half — that copy is exactly the overhead
 //! the paper's GEMM/SYRK selection strategy trades off against the saved
-//! FLOPs. This module reproduces both the triangular product and the mirror.
+//! FLOPs. This module reproduces both the triangular product and the mirror
+//! ([`syrk_full`], the Figure 2 product).
+//!
+//! The host's own kernel matrices need no mirror: [`syrk_packed_with`]
+//! writes the lower triangle straight into packed rows
+//! ([`crate::PackedSymmetric`]), half the entries of the full matrix, and
+//! every consumer reads `(j, i)` from `(i, j)`.
 
 use crate::errors::DenseError;
 use crate::matrix::DenseMatrix;
 use crate::microkernel::nt_product;
+use crate::packed::{packed_offset, par_packed_rows};
 use crate::parallel::{num_threads, par_chunks_rows_ranges, triangular_ranges};
 use crate::scalar::Scalar;
 use crate::Result;
@@ -103,6 +110,47 @@ pub fn syrk_with<T: Scalar>(
         );
     });
     Ok(())
+}
+
+/// Rows `rows` of the lower triangle of `A·Aᵀ`, packed: the result holds
+/// `C[r, 0..=r]` for each `r` in `rows`, back to back (the
+/// [`crate::PackedRows`] layout). Every entry is written once as
+/// `0 + 1·acc`, the write of [`syrk`] under α = 1, β = 0 and of
+/// [`crate::matmul_nt_rows`], into a fresh buffer, then each run goes to
+/// `epilogue(i, j0, cells)` as in [`syrk_with`]. Rows split across the
+/// kernel threads by their packed length, so each thread writes one
+/// contiguous slice.
+pub fn syrk_packed_with<T: Scalar>(
+    a: &DenseMatrix<T>,
+    rows: Range<usize>,
+    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+) -> Result<Vec<T>> {
+    if rows.start > rows.end || rows.end > a.rows() {
+        return Err(DenseError::IndexOutOfBounds {
+            index: (rows.start, rows.end),
+            shape: a.shape(),
+        });
+    }
+    let mut out = vec![T::ZERO; packed_offset(rows.end) - packed_offset(rows.start)];
+    par_packed_rows(&mut out, rows, |rows, chunk| {
+        let first = packed_offset(rows.start);
+        nt_product(
+            a,
+            rows.clone(),
+            a,
+            Some(Triangle::Lower),
+            #[inline(always)]
+            |i, j0, run| {
+                let r = rows.start + i;
+                let cells = &mut chunk[packed_offset(r) - first + j0..][..run.len()];
+                for (c, &acc) in cells.iter_mut().zip(run) {
+                    *c = T::ZERO + T::ONE * acc;
+                }
+                epilogue(r, j0, cells);
+            },
+        );
+    });
+    Ok(out)
 }
 
 /// Copy the explicitly computed triangle into the other half so the matrix is
@@ -346,6 +394,23 @@ mod tests {
         let a = DenseMatrix::<f64>::zeros(0, 0);
         let mut c = DenseMatrix::<f64>::zeros(0, 0);
         assert!(syrk(1.0, &a, 0.0, &mut c, Triangle::Lower).is_ok());
+    }
+
+    #[test]
+    fn packed_rows_are_the_lower_triangle_of_the_mirrored_product() {
+        let a = sample(37, 9);
+        let full = syrk_full(&a).unwrap();
+        for rows in [0..37, 0..1, 5..6, 11..30, 36..37, 4..4] {
+            let packed = syrk_packed_with(&a, rows.clone(), |_, _, _| {}).unwrap();
+            let want: Vec<u64> = rows
+                .clone()
+                .flat_map(|i| full.row(i)[..=i].to_vec())
+                .map(f64::to_bits)
+                .collect();
+            let got: Vec<u64> = packed.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "rows {rows:?}");
+        }
+        assert!(syrk_packed_with(&a, 3..38, |_, _, _| {}).is_err());
     }
 
     #[test]

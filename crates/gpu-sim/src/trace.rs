@@ -116,14 +116,20 @@ impl OpTrace {
         self.records.iter().map(|r| r.host_seconds).sum()
     }
 
-    /// Total FLOPs across all records.
+    /// Total FLOPs across all records, saturating at `u64::MAX` as
+    /// [`OpCost::total_bytes`] does.
     pub fn total_flops(&self) -> u64 {
-        self.records.iter().map(|r| r.cost.flops).sum()
+        self.records
+            .iter()
+            .fold(0u64, |sum, r| sum.saturating_add(r.cost.flops))
     }
 
-    /// Total bytes moved across all records.
+    /// Total bytes moved across all records, saturating at `u64::MAX`: a
+    /// record may already carry a saturated byte count.
     pub fn total_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.cost.total_bytes()).sum()
+        self.records
+            .iter()
+            .fold(0u64, |sum, r| sum.saturating_add(r.cost.total_bytes()))
     }
 
     /// Modeled device time attributed to one phase.
@@ -174,7 +180,7 @@ impl OpTrace {
             .iter()
             .filter(|r| r.class == class)
             .fold((0.0, 0u64), |(t, f), r| {
-                (t + r.modeled_seconds, f + r.cost.flops)
+                (t + r.modeled_seconds, f.saturating_add(r.cost.flops))
             })
     }
 
@@ -191,15 +197,18 @@ impl OpTrace {
     }
 
     /// Flops-weighted mean arithmetic intensity of all operations in a class,
-    /// used for the roofline plot (Figure 6).
+    /// used for the roofline plot (Figure 6). Both sums saturate.
     pub fn class_arithmetic_intensity(&self, class: OpClass) -> f64 {
-        let (flops, bytes) = self
-            .records
-            .iter()
-            .filter(|r| r.class == class)
-            .fold((0u64, 0u64), |(f, b), r| {
-                (f + r.cost.flops, b + r.cost.total_bytes())
-            });
+        let (flops, bytes) =
+            self.records
+                .iter()
+                .filter(|r| r.class == class)
+                .fold((0u64, 0u64), |(f, b), r| {
+                    (
+                        f.saturating_add(r.cost.flops),
+                        b.saturating_add(r.cost.total_bytes()),
+                    )
+                });
         if bytes == 0 {
             0.0
         } else {
@@ -280,6 +289,19 @@ mod tests {
         assert_eq!(trace.class_gflops(OpClass::Gemm), 0.0);
         let ai = trace.class_arithmetic_intensity(OpClass::SpMM);
         assert!((ai - 8_000_000_000.0 / 2000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sums_saturate_over_a_saturated_record() {
+        let mut trace = OpTrace::new();
+        let mut saturated = record(Phase::PairwiseDistances, OpClass::SpMM, 1, 0, 1.0);
+        saturated.cost = OpCost::new(u64::MAX, u64::MAX, 0);
+        trace.push(saturated);
+        trace.push(record(Phase::PairwiseDistances, OpClass::SpMM, 10, 10, 1.0));
+        assert_eq!(trace.total_bytes(), u64::MAX);
+        assert_eq!(trace.total_flops(), u64::MAX);
+        assert_eq!(trace.class_summary(OpClass::SpMM).1, u64::MAX);
+        assert_eq!(trace.class_arithmetic_intensity(OpClass::SpMM), 1.0);
     }
 
     #[test]

@@ -9,8 +9,11 @@ use crate::csc::CscMatrix;
 use crate::errors::SparseError;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
+use popcorn_dense::packed::par_packed_rows;
 use popcorn_dense::parallel::par_chunks_rows;
-use popcorn_dense::{symmetrize_lower, DenseMatrix, Scalar, Triangle};
+use popcorn_dense::{
+    packed_offset, symmetrize_lower, DenseMatrix, PackedSymmetric, Scalar, Triangle,
+};
 use std::borrow::Cow;
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -380,38 +383,43 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Single-threaded variant of [`CsrMatrix::gram`], for callers that model
-    /// strictly sequential hosts (e.g. the single-core CPU reference solver).
-    /// Its arithmetic runs on one thread; the mirror copy of the lower
-    /// triangle ([`symmetrize_lower`]) splits its rows across the kernel
-    /// threads. Its scatter has one slot per column that occurs, so no
-    /// buffer is sized by the feature count.
+    /// strictly sequential hosts (e.g. the single-core CPU reference solver):
+    /// the rows of [`CsrMatrix::gram_sequential_packed`], whose arithmetic
+    /// runs on one thread, mirrored into the upper triangle by
+    /// [`symmetrize_lower`], which splits its rows across the kernel threads.
     pub fn gram_sequential(&self) -> DenseMatrix<T> {
         let n = self.rows;
+        let lower = self.gram_sequential_packed();
         let mut out = DenseMatrix::zeros(n, n);
-        if n == 0 {
-            return out;
+        for i in 0..n {
+            out.row_mut(i)[..=i].copy_from_slice(lower.row(i));
         }
-        let slots = self.column_slots();
-        let mut scatter = vec![T::ZERO; slots.width()];
-        self.gram_fill_lower_rows(out.as_mut_slice(), slots.entries(), &mut scatter);
         symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
         out
     }
 
-    /// Compute the lower-triangle Gram entries, one row at a time: the
-    /// single-core reference loop of [`CsrMatrix::gram_sequential`]. Entry
+    /// The lower triangle of the Gram matrix, packed, computed one row at a
+    /// time on one thread: the single-core reference loop. Entry
     /// `(i, j ≤ i)` accumulates `fma(v_jc, a_ic, acc)` over row `j`'s stored
-    /// entries in ascending `c`, reading `a_ic` from the scatter slot
-    /// `slots` gives column `c`.
-    fn gram_fill_lower_rows(&self, out: &mut [T], slots: &[usize], scatter: &mut [T]) {
+    /// entries in ascending `c`, reading `a_ic` from the scatter slot column
+    /// `c` has. The scatter has one slot per column that occurs, so no
+    /// buffer is sized by the feature count.
+    pub fn gram_sequential_packed(&self) -> PackedSymmetric<T> {
         let n = self.rows;
+        let mut out = PackedSymmetric::zeros(n);
+        if n == 0 {
+            return out;
+        }
+        let column_slots = self.column_slots();
+        let slots = column_slots.entries();
+        let mut scatter = vec![T::ZERO; column_slots.width()];
         let row_slots = |i: usize| &slots[self.row_ptrs[i]..self.row_ptrs[i + 1]];
-        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for i in 0..n {
             let (slots_i, vals_i) = (row_slots(i), self.row(i).1);
             for (&s, &v) in slots_i.iter().zip(vals_i.iter()) {
                 scatter[s] = v;
             }
-            for (j, out_ij) in out_row.iter_mut().enumerate().take(i + 1) {
+            for (j, out_ij) in out.row_mut(i).iter_mut().enumerate() {
                 let (slots_j, vals_j) = (row_slots(j), self.row(j).1);
                 let mut acc = T::ZERO;
                 for (&s, &v) in slots_j.iter().zip(vals_j.iter()) {
@@ -423,6 +431,7 @@ impl<T: Scalar> CsrMatrix<T> {
                 scatter[s] = T::ZERO;
             }
         }
+        out
     }
 
     /// Entry `(i, j)` of [`CsrMatrix::gram_sequential`] on its own: with
@@ -643,7 +652,9 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
 ///
 /// Entry `(j, i)` gets the same products in the same ascending-`c` order,
 /// and the fused product is exact and commutes, so the output is bitwise
-/// symmetric without a mirror pass.
+/// symmetric without a mirror pass. [`GramIndex::gram_lower_rows_with`]
+/// computes the lower triangle alone: each column's row list ascends, so
+/// row `i`'s walk stops at row `i`, and about half the multiply-adds go.
 ///
 /// The reference ([`CsrMatrix::gram_sequential`]) folds entry `(i, j)`
 /// over row `lo = min(i, j)`, multiplying by row `hi = max(i, j)`'s value
@@ -703,6 +714,42 @@ impl<T: Scalar> GramIndex<'_, T> {
         out
     }
 
+    /// [`GramIndex::gram_rows_with`] for the lower triangle alone: the packed
+    /// rows `r0..r1`, row `i` holding `B[i, 0..=i]` (the
+    /// [`popcorn_dense::PackedRows`] layout), each bit-identical to the same
+    /// entries of [`GramIndex::gram_rows`]. Row `i`'s walk reads each
+    /// column's rows only up to `i`, and its fix-up covers only `j ≤ i`.
+    /// Rows split across the kernel threads by their packed length.
+    pub fn gram_lower_rows_with(
+        &self,
+        r0: usize,
+        r1: usize,
+        epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
+    ) -> Vec<T> {
+        let n = self.matrix.rows;
+        assert!(
+            r0 <= r1 && r1 <= n,
+            "panel rows {r0}..{r1} out of range for {n} rows"
+        );
+        let mut out = vec![T::ZERO; packed_offset(r1) - packed_offset(r0)];
+        par_packed_rows(&mut out, r0..r1, |rows, chunk| {
+            dispatch(
+                #[inline(always)]
+                || {
+                    let mut rest = chunk;
+                    for i in rows {
+                        let (out_row, tail) = rest.split_at_mut(i + 1);
+                        self.structural_row(i, out_row);
+                        self.fix_up_row(i, out_row);
+                        epilogue(i, 0, out_row);
+                        rest = tail;
+                    }
+                },
+            )
+        });
+        out
+    }
+
     /// Gustavson FLOP count of rows `r0..r1` of the Gram matrix: two for
     /// each pair of a stored entry in those rows and a stored entry in its
     /// column, the figure [`CsrMatrix::gram_panel_flops`] reports.
@@ -734,27 +781,35 @@ impl<T: Scalar> GramIndex<'_, T> {
         }
     }
 
-    /// Steps 1 and 2 of row `i`: the zero-fill and the structural walk.
+    /// Steps 1 and 2 of row `i` over the columns `out_row` holds: all `n`,
+    /// or the lower triangle's `0..=i`, where each column's ascending row
+    /// list is cut at `i`.
     #[inline(always)]
     fn structural_row(&self, i: usize, out_row: &mut [T]) {
         // Writing the row first faults each fresh output page in once; a
         // read-modify-write first touch would fault it in twice.
         out_row.fill(T::ZERO);
+        let full = out_row.len() == self.matrix.rows;
         let entries = self.matrix.row_ptrs[i]..self.matrix.row_ptrs[i + 1];
         for (&s, &x_ic) in self.slots[entries.clone()]
             .iter()
             .zip(&self.matrix.values[entries])
         {
             let (rows, values) = self.columns.col(s);
-            for (&j, &x_jc) in rows.iter().zip(values) {
+            let cut = if full {
+                rows.len()
+            } else {
+                rows.partition_point(|&j| j <= i)
+            };
+            for (&j, &x_jc) in rows[..cut].iter().zip(values) {
                 out_row[j] = x_jc.mul_add(x_ic, out_row[j]);
             }
         }
     }
 
-    /// Step 3 of row `i`: recompute with the reference fold every entry
-    /// whose row or column holds a non-finite value, or whose structural
-    /// value is `−0`.
+    /// Step 3 of row `i` over the columns `out_row` holds: recompute with
+    /// the reference fold every entry whose row or column holds a
+    /// non-finite value, or whose structural value is `−0`.
     #[inline(always)]
     fn fix_up_row(&self, i: usize, out_row: &mut [T]) {
         let m = self.matrix;
@@ -764,7 +819,8 @@ impl<T: Scalar> GramIndex<'_, T> {
             }
             return;
         }
-        for &j in &self.non_finite_rows {
+        let width = out_row.len();
+        for &j in self.non_finite_rows.iter().take_while(|&&j| j < width) {
             out_row[j] = m.gram_entry(i, j);
         }
         // A branch-free scan: a hit is rare, a branch per entry is not.
@@ -1022,7 +1078,16 @@ mod tests {
         m.gram_index()
             .fill_rows(0, generic.as_mut_slice(), &|_, _, _| {});
         let sequential = m.gram_sequential();
+        let packed = m.gram_sequential_packed();
         let panel = m.gram_panel(0, n);
+        let index = m.gram_index();
+        let whole = index.gram_lower_rows_with(0, n, |_, _, _| {});
+        // Ragged panels of the lower walk, joined.
+        let cuts = [0, n / 3, n / 3 + 1, n];
+        let joined: Vec<T> = cuts
+            .windows(2)
+            .flat_map(|w| index.gram_lower_rows_with(w[0], w[1], |_, _, _| {}))
+            .collect();
         for i in 0..n {
             for j in 0..n {
                 let want = bits(if j <= i { lower(i, j) } else { lower(j, i) });
@@ -1031,6 +1096,12 @@ mod tests {
                 assert_eq!(bits(generic[(i, j)]), want, "undispatched body: {at}");
                 assert_eq!(bits(sequential[(i, j)]), want, "gram_sequential: {at}");
                 assert_eq!(bits(panel[(i, j)]), want, "gram_panel: {at}");
+                assert_eq!(bits(packed[(i, j)]), want, "gram_sequential_packed: {at}");
+                if j <= i {
+                    let at_packed = packed_offset(i) + j;
+                    assert_eq!(bits(whole[at_packed]), want, "lower walk: {at}");
+                    assert_eq!(bits(joined[at_packed]), want, "lower panels: {at}");
+                }
             }
         }
     }

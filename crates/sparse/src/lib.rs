@@ -35,7 +35,7 @@ pub use errors::SparseError;
 pub use selection::SelectionMatrix;
 pub use spgemm::spgemm;
 pub use spmm::{
-    spmm, spmm_csr_rows_selection_t_into, spmm_selection_rows_accumulate, spmm_transpose_b,
+    spmm, spmm_csr_rows_selection_t_into, spmm_selection_lower_accumulate, spmm_transpose_b,
     spmm_transpose_b_into,
 };
 pub use spmv::spmv;

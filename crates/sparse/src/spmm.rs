@@ -10,10 +10,10 @@
 //!   `C = alpha * B_dense * A_sparseᵀ`, the literal `K Vᵀ` of Eq. 10. Each
 //!   output cell gathers the columns of `B` its sparse row selects, without
 //!   materialising `Vᵀ`; `B` need not be symmetric.
-//! * [`spmm_selection_rows_accumulate`]: the `Eᵀ = V K` orientation over one
-//!   row tile of `K` at a time, `V` given by the tile rows' cluster labels.
-//!   Each row of `K` is scaled and added into its cluster's accumulator row,
-//!   so `K` streams once. Over a bitwise symmetric `K` it reproduces the
+//! * [`spmm_selection_lower_accumulate`]: the `Eᵀ = V K` orientation over
+//!   the packed lower triangle of a symmetric `K`, one panel of rows at a
+//!   time. Each stored entry `K[r, l]` feeds two cells, `(c(l), r)` and
+//!   `(c(r), l)`, as BLAS `xSPMV` reads a packed matrix; the result has the
 //!   gather's bits.
 //! * [`spmm_csr_rows_selection_t_into`]: the `K Vᵀ` fold over CSR row panels
 //!   of a sparse `K`, scattering each stored entry into its cluster.
@@ -31,10 +31,11 @@
 
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
+use crate::selection::SelectionMatrix;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
-use popcorn_dense::parallel::{par_chunks_cols, par_chunks_rows};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::parallel::{num_threads, par_chunks_cols_ranges, par_chunks_rows};
+use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use std::ops::Range;
 
 /// FLOPs performed by an SpMM between a sparse matrix with `nnz` stored
@@ -220,83 +221,256 @@ fn fold_transpose_b_rows<T: Scalar>(
     }
 }
 
-/// `acc[c, :] += V[c, rows] · tile` for the row tile `tile = K[rows, :]`: one
-/// tile's share of `Eᵀ = V K` before its `−2` scale. `V` is given by
-/// `labels` (the cluster of each tile row) and `cluster_weights` (`V`'s
-/// stored value per cluster: `1/|L_c|`, or one for plain row sums); `acc`
-/// is the row-major `cluster_weights.len() × tile.cols()` accumulator.
-/// Under `clusters` (see the module docs) the tile rows of other clusters
-/// are skipped, and a tile with no row in the set does no work.
+/// `acc[c, :] += V[c, ·] · K` over one panel of a symmetric `K` given by its
+/// packed lower triangle, `panel = K[r, 0..=r]` for `r ∈ rows`: that
+/// panel's share of `Eᵀ = V K` before its `−2` scale. `V` is `selection`
+/// with stored values `cluster_weights` (`1/|L_c|`, or one for plain row
+/// sums); `acc` is the row-major `k × n` accumulator. Under `clusters` (see
+/// the module docs) only the folded clusters' cells are written.
 ///
-/// Tile rows are folded in ascending order, row `l` as
-/// `acc[c(l), i] = fma(w_c(l), K[l, i], acc[c(l), i])` for every column `i`;
-/// the columns are split across the kernel threads. Walking the tiles of `K`
-/// in ascending row order from a zeroed `acc`, cell `(c, i)` therefore
-/// accumulates `fma(w_c, K[l, i], ·)` over `l ∈ L_c` ascending from `+0`:
-/// the operand sequence [`spmm_transpose_b_into`] gives its cell `(i, c)`,
-/// with `K[l, i]` in place of `K[i, l]`. When `K` is bitwise symmetric,
-/// `alpha · acc[c][i]` is the gather's `E[i][c]` bit for bit; for any other
-/// matrix this computes `V K`, not `(K Vᵀ)ᵀ`.
-pub fn spmm_selection_rows_accumulate<T: Scalar>(
-    tile: &DenseMatrix<T>,
-    labels: &[usize],
+/// Panels come in ascending row order, over cells zeroed before the first.
+/// Row `r` first completes the cells `(c, r)`: for each folded cluster `c`,
+/// `acc[c, r] = fma(w_c, K[r, l], ·)` over its members `l < r` in ascending
+/// order, read from the sorted member lists, so a refold reads a row only at
+/// the dirty clusters' members. Row `r` then adds
+/// `acc[c(r), j] = fma(w_c(r), K[r, j], ·)` for `j ≤ r`. Every cell `(c, j)`
+/// therefore accumulates `fma(w_c, K[l, j], ·)` over `l ∈ L_c` ascending
+/// from `+0`, where `K[l, j]` for `l < j` is the stored `K[j, l]`: the
+/// operand sequence [`spmm_transpose_b_into`] gives its cell `(j, c)` over
+/// the full symmetric matrix, so `alpha · acc[c][j]` is the gather's
+/// `E[j][c]` bit for bit.
+///
+/// The first step runs eight rows at a time, one independent `fma` chain
+/// per row, where one row's chain would wait on each `fma` before it. The
+/// columns split across the kernel threads in bands of equal work for this
+/// panel; a band walks the panel's rows from its first column on, so each
+/// cell has one writer.
+pub fn spmm_selection_lower_accumulate<T: Scalar>(
+    panel: PackedRows<'_, T>,
+    selection: &SelectionMatrix<T>,
     cluster_weights: &[T],
     clusters: Option<&[bool]>,
     acc: &mut [T],
 ) -> Result<()> {
-    let (rows, n) = tile.shape();
-    let k = cluster_weights.len();
-    if labels.len() != rows {
+    let (n, k) = (selection.n(), selection.k());
+    let rows = panel.rows();
+    if rows.end > n {
         return Err(SparseError::DimensionMismatch {
-            op: "spmm_selection_rows_accumulate (labels)",
-            expected: (rows, 1),
-            found: (labels.len(), 1),
+            op: "spmm_selection_lower_accumulate (panel rows)",
+            expected: (n, 1),
+            found: (rows.end, 1),
+        });
+    }
+    if cluster_weights.len() != k {
+        return Err(SparseError::DimensionMismatch {
+            op: "spmm_selection_lower_accumulate (weights)",
+            expected: (k, 1),
+            found: (cluster_weights.len(), 1),
         });
     }
     if acc.len() != k * n {
         return Err(SparseError::DimensionMismatch {
-            op: "spmm_selection_rows_accumulate (accumulator)",
+            op: "spmm_selection_lower_accumulate (accumulator)",
             expected: (k, n),
             found: (acc.len(), 1),
         });
     }
-    if let Some((point, &label)) = labels.iter().enumerate().find(|&(_, &c)| c >= k) {
-        return Err(SparseError::InvalidAssignment { point, label, k });
+    check_clusters("spmm_selection_lower_accumulate (clusters)", clusters, k)?;
+    let folded: Vec<usize> = (0..k)
+        .filter(|&c| clusters.is_none_or(|set| set[c]))
+        .collect();
+    if rows.is_empty() || folded.is_empty() {
+        return Ok(());
     }
-    check_clusters("spmm_selection_rows_accumulate (clusters)", clusters, k)?;
-    if let Some(set) = clusters {
-        if !labels.iter().any(|&c| set[c]) {
-            return Ok(());
-        }
-    }
-    par_chunks_cols(acc, n, |cols, acc_rows| {
+    let bands = lower_bands(rows.clone(), num_threads());
+    par_chunks_cols_ranges(acc, n, &bands, |band, acc_rows| {
         dispatch(
             #[inline(always)]
-            || fold_selection_rows(tile, labels, cluster_weights, clusters, cols, acc_rows),
+            || {
+                fold_lower_band(
+                    panel,
+                    selection,
+                    cluster_weights,
+                    clusters,
+                    &folded,
+                    band,
+                    acc_rows,
+                )
+            },
         )
     });
     Ok(())
 }
 
-/// The body of [`spmm_selection_rows_accumulate`] for the columns `cols`,
-/// `acc[c]` holding cluster `c`'s accumulator entries in that range.
+/// Rows of a block of [`spmm_selection_lower_accumulate`]'s first step: a
+/// block's rows feed eight independent `fma` chains, one per row, which
+/// cover the `fma` latency and fill one 256-bit vector of `f32`.
+const LOWER_BLOCK: usize = 8;
+
+/// Columns of a tile of the first step: the block's eight rows of a tile
+/// take 8 KiB of `f32`, which stay in L1 while every folded cluster reads
+/// its members out of them.
+const LOWER_TILE: usize = 256;
+
+/// How much more one entry of the first step costs than one of the second,
+/// by which the column bands weigh the two steps.
+const STEP_ONE_WEIGHT: usize = 3;
+
+/// Column bands `0..rows.end` of about equal work for the panel `rows`: a
+/// column `j` below the panel meets the panel's `rows.len()` second-step
+/// updates; a column inside it meets `j` first-step terms, each of
+/// [`STEP_ONE_WEIGHT`], and `rows.end − j` second-step ones. Columns past
+/// the panel are untouched.
+fn lower_bands(rows: Range<usize>, parts: usize) -> Vec<Range<usize>> {
+    let weight = |j: usize| {
+        let step_one = if j >= rows.start {
+            STEP_ONE_WEIGHT * j
+        } else {
+            0
+        };
+        (step_one + rows.end - j.max(rows.start)) as u128
+    };
+    let parts = parts.clamp(1, rows.end);
+    let total: u128 = (0..rows.end).map(weight).sum();
+    let mut bands = Vec::with_capacity(parts);
+    let (mut start, mut sum) = (0, 0u128);
+    for j in 0..rows.end {
+        sum += weight(j);
+        let p = bands.len() + 1;
+        // Close the band once it holds p/parts of the work, keeping one
+        // column for every band still to come.
+        if p < parts && (sum * parts as u128 >= total * p as u128 || rows.end - j == parts - p + 1)
+        {
+            bands.push(start..j + 1);
+            start = j + 1;
+        }
+    }
+    bands.push(start..rows.end);
+    bands
+}
+
+/// The body of [`spmm_selection_lower_accumulate`] for the columns `band`,
+/// `acc[c]` holding cluster `c`'s accumulator entries in that band: the
+/// band's rows in blocks of [`LOWER_BLOCK`], each block's first step
+/// ([`complete_cells`]) before its rows' second steps.
 #[inline(always)]
-fn fold_selection_rows<T: Scalar>(
-    tile: &DenseMatrix<T>,
-    labels: &[usize],
-    cluster_weights: &[T],
+fn fold_lower_band<T: Scalar>(
+    panel: PackedRows<'_, T>,
+    selection: &SelectionMatrix<T>,
+    weights: &[T],
     clusters: Option<&[bool]>,
-    cols: Range<usize>,
+    folded: &[usize],
+    band: Range<usize>,
     acc: &mut [&mut [T]],
 ) {
-    for (l, &c) in labels.iter().enumerate() {
-        if clusters.is_some_and(|set| !set[c]) {
-            continue;
+    let labels = selection.assignments();
+    let rows = panel.rows();
+    let mut chains = vec![[T::ZERO; LOWER_BLOCK]; folded.len()];
+    // Where each folded cluster's members enter each tile of columns.
+    let tiles = rows.end.div_ceil(LOWER_TILE) + 1;
+    let starts: Vec<usize> = folded
+        .iter()
+        .flat_map(|&c| {
+            let members = selection.csr().row(c).0;
+            (0..tiles).map(move |t| members.partition_point(|&l| l < t * LOWER_TILE))
+        })
+        .collect();
+    let mut r = rows.start.max(band.start);
+    while r < rows.end {
+        let block = r..(r + LOWER_BLOCK).min(rows.end);
+        // Step 1 completes the cells of the block's rows inside the band;
+        // step 2 of a row touches no cell of a later row.
+        let inside = block.start..block.end.min(band.end);
+        if !inside.is_empty() {
+            let block = (inside, band.start);
+            let (folded, chains) = ((folded, &starts[..]), &mut chains[..]);
+            complete_cells(panel, selection, weights, folded, block, acc, chains);
         }
-        let w = cluster_weights[c];
-        for (sum, &x) in acc[c].iter_mut().zip(&tile.row(l)[cols.clone()]) {
-            *sum = w.mul_add(x, *sum);
+        for r in block.clone() {
+            let c = labels[r];
+            if clusters.is_some_and(|set| !set[c]) {
+                continue;
+            }
+            let (w, hi) = (weights[c], (r + 1).min(band.end));
+            let row = &panel.row(r)[band.start..hi];
+            for (sum, &x) in acc[c][..hi - band.start].iter_mut().zip(row) {
+                *sum = w.mul_add(x, *sum);
+            }
         }
+        r = block.end;
+    }
+}
+
+/// Step 1 for the rows `block.0` (at most [`LOWER_BLOCK`], all inside the
+/// band starting at column `block.1`): cell `(c, r)` folds `K[r, l]` over
+/// the members `l < r` of each folded cluster `c`, ascending, read from the
+/// sorted member lists, one independent chain per row (`chains` holds each
+/// folded cluster's chains).
+///
+/// The columns below the block go in tiles of [`LOWER_TILE`], every folded
+/// cluster's members in a tile before the next tile; `folded.1` holds where
+/// each folded cluster's members enter each tile. Each tile's rows are
+/// first copied side by side into one array, so they stay in L1 while the
+/// clusters read their members out of them, and a member's entries sit at
+/// fixed strides from one index.
+#[inline(always)]
+fn complete_cells<T: Scalar>(
+    panel: PackedRows<'_, T>,
+    selection: &SelectionMatrix<T>,
+    weights: &[T],
+    (folded, starts): (&[usize], &[usize]),
+    (block, j0): (Range<usize>, usize),
+    acc: &mut [&mut [T]],
+    chains: &mut [[T; LOWER_BLOCK]],
+) {
+    let (b0, len) = (block.start, block.len());
+    let cells = b0 - j0..block.end - j0;
+    // Rows past the block repeat its last row; their lanes are dropped.
+    let rows: [&[T]; LOWER_BLOCK] = std::array::from_fn(|t| &panel.row(b0 + t.min(len - 1))[..b0]);
+    let tiles = starts.len() / folded.len().max(1);
+    let lists = || {
+        folded
+            .iter()
+            .zip(starts.chunks_exact(tiles))
+            .map(|(&c, starts)| (c, selection.csr().row(c).0, starts))
+    };
+    for (lanes, &c) in chains.iter_mut().zip(folded) {
+        lanes[..len].copy_from_slice(&acc[c][cells.clone()]);
+    }
+    let mut tile = [[T::ZERO; LOWER_TILE]; LOWER_BLOCK];
+    for (t, l0) in (0..b0).step_by(LOWER_TILE).enumerate() {
+        let l1 = (l0 + LOWER_TILE).min(b0);
+        for (dst, row) in tile.iter_mut().zip(&rows) {
+            dst[..l1 - l0].copy_from_slice(&row[l0..l1]);
+        }
+        for (lanes, (c, members, starts)) in chains.iter_mut().zip(lists()) {
+            let mut list = &members[starts[t]..starts[t + 1]];
+            if l1 < l0 + LOWER_TILE {
+                list = &list[..list.partition_point(|&l| l < l1)];
+            }
+            let (w, mut sums) = (weights[c], *lanes);
+            for &l in list {
+                let i = l - l0;
+                for (sum, row) in sums.iter_mut().zip(&tile) {
+                    *sum = w.mul_add(row[i], *sum);
+                }
+            }
+            *lanes = sums;
+        }
+    }
+    // Members inside the block: member `l` belongs to the rows after it.
+    for (lanes, (c, members, starts)) in chains.iter_mut().zip(lists()) {
+        let w = weights[c];
+        let list = members[starts[b0 / LOWER_TILE]..].iter();
+        for &l in list
+            .skip_while(|&&l| l < b0)
+            .take_while(|&&l| l < block.end)
+        {
+            for (t, sum) in lanes.iter_mut().enumerate().take(len).skip(l - b0 + 1) {
+                *sum = w.mul_add(panel.row(b0 + t)[l], *sum);
+            }
+        }
+        acc[c][cells.clone()].copy_from_slice(&lanes[..len]);
     }
 }
 
@@ -412,8 +586,7 @@ fn fold_csr_rows<T: Scalar>(
 mod tests {
     use super::*;
     use crate::test_values::{awkward_csr, awkward_dense};
-    use crate::SelectionMatrix;
-    use popcorn_dense::matmul;
+    use popcorn_dense::{matmul, PackedSymmetric};
 
     fn sparse_sample() -> CsrMatrix<f64> {
         // [1 0 2]
@@ -635,12 +808,14 @@ mod tests {
         }
     }
 
-    /// The selection fold over the row tiles of a symmetric `K`, each
-    /// folded both through the public entry and through the generic body,
-    /// then scaled by `−2`, against the gather's bits.
+    /// The packed fold over ragged panels of a symmetric `K`'s lower
+    /// triangle, each folded both through the public entry and through the
+    /// generic body (one band over the panel's columns), then scaled by
+    /// `−2`, against the gather's bits over the full matrix.
     fn check_symmetric_fold_bits<T: Scalar>(n: usize, bits: fn(T) -> u64) {
         let raw = awkward_dense::<T>(n, n, 3);
         let kmat = DenseMatrix::from_fn(n, n, |i, j| raw[(i.min(j), i.max(j))]);
+        let packed = PackedSymmetric::from_lower(&kmat).unwrap();
         let k = 4;
         // Cluster 1 is empty.
         let labels: Vec<usize> = (0..n).map(|i| [0, 3, 0, 2, 3][i % 5]).collect();
@@ -656,18 +831,29 @@ mod tests {
         let alpha = T::from_f64(-2.0);
         let mut gathered = vec![T::ZERO; n * k];
         spmm_transpose_b_into(alpha, &kmat, selection.csr(), None, &mut gathered).unwrap();
+        let all: Vec<usize> = (0..k).collect();
         for tile_rows in [1, 7, 8, 13, n] {
             let mut dispatched = vec![T::ZERO; k * n];
             let mut generic = vec![T::ZERO; k * n];
             let mut r0 = 0;
             while r0 < n {
                 let r1 = (r0 + tile_rows).min(n);
-                let tile = DenseMatrix::from_fn(r1 - r0, n, |li, j| kmat[(r0 + li, j)]);
-                let tile_labels = &labels[r0..r1];
-                spmm_selection_rows_accumulate(&tile, tile_labels, &weights, None, &mut dispatched)
+                let panel = packed.rows(r0..r1);
+                spmm_selection_lower_accumulate(panel, &selection, &weights, None, &mut dispatched)
                     .unwrap();
-                let mut acc_rows: Vec<&mut [T]> = generic.chunks_exact_mut(n).collect();
-                fold_selection_rows(&tile, tile_labels, &weights, None, 0..n, &mut acc_rows);
+                let mut acc_rows: Vec<&mut [T]> = generic
+                    .chunks_exact_mut(n)
+                    .map(|row| &mut row[..r1])
+                    .collect();
+                fold_lower_band(
+                    panel,
+                    &selection,
+                    &weights,
+                    None,
+                    &all,
+                    0..r1,
+                    &mut acc_rows,
+                );
                 r0 = r1;
             }
             for i in 0..n {
@@ -695,24 +881,46 @@ mod tests {
 
     #[test]
     fn selection_row_fold_validates_its_inputs() {
-        let tile = DenseMatrix::<f64>::filled(2, 3, 1.0);
+        let packed = PackedSymmetric::from_fn(3, |_, _| 1.0f64);
+        let selection = SelectionMatrix::<f64>::from_assignments(&[0, 1, 0], 2).unwrap();
         let weights = [0.5, 1.0];
         let mut acc = vec![0.0; 6];
-        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, None, &mut acc).is_ok());
-        assert_eq!(acc, vec![0.5, 0.5, 0.5, 1.0, 1.0, 1.0]);
-        assert!(spmm_selection_rows_accumulate(&tile, &[0], &weights, None, &mut acc).is_err());
+        let panel = packed.rows(0..3);
+        assert!(
+            spmm_selection_lower_accumulate(panel, &selection, &weights, None, &mut acc).is_ok()
+        );
+        assert_eq!(acc, vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let short = &mut acc[..4];
-        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, None, short).is_err());
+        assert!(spmm_selection_lower_accumulate(panel, &selection, &weights, None, short).is_err());
         let set = Some(&[true][..]);
-        assert!(spmm_selection_rows_accumulate(&tile, &[0, 1], &weights, set, &mut acc).is_err());
+        assert!(
+            spmm_selection_lower_accumulate(panel, &selection, &weights, set, &mut acc).is_err()
+        );
+        assert!(
+            spmm_selection_lower_accumulate(panel, &selection, &weights[..1], None, &mut acc)
+                .is_err()
+        );
+        // A panel past the selection's points.
+        let wide = PackedSymmetric::from_fn(4, |_, _| 1.0f64);
         assert!(matches!(
-            spmm_selection_rows_accumulate(&tile, &[0, 2], &weights, None, &mut acc),
-            Err(SparseError::InvalidAssignment {
-                point: 1,
-                label: 2,
-                k: 2
-            })
+            spmm_selection_lower_accumulate(wide.rows(0..4), &selection, &weights, None, &mut acc),
+            Err(SparseError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn lower_bands_cover_the_panel_columns_in_order() {
+        for (rows, parts) in [(0..1, 2), (0..40, 3), (10..20, 2), (39..40, 4), (5..6, 1)] {
+            let bands = lower_bands(rows.clone(), parts);
+            assert_eq!(bands.first().unwrap().start, 0);
+            assert_eq!(bands.last().unwrap().end, rows.end);
+            assert!(bands.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(bands.iter().all(|b| !b.is_empty()));
+        }
+        // The first step weighs more, so the later columns' bands narrow.
+        let bands = lower_bands(0..4000, 2);
+        assert!(bands[0].len() > bands[1].len(), "{bands:?}");
+        assert_eq!(lower_bands(0..3, 8), vec![0..1, 1..2, 2..3]);
     }
 
     #[test]
@@ -813,7 +1021,8 @@ mod tests {
         }
         check(&full, &subset, &|cell| cell % k, "csr");
 
-        // The row path accumulates: the set's rows start from zero.
+        // The packed path accumulates: the set's rows start from zero.
+        let packed = PackedSymmetric::from_lower(&kmat).unwrap();
         let mut full = vec![T::ZERO; k * n];
         let mut subset = vec![sentinel; k * n];
         for (c, row) in subset.chunks_exact_mut(n).enumerate() {
@@ -822,10 +1031,9 @@ mod tests {
             }
         }
         for rows in [0..7, 7..8, 8..n] {
-            let tile = DenseMatrix::from_fn(rows.len(), n, |li, j| kmat[(rows.start + li, j)]);
-            let tile_labels = &labels[rows];
-            spmm_selection_rows_accumulate(&tile, tile_labels, &weights, None, &mut full).unwrap();
-            spmm_selection_rows_accumulate(&tile, tile_labels, &weights, Some(set), &mut subset)
+            let panel = packed.rows(rows);
+            spmm_selection_lower_accumulate(panel, &selection, &weights, None, &mut full).unwrap();
+            spmm_selection_lower_accumulate(panel, &selection, &weights, Some(set), &mut subset)
                 .unwrap();
         }
         check(&full, &subset, &|cell| cell / n, "rows");
