@@ -228,8 +228,8 @@ mod tests {
         let mut engine = CpuEngine::<f64>::new(3);
         engine.begin_iteration(0, &source, &labels, &exec).unwrap();
         source
-            .for_each_tile(&exec, &mut |rows, tile| {
-                engine.consume_tile(rows, tile, &exec)
+            .for_each_panel(&exec, None, &mut |rows, panel| {
+                engine.consume(rows, panel, &exec)
             })
             .unwrap();
         let ours = engine.finish_iteration(&exec).unwrap();

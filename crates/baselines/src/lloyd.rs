@@ -45,8 +45,9 @@ pub struct LloydKmeans {
 trait LloydPoints {
     fn n(&self) -> usize;
     fn d(&self) -> usize;
-    /// Point `i` as a dense `f64` vector (used for centroid seeding).
-    fn point(&self, i: usize) -> Vec<f64>;
+    /// Write point `i` into the zeroed dense `f64` vector `out` (centroid
+    /// seeding).
+    fn densify_into(&self, i: usize, out: &mut [f64]);
     /// `‖pᵢ − c‖²`; `c_sq_norm` is the precomputed `‖c‖²`.
     fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64;
     /// `acc += pᵢ` (used for the centroid update).
@@ -64,8 +65,10 @@ impl<T: Scalar> LloydPoints for &DenseMatrix<T> {
         self.cols()
     }
 
-    fn point(&self, i: usize) -> Vec<f64> {
-        self.row(i).iter().map(|v| v.to_f64()).collect()
+    fn densify_into(&self, i: usize, out: &mut [f64]) {
+        for (out, v) in out.iter_mut().zip(self.row(i)) {
+            *out = v.to_f64();
+        }
     }
 
     fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64 {
@@ -109,13 +112,11 @@ impl<T: Scalar> LloydPoints for &CsrMatrix<T> {
         self.cols()
     }
 
-    fn point(&self, i: usize) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.cols()];
+    fn densify_into(&self, i: usize, out: &mut [f64]) {
         let (cols, vals) = self.row(i);
         for (&j, &v) in cols.iter().zip(vals.iter()) {
             out[j] = v.to_f64();
         }
-        out
     }
 
     fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64 {
@@ -218,24 +219,33 @@ impl LloydKmeans {
                 let mut rng = StdRng::seed_from_u64(config.seed);
                 let mut indices: Vec<usize> = (0..n).collect();
                 indices.shuffle(&mut rng);
-                indices[..k].iter().map(|&i| points.point(i)).collect()
+                let mut centroids = zero_centroids(k, d)?;
+                for (centroid, &i) in centroids.iter_mut().zip(&indices[..k]) {
+                    points.densify_into(i, centroid);
+                }
+                centroids
             }
         };
 
         // The centroids that produced the final assignment (i.e. the set
         // entering the last assignment step) — the model a serving path
         // replays to reproduce `labels` exactly.
-        let mut last_assignment_centroids: Vec<Vec<f64>> = Vec::new();
+        let mut last_assignment_centroids = zero_centroids(k, d)?;
+        // The update's cluster sums, swapped with `centroids` once they
+        // hold the means, so no iteration allocates.
+        let mut sums = zero_centroids(k, d)?;
 
         let mut labels = vec![0usize; n];
-        let mut history = Vec::with_capacity(config.max_iter);
+        let mut history = Vec::new();
         let mut converged = false;
         let mut iterations = 0usize;
         let mut prev_objective = f64::INFINITY;
 
         for iteration in 0..config.max_iter {
             // Assignment step: nearest centroid in Euclidean distance.
-            last_assignment_centroids.clone_from(&centroids);
+            for (last, centroid) in last_assignment_centroids.iter_mut().zip(&centroids) {
+                last.copy_from_slice(centroid);
+            }
             let centroid_sq_norms: Vec<f64> = centroids
                 .iter()
                 .map(|c| c.iter().map(|&x| x * x).sum())
@@ -273,7 +283,7 @@ impl LloydKmeans {
             labels = new_labels;
 
             // Update step: new centroids are the cluster means.
-            let (new_centroids, empty_clusters) = executor.run(
+            let empty_clusters = executor.run(
                 format!("lloyd centroid update (n={n}, d={d}, k={k})"),
                 Phase::Assignment,
                 OpClass::Reduction,
@@ -283,7 +293,9 @@ impl LloydKmeans {
                     k as u64 * d as u64 * elem as u64,
                 ),
                 || {
-                    let mut sums = vec![vec![0.0f64; d]; k];
+                    for sum in &mut sums {
+                        sum.fill(0.0);
+                    }
                     let mut counts = vec![0usize; k];
                     for (i, &l) in labels.iter().enumerate() {
                         counts[l] += 1;
@@ -302,13 +314,13 @@ impl LloydKmeans {
                     // Preserve previous centroids for empty clusters.
                     for (c, count) in counts.iter().enumerate() {
                         if *count == 0 {
-                            sums[c] = centroids[c].clone();
+                            sums[c].copy_from_slice(&centroids[c]);
                         }
                     }
-                    (sums, empty)
+                    empty
                 },
             );
-            centroids = new_centroids;
+            std::mem::swap(&mut centroids, &mut sums);
 
             history.push(IterationStats {
                 iteration,
@@ -339,6 +351,26 @@ impl LloydKmeans {
         }
         Ok(result)
     }
+}
+
+/// `k` zeroed centroids of `d` coordinates, each reserved fallibly: points
+/// whose largest feature index is huge (a libSVM file's 4e9, say) get
+/// [`CoreError::HostAllocationFailed`] naming the shape, not an abort.
+fn zero_centroids(k: usize, d: usize) -> Result<Vec<Vec<f64>>> {
+    let failed = || CoreError::HostAllocationFailed {
+        what: "the dense centroids",
+        shape: (k, d),
+        bytes: k as u128 * d as u128 * std::mem::size_of::<f64>() as u128,
+    };
+    k.checked_mul(d).ok_or_else(failed)?;
+    (0..k)
+        .map(|_| {
+            let mut centroid = Vec::new();
+            centroid.try_reserve_exact(d).map_err(|_| failed())?;
+            centroid.resize(d, 0.0);
+            Ok(centroid)
+        })
+        .collect()
 }
 
 impl<T: Scalar> Solver<T> for LloydKmeans {
@@ -563,6 +595,30 @@ mod tests {
         assert!(
             (dense.objective - sparse.objective).abs() / dense.objective.abs().max(1e-12) < 1e-9
         );
+    }
+
+    #[test]
+    fn centroids_over_a_huge_feature_index_are_a_typed_error() {
+        let d = 1usize << 61;
+        let points = CsrMatrix::from_raw(
+            2,
+            d,
+            vec![0, 2, 3],
+            vec![0, d - 1, 1],
+            vec![1.0f64, 2.0, 3.0],
+        )
+        .unwrap();
+        for k in [1, 2] {
+            let err = LloydKmeans::new(config(k)).fit_sparse(&points).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::HostAllocationFailed {
+                    what: "the dense centroids",
+                    shape: (k, d),
+                    bytes: k as u128 * d as u128 * 8,
+                }
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::init::initial_assignments_source;
-use crate::kernel_source::{for_each_panel, KernelSource};
+use crate::kernel_source::KernelSource;
 use crate::pipeline::{DistanceEngine, LoopState};
 use crate::result::ClusteringResult;
 use crate::solver::FitInput;
@@ -646,7 +646,7 @@ fn lockstep<T: Scalar>(
             meter.tile_consumed_external(seconds);
             Ok(())
         };
-        for_each_panel(source, shared_executor, None, &mut |rows, panel| {
+        source.for_each_panel(shared_executor, None, &mut |rows, panel| {
             fold(&|run| run.engine.consume(rows.clone(), panel, &*run.executor))
         })?;
         meter.finish_pass();
@@ -683,7 +683,7 @@ fn lockstep<T: Scalar>(
 /// # Host parallelism
 ///
 /// [`BatchOptions::host_threads`] fans the per-job seeding and
-/// `begin_iteration` / `consume_tile` / `finish_iteration` + assignment work
+/// `begin_iteration` / `consume` / `finish_iteration` + assignment work
 /// of each phase out across host threads. The tile stream itself stays on
 /// the driver thread (one pass, charged once); workers
 /// own disjoint contiguous job chunks, every job's state/engine/executor is
@@ -1182,10 +1182,10 @@ mod tests {
             ) -> Result<()> {
                 Ok(())
             }
-            fn consume_tile(
+            fn consume(
                 &mut self,
                 _rows: std::ops::Range<usize>,
-                _tile: &popcorn_dense::DenseMatrix<f64>,
+                _panel: crate::Panel<'_, f64>,
                 _executor: &dyn Executor,
             ) -> Result<()> {
                 if self.explode {
@@ -1298,10 +1298,10 @@ mod tests {
             ) -> Result<()> {
                 Ok(())
             }
-            fn consume_tile(
+            fn consume(
                 &mut self,
                 _rows: std::ops::Range<usize>,
-                _tile: &popcorn_dense::DenseMatrix<f64>,
+                _panel: crate::Panel<'_, f64>,
                 _executor: &dyn Executor,
             ) -> Result<()> {
                 match self.seed {

@@ -46,7 +46,7 @@
 //! only the columns of `K` whose point now belongs to a dirty cluster. It
 //! names them ([`SelectionFold::columns`]), so a source that reconstructs
 //! its tiles ([`crate::nystrom::NystromKernel`]) produces just those
-//! columns ([`KernelSource::for_each_tile_of`]). A compact tile folds under
+//! columns (the `columns` of [`KernelSource::for_each_panel`]). A compact tile folds under
 //! `V` restricted to the listed columns: each dirty cluster's row keeps its
 //! members at their positions in the list, so cell `(i, c)` meets the same
 //! operands in the same ascending order, and the clean clusters' cells stay

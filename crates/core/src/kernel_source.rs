@@ -22,8 +22,9 @@
 //!   `CsrMatrix::gram_panel` and the dense products' per-entry dot
 //!   products), so labels, objectives and histories match to the last bit.
 //!
-//! A panel comes in one of three kinds ([`Panel`]), and [`for_each_panel`]
-//! is the one place that asks a source for its kind:
+//! A source streams `K` in one kind of panel ([`Panel`]), its own
+//! [`KernelSource::panel_kind`], through its one streaming method
+//! [`KernelSource::for_each_panel`]:
 //!
 //! * **lower** panels, the packed rows `K[r, 0..=r]`, from every source of
 //!   an exact symmetric `K` a solver computed: the in-core matrix, which the
@@ -34,13 +35,12 @@
 //! * **CSR** panels of a sparsified `K`;
 //! * **dense row** tiles `K[r0..r1, :]` from every other source: a caller's
 //!   own matrix, which promises no symmetry, and the Nyström
-//!   reconstruction. A reader that needs only some columns of `K` streams
-//!   them through [`KernelSource::for_each_tile_of`]:
+//!   reconstruction. A reader that needs only some columns of `K` names
+//!   them in `for_each_panel`'s `columns`:
 //!   [`crate::nystrom::NystromKernel`] then reconstructs just those columns.
 //!
-//! Every source also hands out full dense rows ([`KernelSource::row`],
-//! [`KernelSource::for_each_tile`]) for the readers that need them: kernel
-//! k-means++ seeding and the kNN sparsifier's selection pass.
+//! Every source also hands out single full rows ([`KernelSource::row`]) for
+//! kernel k-means++ seeding.
 //!
 //! [`plan_tile_rows`] is the residency planner: given the device's
 //! [`DeviceSpec::mem_bytes`] capacity it keeps the full matrix when it fits,
@@ -93,16 +93,6 @@ impl TilePolicy {
 /// The tile-visitor callback type of [`KernelSource::for_each_tile`].
 pub type TileVisitor<'a, T> = dyn FnMut(Range<usize>, &DenseMatrix<T>) -> Result<()> + 'a;
 
-/// The sparse-tile visitor callback type of
-/// [`KernelSource::for_each_csr_tile`]: each call hands out a zero-copy
-/// row-panel view `K[r0..r1, :]` of the resident CSR kernel matrix.
-pub type CsrTileVisitor<'a, T> = dyn FnMut(Range<usize>, CsrRows<'_, T>) -> Result<()> + 'a;
-
-/// The lower-tile visitor callback type of
-/// [`KernelSource::for_each_lower_tile`]: each call hands out the packed
-/// rows `K[r, 0..=r]` for `r ∈ r0..r1`.
-pub type LowerTileVisitor<'a, T> = dyn FnMut(Range<usize>, PackedRows<'_, T>) -> Result<()> + 'a;
-
 /// The kind of row panel a source hands out (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelKind {
@@ -117,47 +107,25 @@ pub enum PanelKind {
 /// One row panel of `K`, of the kind its source hands out.
 #[derive(Debug, Clone, Copy)]
 pub enum Panel<'t, T: Scalar> {
-    /// Dense rows, full or compact ([`KernelSource::for_each_tile_of`]).
+    /// Dense rows, full or compact (see [`KernelSource::for_each_panel`]).
     Rows(&'t DenseMatrix<T>),
-    /// Packed lower rows ([`KernelSource::for_each_lower_tile`]).
+    /// Packed lower rows `K[r, 0..=r]`.
     Lower(PackedRows<'t, T>),
-    /// CSR rows ([`KernelSource::for_each_csr_tile`]).
+    /// CSR rows: a zero-copy view of a resident sparse `K`.
     Csr(CsrRows<'t, T>),
 }
 
-/// The panel visitor callback type of [`for_each_panel`].
+/// The panel visitor callback type of [`KernelSource::for_each_panel`].
 pub type PanelVisitor<'a, T> = dyn FnMut(Range<usize>, Panel<'_, T>) -> Result<()> + 'a;
 
-/// Stream `source`'s panels, in ascending row order, in the kind it hands
-/// out: the one dispatch over the panel kinds, shared by the fit, the
-/// lockstep batch and model extraction. `columns` are the columns the
-/// reader needs when it reads dense rows ([`KernelSource::for_each_tile_of`]).
-pub fn for_each_panel<T: Scalar>(
-    source: &dyn KernelSource<T>,
-    executor: &dyn Executor,
-    columns: Option<&[usize]>,
-    f: &mut PanelVisitor<'_, T>,
-) -> Result<()> {
-    match source.panel_kind() {
-        PanelKind::Rows => source.for_each_tile_of(executor, columns, &mut |rows, tile| {
-            f(rows, Panel::Rows(tile))
-        }),
-        PanelKind::Lower => {
-            source.for_each_lower_tile(executor, &mut |rows, tile| f(rows, Panel::Lower(tile)))
-        }
-        PanelKind::Csr => {
-            source.for_each_csr_tile(executor, &mut |rows, tile| f(rows, Panel::Csr(tile)))
-        }
-    }
-}
-
-/// Row-tile access to the kernel matrix `K`.
+/// Row-panel access to the kernel matrix `K`.
 ///
-/// The iteration pipeline and the batch driver consume `K` exclusively
-/// through this trait, in the panel kind the source hands out
-/// ([`for_each_panel`]); whether the matrix is resident ([`FullKernel`]) or
-/// recomputed per tile ([`TiledKernel`]) is invisible to them — including in
-/// the results, which are bit-identical across backends.
+/// The iteration pipeline, the batch driver and model extraction consume
+/// `K` exclusively through [`KernelSource::for_each_panel`], in the panel
+/// kind the source hands out; whether the matrix is resident
+/// ([`FullKernel`]) or recomputed per tile ([`TiledKernel`]) is invisible to
+/// them — including in the results, which are bit-identical across
+/// backends.
 ///
 /// Sources are `Sync` by contract: the parallel batch driver fans per-job
 /// engine work out across host threads while every worker reads the same
@@ -167,10 +135,6 @@ pub trait KernelSource<T: Scalar>: Sync {
     /// Number of points `n` (the matrix is `n × n`).
     fn n(&self) -> usize;
 
-    /// Rows per tile handed to [`KernelSource::for_each_tile`] (equals `n`
-    /// for the in-core backend).
-    fn tile_rows(&self) -> usize;
-
     /// `diag(K)` — the squared feature-space point norms `P̃` (paper §3.3).
     /// Charged to the executor on first call, cached afterwards.
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>>;
@@ -179,27 +143,61 @@ pub trait KernelSource<T: Scalar>: Sync {
     /// distances, i.e. arbitrary rows).
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>>;
 
-    /// Stream the matrix as contiguous row tiles, calling
-    /// `f(r0..r1, &tile)` with `tile` holding rows `r0..r1` (shape
-    /// `(r1 - r0) × n`). [`TiledKernel`] charges each tile's recomputation to
-    /// the executor here; [`FullKernel`] charges nothing.
-    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()>;
+    /// The kind of panel [`KernelSource::for_each_panel`] streams.
+    fn panel_kind(&self) -> PanelKind;
 
-    /// [`KernelSource::for_each_tile`] for a reader of only some columns of
-    /// `K`: `columns`, ascending and distinct (`None` for every column). A
-    /// source may then hand out compact tiles `K[r0..r1, columns]`, exactly
-    /// `columns.len()` wide, their column `p` being `K`'s column
-    /// `columns[p]`, bit for bit. Every tile is either that or `n` wide, and
-    /// each is charged as the full tile it stands for. The default streams
-    /// full tiles: a resident matrix has nothing to save.
-    fn for_each_tile_of(
+    /// Stream `K` as contiguous row panels of this source's
+    /// [`KernelSource::panel_kind`], calling `f(r0..r1, panel)` in ascending
+    /// row order until the panels cover `0..n` once. A source that
+    /// recomputes its panels charges each one to the executor here, as the
+    /// full tile it stands for; resident state charges nothing.
+    ///
+    /// `columns` names the columns a reader of dense rows needs, ascending
+    /// and distinct (`None` for every column). A source of
+    /// [`PanelKind::Rows`] may then hand out compact tiles `K[r0..r1,
+    /// columns]`, exactly `columns.len()` wide, their column `p` being `K`'s
+    /// column `columns[p]`, bit for bit; every tile is either that or `n`
+    /// wide. Lower and CSR panels ignore it.
+    ///
+    /// A source of [`PanelKind::Lower`] promises that `K` is bitwise
+    /// symmetric — `K[l][i]` and `K[i][l]` are the same bits, so a fold may
+    /// read either from the stored one — by construction: a kernel matrix a
+    /// solver computed from points (GEMM and SYRK entries are the same
+    /// sequential dot product, the SpGEMM walk multiplies commuting operands
+    /// in the same order for `(i, j)` and `(j, i)`, and every kernel map is
+    /// symmetric in `(b_ii, b_jj)`), or state checked on load.
+    fn for_each_panel(
         &self,
         executor: &dyn Executor,
         columns: Option<&[usize]>,
-        f: &mut TileVisitor<'_, T>,
-    ) -> Result<()> {
-        let _ = columns;
-        self.for_each_tile(executor, f)
+        f: &mut PanelVisitor<'_, T>,
+    ) -> Result<()>;
+
+    /// The kernel state this source keeps resident, as a fitted model keeps
+    /// it: [`crate::FittedModel`] extraction stores what this returns, so a
+    /// source that owns its state behind an `Arc` shares it with the model
+    /// instead of copying it, and a source that recomputes its tiles every
+    /// pass returns [`ResidentKernel::Streamed`] at its tile height.
+    fn resident(&self) -> ResidentKernel<T>;
+
+    /// Stream a source of [`PanelKind::Rows`] as its full row tiles
+    /// `K[r0..r1, :]`: [`KernelSource::for_each_panel`] over every column.
+    /// Any other kind errs with [`CoreError::Unsupported`] before it
+    /// computes anything.
+    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
+        let unsupported = || {
+            CoreError::Unsupported(format!(
+                "a source of {:?} panels hands out no dense row tiles",
+                self.panel_kind()
+            ))
+        };
+        if self.panel_kind() != PanelKind::Rows {
+            return Err(unsupported());
+        }
+        self.for_each_panel(executor, None, &mut |rows, panel| match panel {
+            Panel::Rows(tile) => f(rows, tile),
+            Panel::Lower(_) | Panel::Csr(_) => Err(unsupported()),
+        })
     }
 
     /// A cheap quality bound for *approximate* sources — `None` (the
@@ -218,64 +216,6 @@ pub trait KernelSource<T: Scalar>: Sync {
     fn csr(&self) -> Option<&CsrMatrix<T>> {
         None
     }
-
-    /// The kind of panel [`for_each_panel`] streams from this source: CSR
-    /// panels when it keeps a CSR matrix, dense rows by default. A source of
-    /// packed lower rows says [`PanelKind::Lower`] and implements
-    /// [`KernelSource::for_each_lower_tile`].
-    fn panel_kind(&self) -> PanelKind {
-        if self.csr().is_some() {
-            PanelKind::Csr
-        } else {
-            PanelKind::Rows
-        }
-    }
-
-    /// Stream the resident CSR matrix as contiguous row-panel views, calling
-    /// `f(r0..r1, panel)`. Only sources that return `Some` from
-    /// [`KernelSource::csr`] support this; the default errs.
-    fn for_each_csr_tile(
-        &self,
-        _executor: &dyn Executor,
-        _f: &mut CsrTileVisitor<'_, T>,
-    ) -> Result<()> {
-        Err(CoreError::Unsupported(
-            "this kernel source keeps no CSR-resident matrix to stream".into(),
-        ))
-    }
-
-    /// Stream `K` as packed lower rows, calling `f(r0..r1, panel)` with
-    /// `panel` holding `K[r, 0..=r]` for each `r` in `r0..r1`, in ascending
-    /// row order and charged as the full tiles they stand for. Only sources
-    /// of [`PanelKind::Lower`] support this, and they promise that `K` is
-    /// bitwise symmetric — `K[l][i]` and `K[i][l]` are the same bits, so a
-    /// fold may read either from the stored one — by construction: a kernel
-    /// matrix a solver computed from points (GEMM and SYRK entries are the
-    /// same sequential dot product, the SpGEMM walk multiplies commuting
-    /// operands in the same order for `(i, j)` and `(j, i)`, and every
-    /// kernel map is symmetric in `(b_ii, b_jj)`), or state checked on load.
-    /// The default errs.
-    fn for_each_lower_tile(
-        &self,
-        _executor: &dyn Executor,
-        _f: &mut LowerTileVisitor<'_, T>,
-    ) -> Result<()> {
-        Err(CoreError::Unsupported(
-            "this kernel source hands out no packed lower rows".into(),
-        ))
-    }
-
-    /// The kernel state this source keeps resident, as a fitted model keeps
-    /// it: [`crate::FittedModel`] extraction stores what this returns, so a
-    /// source that owns its state behind an `Arc` shares it with the model
-    /// instead of copying it. The default — for sources that recompute their
-    /// tiles every pass — is [`ResidentKernel::Streamed`] at this source's
-    /// tile height.
-    fn resident(&self) -> ResidentKernel<T> {
-        ResidentKernel::Streamed {
-            tile_rows: self.tile_rows(),
-        }
-    }
 }
 
 /// The in-core backend: a precomputed kernel matrix. One tile spans all
@@ -292,8 +232,8 @@ enum Matrix<'a, T: Scalar> {
     /// no symmetry: its tiles are dense rows.
     Borrowed(&'a DenseMatrix<T>),
     /// A matrix a solver computed from points, kept as its packed lower
-    /// triangle and shared with a fitted model that keeps it. Its tiles are
-    /// lower panels (see [`KernelSource::for_each_lower_tile`]).
+    /// triangle and shared with a fitted model that keeps it. Its panels are
+    /// lower panels.
     Shared(Arc<PackedSymmetric<T>>),
 }
 
@@ -335,10 +275,6 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         }
     }
 
-    fn tile_rows(&self) -> usize {
-        self.n()
-    }
-
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
         // Hold the lock across compute-and-store so concurrent first calls
         // (parallel per-job engines) charge the extraction exactly once.
@@ -365,15 +301,6 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         })
     }
 
-    /// One tile of full rows: the caller's matrix, or the computed one
-    /// expanded from its triangle.
-    fn for_each_tile(&self, _executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        match &self.matrix {
-            Matrix::Borrowed(m) => f(0..m.rows(), m),
-            Matrix::Shared(m) => f(0..m.n(), &m.to_dense()),
-        }
-    }
-
     fn panel_kind(&self) -> PanelKind {
         match self.matrix {
             Matrix::Borrowed(_) => PanelKind::Rows,
@@ -381,16 +308,17 @@ impl<T: Scalar> KernelSource<T> for FullKernel<'_, T> {
         }
     }
 
-    fn for_each_lower_tile(
+    /// One uncharged panel of every row: the caller's matrix as dense rows,
+    /// a computed one as its packed lower triangle.
+    fn for_each_panel(
         &self,
         _executor: &dyn Executor,
-        f: &mut LowerTileVisitor<'_, T>,
+        _columns: Option<&[usize]>,
+        f: &mut PanelVisitor<'_, T>,
     ) -> Result<()> {
         match &self.matrix {
-            Matrix::Shared(m) => f(0..m.n(), m.rows(0..m.n())),
-            Matrix::Borrowed(_) => Err(CoreError::Unsupported(
-                "a caller's kernel matrix promises no symmetry to pack".into(),
-            )),
+            Matrix::Borrowed(m) => f(0..m.rows(), Panel::Rows(m)),
+            Matrix::Shared(m) => f(0..m.n(), Panel::Lower(m.rows(0..m.n()))),
         }
     }
 
@@ -501,25 +429,31 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         (0..n).step_by(step).map(move |r0| r0..(r0 + step).min(n))
     }
 
-    /// Compute (and charge) one finished kernel-matrix tile `K[r0..r1, :]`:
-    /// the Gram panel with the kernel map in its write-back, recorded as the
-    /// panel and then the map. The full-row producer, for the readers of
-    /// full rows: seeding's rows and the sparsifier's selection pass.
-    pub(crate) fn compute_tile(
+    /// Stream `K` as full row tiles `K[r0..r1, :]`, each the Gram panel with
+    /// the kernel map in its write-back, recorded as the panel and then the
+    /// map: for the one reader of whole rows, the kNN sparsifier's
+    /// selection pass.
+    pub(crate) fn for_each_row_tile(
         &self,
-        r0: usize,
-        r1: usize,
         executor: &dyn Executor,
-    ) -> Result<DenseMatrix<T>> {
-        let tile = self.kernel_panel(r0, r1, false, executor)?;
-        self.charge_map(format_args!("tile rows {r0}..{r1}"), r1 - r0, executor);
-        Ok(DenseMatrix::from_vec(r1 - r0, self.points.n(), tile)?)
+        f: &mut TileVisitor<'_, T>,
+    ) -> Result<()> {
+        for rows in self.tiles() {
+            let (r0, r1) = (rows.start, rows.end);
+            let tile = self.kernel_panel(r0, r1, false, executor)?;
+            self.charge_map(format_args!("tile rows {r0}..{r1}"), r1 - r0, executor);
+            f(
+                rows,
+                &DenseMatrix::from_vec(r1 - r0, self.points.n(), tile)?,
+            )?;
+        }
+        Ok(())
     }
 
-    /// [`TiledKernel::compute_tile`] for the lower panel: the packed rows
-    /// `K[r, 0..=r]` for `r ∈ r0..r1`, about half the work and the bytes of
-    /// the full tile, under the same records — the step both this source's
-    /// own streaming loop and the row-sharded source price per tile.
+    /// Compute (and charge) one lower panel: the packed rows `K[r, 0..=r]`
+    /// for `r ∈ r0..r1`, about half the work and the bytes of the full tile,
+    /// under the full tile's records — the step both this source's own
+    /// stream and the row-sharded source price per tile.
     pub(crate) fn compute_lower_tile(
         &self,
         r0: usize,
@@ -666,10 +600,6 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
         self.points.n()
     }
 
-    fn tile_rows(&self) -> usize {
-        self.tile_rows
-    }
-
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
         let mut cache = self.diag_cache.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(diag) = cache.as_ref() {
@@ -701,29 +631,28 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
         Ok(row)
     }
 
-    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        for rows in self.tiles() {
-            let tile = self.compute_tile(rows.start, rows.end, executor)?;
-            f(rows, &tile)?;
-        }
-        Ok(())
-    }
-
     /// The panels are rows of the full computed matrix, bit for bit.
     fn panel_kind(&self) -> PanelKind {
         PanelKind::Lower
     }
 
-    fn for_each_lower_tile(
+    fn for_each_panel(
         &self,
         executor: &dyn Executor,
-        f: &mut LowerTileVisitor<'_, T>,
+        _columns: Option<&[usize]>,
+        f: &mut PanelVisitor<'_, T>,
     ) -> Result<()> {
         for rows in self.tiles() {
             let tile = self.compute_lower_tile(rows.start, rows.end, executor)?;
-            f(rows.clone(), PackedRows::new(rows, &tile)?)?;
+            f(rows.clone(), Panel::Lower(PackedRows::new(rows, &tile)?))?;
         }
         Ok(())
+    }
+
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Streamed {
+            tile_rows: self.tile_rows,
+        }
     }
 }
 
@@ -992,13 +921,82 @@ pub fn plan_tile_rows(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel_matrix::{compute_gram, compute_gram_csr, compute_kernel_matrix};
     use crate::strategy::{GramRoutine, KernelMatrixStrategy};
     use popcorn_gpusim::SimExecutor;
     use popcorn_gpusim::GIB;
     use popcorn_sparse::CsrMatrix;
+
+    /// One [`KernelSource::for_each_panel`] pass of `source` over `columns`,
+    /// assembled into the dense `n × n` matrix it stands for, checking the
+    /// panel contract on the way: every panel is of the source's
+    /// [`KernelSource::panel_kind`], and the row ranges cover `0..n` once,
+    /// ascending and contiguous. A compact tile fills only its columns; lower
+    /// panels fill both triangles.
+    pub(crate) fn panel_pass<T: Scalar>(
+        source: &dyn KernelSource<T>,
+        executor: &dyn Executor,
+        columns: Option<&[usize]>,
+    ) -> DenseMatrix<T> {
+        let n = source.n();
+        let mut matrix = DenseMatrix::zeros(n, n);
+        let mut next = 0;
+        source
+            .for_each_panel(executor, columns, &mut |rows, panel| {
+                assert!(
+                    rows.start == next && rows.end > rows.start,
+                    "{rows:?} after {next}"
+                );
+                next = rows.end;
+                let kind = match panel {
+                    Panel::Rows(_) => PanelKind::Rows,
+                    Panel::Lower(_) => PanelKind::Lower,
+                    Panel::Csr(_) => PanelKind::Csr,
+                };
+                assert_eq!(kind, source.panel_kind());
+                match panel {
+                    Panel::Rows(tile) => {
+                        let width = columns.map_or(n, <[usize]>::len);
+                        assert!(tile.rows() == rows.len() && [n, width].contains(&tile.cols()));
+                        for (local, i) in rows.enumerate() {
+                            for (p, &v) in tile.row(local).iter().enumerate() {
+                                let j = if tile.cols() == n {
+                                    p
+                                } else {
+                                    columns.unwrap()[p]
+                                };
+                                matrix[(i, j)] = v;
+                            }
+                        }
+                    }
+                    Panel::Lower(packed) => {
+                        assert_eq!(packed.rows(), rows);
+                        for i in rows {
+                            for (j, &v) in packed.row(i).iter().enumerate() {
+                                matrix[(i, j)] = v;
+                                matrix[(j, i)] = v;
+                            }
+                        }
+                    }
+                    Panel::Csr(csr) => {
+                        assert_eq!((csr.first_row(), csr.row_count()), (rows.start, rows.len()));
+                        assert_eq!(csr.cols(), n);
+                        for (local, i) in rows.enumerate() {
+                            let (cols, vals) = csr.row(local);
+                            for (&j, &v) in cols.iter().zip(vals) {
+                                matrix[(i, j)] = v;
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(next, n, "the panels cover every row");
+        matrix
+    }
 
     fn sample_points(n: usize, d: usize) -> DenseMatrix<f64> {
         DenseMatrix::from_fn(n, d, |i, j| {
@@ -1010,14 +1008,15 @@ mod tests {
         })
     }
 
+    /// The tiled source's full row tiles, assembled.
     fn collect_tiles<T: Scalar>(
-        source: &dyn KernelSource<T>,
+        source: &TiledKernel<'_, T>,
         executor: &dyn Executor,
     ) -> DenseMatrix<T> {
         let n = source.n();
         let mut out = DenseMatrix::zeros(n, n);
         source
-            .for_each_tile(executor, &mut |rows, tile| {
+            .for_each_row_tile(executor, &mut |rows, tile| {
                 for (local, i) in rows.clone().enumerate() {
                     out.row_mut(i).copy_from_slice(tile.row(local));
                 }
@@ -1041,7 +1040,6 @@ mod tests {
         let k = k.to_dense();
         let source = FullKernel::new(&k).unwrap();
         assert_eq!(KernelSource::n(&source), 10);
-        assert_eq!(source.tile_rows(), 10);
         let before = exec.trace().len();
         let mut tiles = 0;
         source
@@ -1191,7 +1189,7 @@ mod tests {
                 let source = TiledKernel::new(input, kernel, 7, &exec).unwrap();
                 let mut tiles = 0;
                 source
-                    .for_each_tile(&exec, &mut |rows, tile| {
+                    .for_each_row_tile(&exec, &mut |rows, tile| {
                         tiles += 1;
                         let at = format!(
                             "{} tile {rows:?}, sparse {}",
@@ -1226,7 +1224,10 @@ mod tests {
                     let ragged = TiledKernel::new(input, kernel, tile_rows, &exec).unwrap();
                     let (mut tiles, mut seen) = (0, Vec::new());
                     ragged
-                        .for_each_lower_tile(&exec, &mut |rows, panel| {
+                        .for_each_panel(&exec, None, &mut |rows, panel| {
+                            let Panel::Lower(panel) = panel else {
+                                panic!("a tiled source hands out lower panels")
+                            };
                             tiles += 1;
                             assert_eq!(panel.rows(), rows);
                             seen.extend(bits(panel.as_slice()));
@@ -1342,13 +1343,19 @@ mod tests {
             &exec,
         )
         .unwrap();
-        assert_eq!(source.tile_rows(), 5);
+        assert!(matches!(
+            source.resident(),
+            ResidentKernel::Streamed { tile_rows: 5 }
+        ));
         assert!(exec.peak_resident_bytes() >= 5 * 12 * 8);
         let before = exec.trace().len();
         let mut tile_shapes = Vec::new();
         source
-            .for_each_tile(&exec, &mut |rows, tile| {
-                tile_shapes.push((rows, tile.rows()));
+            .for_each_panel(&exec, None, &mut |rows, panel| {
+                let Panel::Lower(panel) = panel else {
+                    panic!("a tiled source hands out lower panels")
+                };
+                tile_shapes.push((rows, panel.rows().len()));
                 Ok(())
             })
             .unwrap();
@@ -1375,7 +1382,9 @@ mod tests {
         )
         .unwrap();
         let mark = exec.trace().len();
-        source.for_each_tile(&exec, &mut |_, _| Ok(())).unwrap();
+        source
+            .for_each_panel(&exec, None, &mut |_, _| Ok(()))
+            .unwrap();
         let trace = exec.trace();
         let (_, spgemm_flops) = trace.class_summary(OpClass::SpGEMM);
         assert_eq!(spgemm_flops, csr.gram_flops());

@@ -53,8 +53,7 @@ pub use errors::CoreError;
 pub use init::Initialization;
 pub use kernel::KernelFunction;
 pub use kernel_source::{
-    for_each_panel, CsrTileVisitor, FullKernel, KernelSource, LowerTileVisitor, Panel, PanelKind,
-    PanelVisitor, TilePolicy, TileVisitor, TiledKernel,
+    FullKernel, KernelSource, Panel, PanelKind, PanelVisitor, TilePolicy, TileVisitor, TiledKernel,
 };
 pub use model::{
     AssignmentBatch, FittedModel, ModelFamily, ModelFormat, OwnedPoints, RefitRequest,

@@ -32,7 +32,9 @@ use crate::fold::{FoldWeights, SelectionFold};
 use crate::init::Initialization;
 use crate::kernel::{KernelFunction, KernelMap};
 use crate::kernel_matrix::{charge_kernel_map, INDEX_BYTES};
-use crate::kernel_source::{self, KernelSource, Panel, PanelKind, TilePolicy, TiledKernel};
+use crate::kernel_source::{
+    self, KernelSource, Panel, PanelKind, PanelVisitor, TilePolicy, TiledKernel,
+};
 use crate::nystrom::{KernelApprox, NystromFactors};
 use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
@@ -1079,7 +1081,7 @@ fn extract<T: Scalar>(
     executor.track_alloc(n as u64 * k as u64 * elem as u64);
     let mut fold = SelectionFold::new(FoldWeights::Unit, 1.0);
     fold.begin(source, SelectionMatrix::from_assignments(&labels, k)?, true);
-    kernel_source::for_each_panel(source, executor, None, &mut |rows, panel| {
+    source.for_each_panel(executor, None, &mut |rows, panel| {
         let (r0, r1, t) = (rows.start, rows.end, rows.len() as u64);
         let (name, cost) = match panel {
             Panel::Csr(csr) => {
@@ -1149,50 +1151,48 @@ fn extract<T: Scalar>(
 /// so a refit over this source shares it with the model.
 struct ModelSource<'a, T: Scalar> {
     model: &'a FittedModel<T>,
-    tiled: Option<TiledKernel<'a, T>>,
+    kernel: ModelKernel<'a, T>,
+}
+
+/// A fitted model's kernel state, as its source streams it.
+enum ModelKernel<'a, T: Scalar> {
+    Full(&'a PackedSymmetric<T>),
+    Csr(&'a CsrMatrix<T>),
+    /// The factors and the tile height of their panels.
+    Nystrom(&'a NystromFactors<T>, usize),
+    /// `streamed` state recomputes the fit's exact panels.
+    Streamed(Box<TiledKernel<'a, T>>),
 }
 
 impl<'a, T: Scalar> ModelSource<'a, T> {
     fn new(model: &'a FittedModel<T>, executor: &dyn Executor) -> Result<Self> {
-        let tiled = match &model.resident {
-            ResidentKernel::Streamed { tile_rows } => Some(TiledKernel::new(
-                model.points.as_input(),
-                model.config.kernel,
-                *tile_rows,
-                executor,
-            )?),
+        let kernel = match &model.resident {
+            ResidentKernel::Full(matrix) => ModelKernel::Full(matrix),
+            ResidentKernel::Csr(matrix) => ModelKernel::Csr(matrix),
+            ResidentKernel::Nystrom { factors, tile_rows } => {
+                ModelKernel::Nystrom(factors, *tile_rows)
+            }
+            ResidentKernel::Streamed { tile_rows } => {
+                ModelKernel::Streamed(Box::new(TiledKernel::new(
+                    model.points.as_input(),
+                    model.config.kernel,
+                    *tile_rows,
+                    executor,
+                )?))
+            }
             ResidentKernel::None => {
                 return Err(CoreError::Unsupported(
                     "Lloyd models keep no kernel-matrix state to serve".into(),
                 ))
             }
-            _ => None,
         };
-        Ok(Self { model, tiled })
-    }
-
-    /// The recomputing source of a `streamed` model. Every engine folds
-    /// CSR-resident state panel by panel, so no other state streams dense
-    /// tiles through it.
-    fn tiled(&self) -> Result<&TiledKernel<'a, T>> {
-        self.tiled.as_ref().ok_or_else(|| {
-            CoreError::Unsupported("this model's kernel state streams no dense tiles".into())
-        })
+        Ok(Self { model, kernel })
     }
 }
 
 impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     fn n(&self) -> usize {
         self.model.n()
-    }
-
-    fn tile_rows(&self) -> usize {
-        match &self.model.resident {
-            ResidentKernel::Nystrom { tile_rows, .. } | ResidentKernel::Streamed { tile_rows } => {
-                *tile_rows
-            }
-            _ => self.model.n(),
-        }
     }
 
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
@@ -1204,13 +1204,13 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
         let n = self.model.n();
         let elem = std::mem::size_of::<T>();
-        match &self.model.resident {
-            ResidentKernel::Full(matrix) => {
+        match &self.kernel {
+            ModelKernel::Full(matrix) => {
                 let mut row = vec![T::ZERO; n];
                 matrix.full_row_into(i, &mut row);
                 Ok(row)
             }
-            ResidentKernel::Csr(matrix) => Ok(executor.run(
+            ModelKernel::Csr(matrix) => Ok(executor.run(
                 format!("serve gather K row {i} (nnz={})", matrix.row_nnz(i)),
                 Phase::PairwiseDistances,
                 OpClass::Elementwise,
@@ -1224,38 +1224,43 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
                     row
                 },
             )),
-            ResidentKernel::Nystrom { factors, .. } => {
+            ModelKernel::Nystrom(factors, _) => {
                 let m = factors.landmarks.len();
                 let name = format!("serve nystrom row {i} (n={n}, m={m})");
                 let panel =
                     factors.panel(name, Phase::PairwiseDistances, i..i + 1, None, executor)?;
                 Ok(panel.row(0).to_vec())
             }
-            _ => self.tiled()?.row(i, executor),
+            ModelKernel::Streamed(tiled) => tiled.row(i, executor),
         }
     }
 
-    fn for_each_tile(
-        &self,
-        executor: &dyn Executor,
-        f: &mut kernel_source::TileVisitor<'_, T>,
-    ) -> Result<()> {
-        self.for_each_tile_of(executor, None, f)
+    /// A resident `full` matrix is the fit's computed `K` (checked symmetric
+    /// on load), and `streamed` state recomputes the fit's exact panels:
+    /// both hand out packed lower rows. Nyström panels are dense rows.
+    fn panel_kind(&self) -> PanelKind {
+        match self.kernel {
+            ModelKernel::Full(_) | ModelKernel::Streamed(_) => PanelKind::Lower,
+            ModelKernel::Csr(_) => PanelKind::Csr,
+            ModelKernel::Nystrom(..) => PanelKind::Rows,
+        }
     }
 
-    /// Nyström panels reconstruct only the requested columns, as the fit's
-    /// source does; resident and streamed exact state hand out full rows
-    /// (the fit's passes read their lower panels instead).
-    fn for_each_tile_of(
+    /// Resident state is one uncharged panel, a zero-copy view like the
+    /// fit-time sources'. Nyström panels reconstruct only the requested
+    /// columns, as the fit's source does, and `streamed` state recomputes
+    /// the fit's panels.
+    fn for_each_panel(
         &self,
         executor: &dyn Executor,
         columns: Option<&[usize]>,
-        f: &mut kernel_source::TileVisitor<'_, T>,
+        f: &mut PanelVisitor<'_, T>,
     ) -> Result<()> {
         let n = self.model.n();
-        match &self.model.resident {
-            ResidentKernel::Full(matrix) => f(0..n, &matrix.to_dense()),
-            ResidentKernel::Nystrom { factors, tile_rows } => {
+        match &self.kernel {
+            ModelKernel::Full(matrix) => f(0..n, Panel::Lower(matrix.rows(0..n))),
+            ModelKernel::Csr(matrix) => f(0..n, Panel::Csr(matrix.rows_view(0..n))),
+            ModelKernel::Nystrom(factors, tile_rows) => {
                 let m = factors.landmarks.len();
                 let cross = factors.cross_rows(columns);
                 let step = (*tile_rows).max(1);
@@ -1265,12 +1270,12 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
                     let name = format!("serve nystrom panel rows {r0}..{r1} (n={n}, m={m})");
                     let phase = Phase::PairwiseDistances;
                     let tile = factors.panel(name, phase, r0..r1, cross.as_ref(), executor)?;
-                    f(r0..r1, &tile)?;
+                    f(r0..r1, Panel::Rows(&tile))?;
                     r0 = r1;
                 }
                 Ok(())
             }
-            _ => self.tiled()?.for_each_tile(executor, f),
+            ModelKernel::Streamed(tiled) => tiled.for_each_panel(executor, columns, f),
         }
     }
 
@@ -1278,46 +1283,11 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         self.model.approx_error_bound
     }
 
-    /// A resident `full` matrix is the fit's computed `K` (checked symmetric
-    /// on load), and `streamed` state recomputes the fit's exact panels:
-    /// both hand out packed lower rows.
-    fn panel_kind(&self) -> PanelKind {
-        match &self.model.resident {
-            ResidentKernel::Full(_) | ResidentKernel::Streamed { .. } => PanelKind::Lower,
-            ResidentKernel::Csr(_) => PanelKind::Csr,
-            _ => PanelKind::Rows,
-        }
-    }
-
-    fn for_each_lower_tile(
-        &self,
-        executor: &dyn Executor,
-        f: &mut kernel_source::LowerTileVisitor<'_, T>,
-    ) -> Result<()> {
-        match &self.model.resident {
-            ResidentKernel::Full(matrix) => f(0..matrix.n(), matrix.rows(0..matrix.n())),
-            _ => self.tiled()?.for_each_lower_tile(executor, f),
-        }
-    }
-
     fn csr(&self) -> Option<&CsrMatrix<T>> {
-        match &self.model.resident {
-            ResidentKernel::Csr(matrix) => Some(matrix),
+        match self.kernel {
+            ModelKernel::Csr(matrix) => Some(matrix),
             _ => None,
         }
-    }
-
-    fn for_each_csr_tile(
-        &self,
-        _executor: &dyn Executor,
-        f: &mut kernel_source::CsrTileVisitor<'_, T>,
-    ) -> Result<()> {
-        // Zero-copy view of the resident matrix, like the fit-time
-        // sparsified source: nothing to charge.
-        let matrix = self.csr().ok_or_else(|| {
-            CoreError::Unsupported("this model keeps no CSR-resident kernel matrix".into())
-        })?;
-        f(0..matrix.rows(), matrix.rows_view(0..matrix.rows()))
     }
 
     fn resident(&self) -> ResidentKernel<T> {
@@ -2679,6 +2649,67 @@ mod tests {
                 same_allocation(&model.resident, &refitted.resident),
                 "{kind} warm refit"
             );
+        }
+    }
+
+    #[test]
+    fn a_model_source_streams_the_panels_of_its_resident_kind() {
+        let points = toy_points();
+        let input = FitInput::Dense(&points);
+        let (_, exact) = KernelKmeans::new(toy_config()).fit_model(input).unwrap();
+        let ResidentKernel::Full(matrix) = &exact.resident else {
+            panic!("an in-core fit keeps the full K")
+        };
+        let sparsify = Sparsify::Knn { neighbors: 3 };
+        let nystrom = KernelApprox::Nystrom {
+            landmarks: 3,
+            seed: 1,
+        };
+        for (kind, config, panels) in [
+            ("full", toy_config(), PanelKind::Lower),
+            (
+                "streamed",
+                toy_config().with_tiling(TilePolicy::Rows(4)),
+                PanelKind::Lower,
+            ),
+            (
+                "csr",
+                toy_config().with_approx(KernelApprox::Sparsified { sparsify }),
+                PanelKind::Csr,
+            ),
+            (
+                "nystrom",
+                toy_config().with_approx(nystrom),
+                PanelKind::Rows,
+            ),
+        ] {
+            let (_, model) = KernelKmeans::new(config).fit_model(input).unwrap();
+            assert_eq!(model.resident_kind(), kind);
+            let exec = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
+            let source = ModelSource::new(&model, &exec).unwrap();
+            assert_eq!(source.panel_kind(), panels, "{kind}");
+            // One pass holds the source's rows, bit for bit, in panels of
+            // its kind that cover every row once.
+            let streamed = crate::kernel_source::tests::panel_pass(&source, &exec, None);
+            for i in 0..points.rows() {
+                let row = source.row(i, &exec).unwrap();
+                for (j, v) in row.into_iter().enumerate() {
+                    assert_eq!(streamed[(i, j)].to_bits(), v.to_bits(), "{kind} ({i},{j})");
+                    if kind == "streamed" {
+                        assert_eq!(v.to_bits(), matrix[(i, j)].to_bits(), "{kind} ({i},{j})");
+                    }
+                }
+            }
+            // Column requests reach the Nyström panels only.
+            let columns = [1, 4];
+            let compact = crate::kernel_source::tests::panel_pass(&source, &exec, Some(&columns));
+            for i in 0..points.rows() {
+                for j in columns {
+                    assert_eq!(compact[(i, j)].to_bits(), streamed[(i, j)].to_bits());
+                }
+            }
+            let tiles = source.for_each_tile(&exec, &mut |_, _| Ok(()));
+            assert_eq!(tiles.is_ok(), panels == PanelKind::Rows, "{kind}");
         }
     }
 

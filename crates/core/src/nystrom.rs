@@ -38,7 +38,9 @@
 
 use crate::init::select_spread_rows;
 use crate::kernel::KernelFunction;
-use crate::kernel_source::{KernelSource, PhaseResidency, TilePolicy, TileVisitor, TiledKernel};
+use crate::kernel_source::{
+    KernelSource, Panel, PanelKind, PanelVisitor, PhaseResidency, TilePolicy, TiledKernel,
+};
 use crate::model::ResidentKernel;
 use crate::shard::{RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
@@ -430,10 +432,6 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
         self.factors.cross.rows()
     }
 
-    fn tile_rows(&self) -> usize {
-        self.tile_rows
-    }
-
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed (and charged) once at construction.
         Ok(self.factors.diag.clone())
@@ -445,8 +443,9 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
         Ok(panel.row(0).to_vec())
     }
 
-    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        self.for_each_tile_of(executor, None, f)
+    /// The reconstruction promises no symmetry: dense rows.
+    fn panel_kind(&self) -> PanelKind {
+        PanelKind::Rows
     }
 
     /// Reconstructs only the requested columns: `C[columns, :]` is gathered
@@ -454,18 +453,18 @@ impl<T: Scalar> KernelSource<T> for NystromKernel<T> {
     /// because first-touching a zeroed full-width tile would cost about as
     /// much as computing it. Records, residency and the shard walk are a
     /// full pass's.
-    fn for_each_tile_of(
+    fn for_each_panel(
         &self,
         executor: &dyn Executor,
         columns: Option<&[usize]>,
-        f: &mut TileVisitor<'_, T>,
+        f: &mut PanelVisitor<'_, T>,
     ) -> Result<()> {
         let cross = self.factors.cross_rows(columns);
         // Global row order with per-device attribution — the exact sharded
         // source's contract, over reconstructed panels.
         self.stream.walk(self, executor, &mut |_, rows| {
             let tile = self.compute_tile(rows.clone(), cross.as_ref(), executor)?;
-            f(rows, &tile)
+            f(rows, Panel::Rows(&tile))
         })
     }
 
@@ -1048,7 +1047,10 @@ mod tests {
         let mark = exec.trace().len();
         let mut tiles = Vec::new();
         source
-            .for_each_tile_of(exec, columns, &mut |rows, tile| {
+            .for_each_panel(exec, columns, &mut |rows, panel| {
+                let Panel::Rows(tile) = panel else {
+                    panic!("a Nyström source hands out dense rows")
+                };
                 tiles.push((rows, tile.clone()));
                 Ok(())
             })

@@ -11,31 +11,31 @@
 //! so the convergence/repair plumbing exists exactly once.
 //!
 //! The kernel matrix reaches the loop as a [`KernelSource`], never as a
-//! borrowed full matrix: every iteration streams `K` in row tiles
-//! (`begin_iteration` → one `consume_tile` per tile → `finish_iteration`),
-//! which is the in-core path unchanged when the source is a single-tile
+//! borrowed full matrix: every iteration streams `K` in row panels of the
+//! source's own kind (`begin_iteration` → one [`DistanceEngine::consume`]
+//! per panel of [`KernelSource::for_each_panel`] → `finish_iteration`),
+//! which is the in-core path unchanged when the source is a single-panel
 //! [`crate::FullKernel`] and the out-of-core compute-consume path when it is
 //! a [`crate::TiledKernel`]. [`LoopState`] factors the per-iteration
 //! assignment/convergence bookkeeping out of the loop so the batched
-//! lockstep driver (`crate::batch`) can run many jobs over one tile pass.
+//! lockstep driver (`crate::batch`) can run many jobs over one panel pass.
 
 use crate::assignment::{assign_clusters_into, repair_empty_clusters};
 use crate::config::KernelKmeansConfig;
 use crate::init::initial_assignments_source;
-use crate::kernel_source::{for_each_panel, KernelSource, Panel};
+use crate::kernel_source::{KernelSource, Panel};
 use crate::result::{ClusteringResult, IterationStats, TimingBreakdown};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
+use popcorn_dense::{DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, StreamMeter};
-use popcorn_sparse::CsrRows;
 use std::ops::Range;
 
 /// Produces the `n × k` distance matrix for one iteration, consuming the
-/// kernel matrix as a stream of row tiles. Implementations charge their own
+/// kernel matrix as a stream of row panels. Implementations charge their own
 /// operations to the executor.
 ///
-/// Call protocol per iteration: one `begin_iteration`, then `consume_tile`
-/// for every tile of the source (a single call spanning all rows for in-core
+/// Call protocol per iteration: one `begin_iteration`, then `consume` for
+/// every panel of the source (a single call spanning all rows for in-core
 /// sources), then one `finish_iteration` returning the distances. After the
 /// assignment step consumed the distances, drivers may hand the matrix back
 /// through [`DistanceEngine::recycle_distances`] so the engine can reuse the
@@ -54,68 +54,22 @@ pub trait DistanceEngine<T: Scalar>: Send {
         executor: &dyn Executor,
     ) -> Result<()>;
 
-    /// Fold one row tile `K[rows, :]` into the iteration state.
-    fn consume_tile(
-        &mut self,
-        rows: Range<usize>,
-        tile: &DenseMatrix<T>,
-        executor: &dyn Executor,
-    ) -> Result<()>;
-
-    /// Fold one CSR row panel `K[rows, :]` into the iteration state — the
-    /// nnz-proportional counterpart of [`DistanceEngine::consume_tile`],
-    /// driven when the source keeps `K` CSR-resident
-    /// ([`KernelSource::csr`]). At full density the fold is bit-identical to
-    /// the dense one; the default errs for engines without a sparse path.
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let _ = (rows, panel, executor);
-        Err(crate::CoreError::Unsupported(
-            "this distance engine has no sparse kernel-tile fold".into(),
-        ))
-    }
-
-    /// Fold the packed lower rows `panel = K[r, 0..=r]` (`r ∈ rows`) of a
-    /// symmetric `K` — the half-size counterpart of
-    /// [`DistanceEngine::consume_tile`], driven when the source hands out
-    /// lower panels ([`KernelSource::for_each_lower_tile`]). Bit-identical
-    /// to folding the full rows; the default errs for engines without a
-    /// packed path.
-    fn consume_lower_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: PackedRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let _ = (rows, panel, executor);
-        Err(crate::CoreError::Unsupported(
-            "this distance engine has no packed kernel-tile fold".into(),
-        ))
-    }
-
-    /// Fold one panel of whichever kind ([`for_each_panel`]).
+    /// Fold one panel `K[rows, :]` of whichever kind the source hands out
+    /// ([`KernelSource::for_each_panel`]) into the iteration state. Packed
+    /// lower rows and CSR rows fold bit for bit as the full dense rows they
+    /// stand for would.
     fn consume(
         &mut self,
         rows: Range<usize>,
         panel: Panel<'_, T>,
         executor: &dyn Executor,
-    ) -> Result<()> {
-        match panel {
-            Panel::Rows(tile) => self.consume_tile(rows, tile, executor),
-            Panel::Lower(panel) => self.consume_lower_tile(rows, panel, executor),
-            Panel::Csr(panel) => self.consume_csr_tile(rows, panel, executor),
-        }
-    }
+    ) -> Result<()>;
 
     /// The columns of `K` this iteration's fold reads, ascending, once
-    /// `begin_iteration` ran: the source may then hand out compact tiles of
-    /// just those columns ([`KernelSource::for_each_tile_of`]), and
-    /// `consume_tile` takes them as well as full ones. The default, `None`,
-    /// reads every column.
+    /// `begin_iteration` ran: a source of dense rows may then hand out
+    /// compact tiles of just those columns (the `columns` of
+    /// [`KernelSource::for_each_panel`]), and `consume` takes them as well as
+    /// full ones. The default, `None`, reads every column.
     fn columns(&self) -> Option<&[usize]> {
         None
     }
@@ -318,9 +272,10 @@ pub fn iterate_init<T: Scalar>(
 
 /// One iteration's distance pass of `engine` over `source` under `labels`:
 /// `begin_iteration`, one fold per panel of the kind the source hands out
-/// ([`for_each_panel`]; dense tiles of the columns the engine reads,
-/// [`DistanceEngine::columns`]), then `finish_iteration`. `meter` reads the
-/// pass's produce/consume segments off the trace and never changes it.
+/// ([`KernelSource::for_each_panel`]; dense tiles of the columns the engine
+/// reads, [`DistanceEngine::columns`]), then `finish_iteration`. `meter`
+/// reads the pass's produce/consume segments off the trace and never
+/// changes it.
 pub(crate) fn distance_pass<T: Scalar>(
     source: &dyn KernelSource<T>,
     engine: &mut dyn DistanceEngine<T>,
@@ -333,7 +288,7 @@ pub(crate) fn distance_pass<T: Scalar>(
     meter.begin_pass(executor);
     // A copy, because the panels go back to the engine mutably.
     let columns = engine.columns().map(<[usize]>::to_vec);
-    for_each_panel(source, executor, columns.as_deref(), &mut |rows, panel| {
+    source.for_each_panel(executor, columns.as_deref(), &mut |rows, panel| {
         meter.tile_produced(executor);
         let folded = engine.consume(rows, panel, executor);
         meter.tile_consumed(executor);
@@ -383,7 +338,7 @@ mod tests {
     use popcorn_gpusim::SimExecutor;
 
     /// A trivially correct engine: the reference kernel-trick distances,
-    /// assembled from whatever tiles the source hands out.
+    /// assembled from the dense row tiles of a caller's matrix.
     struct ReferenceEngine {
         k_rows: Option<DenseMatrix<f64>>,
         labels: Vec<usize>,
@@ -411,12 +366,15 @@ mod tests {
             Ok(())
         }
 
-        fn consume_tile(
+        fn consume(
             &mut self,
             rows: Range<usize>,
-            tile: &DenseMatrix<f64>,
+            panel: Panel<'_, f64>,
             _executor: &dyn Executor,
         ) -> Result<()> {
+            let Panel::Rows(tile) = panel else {
+                return Err(CoreError::Unsupported("dense rows only".into()));
+            };
             let buffer = self.k_rows.as_mut().expect("begin_iteration ran");
             for (local, i) in rows.enumerate() {
                 buffer.row_mut(i).copy_from_slice(tile.row(local));

@@ -16,7 +16,7 @@ use crate::model::ModelFamily;
 use crate::pipeline::DistanceEngine;
 use crate::solver::{FitInput, KernelFamily, KernelSolver};
 use crate::Result;
-use popcorn_dense::{DenseMatrix, PackedRows, PackedSymmetric, Scalar};
+use popcorn_dense::{DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::SelectionMatrix;
 use std::ops::Range;
@@ -60,7 +60,7 @@ pub type KernelKmeans = KernelSolver<Popcorn>;
 ///
 /// Each SpMM is the shared fold (`crate::fold`) under `V`'s weights
 /// `1/|L_c|` and the scale `−2`: over a source of packed lower panels
-/// ([`KernelSource::for_each_lower_tile`]) it folds `Eᵀ = V K`, reading each
+/// ([`crate::PanelKind::Lower`]) it folds `Eᵀ = V K`, reading each
 /// stored entry once for both cells it feeds; over dense row tiles it
 /// gathers `E = −2 K Vᵀ`. Both give the same bits under the same records. After a fit's first
 /// pass the fold refolds only the clusters whose members changed, and on the
@@ -119,44 +119,27 @@ impl<T: Scalar> DistanceEngine<T> for PopcornEngine<T> {
         Ok(())
     }
 
-    fn consume_tile(
+    fn consume(
         &mut self,
         rows: Range<usize>,
-        tile: &DenseMatrix<T>,
+        panel: Panel<'_, T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        // Charged as the full tile's rows of `n` columns, compact or not.
-        let n = self.fold.selection().n();
-        let fold = &mut self.fold;
-        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || {
-            fold.panel(rows, Panel::Rows(tile))
-        })
-    }
-
-    fn consume_lower_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: PackedRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // Charged as the full tile's rows of `n` columns.
-        let n = self.fold.selection().n();
-        let fold = &mut self.fold;
-        run_tile_fold::<T>(rows.clone(), n, self.k, executor, || {
-            fold.panel(rows, Panel::Lower(panel))
-        })
-    }
-
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: popcorn_sparse::CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let (fold, n, nnz) = (&mut self.fold, panel.cols(), panel.nnz());
-        run_csr_tile_fold::<T>(rows.clone(), nnz, n, self.k, executor, || {
-            fold.panel(rows, Panel::Csr(panel))
-        })
+        let (fold, k) = (&mut self.fold, self.k);
+        match panel {
+            Panel::Csr(csr) => {
+                let (n, nnz) = (csr.cols(), csr.nnz());
+                run_csr_tile_fold::<T>(rows.clone(), nnz, n, k, executor, || {
+                    fold.panel(rows, panel)
+                })
+            }
+            // Charged as the full tile's rows of `n` columns, compact or
+            // packed.
+            Panel::Rows(_) | Panel::Lower(_) => {
+                let n = fold.selection().n();
+                run_tile_fold::<T>(rows.clone(), n, k, executor, || fold.panel(rows, panel))
+            }
+        }
     }
 
     fn columns(&self) -> Option<&[usize]> {
@@ -185,12 +168,17 @@ mod tests {
     use crate::errors::CoreError;
     use crate::init::Initialization;
     use crate::kernel::KernelFunction;
+    use crate::kernel_source::tests::panel_pass;
     use crate::kernel_source::{FullKernel, PanelKind, TilePolicy, TiledKernel};
     use crate::nystrom::NystromKernel;
+    use crate::shard::{ShardPlan, ShardedKernelSource};
     use crate::solver::Solver;
     use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
-    use popcorn_gpusim::{SimExecutor, StreamMeter, Streaming};
+    use popcorn_gpusim::{
+        DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor, SimExecutor, StreamMeter,
+        Streaming,
+    };
     use popcorn_sparse::CsrMatrix;
     use std::sync::Arc;
 
@@ -422,14 +410,13 @@ mod tests {
     }
 
     /// One distance pass of a fresh `family` engine over `source`, driven
-    /// as the fit drives it: CSR panels when the source keeps `K`
-    /// CSR-resident, dense tiles otherwise.
+    /// as the fit drives it, in the panels the source hands out.
     fn engine_distances(
         family: ModelFamily,
         source: &dyn KernelSource<f64>,
         labels: &[usize],
         k: usize,
-        exec: &SimExecutor,
+        exec: &dyn Executor,
     ) -> Vec<u64> {
         let mut engine = family.engine::<f64>(k).unwrap();
         let mut meter = StreamMeter::new(Streaming::Off);
@@ -439,42 +426,28 @@ mod tests {
         distances.as_slice().iter().map(|d| d.to_bits()).collect()
     }
 
-    /// The source's `K`, whole.
-    fn materialize(source: &dyn KernelSource<f64>, exec: &SimExecutor) -> DenseMatrix<f64> {
-        if let Some(csr) = source.csr() {
-            return csr.to_dense();
-        }
-        let n = source.n();
-        let mut matrix = DenseMatrix::zeros(n, n);
-        let out = matrix.as_mut_slice();
-        source
-            .for_each_tile(exec, &mut |rows, tile| {
-                out[rows.start * n..rows.end * n].copy_from_slice(tile.as_slice());
-                Ok(())
-            })
-            .unwrap();
-        matrix
-    }
-
     #[test]
     fn the_distance_fold_follows_the_source() {
         let points = blob_points();
+        let csr = CsrMatrix::from_dense(&points);
         let exec = SimExecutor::a100_f32();
         let k = 4;
         // Cluster 3 is empty.
         let labels: Vec<usize> = (0..24).map(|i| [0, 2, 1, 2, 0][i % 5]).collect();
         let selection = SelectionMatrix::from_assignments(&labels, k).unwrap();
         // Popcorn's reference: the gather over the source's matrix, under
-        // the source's own `diag(K)`.
-        let gather = |source: &dyn KernelSource<f64>| -> Vec<u64> {
-            let norms = source.diag(&exec).unwrap();
-            let matrix = materialize(source, &exec);
-            let out = crate::distances::compute_distances(&matrix, &norms, &selection, &exec);
+        // the source's own `diag(K)`. The matrix comes from one panel pass,
+        // which checks the panel contract: panels of the source's kind only,
+        // covering every row once, ascending and contiguous.
+        let gather = |source: &dyn KernelSource<f64>, exec: &dyn Executor| -> Vec<u64> {
+            let norms = source.diag(exec).unwrap();
+            let matrix = panel_pass(source, exec, None);
+            let out = crate::distances::compute_distances(&matrix, &norms, &selection, exec);
             let distances = out.unwrap().distances;
             distances.as_slice().iter().map(|d| d.to_bits()).collect()
         };
-        let run = |family, source: &dyn KernelSource<f64>| {
-            engine_distances(family, source, &labels, k, &exec)
+        let run = |family, source: &dyn KernelSource<f64>, exec: &dyn Executor| {
+            engine_distances(family, source, &labels, k, exec)
         };
 
         // A caller's matrix may be asymmetric: the engines keep the gather.
@@ -484,24 +457,38 @@ mod tests {
         // Folding only its lower triangle would change the bits.
         let lower = PackedSymmetric::from_lower(&asymmetric).unwrap();
         let as_computed = FullKernel::computed(Arc::new(lower));
-        assert_ne!(run(ModelFamily::Popcorn, &as_computed), gather(&caller));
         assert_ne!(
-            run(ModelFamily::DenseBaseline, &as_computed),
-            run(ModelFamily::CpuReference, &caller)
+            run(ModelFamily::Popcorn, &as_computed, &exec),
+            gather(&caller, &exec)
+        );
+        assert_ne!(
+            run(ModelFamily::DenseBaseline, &as_computed, &exec),
+            run(ModelFamily::CpuReference, &caller, &exec)
         );
 
-        // The solver's computed K, whole or in tiles, folds its packed rows.
+        // The solver's computed K — whole, in ragged tiles of dense or CSR
+        // points, or sharded over one device or three, one of them lost
+        // after the first pass — folds its packed rows.
         let kernel = KernelFunction::paper_polynomial();
         let strategy = KernelMatrixStrategy::default();
         let (computed, _) =
             crate::kernel_matrix::compute_kernel_matrix(&points, kernel, strategy, &exec).unwrap();
         let full = FullKernel::computed(Arc::new(computed));
-        let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 5, &exec).unwrap();
-        assert_eq!(full.panel_kind(), PanelKind::Lower);
-        assert_eq!(tiled.panel_kind(), PanelKind::Lower);
+        let input = FitInput::Dense(&points);
+        let tiled = TiledKernel::new(input, kernel, 5, &exec).unwrap();
+        let tiled_csr = TiledKernel::new(FitInput::Sparse(&csr), kernel, 7, &exec).unwrap();
+        let three = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
+        let losing = three.with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume);
+        let shard = |tiling, exec: &dyn Executor| {
+            let bytes = input.upload_bytes();
+            let plan = ShardPlan::for_executor(24, k, 8, bytes, tiling, exec).unwrap();
+            ShardedKernelSource::new(input, kernel, plan, k, exec).unwrap()
+        };
+        let one_device = shard(TilePolicy::Rows(5), &exec);
+        let three_devices = shard(TilePolicy::Auto, &three);
+        let one_lost = shard(TilePolicy::Rows(3), &losing);
 
         // Reconstructed and sparsified kernels promise no symmetry.
-        let input = FitInput::Dense(&points);
         let nystrom = NystromKernel::new(input, kernel, 6, 1, TilePolicy::Auto, k, &exec).unwrap();
         let sparsify = Sparsify::Knn { neighbors: 3 };
         let sparsified =
@@ -509,20 +496,61 @@ mod tests {
         assert_eq!(nystrom.panel_kind(), PanelKind::Rows);
         assert_eq!(sparsified.panel_kind(), PanelKind::Csr);
 
+        // Only dense rows stream through `for_each_tile`.
+        let packed: [(&dyn KernelSource<f64>, &dyn Executor); 6] = [
+            (&full, &exec),
+            (&tiled, &exec),
+            (&tiled_csr, &exec),
+            (&one_device, &exec),
+            (&three_devices, &three),
+            (&sparsified, &exec),
+        ];
+        for (case, (source, exec)) in packed.into_iter().enumerate() {
+            let kind = if case == 5 {
+                PanelKind::Csr
+            } else {
+                PanelKind::Lower
+            };
+            assert_eq!(source.panel_kind(), kind, "case {case}");
+            let mark = exec.trace().len();
+            let err = source.for_each_tile(exec, &mut |_, _| Ok(()));
+            assert!(matches!(err, Err(CoreError::Unsupported(_))), "case {case}");
+            assert_eq!(exec.trace().len(), mark, "case {case}: nothing charged");
+        }
+
         // Whichever path a source takes, Popcorn gets the gather's bits and
         // the dense baseline's unit-weight fold the CPU reference's.
-        let sources: [&dyn KernelSource<f64>; 5] = [&caller, &full, &tiled, &nystrom, &sparsified];
-        for (case, source) in sources.into_iter().enumerate() {
+        let sources: [(&dyn KernelSource<f64>, &dyn Executor); 9] = [
+            (&caller, &exec),
+            (&full, &exec),
+            (&tiled, &exec),
+            (&tiled_csr, &exec),
+            (&one_device, &exec),
+            (&three_devices, &three),
+            (&one_lost, &losing),
+            (&nystrom, &exec),
+            (&sparsified, &exec),
+        ];
+        for (case, (source, exec)) in sources.into_iter().enumerate() {
+            let popcorn = run(ModelFamily::Popcorn, source, exec);
+            assert_eq!(popcorn, gather(source, exec), "case {case}");
             assert_eq!(
-                run(ModelFamily::Popcorn, source),
-                gather(source),
+                run(ModelFamily::DenseBaseline, source, exec),
+                run(ModelFamily::CpuReference, source, exec),
                 "case {case}"
             );
-            assert_eq!(
-                run(ModelFamily::DenseBaseline, source),
-                run(ModelFamily::CpuReference, source),
-                "case {case}"
-            );
+        }
+        assert_eq!(losing.recovery_report().map(|r| r.events), Some(1));
+
+        // A Nyström source reconstructs just the columns a reader names.
+        let whole = panel_pass(&nystrom, &exec, None);
+        for columns in [vec![], vec![3], vec![0, 5, 6, 23]] {
+            let compact = panel_pass(&nystrom, &exec, Some(&columns));
+            for i in 0..24 {
+                for &j in &columns {
+                    assert_eq!(compact[(i, j)].to_bits(), whole[(i, j)].to_bits());
+                }
+            }
         }
     }
 

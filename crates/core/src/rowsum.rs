@@ -106,59 +106,47 @@ impl<T: Scalar> DistanceEngine<T> for CpuEngine<T> {
         Ok(())
     }
 
-    fn consume_tile(
+    fn consume(
         &mut self,
         rows: Range<usize>,
-        tile: &DenseMatrix<T>,
+        panel: Panel<'_, T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        self.dense_pass(rows.clone(), tile.cols(), executor, |fold| {
-            fold.accumulate_tile(rows, tile)
-        });
-        Ok(())
-    }
-
-    fn consume_lower_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: PackedRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // Charged as the full rows the packed ones stand for.
-        let n = self.fold.labels.len();
-        self.dense_pass(rows, n, executor, |fold| fold.accumulate_lower_tile(panel));
-        Ok(())
-    }
-
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // A sequential scalar loop touches only the stored entries, so the
-        // CPU reference *does* benefit from sparsity: the pass is charged
-        // per nnz, not per n².
-        let nnz = panel.nnz();
-        let t = rows.len();
-        let k = self.fold.k;
-        let elem = std::mem::size_of::<T>();
-        let iteration = self.fold.iteration;
-        let fold = &mut self.fold;
-        executor.run(
-            format!(
-                "cpu sparse distances iteration {iteration} rows {}..{} (nnz={nnz}, k={k})",
-                rows.start, rows.end
-            ),
-            Phase::PairwiseDistances,
-            OpClass::Gemm, // scalar adds at CPU efficiencies
-            OpCost::new(
-                2 * nnz as u64,
-                nnz as u64 * (elem + INDEX_BYTES) as u64,
-                t as u64 * k as u64 * elem as u64,
-            ),
-            || fold.accumulate_csr_tile(rows.clone(), panel),
-        );
+        match panel {
+            Panel::Rows(tile) => self.dense_pass(rows.clone(), tile.cols(), executor, |fold| {
+                fold.accumulate_tile(rows, tile)
+            }),
+            // Charged as the full rows the packed ones stand for.
+            Panel::Lower(packed) => {
+                let n = self.fold.labels.len();
+                self.dense_pass(rows, n, executor, |fold| fold.accumulate_lower_tile(packed))
+            }
+            // A sequential scalar loop touches only the stored entries, so
+            // the CPU reference *does* benefit from sparsity: the pass is
+            // charged per nnz, not per n².
+            Panel::Csr(csr) => {
+                let nnz = csr.nnz();
+                let t = rows.len();
+                let k = self.fold.k;
+                let elem = std::mem::size_of::<T>();
+                let iteration = self.fold.iteration;
+                let fold = &mut self.fold;
+                executor.run(
+                    format!(
+                        "cpu sparse distances iteration {iteration} rows {}..{} (nnz={nnz}, k={k})",
+                        rows.start, rows.end
+                    ),
+                    Phase::PairwiseDistances,
+                    OpClass::Gemm, // scalar adds at CPU efficiencies
+                    OpCost::new(
+                        2 * nnz as u64,
+                        nnz as u64 * (elem + INDEX_BYTES) as u64,
+                        t as u64 * k as u64 * elem as u64,
+                    ),
+                    || fold.accumulate_csr_tile(rows.clone(), csr),
+                );
+            }
+        }
         Ok(())
     }
 
@@ -269,44 +257,24 @@ impl<T: Scalar> DistanceEngine<T> for BaselineEngine<T> {
         Ok(())
     }
 
-    fn consume_tile(
+    fn consume(
         &mut self,
         rows: Range<usize>,
-        tile: &DenseMatrix<T>,
+        panel: Panel<'_, T>,
         executor: &dyn Executor,
     ) -> Result<()> {
-        // Charged as the full tile's rows of `n` columns, compact or not.
-        let n = self.fold.selection().n();
-        self.row_reduction(rows, n, executor, |fold, rows| {
-            fold.panel(rows, Panel::Rows(tile))
-        })
-    }
-
-    fn consume_lower_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: PackedRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let n = self.fold.selection().n();
-        self.row_reduction(rows, n, executor, |fold, rows| {
-            fold.panel(rows, Panel::Lower(panel))
-        })
-    }
-
-    fn consume_csr_tile(
-        &mut self,
-        rows: Range<usize>,
-        panel: CsrRows<'_, T>,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        // Faithful to the original: the baseline's row-reduction kernel has
-        // no sparse variant, so a CSR-resident K is folded correctly but
-        // *charged as if dense* — one thread per column, zeros included.
-        // This is exactly the cost asymmetry the sparse workloads expose.
-        self.row_reduction(rows, panel.cols(), executor, |fold, rows| {
-            fold.panel(rows, Panel::Csr(panel))
-        })
+        let n = match panel {
+            // Faithful to the original: the baseline's row-reduction kernel
+            // has no sparse variant, so a CSR-resident K is folded correctly
+            // but *charged as if dense* — one thread per column, zeros
+            // included. This is exactly the cost asymmetry the sparse
+            // workloads expose.
+            Panel::Csr(csr) => csr.cols(),
+            // Charged as the full tile's rows of `n` columns, compact or
+            // packed.
+            Panel::Rows(_) | Panel::Lower(_) => self.fold.selection().n(),
+        };
+        self.row_reduction(rows, n, executor, |fold, rows| fold.panel(rows, panel))
     }
 
     fn columns(&self) -> Option<&[usize]> {

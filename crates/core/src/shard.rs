@@ -70,12 +70,13 @@
 
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, workspace_bytes, KernelSource, LowerTileVisitor, PanelKind,
-    TilePolicy, TileVisitor, TiledKernel,
+    plan_tile_rows, tile_bytes, workspace_bytes, KernelSource, Panel, PanelKind, PanelVisitor,
+    TilePolicy, TiledKernel,
 };
+use crate::model::ResidentKernel;
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
-use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
+use popcorn_dense::{PackedRows, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, DeviceTopology, Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase,
     RecoveryPolicy, RecoveryReport,
@@ -1009,7 +1010,7 @@ impl ShardStream {
 /// — to that device, then charges the per-pass all-reduce of the distance
 /// partials against the topology's link.
 ///
-/// The source is *elastic*: every [`KernelSource::for_each_tile`] pass starts
+/// The source is *elastic*: every [`KernelSource::for_each_panel`] pass starts
 /// by draining the executor's fault schedule and, on a device loss under
 /// [`RecoveryPolicy::Resume`], re-partitions the lost rows over the survivors
 /// in place (see the module docs). Recovered fits stay bit-identical to a
@@ -1019,28 +1020,17 @@ pub struct ShardedKernelSource<'a, T: Scalar> {
     inner: TiledKernel<'a, T>,
     stream: ShardStream,
     /// Resident shards (`DeviceShard::is_resident`, in a buffer of their own)
-    /// are computed — and charged to their device — exactly once, then
-    /// replayed from this cache on later passes, the multi-device analogue
-    /// of [`crate::FullKernel`]'s charge-once semantics. Streaming
-    /// (sub-tiled) shards, and migrated chunks streaming through a
-    /// survivor's buffer, never cache. Indexed in lockstep with the
-    /// plan's entries; a recovery rebuilds it through the carry map so
-    /// survivors keep their caches. A `Mutex` (not `RefCell`) so the source
-    /// satisfies the [`KernelSource`] `Sync` contract; the tile stream itself
-    /// always runs on the driver thread.
-    resident: Mutex<Vec<Option<Held<T>>>>,
+    /// are computed — and charged to their device — exactly once, as packed
+    /// lower panels, then replayed from this cache on later passes, the
+    /// multi-device analogue of [`crate::FullKernel`]'s charge-once
+    /// semantics. Streaming (sub-tiled) shards, and migrated chunks
+    /// streaming through a survivor's buffer, never cache. Indexed in
+    /// lockstep with the plan's entries; a recovery rebuilds it through the
+    /// carry map so survivors keep their caches. A `Mutex` (not `RefCell`)
+    /// so the source satisfies the [`KernelSource`] `Sync` contract; the
+    /// panel stream itself always runs on the driver thread.
+    resident: Mutex<Vec<Option<Vec<T>>>>,
 }
-
-/// A resident shard's panel, in the kind the pass that computed it asked
-/// for: packed lower rows for the fits, full rows for a reader of whole
-/// rows. A pass of the other kind recomputes and replaces it.
-enum Held<T: Scalar> {
-    Rows(DenseMatrix<T>),
-    Lower(Vec<T>),
-}
-
-/// The visitor of [`ShardedKernelSource::walk_held`]'s panels.
-type HeldVisitor<'a, T> = dyn FnMut(Range<usize>, &Held<T>) -> Result<()> + 'a;
 
 impl<'a, T: Scalar> ShardedKernelSource<'a, T> {
     /// Build a sharded source over retained points. Charges the (replicated)
@@ -1132,10 +1122,6 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
         self.inner.n()
     }
 
-    fn tile_rows(&self) -> usize {
-        self.stream.plan().max_tile_rows()
-    }
-
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed from the replicated Gram diagonal: serial/replicated work.
         self.inner.diag(executor)
@@ -1147,59 +1133,44 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
         self.inner.row(i, executor)
     }
 
-    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        self.walk_held(executor, false, &mut |rows, held| match held {
-            Held::Rows(tile) => f(rows, tile),
-            Held::Lower(_) => unreachable!("a pass of full rows holds full rows"),
-        })
-    }
-
-    /// Every tile is a panel of the exact tiled source, in global row order.
+    /// Every panel is a lower panel of the exact tiled source, in global
+    /// row order.
     fn panel_kind(&self) -> PanelKind {
         PanelKind::Lower
     }
 
-    fn for_each_lower_tile(
+    /// One pass of the shard stream: a resident shard's panel is computed
+    /// (and charged) on the first pass, and replayed for free afterwards.
+    fn for_each_panel(
         &self,
         executor: &dyn Executor,
-        f: &mut LowerTileVisitor<'_, T>,
+        _columns: Option<&[usize]>,
+        f: &mut PanelVisitor<'_, T>,
     ) -> Result<()> {
-        self.walk_held(executor, true, &mut |rows, held| match held {
-            Held::Lower(tile) => f(rows.clone(), PackedRows::new(rows, tile)?),
-            Held::Rows(_) => unreachable!("a pass of lower rows holds lower rows"),
-        })
-    }
-}
-
-impl<T: Scalar> ShardedKernelSource<'_, T> {
-    /// One pass of the shard stream over lower panels (`lower`) or full
-    /// rows: a resident shard's panel is computed (and charged) on the first
-    /// pass that asks for its kind, and replayed for free afterwards.
-    fn walk_held(
-        &self,
-        executor: &dyn Executor,
-        lower: bool,
-        f: &mut HeldVisitor<'_, T>,
-    ) -> Result<()> {
-        let compute = |rows: &Range<usize>| -> Result<Held<T>> {
-            let (r0, r1) = (rows.start, rows.end);
-            Ok(if lower {
-                Held::Lower(self.inner.compute_lower_tile(r0, r1, executor)?)
-            } else {
-                Held::Rows(self.inner.compute_tile(r0, r1, executor)?)
-            })
+        let compute = |rows: &Range<usize>| {
+            self.inner
+                .compute_lower_tile(rows.start, rows.end, executor)
+        };
+        let mut visit = |rows: Range<usize>, tile: &[T]| {
+            f(rows.clone(), Panel::Lower(PackedRows::new(rows, tile)?))
         };
         self.stream.walk(self, executor, &mut |resident, rows| {
             let Some(index) = resident else {
-                return f(rows.clone(), &compute(&rows)?);
+                return visit(rows.clone(), &compute(&rows)?);
             };
             let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
-            let held_kind = |held: &Held<T>| matches!(held, Held::Lower(_)) == lower;
-            if !cache[index].as_ref().is_some_and(held_kind) {
-                cache[index] = Some(compute(&rows)?);
-            }
-            f(rows, cache[index].as_ref().expect("populated above"))
+            let tile = match &mut cache[index] {
+                Some(tile) => tile,
+                empty => empty.insert(compute(&rows)?),
+            };
+            visit(rows, tile)
         })
+    }
+
+    fn resident(&self) -> ResidentKernel<T> {
+        ResidentKernel::Streamed {
+            tile_rows: self.stream.plan().max_tile_rows(),
+        }
     }
 }
 
@@ -1511,19 +1482,8 @@ mod tests {
                 &sharded_exec,
             )
             .unwrap();
-            let mut out = DenseMatrix::<f64>::zeros(17, 17);
-            let mut last_end = 0usize;
-            source
-                .for_each_tile(&sharded_exec, &mut |rows, tile| {
-                    assert_eq!(rows.start, last_end, "tiles must arrive in row order");
-                    last_end = rows.end;
-                    for (local, i) in rows.clone().enumerate() {
-                        out.row_mut(i).copy_from_slice(tile.row(local));
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(last_end, 17);
+            // Lower panels in row order, the oracle's lower triangle.
+            let out = crate::kernel_source::tests::panel_pass(&source, &sharded_exec, None);
             for i in 0..17 {
                 for j in 0..17 {
                     assert_eq!(
@@ -1620,19 +1580,8 @@ mod tests {
         )
         .unwrap();
         for pass in 0..3 {
-            let mut out = DenseMatrix::<f64>::zeros(19, 19);
-            let mut last_end = 0usize;
-            source
-                .for_each_tile(&faulty, &mut |rows, tile| {
-                    assert_eq!(rows.start, last_end, "row order survives recovery");
-                    last_end = rows.end;
-                    for (local, i) in rows.clone().enumerate() {
-                        out.row_mut(i).copy_from_slice(tile.row(local));
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(last_end, 19);
+            // Row order and the panels' bits survive recovery.
+            let out = crate::kernel_source::tests::panel_pass(&source, &faulty, None);
             for i in 0..19 {
                 for j in 0..19 {
                     assert_eq!(out[(i, j)].to_bits(), full[(i, j)].to_bits(), "pass {pass}");
@@ -1669,7 +1618,7 @@ mod tests {
         )
         .unwrap();
         let err = source
-            .for_each_tile(&faulty, &mut |_, _| Ok(()))
+            .for_each_panel(&faulty, None, &mut |_, _| Ok(()))
             .unwrap_err();
         assert_eq!(err, CoreError::DeviceLost { device: 0, pass: 0 });
         // The loss was consumed: the executor's liveness now excludes the

@@ -36,14 +36,14 @@
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::INDEX_BYTES;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, CsrTileVisitor, KernelSource, PhaseResidency, TilePolicy,
-    TileVisitor, TiledKernel,
+    plan_tile_rows, tile_bytes, KernelSource, Panel, PanelKind, PanelVisitor, PhaseResidency,
+    TilePolicy, TiledKernel,
 };
 use crate::model::ResidentKernel;
 use crate::shard::{ActiveShard, DeviceShard, RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::Scalar;
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
 use popcorn_sparse::CsrMatrix;
 use std::ops::Range;
@@ -172,7 +172,7 @@ impl<T: Scalar> SparsifiedKernel<T> {
         let mut kept_cols: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut kept_vals: Vec<Vec<T>> = vec![Vec::new(); n];
         let mut row_total_abs = vec![0.0f64; n];
-        exact.for_each_tile(executor, &mut |rows, tile| {
+        exact.for_each_row_tile(executor, &mut |rows, tile| {
             let (r0, r1) = (rows.start, rows.end);
             executor.run(
                 format!(
@@ -428,10 +428,6 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
         self.csr.rows()
     }
 
-    fn tile_rows(&self) -> usize {
-        self.tile_rows
-    }
-
     fn diag(&self, _executor: &dyn Executor) -> Result<Vec<T>> {
         // Computed (and charged) once at construction.
         Ok(self.diag.clone())
@@ -461,42 +457,20 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
         ))
     }
 
-    /// Dense fallback for consumers without a sparse fold: each panel is
-    /// densified (charged as a gather) before the visit. Absent entries read
-    /// as zero — at full density every entry is stored, so the densified
-    /// panel equals the exact one bit for bit.
-    fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        let n = self.csr.rows();
-        let elem = std::mem::size_of::<T>();
+    fn panel_kind(&self) -> PanelKind {
+        PanelKind::Csr
+    }
+
+    /// The panels are zero-copy views of the resident CSR: streaming
+    /// charges nothing, the engines charge their nnz-proportional folds.
+    fn for_each_panel(
+        &self,
+        executor: &dyn Executor,
+        _columns: Option<&[usize]>,
+        f: &mut PanelVisitor<'_, T>,
+    ) -> Result<()> {
         self.stream.walk(self, executor, &mut |_, rows| {
-            let panel = self.csr.rows_view(rows.clone());
-            let tile = executor.run(
-                format!(
-                    "densify sparsified K rows {}..{} (nnz={})",
-                    rows.start,
-                    rows.end,
-                    panel.nnz()
-                ),
-                Phase::PairwiseDistances,
-                OpClass::Elementwise,
-                OpCost::new(
-                    panel.nnz() as u64,
-                    panel.nnz() as u64 * (elem + INDEX_BYTES) as u64,
-                    tile_bytes(rows.len(), n, elem),
-                ),
-                || {
-                    let mut tile = DenseMatrix::<T>::zeros(rows.len(), n);
-                    for local in 0..rows.len() {
-                        let (cols, vals) = panel.row(local);
-                        let out = tile.row_mut(local);
-                        for (&j, &v) in cols.iter().zip(vals.iter()) {
-                            out[j] = v;
-                        }
-                    }
-                    tile
-                },
-            );
-            f(rows, &tile)
+            f(rows.clone(), Panel::Csr(self.csr.rows_view(rows)))
         })
     }
 
@@ -510,18 +484,6 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
 
     fn resident(&self) -> ResidentKernel<T> {
         ResidentKernel::Csr(Arc::clone(&self.csr))
-    }
-
-    fn for_each_csr_tile(
-        &self,
-        executor: &dyn Executor,
-        f: &mut CsrTileVisitor<'_, T>,
-    ) -> Result<()> {
-        // The panels are zero-copy views of the resident CSR: streaming
-        // charges nothing, the engines charge their nnz-proportional folds.
-        self.stream.walk(self, executor, &mut |_, rows| {
-            f(rows.clone(), self.csr.rows_view(rows))
-        })
     }
 }
 
@@ -650,6 +612,7 @@ fn merge_union<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popcorn_dense::DenseMatrix;
     use popcorn_gpusim::{DeviceSpec, ResidencyScope, SimExecutor};
 
     fn sample_points(n: usize, d: usize) -> DenseMatrix<f64> {
@@ -712,7 +675,14 @@ mod tests {
         let exact = {
             let exec = SimExecutor::a100_f32();
             let tiled = TiledKernel::new(FitInput::Dense(&points), kernel, 13, &exec).unwrap();
-            tiled.compute_tile(0, 13, &exec).unwrap()
+            let mut exact = DenseMatrix::zeros(13, 13);
+            tiled
+                .for_each_row_tile(&exec, &mut |_, tile| {
+                    exact = tile.clone();
+                    Ok(())
+                })
+                .unwrap();
+            exact
         };
         for sparsify in [
             Sparsify::Knn { neighbors: 13 },
@@ -722,19 +692,12 @@ mod tests {
             let (source, exec) = build(&points, sparsify, TilePolicy::Rows(5));
             assert_eq!(source.nnz(), 13 * 13, "{sparsify:?} must keep everything");
             assert_eq!(source.dropped_mass(), Some(0.0));
-            // Dense fallback panels, CSR panels and rows all match bitwise.
+            // CSR panels and rows match bitwise.
             source
-                .for_each_tile(&exec, &mut |rows, tile| {
-                    for (local, i) in rows.clone().enumerate() {
-                        for j in 0..13 {
-                            assert_eq!(tile[(local, j)].to_bits(), exact[(i, j)].to_bits());
-                        }
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            source
-                .for_each_csr_tile(&exec, &mut |rows, panel| {
+                .for_each_panel(&exec, None, &mut |rows, panel| {
+                    let Panel::Csr(panel) = panel else {
+                        panic!("a sparsified source hands out CSR panels")
+                    };
                     for (local, i) in rows.clone().enumerate() {
                         let (cols, vals) = panel.row(local);
                         assert_eq!(cols, (0..13).collect::<Vec<_>>().as_slice());
@@ -844,10 +807,18 @@ mod tests {
             assert_eq!(diag[i].to_bits(), dense[(i, i)].to_bits());
         }
         source
-            .for_each_tile(&exec, &mut |rows, tile| {
+            .for_each_panel(&exec, None, &mut |rows, panel| {
+                let Panel::Csr(panel) = panel else {
+                    panic!("a sparsified source hands out CSR panels")
+                };
                 for (local, i) in rows.clone().enumerate() {
+                    let mut row = [0.0f64; 6];
+                    let (cols, vals) = panel.row(local);
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        row[j] = v;
+                    }
                     for j in 0..6 {
-                        assert_eq!(tile[(local, j)].to_bits(), dense[(i, j)].to_bits());
+                        assert_eq!(row[j].to_bits(), dense[(i, j)].to_bits());
                     }
                 }
                 Ok(())
@@ -941,7 +912,7 @@ mod tests {
             .unwrap();
             assert!(source.csr_bytes() < cap);
             source
-                .for_each_csr_tile(&exec, &mut |_rows, _panel| Ok(()))
+                .for_each_panel(&exec, None, &mut |_rows, _panel| Ok(()))
                 .unwrap();
             exec.peak_resident_bytes()
         };
@@ -972,20 +943,20 @@ mod tests {
         let points = sample_points(10, 3);
         let (auto_src, auto_exec) =
             build(&points, Sparsify::Knn { neighbors: 4 }, TilePolicy::Auto);
-        assert_eq!(auto_src.tile_rows(), 10);
+        assert_eq!(auto_src.tile_rows, 10);
         let mut panels = Vec::new();
         auto_src
-            .for_each_csr_tile(&auto_exec, &mut |rows, _| {
+            .for_each_panel(&auto_exec, None, &mut |rows, _| {
                 panels.push(rows);
                 Ok(())
             })
             .unwrap();
         assert_eq!(panels, vec![0..10]);
         let (rows_src, exec) = build(&points, Sparsify::Knn { neighbors: 4 }, TilePolicy::Rows(4));
-        assert_eq!(rows_src.tile_rows(), 4);
+        assert_eq!(rows_src.tile_rows, 4);
         let mut panels = Vec::new();
         rows_src
-            .for_each_csr_tile(&exec, &mut |rows, _| {
+            .for_each_panel(&exec, None, &mut |rows, _| {
                 panels.push(rows);
                 Ok(())
             })
@@ -1015,7 +986,7 @@ mod tests {
         for pass in 0..3 {
             let mut covered = vec![false; n];
             source
-                .for_each_csr_tile(&faulty, &mut |rows, _panel| {
+                .for_each_panel(&faulty, None, &mut |rows, _panel| {
                     for i in rows {
                         assert!(!covered[i], "row {i} visited twice in pass {pass}");
                         covered[i] = true;

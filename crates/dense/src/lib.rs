@@ -44,7 +44,7 @@ pub use norms::{diagonal, frobenius_norm, row_argmin, row_argmin_into, row_sq_no
 pub use ops::{add_col_broadcast, add_row_broadcast, axpy, hadamard, scale_in_place};
 pub use packed::{packed_len, packed_offset, PackedRows, PackedSymmetric};
 pub use scalar::Scalar;
-pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_packed_with, syrk_with, Triangle};
+pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_packed_with, Triangle};
 
 /// Result alias used across the dense crate.
 pub type Result<T> = std::result::Result<T, DenseError>;

@@ -42,7 +42,8 @@ pub fn syrk_flops(n: usize, d: usize) -> u64 {
 }
 
 /// `C(tri) = alpha * A * Aᵀ + beta * C(tri)` — only the requested triangle of
-/// `C` is written; the other triangle is left untouched.
+/// `C` is written; the other triangle is left untouched. With β = 0 every
+/// entry of the triangle is written once, `0 + α·acc`.
 ///
 /// `A` is `n x d`, `C` must be `n x n`.
 pub fn syrk<T: Scalar>(
@@ -51,22 +52,6 @@ pub fn syrk<T: Scalar>(
     beta: T,
     c: &mut DenseMatrix<T>,
     triangle: Triangle,
-) -> Result<()> {
-    syrk_with(alpha, a, beta, c, triangle, |_, _, _| {})
-}
-
-/// [`syrk`] with an epilogue fused into the write-back: each run of the
-/// triangle's entries, once stored, goes to `epilogue(i, j0, cells)`, where
-/// `cells[t]` is entry `(i, j0 + t)` of `C`. With β = 0 every entry of the
-/// triangle is written once, `0 + α·acc`, so a fresh `C` is first touched
-/// by that write.
-pub fn syrk_with<T: Scalar>(
-    alpha: T,
-    a: &DenseMatrix<T>,
-    beta: T,
-    c: &mut DenseMatrix<T>,
-    triangle: Triangle,
-    epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
 ) -> Result<()> {
     let n = a.rows();
     if c.shape() != (n, n) {
@@ -105,7 +90,6 @@ pub fn syrk_with<T: Scalar>(
                         *c = beta * *c + alpha * acc;
                     }
                 }
-                epilogue(start_row + i, j0, cells);
             },
         );
     });
@@ -117,9 +101,9 @@ pub fn syrk_with<T: Scalar>(
 /// [`crate::PackedRows`] layout). Every entry is written once as
 /// `0 + 1·acc`, the write of [`syrk`] under α = 1, β = 0 and of
 /// [`crate::matmul_nt_rows`], into a fresh buffer, then each run goes to
-/// `epilogue(i, j0, cells)` as in [`syrk_with`]. Rows split across the
-/// kernel threads by their packed length, so each thread writes one
-/// contiguous slice.
+/// `epilogue(i, j0, cells)`, where `cells[t]` is entry `(i, j0 + t)`. Rows
+/// split across the kernel threads by their packed length, so each thread
+/// writes one contiguous slice.
 pub fn syrk_packed_with<T: Scalar>(
     a: &DenseMatrix<T>,
     rows: Range<usize>,
