@@ -110,12 +110,13 @@ pub fn spgemm_gram_cost<T: Scalar>(points: &CsrMatrix<T>) -> OpCost {
 /// rather than a dense GEMM — the sparse input never gets densified. The
 /// host runs the structural row loop of [`CsrMatrix::gram`], which does the
 /// multiply-adds the charge counts and allocates nothing sized by the
-/// feature count.
+/// feature count. More than `u32::MAX` points is an error (the row ids of
+/// [`popcorn_sparse::GramIndex`] are 32-bit).
 pub fn compute_gram_csr<T: Scalar>(
     points: &CsrMatrix<T>,
     executor: &dyn Executor,
 ) -> Result<DenseMatrix<T>> {
-    Ok(csr_gram(points, executor, || points.gram()))
+    Ok(csr_gram(points, executor, || points.gram())?)
 }
 
 /// Run `product` under the SpGEMM Gram record of `points`; the full `n × n`
@@ -207,7 +208,8 @@ pub fn compute_kernel_matrix<T: Scalar>(
 /// Compute the kernel matrix `K = kernel(P̂ P̂ᵀ)` from CSR points as its
 /// packed lower triangle: the SpGEMM row loop over the lower triangle under
 /// the same kernel map the dense path uses. The GEMM/SYRK strategy does not
-/// apply — the routine is always [`GramRoutine::SpGemm`].
+/// apply — the routine is always [`GramRoutine::SpGemm`]. More than
+/// `u32::MAX` points is an error, as for [`compute_gram_csr`].
 pub fn compute_kernel_matrix_csr<T: Scalar>(
     points: &CsrMatrix<T>,
     kernel: KernelFunction,
@@ -217,13 +219,15 @@ pub fn compute_kernel_matrix_csr<T: Scalar>(
     let diag = map_diag(kernel, &FitInput::Sparse(points));
     let map = KernelMap::new(kernel, &diag, &diag);
     let lower = csr_gram(points, executor, || {
-        points.gram_index().gram_lower_rows_with(
-            0,
-            n,
-            #[inline(always)]
-            |i, j0, cells| map.run(i, j0, cells),
-        )
-    });
+        points.gram_index().map(|index| {
+            index.gram_lower_rows_with(
+                0,
+                n,
+                #[inline(always)]
+                |i, j0, cells| map.run(i, j0, cells),
+            )
+        })
+    })?;
     let matrix = PackedSymmetric::from_vec(n, lower)?;
     charge_apply::<T>(kernel, n, executor);
     Ok((matrix, GramRoutine::SpGemm))

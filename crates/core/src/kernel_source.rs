@@ -406,7 +406,7 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
         );
         let gram_index = match points {
             FitInput::Dense(_) => None,
-            FitInput::Sparse(p) => Some(p.gram_index()),
+            FitInput::Sparse(p) => Some(p.gram_index()?),
         };
         Ok(Self {
             points,

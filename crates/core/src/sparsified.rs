@@ -528,6 +528,13 @@ fn shard_csr_bytes<T: Scalar>(csr: &CsrMatrix<T>, rows: &Range<usize>, elem: usi
 /// Apply `sparsify` to one dense row: append the kept `(column, value)`
 /// pairs — ascending columns, diagonal always included — and return the
 /// row's total absolute mass (for the dropped-mass diagnostic).
+///
+/// `knn:N` keeps the first `N` columns in the order |K_ij| descending, then
+/// column ascending. On a row without NaN that order is total, so an
+/// `O(n)` selection ([`slice::select_nth_unstable_by`]) keeps the same set
+/// a full sort would. With a NaN the comparator is no order at all, so such
+/// a row is sorted stably, and its kept set is whatever that sort puts
+/// first.
 fn select_row<T: Scalar>(
     sparsify: Sparsify,
     i: usize,
@@ -536,19 +543,23 @@ fn select_row<T: Scalar>(
     vals: &mut Vec<T>,
 ) -> f64 {
     let n = row.len();
-    let total_abs: f64 = row.iter().map(|v| v.to_f64().abs()).sum();
+    let magnitude: Vec<f64> = row.iter().map(|v| v.to_f64().abs()).collect();
+    let total_abs: f64 = magnitude.iter().sum();
     match sparsify {
         Sparsify::Knn { neighbors } => {
             let keep = neighbors.min(n);
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                row[b]
-                    .to_f64()
-                    .abs()
-                    .partial_cmp(&row[a].to_f64().abs())
+            let by_magnitude = |a: &usize, b: &usize| {
+                magnitude[*b]
+                    .partial_cmp(&magnitude[*a])
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
+                    .then(a.cmp(b))
+            };
+            let mut order: Vec<usize> = (0..n).collect();
+            if magnitude.iter().any(|m| m.is_nan()) {
+                order.sort_by(by_magnitude);
+            } else if keep > 0 && keep < n {
+                order.select_nth_unstable_by(keep - 1, by_magnitude);
+            }
             order.truncate(keep);
             if !order.contains(&i) {
                 order.push(i);
@@ -561,7 +572,7 @@ fn select_row<T: Scalar>(
         }
         Sparsify::Threshold { tau } => {
             for (j, &v) in row.iter().enumerate() {
-                if j == i || v.to_f64().abs() >= tau {
+                if j == i || magnitude[j] >= tau {
                     cols.push(j);
                     vals.push(v);
                 }
@@ -786,6 +797,76 @@ mod tests {
         // Top-2 by (|v| desc, col asc) is {0, 1}; the diagonal 3 is added.
         assert_eq!(cols, vec![0, 1, 3]);
         assert_eq!(vals, vec![1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn knn_selection_keeps_the_sorted_reference_set() {
+        // The reference: a stable sort of the whole row by (|v| desc, col
+        // asc), the first `neighbors` kept, plus the diagonal.
+        fn sorted_reference(neighbors: usize, i: usize, row: &[f64]) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..row.len()).collect();
+            order.sort_by(|&a, &b| {
+                row[b]
+                    .abs()
+                    .partial_cmp(&row[a].abs())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            order.truncate(neighbors.min(row.len()));
+            if !order.contains(&i) {
+                order.push(i);
+            }
+            order.sort_unstable();
+            order
+        }
+        // Ties, ±0, subnormals and ±∞, drawn with repeats; every other row
+        // may also draw a NaN.
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            0.75,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let (mut rows, mut with_nan) = (0, 0);
+        for len in 1..=13usize {
+            for draw in 0..40 {
+                let choices = if draw % 2 == 0 { 10 } else { palette.len() };
+                let row: Vec<f64> = (0..len).map(|_| palette[next(choices)]).collect();
+                rows += 1;
+                with_nan += usize::from(row.iter().any(|v| v.is_nan()));
+                let i = next(len);
+                for neighbors in 1..=len + 1 {
+                    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+                    let total =
+                        select_row(Sparsify::Knn { neighbors }, i, &row, &mut cols, &mut vals);
+                    let want = sorted_reference(neighbors, i, &row);
+                    let at = || format!("row {row:?}, i = {i}, knn:{neighbors}");
+                    assert_eq!(cols, want, "{}", at());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let want_vals: Vec<f64> = want.iter().map(|&j| row[j]).collect();
+                    assert_eq!(bits(&vals), bits(&want_vals), "{}", at());
+                    let want_total: f64 = row.iter().map(|v| v.abs()).sum();
+                    assert_eq!(total.to_bits(), want_total.to_bits(), "{}", at());
+                }
+            }
+        }
+        // Both paths ran: rows with a NaN (the stable sort) and without.
+        assert!(with_nan > 0 && with_nan < rows, "{with_nan} of {rows}");
     }
 
     #[test]

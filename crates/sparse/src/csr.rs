@@ -4,6 +4,16 @@
 //! paper stores the selection matrix `V` in (§4.1): a `values` array, a
 //! `col_indices` array, and a `row_ptrs` array delimiting each row's slice of
 //! the other two.
+//!
+//! The Gram product `B = A Aᵀ` of CSR points (paper §3.2) runs Gustavson's
+//! row-wise SpGEMM over a column index of the matrix ([`GramIndex`]), built
+//! in one counting-sort pass. Its column lists hold `u32` row ids beside the
+//! values, and each stored entry `(i, c)` carries a precomputed cut: one
+//! past row `i`'s position in column `c`'s list. The lower triangle's walk
+//! of row `i` reads each column list up to that cut, so it touches only the
+//! pairs it multiplies, with no search. The 32-bit ids are the width the
+//! paper's cost model assumes (§4.4); a matrix of more than `u32::MAX` rows
+//! gets a typed error from [`CsrMatrix::gram_index`], never a truncated id.
 
 use crate::csc::CscMatrix;
 use crate::errors::SparseError;
@@ -276,9 +286,21 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Transpose as a new CSR matrix (counting-sort over columns, O(nnz)).
+    /// Transpose as a new CSR matrix (counting-sort over columns,
+    /// `O(nnz + cols)`).
     pub fn transpose(&self) -> Self {
-        let (row_ptrs, col_indices, values) = self.entries_by_slot(&self.col_indices, self.cols);
+        let row_ptrs = slot_offsets(&self.col_indices, self.cols);
+        let mut col_indices = vec![0usize; self.nnz()];
+        let mut values = vec![T::ZERO; self.nnz()];
+        let mut next = row_ptrs.clone();
+        for i in 0..self.rows {
+            let (cols, vals) = self.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                col_indices[next[c]] = i;
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
         Self {
             rows: self.cols,
             cols: self.rows,
@@ -286,31 +308,6 @@ impl<T: Scalar> CsrMatrix<T> {
             col_indices,
             values,
         }
-    }
-
-    /// Counting sort of the stored entries by `slots` (one per entry, each
-    /// `< width`): for every slot, the rows storing it in ascending order
-    /// with their values, as `(ptrs, rows, values)` arrays. `O(nnz + width)`.
-    fn entries_by_slot(&self, slots: &[usize], width: usize) -> (Vec<usize>, Vec<usize>, Vec<T>) {
-        let mut ptrs = vec![0usize; width + 1];
-        for &s in slots {
-            ptrs[s + 1] += 1;
-        }
-        for s in 0..width {
-            ptrs[s + 1] += ptrs[s];
-        }
-        let mut rows = vec![0usize; slots.len()];
-        let mut values = vec![T::ZERO; slots.len()];
-        let mut next = ptrs.clone();
-        for i in 0..self.rows {
-            let entries = self.row_ptrs[i]..self.row_ptrs[i + 1];
-            for (&s, &v) in slots[entries.clone()].iter().zip(&self.values[entries]) {
-                rows[next[s]] = i;
-                values[next[s]] = v;
-                next[s] += 1;
-            }
-        }
-        (ptrs, rows, values)
     }
 
     /// The column slot of every stored entry: the column ids themselves
@@ -377,9 +374,10 @@ impl<T: Scalar> CsrMatrix<T> {
     /// only the pairs of stored entries that share a column, the work
     /// [`CsrMatrix::gram_flops`] counts. Output rows split evenly over the
     /// kernel threads; every entry is bit-identical to
-    /// [`CsrMatrix::gram_sequential`]'s.
-    pub fn gram(&self) -> DenseMatrix<T> {
-        self.gram_index().gram_rows(0, self.rows)
+    /// [`CsrMatrix::gram_sequential`]'s. Errs, as
+    /// [`CsrMatrix::gram_index`] does, on more than `u32::MAX` rows.
+    pub fn gram(&self) -> Result<DenseMatrix<T>> {
+        Ok(self.gram_index()?.gram_rows(0, self.rows))
     }
 
     /// Single-threaded variant of [`CsrMatrix::gram`], for callers that model
@@ -465,11 +463,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// column, so it allocates `O(nnz)`, never `O(cols)`.
     pub fn gram_flops(&self) -> u64 {
         let slots = self.column_slots();
-        let mut column_counts = vec![0u64; slots.width()];
-        for &s in slots.entries() {
-            column_counts[s] += 1;
-        }
-        column_counts.iter().map(|&c| 2 * c * c).sum()
+        slot_offsets(slots.entries(), slots.width())
+            .windows(2)
+            .map(|w| {
+                let count = (w[1] - w[0]) as u64;
+                2 * count * count
+            })
+            .sum()
     }
 
     /// A contiguous row panel `B[r0..r1, :]` of the Gram matrix `B = A Aᵀ`,
@@ -481,9 +481,10 @@ impl<T: Scalar> CsrMatrix<T> {
     /// full `n × n` Gram matrix, and clustering results must not depend on
     /// that choice. It is [`CsrMatrix::gram`]'s row loop over rows `r0..r1`
     /// only; callers producing many panels of one matrix keep its
-    /// [`GramIndex`] and call [`GramIndex::gram_rows`] instead.
-    pub fn gram_panel(&self, r0: usize, r1: usize) -> DenseMatrix<T> {
-        self.gram_index().gram_rows(r0, r1)
+    /// [`GramIndex`] and call [`GramIndex::gram_rows`] instead. Errs, as
+    /// [`CsrMatrix::gram_index`] does, on more than `u32::MAX` rows.
+    pub fn gram_panel(&self, r0: usize, r1: usize) -> Result<DenseMatrix<T>> {
+        Ok(self.gram_index()?.gram_rows(r0, r1))
     }
 
     /// Gustavson FLOP count of [`CsrMatrix::gram_panel`] for rows `r0..r1`:
@@ -493,29 +494,69 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Repeat pricers keep the [`GramIndex`] and call
     /// [`GramIndex::panel_flops`].
     pub fn gram_panel_flops(&self, r0: usize, r1: usize) -> u64 {
-        self.gram_index().panel_flops(r0, r1)
+        let slots = self.column_slots();
+        let entries = self.row_ptrs[r0]..self.row_ptrs[r1];
+        pair_flops(
+            &slot_offsets(slots.entries(), slots.width()),
+            &slots.entries()[entries],
+        )
     }
 
-    /// The column index the Gram products walk, built in `O(nnz + rows)`
-    /// time and memory (see [`GramIndex`]).
-    pub fn gram_index(&self) -> GramIndex<'_, T> {
+    /// The column index the Gram products walk (see [`GramIndex`]), built
+    /// by one counting-sort pass over the stored entries in `O(nnz + rows)`
+    /// time and memory.
+    ///
+    /// The index stores row ids as `u32`, and a cut can reach the row
+    /// count, so more than `u32::MAX` rows is a
+    /// [`SparseError::IndexOutOfBounds`] (naming the last row id and the
+    /// bound `u32::MAX`), returned before anything is allocated.
+    pub fn gram_index(&self) -> Result<GramIndex<'_, T>> {
+        check_gram_rows(self.rows)?;
         let ColumnSlots {
             entries: slots,
             width,
             ..
         } = self.column_slots();
-        let (col_ptrs, row_indices, values) = self.entries_by_slot(&slots, width);
-        let columns =
-            CscMatrix::from_raw_unchecked(self.rows, width, col_ptrs, row_indices, values);
-        let non_finite_rows = (0..self.rows)
-            .filter(|&i| self.row(i).1.iter().any(|v| !v.is_finite()))
-            .collect();
-        GramIndex {
-            matrix: self,
-            columns,
-            slots,
-            non_finite_rows,
+        let col_ptrs = slot_offsets(&slots, width);
+        let mut column_entries = vec![
+            ColumnEntry {
+                row: 0,
+                value: T::ZERO
+            };
+            slots.len()
+        ];
+        let mut cuts = vec![0u32; slots.len()];
+        // Entries of each column slot written so far: rows arrive ascending,
+        // so after row `i` writes its entry in slot `s`, the count is one
+        // past row `i`'s position in that list.
+        let mut written = vec![0u32; width];
+        let mut non_finite_rows = Vec::new();
+        for i in 0..self.rows {
+            let row = u32::try_from(i).expect("row count checked against u32::MAX");
+            let entries = self.row_ptrs[i]..self.row_ptrs[i + 1];
+            let mut finite = true;
+            for ((&s, &value), cut) in slots[entries.clone()]
+                .iter()
+                .zip(&self.values[entries.clone()])
+                .zip(&mut cuts[entries])
+            {
+                column_entries[col_ptrs[s] + written[s] as usize] = ColumnEntry { row, value };
+                written[s] += 1;
+                *cut = written[s];
+                finite &= value.is_finite();
+            }
+            if !finite {
+                non_finite_rows.push(i);
+            }
         }
+        Ok(GramIndex {
+            matrix: self,
+            col_ptrs,
+            column_entries,
+            slots,
+            cuts,
+            non_finite_rows,
+        })
     }
 
     /// A zero-copy view of the contiguous row panel `self[r0..r1, :]`.
@@ -539,6 +580,41 @@ impl<T: Scalar> CsrMatrix<T> {
             cols: self.cols,
         }
     }
+}
+
+/// Counting-sort offsets of entries by slot: `width + 1` pointers, slot
+/// `s`'s entries taking positions `ptrs[s]..ptrs[s + 1]` of a list sorted
+/// by slot. `O(entries + width)`.
+fn slot_offsets(slots: &[usize], width: usize) -> Vec<usize> {
+    let mut ptrs = vec![0usize; width + 1];
+    for &s in slots {
+        ptrs[s + 1] += 1;
+    }
+    for s in 0..width {
+        ptrs[s + 1] += ptrs[s];
+    }
+    ptrs
+}
+
+/// Gustavson FLOPs of the stored entries whose column slots are `slots`:
+/// two for each entry of the slot's list, the lists `col_ptrs` delimits.
+fn pair_flops(col_ptrs: &[usize], slots: &[usize]) -> u64 {
+    slots
+        .iter()
+        .map(|&s| 2 * (col_ptrs[s + 1] - col_ptrs[s]) as u64)
+        .sum()
+}
+
+/// The row-count guard of [`CsrMatrix::gram_index`]: row ids and cuts are
+/// `u32`, and a cut can reach the row count.
+fn check_gram_rows(rows: usize) -> Result<()> {
+    if rows > u32::MAX as usize {
+        return Err(SparseError::IndexOutOfBounds {
+            index: rows - 1,
+            bound: u32::MAX as usize,
+        });
+    }
+    Ok(())
 }
 
 /// A numbering of the columns a [`CsrMatrix`] stores entries in
@@ -631,15 +707,27 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
     }
 }
 
+/// One entry of a [`GramIndex`] column list: a row storing the column, and
+/// its value there. 8 bytes for `f32`.
+#[derive(Debug, Clone, Copy)]
+struct ColumnEntry<T> {
+    row: u32,
+    value: T,
+}
+
 /// The column index of a [`CsrMatrix`] that its Gram products walk, built
 /// once per matrix by [`CsrMatrix::gram_index`].
 ///
 /// It holds, for each column that occurs, the rows storing it in ascending
-/// order with their values (a CSC matrix over the occurring columns), each
-/// stored entry's column slot, and which rows hold a non-finite value.
-/// Memory is `O(nnz + rows)`, never `O(cols)`: when `cols ≤ nnz` the slots
-/// are the column ids, and wider matrices number their occurring columns
-/// first.
+/// order, each a `u32` id beside its value in one list; each stored entry's
+/// column slot; each stored entry's cut (below); and which rows hold a
+/// non-finite value. When `cols ≤ nnz` the slots are the column ids, and
+/// wider matrices number their occurring columns first, so memory is
+/// `O(nnz + rows)`, never `O(cols)`: for `f32`, 12 bytes per stored entry
+/// (an 8-byte list entry and a 4-byte cut) besides the slots, which a
+/// matrix with `cols ≤ nnz` borrows. One counting-sort pass over the
+/// stored entries, row by row, writes the lists and the cuts. More than
+/// `u32::MAX` rows is an error, not a truncated id.
 ///
 /// [`GramIndex::gram_rows`] is the one row loop behind
 /// [`CsrMatrix::gram`] and [`CsrMatrix::gram_panel`]. Output row `i` is
@@ -655,6 +743,9 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
 /// symmetric without a mirror pass. [`GramIndex::gram_lower_rows_with`]
 /// computes the lower triangle alone: each column's row list ascends, so
 /// row `i`'s walk stops at row `i`, and about half the multiply-adds go.
+/// Where it stops is precomputed: the cut of stored entry `(i, c)` is one
+/// past row `i`'s position in column `c`'s list, so the walk reads exactly
+/// the pairs it multiplies and searches nothing.
 ///
 /// The reference ([`CsrMatrix::gram_sequential`]) folds entry `(i, j)`
 /// over row `lo = min(i, j)`, multiplying by row `hi = max(i, j)`'s value
@@ -671,11 +762,15 @@ impl<'a, T: Scalar> CsrRows<'a, T> {
 #[derive(Debug)]
 pub struct GramIndex<'a, T: Scalar> {
     matrix: &'a CsrMatrix<T>,
-    /// Column `s` holds the rows storing column slot `s`, ascending, with
-    /// their values.
-    columns: CscMatrix<T>,
+    /// Column slot `s`'s list is `column_entries[col_ptrs[s]..col_ptrs[s + 1]]`.
+    col_ptrs: Vec<usize>,
+    /// The rows storing each column slot, ascending, with their values.
+    column_entries: Vec<ColumnEntry<T>>,
     /// Column slot of each stored entry of `matrix`, in CSR order.
     slots: Cow<'a, [usize]>,
+    /// Cut of each stored entry `(i, c)` of `matrix`, in CSR order: one past
+    /// row `i`'s position in column `c`'s list.
+    cuts: Vec<u32>,
     /// The rows storing a ±∞ or NaN, ascending.
     non_finite_rows: Vec<usize>,
 }
@@ -718,8 +813,9 @@ impl<T: Scalar> GramIndex<'_, T> {
     /// rows `r0..r1`, row `i` holding `B[i, 0..=i]` (the
     /// [`popcorn_dense::PackedRows`] layout), each bit-identical to the same
     /// entries of [`GramIndex::gram_rows`]. Row `i`'s walk reads each
-    /// column's rows only up to `i`, and its fix-up covers only `j ≤ i`.
-    /// Rows split across the kernel threads by their packed length.
+    /// column's rows only up to `i`, to the stored entry's cut, and its
+    /// fix-up covers only `j ≤ i`. Rows split across the kernel threads by
+    /// their packed length.
     pub fn gram_lower_rows_with(
         &self,
         r0: usize,
@@ -755,12 +851,8 @@ impl<T: Scalar> GramIndex<'_, T> {
     /// column, the figure [`CsrMatrix::gram_panel_flops`] reports.
     /// `O(panel nnz)`.
     pub fn panel_flops(&self, r0: usize, r1: usize) -> u64 {
-        let ptrs = self.columns.col_ptrs();
         let entries = self.matrix.row_ptrs[r0]..self.matrix.row_ptrs[r1];
-        self.slots[entries]
-            .iter()
-            .map(|&s| 2 * (ptrs[s + 1] - ptrs[s]) as u64)
-            .sum()
+        pair_flops(&self.col_ptrs, &self.slots[entries])
     }
 
     /// Whole Gram rows from `first_row` on into `chunk`, each structural
@@ -782,8 +874,8 @@ impl<T: Scalar> GramIndex<'_, T> {
     }
 
     /// Steps 1 and 2 of row `i` over the columns `out_row` holds: all `n`,
-    /// or the lower triangle's `0..=i`, where each column's ascending row
-    /// list is cut at `i`.
+    /// reading each column list to its end, or the lower triangle's
+    /// `0..=i`, reading it to the stored entry's cut.
     #[inline(always)]
     fn structural_row(&self, i: usize, out_row: &mut [T]) {
         // Writing the row first faults each fresh output page in once; a
@@ -791,17 +883,19 @@ impl<T: Scalar> GramIndex<'_, T> {
         out_row.fill(T::ZERO);
         let full = out_row.len() == self.matrix.rows;
         let entries = self.matrix.row_ptrs[i]..self.matrix.row_ptrs[i + 1];
-        for (&s, &x_ic) in self.slots[entries.clone()]
+        for ((&s, &cut), &x_ic) in self.slots[entries.clone()]
             .iter()
+            .zip(&self.cuts[entries.clone()])
             .zip(&self.matrix.values[entries])
         {
-            let (rows, values) = self.columns.col(s);
-            let cut = if full {
-                rows.len()
+            let start = self.col_ptrs[s];
+            let end = if full {
+                self.col_ptrs[s + 1]
             } else {
-                rows.partition_point(|&j| j <= i)
+                start + cut as usize
             };
-            for (&j, &x_jc) in rows[..cut].iter().zip(values) {
+            for &ColumnEntry { row, value: x_jc } in &self.column_entries[start..end] {
+                let j = row as usize;
                 out_row[j] = x_jc.mul_add(x_ic, out_row[j]);
             }
         }
@@ -1022,7 +1116,7 @@ mod tests {
         ])
         .unwrap();
         let sparse = CsrMatrix::from_dense(&dense);
-        let gram = sparse.gram();
+        let gram = sparse.gram().unwrap();
         let reference = popcorn_dense::matmul_nt(&dense, &dense).unwrap();
         assert!(gram.approx_eq(&reference, 1e-12, 1e-12));
         // symmetric by construction
@@ -1045,7 +1139,7 @@ mod tests {
         });
         let sparse = CsrMatrix::from_dense(&dense);
         assert!(sparse.density() < 0.05);
-        let gram = sparse.gram();
+        let gram = sparse.gram().unwrap();
         let reference = popcorn_dense::matmul_nt(&dense, &dense).unwrap();
         assert!(gram.approx_eq(&reference, 1e-12, 1e-12));
     }
@@ -1060,7 +1154,7 @@ mod tests {
             }
         });
         let sparse = CsrMatrix::from_dense(&dense);
-        assert_eq!(sparse.gram_sequential(), sparse.gram());
+        assert_eq!(sparse.gram_sequential(), sparse.gram().unwrap());
     }
 
     fn check_gram_bits<T: Scalar>(m: &CsrMatrix<T>, bits: fn(T) -> u64) {
@@ -1073,14 +1167,15 @@ mod tests {
                 .zip(vals)
                 .fold(T::ZERO, |acc, (&c, &v)| v.mul_add(m.get(i, c), acc))
         };
-        let dispatched = m.gram();
+        let dispatched = m.gram().unwrap();
         let mut generic = DenseMatrix::zeros(n, n);
         m.gram_index()
+            .unwrap()
             .fill_rows(0, generic.as_mut_slice(), &|_, _, _| {});
         let sequential = m.gram_sequential();
         let packed = m.gram_sequential_packed();
-        let panel = m.gram_panel(0, n);
-        let index = m.gram_index();
+        let panel = m.gram_panel(0, n).unwrap();
+        let index = m.gram_index().unwrap();
         let whole = index.gram_lower_rows_with(0, n, |_, _, _| {});
         // Ragged panels of the lower walk, joined.
         let cuts = [0, n / 3, n / 3 + 1, n];
@@ -1091,26 +1186,46 @@ mod tests {
         for i in 0..n {
             for j in 0..n {
                 let want = bits(if j <= i { lower(i, j) } else { lower(j, i) });
-                let at = format!("{n}x{d} entry ({i},{j})");
-                assert_eq!(bits(dispatched[(i, j)]), want, "gram: {at}");
-                assert_eq!(bits(generic[(i, j)]), want, "undispatched body: {at}");
-                assert_eq!(bits(sequential[(i, j)]), want, "gram_sequential: {at}");
-                assert_eq!(bits(panel[(i, j)]), want, "gram_panel: {at}");
-                assert_eq!(bits(packed[(i, j)]), want, "gram_sequential_packed: {at}");
+                // Formatted only when an assert fails.
+                let at = || format!("{n}x{d} entry ({i},{j})");
+                assert_eq!(bits(dispatched[(i, j)]), want, "gram: {}", at());
+                assert_eq!(bits(generic[(i, j)]), want, "undispatched body: {}", at());
+                assert_eq!(bits(sequential[(i, j)]), want, "gram_sequential: {}", at());
+                assert_eq!(bits(panel[(i, j)]), want, "gram_panel: {}", at());
+                assert_eq!(
+                    bits(packed[(i, j)]),
+                    want,
+                    "gram_sequential_packed: {}",
+                    at()
+                );
                 if j <= i {
                     let at_packed = packed_offset(i) + j;
-                    assert_eq!(bits(whole[at_packed]), want, "lower walk: {at}");
-                    assert_eq!(bits(joined[at_packed]), want, "lower panels: {at}");
+                    assert_eq!(bits(whole[at_packed]), want, "lower walk: {}", at());
+                    assert_eq!(bits(joined[at_packed]), want, "lower panels: {}", at());
                 }
             }
         }
+    }
+
+    /// `m` with column `c` moved to `c · stride + 1`: the same Gram over
+    /// `stride` times the columns.
+    fn spread_columns<T: Scalar>(m: &CsrMatrix<T>, stride: usize) -> CsrMatrix<T> {
+        let col_indices = m.col_indices().iter().map(|&c| c * stride + 1).collect();
+        CsrMatrix::from_raw(
+            m.rows(),
+            m.cols() * stride,
+            m.row_ptrs().to_vec(),
+            col_indices,
+            m.values().to_vec(),
+        )
+        .unwrap()
     }
 
     /// Entries where the structural walk alone reads `−0` and the
     /// reference `+0`: the ones only the fix-up's `−0` rule repairs.
     fn negative_zero_repairs<T: Scalar>(m: &CsrMatrix<T>) -> usize {
         let n = m.rows();
-        let (index, reference) = (m.gram_index(), m.gram_sequential());
+        let (index, reference) = (m.gram_index().unwrap(), m.gram_sequential());
         let mut row = vec![T::ZERO; n];
         (0..n)
             .map(|i| {
@@ -1140,6 +1255,22 @@ mod tests {
         }
         // The finite input needs the `−0` rule: without it, some entries
         // would differ from the reference.
+        // A tall matrix whose columns each hold a few hundred rows, so cuts
+        // run past 255 and the ragged panels cut column lists mid-way; and a
+        // wide one, with more columns than stored entries, whose column
+        // slots are ranks.
+        let tall = [awkward_csr::<f32>(520, 2, 3), finite_awkward_csr(520, 2, 3)];
+        for m in &tall {
+            let index = m.gram_index().unwrap();
+            assert!(index.cuts.iter().any(|&cut| cut > 300), "{:?}", m.shape());
+            check_gram_bits(m, |x| u64::from(x.to_bits()));
+        }
+        for m in [awkward_csr::<f64>(23, 7, 3), finite_awkward_csr(23, 7, 3)] {
+            let wide = spread_columns(&m, 1 << 20);
+            assert!(wide.cols() > wide.nnz());
+            assert_ne!(wide.column_slots().entries(), wide.col_indices());
+            check_gram_bits(&wide, f64::to_bits);
+        }
         let (mut f32_repairs, mut f64_repairs) = (0, 0);
         for (n, d) in shapes {
             f32_repairs += negative_zero_repairs(&finite_awkward_csr::<f32>(n, d, 3));
@@ -1173,6 +1304,28 @@ mod tests {
     }
 
     #[test]
+    fn more_rows_than_u32_ids_is_a_typed_error_that_allocates_nothing() {
+        // No arrays at all: the guard must answer before anything is read
+        // or allocated.
+        let m = CsrMatrix::<f32> {
+            rows: u32::MAX as usize + 1,
+            cols: 1,
+            row_ptrs: Vec::new(),
+            col_indices: Vec::new(),
+            values: Vec::new(),
+        };
+        let want = SparseError::IndexOutOfBounds {
+            index: u32::MAX as usize,
+            bound: u32::MAX as usize,
+        };
+        assert_eq!(m.gram_index().err(), Some(want.clone()));
+        assert_eq!(m.gram().err(), Some(want.clone()));
+        assert_eq!(m.gram_panel(0, 0).err(), Some(want));
+        // The last row id `u32::MAX - 1` and the cut `u32::MAX` still fit.
+        assert_eq!(check_gram_rows(u32::MAX as usize), Ok(()));
+    }
+
+    #[test]
     fn gram_flops_counts_column_pairs() {
         // Column 0 has 2 entries, column 1 has 1: 2*(2^2) + 2*(1^2) = 10.
         let m = CsrMatrix::from_dense(
@@ -1185,9 +1338,9 @@ mod tests {
     #[test]
     fn gram_empty_matrix() {
         let z = CsrMatrix::<f64>::zeros(0, 0);
-        assert_eq!(z.gram().shape(), (0, 0));
+        assert_eq!(z.gram().unwrap().shape(), (0, 0));
         let no_entries = CsrMatrix::<f64>::zeros(3, 5);
-        assert_eq!(no_entries.gram(), DenseMatrix::zeros(3, 3));
+        assert_eq!(no_entries.gram().unwrap(), DenseMatrix::zeros(3, 3));
     }
 
     #[test]
@@ -1203,9 +1356,9 @@ mod tests {
             }
         });
         let sparse = CsrMatrix::from_dense(&dense);
-        let full = sparse.gram();
+        let full = sparse.gram().unwrap();
         for (r0, r1) in [(0, 11), (0, 1), (3, 7), (10, 11), (5, 5)] {
-            let panel = sparse.gram_panel(r0, r1);
+            let panel = sparse.gram_panel(r0, r1).unwrap();
             assert_eq!(panel.shape(), (r1 - r0, 11));
             for i in r0..r1 {
                 for j in 0..11 {
@@ -1233,7 +1386,8 @@ mod tests {
         )
         .unwrap();
         let bits = |g: DenseMatrix<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect();
-        let (sequential, gram): (Vec<u32>, Vec<u32>) = (bits(m.gram_sequential()), bits(m.gram()));
+        let (sequential, gram): (Vec<u32>, Vec<u32>) =
+            (bits(m.gram_sequential()), bits(m.gram().unwrap()));
         assert_eq!(sequential, gram);
         assert_eq!(f32::from_bits(gram[0]), 1.25);
     }
@@ -1260,7 +1414,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn gram_panel_rejects_out_of_range_rows() {
         let m = CsrMatrix::<f64>::zeros(3, 3);
-        m.gram_panel(1, 4);
+        let _ = m.gram_panel(1, 4);
     }
 
     #[test]

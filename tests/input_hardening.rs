@@ -1,13 +1,20 @@
-//! Hostile model files: small saved models of every kernel family and
-//! resident kind, and Lloyd's, on dense and CSR points, mutated by a seeded
-//! RNG — truncated, a token swapped for a hostile count or another token of
-//! the file, bytes flipped, a line deleted or duplicated.
+//! Hostile inputs, mutated by a seeded RNG — truncated, a token swapped for
+//! a hostile count or another token of the text, bytes flipped, a line
+//! deleted or duplicated:
 //!
-//! Each mutant is loaded. When it loads, it assigns the training points and
-//! a fresh batch, and one warm refit runs through its family's solver. Any
-//! step may return an error; none may panic or abort.
+//! - small saved models of every kernel family and resident kind, and
+//!   Lloyd's, on dense and CSR points. Each mutant is loaded. When it
+//!   loads, it assigns the training points and a fresh batch, and one warm
+//!   refit runs through its family's solver;
+//! - generated libSVM and CSV texts. Each mutant is parsed by the dense and
+//!   the sparse libSVM reader and the CSV reader, and whatever parses is
+//!   fitted by Popcorn.
+//!
+//! Any step may return an error; none may panic or abort.
 
 use popcorn::baselines::SolverKind;
+use popcorn::data::csv::parse_csv;
+use popcorn::data::libsvm::{parse_libsvm, parse_libsvm_sparse};
 use popcorn::data::synthetic::gaussian_blobs;
 use popcorn::prelude::*;
 use rand::rngs::StdRng;
@@ -15,6 +22,12 @@ use rand::{Rng, SeedableRng};
 
 /// Random mutants per saved model: 26 models make about 2,000.
 const MUTANTS_PER_MODEL: usize = 75;
+
+/// Random mutants per generated libSVM or CSV text.
+const MUTANTS_PER_TEXT: usize = 300;
+
+/// Rows of each generated libSVM or CSV text.
+const TEXT_ROWS: usize = 40;
 
 /// The iteration budget every model is fitted with. Only a refit reads it,
 /// so besides the random swaps each model gets it inflated explicitly.
@@ -198,4 +211,86 @@ fn mutated_model_files_never_panic() {
     // label, an inflated budget, ...), so the serving and refit paths run
     // too.
     assert!(loaded * 25 > mutants, "only {loaded} of {mutants} loaded");
+}
+
+/// A libSVM text of two classes: each row stores 3 to 6 of its class's six
+/// features (1–6 or 7–12), ascending, with positive and negative values.
+fn libsvm_text(rng: &mut StdRng) -> String {
+    let mut text = String::new();
+    for i in 0..TEXT_ROWS {
+        let class = i % 2;
+        text.push_str(&class.to_string());
+        let stored = rng.gen_range(3..7usize);
+        let mut features: Vec<usize> = Vec::new();
+        while features.len() < stored {
+            let f = rng.gen_range(1..7usize) + 6 * class;
+            if !features.contains(&f) {
+                features.push(f);
+            }
+        }
+        features.sort_unstable();
+        for f in features {
+            let value = rng.gen_range(-1.0..2.0f64);
+            text.push_str(&format!(" {f}:{value:.3}"));
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// A CSV text of two classes: four feature columns and a trailing label.
+fn csv_text(rng: &mut StdRng) -> String {
+    let mut text = String::new();
+    for i in 0..TEXT_ROWS {
+        let class = i % 2;
+        for _ in 0..4 {
+            let value = 4.0 * class as f64 + rng.gen_range(-1.0..1.0f64);
+            text.push_str(&format!("{value:.4},"));
+        }
+        text.push_str(&format!("{class}\n"));
+    }
+    text
+}
+
+#[test]
+fn mutated_libsvm_and_csv_texts_never_panic() {
+    let mut rng = StdRng::seed_from_u64(0x7e47);
+    let texts = [
+        ("libSVM", libsvm_text(&mut rng)),
+        ("CSV", csv_text(&mut rng)),
+    ];
+    let solver = KernelKmeans::new(
+        KernelKmeansConfig::paper_defaults(2)
+            .with_seed(3)
+            .with_max_iter(3),
+    );
+    let (mut mutants, mut fitted) = (0usize, 0usize);
+    for (format, text) in &texts {
+        for _ in 0..MUTANTS_PER_TEXT {
+            let (mutant, what) = mutate(text, &mut rng);
+            let _current = Current(format!("{format}: {what}\n{mutant}"));
+            mutants += 1;
+            if let Ok(data) = parse_libsvm::<f32>("mutant", &mutant, None) {
+                fitted += 1;
+                let _ = solver.fit(data.points());
+            }
+            if let Ok(data) = parse_libsvm_sparse::<f32>("mutant", &mutant, None) {
+                fitted += 1;
+                let _ = solver.fit_sparse(data.points());
+            }
+            for has_labels in [false, true] {
+                if let Ok(data) = parse_csv::<f32>("mutant", &mutant, has_labels) {
+                    fitted += 1;
+                    let _ = solver.fit(data.points());
+                }
+            }
+        }
+    }
+    assert_eq!(mutants, texts.len() * MUTANTS_PER_TEXT);
+    // Many mutations leave a readable text (a changed value, a deleted
+    // line, ...), so the fits run too.
+    assert!(
+        fitted * 4 > mutants,
+        "only {fitted} fits of {mutants} mutants"
+    );
 }
