@@ -10,18 +10,19 @@
 //! Both dense and CSR points are supported natively: Lloyd's assignment step
 //! only needs point↔centroid distances, which for a sparse point `x` are
 //! evaluated as `‖x − c‖² = ‖c‖² + Σ_{j∈nz(x)} ((x_j − c_j)² − c_j²)` in
-//! `O(nnz(x))` per centroid — the points are never densified.
+//! `O(nnz(x))` per centroid — the points are never densified. The sweep is
+//! [`popcorn_core::lloyd::nearest_centroids`], which a Lloyd model's serving
+//! path runs too.
 
 use popcorn_core::batch::{self, BatchResult, FitJob};
-use popcorn_core::kernel_matrix::INDEX_BYTES;
 use popcorn_core::kernel_source::KernelSource;
+use popcorn_core::lloyd;
 use popcorn_core::pipeline::finalize;
 use popcorn_core::result::{ClusteringResult, IterationStats};
 use popcorn_core::solver::{FitInput, Solver};
 use popcorn_core::{CoreError, KernelKmeansConfig, ModelFamily, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::Scalar;
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, ResidencyScope, SimExecutor};
-use popcorn_sparse::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,124 +33,6 @@ use std::sync::Arc;
 pub struct LloydKmeans {
     config: KernelKmeansConfig,
     executor: Option<Arc<dyn Executor>>,
-}
-
-/// Layout-independent view of the points, private to Lloyd's loop.
-///
-/// Both `sq_dist` implementations evaluate the *same* expansion
-/// `‖x − c‖² = ‖c‖² + Σ_{x_j ≠ 0} ((x_j − c_j)² − c_j²)` — zero coordinates
-/// contribute exactly `0.0`, so skipping them changes nothing — which makes
-/// the dense and CSR layouts produce bit-identical distances and therefore
-/// identical argmin labels. The correction terms are summed apart from the
-/// large `‖c‖²` offset so their precision survives the final cancellation.
-trait LloydPoints {
-    fn n(&self) -> usize;
-    fn d(&self) -> usize;
-    /// Write point `i` into the zeroed dense `f64` vector `out` (centroid
-    /// seeding).
-    fn densify_into(&self, i: usize, out: &mut [f64]);
-    /// `‖pᵢ − c‖²`; `c_sq_norm` is the precomputed `‖c‖²`.
-    fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64;
-    /// `acc += pᵢ` (used for the centroid update).
-    fn accumulate(&self, i: usize, acc: &mut [f64]);
-    /// Modeled cost of one assignment sweep over all points and centroids.
-    fn assignment_cost(&self, k: usize, elem: usize) -> OpCost;
-}
-
-impl<T: Scalar> LloydPoints for &DenseMatrix<T> {
-    fn n(&self) -> usize {
-        self.rows()
-    }
-
-    fn d(&self) -> usize {
-        self.cols()
-    }
-
-    fn densify_into(&self, i: usize, out: &mut [f64]) {
-        for (out, v) in out.iter_mut().zip(self.row(i)) {
-            *out = v.to_f64();
-        }
-    }
-
-    fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64 {
-        // The correction sum is accumulated separately and `‖c‖²` added once
-        // at the end, so small per-coordinate terms are not absorbed by a
-        // large running accumulator (see the trait docs).
-        let mut correction = 0.0f64;
-        for (x, &cj) in self.row(i).iter().zip(centroid.iter()) {
-            let x = x.to_f64();
-            if x != 0.0 {
-                let diff = x - cj;
-                correction += diff * diff - cj * cj;
-            }
-        }
-        (c_sq_norm + correction).max(0.0)
-    }
-
-    fn accumulate(&self, i: usize, acc: &mut [f64]) {
-        for (j, v) in self.row(i).iter().enumerate() {
-            acc[j] += v.to_f64();
-        }
-    }
-
-    fn assignment_cost(&self, k: usize, elem: usize) -> OpCost {
-        let (n, d, k, elem) = (
-            self.rows() as u64,
-            self.cols() as u64,
-            k as u64,
-            elem as u64,
-        );
-        OpCost::new(3 * n * k * d, (n * d + k * d) * elem, n * elem)
-    }
-}
-
-impl<T: Scalar> LloydPoints for &CsrMatrix<T> {
-    fn n(&self) -> usize {
-        self.rows()
-    }
-
-    fn d(&self) -> usize {
-        self.cols()
-    }
-
-    fn densify_into(&self, i: usize, out: &mut [f64]) {
-        let (cols, vals) = self.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            out[j] = v.to_f64();
-        }
-    }
-
-    fn sq_dist(&self, i: usize, centroid: &[f64], c_sq_norm: f64) -> f64 {
-        let (cols, vals) = self.row(i);
-        let mut correction = 0.0f64;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            let x = v.to_f64();
-            if x != 0.0 {
-                let cj = centroid[j];
-                let diff = x - cj;
-                correction += diff * diff - cj * cj;
-            }
-        }
-        (c_sq_norm + correction).max(0.0)
-    }
-
-    fn accumulate(&self, i: usize, acc: &mut [f64]) {
-        let (cols, vals) = self.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            acc[j] += v.to_f64();
-        }
-    }
-
-    fn assignment_cost(&self, k: usize, elem: usize) -> OpCost {
-        let (n, d, nnz) = (self.rows() as u64, self.cols() as u64, self.nnz() as u64);
-        let (k, elem, index) = (k as u64, elem as u64, INDEX_BYTES as u64);
-        // Per centroid: one pass over the stored entries plus the ‖c‖² term.
-        OpCost::new(
-            (3 * nnz + n) * k,
-            nnz * (elem + index) + k * d * elem,
-            n * elem,
-        )
-    }
 }
 
 impl LloydKmeans {
@@ -189,20 +72,20 @@ impl LloydKmeans {
         })
     }
 
-    /// Lloyd's loop over any point layout. `init_centroids` (the warm-start
-    /// path of `Solver::refit`) replaces the random seeding; `None` keeps the
-    /// classical random initialisation bit-for-bit.
-    fn fit_points<P: LloydPoints>(
+    /// Lloyd's loop over either point layout. `init_centroids` (the
+    /// warm-start path of `Solver::refit`) replaces the random seeding; `None`
+    /// keeps the classical random initialisation bit-for-bit.
+    fn fit_points<T: Scalar>(
         &self,
-        points: P,
+        points: FitInput<'_, T>,
         config: &KernelKmeansConfig,
-        elem: usize,
         executor: &dyn Executor,
         init_centroids: Option<Vec<Vec<f64>>>,
     ) -> Result<ClusteringResult> {
         let n = points.n();
         let d = points.d();
         let k = config.k;
+        let elem = std::mem::size_of::<T>();
 
         let mut centroids: Vec<Vec<f64>> = match init_centroids {
             Some(centroids) => {
@@ -221,7 +104,7 @@ impl LloydKmeans {
                 indices.shuffle(&mut rng);
                 let mut centroids = zero_centroids(k, d)?;
                 for (centroid, &i) in centroids.iter_mut().zip(&indices[..k]) {
-                    points.densify_into(i, centroid);
+                    for_each_coordinate(points, i, centroid, |c, x| *c = x);
                 }
                 centroids
             }
@@ -246,33 +129,12 @@ impl LloydKmeans {
             for (last, centroid) in last_assignment_centroids.iter_mut().zip(&centroids) {
                 last.copy_from_slice(centroid);
             }
-            let centroid_sq_norms: Vec<f64> = centroids
-                .iter()
-                .map(|c| c.iter().map(|&x| x * x).sum())
-                .collect();
             let (new_labels, objective) = executor.run(
                 format!("lloyd assignment (n={n}, d={d}, k={k})"),
                 Phase::PairwiseDistances,
                 OpClass::Gemm,
-                points.assignment_cost(k, elem),
-                || {
-                    let mut new_labels = vec![0usize; n];
-                    let mut objective = 0.0f64;
-                    for (i, slot) in new_labels.iter_mut().enumerate() {
-                        let mut best = 0usize;
-                        let mut best_d = f64::INFINITY;
-                        for (c, centroid) in centroids.iter().enumerate() {
-                            let dist = points.sq_dist(i, centroid, centroid_sq_norms[c]);
-                            if dist < best_d {
-                                best_d = dist;
-                                best = c;
-                            }
-                        }
-                        *slot = best;
-                        objective += best_d;
-                    }
-                    (new_labels, objective)
-                },
+                lloyd::sweep_cost(points, k),
+                || lloyd::nearest_centroids(points, &centroids),
             );
 
             let changed = new_labels
@@ -299,7 +161,7 @@ impl LloydKmeans {
                     let mut counts = vec![0usize; k];
                     for (i, &l) in labels.iter().enumerate() {
                         counts[l] += 1;
-                        points.accumulate(i, &mut sums[l]);
+                        for_each_coordinate(points, i, &mut sums[l], |c, x| *c += x);
                     }
                     let mut empty = 0usize;
                     for (c, count) in counts.iter().enumerate() {
@@ -353,6 +215,30 @@ impl LloydKmeans {
     }
 }
 
+/// Apply `f(out[j], x_j)` to each coordinate `x_j` of point `i` that its
+/// layout stores (every coordinate of a dense row, the stored entries of a
+/// CSR row).
+fn for_each_coordinate<T: Scalar>(
+    points: FitInput<'_, T>,
+    i: usize,
+    out: &mut [f64],
+    f: impl Fn(&mut f64, f64),
+) {
+    match points {
+        FitInput::Dense(p) => {
+            for (out, v) in out.iter_mut().zip(p.row(i)) {
+                f(out, v.to_f64());
+            }
+        }
+        FitInput::Sparse(p) => {
+            let (cols, vals) = p.row(i);
+            for (&j, v) in cols.iter().zip(vals) {
+                f(&mut out[j], v.to_f64());
+            }
+        }
+    }
+}
+
 /// `k` zeroed centroids of `d` coordinates, each reserved fallibly: points
 /// whose largest feature index is huge (a libSVM file's 4e9, say) get
 /// [`CoreError::HostAllocationFailed`] naming the shape, not an abort.
@@ -394,11 +280,7 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
         input.charge_upload(&executor);
-        let elem = std::mem::size_of::<T>();
-        match input {
-            FitInput::Dense(points) => self.fit_points(points, config, elem, &executor, None),
-            FitInput::Sparse(points) => self.fit_points(points, config, elem, &executor, None),
-        }
+        self.fit_points(input, config, &*executor, None)
     }
 
     /// Lloyd's algorithm has no kernel-matrix formulation.
@@ -425,11 +307,7 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
         let executor = self.executor_for::<T>();
         let _residency = ResidencyScope::new(&*executor);
         input.charge_upload(&executor);
-        let elem = std::mem::size_of::<T>();
-        let result = match input {
-            FitInput::Dense(points) => self.fit_points(points, config, elem, &*executor, None),
-            FitInput::Sparse(points) => self.fit_points(points, config, elem, &*executor, None),
-        }?;
+        let result = self.fit_points(input, config, &*executor, None)?;
         let model = popcorn_core::FittedModel::from_lloyd(config, &result, input)?;
         Ok((result, model))
     }
@@ -481,12 +359,8 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
             }
         };
         config.validate(points.n())?;
-        let elem = std::mem::size_of::<T>();
         let input = points.as_input();
-        let result = match input {
-            FitInput::Dense(p) => self.fit_points(p, &config, elem, &*executor, init),
-            FitInput::Sparse(p) => self.fit_points(p, &config, elem, &*executor, init),
-        }?;
+        let result = self.fit_points(input, &config, &*executor, init)?;
         let refitted = popcorn_core::FittedModel::from_lloyd(&config, &result, input)?;
         Ok((result, refitted))
     }
@@ -511,20 +385,12 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
         let mark = executor.trace().len();
         input.charge_upload(&executor);
         let shared_trace = batch::trace_since(&executor, mark);
-        let elem = std::mem::size_of::<T>();
         batch::drive_shared_kernel_with(
             jobs,
             &executor,
             shared_trace,
             options,
-            |job, job_executor| match input {
-                FitInput::Dense(points) => {
-                    self.fit_points(points, &job.config, elem, job_executor, None)
-                }
-                FitInput::Sparse(points) => {
-                    self.fit_points(points, &job.config, elem, job_executor, None)
-                }
-            },
+            |job, job_executor| self.fit_points(input, &job.config, job_executor, None),
         )
     }
 }
@@ -532,6 +398,8 @@ impl<T: Scalar> Solver<T> for LloydKmeans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popcorn_dense::DenseMatrix;
+    use popcorn_sparse::CsrMatrix;
 
     fn blob_points() -> DenseMatrix<f64> {
         DenseMatrix::from_fn(30, 2, |i, j| {

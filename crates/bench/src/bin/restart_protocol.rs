@@ -192,7 +192,7 @@ fn parallel_driver_demo(options: &ExperimentOptions) {
         )
         .expect("parallel demo batch")
     };
-    let sequential = run(HostParallelism::Sequential);
+    let sequential = run(HostParallelism::Threads(1));
     let parallel = run(HostParallelism::Threads(threads));
 
     // Bit-identity across thread counts is a hard contract, not a hope:

@@ -254,7 +254,7 @@ impl Default for CliArgs {
             approx: ApproxMode::Exact,
             landmarks: None,
             sparsify: None,
-            host_threads: HostParallelism::Sequential,
+            host_threads: HostParallelism::Threads(1),
             streaming: Streaming::Off,
             seed: 0,
             implementation: Implementation::Popcorn,
@@ -1111,7 +1111,7 @@ mod tests {
     fn host_threads_flag() {
         assert_eq!(
             parse(&[]).unwrap().host_threads,
-            HostParallelism::Sequential
+            HostParallelism::Threads(1)
         );
         assert_eq!(
             parse(&["--host-threads", "auto"]).unwrap().host_threads,
@@ -1130,7 +1130,7 @@ mod tests {
         assert!(parse(&["--host-threads", "many"]).is_err());
         assert!(parse(&["--host-threads"]).is_err());
         // Resolution semantics the driver relies on.
-        assert_eq!(HostParallelism::Sequential.resolve(), 1);
+        assert_eq!(HostParallelism::Threads(1).resolve(), 1);
         assert_eq!(HostParallelism::Threads(4).resolve(), 4);
         assert!(HostParallelism::Auto.resolve() >= 1);
         assert_eq!(HostParallelism::Auto.describe(), "auto");

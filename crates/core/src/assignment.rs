@@ -10,22 +10,8 @@
 use popcorn_dense::{row_argmin_into, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
 
-/// Result of one assignment step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AssignmentOutcome {
-    /// New label per point.
-    pub labels: Vec<usize>,
-    /// Number of points whose label changed relative to `previous`.
-    pub changed: usize,
-    /// Kernel k-means objective Σᵢ D\[i\]\[labels\[i\]\] under the new labels.
-    pub objective: f64,
-    /// Number of empty clusters in the new labelling (before any repair).
-    pub empty_clusters: usize,
-}
-
 /// Statistics of one assignment step whose labels were written into a
-/// caller-provided buffer (the scratch-reusing variant of
-/// [`AssignmentOutcome`]).
+/// caller-provided buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssignmentStats {
     /// Number of points whose label changed relative to `previous`.
@@ -75,22 +61,6 @@ pub fn assign_clusters_into<T: Scalar>(
         changed,
         objective,
         empty_clusters,
-    }
-}
-
-/// Assign every point to its closest centroid (row-wise argmin of `D`).
-pub fn assign_clusters<T: Scalar>(
-    distances: &DenseMatrix<T>,
-    previous: &[usize],
-    executor: &dyn Executor,
-) -> AssignmentOutcome {
-    let mut labels = Vec::new();
-    let stats = assign_clusters_into(distances, previous, &mut labels, executor);
-    AssignmentOutcome {
-        labels,
-        changed: stats.changed,
-        objective: stats.objective,
-        empty_clusters: stats.empty_clusters,
     }
 }
 
@@ -144,6 +114,17 @@ mod tests {
     use super::*;
     use popcorn_gpusim::SimExecutor;
 
+    /// [`assign_clusters_into`] with a fresh label buffer.
+    fn assign(
+        distances: &DenseMatrix<f64>,
+        previous: &[usize],
+        exec: &SimExecutor,
+    ) -> (Vec<usize>, AssignmentStats) {
+        let mut labels = Vec::new();
+        let stats = assign_clusters_into(distances, previous, &mut labels, exec);
+        (labels, stats)
+    }
+
     fn distances() -> DenseMatrix<f64> {
         // 4 points, 3 clusters
         DenseMatrix::from_rows(&[
@@ -158,8 +139,8 @@ mod tests {
     #[test]
     fn argmin_assignment_and_objective() {
         let exec = SimExecutor::a100_f32();
-        let out = assign_clusters(&distances(), &[0, 0, 0, 0], &exec);
-        assert_eq!(out.labels, vec![0, 1, 1, 2]);
+        let (labels, out) = assign(&distances(), &[0, 0, 0, 0], &exec);
+        assert_eq!(labels, vec![0, 1, 1, 2]);
         assert_eq!(out.changed, 3);
         assert!((out.objective - (0.1 + 0.2 + 0.3 + 0.4)).abs() < 1e-12);
         assert_eq!(out.empty_clusters, 0);
@@ -170,7 +151,7 @@ mod tests {
     #[test]
     fn change_count_zero_when_stable() {
         let exec = SimExecutor::a100_f32();
-        let out = assign_clusters(&distances(), &[0, 1, 1, 2], &exec);
+        let (_, out) = assign(&distances(), &[0, 1, 1, 2], &exec);
         assert_eq!(out.changed, 0);
     }
 
@@ -178,8 +159,8 @@ mod tests {
     fn empty_cluster_detection() {
         let d = DenseMatrix::from_rows(&[vec![0.1, 5.0, 9.0], vec![0.2, 5.0, 9.0]]).unwrap();
         let exec = SimExecutor::a100_f32();
-        let out = assign_clusters(&d, &[0, 0], &exec);
-        assert_eq!(out.labels, vec![0, 0]);
+        let (labels, out) = assign(&d, &[0, 0], &exec);
+        assert_eq!(labels, vec![0, 0]);
         assert_eq!(out.empty_clusters, 2);
     }
 

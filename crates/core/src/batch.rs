@@ -56,23 +56,26 @@ use std::time::Instant;
 /// executes the per-job engine work, never what is modeled. Results, traces
 /// and residency accounting are bit-identical at every setting — the
 /// `tests/parallel_batch_properties.rs` suite pins that contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostParallelism {
-    /// One thread, the classic sequential driver (the default).
-    #[default]
-    Sequential,
     /// One worker per available hardware thread
     /// ([`std::thread::available_parallelism`]).
     Auto,
-    /// Exactly this many workers (values below 1 are clamped to 1).
+    /// Exactly this many workers (values below 1 are clamped to 1);
+    /// `Threads(1)`, the classic sequential driver, is the default.
     Threads(usize),
+}
+
+impl Default for HostParallelism {
+    fn default() -> Self {
+        HostParallelism::Threads(1)
+    }
 }
 
 impl HostParallelism {
     /// The concrete worker count this setting resolves to on this host.
     pub fn resolve(self) -> usize {
         match self {
-            HostParallelism::Sequential => 1,
             HostParallelism::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -83,7 +86,6 @@ impl HostParallelism {
     /// Name matching the CLI flag values (`auto` or the thread count).
     pub fn describe(self) -> String {
         match self {
-            HostParallelism::Sequential => "1".to_string(),
             HostParallelism::Auto => "auto".to_string(),
             HostParallelism::Threads(n) => n.max(1).to_string(),
         }
@@ -665,8 +667,10 @@ fn lockstep<T: Scalar>(
 /// every still-active job.
 ///
 /// This is what makes the batched-tiled combination pay off — with a
-/// [`crate::TiledKernel`] the (expensive) per-iteration tile recomputation is
-/// charged once to the shared executor and serves the whole restart/k-sweep,
+/// streamed source ([`crate::ShardedKernelSource`], which
+/// [`crate::kernel_source::run_with_source`] hands out whenever `K` is not
+/// kept whole) the (expensive) per-iteration tile recomputation is charged
+/// once to the shared executor and serves the whole restart/k-sweep,
 /// instead of once per job; with a single-tile [`crate::FullKernel`] the
 /// pass is free and this reduces to the classic shared-`K` driver. Each
 /// job's own operations (SpMM over the tile, argmin, ...) run on a forked
@@ -849,7 +853,7 @@ mod tests {
     use crate::solver::Solver;
     use crate::{KernelFunction, KernelMatrixStrategy, TilePolicy};
     use popcorn_dense::DenseMatrix;
-    use popcorn_gpusim::SimExecutor;
+    use popcorn_gpusim::{ExecutorExt, SimExecutor};
     use popcorn_gpusim::{OpClass, OpCost, Phase};
 
     fn blob_points() -> DenseMatrix<f64> {
@@ -1059,19 +1063,19 @@ mod tests {
 
     #[test]
     fn host_parallelism_resolution_and_description() {
-        assert_eq!(HostParallelism::default(), HostParallelism::Sequential);
-        assert_eq!(HostParallelism::Sequential.resolve(), 1);
+        assert_eq!(HostParallelism::default(), HostParallelism::Threads(1));
+        assert_eq!(HostParallelism::Threads(1).resolve(), 1);
         assert_eq!(HostParallelism::Threads(0).resolve(), 1);
         assert_eq!(HostParallelism::Threads(6).resolve(), 6);
         assert!(HostParallelism::Auto.resolve() >= 1);
-        assert_eq!(HostParallelism::Sequential.describe(), "1");
+        assert_eq!(HostParallelism::Threads(1).describe(), "1");
         assert_eq!(HostParallelism::Auto.describe(), "auto");
         assert_eq!(HostParallelism::Threads(0).describe(), "1");
         let options = BatchOptions::default().with_host_threads(HostParallelism::Threads(4));
         assert_eq!(options.host_threads, HostParallelism::Threads(4));
         assert_eq!(
             BatchOptions::default().host_threads,
-            HostParallelism::Sequential
+            HostParallelism::Threads(1)
         );
     }
 

@@ -9,8 +9,8 @@
 
 use crate::kernel_source::{KernelSource, PhaseResidency};
 use crate::{CoreError, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, SimExecutor};
+use popcorn_dense::Scalar;
+use popcorn_gpusim::Executor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,38 +48,10 @@ pub fn random_assignments(n: usize, k: usize, seed: u64) -> Result<Vec<usize>> {
 /// space (D² sampling on kernel-trick distances), then assign every point to
 /// its nearest seed.
 ///
-/// This is the in-core convenience wrapper over
-/// [`kmeanspp_assignments_source`] — one algorithm, one RNG draw sequence, so
-/// streamed and resident kernel matrices seed identically by construction.
-/// The simulator charges of the source accessors are discarded (the callers
-/// of this wrapper do not account device time).
-pub fn kmeanspp_assignments<T: Scalar>(
-    kernel_matrix: &DenseMatrix<T>,
-    k: usize,
-    seed: u64,
-) -> Result<Vec<usize>> {
-    let source = crate::kernel_source::FullKernel::new(kernel_matrix)?;
-    kmeanspp_assignments_source(&source, k, seed, &SimExecutor::a100_f32())
-}
-
-/// Dispatch on the configured initialisation method.
-pub fn initial_assignments<T: Scalar>(
-    kernel_matrix: &DenseMatrix<T>,
-    k: usize,
-    init: Initialization,
-    seed: u64,
-) -> Result<Vec<usize>> {
-    match init {
-        Initialization::Random => random_assignments(kernel_matrix.rows(), k, seed),
-        Initialization::KmeansPlusPlus => kmeanspp_assignments(kernel_matrix, k, seed),
-    }
-}
-
-/// Kernel k-means++ over a streamed kernel matrix: identical sampling to
-/// [`kmeanspp_assignments`] — the needed entries (`diag(K)` plus the rows of
-/// the chosen seed points) are pulled from the [`KernelSource`], so the full
-/// matrix never has to be resident. Given the same seed, the chosen centres
-/// and labels match the in-core function exactly.
+/// The needed entries (`diag(K)` plus the rows of the chosen seed points) are
+/// pulled from the [`KernelSource`], so the full matrix never has to be
+/// resident: one algorithm, one RNG draw sequence, so streamed and resident
+/// kernel matrices seed identically by construction.
 pub fn kmeanspp_assignments_source<T: Scalar>(
     source: &dyn KernelSource<T>,
     k: usize,
@@ -243,6 +215,10 @@ pub fn initial_assignments_source<T: Scalar>(
 mod tests {
     use super::*;
     use crate::kernel::{kernel_matrix_reference, KernelFunction};
+    use crate::kernel_source::{FullKernel, TiledKernel};
+    use crate::solver::FitInput;
+    use popcorn_dense::DenseMatrix;
+    use popcorn_gpusim::SimExecutor;
 
     #[test]
     fn random_assignments_in_range_and_deterministic() {
@@ -270,9 +246,9 @@ mod tests {
         assert!(random_assignments(3, 10, 0).is_err());
     }
 
-    fn two_blob_kernel() -> DenseMatrix<f64> {
-        // Two tight groups far apart; linear kernel.
-        let points = DenseMatrix::from_rows(&[
+    /// Two tight groups far apart.
+    fn two_blob_points() -> DenseMatrix<f64> {
+        DenseMatrix::from_rows(&[
             vec![0.0, 0.0],
             vec![0.1, 0.0],
             vec![0.0, 0.1],
@@ -280,14 +256,23 @@ mod tests {
             vec![10.1, 10.0],
             vec![10.0, 10.1],
         ])
-        .unwrap();
-        kernel_matrix_reference(&points, KernelFunction::Linear)
+        .unwrap()
+    }
+
+    fn two_blob_kernel() -> DenseMatrix<f64> {
+        kernel_matrix_reference(&two_blob_points(), KernelFunction::Linear)
+    }
+
+    /// k-means++ over a resident kernel matrix, as the in-core solvers seed.
+    fn kmeanspp(kernel_matrix: &DenseMatrix<f64>, k: usize, seed: u64) -> Result<Vec<usize>> {
+        let source = FullKernel::new(kernel_matrix)?;
+        kmeanspp_assignments_source(&source, k, seed, &SimExecutor::a100_f32())
     }
 
     #[test]
     fn kmeanspp_separates_obvious_blobs() {
         let k = two_blob_kernel();
-        let labels = kmeanspp_assignments(&k, 2, 3).unwrap();
+        let labels = kmeanspp(&k, 2, 3).unwrap();
         assert_eq!(labels.len(), 6);
         // Points 0-2 share a label, points 3-5 share the other label.
         assert_eq!(labels[0], labels[1]);
@@ -300,10 +285,7 @@ mod tests {
     #[test]
     fn kmeanspp_is_deterministic_given_seed() {
         let k = two_blob_kernel();
-        assert_eq!(
-            kmeanspp_assignments(&k, 3, 11).unwrap(),
-            kmeanspp_assignments(&k, 3, 11).unwrap()
-        );
+        assert_eq!(kmeanspp(&k, 3, 11).unwrap(), kmeanspp(&k, 3, 11).unwrap());
     }
 
     #[test]
@@ -312,7 +294,7 @@ mod tests {
         // and produce valid labels.
         let points = DenseMatrix::from_rows(&vec![vec![1.0, 1.0]; 5]).unwrap();
         let k = kernel_matrix_reference(&points, KernelFunction::Linear);
-        let labels = kmeanspp_assignments(&k, 3, 0).unwrap();
+        let labels = kmeanspp(&k, 3, 0).unwrap();
         assert_eq!(labels.len(), 5);
         assert!(labels.iter().all(|&l| l < 3));
     }
@@ -320,30 +302,32 @@ mod tests {
     #[test]
     fn kmeanspp_validates_inputs() {
         let k = two_blob_kernel();
-        assert!(kmeanspp_assignments(&k, 0, 0).is_err());
-        assert!(kmeanspp_assignments(&k, 100, 0).is_err());
+        assert!(kmeanspp(&k, 0, 0).is_err());
+        assert!(kmeanspp(&k, 100, 0).is_err());
         let rect = DenseMatrix::<f64>::zeros(2, 3);
-        assert!(kmeanspp_assignments(&rect, 1, 0).is_err());
+        assert!(kmeanspp(&rect, 1, 0).is_err());
     }
 
     #[test]
     fn source_kmeanspp_matches_in_core_kmeanspp() {
-        use crate::kernel_source::FullKernel;
-        let k_matrix = two_blob_kernel();
+        // A streamed source seeds as the resident matrix of its own rows.
+        let points = two_blob_points();
         let exec = SimExecutor::a100_f32();
-        let source = FullKernel::new(&k_matrix).unwrap();
+        let tiled =
+            TiledKernel::new(FitInput::Dense(&points), KernelFunction::Linear, 2, &exec).unwrap();
+        let rows: Vec<Vec<f64>> = (0..6).map(|i| tiled.row(i, &exec).unwrap()).collect();
+        let k_matrix = DenseMatrix::from_rows(&rows).unwrap();
         for seed in [0u64, 3, 11, 29] {
-            let via_source = kmeanspp_assignments_source(&source, 2, seed, &exec).unwrap();
-            let in_core = kmeanspp_assignments(&k_matrix, 2, seed).unwrap();
-            assert_eq!(via_source, in_core, "seed {seed}");
+            let streamed = kmeanspp_assignments_source(&tiled, 2, seed, &exec).unwrap();
+            let in_core = kmeanspp(&k_matrix, 2, seed).unwrap();
+            assert_eq!(streamed, in_core, "seed {seed}");
         }
-        assert!(kmeanspp_assignments_source(&source, 0, 0, &exec).is_err());
-        assert!(kmeanspp_assignments_source(&source, 100, 0, &exec).is_err());
+        assert!(kmeanspp_assignments_source(&tiled, 0, 0, &exec).is_err());
+        assert!(kmeanspp_assignments_source(&tiled, 100, 0, &exec).is_err());
     }
 
     #[test]
     fn extend_spread_rows_resumes_bitwise_identically() {
-        use crate::kernel_source::FullKernel;
         let k_matrix = two_blob_kernel();
         let exec = SimExecutor::a100_f32();
         let source = FullKernel::new(&k_matrix).unwrap();
@@ -372,10 +356,17 @@ mod tests {
     #[test]
     fn dispatch_matches_direct_calls() {
         let k = two_blob_kernel();
-        let a = initial_assignments(&k, 2, Initialization::Random, 5).unwrap();
-        assert_eq!(a, random_assignments(6, 2, 5).unwrap());
-        let b = initial_assignments(&k, 2, Initialization::KmeansPlusPlus, 5).unwrap();
-        assert_eq!(b, kmeanspp_assignments(&k, 2, 5).unwrap());
+        let source = FullKernel::new(&k).unwrap();
+        let exec = SimExecutor::a100_f32();
+        let init = |method| initial_assignments_source(&source, 2, method, 5, &exec).unwrap();
+        assert_eq!(
+            init(Initialization::Random),
+            random_assignments(6, 2, 5).unwrap()
+        );
+        assert_eq!(
+            init(Initialization::KmeansPlusPlus),
+            kmeanspp(&k, 2, 5).unwrap()
+        );
         assert_eq!(Initialization::Random.name(), "random");
         assert_eq!(Initialization::KmeansPlusPlus.name(), "kmeans++");
     }

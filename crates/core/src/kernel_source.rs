@@ -1,5 +1,5 @@
-//! Streaming access to the kernel matrix: [`KernelSource`] and its two
-//! backends.
+//! Streaming access to the kernel matrix: [`KernelSource`], its in-core and
+//! tiled backends, and [`run_with_source`], which picks each fit's source.
 //!
 //! The paper's formulation materializes the full `n × n` kernel matrix `K` on
 //! the device, which caps the reachable problem size at whatever fits in
@@ -19,8 +19,14 @@
 //!   never holding more than `tile_rows × n` scalars of `K`. Results are
 //!   **bit-identical** to the in-core path: the panel kernels reproduce the
 //!   full computation's per-entry accumulation order exactly (see
-//!   `CsrMatrix::gram_panel` and the dense products' per-entry dot
+//!   `popcorn_sparse::GramIndex` and the dense products' per-entry dot
 //!   products), so labels, objectives and histories match to the last bit.
+//!
+//! [`run_with_source`] hands a fit a [`FullKernel`] when one device keeps
+//! the whole matrix, and otherwise a [`crate::shard::ShardedKernelSource`],
+//! which streams [`TiledKernel`] panels on one device or several. The
+//! approximations get their own sources: [`crate::nystrom::NystromKernel`]
+//! and [`crate::sparsified::SparsifiedKernel`].
 //!
 //! A source streams `K` in one kind of panel ([`Panel`]), its own
 //! [`KernelSource::panel_kind`], through its one streaming method

@@ -34,6 +34,7 @@ pub mod init;
 pub mod kernel;
 pub mod kernel_matrix;
 pub mod kernel_source;
+pub mod lloyd;
 pub mod model;
 pub mod nystrom;
 pub mod pipeline;

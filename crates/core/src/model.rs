@@ -35,6 +35,7 @@ use crate::kernel_matrix::{charge_kernel_map, INDEX_BYTES};
 use crate::kernel_source::{
     self, KernelSource, Panel, PanelKind, PanelVisitor, TilePolicy, TiledKernel,
 };
+use crate::lloyd;
 use crate::nystrom::{KernelApprox, NystromFactors};
 use crate::pipeline::{self, DistanceEngine, LoopState};
 use crate::popcorn::PopcornEngine;
@@ -46,7 +47,7 @@ use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
 use popcorn_dense::microkernel::nt_product;
-use popcorn_dense::{matmul, DenseMatrix, PackedSymmetric, Scalar};
+use popcorn_dense::{matmul, row_argmin, DenseMatrix, PackedSymmetric, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, StreamMeter, Streaming,
 };
@@ -592,23 +593,7 @@ impl<T: Scalar> FittedModel<T> {
             Phase::Assignment,
             OpClass::Reduction,
             OpCost::elementwise_elems(q as u64 * k as u64, 1, 0, 1, elem),
-            || {
-                (0..q)
-                    .map(|i| {
-                        let row = distances.row(i);
-                        let mut best = 0usize;
-                        let mut best_d = f64::INFINITY;
-                        for (c, v) in row.iter().enumerate() {
-                            let v = v.to_f64();
-                            if v < best_d {
-                                best_d = v;
-                                best = c;
-                            }
-                        }
-                        best
-                    })
-                    .collect()
-            },
+            || row_argmin(&distances),
         ))
     }
 
@@ -796,79 +781,22 @@ impl<T: Scalar> FittedModel<T> {
         landmarks.iter().map(|&l| self.gram_diag[l]).collect()
     }
 
-    /// Lloyd scoring: nearest stored centroid, with the Lloyd solver's exact
-    /// sparse-aware distance arithmetic so training-set replays are
-    /// bit-for-bit.
+    /// Lloyd scoring: nearest stored centroid, through the Lloyd solver's own
+    /// sweep ([`lloyd::nearest_centroids`]), so training-set replays are bit
+    /// for bit.
     fn lloyd_assign(&self, points: FitInput<'_, T>, executor: &dyn Executor) -> Result<Vec<usize>> {
         let ModelStats::Lloyd { centroids } = &self.stats else {
             return Err(CoreError::Unsupported(
                 "only Lloyd models score against centroids".into(),
             ));
         };
-        let n = points.n();
-        let d = points.d();
-        let k = centroids.len();
-        let elem = std::mem::size_of::<T>() as u64;
-        let centroid_sq_norms: Vec<f64> = centroids
-            .iter()
-            .map(|c| c.iter().map(|&x| x * x).sum())
-            .collect();
-        let cost = match points {
-            FitInput::Dense(_) => OpCost::new(
-                3 * (n * k * d) as u64,
-                ((n * d + k * d) as u64) * elem,
-                n as u64 * elem,
-            ),
-            FitInput::Sparse(p) => OpCost::new(
-                ((3 * p.nnz() + n) * k) as u64,
-                p.nnz() as u64 * (elem + INDEX_BYTES as u64) + (k * d) as u64 * elem,
-                n as u64 * elem,
-            ),
-        };
+        let (n, d, k) = (points.n(), points.d(), centroids.len());
         Ok(executor.run(
             format!("serve lloyd assignment (q={n}, d={d}, k={k})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
-            cost,
-            || {
-                (0..n)
-                    .map(|i| {
-                        let mut best = 0usize;
-                        let mut best_d = f64::INFINITY;
-                        for (c, centroid) in centroids.iter().enumerate() {
-                            let mut correction = 0.0f64;
-                            match points {
-                                FitInput::Dense(p) => {
-                                    for (x, &cj) in p.row(i).iter().zip(centroid.iter()) {
-                                        let x = x.to_f64();
-                                        if x != 0.0 {
-                                            let diff = x - cj;
-                                            correction += diff * diff - cj * cj;
-                                        }
-                                    }
-                                }
-                                FitInput::Sparse(p) => {
-                                    let (cols, vals) = p.row(i);
-                                    for (&j, &x) in cols.iter().zip(vals.iter()) {
-                                        let x = x.to_f64();
-                                        if x != 0.0 {
-                                            let cj = centroid[j];
-                                            let diff = x - cj;
-                                            correction += diff * diff - cj * cj;
-                                        }
-                                    }
-                                }
-                            }
-                            let dist = (centroid_sq_norms[c] + correction).max(0.0);
-                            if dist < best_d {
-                                best_d = dist;
-                                best = c;
-                            }
-                        }
-                        best
-                    })
-                    .collect()
-            },
+            lloyd::sweep_cost(points, k),
+            || lloyd::nearest_centroids(points, centroids).0,
         ))
     }
 }

@@ -16,9 +16,12 @@
 //! per panel of [`KernelSource::for_each_panel`] → `finish_iteration`),
 //! which is the in-core path unchanged when the source is a single-panel
 //! [`crate::FullKernel`] and the out-of-core compute-consume path when it is
-//! a [`crate::TiledKernel`]. [`LoopState`] factors the per-iteration
-//! assignment/convergence bookkeeping out of the loop so the batched
-//! lockstep driver (`crate::batch`) can run many jobs over one panel pass.
+//! a streamed [`crate::ShardedKernelSource`] (the source
+//! [`crate::kernel_source::run_with_source`] hands out whenever `K` is not
+//! kept whole, on one device or several). [`LoopState`] factors the
+//! per-iteration assignment/convergence bookkeeping out of the loop so the
+//! batched lockstep driver (`crate::batch`) can run many jobs over one panel
+//! pass.
 
 use crate::assignment::{assign_clusters_into, repair_empty_clusters};
 use crate::config::KernelKmeansConfig;

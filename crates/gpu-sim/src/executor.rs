@@ -1,5 +1,7 @@
 //! Simulated device execution: the [`Executor`] trait and its single-device
-//! implementation, [`SimExecutor`].
+//! implementation, [`SimExecutor`], whose only API beyond the trait is its
+//! constructors, [`SimExecutor::profiler`], [`SimExecutor::roofline`] and
+//! [`SimExecutor::scoped_residency`].
 //!
 //! [`Executor`] is the seam between "run the real computation on the host"
 //! and "account for what it would have cost on the device(s)". Engines, the
@@ -321,16 +323,6 @@ impl SimExecutor {
         Self::new(DeviceSpec::epyc7763_single_core(), 4)
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
-    /// The device being simulated.
-    pub fn device(&self) -> &DeviceSpec {
-        self.cost_model.device()
-    }
-
     /// The shared profiler collecting this executor's records.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
@@ -341,92 +333,6 @@ impl SimExecutor {
         Roofline::new(self.device().clone(), self.cost_model.elem_bytes())
     }
 
-    /// Run `f` on the host, record its cost, and return its result.
-    pub fn run<R>(
-        &self,
-        name: impl Into<String>,
-        phase: Phase,
-        class: OpClass,
-        cost: OpCost,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let start = Instant::now();
-        let result = f();
-        let host_seconds = start.elapsed().as_secs_f64();
-        Executor::record(self, name.into(), phase, class, cost, host_seconds);
-        result
-    }
-
-    /// Record an operation that has no host-side work (e.g. a modeled
-    /// host→device transfer of a dataset that is already in memory).
-    pub fn charge(&self, name: impl Into<String>, phase: Phase, class: OpClass, cost: OpCost) {
-        Executor::record(self, name.into(), phase, class, cost, 0.0);
-    }
-
-    /// A new executor with the same cost model but an empty trace.
-    ///
-    /// Batched drivers fork one executor per job so each job's trace contains
-    /// only its own operations, while the parent keeps the shared (charged
-    /// once) work; [`SimExecutor::absorb`] merges a fork's records back. The
-    /// fork's residency counter starts at the parent's current residency so a
-    /// job's peak accounts for the shared allocations still on the device.
-    ///
-    /// **Residency-baseline contract:** absorbing the trace is not enough —
-    /// the fork's [`SimExecutor::peak_resident_bytes`] must also be merged
-    /// back via [`SimExecutor::merge_peak`], *including on error paths*, or
-    /// the parent's high-water mark silently under-reports the fork's
-    /// allocations. This inherent method returns a bare executor and leaves
-    /// that merge to the caller; the trait-level [`Executor::fork`] returns a
-    /// drop guard that performs the peak merge automatically when the fork is
-    /// dropped.
-    pub fn fork(&self) -> Self {
-        Self {
-            cost_model: self.cost_model.clone(),
-            profiler: Profiler::with_resident(self.profiler.resident_bytes()),
-        }
-    }
-
-    /// Append the records of `trace` to this executor's profiler, so a
-    /// caller holding a shared executor still sees the complete history
-    /// after per-job work ran on forked executors.
-    pub fn absorb(&self, trace: &OpTrace) {
-        self.profiler.extend(trace);
-    }
-
-    /// Record a modeled device allocation of `bytes` bytes (points, kernel
-    /// matrix or tile, per-iteration buffers). Feeds the peak-residency
-    /// accounting the tiling planner's capacity model is validated against.
-    pub fn track_alloc(&self, bytes: u64) {
-        self.profiler.track_alloc(bytes);
-    }
-
-    /// Record a modeled device free of `bytes` bytes.
-    pub fn track_free(&self, bytes: u64) {
-        self.profiler.track_free(bytes);
-    }
-
-    /// Bytes currently resident under the modeled allocations.
-    pub fn resident_bytes(&self) -> u64 {
-        self.profiler.resident_bytes()
-    }
-
-    /// High-water mark of the modeled residency.
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.profiler.peak_resident_bytes()
-    }
-
-    /// Raise this executor's residency peak to at least `peak` (merging a
-    /// forked executor's memory history back, the residency counterpart of
-    /// [`SimExecutor::absorb`]).
-    pub fn merge_peak(&self, peak: u64) {
-        self.profiler.merge_peak(peak);
-    }
-
-    /// Memory capacity of the simulated device, in bytes.
-    pub fn mem_bytes(&self) -> u64 {
-        self.device().mem_bytes
-    }
-
     /// Scope the residency of one fit: everything tracked between this call
     /// and the guard's drop is freed again, so a reused (`with_executor`)
     /// executor does not accumulate the buffers of completed fits into the
@@ -434,21 +340,6 @@ impl SimExecutor {
     /// unaffected by the free.
     pub fn scoped_residency(&self) -> ResidencyScope<'_> {
         ResidencyScope::new(self)
-    }
-
-    /// Snapshot of everything recorded so far.
-    pub fn trace(&self) -> OpTrace {
-        self.profiler.snapshot()
-    }
-
-    /// Total modeled device time so far, in seconds.
-    pub fn total_modeled_seconds(&self) -> f64 {
-        self.profiler.total_modeled_seconds()
-    }
-
-    /// Clear the trace (e.g. between benchmark trials).
-    pub fn reset(&self) {
-        self.profiler.reset();
     }
 }
 
@@ -466,15 +357,15 @@ impl Executor for SimExecutor {
     }
 
     fn device(&self) -> &DeviceSpec {
-        SimExecutor::device(self)
+        self.cost_model.device()
     }
 
     fn cost_model(&self) -> &CostModel {
-        SimExecutor::cost_model(self)
+        &self.cost_model
     }
 
     fn trace(&self) -> OpTrace {
-        SimExecutor::trace(self)
+        self.profiler.snapshot()
     }
 
     fn trace_len(&self) -> usize {
@@ -486,169 +377,78 @@ impl Executor for SimExecutor {
     }
 
     fn total_modeled_seconds(&self) -> f64 {
-        SimExecutor::total_modeled_seconds(self)
+        self.profiler.total_modeled_seconds()
     }
 
     fn absorb(&self, trace: &OpTrace) {
-        SimExecutor::absorb(self, trace)
+        self.profiler.extend(trace);
     }
 
     fn fork(&self) -> Box<dyn Executor> {
-        Box::new(ForkGuard::new(
-            SimExecutor::fork(self),
-            self.profiler.clone(),
-        ))
+        let child = Self {
+            cost_model: self.cost_model.clone(),
+            profiler: Profiler::with_resident(self.profiler.resident_bytes()),
+        };
+        Box::new(ForkGuard::new(child, self.profiler.clone()))
     }
 
     fn track_alloc(&self, bytes: u64) {
-        SimExecutor::track_alloc(self, bytes)
+        self.profiler.track_alloc(bytes);
     }
 
     fn track_free(&self, bytes: u64) {
-        SimExecutor::track_free(self, bytes)
+        self.profiler.track_free(bytes);
     }
 
     fn resident_bytes(&self) -> u64 {
-        SimExecutor::resident_bytes(self)
+        self.profiler.resident_bytes()
     }
 
     fn peak_resident_bytes(&self) -> u64 {
-        SimExecutor::peak_resident_bytes(self)
+        self.profiler.peak_resident_bytes()
     }
 
     fn merge_peak(&self, peak: u64) {
-        SimExecutor::merge_peak(self, peak)
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        SimExecutor::mem_bytes(self)
+        self.profiler.merge_peak(peak);
     }
 
     fn reset(&self) {
-        SimExecutor::reset(self)
+        self.profiler.reset();
     }
 }
 
 /// A forked executor that merges its residency peak back into the parent's
 /// profiler when dropped — the drop guard behind [`Executor::fork`] that
-/// makes the [`SimExecutor::fork`] residency-baseline contract (merge the
-/// peak even on error paths) impossible to forget.
+/// makes its residency-baseline contract (merge the peak even on error
+/// paths) impossible to forget. Every other call goes to the child.
 #[derive(Debug)]
-pub struct ForkGuard<E: Executor> {
-    child: E,
+pub struct ForkGuard<E: Executor + ?Sized> {
     parent: Profiler,
+    child: E,
 }
 
 impl<E: Executor> ForkGuard<E> {
     /// Wrap a forked executor so `parent` receives its peak on drop.
     pub fn new(child: E, parent: Profiler) -> Self {
-        Self { child, parent }
+        Self { parent, child }
     }
 }
 
-impl<E: Executor> Drop for ForkGuard<E> {
+impl<E: Executor + ?Sized> Drop for ForkGuard<E> {
     fn drop(&mut self) {
         self.parent.merge_peak(self.child.peak_resident_bytes());
     }
 }
 
-impl<E: Executor> Executor for ForkGuard<E> {
-    fn record(&self, name: String, phase: Phase, class: OpClass, cost: OpCost, host_seconds: f64) {
-        self.child.record(name, phase, class, cost, host_seconds)
-    }
+impl<E: Executor + ?Sized> std::ops::Deref for ForkGuard<E> {
+    type Target = E;
 
-    fn device(&self) -> &DeviceSpec {
-        self.child.device()
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        self.child.cost_model()
-    }
-
-    fn trace(&self) -> OpTrace {
-        self.child.trace()
-    }
-
-    fn trace_len(&self) -> usize {
-        self.child.trace_len()
-    }
-
-    fn engine_seconds_since(&self, mark: usize) -> EngineSeconds {
-        self.child.engine_seconds_since(mark)
-    }
-
-    fn total_modeled_seconds(&self) -> f64 {
-        self.child.total_modeled_seconds()
-    }
-
-    fn absorb(&self, trace: &OpTrace) {
-        self.child.absorb(trace)
-    }
-
-    fn fork(&self) -> Box<dyn Executor> {
-        self.child.fork()
-    }
-
-    fn track_alloc(&self, bytes: u64) {
-        self.child.track_alloc(bytes)
-    }
-
-    fn track_free(&self, bytes: u64) {
-        self.child.track_free(bytes)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.child.resident_bytes()
-    }
-
-    fn peak_resident_bytes(&self) -> u64 {
-        self.child.peak_resident_bytes()
-    }
-
-    fn merge_peak(&self, peak: u64) {
-        self.child.merge_peak(peak)
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        self.child.mem_bytes()
-    }
-
-    fn reset(&self) {
-        self.child.reset()
-    }
-
-    fn topology(&self) -> Option<&DeviceTopology> {
-        self.child.topology()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.child.shard_count()
-    }
-
-    fn activate_shard(&self, shard: Option<usize>) {
-        self.child.activate_shard(shard)
-    }
-
-    fn poll_fault(&self, pass: usize) -> Option<FaultEvent> {
-        self.child.poll_fault(pass)
-    }
-
-    fn shard_alive(&self, shard: usize) -> bool {
-        self.child.shard_alive(shard)
-    }
-
-    fn recovery_policy(&self) -> RecoveryPolicy {
-        self.child.recovery_policy()
-    }
-
-    fn note_recovery(&self, delta: &RecoveryReport) {
-        self.child.note_recovery(delta)
-    }
-
-    fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.child.recovery_report()
+    fn deref(&self) -> &E {
+        &self.child
     }
 }
+
+delegate_executor!(ForkGuard<E>);
 
 /// Guard returned by [`SimExecutor::scoped_residency`] /
 /// [`ResidencyScope::new`]: on drop, frees every byte tracked since the guard

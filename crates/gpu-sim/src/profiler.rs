@@ -95,7 +95,7 @@ impl Profiler {
     }
 
     /// Append every record of `trace` (used to merge a forked executor's
-    /// trace back into a shared one — see `SimExecutor::absorb`).
+    /// trace back into a shared one — see [`crate::Executor::absorb`]).
     pub fn extend(&self, trace: &OpTrace) {
         self.lock().extend(trace);
     }

@@ -215,7 +215,7 @@ impl StreamMeter {
 mod tests {
     use super::*;
     use crate::cost::{OpClass, OpCost};
-    use crate::executor::SimExecutor;
+    use crate::executor::{ExecutorExt, SimExecutor};
     use crate::trace::Phase;
 
     fn charge(exec: &SimExecutor, class: OpClass, flops: u64) {

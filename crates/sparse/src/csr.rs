@@ -472,36 +472,6 @@ impl<T: Scalar> CsrMatrix<T> {
             .sum()
     }
 
-    /// A contiguous row panel `B[r0..r1, :]` of the Gram matrix `B = A Aᵀ`,
-    /// **bit-identical** to the same rows of [`CsrMatrix::gram`] /
-    /// [`CsrMatrix::gram_sequential`].
-    ///
-    /// This is the compute kernel of the streaming/tiled kernel-matrix path:
-    /// out-of-core fits recompute one panel at a time instead of holding the
-    /// full `n × n` Gram matrix, and clustering results must not depend on
-    /// that choice. It is [`CsrMatrix::gram`]'s row loop over rows `r0..r1`
-    /// only; callers producing many panels of one matrix keep its
-    /// [`GramIndex`] and call [`GramIndex::gram_rows`] instead. Errs, as
-    /// [`CsrMatrix::gram_index`] does, on more than `u32::MAX` rows.
-    pub fn gram_panel(&self, r0: usize, r1: usize) -> Result<DenseMatrix<T>> {
-        Ok(self.gram_index()?.gram_rows(r0, r1))
-    }
-
-    /// Gustavson FLOP count of [`CsrMatrix::gram_panel`] for rows `r0..r1`:
-    /// each pair of stored entries sharing a column, with one member in the
-    /// panel rows, contributes one multiply-add. Summing over a disjoint
-    /// cover of `0..rows` reproduces [`CsrMatrix::gram_flops`] exactly.
-    /// Repeat pricers keep the [`GramIndex`] and call
-    /// [`GramIndex::panel_flops`].
-    pub fn gram_panel_flops(&self, r0: usize, r1: usize) -> u64 {
-        let slots = self.column_slots();
-        let entries = self.row_ptrs[r0]..self.row_ptrs[r1];
-        pair_flops(
-            &slot_offsets(slots.entries(), slots.width()),
-            &slots.entries()[entries],
-        )
-    }
-
     /// The column index the Gram products walk (see [`GramIndex`]), built
     /// by one counting-sort pass over the stored entries in `O(nnz + rows)`
     /// time and memory.
@@ -594,15 +564,6 @@ fn slot_offsets(slots: &[usize], width: usize) -> Vec<usize> {
         ptrs[s + 1] += ptrs[s];
     }
     ptrs
-}
-
-/// Gustavson FLOPs of the stored entries whose column slots are `slots`:
-/// two for each entry of the slot's list, the lists `col_ptrs` delimits.
-fn pair_flops(col_ptrs: &[usize], slots: &[usize]) -> u64 {
-    slots
-        .iter()
-        .map(|&s| 2 * (col_ptrs[s + 1] - col_ptrs[s]) as u64)
-        .sum()
 }
 
 /// The row-count guard of [`CsrMatrix::gram_index`]: row ids and cuts are
@@ -730,7 +691,7 @@ struct ColumnEntry<T> {
 /// `u32::MAX` rows is an error, not a truncated id.
 ///
 /// [`GramIndex::gram_rows`] is the one row loop behind
-/// [`CsrMatrix::gram`] and [`CsrMatrix::gram_panel`]. Output row `i` is
+/// [`CsrMatrix::gram`] and the tiled kernel's CSR panels. Output row `i` is
 /// computed in three steps:
 ///
 /// 1. zero-fill the row;
@@ -848,11 +809,14 @@ impl<T: Scalar> GramIndex<'_, T> {
 
     /// Gustavson FLOP count of rows `r0..r1` of the Gram matrix: two for
     /// each pair of a stored entry in those rows and a stored entry in its
-    /// column, the figure [`CsrMatrix::gram_panel_flops`] reports.
-    /// `O(panel nnz)`.
+    /// column. Summing over a disjoint cover of `0..rows` reproduces
+    /// [`CsrMatrix::gram_flops`] exactly. `O(panel nnz)`.
     pub fn panel_flops(&self, r0: usize, r1: usize) -> u64 {
         let entries = self.matrix.row_ptrs[r0]..self.matrix.row_ptrs[r1];
-        pair_flops(&self.col_ptrs, &self.slots[entries])
+        self.slots[entries]
+            .iter()
+            .map(|&s| 2 * (self.col_ptrs[s + 1] - self.col_ptrs[s]) as u64)
+            .sum()
     }
 
     /// Whole Gram rows from `first_row` on into `chunk`, each structural
@@ -1174,8 +1138,8 @@ mod tests {
             .fill_rows(0, generic.as_mut_slice(), &|_, _, _| {});
         let sequential = m.gram_sequential();
         let packed = m.gram_sequential_packed();
-        let panel = m.gram_panel(0, n).unwrap();
         let index = m.gram_index().unwrap();
+        let panel = index.gram_rows(0, n);
         let whole = index.gram_lower_rows_with(0, n, |_, _, _| {});
         // Ragged panels of the lower walk, joined.
         let cuts = [0, n / 3, n / 3 + 1, n];
@@ -1191,7 +1155,7 @@ mod tests {
                 assert_eq!(bits(dispatched[(i, j)]), want, "gram: {}", at());
                 assert_eq!(bits(generic[(i, j)]), want, "undispatched body: {}", at());
                 assert_eq!(bits(sequential[(i, j)]), want, "gram_sequential: {}", at());
-                assert_eq!(bits(panel[(i, j)]), want, "gram_panel: {}", at());
+                assert_eq!(bits(panel[(i, j)]), want, "gram_rows: {}", at());
                 assert_eq!(
                     bits(packed[(i, j)]),
                     want,
@@ -1319,8 +1283,7 @@ mod tests {
             bound: u32::MAX as usize,
         };
         assert_eq!(m.gram_index().err(), Some(want.clone()));
-        assert_eq!(m.gram().err(), Some(want.clone()));
-        assert_eq!(m.gram_panel(0, 0).err(), Some(want));
+        assert_eq!(m.gram().err(), Some(want));
         // The last row id `u32::MAX - 1` and the cut `u32::MAX` still fit.
         assert_eq!(check_gram_rows(u32::MAX as usize), Ok(()));
     }
@@ -1357,8 +1320,9 @@ mod tests {
         });
         let sparse = CsrMatrix::from_dense(&dense);
         let full = sparse.gram().unwrap();
+        let index = sparse.gram_index().unwrap();
         for (r0, r1) in [(0, 11), (0, 1), (3, 7), (10, 11), (5, 5)] {
-            let panel = sparse.gram_panel(r0, r1).unwrap();
+            let panel = index.gram_rows(r0, r1);
             assert_eq!(panel.shape(), (r1 - r0, 11));
             for i in r0..r1 {
                 for j in 0..11 {
@@ -1402,19 +1366,19 @@ mod tests {
             }
         });
         let sparse = CsrMatrix::from_dense(&dense);
-        let total: u64 = sparse.gram_panel_flops(0, 4)
-            + sparse.gram_panel_flops(4, 9)
-            + sparse.gram_panel_flops(9, 10);
+        let index = sparse.gram_index().unwrap();
+        let total: u64 =
+            index.panel_flops(0, 4) + index.panel_flops(4, 9) + index.panel_flops(9, 10);
         assert_eq!(total, sparse.gram_flops());
-        assert_eq!(sparse.gram_panel_flops(0, 10), sparse.gram_flops());
-        assert_eq!(sparse.gram_panel_flops(3, 3), 0);
+        assert_eq!(index.panel_flops(0, 10), sparse.gram_flops());
+        assert_eq!(index.panel_flops(3, 3), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn gram_panel_rejects_out_of_range_rows() {
         let m = CsrMatrix::<f64>::zeros(3, 3);
-        let _ = m.gram_panel(1, 4);
+        let _ = m.gram_index().unwrap().gram_rows(1, 4);
     }
 
     #[test]
