@@ -77,7 +77,7 @@ impl KernelFamily for CpuReference {
                     || compute_kernel_matrix_sequential_csr(points, kernel),
                 )
             }
-        })
+        }?)
     }
 }
 
@@ -91,27 +91,29 @@ pub type CpuKernelKmeans = KernelSolver<CpuReference>;
 fn compute_kernel_matrix_sequential_csr<T: Scalar>(
     points: &popcorn_sparse::CsrMatrix<T>,
     kernel: KernelFunction,
-) -> PackedSymmetric<T> {
-    let mut gram = points.gram_sequential_packed();
+) -> popcorn_dense::Result<PackedSymmetric<T>> {
+    let mut gram = points.gram_sequential_packed()?;
     kernel.apply_to_packed(&mut gram);
-    gram
+    Ok(gram)
 }
 
 /// Sequential dense kernel-matrix computation (no blocking, no threads):
-/// entry `(i, j ≤ i)` is the plain dot product of rows `i` and `j`.
+/// entry `(i, j ≤ i)` is the plain dot product of rows `i` and `j`, stored
+/// as `0 + 1·acc`, the write of a GEMM under α = 1, β = 0 (an exact `−0`
+/// sum is stored `+0`, as the other families store it).
 fn compute_kernel_matrix_sequential<T: Scalar>(
     points: &DenseMatrix<T>,
     kernel: KernelFunction,
-) -> PackedSymmetric<T> {
+) -> popcorn_dense::Result<PackedSymmetric<T>> {
     let mut gram = PackedSymmetric::from_fn(points.rows(), |i, j| {
         let mut acc = T::ZERO;
         for (&a, &b) in points.row(i).iter().zip(points.row(j)) {
             acc = a.mul_add(b, acc);
         }
-        acc
-    });
+        T::ZERO + T::ONE * acc
+    })?;
     kernel.apply_to_packed(&mut gram);
-    gram
+    Ok(gram)
 }
 
 #[cfg(test)]
@@ -236,6 +238,70 @@ mod tests {
         let reference =
             popcorn_core::distances::compute_distances_reference(&kernel_matrix, &labels, 3);
         assert!(ours.approx_eq(&reference, 1e-9, 1e-9));
+    }
+
+    /// Points with exact zeros, `−0` and subnormals of both signs; every
+    /// fifth row holds nothing else, so some Gram entries are sums of
+    /// underflowed products, and some of those are `−0`.
+    fn awkward_points<T: Scalar>(n: usize, d: usize) -> DenseMatrix<T> {
+        let tiny = if std::mem::size_of::<T>() == 4 {
+            3e-39
+        } else {
+            3e-309
+        };
+        DenseMatrix::from_fn(n, d, |i, j| {
+            let v = match ((i * 5 + j * 3) % 7, i % 5 == 4) {
+                (0, _) => 0.0,
+                (1, _) => -0.0,
+                (2 | 3, true) | (2, false) => tiny,
+                (4..=6, true) | (3, false) => -tiny,
+                _ => ((i * d + j) as f64 * 0.37).sin() * 2.0,
+            };
+            T::from_f64(v)
+        })
+    }
+
+    fn check_sequential_kernel_matrix<T: Scalar>() {
+        let dense = awkward_points::<T>(40, 6);
+        let csr = CsrMatrix::from_dense(&dense);
+        let exec = SimExecutor::new(DeviceSpec::epyc7763_single_core(), 4);
+        let bits = |k: &PackedSymmetric<T>| {
+            k.as_slice()
+                .iter()
+                .map(|v| v.to_f64().to_bits())
+                .collect::<Vec<_>>()
+        };
+        for kernel in [
+            KernelFunction::Linear,
+            KernelFunction::paper_polynomial(),
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: 0.0,
+            },
+        ] {
+            let sequential = compute_kernel_matrix_sequential(&dense, kernel).unwrap();
+            let (core, _) = FitInput::Dense(&dense)
+                .compute_kernel_matrix(kernel, Default::default(), &exec)
+                .unwrap();
+            assert_eq!(bits(&sequential), bits(&core), "dense, {}", kernel.name());
+            let sequential = compute_kernel_matrix_sequential_csr(&csr, kernel).unwrap();
+            let (core, _) = FitInput::Sparse(&csr)
+                .compute_kernel_matrix(kernel, Default::default(), &exec)
+                .unwrap();
+            assert_eq!(bits(&sequential), bits(&core), "csr, {}", kernel.name());
+        }
+    }
+
+    #[test]
+    fn the_sequential_kernel_matrix_is_the_core_producers_bit_for_bit() {
+        // A model's load rebuilds a CPU-reference fit's `K` with the core's
+        // producer.
+        check_sequential_kernel_matrix::<f32>();
+        check_sequential_kernel_matrix::<f64>();
     }
 
     #[test]

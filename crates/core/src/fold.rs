@@ -498,7 +498,7 @@ mod tests {
             _ => (0..N).collect(),
         };
         let packed = PackedSymmetric::from_lower(m).unwrap();
-        let past_the_end = PackedSymmetric::<T>::zeros(N + 1);
+        let past_the_end = PackedSymmetric::<T>::zeros(N + 1).unwrap();
         for (t, rows) in bounds.windows(2).map(|w| w[0]..w[1]).enumerate() {
             let broken = fail && t == (bounds.len() - 2).min(1);
             let width = columns.len() - usize::from(broken);

@@ -51,12 +51,15 @@ pub fn compute_gram<T: Scalar>(
 
 /// Run `product` under the record of the dense Gram routine `routine`; the
 /// full `n × n` matrix becomes device-resident.
-fn dense_gram<T: Scalar, P>(
+fn dense_gram<T: Scalar, P, E>(
     points: &DenseMatrix<T>,
     routine: GramRoutine,
     executor: &dyn Executor,
-    product: impl FnOnce() -> popcorn_dense::Result<P>,
-) -> Result<P> {
+    product: impl FnOnce() -> std::result::Result<P, E>,
+) -> Result<P>
+where
+    CoreError: From<E>,
+{
     let n = points.rows();
     let d = points.cols();
     let elem = std::mem::size_of::<T>();
@@ -168,23 +171,33 @@ pub(crate) fn charge_kernel_map<T: Scalar>(
     executor.charge(name, phase, OpClass::Elementwise, cost);
 }
 
-/// The packed lower triangle of `K = kernel(P̂ P̂ᵀ)` over dense points, by
-/// the triangular product with the kernel map in its write-back: the entries
-/// both the GEMM and the SYRK route store.
-fn packed_kernel_matrix<T: Scalar>(
-    points: &DenseMatrix<T>,
+/// The packed lower triangle of `K = kernel(P̂ P̂ᵀ)`, recording nothing: the
+/// one producer of the in-core `K`, at fit and at load. Dense points run the
+/// triangular product, the entries both the GEMM and the SYRK route store;
+/// CSR points run the SpGEMM walk over the lower triangle. The kernel map
+/// runs in the product's write-back.
+pub(crate) fn packed_kernel_matrix<T: Scalar>(
+    points: FitInput<'_, T>,
     kernel: KernelFunction,
-) -> popcorn_dense::Result<PackedSymmetric<T>> {
-    let n = points.rows();
-    let diag = map_diag(kernel, &FitInput::Dense(points));
+) -> Result<PackedSymmetric<T>> {
+    let n = points.n();
+    let diag = map_diag(kernel, &points);
     let map = KernelMap::new(kernel, &diag, &diag);
-    let lower = syrk_packed_with(
-        points,
-        0..n,
-        #[inline(always)]
-        |i, j0, cells| map.run(i, j0, cells),
-    )?;
-    PackedSymmetric::from_vec(n, lower)
+    let lower = match points {
+        FitInput::Dense(p) => syrk_packed_with(
+            p,
+            0..n,
+            #[inline(always)]
+            |i, j0, cells| map.run(i, j0, cells),
+        )?,
+        FitInput::Sparse(p) => p.gram_index()?.gram_lower_rows_with(
+            0,
+            n,
+            #[inline(always)]
+            |i, j0, cells| map.run(i, j0, cells),
+        )?,
+    };
+    Ok(PackedSymmetric::from_vec(n, lower)?)
 }
 
 /// Compute the kernel matrix `K = kernel(P̂ P̂ᵀ)` as its packed lower
@@ -199,7 +212,7 @@ pub fn compute_kernel_matrix<T: Scalar>(
 ) -> Result<(PackedSymmetric<T>, GramRoutine)> {
     let routine = strategy.select(points.rows(), points.cols());
     let matrix = dense_gram(points, routine, executor, || {
-        packed_kernel_matrix(points, kernel)
+        packed_kernel_matrix(FitInput::Dense(points), kernel)
     })?;
     charge_apply::<T>(kernel, points.rows(), executor);
     Ok((matrix, routine))
@@ -215,21 +228,10 @@ pub fn compute_kernel_matrix_csr<T: Scalar>(
     kernel: KernelFunction,
     executor: &dyn Executor,
 ) -> Result<(PackedSymmetric<T>, GramRoutine)> {
-    let n = points.rows();
-    let diag = map_diag(kernel, &FitInput::Sparse(points));
-    let map = KernelMap::new(kernel, &diag, &diag);
-    let lower = csr_gram(points, executor, || {
-        points.gram_index().map(|index| {
-            index.gram_lower_rows_with(
-                0,
-                n,
-                #[inline(always)]
-                |i, j0, cells| map.run(i, j0, cells),
-            )
-        })
+    let matrix = csr_gram(points, executor, || {
+        packed_kernel_matrix(FitInput::Sparse(points), kernel)
     })?;
-    let matrix = PackedSymmetric::from_vec(n, lower)?;
-    charge_apply::<T>(kernel, n, executor);
+    charge_apply::<T>(kernel, points.rows(), executor);
     Ok((matrix, GramRoutine::SpGemm))
 }
 
@@ -242,7 +244,7 @@ pub fn gemm_kernel_matrix<T: Scalar>(
     points: &DenseMatrix<T>,
     kernel: KernelFunction,
 ) -> Result<PackedSymmetric<T>> {
-    Ok(packed_kernel_matrix(points, kernel)?)
+    packed_kernel_matrix(FitInput::Dense(points), kernel)
 }
 
 /// The record of the in-core kernel map over the whole `n × n` matrix.

@@ -572,17 +572,17 @@ impl<'a, T: Scalar> TiledKernel<'a, T> {
                                 |i, j0, cells| map.run(i, j0, cells),
                             )
                         } else {
-                            index
+                            Ok(index
                                 .gram_rows_with(
                                     r0,
                                     r1,
                                     #[inline(always)]
                                     |i, j0, cells| map.run(i, j0, cells),
                                 )
-                                .into_vec()
+                                .into_vec())
                         }
                     },
-                )
+                )?
             }
         };
         Ok(panel)

@@ -23,15 +23,17 @@
 //!   warm-start disabled a refit is bit-identical to a cold fit.
 //!
 //! Models serialize to a plain-text format ([`FittedModel::save`] /
-//! [`FittedModel::load`]) with every float stored as IEEE-754 bits, so a
-//! `fit → save → serve` handoff is lossless.
+//! [`FittedModel::load`]) with every float stored as IEEE-754 bits. A file
+//! keeps what the kernel state is made from (the points, the config, a
+//! Nyström model's landmarks and core), and `load` rebuilds `K` and the
+//! Nyström factors with the fit's own producers: a lossless handoff.
 
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
 use crate::fold::{FoldWeights, SelectionFold};
 use crate::init::Initialization;
 use crate::kernel::{KernelFunction, KernelMap};
-use crate::kernel_matrix::{charge_kernel_map, INDEX_BYTES};
+use crate::kernel_matrix::{charge_kernel_map, packed_kernel_matrix, INDEX_BYTES};
 use crate::kernel_source::{
     self, KernelSource, Panel, PanelKind, PanelVisitor, TilePolicy, TiledKernel,
 };
@@ -677,23 +679,28 @@ impl<T: Scalar> FittedModel<T> {
         let elem = std::mem::size_of::<T>();
         let qnnz = queries.nnz() as u64;
         let kernel = self.config.kernel;
+        let landmark_points = self.landmark_points(&factors.landmarks);
+        // The modeled device reads the landmark rows as the model stores
+        // them: an `m × d` block, or a CSR model's stored entries.
+        let landmark_bytes = match &landmark_points {
+            OwnedPoints::Dense(_) => m as u64 * d as u64 * elem as u64,
+            OwnedPoints::Csr(p) => p.storage_bytes(elem, INDEX_BYTES),
+        };
         let k_xl = executor.run(
             format!("serve landmark cross gram (q={q}, m={m}, d={d})"),
             Phase::PairwiseDistances,
             OpClass::Gemm,
-            // The modeled device reads the landmark rows dense; saturated,
-            // that read stays defined for any feature count.
             OpCost::new(
                 2 * qnnz * m as u64,
-                (m as u64)
-                    .saturating_mul(d as u64)
-                    .saturating_add(qnnz)
-                    .saturating_mul(elem as u64),
+                landmark_bytes + qnnz * elem as u64,
                 q as u64 * m as u64 * elem as u64,
             ),
             || {
-                let landmark_points = self.landmark_points(&factors.landmarks);
-                let landmark_diag = self.landmark_gram_diag(&factors.landmarks);
+                let landmark_diag: Vec<f64> = factors
+                    .landmarks
+                    .iter()
+                    .map(|&l| self.gram_diag[l])
+                    .collect();
                 let map = KernelMap::new(kernel, query_gram_diag, &landmark_diag);
                 let mut k_xl = DenseMatrix::<T>::zeros(q, m);
                 cross_kernel(queries, landmark_points.as_input(), map, |i, j0, run| {
@@ -774,11 +781,6 @@ impl<T: Scalar> FittedModel<T> {
                 ))
             }
         }
-    }
-
-    /// The Gram diagonal at the landmark rows (cross-kernel normalisation).
-    fn landmark_gram_diag(&self, landmarks: &[usize]) -> Vec<f64> {
-        landmarks.iter().map(|&l| self.gram_diag[l]).collect()
     }
 
     /// Lloyd scoring: nearest stored centroid, through the Lloyd solver's own
@@ -1163,9 +1165,9 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
         }
     }
 
-    /// A resident `full` matrix is the fit's computed `K` (checked symmetric
-    /// on load), and `streamed` state recomputes the fit's exact panels:
-    /// both hand out packed lower rows. Nyström panels are dense rows.
+    /// A resident `full` matrix is the fit's computed `K` (or its rebuild),
+    /// and `streamed` state recomputes the fit's exact panels: both hand out
+    /// packed lower rows. Nyström panels are dense rows.
     fn panel_kind(&self) -> PanelKind {
         match self.kernel {
             ModelKernel::Full(_) | ModelKernel::Streamed(_) => PanelKind::Lower,
@@ -1339,33 +1341,41 @@ pub(crate) fn refit_via<F: KernelFamily, T: Scalar>(
     )
 }
 
-const FORMAT_HEADER: &str = "popcorn-model v1";
+const FORMAT_HEADER: &str = "popcorn-model v2";
 const FORMAT_VERSION_PREFIX: &str = "popcorn-model v";
 
 /// The on-disk text format revision a model was parsed from (see
 /// [`FittedModel::load_versioned`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFormat {
-    /// A pre-versioning file with no `popcorn-model vN` header line —
-    /// still accepted, but deprecated; re-saving writes the current header.
+    /// A pre-versioning file with no `popcorn-model vN` header line: the
+    /// v1 body. Still accepted, but deprecated; re-saving writes the current
+    /// header.
     V0Headerless,
-    /// The current `popcorn-model v1` format.
+    /// `popcorn-model v1`: the v2 body plus blocks `load` reads past and
+    /// rebuilds (`K`; the Nyström `n × m` factors and landmark rows). Still
+    /// accepted, but deprecated.
     V1,
+    /// The current `popcorn-model v2` format: no `n × n` or `n × m` block. A
+    /// Nyström model keeps its `m × m` core pseudo-inverse, whose eigen-clip
+    /// fallback (`O(m³)` Jacobi sweeps) would dominate a load.
+    V2,
 }
 
 impl ModelFormat {
-    /// Short human-readable name (`v0 (headerless)` / `v1`).
+    /// Short human-readable name (`v0 (headerless)`, `v1` or `v2`).
     pub fn describe(&self) -> &'static str {
         match self {
             ModelFormat::V0Headerless => "v0 (headerless)",
             ModelFormat::V1 => "v1",
+            ModelFormat::V2 => "v2",
         }
     }
 
     /// `true` for revisions older than the one [`FittedModel::save`] writes
     /// — callers should suggest re-saving to upgrade.
     pub fn is_deprecated(&self) -> bool {
-        matches!(self, ModelFormat::V0Headerless)
+        !matches!(self, ModelFormat::V2)
     }
 }
 
@@ -1377,14 +1387,6 @@ fn push_scalar_line<T: Scalar>(out: &mut String, tag: &str, values: &[T]) {
     let _ = write!(out, "{tag} {}", values.len());
     for v in values {
         let _ = write!(out, " {}", hex(v.to_f64()));
-    }
-    out.push('\n');
-}
-
-fn push_f64_line(out: &mut String, tag: &str, values: &[f64]) {
-    let _ = write!(out, "{tag} {}", values.len());
-    for &v in values {
-        let _ = write!(out, " {}", hex(v));
     }
     out.push('\n');
 }
@@ -1445,6 +1447,14 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| CoreError::InvalidInput("model text ended early".into()))
     }
 
+    /// Read past `lines` lines without parsing them.
+    fn skip(&mut self, lines: usize) -> Result<()> {
+        for _ in 0..lines {
+            self.line()?;
+        }
+        Ok(())
+    }
+
     /// The next line, which must start with `tag`; returns the remaining
     /// whitespace-separated tokens.
     fn tagged(&mut self, tag: &str) -> Result<Vec<&'a str>> {
@@ -1495,13 +1505,6 @@ impl<'a> Reader<'a> {
             .collect()
     }
 
-    fn f64_vec(&mut self, tag: &str) -> Result<Vec<f64>> {
-        self.counted(tag)?
-            .into_iter()
-            .map(|t| self.parse_hex(t))
-            .collect()
-    }
-
     fn usize_vec(&mut self, tag: &str) -> Result<Vec<usize>> {
         self.counted(tag)?
             .into_iter()
@@ -1530,42 +1533,6 @@ impl<'a> Reader<'a> {
         Ok(DenseMatrix::from_rows(&data)?)
     }
 
-    /// `rows` untagged lines of exactly `rows` hex tokens, kept as the
-    /// packed lower triangle with no `rows × rows` intermediate, and whether
-    /// every upper entry holds its lower twin's bits. Every line is parsed
-    /// and counted before the comparison, so a malformed line is reported
-    /// first, at its own line.
-    fn packed_symmetric<T: Scalar>(&mut self, rows: usize) -> Result<(PackedSymmetric<T>, bool)> {
-        // Grown row by row: `rows` is only a claim of the file.
-        let (mut lower, mut lines) = (Vec::new(), Vec::new());
-        for i in 0..rows {
-            let line = self.line()?;
-            let mut count = 0usize;
-            for tok in line.split_whitespace() {
-                let x = self.parse_scalar::<T>(tok)?;
-                if count <= i {
-                    lower.push(x);
-                }
-                count += 1;
-            }
-            if count != rows {
-                return Err(self.bad(format!(
-                    "matrix row carries {count} values, expected {rows}"
-                )));
-            }
-            lines.push(line);
-        }
-        let matrix = PackedSymmetric::from_vec(rows, lower)?;
-        let bits = |x: T| x.to_f64().to_bits();
-        let symmetric = lines.iter().enumerate().all(|(i, line)| {
-            line.split_whitespace()
-                .zip(0..)
-                .skip(i + 1)
-                .all(|(tok, j)| self.parse_scalar::<T>(tok).map(bits) == Ok(bits(matrix[(j, i)])))
-        });
-        Ok((matrix, symmetric))
-    }
-
     fn csr<T: Scalar>(&mut self, rows: usize, cols: usize, nnz: usize) -> Result<CsrMatrix<T>> {
         let ptrs = self.usize_vec("ptrs")?;
         if ptrs.len() != rows.saturating_add(1) {
@@ -1588,9 +1555,11 @@ impl<'a> Reader<'a> {
 }
 
 impl<T: Scalar> FittedModel<T> {
-    /// Serialize to the `popcorn-model v1` text format. Every float is
+    /// Serialize to the `popcorn-model v2` text format. Every float is
     /// written as its IEEE-754 bit pattern (via `f64`, lossless for `f32`
-    /// and `f64`), so `save → load` round-trips bit for bit.
+    /// and `f64`), so `save → load` round-trips bit for bit. `K` and the
+    /// Nyström `n × m` factors are not written: [`FittedModel::load`]
+    /// rebuilds them.
     pub fn save(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{FORMAT_HEADER}");
@@ -1693,19 +1662,11 @@ impl<T: Scalar> FittedModel<T> {
                 push_csr(&mut out, p);
             }
         }
-        push_f64_line(&mut out, "gram-diag", &self.gram_diag);
+        push_scalar_line(&mut out, "gram-diag", &self.gram_diag);
         push_scalar_line(&mut out, "kernel-diag", &self.kernel_diag);
         match &self.resident {
             ResidentKernel::Full(matrix) => {
-                // The file keeps the full rows, each expanded from the
-                // packed triangle.
-                let n = matrix.n();
-                let _ = writeln!(out, "resident full {n}");
-                let mut row = vec![T::ZERO; n];
-                for i in 0..n {
-                    matrix.full_row_into(i, &mut row);
-                    push_row(&mut out, &row);
-                }
+                let _ = writeln!(out, "resident full {}", matrix.n());
             }
             ResidentKernel::Csr(matrix) => {
                 let _ = writeln!(out, "resident csr {} {}", matrix.rows(), matrix.nnz());
@@ -1715,20 +1676,7 @@ impl<T: Scalar> FittedModel<T> {
                 let landmarks = &factors.landmarks;
                 let _ = writeln!(out, "resident nystrom {} {tile_rows}", landmarks.len());
                 push_usize_line(&mut out, "landmarks", landmarks);
-                push_matrix(&mut out, &factors.hat);
-                push_matrix(&mut out, &factors.cross);
                 push_matrix(&mut out, &factors.core_pinv_t);
-                // The file keeps its dense landmark block.
-                let landmark_points = match self.landmark_points(landmarks) {
-                    OwnedPoints::Dense(p) => p,
-                    OwnedPoints::Csr(p) => p.to_dense(),
-                };
-                push_matrix(&mut out, &landmark_points);
-                push_f64_line(
-                    &mut out,
-                    "landmark-gram-diag",
-                    &self.landmark_gram_diag(landmarks),
-                );
             }
             ResidentKernel::Streamed { tile_rows } => {
                 let _ = writeln!(out, "resident streamed {tile_rows}");
@@ -1743,7 +1691,7 @@ impl<T: Scalar> FittedModel<T> {
                 sizes,
             } => {
                 let _ = writeln!(out, "stats kernel");
-                push_f64_line(&mut out, "cluster-self", cluster_self);
+                push_scalar_line(&mut out, "cluster-self", cluster_self);
                 push_usize_line(&mut out, "sizes", sizes);
             }
             ModelStats::Lloyd { centroids } => {
@@ -1766,40 +1714,43 @@ impl<T: Scalar> FittedModel<T> {
         out
     }
 
-    /// Parse a model saved by [`FittedModel::save`]. The Nyström landmark
-    /// fold is rebuilt deterministically rather than stored.
+    /// Parse a model saved by [`FittedModel::save`], rebuilding what the
+    /// file omits with the fit's own producers, charged to no executor: `K`
+    /// (over a dense copy of CSR points for the dense baseline, as its fit
+    /// ran), the Nyström factors and landmark fold. A `K` or factors that
+    /// cannot be allocated is an error, not an abort.
     pub fn load(text: &str) -> Result<Self> {
         Self::load_versioned(text).map(|(model, _)| model)
     }
 
     /// [`FittedModel::load`] reporting which format revision the file used:
-    /// a `popcorn-model v1` header parses as [`ModelFormat::V1`], a file with
-    /// no header line at all is accepted as the pre-versioning
-    /// [`ModelFormat::V0Headerless`] layout (the body is unchanged between
-    /// the two), and any other `popcorn-model vN` header — a future revision
-    /// this build does not know — is rejected outright rather than
-    /// misparsed.
+    /// a `popcorn-model v2` or `v1` header parses as [`ModelFormat::V2`] or
+    /// [`ModelFormat::V1`], a file with no header line at all as the
+    /// pre-versioning [`ModelFormat::V0Headerless`] layout (the v1 body), and
+    /// any other `popcorn-model vN` header — a future revision this build
+    /// does not know — is rejected outright rather than misparsed.
     pub fn load_versioned(text: &str) -> Result<(Self, ModelFormat)> {
         let first = text.lines().next().unwrap_or("").trim();
         let format = match first.strip_prefix(FORMAT_VERSION_PREFIX) {
+            Some("2") => ModelFormat::V2,
             Some("1") => ModelFormat::V1,
             Some(version) => {
                 return Err(CoreError::InvalidInput(format!(
                     "unsupported model format '{FORMAT_VERSION_PREFIX}{version}': this build \
-                     reads '{FORMAT_HEADER}' (and headerless v0) files; re-save the model \
-                     with a matching popcorn version"
+                     reads '{FORMAT_HEADER}' files, and deprecated v1 and headerless v0 ones; \
+                     re-save the model with a matching popcorn version"
                 )));
             }
             None => ModelFormat::V0Headerless,
         };
         let mut r = Reader::new(text);
-        if format == ModelFormat::V1 {
+        if format != ModelFormat::V0Headerless {
             r.line()?;
         }
-        Ok((Self::load_body(&mut r)?, format))
+        Ok((Self::load_body(&mut r, format)?, format))
     }
 
-    fn load_body(r: &mut Reader<'_>) -> Result<Self> {
+    fn load_body(r: &mut Reader<'_>, format: ModelFormat) -> Result<Self> {
         let fam = r.tagged("family")?;
         let family = ModelFamily::from_name(fam.first().copied().unwrap_or(""))?;
 
@@ -1899,47 +1850,74 @@ impl<T: Scalar> FittedModel<T> {
             }
             _ => return Err(r.bad("unknown points layout")),
         };
-        let gram_diag = r.f64_vec("gram-diag")?;
+        let gram_diag = r.scalar_vec("gram-diag")?;
         let kernel_diag: Vec<T> = r.scalar_vec("kernel-diag")?;
+
+        // Every count must agree with the others before serving indexes by
+        // them, or a rebuild sizes a buffer by them.
+        let (n, k) = (labels.len(), config.k);
+        if k == 0 || labels.iter().any(|&l| l >= k) {
+            return Err(CoreError::InvalidInput(
+                "model labels are out of range for its k".into(),
+            ));
+        }
+        let expect = |what: &str, got: usize, want: usize| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidInput(format!(
+                    "model carries {got} {what}, expected {want}"
+                )))
+            }
+        };
+        expect("points", points.n(), n)?;
+        expect("gram-diag entries", gram_diag.len(), n)?;
+        if family.is_kernel() {
+            expect("kernel-diag entries", kernel_diag.len(), n)?;
+        }
+        // The fit built `K` and the factors from these points, except that
+        // a dense baseline's fit ran on a dense copy of CSR points.
+        let densified = || match (&points, family) {
+            (OwnedPoints::Csr(p), ModelFamily::DenseBaseline) => {
+                FitInput::Sparse(p).to_dense().map(Some)
+            }
+            _ => Ok(None),
+        };
+        // v0 and v1 files also carry the blocks rebuilt below: a full
+        // model's `n` rows of `K`; a Nyström model's `hat` and `cross`
+        // (`n` rows each) before its core, and its landmark rows (`m`) and
+        // their Gram diagonal (one line) after it.
+        let rebuilt_lines = |lines| if format == ModelFormat::V2 { 0 } else { lines };
+        let kernel = config.kernel;
         let toks = r.tagged("resident")?;
-        let mut asymmetric = false;
         let resident = match toks.as_slice() {
             ["full", rows] => {
                 let rows = r.parse_int(rows)?;
-                let (matrix, symmetric) = r.packed_symmetric(rows)?;
-                asymmetric = !symmetric;
-                ResidentKernel::Full(Arc::new(matrix))
+                r.skip(rebuilt_lines(rows))?;
+                expect("resident matrix rows", rows, n)?;
+                let dense = densified()?;
+                let input = dense.as_ref().map_or(points.as_input(), FitInput::Dense);
+                ResidentKernel::Full(Arc::new(packed_kernel_matrix(input, kernel)?))
             }
             ["csr", rows, nnz] => {
                 let (rows, nnz) = (r.parse_int(rows)?, r.parse_int(nnz)?);
+                expect("resident CSR rows", rows, n)?;
                 ResidentKernel::Csr(Arc::new(r.csr(rows, rows, nnz)?))
             }
             ["nystrom", m, tile_rows] => {
                 let (m, tile_rows) = (r.parse_int(m)?, r.parse_int(tile_rows)?);
-                let n = labels.len();
                 let landmarks = r.usize_vec("landmarks")?;
-                if landmarks.len() != m || landmarks.iter().any(|&l| l >= n) {
+                if m == 0 || landmarks.len() != m || landmarks.iter().any(|&l| l >= n) {
                     return Err(r.bad(format!("expected {m} landmark rows below {n}")));
                 }
-                let hat = r.matrix(n, m)?;
-                let cross = r.matrix(n, m)?;
+                r.skip(rebuilt_lines(2 * n))?;
                 let core_pinv_t = r.matrix(m, m)?;
-                // The block also carries the landmark rows of the points
-                // and their Gram diagonal; the model derives both from its
-                // own points, so they are only checked for shape.
-                r.matrix::<T>(m, points.d())?;
-                let landmark_gram_diag = r.f64_vec("landmark-gram-diag")?;
-                if landmark_gram_diag.len() != m {
-                    return Err(r.bad(format!("expected {m} landmark Gram diagonal entries")));
-                }
+                r.skip(rebuilt_lines(m + 1))?;
+                let dense = densified()?;
+                let input = dense.as_ref().map_or(points.as_input(), FitInput::Dense);
+                let factors = NystromFactors::rebuild(input, kernel, &landmarks, core_pinv_t)?;
                 ResidentKernel::Nystrom {
-                    factors: Arc::new(NystromFactors {
-                        cross,
-                        hat,
-                        core_pinv_t,
-                        diag: kernel_diag.clone(),
-                        landmarks,
-                    }),
+                    factors: Arc::new(factors),
                     tile_rows,
                 }
             }
@@ -1952,7 +1930,7 @@ impl<T: Scalar> FittedModel<T> {
         let toks = r.tagged("stats")?;
         let stats = match toks.as_slice() {
             ["kernel"] => ModelStats::Kernel {
-                cluster_self: r.f64_vec("cluster-self")?,
+                cluster_self: r.scalar_vec("cluster-self")?,
                 sizes: r.usize_vec("sizes")?,
             },
             ["lloyd", k, d] => {
@@ -1973,43 +1951,6 @@ impl<T: Scalar> FittedModel<T> {
         };
         r.tagged("end")?;
 
-        // Every count must agree with the others before serving indexes by
-        // them.
-        let n = labels.len();
-        let k = config.k;
-        if k == 0 || labels.iter().any(|&l| l >= k) {
-            return Err(CoreError::InvalidInput(
-                "model labels are out of range for its k".into(),
-            ));
-        }
-        let expect = |what: &str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(CoreError::InvalidInput(format!(
-                    "model carries {got} {what}, expected {want}"
-                )))
-            }
-        };
-        expect("points", points.n(), n)?;
-        expect("gram-diag entries", gram_diag.len(), n)?;
-        if family.is_kernel() {
-            expect("kernel-diag entries", kernel_diag.len(), n)?;
-        }
-        match &resident {
-            ResidentKernel::Full(matrix) => {
-                expect("resident matrix rows", matrix.n(), n)?;
-                // The model keeps the lower triangle and reads each upper
-                // entry from its twin.
-                if asymmetric {
-                    return Err(CoreError::InvalidInput(
-                        "model's resident kernel matrix is not symmetric".into(),
-                    ));
-                }
-            }
-            ResidentKernel::Csr(matrix) => expect("resident CSR rows", matrix.rows(), n)?,
-            _ => {}
-        }
         match &stats {
             ModelStats::Kernel {
                 cluster_self,
@@ -2050,7 +1991,7 @@ impl<T: Scalar> FittedModel<T> {
 mod tests {
     use super::*;
     use crate::popcorn::KernelKmeans;
-    use crate::solver::Solver;
+    use crate::solver::{KernelSolver, Solver};
     use popcorn_gpusim::{DeviceSpec, SimExecutor};
 
     fn toy_points() -> DenseMatrix<f64> {
@@ -2492,7 +2433,7 @@ mod tests {
         let text = model.save();
         let loaded = FittedModel::<f64>::load(&text).unwrap();
         assert_eq!(loaded, model);
-        // The packed resident `K` is written back as the same full rows.
+        // The rebuilt `K` is not written back.
         assert_eq!(loaded.save(), text);
         assert!(FittedModel::<f64>::load("not a model").is_err());
         assert!(FittedModel::<f64>::load(FORMAT_HEADER).is_err());
@@ -2508,28 +2449,195 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        // One off-diagonal entry of the resident `full` block changed.
-        let asymmetric = {
-            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-            let row = 1 + lines
-                .iter()
-                .position(|l| l.starts_with("resident full"))
-                .unwrap();
-            let mut tokens: Vec<String> =
-                lines[row].split_whitespace().map(str::to_string).collect();
-            let bits = u64::from_str_radix(&tokens[1], 16).unwrap() ^ 1;
-            tokens[1] = format!("{bits:016x}");
-            lines[row] = tokens.join(" ");
-            lines.join("\n")
-        };
         for hostile in [
             text.replace("points dense 6 2", "points dense 18446744073709551615 2"),
             with_line("sizes", "sizes 1 3"),
             with_line("cluster-self", "cluster-self 1 0000000000000000"),
-            asymmetric,
+            with_line("resident", "resident full 7"),
         ] {
             assert!(FittedModel::<f64>::load(&hostile).is_err());
         }
+    }
+
+    /// The CPU reference's and the dense baseline's fits as far as a model's
+    /// load depends on them (both families live in `popcorn-baselines`):
+    /// the CPU reference fits the points as given, the dense baseline a
+    /// dense copy of CSR points, and both `K`s carry the shared producer's
+    /// bits (`popcorn-baselines` pins the CPU reference's sequential loops
+    /// to it).
+    struct BaselineLike<const DENSIFY: bool>;
+
+    impl<const DENSIFY: bool> KernelFamily for BaselineLike<DENSIFY> {
+        const FAMILY: ModelFamily = if DENSIFY {
+            ModelFamily::DenseBaseline
+        } else {
+            ModelFamily::CpuReference
+        };
+
+        fn prepare<T: Scalar>(
+            input: FitInput<'_, T>,
+            _executor: &dyn Executor,
+        ) -> Result<Option<DenseMatrix<T>>> {
+            Ok(match input {
+                FitInput::Sparse(_) if DENSIFY => Some(input.to_dense()?),
+                _ => None,
+            })
+        }
+
+        fn kernel_matrix<T: Scalar>(
+            input: FitInput<'_, T>,
+            config: &KernelKmeansConfig,
+            _executor: &dyn Executor,
+        ) -> Result<PackedSymmetric<T>> {
+            match input {
+                FitInput::Sparse(_) if DENSIFY => {
+                    packed_kernel_matrix(FitInput::Dense(&input.to_dense()?), config.kernel)
+                }
+                _ => packed_kernel_matrix(input, config.kernel),
+            }
+        }
+    }
+
+    /// Blobs with exact zeros, `−0` and subnormals of both signs. Every
+    /// sixth row holds nothing else, so its Gram entries with the others
+    /// like it are sums of underflowed products, some of them `−0`.
+    fn awkward_blobs<T: Scalar>(n: usize, d: usize) -> DenseMatrix<T> {
+        let tiny = if std::mem::size_of::<T>() == 4 {
+            3e-39
+        } else {
+            3e-309
+        };
+        DenseMatrix::from_fn(n, d, |i, j| {
+            let v = match ((i * 7 + j * 3) % 9, i % 6 == 5) {
+                (0, _) => 0.0,
+                (1, _) => -0.0,
+                (2..=4, true) | (2, false) => tiny,
+                (5..=8, true) | (3, false) => -tiny,
+                _ => (i % 3) as f64 * 3.0 + ((i * d + j) as f64 * 0.37).sin(),
+            };
+            T::from_f64(v)
+        })
+    }
+
+    /// `a` and `b` hold the same bits: their saved text (every stored float
+    /// by its bits), and every entry of the `K`, the factors and the
+    /// landmark fold that a file omits.
+    fn assert_same_bits<T: Scalar>(a: &FittedModel<T>, b: &FittedModel<T>, at: &str) {
+        assert_eq!(a.save(), b.save(), "{at}: saved text");
+        let bits = |x: &[T]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+        match (&a.resident, &b.resident) {
+            (ResidentKernel::Full(x), ResidentKernel::Full(y)) => {
+                assert_eq!(bits(x.as_slice()), bits(y.as_slice()), "{at}: K");
+            }
+            (
+                ResidentKernel::Nystrom { factors: x, .. },
+                ResidentKernel::Nystrom { factors: y, .. },
+            ) => {
+                assert_eq!(x.landmarks, y.landmarks, "{at}: landmarks");
+                assert_eq!(
+                    bits(x.cross.as_slice()),
+                    bits(y.cross.as_slice()),
+                    "{at}: C"
+                );
+                assert_eq!(bits(x.hat.as_slice()), bits(y.hat.as_slice()), "{at}: H");
+                let (pa, pb) = (&x.core_pinv_t, &y.core_pinv_t);
+                assert_eq!(bits(pa.as_slice()), bits(pb.as_slice()), "{at}: W+");
+                assert_eq!(bits(&x.diag), bits(&y.diag), "{at}: diag");
+                assert_eq!(bits(&x.diag), bits(&a.kernel_diag), "{at}: kernel diag");
+            }
+            (ResidentKernel::Csr(x), ResidentKernel::Csr(y)) => {
+                assert_eq!(x.col_indices(), y.col_indices(), "{at}: CSR K");
+                assert_eq!(bits(x.values()), bits(y.values()), "{at}: CSR K");
+            }
+            (x, y) => assert_eq!(x, y, "{at}: resident state"),
+        }
+        let fold = |m: &FittedModel<T>| m.landmark_fold.as_ref().map(|f| bits(f.as_slice()));
+        assert_eq!(fold(a), fold(b), "{at}: landmark fold");
+    }
+
+    fn check_rebuilt_models<T: Scalar>() {
+        let points = awkward_blobs::<T>(24, 5);
+        let csr = CsrMatrix::from_dense(&points);
+        let kernels = [
+            KernelFunction::Linear,
+            KernelFunction::paper_polynomial(),
+            KernelFunction::Gaussian {
+                gamma: 0.7,
+                sigma: 1.3,
+            },
+            // No offset: `tanh` keeps a `−0` Gram entry's sign.
+            KernelFunction::Sigmoid {
+                gamma: 0.2,
+                coef0: 0.0,
+            },
+        ];
+        let config = KernelKmeansConfig::paper_defaults(3)
+            .with_seed(2)
+            .with_max_iter(6);
+        let residents = [
+            ("full", config.clone()),
+            (
+                "nystrom",
+                config.clone().with_approx(KernelApprox::Nystrom {
+                    landmarks: 7,
+                    seed: 3,
+                }),
+            ),
+            (
+                "nystrom",
+                config.clone().with_approx(KernelApprox::NystromAuto {
+                    epsilon: 1e-3,
+                    seed: 3,
+                }),
+            ),
+            (
+                "csr",
+                config.clone().with_approx(KernelApprox::Sparsified {
+                    sparsify: Sparsify::Knn { neighbors: 5 },
+                }),
+            ),
+            ("streamed", config.clone().with_tiling(TilePolicy::Rows(7))),
+        ];
+        for input in [FitInput::Dense(&points), FitInput::Sparse(&csr)] {
+            for kernel in kernels {
+                for (kind, config) in &residents {
+                    let config = config.clone().with_kernel(kernel);
+                    let fits = [
+                        KernelKmeans::new(config.clone()).fit_model(input),
+                        KernelSolver::<BaselineLike<false>>::new(config.clone()).fit_model(input),
+                        KernelSolver::<BaselineLike<true>>::new(config.clone()).fit_model(input),
+                    ];
+                    for fit in fits {
+                        let (_, model) = fit.unwrap();
+                        let at = format!(
+                            "{} {kind} {}, sparse points {}, {} bytes",
+                            model.family().name(),
+                            kernel.name(),
+                            input.is_sparse(),
+                            std::mem::size_of::<T>()
+                        );
+                        assert_eq!(model.resident_kind(), *kind, "{at}");
+                        let (loaded, format) = FittedModel::<T>::load_versioned(&model.save())
+                            .unwrap_or_else(|e| panic!("{at}: {e}"));
+                        assert_eq!(format, ModelFormat::V2);
+                        assert_same_bits(&loaded, &model, &at);
+                    }
+                }
+            }
+            // Lloyd models keep no kernel state: their file is all of them.
+            let (mut fit, _) = KernelKmeans::new(config.clone()).fit_model(input).unwrap();
+            let tiny = points[(5, 2)].to_f64();
+            fit.centroids = Some(vec![vec![0.0, -0.0, tiny, -tiny, 1.5]; 3]);
+            let model = FittedModel::from_lloyd(&config, &fit, input).unwrap();
+            let loaded = FittedModel::<T>::load(&model.save()).unwrap();
+            assert_same_bits(&loaded, &model, "lloyd");
+        }
+    }
+
+    #[test]
+    fn loading_rebuilds_every_model_bit_for_bit() {
+        check_rebuilt_models::<f32>();
+        check_rebuilt_models::<f64>();
     }
 
     /// Whether two resident states are one allocation.
@@ -2643,25 +2751,32 @@ mod tests {
 
     #[test]
     fn headerless_v0_files_load_with_a_deprecation_marker() {
-        let points = toy_points();
-        let solver = KernelKmeans::new(toy_config());
-        let (_, model) = solver.fit_model(FitInput::Dense(&points)).unwrap();
-        let text = model.save();
-        let (loaded, format) = FittedModel::<f64>::load_versioned(&text).unwrap();
+        // A full model saved by the build before v2: its `K` block is read
+        // past, and `K` is rebuilt.
+        let text = include_str!("../../../tests/fixtures/v1-dense-full.model");
+        let (loaded, format) = FittedModel::<f32>::load_versioned(text).unwrap();
         assert_eq!(format, ModelFormat::V1);
+        assert!(format.is_deprecated());
+        let (v2, format) = FittedModel::<f32>::load_versioned(&loaded.save()).unwrap();
+        assert_eq!(format, ModelFormat::V2);
         assert!(!format.is_deprecated());
+        assert_eq!(v2, loaded);
         // Strip the header: the body is byte-identical to the pre-versioning
         // layout, so it must load as v0 and flag itself deprecated.
         let headerless = text
-            .strip_prefix(FORMAT_HEADER)
+            .strip_prefix("popcorn-model v1")
             .unwrap()
             .trim_start_matches('\n');
-        let (v0, format) = FittedModel::<f64>::load_versioned(headerless).unwrap();
+        let (v0, format) = FittedModel::<f32>::load_versioned(headerless).unwrap();
         assert_eq!(v0, loaded);
         assert_eq!(format, ModelFormat::V0Headerless);
         assert!(format.is_deprecated());
         assert_eq!(format.describe(), "v0 (headerless)");
-        assert_eq!(FittedModel::<f64>::load(headerless).unwrap(), loaded);
+        assert_eq!(FittedModel::<f32>::load(headerless).unwrap(), loaded);
+        // A file that ends inside the block it reads past is still an error.
+        let cut = headerless.lines().count() - 12;
+        let truncated: Vec<&str> = headerless.lines().take(cut).collect();
+        assert!(FittedModel::<f32>::load(&truncated.join("\n")).is_err());
     }
 
     #[test]
@@ -2669,15 +2784,15 @@ mod tests {
         let points = toy_points();
         let solver = KernelKmeans::new(toy_config());
         let (_, model) = solver.fit_model(FitInput::Dense(&points)).unwrap();
-        let future = model.save().replace(FORMAT_HEADER, "popcorn-model v2");
+        let future = model.save().replace(FORMAT_HEADER, "popcorn-model v3");
         let err = FittedModel::<f64>::load_versioned(&future).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("unsupported model format 'popcorn-model v2'"),
+            msg.contains("unsupported model format 'popcorn-model v3'"),
             "error must name the offending version: {msg}"
         );
         assert!(
-            msg.contains("popcorn-model v1"),
+            msg.contains("popcorn-model v2"),
             "error must name the supported version: {msg}"
         );
     }

@@ -46,7 +46,7 @@ use crate::shard::{RowBudget, ShardPlan, ShardRows, ShardStream};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
 use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase};
+use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, SimExecutor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
@@ -133,6 +133,38 @@ pub struct NystromFactors<T: Scalar> {
 }
 
 impl<T: Scalar> NystromFactors<T> {
+    /// A fit's factors over the landmark rows `landmarks` of `input` and
+    /// its pseudo-inverted core, rebuilt bit for bit for a model's load:
+    /// each exact row through [`TiledKernel::row`], as the fit sampled it,
+    /// then [`build_factors`]'s products, charged to a scratch executor.
+    /// `n` and `m` are a file's claims, so the rows' and factors' bytes are
+    /// reserved first: [`CoreError::HostAllocationFailed`] if they cannot be.
+    pub(crate) fn rebuild(
+        input: FitInput<'_, T>,
+        kernel: KernelFunction,
+        landmarks: &[usize],
+        core_pinv_t: DenseMatrix<T>,
+    ) -> Result<Self> {
+        let (n, m, elem) = (input.n(), landmarks.len(), std::mem::size_of::<T>());
+        let bytes = 3 * n as u128 * m as u128 * elem as u128;
+        let failed = || CoreError::HostAllocationFailed {
+            what: "the Nyström landmark rows and factors",
+            shape: (n, 3 * m),
+            bytes,
+        };
+        let len = usize::try_from(bytes).map_err(|_| failed())?;
+        Vec::<u8>::new()
+            .try_reserve_exact(len)
+            .map_err(|_| failed())?;
+        let scratch = SimExecutor::new(DeviceSpec::a100_80gb(), elem);
+        let exact = TiledKernel::build(input, kernel, 1, &scratch)?;
+        let rows = landmarks
+            .iter()
+            .map(|&l| Ok((l, exact.row(l, &scratch)?)))
+            .collect::<Result<Vec<_>>>()?;
+        factors_over_core(&rows, core_pinv_t, n, &scratch)
+    }
+
     /// `C[columns, :]`, the cross factor rows a column panel
     /// ([`NystromFactors::panel`]) multiplies by; `None` when the reader
     /// asks for every column.
@@ -494,9 +526,6 @@ fn build_factors<T: Scalar>(
     executor: &dyn Executor,
 ) -> Result<(NystromFactors<T>, f64, bool)> {
     let m = landmark_rows.len();
-    let elem = std::mem::size_of::<T>();
-    // C[i][j] = K[i, l_j] = landmark row j at position i (K symmetric).
-    let cross = DenseMatrix::<T>::from_fn(n, m, |i, j| landmark_rows[j].1[i]);
     // W[a][b] = K[l_a, l_b], pseudo-inverted in f64.
     let core =
         DenseMatrix::<f64>::from_fn(m, m, |a, b| landmark_rows[a].1[landmark_rows[b].0].to_f64());
@@ -518,6 +547,37 @@ fn build_factors<T: Scalar>(
         || pseudo_inverse_spd(&core, T::EPSILON.to_f64()),
     );
     let core_pinv_t = DenseMatrix::<T>::from_fn(m, m, |a, b| T::from_f64(core_pinv[(a, b)]));
+    let factors = factors_over_core(landmark_rows, core_pinv_t, n, executor)?;
+    // The trace-based quality bound: mean |K_ii − K̂_ii|. The exact
+    // diagonal is already in hand from the sampling phase, so the bound
+    // is free beyond the subtraction. `n == 0` is rejected up front,
+    // but the bound must stay finite even for a defensively-empty
+    // diagonal rather than propagate a 0/0 NaN into reports.
+    let error_bound = if exact_diag.is_empty() {
+        0.0
+    } else {
+        exact_diag
+            .iter()
+            .zip(factors.diag.iter())
+            .map(|(&e, &a)| (e.to_f64() - a.to_f64()).abs())
+            .sum::<f64>()
+            / exact_diag.len() as f64
+    };
+    Ok((factors, error_bound, used_eigen_fallback))
+}
+
+/// The factors over the landmark rows and the pseudo-inverted core: `C`,
+/// then `H = C·W⁺` and the reconstructed diagonal, each charged.
+fn factors_over_core<T: Scalar>(
+    landmark_rows: &[(usize, Vec<T>)],
+    core_pinv_t: DenseMatrix<T>,
+    n: usize,
+    executor: &dyn Executor,
+) -> Result<NystromFactors<T>> {
+    let m = landmark_rows.len();
+    let elem = std::mem::size_of::<T>();
+    // C[i][j] = K[i, l_j] = landmark row j at position i (K symmetric).
+    let cross = DenseMatrix::<T>::from_fn(n, m, |i, j| landmark_rows[j].1[i]);
     let hat = executor.run(
         format!("nystrom hat factor H = C W+ (n={n}, m={m})"),
         Phase::KernelMatrix,
@@ -547,29 +607,13 @@ fn build_factors<T: Scalar>(
                 .collect()
         },
     );
-    // The trace-based quality bound: mean |K_ii − K̂_ii|. The exact
-    // diagonal is already in hand from the sampling phase, so the bound
-    // is free beyond the subtraction. `n == 0` is rejected up front,
-    // but the bound must stay finite even for a defensively-empty
-    // diagonal rather than propagate a 0/0 NaN into reports.
-    let error_bound = if exact_diag.is_empty() {
-        0.0
-    } else {
-        exact_diag
-            .iter()
-            .zip(diag.iter())
-            .map(|(&e, &a)| (e.to_f64() - a.to_f64()).abs())
-            .sum::<f64>()
-            / exact_diag.len() as f64
-    };
-    let factors = NystromFactors {
+    Ok(NystromFactors {
         cross,
         hat,
         core_pinv_t,
         diag,
         landmarks: landmark_rows.iter().map(|&(i, _)| i).collect(),
-    };
-    Ok((factors, error_bound, used_eigen_fallback))
+    })
 }
 
 /// Pseudo-inverse of a symmetric positive semi-definite matrix, std-only and

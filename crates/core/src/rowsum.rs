@@ -615,7 +615,7 @@ mod tests {
 
     fn unit_weight_cases<T: Scalar>() {
         // Symmetric K as its packed lower triangle, folded into Eᵀ.
-        let symmetric = PackedSymmetric::<T>::from_fn(N, |i, j| awkward(j * N + i));
+        let symmetric = PackedSymmetric::<T>::from_fn(N, |i, j| awkward(j * N + i)).unwrap();
         let computed = FullKernel::computed(Arc::new(symmetric.clone()));
         assert_eq!(computed.panel_kind(), PanelKind::Lower);
         check_tiles(Tiles::Lower(&symmetric), &computed);

@@ -40,6 +40,14 @@ pub enum DenseError {
         /// Supplied shape.
         shape: (usize, usize),
     },
+    /// A buffer cannot be allocated: its size overflows, or the allocator
+    /// refused it.
+    AllocationFailed {
+        /// What the buffer would hold.
+        what: &'static str,
+        /// The bytes it needs, exact.
+        bytes: u128,
+    },
 }
 
 impl fmt::Display for DenseError {
@@ -69,6 +77,12 @@ impl fmt::Display for DenseError {
                     f,
                     "{op}: requires a square matrix, found {}x{}",
                     shape.0, shape.1
+                )
+            }
+            DenseError::AllocationFailed { what, bytes } => {
+                write!(
+                    f,
+                    "cannot allocate {what} on the host: it needs {bytes} bytes"
                 )
             }
         }

@@ -18,6 +18,8 @@ use crate::matrix::DenseMatrix;
 use crate::parallel::num_threads;
 use crate::scalar::Scalar;
 use crate::Result;
+use std::alloc::{alloc_zeroed, Layout};
+use std::any::TypeId;
 use std::ops::{Index, Range};
 
 /// Offset of row `i` in a packed lower triangle, `i(i+1)/2`. The halving
@@ -37,6 +39,37 @@ pub fn packed_len(n: usize) -> Option<usize> {
     usize::try_from(n as u128 * (n as u128 + 1) / 2).ok()
 }
 
+/// `len` zeros of `T`, for a buffer whose size comes from its caller's
+/// input: [`DenseError::AllocationFailed`], naming `what` and the bytes,
+/// when the size overflows or the allocator refuses it, instead of the
+/// abort of `vec![T::ZERO; len]`. The allocation is the one that macro
+/// makes for `f32` and `f64`: zeroed by the allocator, so a large buffer's
+/// pages are first touched by the caller's own writes.
+fn zeroed<T: Scalar>(len: usize, what: &'static str) -> Result<Vec<T>> {
+    let bytes = len as u128 * std::mem::size_of::<T>() as u128;
+    let failed = || DenseError::AllocationFailed { what, bytes };
+    let layout = Layout::array::<T>(len).map_err(|_| failed())?;
+    // Only `f32` and `f64` are known to read all-zero bytes as `T::ZERO`.
+    let floats = [TypeId::of::<f32>(), TypeId::of::<f64>()];
+    if layout.size() == 0 || !floats.contains(&TypeId::of::<T>()) {
+        let mut data = Vec::new();
+        data.try_reserve_exact(len).map_err(|_| failed())?;
+        data.resize(len, T::ZERO);
+        return Ok(data);
+    }
+    // SAFETY: `layout` has a non-zero size.
+    let ptr = unsafe { alloc_zeroed(layout) }.cast::<T>();
+    if ptr.is_null() {
+        return Err(failed());
+    }
+    // SAFETY: `ptr` is a live allocation of the global allocator, the one
+    // `Vec` uses, made with `Layout::array::<T>(len)`, so its size and
+    // alignment are those of a `Vec<T>` of capacity `len`. `T` is `f32` or
+    // `f64`, for which every bit pattern is a value, so the `len` zeroed
+    // elements are initialised (and each is `+0.0`, `T::ZERO`).
+    Ok(unsafe { Vec::from_raw_parts(ptr, len, len) })
+}
+
 /// The lower triangle of a symmetric `n × n` matrix, packed by rows (see
 /// the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +79,19 @@ pub struct PackedSymmetric<T: Scalar> {
 }
 
 impl<T: Scalar> PackedSymmetric<T> {
-    /// The zero matrix of order `n`. Panics when `n(n+1)/2` entries exceed
-    /// the address space, as a `Vec` of that length would.
-    pub fn zeros(n: usize) -> Self {
-        let len = packed_len(n).expect("packed triangle exceeds the address space");
-        Self {
+    /// The zero matrix of order `n`, allocated fallibly: `n(n+1)/2` entries
+    /// that overflow the address space or that the allocator refuses are
+    /// [`DenseError::AllocationFailed`].
+    pub fn zeros(n: usize) -> Result<Self> {
+        const WHAT: &str = "a packed lower triangle";
+        let len = packed_len(n).ok_or(DenseError::AllocationFailed {
+            what: WHAT,
+            bytes: n as u128 * (n as u128 + 1) / 2 * std::mem::size_of::<T>() as u128,
+        })?;
+        Ok(Self {
             n,
-            data: vec![T::ZERO; len],
-        }
+            data: zeroed(len, WHAT)?,
+        })
     }
 
     /// Wrap a buffer holding the packed rows `0..n`.
@@ -67,15 +105,16 @@ impl<T: Scalar> PackedSymmetric<T> {
         }
     }
 
-    /// The matrix whose entry `(i, j ≤ i)` is `f(i, j)`.
-    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut m = Self::zeros(n);
+    /// The matrix whose entry `(i, j ≤ i)` is `f(i, j)`, allocated as
+    /// [`PackedSymmetric::zeros`] allocates it.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> T) -> Result<Self> {
+        let mut m = Self::zeros(n)?;
         for i in 0..n {
             for (j, x) in m.row_mut(i).iter_mut().enumerate() {
                 *x = f(i, j);
             }
         }
-        m
+        Ok(m)
     }
 
     /// The lower triangle of the square matrix `m`; its upper triangle is
@@ -87,7 +126,7 @@ impl<T: Scalar> PackedSymmetric<T> {
                 shape: m.shape(),
             });
         }
-        Ok(Self::from_fn(m.rows(), |i, j| m[(i, j)]))
+        Self::from_fn(m.rows(), |i, j| m[(i, j)])
     }
 
     /// Order `n` of the matrix.
@@ -226,23 +265,27 @@ impl<'a, T: Scalar> PackedRows<'a, T> {
     }
 }
 
-/// Apply `f` to disjoint chunks of `data`, which holds the packed rows
-/// `rows`, in parallel: one contiguous range of rows per kernel thread, of
+/// The packed rows `rows`, zeroed and then filled by `f` in parallel on
+/// disjoint chunks: one contiguous range of rows per kernel thread, of
 /// about equal packed length, so each thread's rows are one slice of the
-/// buffer. `f` receives its rows and their slice.
-pub fn par_packed_rows<T, F>(data: &mut [T], rows: Range<usize>, f: F)
+/// buffer. `f` receives its rows and their slice. The buffer is allocated
+/// fallibly (see [`PackedSymmetric::zeros`]): rows a caller sizes from its
+/// input, a whole kernel matrix, are [`DenseError::AllocationFailed`] when
+/// they cannot be held.
+pub fn par_packed_rows<T, F>(rows: Range<usize>, f: F) -> Result<Vec<T>>
 where
-    T: Send,
+    T: Scalar,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     let base = packed_offset(rows.start);
-    debug_assert_eq!(data.len(), packed_offset(rows.end) - base);
+    let mut buffer = zeroed(packed_offset(rows.end) - base, "packed lower rows")?;
+    let data = buffer.as_mut_slice();
     let parts = num_threads().min(rows.len());
     if parts <= 1 {
         if !rows.is_empty() {
             f(rows, data);
         }
-        return;
+        return Ok(buffer);
     }
     let total = data.len();
     let mut chunks = Vec::with_capacity(parts);
@@ -267,6 +310,7 @@ where
             scope.spawn(move || f(rows, chunk));
         }
     });
+    Ok(buffer)
 }
 
 #[cfg(test)]
@@ -314,22 +358,55 @@ mod tests {
     fn packed_row_chunks_cover_the_panel_once() {
         for rows in [0..0, 3..4, 0..7, 5..40, 0..1000] {
             let base = packed_offset(rows.start);
-            let mut data = vec![0usize; packed_offset(rows.end) - base];
-            par_packed_rows(&mut data, rows.clone(), |sub, chunk| {
+            let data = par_packed_rows(rows.clone(), |sub, chunk: &mut [f64]| {
                 assert!(!sub.is_empty());
                 assert_eq!(
                     chunk.len(),
                     packed_offset(sub.end) - packed_offset(sub.start)
                 );
+                assert!(chunk.iter().all(|x| x.to_bits() == 0), "zeroed");
                 for r in sub.clone() {
                     let at = packed_offset(r) - packed_offset(sub.start);
-                    chunk[at..at + r + 1].fill(r + 1);
+                    chunk[at..at + r + 1].fill((r + 1) as f64);
                 }
-            });
+            })
+            .unwrap();
+            assert_eq!(data.len(), packed_offset(rows.end) - base);
             for r in rows {
                 let at = packed_offset(r) - base;
-                assert!(data[at..at + r + 1].iter().all(|&x| x == r + 1));
+                assert!(data[at..at + r + 1].iter().all(|&x| x == (r + 1) as f64));
             }
         }
+    }
+
+    #[test]
+    fn buffers_that_cannot_be_held_are_typed_errors() {
+        // 2^31 rows hold 2^61 + 2^30 entries: more than `isize::MAX` bytes
+        // in either precision, which no allocation may take.
+        let n = 1usize << 31;
+        let bytes = |elem: u128| (n as u128) * (n as u128 + 1) / 2 * elem;
+        for (err, elem) in [
+            (PackedSymmetric::<f64>::zeros(n).unwrap_err(), 8),
+            (PackedSymmetric::<f32>::zeros(n).unwrap_err(), 4),
+        ] {
+            assert_eq!(
+                err,
+                DenseError::AllocationFailed {
+                    what: "a packed lower triangle",
+                    bytes: bytes(elem),
+                }
+            );
+        }
+        let err = par_packed_rows::<f64, _>(0..n, |_, _| unreachable!()).unwrap_err();
+        assert_eq!(
+            err,
+            DenseError::AllocationFailed {
+                what: "packed lower rows",
+                bytes: bytes(8),
+            }
+        );
+        assert!(err.to_string().contains(&bytes(8).to_string()));
+        let empty = PackedSymmetric::<f32>::zeros(0).unwrap();
+        assert_eq!(empty.as_slice().len(), 0);
     }
 }

@@ -103,7 +103,8 @@ pub fn syrk<T: Scalar>(
 /// [`crate::matmul_nt_rows`], into a fresh buffer, then each run goes to
 /// `epilogue(i, j0, cells)`, where `cells[t]` is entry `(i, j0 + t)`. Rows
 /// split across the kernel threads by their packed length, so each thread
-/// writes one contiguous slice.
+/// writes one contiguous slice. A buffer that cannot be allocated is
+/// [`DenseError::AllocationFailed`].
 pub fn syrk_packed_with<T: Scalar>(
     a: &DenseMatrix<T>,
     rows: Range<usize>,
@@ -115,8 +116,7 @@ pub fn syrk_packed_with<T: Scalar>(
             shape: a.shape(),
         });
     }
-    let mut out = vec![T::ZERO; packed_offset(rows.end) - packed_offset(rows.start)];
-    par_packed_rows(&mut out, rows, |rows, chunk| {
+    par_packed_rows(rows, |rows, chunk| {
         let first = packed_offset(rows.start);
         nt_product(
             a,
@@ -133,8 +133,7 @@ pub fn syrk_packed_with<T: Scalar>(
                 epilogue(r, j0, cells);
             },
         );
-    });
-    Ok(out)
+    })
 }
 
 /// Copy the explicitly computed triangle into the other half so the matrix is

@@ -21,9 +21,7 @@ use crate::Result;
 use popcorn_dense::fma::dispatch;
 use popcorn_dense::packed::par_packed_rows;
 use popcorn_dense::parallel::par_chunks_rows;
-use popcorn_dense::{
-    packed_offset, symmetrize_lower, DenseMatrix, PackedSymmetric, Scalar, Triangle,
-};
+use popcorn_dense::{symmetrize_lower, DenseMatrix, PackedSymmetric, Scalar, Triangle};
 use std::borrow::Cow;
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -385,15 +383,16 @@ impl<T: Scalar> CsrMatrix<T> {
     /// the rows of [`CsrMatrix::gram_sequential_packed`], whose arithmetic
     /// runs on one thread, mirrored into the upper triangle by
     /// [`symmetrize_lower`], which splits its rows across the kernel threads.
-    pub fn gram_sequential(&self) -> DenseMatrix<T> {
+    /// Errs as [`CsrMatrix::gram_sequential_packed`] does.
+    pub fn gram_sequential(&self) -> popcorn_dense::Result<DenseMatrix<T>> {
         let n = self.rows;
-        let lower = self.gram_sequential_packed();
+        let lower = self.gram_sequential_packed()?;
         let mut out = DenseMatrix::zeros(n, n);
         for i in 0..n {
             out.row_mut(i)[..=i].copy_from_slice(lower.row(i));
         }
-        symmetrize_lower(&mut out, Triangle::Lower).expect("gram output is square");
-        out
+        symmetrize_lower(&mut out, Triangle::Lower)?;
+        Ok(out)
     }
 
     /// The lower triangle of the Gram matrix, packed, computed one row at a
@@ -401,12 +400,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `(i, j ≤ i)` accumulates `fma(v_jc, a_ic, acc)` over row `j`'s stored
     /// entries in ascending `c`, reading `a_ic` from the scatter slot column
     /// `c` has. The scatter has one slot per column that occurs, so no
-    /// buffer is sized by the feature count.
-    pub fn gram_sequential_packed(&self) -> PackedSymmetric<T> {
+    /// buffer is sized by the feature count. A triangle that cannot be
+    /// allocated is [`popcorn_dense::DenseError::AllocationFailed`].
+    pub fn gram_sequential_packed(&self) -> popcorn_dense::Result<PackedSymmetric<T>> {
         let n = self.rows;
-        let mut out = PackedSymmetric::zeros(n);
+        let mut out = PackedSymmetric::zeros(n)?;
         if n == 0 {
-            return out;
+            return Ok(out);
         }
         let column_slots = self.column_slots();
         let slots = column_slots.entries();
@@ -429,7 +429,7 @@ impl<T: Scalar> CsrMatrix<T> {
                 scatter[s] = T::ZERO;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Entry `(i, j)` of [`CsrMatrix::gram_sequential`] on its own: with
@@ -776,20 +776,20 @@ impl<T: Scalar> GramIndex<'_, T> {
     /// entries of [`GramIndex::gram_rows`]. Row `i`'s walk reads each
     /// column's rows only up to `i`, to the stored entry's cut, and its
     /// fix-up covers only `j ≤ i`. Rows split across the kernel threads by
-    /// their packed length.
+    /// their packed length. Rows that cannot be allocated are
+    /// [`popcorn_dense::DenseError::AllocationFailed`].
     pub fn gram_lower_rows_with(
         &self,
         r0: usize,
         r1: usize,
         epilogue: impl Fn(usize, usize, &mut [T]) + Sync,
-    ) -> Vec<T> {
+    ) -> popcorn_dense::Result<Vec<T>> {
         let n = self.matrix.rows;
         assert!(
             r0 <= r1 && r1 <= n,
             "panel rows {r0}..{r1} out of range for {n} rows"
         );
-        let mut out = vec![T::ZERO; packed_offset(r1) - packed_offset(r0)];
-        par_packed_rows(&mut out, r0..r1, |rows, chunk| {
+        par_packed_rows(r0..r1, |rows, chunk| {
             dispatch(
                 #[inline(always)]
                 || {
@@ -803,8 +803,7 @@ impl<T: Scalar> GramIndex<'_, T> {
                     }
                 },
             )
-        });
-        out
+        })
     }
 
     /// Gustavson FLOP count of rows `r0..r1` of the Gram matrix: two for
@@ -904,6 +903,7 @@ fn is_negative_zero<T: Scalar>(x: T) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popcorn_dense::packed_offset;
     use popcorn_dense::parallel::NUM_THREADS_ENV;
 
     fn sample() -> CsrMatrix<f64> {
@@ -1118,7 +1118,7 @@ mod tests {
             }
         });
         let sparse = CsrMatrix::from_dense(&dense);
-        assert_eq!(sparse.gram_sequential(), sparse.gram().unwrap());
+        assert_eq!(sparse.gram_sequential().unwrap(), sparse.gram().unwrap());
     }
 
     fn check_gram_bits<T: Scalar>(m: &CsrMatrix<T>, bits: fn(T) -> u64) {
@@ -1136,16 +1136,20 @@ mod tests {
         m.gram_index()
             .unwrap()
             .fill_rows(0, generic.as_mut_slice(), &|_, _, _| {});
-        let sequential = m.gram_sequential();
-        let packed = m.gram_sequential_packed();
+        let sequential = m.gram_sequential().unwrap();
+        let packed = m.gram_sequential_packed().unwrap();
         let index = m.gram_index().unwrap();
         let panel = index.gram_rows(0, n);
-        let whole = index.gram_lower_rows_with(0, n, |_, _, _| {});
+        let whole = index.gram_lower_rows_with(0, n, |_, _, _| {}).unwrap();
         // Ragged panels of the lower walk, joined.
         let cuts = [0, n / 3, n / 3 + 1, n];
         let joined: Vec<T> = cuts
             .windows(2)
-            .flat_map(|w| index.gram_lower_rows_with(w[0], w[1], |_, _, _| {}))
+            .flat_map(|w| {
+                index
+                    .gram_lower_rows_with(w[0], w[1], |_, _, _| {})
+                    .unwrap()
+            })
             .collect();
         for i in 0..n {
             for j in 0..n {
@@ -1189,7 +1193,7 @@ mod tests {
     /// reference `+0`: the ones only the fix-up's `−0` rule repairs.
     fn negative_zero_repairs<T: Scalar>(m: &CsrMatrix<T>) -> usize {
         let n = m.rows();
-        let (index, reference) = (m.gram_index().unwrap(), m.gram_sequential());
+        let (index, reference) = (m.gram_index().unwrap(), m.gram_sequential().unwrap());
         let mut row = vec![T::ZERO; n];
         (0..n)
             .map(|i| {
@@ -1351,7 +1355,7 @@ mod tests {
         .unwrap();
         let bits = |g: DenseMatrix<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect();
         let (sequential, gram): (Vec<u32>, Vec<u32>) =
-            (bits(m.gram_sequential()), bits(m.gram().unwrap()));
+            (bits(m.gram_sequential().unwrap()), bits(m.gram().unwrap()));
         assert_eq!(sequential, gram);
         assert_eq!(f32::from_bits(gram[0]), 1.25);
     }

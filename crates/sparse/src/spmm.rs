@@ -881,7 +881,7 @@ mod tests {
 
     #[test]
     fn selection_row_fold_validates_its_inputs() {
-        let packed = PackedSymmetric::from_fn(3, |_, _| 1.0f64);
+        let packed = PackedSymmetric::from_fn(3, |_, _| 1.0f64).unwrap();
         let selection = SelectionMatrix::<f64>::from_assignments(&[0, 1, 0], 2).unwrap();
         let weights = [0.5, 1.0];
         let mut acc = vec![0.0; 6];
@@ -901,7 +901,7 @@ mod tests {
                 .is_err()
         );
         // A panel past the selection's points.
-        let wide = PackedSymmetric::from_fn(4, |_, _| 1.0f64);
+        let wide = PackedSymmetric::from_fn(4, |_, _| 1.0f64).unwrap();
         assert!(matches!(
             spmm_selection_lower_accumulate(wide.rows(0..4), &selection, &weights, None, &mut acc),
             Err(SparseError::DimensionMismatch { .. })

@@ -2,26 +2,50 @@
 //! a hostile count or another token of the text, bytes flipped, a line
 //! deleted or duplicated:
 //!
-//! - small saved models of every kernel family and resident kind, and
-//!   Lloyd's, on dense and CSR points. Each mutant is loaded. When it
-//!   loads, it assigns the training points and a fresh batch, and one warm
-//!   refit runs through its family's solver;
+//! - small saved (v2) models of every kernel family and resident kind, and
+//!   Lloyd's, on dense and CSR points, and the v1 files under
+//!   `tests/fixtures/`. Each mutant is loaded. When it loads, it assigns the
+//!   training points and a fresh batch, and one warm refit runs through its
+//!   family's solver. Every mutant that loads is also served by
+//!   `popcorn_serve::Server`, with hostile queries;
 //! - generated libSVM and CSV texts. Each mutant is parsed by the dense and
 //!   the sparse libSVM reader and the CSV reader, and whatever parses is
 //!   fitted by Popcorn.
 //!
-//! Any step may return an error; none may panic or abort.
+//! Any step may return an error; none may panic or abort, and none may
+//! allocate by a count the text claims beyond what its own rows justify:
+//! `load` rebuilds `K` and the Nyström factors from counts in the file, so
+//! the process's peak resident set (`VmHWM`, Linux only) must stay under
+//! [`PEAK_RSS_BOUND_BYTES`].
 
 use popcorn::baselines::SolverKind;
+use popcorn::core::ModelFormat;
 use popcorn::data::csv::parse_csv;
 use popcorn::data::libsvm::{parse_libsvm, parse_libsvm_sparse};
 use popcorn::data::synthetic::gaussian_blobs;
 use popcorn::prelude::*;
+use popcorn::serve::{ServeOptions, ServeRequest, ServeResponse, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Random mutants per saved model: 26 models make about 2,000.
+/// Random mutants per saved model: 33 models make about 2,500.
 const MUTANTS_PER_MODEL: usize = 75;
+
+/// The bound on the process's peak resident set. The suite's models hold
+/// at most 40 points, so each rebuilt `K` or factor takes a few kB; the
+/// peak read 13.5–13.7 MB in debug and release builds on Linux x86-64.
+const PEAK_RSS_BOUND_BYTES: u64 = 64 << 20;
+
+/// The files saved by the build before format v2.
+const V1_FIXTURES: [&str; 7] = [
+    include_str!("fixtures/v1-dense-full.model"),
+    include_str!("fixtures/v1-dense-nystrom.model"),
+    include_str!("fixtures/v1-dense-csr.model"),
+    include_str!("fixtures/v1-dense-streamed.model"),
+    include_str!("fixtures/v1-dense-lloyd.model"),
+    include_str!("fixtures/v1-csr-full.model"),
+    include_str!("fixtures/v1-csr-nystrom.model"),
+];
 
 /// Random mutants per generated libSVM or CSV text.
 const MUTANTS_PER_TEXT: usize = 300;
@@ -125,13 +149,6 @@ impl Drop for Current {
     }
 }
 
-fn solver_kind(family: ModelFamily) -> SolverKind {
-    SolverKind::ALL
-        .into_iter()
-        .find(|kind| kind.family() == family)
-        .expect("every family has a solver")
-}
-
 fn config() -> KernelKmeansConfig {
     KernelKmeansConfig::paper_defaults(3)
         .with_seed(5)
@@ -139,8 +156,48 @@ fn config() -> KernelKmeansConfig {
         .with_convergence_check(true, 1e-6)
 }
 
-#[test]
-fn mutated_model_files_never_panic() {
+/// The process's peak resident set so far, in bytes.
+#[cfg(target_os = "linux")]
+fn peak_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .expect("the status file reports VmHWM");
+    let kib: u64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM is a count of kB");
+    kib * 1024
+}
+
+/// Fails unless the process's peak resident set is under the bound.
+fn assert_peak_rss_bounded() {
+    #[cfg(target_os = "linux")]
+    {
+        let peak = peak_rss_bytes();
+        assert!(
+            peak < PEAK_RSS_BOUND_BYTES,
+            "the peak RSS reached {:.1} MB (bound {} MB)",
+            peak as f64 / (1 << 20) as f64,
+            PEAK_RSS_BOUND_BYTES >> 20
+        );
+    }
+}
+
+/// One saved model to mutate, with the points to assign to its mutants.
+struct ModelCase {
+    name: String,
+    text: String,
+    train: OwnedPoints<f32>,
+    fresh: OwnedPoints<f32>,
+}
+
+/// Every saved model the suite mutates: fits of every kernel family and
+/// resident kind, and Lloyd's, on dense and CSR points, then the v1
+/// fixtures, each with its own points and fresh rows of its layout.
+fn model_cases() -> Vec<ModelCase> {
     let train = gaussian_blobs::<f32>(40, 4, 3, 2.0, 11).points().clone();
     let fresh = gaussian_blobs::<f32>(7, 4, 3, 2.0, 12).points().clone();
     let (train_csr, fresh_csr) = (CsrMatrix::from_dense(&train), CsrMatrix::from_dense(&fresh));
@@ -167,50 +224,159 @@ fn mutated_model_files_never_panic() {
     ];
     let mut cases = Vec::new();
     for (train, fresh) in layouts {
+        let mut fits = Vec::new();
         for kind in [
             SolverKind::Popcorn,
             SolverKind::Cpu,
             SolverKind::DenseBaseline,
         ] {
             for (resident, config) in &residents {
-                cases.push((kind, *resident, config.clone(), train, fresh));
+                fits.push((kind, *resident, config.clone()));
             }
         }
-        cases.push((SolverKind::Lloyd, "none", config(), train, fresh));
+        fits.push((SolverKind::Lloyd, "none", config()));
+        for (kind, resident, config) in fits {
+            let (_, model) = kind.build::<f32>(config).fit_model(train).unwrap();
+            assert_eq!(model.resident_kind(), resident, "{}", kind.name());
+            cases.push(ModelCase {
+                name: format!("{} {resident}, sparse {}", kind.name(), train.is_sparse()),
+                text: model.save(),
+                train: OwnedPoints::from_input(train),
+                fresh: OwnedPoints::from_input(fresh),
+            });
+        }
     }
-
-    let mut rng = StdRng::seed_from_u64(0x5eed);
-    let (mut mutants, mut loaded) = (0usize, 0usize);
-    for (kind, resident, config, train, fresh) in cases {
-        let (_, model) = kind.build::<f32>(config).fit_model(train).unwrap();
-        assert_eq!(model.resident_kind(), resident, "{}", kind.name());
-        let text = model.save();
-        let case = format!("{} {resident}, sparse {}", kind.name(), train.is_sparse());
-        let budget = format!("max-iter {MAX_ITER}");
-        let inflated = ["999999999", "18446744073709551615"].map(|count| {
-            let mutant = text.replacen(&budget, &format!("max-iter {count}"), 1);
-            (mutant, format!("max-iter set to {count}"))
+    for text in V1_FIXTURES {
+        let (model, format) = FittedModel::<f32>::load_versioned(text).unwrap();
+        assert_eq!(format, ModelFormat::V1);
+        let d = model.d();
+        let fresh = DenseMatrix::<f32>::from_fn(7, d, |i, j| ((i * d + j) as f32 * 0.9).sin());
+        let fresh = match model.points() {
+            OwnedPoints::Dense(_) => OwnedPoints::Dense(fresh),
+            OwnedPoints::Csr(_) => OwnedPoints::Csr(CsrMatrix::from_dense(&fresh)),
+        };
+        cases.push(ModelCase {
+            name: format!(
+                "v1 fixture {} {}",
+                model.family().name(),
+                model.resident_kind()
+            ),
+            text: text.to_string(),
+            train: model.points().clone(),
+            fresh,
         });
-        let random = std::iter::repeat_with(|| mutate(&text, &mut rng)).take(MUTANTS_PER_MODEL);
-        for (mutant, what) in random.chain(inflated) {
-            let _current = Current(format!("{case}: {what}\n{mutant}"));
-            mutants += 1;
+    }
+    cases
+}
+
+/// Each case's seeded mutants, with a description of each, plus the
+/// iteration budget inflated explicitly (only a refit reads it).
+fn mutants(case: &ModelCase, rng: &mut StdRng) -> Vec<(String, String)> {
+    let budget = format!("max-iter {MAX_ITER}");
+    let inflated = ["999999999", "18446744073709551615"].map(|count| {
+        let mutant = case.text.replacen(&budget, &format!("max-iter {count}"), 1);
+        (mutant, format!("max-iter set to {count}"))
+    });
+    std::iter::repeat_with(|| mutate(&case.text, rng))
+        .take(MUTANTS_PER_MODEL)
+        .chain(inflated)
+        .collect()
+}
+
+#[test]
+fn mutated_model_files_never_panic() {
+    let cases = model_cases();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let (mut mutants_run, mut loaded) = (0usize, 0usize);
+    for case in &cases {
+        let (train, fresh) = (case.train.as_input(), case.fresh.as_input());
+        for (mutant, what) in mutants(case, &mut rng) {
+            let _current = Current(format!("{}: {what}\n{mutant}", case.name));
+            mutants_run += 1;
             let Ok(model) = FittedModel::<f32>::load(&mutant) else {
                 continue;
             };
             loaded += 1;
-            let executor = SimExecutor::new(kind.default_device(), 4);
+            let executor = SimExecutor::new(model.family().default_device(), 4);
             let _ = model.assign(train, &executor);
             let _ = model.assign(fresh, &executor);
-            let solver = solver_kind(model.family()).build::<f32>(model.config().clone());
+            let solver = SolverKind::from(model.family()).build::<f32>(model.config().clone());
             let _ = solver.refit(&model, &RefitRequest::warm());
         }
     }
-    assert_eq!(mutants, 26 * (MUTANTS_PER_MODEL + 2));
+    assert_eq!(cases.len(), 33);
+    assert_eq!(mutants_run, cases.len() * (MUTANTS_PER_MODEL + 2));
     // Some mutations leave a valid model (a changed seed, a duplicated
     // label, an inflated budget, ...), so the serving and refit paths run
     // too.
-    assert!(loaded * 25 > mutants, "only {loaded} of {mutants} loaded");
+    assert!(
+        loaded * 25 > mutants_run,
+        "only {loaded} of {mutants_run} loaded"
+    );
+    assert_peak_rss_bounded();
+}
+
+/// Queries no model accepts, or accepts only as awkward input: a wrong
+/// feature count in either layout, no rows, non-finite values.
+fn hostile_queries(d: usize) -> Vec<OwnedPoints<f32>> {
+    let wide = DenseMatrix::<f32>::from_fn(3, d + 1, |i, j| (i + j) as f32);
+    let mut non_finite = DenseMatrix::<f32>::from_fn(3, d, |i, j| (i * d + j) as f32);
+    non_finite[(1, 0)] = f32::NAN;
+    non_finite[(2, d - 1)] = f32::INFINITY;
+    vec![
+        OwnedPoints::Csr(CsrMatrix::from_dense(&wide)),
+        OwnedPoints::Dense(wide),
+        OwnedPoints::Dense(DenseMatrix::zeros(0, d)),
+        OwnedPoints::Csr(CsrMatrix::from_dense(&non_finite)),
+        OwnedPoints::Dense(non_finite),
+    ]
+}
+
+#[test]
+fn bad_model_files_and_queries_never_reach_the_servers_panic_backstop() {
+    // The server turns a worker's panic into a `worker panicked` error
+    // response. Every mutant that loads, and each unmutated model, is
+    // served with its points, fresh rows, hostile queries and a warm
+    // refit; none may get that response.
+    let cases = model_cases();
+    let mut rng = StdRng::seed_from_u64(0x5e7e);
+    let mut served = 0usize;
+    for case in &cases {
+        let texts = std::iter::once((case.text.clone(), "unmutated".to_string()));
+        for (text, what) in texts.chain(mutants(case, &mut rng)) {
+            let _current = Current(format!("{}: {what}\n{text}", case.name));
+            let Ok(model) = FittedModel::<f32>::load(&text) else {
+                continue;
+            };
+            served += 1;
+            let mut requests: Vec<ServeRequest> = [&case.train, &case.fresh]
+                .into_iter()
+                .cloned()
+                .chain(hostile_queries(case.train.d().max(1)))
+                .map(|queries| ServeRequest::Assign { queries })
+                .collect();
+            requests.push(ServeRequest::Refit {
+                request: RefitRequest::warm(),
+            });
+            let server = Server::start(
+                model.clone(),
+                SolverKind::from(model.family()),
+                ServeOptions::default(),
+            );
+            for request in requests {
+                if let ServeResponse::Error(message) = server.request(request).unwrap() {
+                    assert!(
+                        !message.starts_with("worker panicked"),
+                        "{}: {what}: {message}",
+                        case.name
+                    );
+                }
+            }
+            server.shutdown();
+        }
+    }
+    assert!(served > cases.len(), "only {served} models served");
+    assert_peak_rss_bounded();
 }
 
 /// A libSVM text of two classes: each row stores 3 to 6 of its class's six
@@ -293,4 +459,5 @@ fn mutated_libsvm_and_csv_texts_never_panic() {
         fitted * 4 > mutants,
         "only {fitted} fits of {mutants} mutants"
     );
+    assert_peak_rss_bounded();
 }
