@@ -195,19 +195,19 @@ fn cases() -> Vec<(String, u64)> {
 
 /// Hashes recorded by running [`cases`] on the earlier build.
 const GOLDEN: &[(&str, u64)] = &[
-    ("popcorn, exact auto", 0x1ab569ca254835a4),
-    ("popcorn, exact rows 7", 0xfbc9eb945f970199),
-    ("popcorn, nystrom m=8", 0x98b2442a2078e143),
-    ("popcorn, sparsified knn:4", 0x67fedda16bba2fe0),
-    ("cpu-reference, exact auto", 0x4bc5578ec6809b26),
-    ("cpu-reference, exact rows 7", 0xb36d6ac842198f3c),
-    ("cpu-reference, nystrom m=8", 0x2f478b2afce2c8ef),
-    ("cpu-reference, sparsified knn:4", 0x6ee4798e255f5285),
-    ("dense-gpu-baseline, exact auto", 0xa642c0e1c1b79aeb),
-    ("dense-gpu-baseline, exact rows 7", 0x86db04f4033f12ed),
-    ("dense-gpu-baseline, nystrom m=8", 0x089ed1b6d71ebb6b),
-    ("dense-gpu-baseline, sparsified knn:4", 0xf262e4e14d17744e),
-    ("lloyd", 0x529b2856755d619e),
+    ("popcorn, exact auto", 0xa06bae4c8bf54dd4),
+    ("popcorn, exact rows 7", 0xc9a69c9b1051827d),
+    ("popcorn, nystrom m=8", 0x46e8aab4b838960f),
+    ("popcorn, sparsified knn:4", 0x9962714beba389f0),
+    ("cpu-reference, exact auto", 0x4d2d366e3b8e5c1e),
+    ("cpu-reference, exact rows 7", 0x7468e736301909b8),
+    ("cpu-reference, nystrom m=8", 0xab939df343b36a93),
+    ("cpu-reference, sparsified knn:4", 0x2f3c6ed7164f7695),
+    ("dense-gpu-baseline, exact auto", 0x6123cd99effda393),
+    ("dense-gpu-baseline, exact rows 7", 0x9406660760f9f671),
+    ("dense-gpu-baseline, nystrom m=8", 0x3499db3c5686d76b),
+    ("dense-gpu-baseline, sparsified knn:4", 0xef94f2f248fdc2ee),
+    ("lloyd", 0xbc067df44f4430e9),
 ];
 
 #[test]
