@@ -2230,6 +2230,20 @@ mod tests {
                 "{}",
                 model.resident_kind()
             );
+            // The landmark product reads the landmark rows' stored entries
+            // and the query's two, not `m × 2^61` dense values.
+            if let ResidentKernel::Nystrom { factors, .. } = &model.resident {
+                let OwnedPoints::Csr(rows) = model.landmark_points(&factors.landmarks) else {
+                    panic!("a CSR model's landmark rows stay CSR")
+                };
+                let trace = executor.trace();
+                let read = trace.records().iter().find_map(|r| {
+                    r.name
+                        .starts_with("serve landmark cross gram")
+                        .then_some(r.cost.bytes_read)
+                });
+                assert_eq!(read, Some(rows.storage_bytes(4, INDEX_BYTES) + 2 * 4));
+            }
         }
     }
 
