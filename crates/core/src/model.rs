@@ -1893,8 +1893,8 @@ impl<T: Scalar> FittedModel<T> {
         let resident = match toks.as_slice() {
             ["full", rows] => {
                 let rows = r.parse_int(rows)?;
-                r.skip(rebuilt_lines(rows))?;
                 expect("resident matrix rows", rows, n)?;
+                r.skip(rebuilt_lines(rows))?;
                 let dense = densified()?;
                 let input = dense.as_ref().map_or(points.as_input(), FitInput::Dense);
                 ResidentKernel::Full(Arc::new(packed_kernel_matrix(input, kernel)?))
