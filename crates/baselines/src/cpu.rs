@@ -99,8 +99,8 @@ fn compute_kernel_matrix_sequential_csr<T: Scalar>(
 
 /// Sequential dense kernel-matrix computation (no blocking, no threads):
 /// entry `(i, j ≤ i)` is the plain dot product of rows `i` and `j`, stored
-/// as `0 + 1·acc`, the write of a GEMM under α = 1, β = 0 (an exact `−0`
-/// sum is stored `+0`, as the other families store it).
+/// as `0 + 1·acc`, the write of the host GEMM and SYRK products (an exact
+/// `−0` sum is stored `+0`, as the other families store it).
 fn compute_kernel_matrix_sequential<T: Scalar>(
     points: &DenseMatrix<T>,
     kernel: KernelFunction,
@@ -225,7 +225,7 @@ mod tests {
             KernelFunction::paper_polynomial(),
         );
         let labels: Vec<usize> = (0..points.rows()).map(|i| i % 3).collect();
-        let exec = SimExecutor::cpu_single_core_f32();
+        let exec = SimExecutor::new(DeviceSpec::epyc7763_single_core(), 4);
         let source = FullKernel::new(&kernel_matrix).unwrap();
         let mut engine = CpuEngine::<f64>::new(3);
         engine.begin_iteration(0, &source, &labels, &exec).unwrap();

@@ -360,34 +360,8 @@ impl LoadedPoints {
     }
 }
 
-/// Decide between CSV and libSVM from the content: libSVM feature tokens
-/// contain a `:`, CSV rows contain a `,`. Lines showing neither are
-/// ambiguous and scanning continues until a decisive line is found.
-fn sniff_format(text: &str) -> InputFormat {
-    const SNIFF_LINES: usize = 200;
-    for line in text.lines().take(SNIFF_LINES) {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line
-            .split_whitespace()
-            .skip(1)
-            .any(|token| token.contains(':'))
-        {
-            return InputFormat::Libsvm;
-        }
-        if line.contains(',') {
-            return InputFormat::Csv;
-        }
-        // Neither marker (e.g. a label-only libSVM row for an all-zero
-        // point, or a one-column CSV row): ambiguous, keep scanning.
-    }
-    InputFormat::Csv
-}
-
 /// Resolve `--format auto`: trust an unambiguous extension, otherwise sniff
-/// the content.
+/// the content ([`libsvm::looks_like_libsvm`]).
 fn resolve_format(path: &str, text: &str, requested: InputFormat) -> InputFormat {
     match requested {
         InputFormat::Csv | InputFormat::Libsvm => requested,
@@ -397,8 +371,10 @@ fn resolve_format(path: &str, text: &str, requested: InputFormat) -> InputFormat
                 InputFormat::Libsvm
             } else if lower.ends_with(".csv") {
                 InputFormat::Csv
+            } else if libsvm::looks_like_libsvm(text) {
+                InputFormat::Libsvm
             } else {
-                sniff_format(text)
+                InputFormat::Csv
             }
         }
     }

@@ -526,7 +526,8 @@ impl<T: Scalar> FittedModel<T> {
         if self.family == ModelFamily::Lloyd {
             return self.lloyd_assign(self.points.as_input(), executor);
         }
-        let source = ModelSource::new(self, executor)?;
+        let mut copy = None;
+        let source = ModelSource::new(self, &mut copy, executor)?;
         let mut engine = self.family.engine(self.config.k)?;
         let distances = pipeline::distance_pass(
             &source,
@@ -1094,8 +1095,34 @@ enum ModelKernel<'a, T: Scalar> {
     Streamed(Box<TiledKernel<'a, T>>),
 }
 
+/// The points a fit made `K` and the Nyström factors from: a dense
+/// baseline's fit ran on a dense copy of CSR points, made here into `copy`;
+/// every other fit ran on the points themselves. The CSR Gram walk and the
+/// dense product differ on exact `−0` sums, which the linear and zero-offset
+/// sigmoid kernels keep, so a rebuild or a replay must start from the same
+/// layout.
+fn kernel_input<'a, T: Scalar>(
+    points: &'a OwnedPoints<T>,
+    family: ModelFamily,
+    copy: &'a mut Option<DenseMatrix<T>>,
+) -> Result<FitInput<'a, T>> {
+    Ok(match (points, family) {
+        (OwnedPoints::Csr(p), ModelFamily::DenseBaseline) => {
+            FitInput::Dense(copy.insert(FitInput::Sparse(p).to_dense()?))
+        }
+        _ => points.as_input(),
+    })
+}
+
 impl<'a, T: Scalar> ModelSource<'a, T> {
-    fn new(model: &'a FittedModel<T>, executor: &dyn Executor) -> Result<Self> {
+    /// `copy` holds the dense copy of the points that `streamed` state
+    /// recomputes its panels from, when the fit made one
+    /// ([`kernel_input`]).
+    fn new(
+        model: &'a FittedModel<T>,
+        copy: &'a mut Option<DenseMatrix<T>>,
+        executor: &dyn Executor,
+    ) -> Result<Self> {
         let kernel = match &model.resident {
             ResidentKernel::Full(matrix) => ModelKernel::Full(matrix),
             ResidentKernel::Csr(matrix) => ModelKernel::Csr(matrix),
@@ -1104,7 +1131,7 @@ impl<'a, T: Scalar> ModelSource<'a, T> {
             }
             ResidentKernel::Streamed { tile_rows } => {
                 ModelKernel::Streamed(Box::new(TiledKernel::new(
-                    model.points.as_input(),
+                    kernel_input(&model.points, model.family, copy)?,
                     model.config.kernel,
                     *tile_rows,
                     executor,
@@ -1251,7 +1278,7 @@ pub(crate) fn fit_and_extract<F: KernelFamily, T: Scalar>(
         Ok((result, model))
     };
     match resident {
-        Some(model) => fit(&ModelSource::new(model, executor)?),
+        Some(model) => fit(&ModelSource::new(model, &mut None, executor)?),
         None => kernel_source::run_with_source(
             run_input,
             config.kernel,
@@ -1875,14 +1902,6 @@ impl<T: Scalar> FittedModel<T> {
         if family.is_kernel() {
             expect("kernel-diag entries", kernel_diag.len(), n)?;
         }
-        // The fit built `K` and the factors from these points, except that
-        // a dense baseline's fit ran on a dense copy of CSR points.
-        let densified = || match (&points, family) {
-            (OwnedPoints::Csr(p), ModelFamily::DenseBaseline) => {
-                FitInput::Sparse(p).to_dense().map(Some)
-            }
-            _ => Ok(None),
-        };
         // v0 and v1 files also carry the blocks rebuilt below: a full
         // model's `n` rows of `K`; a Nyström model's `hat` and `cross`
         // (`n` rows each) before its core, and its landmark rows (`m`) and
@@ -1895,8 +1914,8 @@ impl<T: Scalar> FittedModel<T> {
                 let rows = r.parse_int(rows)?;
                 expect("resident matrix rows", rows, n)?;
                 r.skip(rebuilt_lines(rows))?;
-                let dense = densified()?;
-                let input = dense.as_ref().map_or(points.as_input(), FitInput::Dense);
+                let mut copy = None;
+                let input = kernel_input(&points, family, &mut copy)?;
                 ResidentKernel::Full(Arc::new(packed_kernel_matrix(input, kernel)?))
             }
             ["csr", rows, nnz] => {
@@ -1913,8 +1932,8 @@ impl<T: Scalar> FittedModel<T> {
                 r.skip(rebuilt_lines(2 * n))?;
                 let core_pinv_t = r.matrix(m, m)?;
                 r.skip(rebuilt_lines(m + 1))?;
-                let dense = densified()?;
-                let input = dense.as_ref().map_or(points.as_input(), FitInput::Dense);
+                let mut copy = None;
+                let input = kernel_input(&points, family, &mut copy)?;
                 let factors = NystromFactors::rebuild(input, kernel, &landmarks, core_pinv_t)?;
                 ResidentKernel::Nystrom {
                     factors: Arc::new(factors),
@@ -2736,7 +2755,8 @@ mod tests {
             let (_, model) = KernelKmeans::new(config).fit_model(input).unwrap();
             assert_eq!(model.resident_kind(), kind);
             let exec = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
-            let source = ModelSource::new(&model, &exec).unwrap();
+            let mut copy = None;
+            let source = ModelSource::new(&model, &mut copy, &exec).unwrap();
             assert_eq!(source.panel_kind(), panels, "{kind}");
             // One pass holds the source's rows, bit for bit, in panels of
             // its kind that cover every row once.
@@ -2760,6 +2780,36 @@ mod tests {
             }
             let tiles = source.for_each_tile(&exec, &mut |_, _| Ok(()));
             assert_eq!(tiles.is_ok(), panels == PanelKind::Rows, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_streamed_dense_baseline_model_of_csr_points_replays_the_k_its_fit_streamed() {
+        // The fit streams its panels from the dense copy of the CSR points.
+        // The linear kernel keeps the `−0` Gram sums of `awkward_blobs`,
+        // where the CSR walk and the dense product differ.
+        let points = awkward_blobs::<f32>(24, 5);
+        let csr = CsrMatrix::from_dense(&points);
+        let config = KernelKmeansConfig::paper_defaults(3)
+            .with_seed(2)
+            .with_max_iter(6)
+            .with_kernel(KernelFunction::Linear)
+            .with_tiling(TilePolicy::Rows(7));
+        let (_, model) = KernelSolver::<BaselineLike<true>>::new(config)
+            .fit_model(FitInput::Sparse(&csr))
+            .unwrap();
+        assert_eq!(model.resident_kind(), "streamed");
+        let exec = SimExecutor::new(DeviceSpec::a100_80gb(), 4);
+        let dense = FitInput::Sparse(&csr).to_dense().unwrap();
+        let fit = TiledKernel::new(FitInput::Dense(&dense), KernelFunction::Linear, 7, &exec);
+        let want = crate::kernel_source::tests::panel_pass(&fit.unwrap(), &exec, None);
+        let mut copy = None;
+        let source = ModelSource::new(&model, &mut copy, &exec).unwrap();
+        let got = crate::kernel_source::tests::panel_pass(&source, &exec, None);
+        for i in 0..24 {
+            for j in 0..24 {
+                assert_eq!(got[(i, j)].to_bits(), want[(i, j)].to_bits(), "({i},{j})");
+            }
         }
     }
 

@@ -107,9 +107,9 @@ impl DeviceShard {
 /// with a per-device sub-tiling plan from [`plan_tile_rows`].
 ///
 /// A plan is a list of contiguous entries covering `0..n`. Most plans carry
-/// one entry per device, but an elastic re-plan
-/// ([`ShardPlan::reassign_device`]) may hand a surviving device several
-/// entries — [`ShardPlan::device_count`] counts entries, while
+/// one entry per device, but the re-plan after a device loss may hand a
+/// surviving device several entries — [`ShardPlan::device_count`] counts
+/// entries, while
 /// [`ShardPlan::participating_devices`] counts distinct occupied devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
@@ -324,28 +324,6 @@ impl ShardPlan {
         })
     }
 
-    /// Rebuild a plan from explicit entries, validating that they
-    /// contiguously cover `0..n`.
-    pub fn from_shards(n: usize, shards: Vec<DeviceShard>) -> Result<Self> {
-        let mut next = 0usize;
-        for shard in &shards {
-            if shard.rows.start != next || shard.rows.end < shard.rows.start {
-                return Err(CoreError::InvalidConfig(format!(
-                    "shard rows must contiguously cover 0..{n}: expected a shard starting at \
-                     {next}, got {}..{}",
-                    shard.rows.start, shard.rows.end
-                )));
-            }
-            next = shard.rows.end;
-        }
-        if next != n {
-            return Err(CoreError::InvalidConfig(format!(
-                "shard rows must contiguously cover 0..{n}: coverage ends at {next}"
-            )));
-        }
-        Ok(Self { n, shards })
-    }
-
     /// Consecutive entries of `counts[i]` rows on `devices[i]`, each sized
     /// by `fit(device, rows)`.
     fn from_counts(
@@ -370,48 +348,18 @@ impl ShardPlan {
         Ok(Self { n, shards })
     }
 
-    /// Re-partition the `lost` device's rows over the surviving (`alive` and
-    /// not `lost`) devices, throughput-weighted, splicing the replacement
-    /// chunks exactly where the lost entries sat so the global row order —
-    /// and therefore every fold order — is unchanged. Each survivor's new
-    /// rows are sized beside the tile buffers it already holds: they stream
-    /// at the largest tile height that fits — through a streaming buffer the
-    /// survivor already owns when that one is taller — and under
-    /// [`TilePolicy::Full`] a survivor that cannot hold them resident is a
-    /// [`CoreError::DeviceShardMemoryExceeded`].
+    /// The re-plan behind the stream's recovery: re-partition the `lost`
+    /// device's rows over the surviving (`alive` and not `lost`) devices,
+    /// throughput-weighted, splicing the replacement chunks exactly where
+    /// the lost entries sat so the global row order — and therefore every
+    /// fold order — is unchanged. Each migrated chunk is sized beside what
+    /// its survivor already holds (`held`, one figure per entry of `self`)
+    /// for `rows`' representation ([`ShardRows::migrated_chunk`]).
     ///
-    /// Returns the new plan and a carry map aligned with its entries:
-    /// `Some(i)` marks an entry carried verbatim from index `i` of `self`
-    /// (its resident cache survives), `None` marks a fresh chunk whose tiles
-    /// the new owner must compute.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reassign_device(
-        &self,
-        lost: usize,
-        k_budget: usize,
-        elem: usize,
-        input_bytes: u64,
-        tiling: TilePolicy,
-        topology: &DeviceTopology,
-        alive: &[bool],
-    ) -> Result<(ShardPlan, Vec<Option<usize>>)> {
-        let budget = RowBudget {
-            n: self.n,
-            k_budget,
-            elem,
-            input_bytes,
-            tiling,
-        };
-        let held: Vec<u64> = self.shards.iter().map(|s| budget.tile_buffer(s)).collect();
-        let (plan, carry, _) = self.splice(&held, lost, topology, alive, &budget, &DenseTiles)?;
-        Ok((plan, carry))
-    }
-
-    /// The one re-plan behind [`ShardPlan::reassign_device`] and the stream's
-    /// recovery, sizing each migrated chunk beside what its survivor already
-    /// holds (`held`, one figure per entry of `self`) for `rows`'
-    /// representation. Returns the new plan, its carry map and the bytes each
-    /// of its entries holds.
+    /// Returns the new plan, a carry map aligned with its entries (`Some(i)`
+    /// marks an entry carried verbatim from index `i` of `self`, whose
+    /// resident cache survives; `None` a fresh chunk whose tiles the new
+    /// owner must compute) and the bytes each of its entries holds.
     fn splice<R: ShardRows + ?Sized>(
         &self,
         held: &[u64],
@@ -809,11 +757,6 @@ pub(crate) trait ShardRows {
     ) {
     }
 }
-
-/// Dense tile buffers alone: what [`ShardPlan::reassign_device`] re-plans.
-struct DenseTiles;
-
-impl ShardRows for DenseTiles {}
 
 /// The callback of [`ShardStream::walk`]: `f(resident, rows)` for one tile.
 /// `resident` is `Some(entry)` when plan entry `entry` keeps all its rows in
@@ -1397,28 +1340,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn from_shards_validates_contiguous_cover() {
-        let shard = |device: usize, rows: Range<usize>| DeviceShard {
-            device,
-            tile_rows: rows.len(),
-            rows,
-        };
-        let plan = ShardPlan::from_shards(10, vec![shard(0, 0..4), shard(2, 4..10)]).unwrap();
-        assert_eq!(plan.n(), 10);
-        assert_eq!(plan.participating_devices(), 2);
-        assert!(ShardPlan::from_shards(10, vec![shard(0, 0..4), shard(1, 5..10)]).is_err());
-        assert!(ShardPlan::from_shards(10, vec![shard(0, 0..4)]).is_err());
-        assert!(ShardPlan::from_shards(10, vec![shard(0, 0..4), shard(1, 4..12)]).is_err());
+    /// Dense tile buffers that keep the carry map of the last re-plan.
+    #[derive(Default)]
+    struct CarryLog(Mutex<Vec<Option<usize>>>);
+
+    impl ShardRows for CarryLog {
+        fn replanned(
+            &self,
+            _old: &ShardPlan,
+            _lost: usize,
+            _plan: &ShardPlan,
+            carry: &[Option<usize>],
+            _executor: &dyn Executor,
+            _report: &mut RecoveryReport,
+        ) {
+            *self.0.lock().unwrap() = carry.to_vec();
+        }
     }
 
     #[test]
-    fn reassign_device_splices_lost_rows_and_carries_survivors() {
-        let t = topo(3);
-        let plan = ShardPlan::balanced(90, 5, 8, 0, TilePolicy::Auto, &t).unwrap();
-        let (replan, carry) = plan
-            .reassign_device(1, 5, 8, 0, TilePolicy::Auto, &t, &[true, false, true])
-            .unwrap();
+    fn recovery_splices_lost_rows_and_carries_survivors() {
+        let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
+        // One pass of a 90-row stream over three devices, under `faults`:
+        // the plan after it, the carry map of its last re-plan and the
+        // pass's outcome.
+        let run = |faults: FaultPlan| {
+            let exec = base.with_fault_plan(faults, RecoveryPolicy::Resume);
+            let plan =
+                ShardPlan::balanced(90, 5, 8, 0, TilePolicy::Auto, exec.device_topology()).unwrap();
+            let budget = RowBudget {
+                n: 90,
+                k_budget: 5,
+                elem: 8,
+                input_bytes: 0,
+                tiling: TilePolicy::Auto,
+            };
+            let stream = ShardStream::new(plan, budget);
+            let log = CarryLog::default();
+            stream.track(&log, &exec);
+            let walked = stream.walk(&log, &exec, &mut |_, _| Ok(()));
+            (stream.plan(), log.0.into_inner().unwrap(), walked)
+        };
+        let (replan, carry, walked) = run(FaultPlan::new().lose(1, 0));
+        walked.unwrap();
         // Device 1's 30 rows are spliced (in place) over devices 0 and 2.
         let total: usize = replan.shards().iter().map(|s| s.rows.len()).sum();
         assert_eq!(total, 90);
@@ -1446,9 +1410,8 @@ mod tests {
             "device 2's entry is carried"
         );
         // Losing everything is rejected.
-        assert!(plan
-            .reassign_device(1, 5, 8, 0, TilePolicy::Auto, &t, &[false, false, false])
-            .is_err());
+        let (_, _, walked) = run(FaultPlan::new().lose(0, 0).lose(1, 0).lose(2, 0));
+        assert!(walked.is_err());
     }
 
     #[test]

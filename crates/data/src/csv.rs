@@ -1,4 +1,4 @@
-//! Minimal CSV reader / writer for dense numeric data.
+//! Minimal CSV reader for dense numeric data.
 //!
 //! The original artifact's `-i` flag also accepts "standard CSV": one point
 //! per line, comma-separated feature values, optionally with a trailing
@@ -8,7 +8,6 @@
 use crate::dataset::Dataset;
 use crate::{DataError, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
-use std::path::Path;
 
 /// Parse CSV text into a dataset. When `has_labels` is true the last column
 /// is interpreted as an integer class label.
@@ -84,57 +83,6 @@ pub fn parse_csv<T: Scalar>(
     }
 }
 
-/// Read a CSV file from disk.
-pub fn read_csv<T: Scalar>(path: impl AsRef<Path>, has_labels: bool) -> Result<Dataset<T>> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)?;
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().to_string())
-        .unwrap_or_else(|| "csv".to_string());
-    parse_csv(name, &text, has_labels)
-}
-
-/// Serialise a dataset to CSV text. Labels (when present) become a trailing
-/// column.
-pub fn to_csv_string<T: Scalar>(dataset: &Dataset<T>) -> String {
-    let mut out = String::new();
-    for i in 0..dataset.n() {
-        let mut cols: Vec<String> = dataset
-            .points()
-            .row(i)
-            .iter()
-            .map(|v| format!("{}", v.to_f64()))
-            .collect();
-        if let Some(labels) = dataset.labels() {
-            cols.push(labels[i].to_string());
-        }
-        out.push_str(&cols.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Write a dataset to a CSV file on disk.
-pub fn write_csv<T: Scalar>(dataset: &Dataset<T>, path: impl AsRef<Path>) -> Result<()> {
-    std::fs::write(path, to_csv_string(dataset))?;
-    Ok(())
-}
-
-/// Write a generic table (header + numeric rows) to CSV — used by every
-/// experiment binary to dump its measurements.
-pub fn write_table(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<String>]) -> Result<()> {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    std::fs::write(path, out)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,32 +116,5 @@ mod tests {
         assert!(parse_csv::<f64>("t", "1.0,2.0,1.5\n", true).is_err());
         assert!(parse_csv::<f64>("t", "1.0,2.0,-1\n", true).is_err());
         assert!(parse_csv::<f64>("t", "", false).is_err());
-    }
-
-    #[test]
-    fn round_trip() {
-        let ds = parse_csv::<f64>("rt", "1.5,2.5,0\n-3.0,0.25,2\n", true).unwrap();
-        let text = to_csv_string(&ds);
-        let back = parse_csv::<f64>("rt", &text, true).unwrap();
-        assert_eq!(ds.points(), back.points());
-        assert_eq!(ds.labels(), back.labels());
-    }
-
-    #[test]
-    fn file_round_trip_and_table_writer() {
-        let dir = std::env::temp_dir().join("popcorn_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.csv");
-        let ds = parse_csv::<f64>("toy", "1,2\n3,4\n", false).unwrap();
-        write_csv(&ds, &path).unwrap();
-        let back = read_csv::<f64>(&path, false).unwrap();
-        assert_eq!(back.points(), ds.points());
-
-        let table_path = dir.join("table.csv");
-        write_table(&table_path, &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
-        let text = std::fs::read_to_string(&table_path).unwrap();
-        assert_eq!(text, "a,b\n1,2\n");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&table_path).ok();
     }
 }

@@ -68,7 +68,7 @@ impl<T: Scalar> Dataset<T> {
         &self.points
     }
 
-    /// Mutable access to the point matrix (used by preprocessing).
+    /// Mutable access to the point matrix.
     pub fn points_mut(&mut self) -> &mut DenseMatrix<T> {
         &mut self.points
     }
@@ -123,15 +123,6 @@ impl<T: Scalar> Dataset<T> {
     /// route an already-dense dataset through a solver's sparse fit path.
     pub fn to_csr(&self) -> CsrMatrix<T> {
         CsrMatrix::from_dense(&self.points)
-    }
-
-    /// Convert into a [`SparseDataset`] (same name and labels).
-    pub fn to_sparse(&self) -> SparseDataset<T> {
-        SparseDataset {
-            name: self.name.clone(),
-            points: self.to_csr(),
-            labels: self.labels.clone(),
-        }
     }
 }
 
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn dense_sparse_round_trip() {
         let d = Dataset::with_labels("toy", points(), vec![0, 1, 0]).unwrap();
-        let sparse = d.to_sparse();
+        let sparse = SparseDataset::with_labels("toy", d.to_csr(), vec![0, 1, 0]).unwrap();
         assert_eq!(sparse.name(), "toy");
         assert_eq!(sparse.n(), 3);
         assert_eq!(sparse.d(), 2);

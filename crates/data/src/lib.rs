@@ -7,20 +7,18 @@
 //! libSVM files are an external dependency, this crate provides:
 //!
 //! * [`dataset::Dataset`] — the in-memory container (points + optional labels),
-//! * [`synthetic`] — seeded generators for Gaussian blobs, concentric rings,
-//!   two moons and uniform matrices (the rings/moons are the non-linearly
-//!   separable workloads that motivate kernel k-means in the first place),
-//! * [`libsvm`] / [`csv`] — parsers and writers for the two input formats the
-//!   original artifact accepts (`-i` flag),
+//! * [`synthetic`] — seeded generators for Gaussian blobs, concentric rings
+//!   and uniform matrices (the rings are the non-linearly separable workload
+//!   that motivates kernel k-means in the first place),
+//! * [`libsvm`] / [`csv`] — parsers for the two input formats the original
+//!   artifact accepts (`-i` flag), and the check that tells them apart,
 //! * [`paper`] — stand-in generators matching the (n, d) of each Table 2
-//!   dataset, scalable down for quick runs,
-//! * [`preprocess`] — standardisation, min-max scaling, shuffling, subsampling.
+//!   dataset, scalable down for quick runs.
 
 pub mod csv;
 pub mod dataset;
 pub mod libsvm;
 pub mod paper;
-pub mod preprocess;
 pub mod synthetic;
 
 pub use dataset::{Dataset, SparseDataset};

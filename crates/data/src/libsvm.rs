@@ -1,4 +1,4 @@
-//! libSVM sparse text format reader / writer.
+//! libSVM sparse text format reader.
 //!
 //! The paper's datasets come from the libSVM repository and the original
 //! artifact reads them with `-i file.libsvm`. Each line is
@@ -6,47 +6,34 @@
 //! feature indices; absent features are zero. Labels may be arbitrary
 //! integers (they are remapped to contiguous `0..c` class ids).
 //!
-//! Two loaders are provided: [`read_libsvm`] densifies into a [`Dataset`]
-//! (the historical behaviour), while [`read_libsvm_sparse`] keeps the file's
-//! natural sparsity as a CSR-backed [`SparseDataset`] — for the paper's text
-//! workloads (scotus: n = 6 400, d = 126 405, ~99.9% zeros) densifying would
-//! expand ~13 MB of stored entries into a ~3 GB dense matrix.
+//! [`read_libsvm_sparse`] keeps the file's natural sparsity as a CSR-backed
+//! [`SparseDataset`]: for the paper's text workloads (scotus: n = 6 400,
+//! d = 126 405, ~99.9% zeros) densifying would expand ~13 MB of stored
+//! entries into a ~3 GB dense matrix. [`looks_like_libsvm`] is the format
+//! check `gpukmeans` and `popcorn-serve` apply to an input of unknown kind.
 
-use crate::dataset::{Dataset, SparseDataset};
+use crate::dataset::SparseDataset;
 use crate::{DataError, Result};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::Scalar;
 use popcorn_sparse::CsrMatrix;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// The layout-independent parse of a libSVM text: per-row `(index, value)`
-/// features, raw integer labels, and the largest feature index seen.
-struct RawLibsvm {
-    raw_labels: Vec<i64>,
-    rows: Vec<Vec<(usize, f64)>>,
-    max_index: usize,
-}
-
-impl RawLibsvm {
-    /// The feature count implied by the data and an optional hint.
-    fn d(&self, d_hint: Option<usize>) -> usize {
-        d_hint.unwrap_or(self.max_index).max(self.max_index)
-    }
-
-    /// Remap raw labels to contiguous class ids in sorted order.
-    fn class_ids(&self) -> Vec<usize> {
-        let mut class_map: BTreeMap<i64, usize> = BTreeMap::new();
-        for &l in &self.raw_labels {
-            let next = class_map.len();
-            class_map.entry(l).or_insert(next);
-        }
-        self.raw_labels.iter().map(|l| class_map[l]).collect()
-    }
-}
-
-fn parse_raw(text: &str) -> Result<RawLibsvm> {
+/// Parse libSVM-formatted text into a CSR-backed sparse dataset, preserving
+/// the file's natural sparsity end to end (no dense intermediate is built).
+///
+/// `d_hint` optionally forces the number of features (useful when the tail
+/// features of the file happen to be all-zero); otherwise the maximum feature
+/// index seen determines `d`.
+pub fn parse_libsvm_sparse<T: Scalar>(
+    name: impl Into<String>,
+    text: &str,
+    d_hint: Option<usize>,
+) -> Result<SparseDataset<T>> {
     let mut raw_labels: Vec<i64> = Vec::new();
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+    let mut row_ptrs = vec![0usize];
+    let mut col_indices = Vec::new();
+    let mut values = Vec::new();
     let mut max_index = 0usize;
 
     for (line_no, line) in text.lines().enumerate() {
@@ -63,7 +50,6 @@ fn parse_raw(text: &str) -> Result<RawLibsvm> {
             line: line_no + 1,
             reason: format!("label '{label_tok}' is not an integer"),
         })?;
-        let mut features: Vec<(usize, f64)> = Vec::new();
         let mut prev_index = 0usize;
         for tok in tokens {
             let (idx_str, val_str) = tok.split_once(':').ok_or_else(|| DataError::Parse {
@@ -92,99 +78,30 @@ fn parse_raw(text: &str) -> Result<RawLibsvm> {
                 reason: format!("feature value '{val_str}' is not a number"),
             })?;
             max_index = max_index.max(idx);
-            features.push((idx - 1, val));
+            col_indices.push(idx - 1);
+            values.push(T::from_f64(val));
         }
         raw_labels.push(label);
-        rows.push(features);
+        row_ptrs.push(values.len());
     }
 
-    if rows.is_empty() {
+    if raw_labels.is_empty() {
         return Err(DataError::Shape(
             "libSVM input contains no data lines".into(),
         ));
     }
-    Ok(RawLibsvm {
-        raw_labels,
-        rows,
-        max_index,
-    })
-}
-
-/// Parse libSVM-formatted text into a dense dataset.
-///
-/// `d_hint` optionally forces the number of features (useful when the tail
-/// features of the file happen to be all-zero); otherwise the maximum feature
-/// index seen determines `d`. The dense matrix takes `n × d` entries however
-/// few the file stores, so the size is checked and the buffer reserved
-/// fallibly: a feature index of 2^61 gets a [`DataError::Shape`], not an
-/// abort.
-pub fn parse_libsvm<T: Scalar>(
-    name: impl Into<String>,
-    text: &str,
-    d_hint: Option<usize>,
-) -> Result<Dataset<T>> {
-    let raw = parse_raw(text)?;
-    let d = raw.d(d_hint);
-    let n = raw.rows.len();
-    let failed = || {
-        DataError::Shape(format!(
-            "cannot allocate a dense {n} x {d} matrix: it needs {} bytes",
-            n as u128 * d as u128 * std::mem::size_of::<T>() as u128
-        ))
-    };
-    let len = n.checked_mul(d).ok_or_else(failed)?;
-    let mut values = Vec::new();
-    values.try_reserve_exact(len).map_err(|_| failed())?;
-    values.resize(len, T::ZERO);
-    for (row, features) in values.chunks_exact_mut(d.max(1)).zip(&raw.rows) {
-        for &(j, v) in features {
-            row[j] = T::from_f64(v);
-        }
+    // Remap raw labels to contiguous class ids in order of first appearance.
+    let mut class_map: BTreeMap<i64, usize> = BTreeMap::new();
+    for &l in &raw_labels {
+        let next = class_map.len();
+        class_map.entry(l).or_insert(next);
     }
-    let points =
-        DenseMatrix::from_vec(n, d, values).map_err(|e| DataError::Shape(e.to_string()))?;
-    Dataset::with_labels(name, points, raw.class_ids())
-}
-
-/// Parse libSVM-formatted text into a CSR-backed sparse dataset, preserving
-/// the file's natural sparsity end to end (no dense intermediate is built).
-pub fn parse_libsvm_sparse<T: Scalar>(
-    name: impl Into<String>,
-    text: &str,
-    d_hint: Option<usize>,
-) -> Result<SparseDataset<T>> {
-    let raw = parse_raw(text)?;
-    let d = raw.d(d_hint);
-    let n = raw.rows.len();
-    let nnz: usize = raw.rows.iter().map(|r| r.len()).sum();
-    let mut row_ptrs = Vec::with_capacity(n + 1);
-    let mut col_indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    row_ptrs.push(0usize);
-    for features in &raw.rows {
-        for &(j, v) in features {
-            col_indices.push(j);
-            values.push(T::from_f64(v));
-        }
-        row_ptrs.push(values.len());
-    }
+    let labels = raw_labels.iter().map(|l| class_map[l]).collect();
+    let d = d_hint.unwrap_or(max_index).max(max_index);
     // The parser enforces strictly increasing 1-based indices per line, so
     // the CSR invariants hold by construction.
-    let points = CsrMatrix::from_raw_unchecked(n, d, row_ptrs, col_indices, values);
-    SparseDataset::with_labels(name, points, raw.class_ids())
-}
-
-fn dataset_name(path: &Path) -> String {
-    path.file_stem()
-        .map(|s| s.to_string_lossy().to_string())
-        .unwrap_or_else(|| "libsvm".to_string())
-}
-
-/// Read a libSVM file from disk into a dense dataset.
-pub fn read_libsvm<T: Scalar>(path: impl AsRef<Path>, d_hint: Option<usize>) -> Result<Dataset<T>> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)?;
-    parse_libsvm(dataset_name(path), &text, d_hint)
+    let points = CsrMatrix::from_raw_unchecked(raw_labels.len(), d, row_ptrs, col_indices, values);
+    SparseDataset::with_labels(name, points, labels)
 }
 
 /// Read a libSVM file from disk into a CSR-backed sparse dataset.
@@ -194,30 +111,38 @@ pub fn read_libsvm_sparse<T: Scalar>(
 ) -> Result<SparseDataset<T>> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path)?;
-    parse_libsvm_sparse(dataset_name(path), &text, d_hint)
+    let name = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().to_string())
+        .unwrap_or_else(|| "libsvm".to_string());
+    parse_libsvm_sparse(name, &text, d_hint)
 }
 
-/// Serialise a dataset to libSVM text (zeros are omitted). Points without
-/// labels are written with label `0`.
-pub fn to_libsvm_string<T: Scalar>(dataset: &Dataset<T>) -> String {
-    let mut out = String::new();
-    for i in 0..dataset.n() {
-        let label = dataset.labels().map(|l| l[i]).unwrap_or(0);
-        out.push_str(&label.to_string());
-        for (j, &v) in dataset.points().row(i).iter().enumerate() {
-            if v != T::ZERO {
-                out.push_str(&format!(" {}:{}", j + 1, v.to_f64()));
-            }
+/// Whether an input text of unknown format reads as libSVM rather than
+/// CSV: libSVM feature tokens contain a `:`, CSV rows contain a `,`. Blank
+/// and `#` comment lines are skipped, and lines showing neither marker (a
+/// label-only libSVM row for an all-zero point, or a one-column CSV row)
+/// are ambiguous, so scanning continues until a decisive line, over the
+/// first 200 lines. Text with no decisive line reads as CSV.
+pub fn looks_like_libsvm(text: &str) -> bool {
+    const SNIFF_LINES: usize = 200;
+    for line in text.lines().take(SNIFF_LINES) {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
         }
-        out.push('\n');
+        if line
+            .split_whitespace()
+            .skip(1)
+            .any(|token| token.contains(':'))
+        {
+            return true;
+        }
+        if line.contains(',') {
+            return false;
+        }
     }
-    out
-}
-
-/// Write a dataset to a libSVM file on disk.
-pub fn write_libsvm<T: Scalar>(dataset: &Dataset<T>, path: impl AsRef<Path>) -> Result<()> {
-    std::fs::write(path, to_libsvm_string(dataset))?;
-    Ok(())
+    false
 }
 
 #[cfg(test)]
@@ -227,13 +152,17 @@ mod tests {
     #[test]
     fn parses_basic_file() {
         let text = "1 1:0.5 3:2.0\n-1 2:1.5\n1 1:1.0 2:1.0 3:1.0\n";
-        let ds = parse_libsvm::<f64>("test", text, None).unwrap();
+        let ds = parse_libsvm_sparse::<f64>("test", text, None).unwrap();
         assert_eq!(ds.n(), 3);
         assert_eq!(ds.d(), 3);
-        assert_eq!(ds.points()[(0, 0)], 0.5);
-        assert_eq!(ds.points()[(0, 1)], 0.0);
-        assert_eq!(ds.points()[(0, 2)], 2.0);
-        assert_eq!(ds.points()[(1, 1)], 1.5);
+        assert_eq!(ds.nnz(), 6);
+        let points = ds.points();
+        assert_eq!(points.get(0, 0), 0.5);
+        assert_eq!(points.get(0, 1), 0.0);
+        assert_eq!(points.get(0, 2), 2.0);
+        assert_eq!(points.get(1, 1), 1.5);
+        // No dense intermediate: density reflects only stored entries.
+        assert!((ds.density() - 6.0 / 9.0).abs() < 1e-12);
         // labels -1 and 1 remapped to 0-based ids, order of first appearance
         assert_eq!(ds.labels().unwrap(), &[0, 1, 0]);
         assert_eq!(ds.num_classes(), 2);
@@ -242,44 +171,33 @@ mod tests {
     #[test]
     fn skips_blank_and_comment_lines() {
         let text = "# comment\n\n1 1:1.0\n";
-        let ds = parse_libsvm::<f32>("test", text, None).unwrap();
+        let ds = parse_libsvm_sparse::<f32>("test", text, None).unwrap();
         assert_eq!(ds.n(), 1);
     }
 
     #[test]
     fn d_hint_expands_dimensions() {
         let text = "0 1:1.0\n";
-        let ds = parse_libsvm::<f64>("test", text, Some(5)).unwrap();
+        let ds = parse_libsvm_sparse::<f64>("test", text, Some(5)).unwrap();
         assert_eq!(ds.d(), 5);
         // a hint smaller than the data is ignored
-        let ds = parse_libsvm::<f64>("test", "0 1:1.0 4:2.0\n", Some(2)).unwrap();
+        let ds = parse_libsvm_sparse::<f64>("test", "0 1:1.0 4:2.0\n", Some(2)).unwrap();
         assert_eq!(ds.d(), 4);
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        assert!(parse_libsvm::<f64>("t", "notanumber 1:1.0\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "1 1\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "1 0:1.0\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "1 2:1.0 1:2.0\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "1 a:1.0\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "1 1:xyz\n", None).is_err());
-        assert!(parse_libsvm::<f64>("t", "\n\n", None).is_err());
-        // A feature index whose dense row cannot be allocated.
-        assert!(matches!(
-            parse_libsvm::<f32>("t", "1 2305843009213693952:1.0\n", None),
-            Err(DataError::Shape(_))
-        ));
-    }
-
-    #[test]
-    fn round_trip_through_string() {
-        let text = "0 1:1.5 2:-2.0\n1 3:4.0\n";
-        let ds = parse_libsvm::<f64>("rt", text, None).unwrap();
-        let serialised = to_libsvm_string(&ds);
-        let ds2 = parse_libsvm::<f64>("rt", &serialised, Some(ds.d())).unwrap();
-        assert_eq!(ds.points(), ds2.points());
-        assert_eq!(ds.labels(), ds2.labels());
+        assert!(parse_libsvm_sparse::<f64>("t", "notanumber 1:1.0\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "1 1\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "1 0:1.0\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "1 2:1.0 1:2.0\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "1 a:1.0\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "1 1:xyz\n", None).is_err());
+        assert!(parse_libsvm_sparse::<f64>("t", "\n\n", None).is_err());
+        // A feature index far beyond the stored entries allocates nothing
+        // by the feature count.
+        let ds = parse_libsvm_sparse::<f32>("t", "1 2305843009213693952:1.0\n", None).unwrap();
+        assert_eq!((ds.d(), ds.nnz()), (1 << 61, 1));
     }
 
     #[test]
@@ -287,35 +205,18 @@ mod tests {
         let dir = std::env::temp_dir().join("popcorn_libsvm_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.libsvm");
-        let ds = parse_libsvm::<f64>("toy", "0 1:1.0 2:2.0\n1 2:3.0\n", None).unwrap();
-        write_libsvm(&ds, &path).unwrap();
-        let back = read_libsvm::<f64>(&path, None).unwrap();
-        assert_eq!(back.n(), 2);
-        assert_eq!(back.points(), ds.points());
+        let text = "0 1:1.0 2:2.0\n1 2:3.0\n";
+        std::fs::write(&path, text).unwrap();
+        let back = read_libsvm_sparse::<f64>(&path, None).unwrap();
         assert_eq!(back.name(), "toy");
+        assert_eq!(back, parse_libsvm_sparse::<f64>("toy", text, None).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_io_error() {
-        let e = read_libsvm::<f64>("/nonexistent/path/file.libsvm", None).unwrap_err();
-        assert!(matches!(e, DataError::Io(_)));
         let e = read_libsvm_sparse::<f64>("/nonexistent/path/file.libsvm", None).unwrap_err();
         assert!(matches!(e, DataError::Io(_)));
-    }
-
-    #[test]
-    fn sparse_parse_agrees_with_dense_parse() {
-        let text = "1 1:0.5 3:2.0\n-1 2:1.5\n1 1:1.0 2:1.0 3:1.0\n";
-        let dense = parse_libsvm::<f64>("t", text, None).unwrap();
-        let sparse = parse_libsvm_sparse::<f64>("t", text, None).unwrap();
-        assert_eq!(sparse.n(), dense.n());
-        assert_eq!(sparse.d(), dense.d());
-        assert_eq!(sparse.nnz(), 6);
-        assert_eq!(sparse.labels(), dense.labels());
-        assert_eq!(&sparse.points().to_dense(), dense.points());
-        // No dense intermediate: density reflects only stored entries.
-        assert!((sparse.density() - 6.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -330,5 +231,22 @@ mod tests {
         assert!(parse_libsvm_sparse::<f64>("t", "1 2:1.0 1:2.0\n", None).is_err());
         assert!(parse_libsvm_sparse::<f64>("t", "1 0:1.0\n", None).is_err());
         assert!(parse_libsvm_sparse::<f64>("t", "\n\n", None).is_err());
+    }
+
+    #[test]
+    fn format_check_skips_comments_and_label_only_rows() {
+        // A CSV export headed by a comment that holds a `:`.
+        assert!(!looks_like_libsvm(
+            "# exported 2026-10-19 12:30\n1.0,2.0\n3.0,4.0\n"
+        ));
+        // Label-only rows (all-zero points) are ambiguous; the first row
+        // with a feature decides.
+        assert!(looks_like_libsvm("1\n0\n# note: sparse\n1 3:0.5\n"));
+        assert!(looks_like_libsvm("# header\n\n2 1:1.0 7:2.5\n"));
+        // One-column CSV rows show neither marker, then a comma decides.
+        assert!(!looks_like_libsvm("1.5\n2.5\n1.0,2.0\n"));
+        // Nothing decisive reads as CSV.
+        assert!(!looks_like_libsvm("1\n2\n"));
+        assert!(!looks_like_libsvm(""));
     }
 }

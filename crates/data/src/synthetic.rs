@@ -5,9 +5,9 @@
 //! * The GEMM/SYRK study (paper Figure 2) uses uniform random matrices with
 //!   controlled `n` and `d` — [`uniform_matrix`] / [`uniform_dataset`].
 //! * The clustering-quality examples need workloads where kernel k-means
-//!   demonstrably beats classical k-means: [`concentric_rings`] and
-//!   [`two_moons`] are the canonical non-linearly separable cases, while
-//!   [`gaussian_blobs`] is the linearly separable control.
+//!   demonstrably beats classical k-means: [`concentric_rings`] is the
+//!   canonical non-linearly separable case, while [`gaussian_blobs`] is the
+//!   linearly separable control.
 //!
 //! All generators are deterministic given a seed.
 
@@ -141,31 +141,6 @@ pub fn ring_with_blob<T: Scalar>(
     }
     let points = DenseMatrix::from_rows(&rows).expect("rows are uniform length 2");
     Dataset::with_labels(format!("ring-with-blob-n{n}"), points, labels)
-        .expect("labels match points by construction")
-}
-
-/// The classic "two moons" dataset in 2-D: two interleaving half circles.
-/// Another non-linearly separable workload for the quality examples.
-pub fn two_moons<T: Scalar>(n: usize, noise: f64, seed: u64) -> Dataset<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut labels = Vec::with_capacity(n);
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let moon = i % 2;
-        let t = rng.gen_range(0.0..PI);
-        let (x, y) = if moon == 0 {
-            (t.cos(), t.sin())
-        } else {
-            (1.0 - t.cos(), 0.5 - t.sin())
-        };
-        rows.push(vec![
-            T::from_f64(x + noise * sample_standard_normal(&mut rng)),
-            T::from_f64(y + noise * sample_standard_normal(&mut rng)),
-        ]);
-        labels.push(moon);
-    }
-    let points = DenseMatrix::from_rows(&rows).expect("rows are uniform length 2");
-    Dataset::with_labels(format!("moons-n{n}"), points, labels)
         .expect("labels match points by construction")
 }
 
@@ -457,14 +432,6 @@ mod tests {
     #[should_panic(expected = "ring radius must be positive")]
     fn ring_with_blob_rejects_bad_radius() {
         let _ = ring_with_blob::<f64>(10, 0.0, 0.1, 0.1, 1);
-    }
-
-    #[test]
-    fn moons_shape() {
-        let ds = two_moons::<f32>(100, 0.05, 5);
-        assert_eq!(ds.n(), 100);
-        assert_eq!(ds.d(), 2);
-        assert_eq!(ds.num_classes(), 2);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The paper computes `B = P̂ P̂ᵀ` with cuBLAS GEMM when `n/d` is large
 //! (Section 4.2) and uses the same routine inside the dense "CUDA baseline".
-//! This module provides the host equivalent: a blocked, multi-threaded
-//! `C = α · op(A) · op(B) + β · C` with independent transpose flags, plus the
-//! convenience wrappers used by the higher layers (`matmul`, `matmul_nt`,
-//! `matmul_tn`).
+//! This module provides the host products the higher layers run: `A · Bᵀ`
+//! through the packed [`nt_product`] microkernel (`matmul_nt`,
+//! `matmul_nt_rows`, `matmul_nt_rows_with`), and `A · B` (`matmul`), which
+//! builds the Nyström factors and serves projections onto them.
 
 use crate::errors::DenseError;
 use crate::fma::dispatch;
@@ -15,149 +15,55 @@ use crate::parallel::par_chunks_rows;
 use crate::scalar::Scalar;
 use crate::Result;
 
-/// Whether an operand participates in the product as itself or transposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Transpose {
-    /// Use the operand as stored.
-    #[default]
-    No,
-    /// Use the transpose of the operand.
-    Yes,
-}
-
-impl Transpose {
-    /// Shape of `op(M)` for a matrix of shape `(rows, cols)`.
-    pub fn apply_shape(self, shape: (usize, usize)) -> (usize, usize) {
-        match self {
-            Transpose::No => shape,
-            Transpose::Yes => (shape.1, shape.0),
-        }
-    }
-}
-
-/// Cache-blocking tile edge (in elements) for the inner GEMM loops.
+/// Cache-blocking tile edge (in elements) for the inner [`matmul`] loops.
 ///
 /// Chosen so a `TILE x TILE` f64 tile of each operand fits comfortably in L1;
 /// the exact value only affects performance, never results.
 const TILE: usize = 64;
 
-/// Number of floating point operations performed by a GEMM of the given shape.
+/// `A * B` as a freshly allocated matrix.
 ///
-/// Matches the conventional `2 * m * n * k` count used by the paper when it
-/// reports GFLOPS.
-pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
-    2 * m as u64 * n as u64 * k as u64
-}
-
-/// `C = alpha * op(A) * op(B) + beta * C`.
-///
-/// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`.
-/// Rows of `C` are distributed across worker threads. The `A · Bᵀ` case runs
-/// the register-blocked [`nt_product`] microkernel (dot products over
-/// contiguous rows); otherwise a `TILE`-blocked `i-k-j` ordering keeps the
-/// innermost loop streaming contiguous memory. Both run through the FMA
-/// [`dispatch`].
-pub fn gemm<T: Scalar>(
-    alpha: T,
-    a: &DenseMatrix<T>,
-    op_a: Transpose,
-    b: &DenseMatrix<T>,
-    op_b: Transpose,
-    beta: T,
-    c: &mut DenseMatrix<T>,
-) -> Result<()> {
-    let (m, ka) = op_a.apply_shape(a.shape());
-    let (kb, n) = op_b.apply_shape(b.shape());
+/// Rows of the output are distributed across worker threads. A
+/// `TILE`-blocked `i-k-j` ordering keeps the innermost loop streaming
+/// contiguous rows of `B`, and a zero `A[i, k]` is skipped. Runs through
+/// the FMA [`dispatch`].
+pub fn matmul<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
+    let (m, ka) = a.shape();
+    let (kb, n) = b.shape();
     if ka != kb {
         return Err(DenseError::DimensionMismatch {
-            op: "gemm (inner dimension)",
+            op: "matmul (inner dimension)",
             expected: (ka, ka),
             found: (kb, kb),
         });
     }
-    if c.shape() != (m, n) {
-        return Err(DenseError::DimensionMismatch {
-            op: "gemm (output)",
-            expected: (m, n),
-            found: c.shape(),
-        });
+    let mut c = DenseMatrix::zeros(m, n);
+    if m == 0 || n == 0 || ka == 0 {
+        return Ok(c);
     }
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-
-    // Scale C by beta first; the accumulation below is purely additive.
-    if beta == T::ZERO {
-        c.fill(T::ZERO);
-    } else if beta != T::ONE {
-        c.scale(beta);
-    }
-    if ka == 0 || alpha == T::ZERO {
-        return Ok(());
-    }
-
-    // Materialise transposed operands into the layout the inner loops want:
-    //   A-side: row-major m x k (row i of `op(A)` contiguous)
-    //   B-side: if op(B) == Yes the rows of `b` already are columns of op(B),
-    //           i.e. op(B) is "k contiguous per output column", which is the
-    //           dot-product friendly layout. If op(B) == No we keep B as
-    //           stored and use the i-k-j ordering instead.
-    let a_eff: std::borrow::Cow<'_, DenseMatrix<T>> = match op_a {
-        Transpose::No => std::borrow::Cow::Borrowed(a),
-        Transpose::Yes => std::borrow::Cow::Owned(a.transpose()),
-    };
-
-    match op_b {
-        Transpose::Yes => {
-            // C[i][j] += alpha * dot(Aeff.row(i), B.row(j))
-            let a_ref = a_eff.as_ref();
-            par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-                let rows = start_row..start_row + chunk.len() / n;
-                nt_product(a_ref, rows, b, None, |i, j0, run| {
-                    let cells = &mut chunk[i * n + j0..][..run.len()];
-                    for (c, &acc) in cells.iter_mut().zip(run) {
-                        *c += alpha * acc;
-                    }
-                });
-            });
-        }
-        Transpose::No => {
-            // C[i][:] += alpha * sum_k Aeff[i][k] * B[k][:]
-            let a_ref = a_eff.as_ref();
-            let b_ref = b;
-            par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-                dispatch(
-                    #[inline(always)]
-                    || {
-                        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                            let i = start_row + local_i;
-                            let a_row = a_ref.row(i);
-                            for k0 in (0..ka).step_by(TILE) {
-                                let k_end = (k0 + TILE).min(ka);
-                                for (k, &a_ik) in a_row.iter().enumerate().take(k_end).skip(k0) {
-                                    let aik = alpha * a_ik;
-                                    if aik == T::ZERO {
-                                        continue;
-                                    }
-                                    let b_row = b_ref.row(k);
-                                    for (c_ij, b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                                        *c_ij = aik.mul_add(*b_kj, *c_ij);
-                                    }
-                                }
+    // C[i][:] += sum_k A[i][k] * B[k][:]
+    par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
+        dispatch(
+            #[inline(always)]
+            || {
+                for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
+                    let a_row = a.row(start_row + local_i);
+                    for k0 in (0..ka).step_by(TILE) {
+                        let k_end = (k0 + TILE).min(ka);
+                        for (k, &a_ik) in a_row.iter().enumerate().take(k_end).skip(k0) {
+                            if a_ik == T::ZERO {
+                                continue;
+                            }
+                            let b_row = b.row(k);
+                            for (c_ij, b_kj) in c_row.iter_mut().zip(b_row.iter()) {
+                                *c_ij = a_ik.mul_add(*b_kj, *c_ij);
                             }
                         }
-                    },
-                )
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Convenience wrapper: `A * B` as a freshly allocated matrix.
-pub fn matmul<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    gemm(T::ONE, a, Transpose::No, b, Transpose::No, T::ZERO, &mut c)?;
+                    }
+                }
+            },
+        )
+    });
     Ok(c)
 }
 
@@ -167,17 +73,9 @@ pub fn matmul<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<Dense
 /// the distances product `P Cᵀ` (paper Eq. 5).
 ///
 /// Every entry is written once, as `0 + 1·acc`, from the parallel row
-/// split ([`matmul_nt_rows`] over all rows of `A`): the same bits as
-/// [`gemm`] with `β = 0`, without its serial fill of the fresh output.
+/// split ([`matmul_nt_rows`] over all rows of `A`).
 pub fn matmul_nt<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
     matmul_nt_rows(a, 0, a.rows(), b)
-}
-
-/// Convenience wrapper: `Aᵀ * B` as a freshly allocated matrix.
-pub fn matmul_tn<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-    let mut c = DenseMatrix::zeros(a.cols(), b.cols());
-    gemm(T::ONE, a, Transpose::Yes, b, Transpose::No, T::ZERO, &mut c)?;
-    Ok(c)
 }
 
 /// Rows `r0..r1` of `A * Bᵀ` without materializing the row panel of `A` —
@@ -248,15 +146,10 @@ pub fn matmul_nt_rows_with<T: Scalar>(
     Ok(c)
 }
 
-/// Naive triple-loop reference GEMM used by tests and property checks.
-pub fn gemm_reference<T: Scalar>(
-    a: &DenseMatrix<T>,
-    op_a: Transpose,
-    b: &DenseMatrix<T>,
-    op_b: Transpose,
-) -> Result<DenseMatrix<T>> {
-    let (m, ka) = op_a.apply_shape(a.shape());
-    let (kb, n) = op_b.apply_shape(b.shape());
+/// Naive triple-loop reference `A * B` used by tests and property checks.
+pub fn gemm_reference<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
+    let (m, ka) = a.shape();
+    let (kb, n) = b.shape();
     if ka != kb {
         return Err(DenseError::DimensionMismatch {
             op: "gemm_reference",
@@ -264,20 +157,12 @@ pub fn gemm_reference<T: Scalar>(
             found: (kb, kb),
         });
     }
-    let at = |i: usize, k: usize| match op_a {
-        Transpose::No => a[(i, k)],
-        Transpose::Yes => a[(k, i)],
-    };
-    let bt = |k: usize, j: usize| match op_b {
-        Transpose::No => b[(k, j)],
-        Transpose::Yes => b[(j, k)],
-    };
     let mut c = DenseMatrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
             let mut acc = T::ZERO;
             for k in 0..ka {
-                acc += at(i, k) * bt(k, j);
+                acc += a[(i, k)] * b[(k, j)];
             }
             c[(i, j)] = acc;
         }
@@ -291,12 +176,6 @@ mod tests {
 
     fn mat(rows: &[&[f64]]) -> DenseMatrix<f64> {
         DenseMatrix::from_rows(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>()).unwrap()
-    }
-
-    #[test]
-    fn transpose_shape_helper() {
-        assert_eq!(Transpose::No.apply_shape((2, 5)), (2, 5));
-        assert_eq!(Transpose::Yes.apply_shape((2, 5)), (5, 2));
     }
 
     #[test]
@@ -324,80 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = mat(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let b = mat(&[&[1.0, 1.0], &[2.0, 0.0], &[3.0, -1.0]]);
-        let fast = matmul_tn(&a, &b).unwrap();
-        let slow = matmul(&a.transpose(), &b).unwrap();
-        assert!(fast.approx_eq(&slow, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn gemm_alpha_beta_accumulation() {
-        let a = mat(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let b = mat(&[&[2.0, 3.0], &[4.0, 5.0]]);
-        let mut c = mat(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        // C = 2*A*B + 3*C
-        gemm(2.0, &a, Transpose::No, &b, Transpose::No, 3.0, &mut c).unwrap();
-        assert_eq!(c.as_slice(), &[7.0, 9.0, 11.0, 13.0]);
-    }
-
-    #[test]
-    fn gemm_beta_zero_overwrites_garbage() {
-        let a = mat(&[&[1.0, 2.0]]);
-        let b = mat(&[&[3.0], &[4.0]]);
-        // Both the i-k-j path and the A·Bᵀ path.
-        for (b, op_b) in [(b.clone(), Transpose::No), (b.transpose(), Transpose::Yes)] {
-            let mut c = DenseMatrix::filled(1, 1, f64::NAN);
-            gemm(1.0, &a, Transpose::No, &b, op_b, 0.0, &mut c).unwrap();
-            assert_eq!(c[(0, 0)], 11.0);
-        }
-    }
-
-    #[test]
-    fn gemm_alpha_zero_only_scales_c() {
-        let a = mat(&[&[1.0, 2.0]]);
-        let b = mat(&[&[3.0], &[4.0]]);
-        let mut c = DenseMatrix::filled(1, 1, 5.0);
-        gemm(0.0, &a, Transpose::No, &b, Transpose::No, 2.0, &mut c).unwrap();
-        assert_eq!(c[(0, 0)], 10.0);
-    }
-
-    #[test]
     fn gemm_rejects_bad_shapes() {
         let a = DenseMatrix::<f64>::zeros(2, 3);
         let b = DenseMatrix::<f64>::zeros(4, 2);
-        let mut c = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c).is_err());
-        let b_ok = DenseMatrix::<f64>::zeros(3, 5);
-        let mut c_bad = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(gemm(
-            1.0,
-            &a,
-            Transpose::No,
-            &b_ok,
-            Transpose::No,
-            0.0,
-            &mut c_bad
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn gemm_all_transpose_combinations_match_reference() {
-        let a = DenseMatrix::<f64>::from_fn(5, 7, |i, j| ((i * 7 + j) as f64).sin());
-        let b = DenseMatrix::<f64>::from_fn(7, 4, |i, j| ((i + 2 * j) as f64).cos());
-        for (op_a, a_arg) in [(Transpose::No, a.clone()), (Transpose::Yes, a.transpose())] {
-            for (op_b, b_arg) in [(Transpose::No, b.clone()), (Transpose::Yes, b.transpose())] {
-                let reference = gemm_reference(&a_arg, op_a, &b_arg, op_b).unwrap();
-                let mut c = DenseMatrix::zeros(5, 4);
-                gemm(1.0, &a_arg, op_a, &b_arg, op_b, 0.0, &mut c).unwrap();
-                assert!(
-                    c.approx_eq(&reference, 1e-10, 1e-10),
-                    "mismatch for ops {op_a:?} {op_b:?}"
-                );
-            }
-        }
+        assert!(matmul(&a, &b).is_err());
+        assert!(gemm_reference(&a, &b).is_err());
     }
 
     #[test]
@@ -406,7 +216,7 @@ mod tests {
         let a = DenseMatrix::<f64>::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
         let b = DenseMatrix::<f64>::from_fn(n, n, |i, j| ((i + j * 3) % 11) as f64 - 5.0);
         let fast = matmul(&a, &b).unwrap();
-        let slow = gemm_reference(&a, Transpose::No, &b, Transpose::No).unwrap();
+        let slow = gemm_reference(&a, &b).unwrap();
         assert!(fast.approx_eq(&slow, 1e-9, 1e-9));
     }
 
@@ -438,9 +248,7 @@ mod tests {
     fn gemm_empty_inner_dimension() {
         let a = DenseMatrix::<f64>::zeros(3, 0);
         let b = DenseMatrix::<f64>::zeros(0, 2);
-        let mut c = DenseMatrix::filled(3, 2, 1.0);
-        gemm(1.0, &a, Transpose::No, &b, Transpose::No, 1.0, &mut c).unwrap();
-        assert!(c.as_slice().iter().all(|&x| x == 1.0));
+        assert_eq!(matmul(&a, &b).unwrap(), DenseMatrix::zeros(3, 2));
     }
 
     #[test]
@@ -449,11 +257,5 @@ mod tests {
         let b = DenseMatrix::<f32>::identity(3);
         let c = matmul(&a, &b).unwrap();
         assert!(c.approx_eq(&a, 1e-6, 1e-6));
-    }
-
-    #[test]
-    fn flop_count() {
-        assert_eq!(gemm_flops(2, 3, 4), 48);
-        assert_eq!(gemm_flops(0, 3, 4), 0);
     }
 }

@@ -5,18 +5,18 @@
 //! Linear Algebra").
 //!
 //! The paper offloads its dense work to cuBLAS (GEMM, SYRK) and small
-//! hand-written CUDA kernels (elementwise transforms, broadcast additions,
-//! row-wise argmin). This crate provides the same operations as portable,
-//! multi-threaded host implementations:
+//! hand-written CUDA kernels (the distance assembly, row-wise argmin). This
+//! crate provides the operations Popcorn runs as portable, multi-threaded
+//! host implementations:
 //!
 //! * [`DenseMatrix`] — a row-major dense matrix over [`Scalar`] (`f32`/`f64`),
-//! * [`mod@gemm`] — general matrix multiply with transpose options and blocking,
-//! * [`mod@syrk`] — symmetric rank-k update computing only one triangle,
+//! * [`mod@gemm`] — the `A·Bᵀ` products (whole or by rows) and `A·B`,
+//! * [`mod@syrk`] — the symmetric product, packed or mirrored,
 //! * [`packed`] — the lower triangle of a symmetric matrix, packed by rows,
 //! * [`microkernel`] — the packed, register-blocked `A·Bᵀ` kernel behind
 //!   GEMM, SYRK and the cross Gram, run through the FMA dispatch in [`fma`],
-//! * elementwise maps, broadcast additions, row norms, diagonals and row-wise
-//!   argmin in [`ops`] and [`norms`],
+//! * the distance assembly, diagonals, row sums and row-wise argmin in
+//!   [`ops`] and [`norms`],
 //! * a tiny scoped-thread helper in [`parallel`] used by every kernel.
 //!
 //! The numerical semantics match the BLAS routines the paper uses so that the
@@ -36,15 +36,12 @@ pub mod scalar;
 pub mod syrk;
 
 pub use errors::DenseError;
-pub use gemm::{
-    gemm, matmul, matmul_nt, matmul_nt_rows, matmul_nt_rows_with, matmul_tn, Transpose,
-};
+pub use gemm::{matmul, matmul_nt, matmul_nt_rows, matmul_nt_rows_with};
 pub use matrix::DenseMatrix;
-pub use norms::{diagonal, frobenius_norm, row_argmin, row_argmin_into, row_sq_norms};
-pub use ops::{add_col_broadcast, add_row_broadcast, axpy, hadamard, scale_in_place};
+pub use norms::{diagonal, row_argmin, row_argmin_into};
 pub use packed::{packed_len, packed_offset, PackedRows, PackedSymmetric};
 pub use scalar::Scalar;
-pub use syrk::{symmetrize_lower, syrk, syrk_full, syrk_packed_with, Triangle};
+pub use syrk::{symmetrize_lower, syrk_full, syrk_packed_with, Triangle};
 
 /// Result alias used across the dense crate.
 pub type Result<T> = std::result::Result<T, DenseError>;

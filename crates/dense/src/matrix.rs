@@ -199,11 +199,6 @@ impl<T: Scalar> DenseMatrix<T> {
             .collect()
     }
 
-    /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks_exact(self.cols.max(1)).take(self.rows)
-    }
-
     /// Fill the whole matrix with a value.
     pub fn fill(&mut self, value: T) {
         self.data.iter_mut().for_each(|x| *x = value);
@@ -220,13 +215,6 @@ impl<T: Scalar> DenseMatrix<T> {
         out
     }
 
-    /// Apply `f` to every element, in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Return a new matrix with `f` applied to every element.
     pub fn map(&self, mut f: impl FnMut(T) -> T) -> Self {
         Self {
@@ -234,21 +222,6 @@ impl<T: Scalar> DenseMatrix<T> {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// Elementwise `self += other`.
-    pub fn add_assign_matrix(&mut self, other: &Self) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(DenseError::DimensionMismatch {
-                op: "add_assign_matrix",
-                expected: self.shape(),
-                found: other.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-        Ok(())
     }
 
     /// Elementwise `self - other` as a new matrix.
@@ -307,23 +280,6 @@ impl<T: Scalar> DenseMatrix<T> {
                 .iter()
                 .zip(other.data.iter())
                 .all(|(&a, &b)| approx_eq(a, b, rtol, atol))
-    }
-
-    /// Largest absolute difference between two matrices of the same shape.
-    pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
-        if self.shape() != other.shape() {
-            return Err(DenseError::DimensionMismatch {
-                op: "max_abs_diff",
-                expected: self.shape(),
-                found: other.shape(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0, f64::max))
     }
 
     /// Convert every element to another scalar type.
@@ -435,9 +391,6 @@ mod tests {
         let m = DenseMatrix::from_rows(&[vec![1.0f64, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(2), vec![3.0, 6.0]);
-        let rows: Vec<_> = m.iter_rows().collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -456,22 +409,16 @@ mod tests {
         assert_eq!(mapped.as_slice(), &[1.0, 4.0]);
         m.scale(3.0);
         assert_eq!(m.as_slice(), &[3.0, -6.0]);
-        m.map_inplace(|x| x + 1.0);
-        assert_eq!(m.as_slice(), &[4.0, -5.0]);
     }
 
     #[test]
-    fn add_and_sub() {
+    fn sub_is_elementwise() {
         let a = DenseMatrix::from_rows(&[vec![1.0f64, 2.0]]).unwrap();
         let b = DenseMatrix::from_rows(&[vec![10.0f64, 20.0]]).unwrap();
-        let mut c = a.clone();
-        c.add_assign_matrix(&b).unwrap();
-        assert_eq!(c.as_slice(), &[11.0, 22.0]);
         let d = b.sub(&a).unwrap();
         assert_eq!(d.as_slice(), &[9.0, 18.0]);
         let bad = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(c.add_assign_matrix(&bad).is_err());
-        assert!(c.sub(&bad).is_err());
+        assert!(b.sub(&bad).is_err());
     }
 
     #[test]
@@ -491,10 +438,8 @@ mod tests {
         let mut b = a.clone();
         b[(0, 1)] += 1e-12;
         assert!(a.approx_eq(&b, 1e-9, 1e-9));
-        assert!(a.max_abs_diff(&b).unwrap() < 1e-9);
         b[(0, 0)] = 2.0;
         assert!(!a.approx_eq(&b, 1e-9, 1e-9));
-        assert!((a.max_abs_diff(&b).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The packed, register-blocked `A·Bᵀ` microkernel shared by every dense
 //! product whose operands both store the reduction dimension contiguously:
-//! the `A·Bᵀ` branch of [`gemm`](crate::gemm()), [`matmul_nt_rows`](crate::matmul_nt_rows),
-//! [`syrk`](crate::syrk()) and the serve-time cross Gram.
+//! [`matmul_nt_rows`](crate::matmul_nt_rows), the SYRK products
+//! ([`syrk_full`](crate::syrk_full), [`syrk_packed_with`](crate::syrk_packed_with))
+//! and the serve-time cross Gram.
 //!
 //! The design is the packed microkernel of Goto & van de Geijn ("Anatomy of
 //! High-Performance Matrix Multiplication", ACM TOMS 2008), with the one
@@ -59,7 +60,7 @@ fn chunk_rows<T: Scalar, const NR: usize>(d: usize) -> usize {
 /// written exactly once. `Triangle::Lower` keeps the entries with
 /// `j ≤ a_rows.start + i` (the row of `A` in the full matrix),
 /// `Triangle::Upper` those with `j ≥` it. Each caller applies its own final
-/// write (`c += α·acc`, `prev + α·acc`, ...) to every entry of the run.
+/// write (`0 + 1·acc`, a fold, ...) to every entry of the run.
 ///
 /// `B` is packed in chunks of whole register panels, at most 64 KiB each.
 /// Every block of six rows of `A` sweeps a chunk before the next is packed,
@@ -236,9 +237,9 @@ fn block<T: Scalar, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, matmul_nt_rows, Transpose};
+    use crate::gemm::matmul_nt_rows;
     use crate::parallel::NUM_THREADS_ENV;
-    use crate::syrk::{symmetrize_lower, syrk};
+    use crate::syrk::{symmetrize_lower, syrk_full};
 
     /// Awkward values: signed zeros, subnormals, infinities, and products
     /// whose fused and unfused roundings differ.
@@ -464,66 +465,37 @@ mod tests {
         m
     }
 
-    /// SYRK with the mirror, `matmul_nt_rows` and `gemm`'s `A·Bᵀ` branch
-    /// against the sequential-`fma` reference, with `B` spanning more than
-    /// two chunks.
+    /// SYRK with the mirror and `matmul_nt_rows` against the
+    /// sequential-`fma` reference, with `B` spanning more than two chunks.
     fn check_products<T: Scalar>(d: usize, bits: fn(T) -> u64) {
         let (nr, chunk) = panel_and_chunk::<T>(d);
         let n = 2 * chunk + nr / 2 + 3;
         let a = long_awkward::<T>(n, d, 4);
         let b = long_awkward::<T>(n + 5, d, 5);
-        let alpha = T::from_f64(-1.0);
         let gram = DenseMatrix::from_fn(n, n, |i, j| reference(&a, i, &a, j));
         let cross = DenseMatrix::from_fn(n, n + 5, |i, j| reference(&a, i, &b, j));
-        for beta in [0.0, 0.5] {
-            let beta = T::from_f64(beta);
-            // The callers' final writes: `0 + α·acc` when β = 0, else
-            // `β·c + α·acc`.
-            let form = |c: T, acc: T| {
-                let prev = if beta == T::ZERO { T::ZERO } else { beta * c };
-                prev + alpha * acc
-            };
-            for triangle in [Triangle::Lower, Triangle::Upper] {
-                let start = awkward::<T>(n, n, 3);
-                let mut c = start.clone();
-                syrk(alpha, &a, beta, &mut c, triangle).unwrap();
-                symmetrize_lower(&mut c, triangle).unwrap();
-                for i in 0..n {
-                    for j in 0..n {
-                        let (r, s) = if in_triangle(Some(triangle), i, j) {
-                            (i, j)
-                        } else {
-                            (j, i)
-                        };
-                        let want = bits(form(start[(r, s)], gram[(r, s)]));
-                        assert_eq!(
-                            bits(c[(i, j)]),
-                            want,
-                            "syrk {triangle:?} beta {beta}, {n}x{d}, entry ({i},{j})"
-                        );
-                    }
-                }
-            }
-            let start = awkward::<T>(n, n + 5, 6);
-            let mut c = start.clone();
-            gemm(alpha, &a, Transpose::No, &b, Transpose::Yes, beta, &mut c).unwrap();
-            for i in 0..n {
-                for j in 0..n + 5 {
-                    let want = bits(form(start[(i, j)], cross[(i, j)]));
-                    assert_eq!(
-                        bits(c[(i, j)]),
-                        want,
-                        "gemm A·Bᵀ beta {beta}, {n}x{}x{d}, entry ({i},{j})",
-                        n + 5
-                    );
-                }
+        // The callers' final write: `0 + 1·acc`.
+        let form = |acc: T| T::ZERO + T::ONE * acc;
+        let c = syrk_full(&a).unwrap();
+        for i in 0..n {
+            for j in 0..n {
+                let (r, s) = if in_triangle(Some(Triangle::Lower), i, j) {
+                    (i, j)
+                } else {
+                    (j, i)
+                };
+                assert_eq!(
+                    bits(c[(i, j)]),
+                    bits(form(gram[(r, s)])),
+                    "syrk_full {n}x{d}, entry ({i},{j})"
+                );
             }
         }
         let (r0, r1) = (7, n - 4);
         let panel = matmul_nt_rows(&a, r0, r1, &b).unwrap();
         for i in r0..r1 {
             for j in 0..n + 5 {
-                let want = bits(T::ZERO + T::ONE * cross[(i, j)]);
+                let want = bits(form(cross[(i, j)]));
                 assert_eq!(
                     bits(panel[(i - r0, j)]),
                     want,

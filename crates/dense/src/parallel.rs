@@ -169,22 +169,13 @@ where
 }
 
 /// Apply `f` to disjoint column ranges of the row-major matrix `data`
-/// (`row_len` columns per row) in parallel — the column-split counterpart of
-/// [`par_chunks_rows`], for kernels that update every row but whose columns
-/// are independent.
+/// (`row_len` columns per row) in parallel, one call per range — the
+/// column-split counterpart of [`par_chunks_rows`], for kernels that update
+/// every row but whose columns are independent.
 ///
 /// Each call receives its column range and one mutable slice per row of
-/// `data`, holding that row's entries in the range.
-pub fn par_chunks_cols<T, F>(data: &mut [T], row_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
-{
-    par_chunks_cols_ranges(data, row_len, &split_ranges(row_len, num_threads()), f)
-}
-
-/// [`par_chunks_cols`] over the given column ranges, one call each: they
-/// must be contiguous, non-empty and start at column 0, and may end before
+/// `data`, holding that row's entries in the range. The ranges must be
+/// contiguous, non-empty and start at column 0, and may end before
 /// `row_len`, in which case the columns past the last range are left alone.
 pub fn par_chunks_cols_ranges<T, F>(data: &mut [T], row_len: usize, ranges: &[Range<usize>], f: F)
 where
@@ -291,7 +282,8 @@ mod tests {
     #[test]
     fn par_chunks_cols_writes_disjoint_column_ranges() {
         let mut data = vec![0u64; 3 * 7];
-        par_chunks_cols(&mut data, 7, |cols, rows| {
+        let ranges = split_ranges(7, num_threads());
+        par_chunks_cols_ranges(&mut data, 7, &ranges, |cols, rows| {
             assert_eq!(rows.len(), 3);
             for (r, row) in rows.iter_mut().enumerate() {
                 assert_eq!(row.len(), cols.len());
@@ -304,7 +296,7 @@ mod tests {
             .flat_map(|r| (0..7).map(move |c| (r * 10 + c) as u64))
             .collect();
         assert_eq!(data, expected);
-        par_chunks_cols(&mut data, 0, |_, _| panic!("no work expected"));
+        par_chunks_cols_ranges(&mut data, 0, &ranges, |_, _| panic!("no work expected"));
     }
 
     #[test]

@@ -33,73 +33,10 @@ pub enum Triangle {
     Upper,
 }
 
-/// FLOPs for a SYRK producing an `n x n` symmetric matrix from an `n x d`
-/// operand: roughly half of the corresponding GEMM (`n^2 d` vs `2 n^2 d`),
-/// counting the diagonal once. This is the `O(n^2 d / 2)` the paper quotes.
-pub fn syrk_flops(n: usize, d: usize) -> u64 {
-    // n*(n+1)/2 output entries, each a dot product of length d (mul+add).
-    (n as u64 * (n as u64 + 1) / 2) * 2 * d as u64
-}
-
-/// `C(tri) = alpha * A * Aᵀ + beta * C(tri)` — only the requested triangle of
-/// `C` is written; the other triangle is left untouched. With β = 0 every
-/// entry of the triangle is written once, `0 + α·acc`.
-///
-/// `A` is `n x d`, `C` must be `n x n`.
-pub fn syrk<T: Scalar>(
-    alpha: T,
-    a: &DenseMatrix<T>,
-    beta: T,
-    c: &mut DenseMatrix<T>,
-    triangle: Triangle,
-) -> Result<()> {
-    let n = a.rows();
-    if c.shape() != (n, n) {
-        return Err(DenseError::DimensionMismatch {
-            op: "syrk (output)",
-            expected: (n, n),
-            found: c.shape(),
-        });
-    }
-    if n == 0 {
-        return Ok(());
-    }
-
-    // Row i of the lower triangle holds i + 1 cells (the upper n - i), so
-    // rows are split by triangular weight into disjoint mutable chunks.
-    let ranges = weighted_row_ranges(n, triangle == Triangle::Lower);
-    par_chunks_rows_ranges(c.as_mut_slice(), n, &ranges, |start_row, chunk| {
-        let rows = start_row..start_row + chunk.len() / n;
-        nt_product(
-            a,
-            rows,
-            a,
-            Some(triangle),
-            #[inline(always)]
-            |i, j0, run| {
-                let cells = &mut chunk[i * n + j0..][..run.len()];
-                // The β test stays out of the entry loop: with it inside, the
-                // SYRK of a 4000 × 48 `f32` matrix took 78–88 ms instead of
-                // 30–35 ms on a 2-vCPU Xeon.
-                if beta == T::ZERO {
-                    for (c, &acc) in cells.iter_mut().zip(run) {
-                        *c = T::ZERO + alpha * acc;
-                    }
-                } else {
-                    for (c, &acc) in cells.iter_mut().zip(run) {
-                        *c = beta * *c + alpha * acc;
-                    }
-                }
-            },
-        );
-    });
-    Ok(())
-}
-
 /// Rows `rows` of the lower triangle of `A·Aᵀ`, packed: the result holds
 /// `C[r, 0..=r]` for each `r` in `rows`, back to back (the
 /// [`crate::PackedRows`] layout). Every entry is written once as
-/// `0 + 1·acc`, the write of [`syrk`] under α = 1, β = 0 and of
+/// `0 + 1·acc`, the write of [`syrk_full`] and of
 /// [`crate::matmul_nt_rows`], into a fresh buffer, then each run goes to
 /// `epilogue(i, j0, cells)`, where `cells[t]` is entry `(i, j0 + t)`. Rows
 /// split across the kernel threads by their packed length, so each thread
@@ -238,22 +175,35 @@ fn mirror_rows<T: Scalar>(src: &[&[T]], first: usize, dst: &mut [&mut [T]], tria
 /// 20 ms, 64 about 35 ms, and the unblocked column-order copy about 60 ms.
 const MIRROR_BLOCK: usize = 256;
 
-/// Number of bytes moved by the mirror copy for an `n x n` matrix of
-/// element size `elem`: the strictly-triangular half is read and written.
-pub fn symmetrize_bytes(n: usize, elem: usize) -> u64 {
-    if n < 2 {
-        return 0;
-    }
-    let tri = n as u64 * (n as u64 - 1) / 2;
-    2 * tri * elem as u64
-}
-
-/// Convenience wrapper computing the full symmetric product `A Aᵀ` via SYRK +
-/// mirror, the exact sequence Popcorn's SYRK-based kernel-matrix algorithm
-/// performs.
+/// The full symmetric product `A Aᵀ` via SYRK + mirror, the exact sequence
+/// Popcorn's SYRK-based kernel-matrix algorithm performs: each entry of the
+/// lower triangle is written once, `0 + 1·acc`, then the triangle is
+/// mirrored into the upper half.
 pub fn syrk_full<T: Scalar>(a: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-    let mut c = DenseMatrix::zeros(a.rows(), a.rows());
-    syrk(T::ONE, a, T::ZERO, &mut c, Triangle::Lower)?;
+    let n = a.rows();
+    let mut c = DenseMatrix::zeros(n, n);
+    if n == 0 {
+        return Ok(c);
+    }
+    // Row i of the lower triangle holds i + 1 cells, so rows are split by
+    // triangular weight into disjoint mutable chunks.
+    let ranges = weighted_row_ranges(n, true);
+    par_chunks_rows_ranges(c.as_mut_slice(), n, &ranges, |start_row, chunk| {
+        let rows = start_row..start_row + chunk.len() / n;
+        nt_product(
+            a,
+            rows,
+            a,
+            Some(Triangle::Lower),
+            #[inline(always)]
+            |i, j0, run| {
+                let cells = &mut chunk[i * n + j0..][..run.len()];
+                for (c, &acc) in cells.iter_mut().zip(run) {
+                    *c = T::ZERO + T::ONE * acc;
+                }
+            },
+        );
+    });
     symmetrize_lower(&mut c, Triangle::Lower)?;
     Ok(c)
 }
@@ -267,40 +217,6 @@ mod tests {
         DenseMatrix::from_fn(n, d, |i, j| {
             ((i * d + j) as f64 * 0.37).sin() + 0.1 * i as f64
         })
-    }
-
-    #[test]
-    fn syrk_lower_matches_gemm_in_triangle() {
-        let a = sample(6, 4);
-        let full = matmul_nt(&a, &a).unwrap();
-        let mut c = DenseMatrix::zeros(6, 6);
-        syrk(1.0, &a, 0.0, &mut c, Triangle::Lower).unwrap();
-        for i in 0..6 {
-            for j in 0..6 {
-                if j <= i {
-                    assert!((c[(i, j)] - full[(i, j)]).abs() < 1e-10, "({i},{j})");
-                } else {
-                    assert_eq!(c[(i, j)], 0.0, "upper triangle must be untouched");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn syrk_upper_matches_gemm_in_triangle() {
-        let a = sample(5, 3);
-        let full = matmul_nt(&a, &a).unwrap();
-        let mut c = DenseMatrix::zeros(5, 5);
-        syrk(1.0, &a, 0.0, &mut c, Triangle::Upper).unwrap();
-        for i in 0..5 {
-            for j in 0..5 {
-                if j >= i {
-                    assert!((c[(i, j)] - full[(i, j)]).abs() < 1e-10);
-                } else {
-                    assert_eq!(c[(i, j)], 0.0);
-                }
-            }
-        }
     }
 
     #[test]
@@ -323,28 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn syrk_alpha_beta() {
-        let a = sample(4, 2);
-        let mut c = DenseMatrix::identity(4);
-        // lower triangle: C = 2*A*Aᵀ + 3*C
-        syrk(2.0, &a, 3.0, &mut c, Triangle::Lower).unwrap();
-        let full = matmul_nt(&a, &a).unwrap();
-        for i in 0..4 {
-            for j in 0..=i {
-                let expected = 2.0 * full[(i, j)] + if i == j { 3.0 } else { 0.0 };
-                assert!((c[(i, j)] - expected).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn syrk_rejects_bad_output_shape() {
-        let a = sample(3, 2);
-        let mut c = DenseMatrix::<f64>::zeros(3, 4);
-        assert!(syrk(1.0, &a, 0.0, &mut c, Triangle::Lower).is_err());
-    }
-
-    #[test]
     fn symmetrize_requires_square() {
         let mut c = DenseMatrix::<f64>::zeros(2, 3);
         assert!(symmetrize_lower(&mut c, Triangle::Lower).is_err());
@@ -363,20 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn flop_and_byte_counts() {
-        // n=4, d=3: 10 entries * 2 * 3 = 60 flops
-        assert_eq!(syrk_flops(4, 3), 60);
-        // 4x4, 6 strictly-lower entries, read+write 4-byte floats
-        assert_eq!(symmetrize_bytes(4, 4), 48);
-        assert_eq!(symmetrize_bytes(0, 4), 0);
-        assert_eq!(symmetrize_bytes(1, 4), 0);
-    }
-
-    #[test]
     fn syrk_empty_matrix() {
         let a = DenseMatrix::<f64>::zeros(0, 0);
-        let mut c = DenseMatrix::<f64>::zeros(0, 0);
-        assert!(syrk(1.0, &a, 0.0, &mut c, Triangle::Lower).is_ok());
+        assert_eq!(syrk_full(&a).unwrap().shape(), (0, 0));
     }
 
     #[test]

@@ -193,16 +193,6 @@ impl OpCost {
         self.bytes_read.saturating_add(self.bytes_written)
     }
 
-    /// Arithmetic intensity in FLOP/byte (0 when no bytes are moved).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes();
-        if bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / bytes as f64
-        }
-    }
-
     /// Cost of a dense GEMM `(m×k) · (k×n)` with `elem`-byte scalars:
     /// `2mnk` FLOPs, reads both operands once, writes the output once.
     ///
@@ -442,7 +432,6 @@ mod tests {
         assert_eq!(c.flops, 2 * 10 * 20 * 30);
         assert_eq!(c.bytes_read, (10 * 30 + 30 * 20) as u64 * 4);
         assert_eq!(c.bytes_written, (10 * 20) as u64 * 4);
-        assert!(c.arithmetic_intensity() > 0.0);
     }
 
     #[test]

@@ -53,21 +53,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA A100 40 GB PCIe: same compute, 1555 GB/s HBM2.
-    pub fn a100_40gb() -> Self {
-        Self {
-            name: "NVIDIA A100 40GB".to_string(),
-            fp16_peak_gflops: 312_000.0,
-            fp32_peak_gflops: 19_500.0,
-            fp64_peak_gflops: 9_700.0,
-            mem_bandwidth_gbs: 1_555.0,
-            interconnect_gbs: 31.5,
-            launch_overhead_us: 5.0,
-            parallel_units: 108,
-            mem_bytes: 40 * GIB,
-        }
-    }
-
     /// NVIDIA H100 80 GB SXM5: 67 TFLOP/s FP32, 33.5 TFLOP/s FP64,
     /// 3352 GB/s HBM3, PCIe Gen5 x16 host link, 132 SMs. The next-generation
     /// preset the multi-device sharding experiments scale onto.
@@ -195,11 +180,6 @@ impl LinkSpec {
         }
     }
 
-    /// Modeled seconds to move `bytes` once across the link.
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.bandwidth_gbs * 1e9) + self.latency_us * 1e-6
-    }
-
     /// Modeled seconds of a ring all-reduce of a `payload_bytes` buffer over
     /// `devices` participants: each device sends and receives
     /// `2·(p−1)/p · payload` bytes in `2·(p−1)` latency-bound steps. With one
@@ -258,7 +238,6 @@ mod tests {
 
     #[test]
     fn memory_capacities_match_the_marketing_names() {
-        assert_eq!(DeviceSpec::a100_40gb().mem_bytes, 40 * GIB);
         assert_eq!(DeviceSpec::v100().mem_bytes, 16 * GIB);
         // The CPU presets model host RAM, far larger than any HBM part.
         assert!(DeviceSpec::epyc7763_single_core().mem_bytes > DeviceSpec::a100_80gb().mem_bytes);
@@ -334,9 +313,6 @@ mod tests {
         assert_eq!(pcie.bandwidth_gbs, 31.5);
         assert_eq!(pcie.latency_us, 10.0);
         assert_ne!(nvlink.name, pcie.name);
-        // NVLink must beat PCIe for any transfer.
-        let bytes = 1u64 << 30;
-        assert!(nvlink.transfer_seconds(bytes) < pcie.transfer_seconds(bytes));
     }
 
     #[test]
@@ -377,7 +353,6 @@ mod tests {
     fn presets_have_distinct_names() {
         let names: Vec<String> = [
             DeviceSpec::a100_80gb(),
-            DeviceSpec::a100_40gb(),
             DeviceSpec::h100_80gb(),
             DeviceSpec::v100(),
             DeviceSpec::epyc7763_single_core(),

@@ -1,7 +1,6 @@
 //! Simulated device execution: the [`Executor`] trait and its single-device
 //! implementation, [`SimExecutor`], whose only API beyond the trait is its
-//! constructors, [`SimExecutor::profiler`], [`SimExecutor::roofline`] and
-//! [`SimExecutor::scoped_residency`].
+//! constructors and [`SimExecutor::roofline`].
 //!
 //! [`Executor`] is the seam between "run the real computation on the host"
 //! and "account for what it would have cost on the device(s)". Engines, the
@@ -312,34 +311,9 @@ impl SimExecutor {
         Self::new(DeviceSpec::a100_80gb(), 4)
     }
 
-    /// Executor modeling the next-generation platform: H100-80GB, single
-    /// precision.
-    pub fn h100_f32() -> Self {
-        Self::new(DeviceSpec::h100_80gb(), 4)
-    }
-
-    /// Executor modeling the paper's CPU baseline platform: one EPYC core.
-    pub fn cpu_single_core_f32() -> Self {
-        Self::new(DeviceSpec::epyc7763_single_core(), 4)
-    }
-
-    /// The shared profiler collecting this executor's records.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
     /// A roofline for the simulated device.
     pub fn roofline(&self) -> Roofline {
         Roofline::new(self.device().clone(), self.cost_model.elem_bytes())
-    }
-
-    /// Scope the residency of one fit: everything tracked between this call
-    /// and the guard's drop is freed again, so a reused (`with_executor`)
-    /// executor does not accumulate the buffers of completed fits into the
-    /// next fit's residency. The peak is a lifetime high-water mark and is
-    /// unaffected by the free.
-    pub fn scoped_residency(&self) -> ResidencyScope<'_> {
-        ResidencyScope::new(self)
     }
 }
 
@@ -450,18 +424,20 @@ impl<E: Executor + ?Sized> std::ops::Deref for ForkGuard<E> {
 
 delegate_executor!(ForkGuard<E>);
 
-/// Guard returned by [`SimExecutor::scoped_residency`] /
-/// [`ResidencyScope::new`]: on drop, frees every byte tracked since the guard
-/// was created (a completed fit's buffers leave the device). Works over any
-/// [`Executor`].
+/// Guard returned by [`ResidencyScope::new`]: on drop, frees every byte
+/// tracked since the guard was created (a completed fit's buffers leave the
+/// device). Works over any [`Executor`].
 pub struct ResidencyScope<'a> {
     executor: &'a dyn Executor,
     baseline: u64,
 }
 
 impl<'a> ResidencyScope<'a> {
-    /// Scope the residency of one fit on `executor` (see
-    /// [`SimExecutor::scoped_residency`]).
+    /// Scope the residency of one fit on `executor`: everything tracked
+    /// between this call and the guard's drop is freed again, so a reused
+    /// (`with_executor`) executor does not accumulate the buffers of
+    /// completed fits into the next fit's residency. The peak is a lifetime
+    /// high-water mark and is unaffected by the free.
     pub fn new(executor: &'a dyn Executor) -> Self {
         Self {
             executor,
@@ -523,7 +499,7 @@ mod tests {
     #[test]
     fn gpu_models_faster_than_cpu_for_same_op() {
         let gpu = SimExecutor::a100_f32();
-        let cpu = SimExecutor::cpu_single_core_f32();
+        let cpu = SimExecutor::new(DeviceSpec::epyc7763_single_core(), 4);
         let cost = OpCost::gemm(2000, 2000, 100, 4);
         gpu.charge("gemm", Phase::KernelMatrix, OpClass::Gemm, cost);
         cpu.charge("gemm", Phase::KernelMatrix, OpClass::Gemm, cost);
@@ -715,7 +691,7 @@ mod tests {
 
     #[test]
     fn h100_preset_is_faster_than_a100() {
-        let h100 = SimExecutor::h100_f32();
+        let h100 = SimExecutor::new(DeviceSpec::h100_80gb(), 4);
         let a100 = SimExecutor::a100_f32();
         let cost = OpCost::gemm(4096, 4096, 512, 4);
         assert!(

@@ -71,11 +71,6 @@ impl Roofline {
         (arithmetic_intensity * self.peak_bandwidth_gbs()).min(self.peak_gflops())
     }
 
-    /// Whether an operation with this intensity is memory-bound on this device.
-    pub fn is_memory_bound(&self, arithmetic_intensity: f64) -> bool {
-        arithmetic_intensity < self.ridge_point()
-    }
-
     /// Build a labelled roofline point from measured/modeled quantities.
     pub fn point(&self, label: impl Into<String>, ai: f64, achieved_gflops: f64) -> RooflinePoint {
         RooflinePoint {
@@ -84,22 +79,6 @@ impl Roofline {
             achieved_gflops,
             attainable_gflops: self.attainable_gflops(ai),
         }
-    }
-
-    /// Sample the roofline curve at logarithmically spaced intensities,
-    /// returning `(AI, attainable GFLOP/s)` pairs — convenient for plotting.
-    pub fn curve(&self, ai_min: f64, ai_max: f64, samples: usize) -> Vec<(f64, f64)> {
-        if samples < 2 || ai_min <= 0.0 || ai_max <= ai_min {
-            return Vec::new();
-        }
-        let log_min = ai_min.ln();
-        let log_max = ai_max.ln();
-        (0..samples)
-            .map(|i| {
-                let ai = (log_min + (log_max - log_min) * i as f64 / (samples - 1) as f64).exp();
-                (ai, self.attainable_gflops(ai))
-            })
-            .collect()
     }
 }
 
@@ -128,8 +107,8 @@ mod tests {
     fn ridge_point_separates_regimes() {
         let r = a100();
         let ridge = r.ridge_point();
-        assert!(r.is_memory_bound(ridge * 0.5));
-        assert!(!r.is_memory_bound(ridge * 2.0));
+        assert!(r.attainable_gflops(ridge * 0.5) < r.peak_gflops());
+        assert_eq!(r.attainable_gflops(ridge * 2.0), r.peak_gflops());
         // At the ridge point both bounds coincide.
         let at_ridge = r.attainable_gflops(ridge);
         assert!((at_ridge - r.peak_gflops()).abs() / r.peak_gflops() < 1e-9);
@@ -141,7 +120,7 @@ mod tests {
         // ridge point (~9.6), so the distance phase is memory-bound. This is
         // the qualitative claim behind Figure 6.
         let r = a100();
-        assert!(r.is_memory_bound(0.5));
+        assert!(0.5 < r.ridge_point());
     }
 
     #[test]
@@ -154,18 +133,5 @@ mod tests {
         assert_eq!(capped.efficiency(), 1.0);
         let degenerate = r.point("y", 0.0, 1.0);
         assert_eq!(degenerate.efficiency(), 0.0);
-    }
-
-    #[test]
-    fn curve_is_monotone_nondecreasing() {
-        let r = a100();
-        let curve = r.curve(0.01, 100.0, 50);
-        assert_eq!(curve.len(), 50);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-9);
-            assert!(w[1].0 > w[0].0);
-        }
-        assert!(r.curve(1.0, 0.5, 10).is_empty());
-        assert!(r.curve(1.0, 2.0, 1).is_empty());
     }
 }

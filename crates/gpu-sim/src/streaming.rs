@@ -48,7 +48,8 @@ pub enum Streaming {
 /// admit under the double-buffer dependency rule.
 ///
 /// All fields are derived from the operation trace; none of them feed back
-/// into it. `serial_seconds() - hidden_seconds == overlapped_seconds()`.
+/// into it. The double-buffered cost of the measured tile segments is
+/// `serial_seconds() - hidden_seconds`, never above the serial cost.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamingReport {
     /// Tile passes measured (one per Lloyd iteration).
@@ -72,12 +73,6 @@ impl StreamingReport {
     /// Serialized cost of the measured tile segments.
     pub fn serial_seconds(&self) -> f64 {
         self.produce.total() + self.consume.total()
-    }
-
-    /// Double-buffered cost of the measured tile segments (never above
-    /// [`StreamingReport::serial_seconds`]).
-    pub fn overlapped_seconds(&self) -> f64 {
-        self.serial_seconds() - self.hidden_seconds
     }
 }
 
@@ -257,7 +252,10 @@ mod tests {
         assert!(report.consume.compute > 0.0);
         // A lone tile is entirely fill cost: its production stays exposed.
         assert_eq!(report.exposed_first_tile_seconds, report.produce.total());
-        assert_eq!(report.overlapped_seconds(), report.serial_seconds());
+        assert_eq!(
+            report.serial_seconds() - report.hidden_seconds,
+            report.serial_seconds()
+        );
     }
 
     #[test]
@@ -276,8 +274,9 @@ mod tests {
         let report = meter.into_report().unwrap();
         assert_eq!(report.tiles, tiles);
         assert!(report.hidden_seconds > 0.0);
-        assert!(report.overlapped_seconds() <= report.serial_seconds());
-        assert!(report.overlapped_seconds() >= report.exposed_first_tile_seconds);
+        let overlapped = report.serial_seconds() - report.hidden_seconds;
+        assert!(overlapped <= report.serial_seconds());
+        assert!(overlapped >= report.exposed_first_tile_seconds);
         // Uniform tiles: exactly T-1 adjacent pairs overlap, each hiding
         // min(produce, consume) of one tile.
         let per_tile_produce = report.produce.total() / tiles as f64;

@@ -63,17 +63,6 @@ pub struct OpRecord {
     pub host_seconds: f64,
 }
 
-impl OpRecord {
-    /// Modeled achieved throughput in GFLOP/s.
-    pub fn modeled_gflops(&self) -> f64 {
-        if self.modeled_seconds <= 0.0 {
-            0.0
-        } else {
-            self.cost.flops as f64 / self.modeled_seconds / 1e9
-        }
-    }
-}
-
 /// A chronological list of executed operations with aggregation helpers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpTrace {
@@ -109,27 +98,6 @@ impl OpTrace {
     /// Total modeled device time in seconds.
     pub fn total_modeled_seconds(&self) -> f64 {
         self.records.iter().map(|r| r.modeled_seconds).sum()
-    }
-
-    /// Total measured host time in seconds.
-    pub fn total_host_seconds(&self) -> f64 {
-        self.records.iter().map(|r| r.host_seconds).sum()
-    }
-
-    /// Total FLOPs across all records, saturating at `u64::MAX` as
-    /// [`OpCost::total_bytes`] does.
-    pub fn total_flops(&self) -> u64 {
-        self.records
-            .iter()
-            .fold(0u64, |sum, r| sum.saturating_add(r.cost.flops))
-    }
-
-    /// Total bytes moved across all records, saturating at `u64::MAX`: a
-    /// record may already carry a saturated byte count.
-    pub fn total_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .fold(0u64, |sum, r| sum.saturating_add(r.cost.total_bytes()))
     }
 
     /// Modeled device time attributed to one phase.
@@ -174,7 +142,8 @@ impl OpTrace {
             .collect()
     }
 
-    /// Modeled time and FLOPs restricted to one operation class.
+    /// Modeled time and FLOPs restricted to one operation class. The FLOP
+    /// sum saturates at `u64::MAX`, as [`OpCost::total_bytes`] does.
     pub fn class_summary(&self, class: OpClass) -> (f64, u64) {
         self.records
             .iter()
@@ -182,38 +151,6 @@ impl OpTrace {
             .fold((0.0, 0u64), |(t, f), r| {
                 (t + r.modeled_seconds, f.saturating_add(r.cost.flops))
             })
-    }
-
-    /// Aggregate achieved throughput (GFLOP/s, modeled) of all operations in
-    /// one class — this is what Figure 5 plots for the SpMM (Popcorn) and the
-    /// first hand-written kernel (baseline).
-    pub fn class_gflops(&self, class: OpClass) -> f64 {
-        let (t, f) = self.class_summary(class);
-        if t <= 0.0 {
-            0.0
-        } else {
-            f as f64 / t / 1e9
-        }
-    }
-
-    /// Flops-weighted mean arithmetic intensity of all operations in a class,
-    /// used for the roofline plot (Figure 6). Both sums saturate.
-    pub fn class_arithmetic_intensity(&self, class: OpClass) -> f64 {
-        let (flops, bytes) =
-            self.records
-                .iter()
-                .filter(|r| r.class == class)
-                .fold((0u64, 0u64), |(f, b), r| {
-                    (
-                        f.saturating_add(r.cost.flops),
-                        b.saturating_add(r.cost.total_bytes()),
-                    )
-                });
-        if bytes == 0 {
-            0.0
-        } else {
-            flops as f64 / bytes as f64
-        }
     }
 
     /// Merge another trace into this one (records are appended).
@@ -245,9 +182,6 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert!(!trace.is_empty());
         assert!((trace.total_modeled_seconds() - 1.5).abs() < 1e-12);
-        assert!((trace.total_host_seconds() - 3.0).abs() < 1e-12);
-        assert_eq!(trace.total_flops(), 150);
-        assert_eq!(trace.total_bytes(), 60);
     }
 
     #[test]
@@ -285,10 +219,7 @@ mod tests {
         let (t, f) = trace.class_summary(OpClass::SpMM);
         assert!((t - 4.0).abs() < 1e-12);
         assert_eq!(f, 8_000_000_000);
-        assert!((trace.class_gflops(OpClass::SpMM) - 2.0).abs() < 1e-9);
-        assert_eq!(trace.class_gflops(OpClass::Gemm), 0.0);
-        let ai = trace.class_arithmetic_intensity(OpClass::SpMM);
-        assert!((ai - 8_000_000_000.0 / 2000.0).abs() < 1e-6);
+        assert_eq!(trace.class_summary(OpClass::Gemm), (0.0, 0));
     }
 
     #[test]
@@ -298,16 +229,7 @@ mod tests {
         saturated.cost = OpCost::new(u64::MAX, u64::MAX, 0);
         trace.push(saturated);
         trace.push(record(Phase::PairwiseDistances, OpClass::SpMM, 10, 10, 1.0));
-        assert_eq!(trace.total_bytes(), u64::MAX);
-        assert_eq!(trace.total_flops(), u64::MAX);
         assert_eq!(trace.class_summary(OpClass::SpMM).1, u64::MAX);
-        assert_eq!(trace.class_arithmetic_intensity(OpClass::SpMM), 1.0);
-    }
-
-    #[test]
-    fn record_gflops() {
-        let r = record(Phase::Other, OpClass::Gemm, 2_000_000_000, 8, 1.0);
-        assert!((r.modeled_gflops() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -318,7 +240,7 @@ mod tests {
         b.push(record(Phase::Other, OpClass::Other, 2, 2, 2.0));
         a.extend(&b);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.total_flops(), 3);
+        assert_eq!(a.class_summary(OpClass::Other).1, 3);
     }
 
     #[test]

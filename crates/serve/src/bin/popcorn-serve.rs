@@ -98,19 +98,14 @@ fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
     })
 }
 
-/// Load a query file, sniffing libSVM (`index:value` tokens) vs CSV.
+/// Load a query file, told libSVM or CSV by the CLI's format check.
 fn load_queries(path: &str) -> Result<OwnedPoints<f32>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let name = std::path::Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().to_string())
         .unwrap_or_else(|| path.to_string());
-    let looks_sparse = text.lines().take(200).any(|line| {
-        line.split_whitespace()
-            .skip(1)
-            .any(|token| token.contains(':'))
-    });
-    if looks_sparse {
+    if libsvm::looks_like_libsvm(&text) {
         libsvm::parse_libsvm_sparse::<f32>(name, &text, None)
             .map(|ds| OwnedPoints::Csr(ds.points().clone()))
             .map_err(|e| format!("failed to parse {path} as libsvm: {e}"))

@@ -15,7 +15,6 @@
 //! paper's cost model assumes (§4.4); a matrix of more than `u32::MAX` rows
 //! gets a typed error from [`CsrMatrix::gram_index`], never a truncated id.
 
-use crate::csc::CscMatrix;
 use crate::errors::SparseError;
 use crate::Result;
 use popcorn_dense::fma::dispatch;
@@ -125,7 +124,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Build a CSR matrix from raw arrays without validation.
     ///
     /// Intended for internal constructors that guarantee well-formed inputs
-    /// (COO conversion, the selection-matrix builder, SpGEMM). Debug builds
+    /// (the selection-matrix builder, SpGEMM, the libSVM reader). Debug builds
     /// still assert the basic length invariants.
     pub fn from_raw_unchecked(
         rows: usize,
@@ -333,12 +332,6 @@ impl<T: Scalar> CsrMatrix<T> {
             width: ids.len(),
             ids: Some(ids),
         }
-    }
-
-    /// Convert to CSC format (equivalent to transposing the CSR structure).
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix::from_raw_unchecked(self.rows, self.cols, t.row_ptrs, t.col_indices, t.values)
     }
 
     /// Scale every stored value in place.
@@ -1038,14 +1031,6 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.shape(), (4, 2));
         assert!(t.to_dense().approx_eq(&d.transpose(), 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn csc_conversion_matches() {
-        let m = sample();
-        let csc = m.to_csc();
-        assert_eq!(csc.shape(), m.shape());
-        assert!(csc.to_dense().approx_eq(&m.to_dense(), 1e-12, 1e-12));
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub enum SparseError {
         /// Found shape, `(rows, cols)`.
         found: (usize, usize),
     },
-    /// CSR/CSC structural arrays are inconsistent (lengths, monotonicity, bounds).
+    /// CSR structural arrays are inconsistent (lengths, monotonicity, bounds).
     InvalidStructure {
         /// Description of the structural violation.
         reason: String,

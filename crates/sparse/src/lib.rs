@@ -12,12 +12,10 @@
 //! * optionally `V K Vᵀ` via **SpGEMM** (the wasteful alternative the SpMV
 //!   trick replaces — kept here for the ablation study).
 //!
-//! This crate provides the CSR/COO/CSC containers, conversions, transpose,
-//! SpMM, SpMV, SpGEMM and the [`selection::SelectionMatrix`] builder that the
-//! core algorithm uses.
+//! This crate provides the CSR container, its transpose and Gram product,
+//! the SpMM folds, SpMV, SpGEMM and the [`selection::SelectionMatrix`]
+//! builder that the core algorithm uses.
 
-pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod errors;
 pub mod selection;
@@ -28,15 +26,12 @@ pub mod spmv;
 #[cfg(test)]
 mod test_values;
 
-pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::{ColumnSlots, CsrMatrix, CsrRows, GramIndex};
 pub use errors::SparseError;
 pub use selection::SelectionMatrix;
 pub use spgemm::spgemm;
 pub use spmm::{
-    spmm, spmm_csr_rows_selection_t_into, spmm_selection_lower_accumulate, spmm_transpose_b,
-    spmm_transpose_b_into,
+    spmm_csr_rows_selection_t_into, spmm_selection_lower_accumulate, spmm_transpose_b_into,
 };
 pub use spmv::spmv;
 

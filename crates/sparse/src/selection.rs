@@ -198,7 +198,7 @@ mod tests {
         .unwrap();
         let assignments = vec![0, 1, 0, 1];
         let v = SelectionMatrix::<f64>::from_assignments(&assignments, 2).unwrap();
-        let c = crate::spmm::spmm(1.0, v.csr(), &p).unwrap();
+        let c = popcorn_dense::matmul(&v.csr().to_dense(), &p).unwrap();
         assert_eq!(c.row(0), &[3.0, 4.0]); // mean of rows 0 and 2
         assert_eq!(c.row(1), &[5.0, 6.0]); // mean of rows 1 and 3
     }

@@ -67,19 +67,6 @@ pub fn spgemm<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<CsrMatrix
     ))
 }
 
-/// Number of multiply-add FLOPs an SpGEMM performs (the "compression-free"
-/// count: one FMA per (A-nonzero, matching B-row-nonzero) pair).
-pub fn spgemm_flops<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> u64 {
-    let mut flops = 0u64;
-    for i in 0..a.rows() {
-        let (a_cols, _) = a.row(i);
-        for &k in a_cols {
-            flops += 2 * b.row_nnz(k) as u64;
-        }
-    }
-    flops
-}
-
 /// Extract the main diagonal of a square CSR matrix.
 pub fn csr_diagonal<T: Scalar>(m: &CsrMatrix<T>) -> Result<Vec<T>> {
     if m.rows() != m.cols() {
@@ -155,19 +142,6 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
-    }
-
-    #[test]
-    fn flops_counts_pairs() {
-        let a = CsrMatrix::from_dense(
-            &DenseMatrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 1.0]]).unwrap(),
-        );
-        let b = CsrMatrix::from_dense(
-            &DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0]]).unwrap(),
-        );
-        // row 0 of A: nonzeros at cols 0,1 -> B rows 0 (1 nz) + 1 (2 nz) = 3 pairs
-        // row 1 of A: nonzero at col 1 -> B row 1 (2 nz) = 2 pairs
-        assert_eq!(spgemm_flops(&a, &b), 2 * 5);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! orientation with the sparse operand on the left, `Eᵀ = −2 · V Kᵀ =
 //! −2 · V K` (`K` is symmetric). Both orientations are provided:
 //!
-//! * [`spmm`]: `C = alpha * A_sparse * B_dense` (A: m×k CSR, B: k×n dense).
-//! * [`spmm_transpose_b`] / [`spmm_transpose_b_into`]:
+//! * [`spmm_transpose_b_into`]:
 //!   `C = alpha * B_dense * A_sparseᵀ`, the literal `K Vᵀ` of Eq. 10. Each
 //!   output cell gathers the columns of `B` its sparse row selects, without
 //!   materialising `Vᵀ`; `B` need not be symmetric.
@@ -38,72 +37,15 @@ use popcorn_dense::parallel::{num_threads, par_chunks_cols_ranges, par_chunks_ro
 use popcorn_dense::{DenseMatrix, PackedRows, Scalar};
 use std::ops::Range;
 
-/// FLOPs performed by an SpMM between a sparse matrix with `nnz` stored
-/// entries and a dense matrix with `n_cols` columns: each stored entry
-/// contributes one multiply-add per output column.
-pub fn spmm_flops(nnz: usize, n_cols: usize) -> u64 {
-    2 * nnz as u64 * n_cols as u64
-}
-
-/// `C = alpha * A * B` where `A` is CSR (m×k) and `B` is dense (k×n).
-///
-/// Output rows are distributed across threads; each output row is a sparse
-/// combination of rows of `B`, so the inner loop streams contiguous memory.
-pub fn spmm<T: Scalar>(alpha: T, a: &CsrMatrix<T>, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spmm",
-            expected: (a.cols(), b.rows()),
-            found: (b.rows(), b.rows()),
-        });
-    }
-    let m = a.rows();
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    if n == 0 || m == 0 {
-        return Ok(c);
-    }
-    par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let i = start_row + local_i;
-            let (cols, vals) = a.row(i);
-            for (&k, &v) in cols.iter().zip(vals.iter()) {
-                let av = alpha * v;
-                let b_row = b.row(k);
-                for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_ij = av.mul_add(b_kj, *c_ij);
-                }
-            }
-        }
-    });
-    Ok(c)
-}
-
-/// `C = alpha * B * Aᵀ` where `B` is dense (m×k) and `A` is CSR (n×k), so the
-/// result is m×n. This is the literal `K Vᵀ` orientation of paper Eq. 10 with
-/// `B = K` (n×n dense) and `A = V` (k×n sparse).
-///
-/// Each output column `j` is a sparse combination of columns of `B` selected
-/// by row `j` of `A`; we iterate output rows in parallel and, within a row,
-/// accumulate `C[i][j] = Σ_l A[j][l] * B[i][l]` using the CSR row of `A`.
-pub fn spmm_transpose_b<T: Scalar>(
-    alpha: T,
-    b: &DenseMatrix<T>,
-    a: &CsrMatrix<T>,
-) -> Result<DenseMatrix<T>> {
-    let mut c = DenseMatrix::zeros(b.rows(), a.rows());
-    spmm_transpose_b_into(alpha, b, a, None, c.as_mut_slice())?;
-    Ok(c)
-}
-
-/// [`spmm_transpose_b`] writing into a caller-provided row-major buffer of
-/// `b.rows() × a.rows()` entries. The streaming kernel-matrix path uses this
-/// to compute a row tile's slice of `E = −2 K Vᵀ` directly into the shared
-/// accumulator, with no intermediate matrix: output values are identical to
-/// the allocating variant bit for bit (each cell is an independent
-/// overwrite). Under `clusters` (see the module docs) only the columns of
-/// the rows of `a` in the set are written, and only the columns of `b` those
-/// rows store are packed; `None` overwrites every cell.
+/// `C = alpha * B * Aᵀ` where `B` is dense (m×k) and `A` is CSR (n×k),
+/// written into a caller-provided row-major buffer of `b.rows() × a.rows()`
+/// entries. This is the literal `K Vᵀ` orientation of paper Eq. 10 with
+/// `B = K` and `A = V` (k×n sparse). The streaming kernel-matrix path uses
+/// it to compute a row tile's slice of `E = −2 K Vᵀ` directly into the
+/// shared accumulator, with no intermediate matrix (each cell is an
+/// independent overwrite). Under `clusters` (see the module docs) only the
+/// columns of the rows of `a` in the set are written, and only the columns
+/// of `b` those rows store are packed; `None` overwrites every cell.
 ///
 /// Each cell `(i, j)` accumulates `acc = fma(v, B[i, l], acc)` over row `j`'s
 /// stored entries `(l, v)` in ascending `l`, then writes `alpha · acc`. The
@@ -119,7 +61,7 @@ pub fn spmm_transpose_b_into<T: Scalar>(
 ) -> Result<()> {
     if b.cols() != a.cols() {
         return Err(SparseError::DimensionMismatch {
-            op: "spmm_transpose_b",
+            op: "spmm_transpose_b_into",
             expected: (b.cols(), b.cols()),
             found: (a.cols(), a.cols()),
         });
@@ -597,97 +539,25 @@ mod tests {
     }
 
     #[test]
-    fn spmm_matches_dense_reference() {
-        let a = sparse_sample();
-        let b = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let c = spmm(1.0, &a, &b).unwrap();
-        let reference = matmul(&a.to_dense(), &b).unwrap();
-        assert!(c.approx_eq(&reference, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn spmm_applies_alpha() {
-        let a = sparse_sample();
-        let b = DenseMatrix::identity(3);
-        let c = spmm(-2.0, &a, &b).unwrap();
-        let mut expected = a.to_dense();
-        expected.scale(-2.0);
-        assert!(c.approx_eq(&expected, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn spmm_rejects_bad_shapes() {
-        let a = sparse_sample();
-        let b = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(spmm(1.0, &a, &b).is_err());
-    }
-
-    #[test]
-    fn spmm_empty_dense_columns() {
-        let a = sparse_sample();
-        let b = DenseMatrix::<f64>::zeros(3, 0);
-        let c = spmm(1.0, &a, &b).unwrap();
-        assert_eq!(c.shape(), (2, 0));
-    }
-
-    #[test]
-    fn spmm_zero_sparse_matrix() {
-        let a = CsrMatrix::<f64>::zeros(4, 3);
-        let b = DenseMatrix::<f64>::filled(3, 2, 1.0);
-        let c = spmm(1.0, &a, &b).unwrap();
-        assert_eq!(c, DenseMatrix::zeros(4, 2));
-    }
-
-    #[test]
     fn spmm_transpose_b_matches_dense_reference() {
         // K (4x4 symmetric-ish dense) times Vᵀ where V is 2x4 sparse
         let k = DenseMatrix::<f64>::from_fn(4, 4, |i, j| ((i + j) as f64).sin() + 0.5);
         let v = CsrMatrix::from_dense(
             &DenseMatrix::from_rows(&[vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 1.0, 0.0]]).unwrap(),
         );
-        let fast = spmm_transpose_b(-2.0, &k, &v).unwrap();
+        let mut fast = DenseMatrix::zeros(4, 2);
+        spmm_transpose_b_into(-2.0, &k, &v, None, fast.as_mut_slice()).unwrap();
         let mut reference = matmul(&k, &v.to_dense().transpose()).unwrap();
         reference.scale(-2.0);
         assert!(fast.approx_eq(&reference, 1e-12, 1e-12));
-        assert_eq!(fast.shape(), (4, 2));
     }
 
     #[test]
     fn spmm_transpose_b_rejects_bad_shapes() {
         let k = DenseMatrix::<f64>::zeros(4, 4);
         let v = CsrMatrix::<f64>::zeros(2, 5);
-        assert!(spmm_transpose_b(1.0, &k, &v).is_err());
-    }
-
-    #[test]
-    fn both_orientations_consistent_for_symmetric_dense() {
-        // For symmetric K: (V * K)ᵀ == K * Vᵀ
-        let base = DenseMatrix::<f64>::from_fn(5, 5, |i, j| ((i * 5 + j) as f64 * 0.3).cos());
-        let mut k = base.clone();
-        // symmetrise
-        for i in 0..5 {
-            for j in 0..5 {
-                let avg = 0.5 * (base[(i, j)] + base[(j, i)]);
-                k[(i, j)] = avg;
-            }
-        }
-        let v = CsrMatrix::from_dense(
-            &DenseMatrix::from_rows(&[
-                vec![1.0, 0.0, 0.0, 1.0, 0.0],
-                vec![0.0, 0.5, 0.5, 0.0, 0.0],
-                vec![0.0, 0.0, 0.0, 0.0, 1.0],
-            ])
-            .unwrap(),
-        );
-        let left = spmm(1.0, &v, &k).unwrap(); // V*K : 3x5
-        let right = spmm_transpose_b(1.0, &k, &v).unwrap(); // K*Vᵀ : 5x3
-        assert!(left.transpose().approx_eq(&right, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn flop_count() {
-        assert_eq!(spmm_flops(10, 5), 100);
-        assert_eq!(spmm_flops(0, 5), 0);
+        let mut out = vec![0.0; 8];
+        assert!(spmm_transpose_b_into(1.0, &k, &v, None, &mut out).is_err());
     }
 
     /// A CSR matrix storing *every* entry of `dense` — exact zeros included —

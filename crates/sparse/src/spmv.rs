@@ -11,11 +11,6 @@ use crate::Result;
 use popcorn_dense::fma::dispatch;
 use popcorn_dense::Scalar;
 
-/// FLOPs performed by an SpMV over a matrix with `nnz` stored entries.
-pub fn spmv_flops(nnz: usize) -> u64 {
-    2 * nnz as u64
-}
-
 /// `y = alpha * A * x` for CSR `A` (m×n) and dense `x` (length n).
 ///
 /// Runs on the calling thread, FMA-dispatched: the distance step's `V z`
@@ -44,30 +39,6 @@ pub fn spmv<T: Scalar>(alpha: T, a: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>> {
             }
         },
     );
-    Ok(y)
-}
-
-/// `y = alpha * Aᵀ * x` for CSR `A` (m×n) and dense `x` (length m), computed
-/// without materialising the transpose (scatter over the rows of `A`).
-pub fn spmv_transpose<T: Scalar>(alpha: T, a: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>> {
-    if x.len() != a.rows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spmv_transpose",
-            expected: (a.rows(), 1),
-            found: (x.len(), 1),
-        });
-    }
-    let mut y = vec![T::ZERO; a.cols()];
-    for (i, &x_i) in x.iter().enumerate() {
-        let xi = alpha * x_i;
-        if xi == T::ZERO {
-            continue;
-        }
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            y[j] = v.mul_add(xi, y[j]);
-        }
-    }
     Ok(y)
 }
 
@@ -115,35 +86,5 @@ mod tests {
         let a = CsrMatrix::<f64>::zeros(3, 2);
         let y = spmv(1.0, &a, &[1.0, 1.0]).unwrap();
         assert_eq!(y, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn spmv_transpose_matches_dense() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let y = spmv_transpose(1.0, &a, &x).unwrap();
-        // Aᵀ x where A is the sample: columns dot x
-        assert_eq!(y, vec![1.0 * 1.0 + 4.0 * 3.0, 3.0 * 2.0, 2.0 * 1.0]);
-    }
-
-    #[test]
-    fn spmv_transpose_rejects_bad_length() {
-        let a = sample();
-        assert!(spmv_transpose(1.0, &a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_consistency() {
-        // y = Aᵀ x computed two ways: spmv on A.transpose() vs spmv_transpose on A
-        let a = sample();
-        let x = vec![0.5, -1.0, 2.0, 3.0];
-        let direct = spmv(1.0, &a.transpose(), &x).unwrap();
-        let fused = spmv_transpose(1.0, &a, &x).unwrap();
-        assert_eq!(direct, fused);
-    }
-
-    #[test]
-    fn flop_count() {
-        assert_eq!(spmv_flops(7), 14);
     }
 }

@@ -16,10 +16,10 @@
 //! assert_eq!(result.labels.len(), 200);
 //! ```
 
-/// Dense linear algebra substrate (GEMM, SYRK, elementwise kernels).
+/// Dense linear algebra substrate (GEMM, SYRK, the distance assembly).
 pub use popcorn_dense as dense;
 
-/// Sparse linear algebra substrate (CSR/COO/CSC, SpMM, SpMV, SpGEMM, `V`).
+/// Sparse linear algebra substrate (CSR, SpMM, SpMV, SpGEMM, `V`).
 pub use popcorn_sparse as sparse;
 
 /// Analytical GPU execution simulator (device specs, cost model, roofline).

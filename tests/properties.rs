@@ -3,12 +3,12 @@
 
 use popcorn::core::distances::{compute_distances, compute_distances_reference};
 use popcorn::core::kernel::kernel_matrix_reference;
-use popcorn::dense::{diagonal, gemm, matmul, matmul_nt, row_argmin, syrk_full, Transpose};
+use popcorn::dense::{diagonal, matmul, matmul_nt, row_argmin, syrk_full};
 use popcorn::prelude::*;
 use popcorn::sparse::spgemm;
-use popcorn::sparse::spmv::spmv_transpose;
-use popcorn::sparse::{spmm, spmv, CooMatrix, CsrMatrix};
+use popcorn::sparse::{spmv, CsrMatrix};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a dense matrix with bounded shape and well-behaved values.
 fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseMatrix<f64>> {
@@ -18,11 +18,29 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
     })
 }
 
-/// Strategy: a sparse matrix (as COO entries over a bounded shape).
+/// Strategy: a sparse matrix from random `(row, col, value)` entries over a
+/// bounded shape. Entries at the same position are summed in the order they
+/// were drawn, and a sum that cancels to zero stays stored.
 fn sparse_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = CsrMatrix<f64>> {
     (1..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec((0..r, 0..c, -5.0f64..5.0), 0..=(r * c).min(40))
-            .prop_map(move |entries| CooMatrix::from_triplets(r, c, entries).unwrap().to_csr())
+        proptest::collection::vec((0..r, 0..c, -5.0f64..5.0), 0..=(r * c).min(40)).prop_map(
+            move |entries| {
+                let mut sums = BTreeMap::new();
+                for (i, j, v) in entries {
+                    sums.entry((i, j)).and_modify(|s| *s += v).or_insert(v);
+                }
+                let mut row_ptrs = vec![0; r + 1];
+                for &(i, _) in sums.keys() {
+                    row_ptrs[i + 1] += 1;
+                }
+                for i in 0..r {
+                    row_ptrs[i + 1] += row_ptrs[i];
+                }
+                let col_indices = sums.keys().map(|&(_, j)| j).collect();
+                let values = sums.into_values().collect();
+                CsrMatrix::from_raw(r, c, row_ptrs, col_indices, values).unwrap()
+            },
+        )
     })
 }
 
@@ -73,17 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn gemm_transpose_flags_are_consistent(a in dense_matrix(7, 5), b in dense_matrix(7, 6)) {
-        // Aᵀ·B computed with the flag equals the explicit transpose.
-        // Align the shared dimension (both operands need the same row count).
-        let b = DenseMatrix::from_fn(a.rows(), b.cols(), |i, j| b[(i % b.rows(), j)]);
-        let mut with_flag = DenseMatrix::zeros(a.cols(), b.cols());
-        gemm(1.0, &a, Transpose::Yes, &b, Transpose::No, 0.0, &mut with_flag).unwrap();
-        let explicit = matmul(&a.transpose(), &b).unwrap();
-        prop_assert!(with_flag.approx_eq(&explicit, 1e-9, 1e-9));
-    }
-
-    #[test]
     fn transpose_is_an_involution(a in dense_matrix(9, 9)) {
         prop_assert_eq!(a.transpose().transpose(), a);
     }
@@ -116,21 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn csc_round_trip_preserves_values(m in sparse_matrix(8, 8)) {
-        let csc = m.to_csc();
-        prop_assert!(csc.to_dense().approx_eq(&m.to_dense(), 1e-12, 1e-12));
-        prop_assert!(csc.to_csr().to_dense().approx_eq(&m.to_dense(), 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn spmm_matches_dense_multiply(a in sparse_matrix(8, 6), b in dense_matrix(6, 5)) {
-        let b = DenseMatrix::from_fn(a.cols(), b.cols(), |i, j| b[(i % b.rows(), j)]);
-        let sparse_result = spmm(1.0, &a, &b).unwrap();
-        let dense_result = matmul(&a.to_dense(), &b).unwrap();
-        prop_assert!(sparse_result.approx_eq(&dense_result, 1e-9, 1e-9));
-    }
-
-    #[test]
     fn spmv_matches_dense_multiply(a in sparse_matrix(9, 7), x in proptest::collection::vec(-3.0f64..3.0, 7)) {
         let x = &x[..a.cols().min(x.len())];
         prop_assume!(x.len() == a.cols());
@@ -139,13 +131,6 @@ proptest! {
         for i in 0..a.rows() {
             let expected: f64 = (0..a.cols()).map(|j| dense[(i, j)] * x[j]).sum();
             prop_assert!((y[i] - expected).abs() < 1e-9);
-        }
-        // transpose SpMV agrees with SpMV on the transposed matrix
-        let xt: Vec<f64> = (0..a.rows()).map(|i| (i as f64) * 0.5 - 1.0).collect();
-        let yt = spmv_transpose(1.0, &a, &xt).unwrap();
-        let yt_ref = spmv(1.0, &a.transpose(), &xt).unwrap();
-        for (u, v) in yt.iter().zip(yt_ref.iter()) {
-            prop_assert!((u - v).abs() < 1e-9);
         }
     }
 
