@@ -17,8 +17,8 @@
 use popcorn_core::batch::{self, BatchResult, FitJob};
 use popcorn_core::kernel_source::KernelSource;
 use popcorn_core::lloyd;
-use popcorn_core::pipeline::finalize;
-use popcorn_core::result::{ClusteringResult, IterationStats};
+use popcorn_core::pipeline::LoopState;
+use popcorn_core::result::ClusteringResult;
 use popcorn_core::solver::{FitInput, Solver};
 use popcorn_core::{CoreError, KernelKmeansConfig, ModelFamily, Result};
 use popcorn_dense::Scalar;
@@ -118,34 +118,27 @@ impl LloydKmeans {
         // hold the means, so no iteration allocates.
         let mut sums = zero_centroids(k, d)?;
 
-        let mut labels = vec![0usize; n];
-        let mut history = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut prev_objective = f64::INFINITY;
-
-        for iteration in 0..config.max_iter {
+        // Labels start at cluster 0, so the first iteration's changed count
+        // is the points that leave it.
+        let mut state = LoopState::new(vec![0; n], k);
+        while state.active(config) {
             // Assignment step: nearest centroid in Euclidean distance.
             for (last, centroid) in last_assignment_centroids.iter_mut().zip(&centroids) {
                 last.copy_from_slice(centroid);
             }
-            let (new_labels, objective) = executor.run(
+            let (labels, objective) = executor.run(
                 format!("lloyd assignment (n={n}, d={d}, k={k})"),
                 Phase::PairwiseDistances,
                 OpClass::Gemm,
                 lloyd::sweep_cost(points, k),
                 || lloyd::nearest_centroids(points, &centroids),
             );
+            state.record(labels, objective, config);
 
-            let changed = new_labels
-                .iter()
-                .zip(labels.iter())
-                .filter(|(a, b)| a != b)
-                .count();
-            labels = new_labels;
-
-            // Update step: new centroids are the cluster means.
-            let empty_clusters = executor.run(
+            // Update step: new centroids are the cluster means; an empty
+            // cluster keeps its previous centroid.
+            let labels = state.labels();
+            executor.run(
                 format!("lloyd centroid update (n={n}, d={d}, k={k})"),
                 Phase::Assignment,
                 OpClass::Reduction,
@@ -163,52 +156,23 @@ impl LloydKmeans {
                         counts[l] += 1;
                         for_each_coordinate(points, i, &mut sums[l], |c, x| *c += x);
                     }
-                    let mut empty = 0usize;
-                    for (c, count) in counts.iter().enumerate() {
-                        if *count == 0 {
-                            empty += 1;
-                            continue; // keep the previous centroid
-                        }
-                        for value in &mut sums[c] {
-                            *value /= *count as f64;
-                        }
-                    }
-                    // Preserve previous centroids for empty clusters.
-                    for (c, count) in counts.iter().enumerate() {
-                        if *count == 0 {
-                            sums[c].copy_from_slice(&centroids[c]);
+                    for ((sum, centroid), &count) in sums.iter_mut().zip(&centroids).zip(&counts) {
+                        if count == 0 {
+                            sum.copy_from_slice(centroid);
+                        } else {
+                            for value in sum.iter_mut() {
+                                *value /= count as f64;
+                            }
                         }
                     }
-                    empty
                 },
             );
             std::mem::swap(&mut centroids, &mut sums);
-
-            history.push(IterationStats {
-                iteration,
-                objective,
-                changed,
-                empty_clusters,
-            });
-            iterations = iteration + 1;
-
-            if config.check_convergence {
-                let rel_change = if prev_objective.is_finite() {
-                    (prev_objective - objective).abs() / objective.abs().max(f64::MIN_POSITIVE)
-                } else {
-                    f64::INFINITY
-                };
-                if changed == 0 || rel_change <= config.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-            prev_objective = objective;
         }
 
-        let mut result = finalize(labels, k, iterations, converged, history, executor);
+        let mut result = state.into_result(executor);
         result.config = Some(config.clone());
-        if iterations > 0 {
+        if result.iterations > 0 {
             result.centroids = Some(last_assignment_centroids);
         }
         Ok(result)
@@ -524,6 +488,96 @@ mod tests {
         assert!(LloydKmeans::new(config(100)).fit(&blob_points()).is_err());
         let no_features = DenseMatrix::<f64>::zeros(5, 0);
         assert!(LloydKmeans::new(config(2)).fit(&no_features).is_err());
+    }
+
+    /// One fit's iteration record: per iteration `(changed, empty_clusters,
+    /// objective bits)`, then iterations, converged, the objective's bits
+    /// and an FNV-1a hash of the centroids' bits.
+    type Record = (Vec<(usize, usize, u64)>, usize, bool, u64, u64);
+
+    fn record(result: &ClusteringResult) -> Record {
+        let centroids = result
+            .centroids
+            .as_ref()
+            .expect("a Lloyd fit keeps centroids");
+        let hash = centroids
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
+                (h ^ c.to_bits()).wrapping_mul(0x100_0000_01b3)
+            });
+        let history = result.history.iter();
+        (
+            history
+                .map(|h| (h.changed, h.empty_clusters, h.objective.to_bits()))
+                .collect(),
+            result.iterations,
+            result.converged,
+            result.objective.to_bits(),
+            hash,
+        )
+    }
+
+    /// Pins Lloyd's iteration record, recorded before its history and
+    /// convergence rule moved into `LoopState`.
+    #[test]
+    fn iteration_records_match_the_recorded_fits() {
+        // Converges early with the convergence check on.
+        let blobs = DenseMatrix::from_fn(40, 4, |i, j| {
+            if (i + j) % 3 == 0 {
+                0.0
+            } else {
+                (i % 4) as f64 * 3.0 + ((i * 4 + j) as f64 * 0.53).sin() * 2.0
+            }
+        });
+        // Nine identical points out of twelve: seeds coincide, so clusters
+        // sit empty (and keep their centroids) for the first iterations.
+        let crowded = DenseMatrix::from_fn(12, 3, |i, j| match (i, j) {
+            (0..=8, 0) => 1.0,
+            (0..=8, 2) => 2.0,
+            (0..=8, _) => 0.0,
+            _ => ((i * 3 + j) as f64 * 0.71).sin() * 6.0,
+        });
+        let fixed = config(3)
+            .with_convergence_check(false, 0.0)
+            .with_max_iter(4);
+        let cases = [(&blobs, config(3)), (&crowded, fixed)];
+        let expected: [Record; 2] = [
+            (
+                vec![
+                    (37, 0, 0x40a2f6d312ab4264),
+                    (4, 0, 0x409643a8ac43087f),
+                    (2, 0, 0x4095b0e8ca35919f),
+                    (5, 0, 0x40957d0c288f87ce),
+                    (9, 0, 0x408fb999985b5bb8),
+                    (1, 0, 0x4086f3eb71191395),
+                    (0, 0, 0x4086d29d4123f798),
+                ],
+                7,
+                true,
+                0x4086d29d4123f798,
+                0x6b008d3cdee884ad,
+            ),
+            (
+                vec![
+                    (0, 2, 0x4065b194f870b2d6),
+                    (10, 1, 0x4064552c8b10ce48),
+                    (9, 0, 0x4058402663b8b0fe),
+                    (0, 0, 0x404f414a429f6e7a),
+                ],
+                4,
+                false,
+                0x404f414a429f6e7a,
+                0x4ea3f4633ecd41c9,
+            ),
+        ];
+        for ((points, config), expected) in cases.into_iter().zip(expected) {
+            let dense = LloydKmeans::new(config.clone()).fit(points).unwrap();
+            let csr = CsrMatrix::from_dense(points);
+            let sparse = LloydKmeans::new(config).fit_sparse(&csr).unwrap();
+            assert_eq!(record(&dense), expected, "dense points");
+            assert_eq!(record(&sparse), expected, "CSR points");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use popcorn_bench::analytic::{ELEM, INDEX};
 use popcorn_bench::report::{format_seconds, Table};
 use popcorn_bench::ExperimentOptions;
 use popcorn_core::kernel_source::full_kernel_matrix_bytes;
+use popcorn_core::model::ResidentKernel;
 use popcorn_core::{
     KernelApprox, KernelFunction, KernelKmeans, KernelKmeansConfig, KernelSource, Solver,
     SparsifiedKernel, Sparsify, TilePolicy,
@@ -268,7 +269,10 @@ fn main() {
         source.csr_bytes() as f64 / 1e6,
         graph_dense_bytes as f64 / 1e6,
     );
-    assert!(KernelSource::<f32>::csr(&source).is_some());
+    assert!(matches!(
+        KernelSource::<f32>::resident(&source),
+        ResidentKernel::Csr(_)
+    ));
 
     let json = format!(
         "{{\n  \"sweep\": {{\n    \"n\": {SWEEP_N}, \"d\": {SWEEP_D}, \"k\": {k}, \

@@ -285,7 +285,7 @@ pub fn execute_batch_with(
     restarts: usize,
     options: &popcorn_core::BatchOptions,
 ) -> popcorn_core::Result<ExecutedBatch> {
-    let jobs = FitJob::k_sweep(&base_config, k_values, restarts);
+    let jobs = FitJob::k_sweep(&base_config, k_values, restarts)?;
     let batch = solver
         .build(base_config)
         .fit_batch_with(input, &jobs, options)?;

@@ -554,7 +554,8 @@ pub fn run(args: &CliArgs) -> Result<RunSummary, String> {
         // One batch: the kernel matrix is computed once (or its tiles are
         // streamed once per iteration for the whole batch) and every
         // (k, seed) job iterates over it; `--runs` does not apply.
-        let jobs = FitJob::k_sweep(&config_from(args, 0), &k_values, args.restarts);
+        let jobs = FitJob::k_sweep(&config_from(args, 0), &k_values, args.restarts)
+            .map_err(|e| e.to_string())?;
         let solver = build_solver_for(args, config_from(args, 0), &sharded_executor);
         let options = BatchOptions::default().with_host_threads(args.host_threads);
         let batch = solver
@@ -562,7 +563,14 @@ pub fn run(args: &CliArgs) -> Result<RunSummary, String> {
             .map_err(|e| e.to_string())?;
         (batch.results, Some((batch.best, batch.report)))
     } else {
-        let mut results = Vec::with_capacity(args.runs);
+        let mut results = Vec::new();
+        results.try_reserve_exact(args.runs).map_err(|_| {
+            let bytes = args.runs as u128 * std::mem::size_of::<ClusteringResult>() as u128;
+            format!(
+                "cannot allocate the results of {} runs on the host: {bytes} bytes",
+                args.runs
+            )
+        })?;
         for run_idx in 0..args.runs {
             let solver = build_solver_for(args, config_from(args, run_idx), &sharded_executor);
             // --save-model freezes the last run's fit as the serving model;

@@ -42,25 +42,33 @@ pub fn assign_clusters_into<T: Scalar>(
         OpCost::elementwise_elems(n as u64 * k as u64, 1, 0, 1, elem),
         || row_argmin_into(distances, labels),
     );
-    let changed = labels
-        .iter()
-        .zip(previous.iter())
-        .filter(|(new, old)| new != old)
-        .count();
     let objective: f64 = labels
         .iter()
         .enumerate()
         .map(|(i, &l)| distances[(i, l)].to_f64())
         .sum();
-    let mut sizes = vec![0usize; k];
-    for &l in labels.iter() {
-        sizes[l] += 1;
-    }
-    let empty_clusters = sizes.iter().filter(|&&c| c == 0).count();
-    AssignmentStats {
-        changed,
-        objective,
-        empty_clusters,
+    AssignmentStats::of(labels, previous, k, objective)
+}
+
+impl AssignmentStats {
+    /// The statistics of `labels` (over `k` clusters, scoring `objective`)
+    /// against the `previous` labels.
+    pub fn of(labels: &[usize], previous: &[usize], k: usize, objective: f64) -> Self {
+        let changed = labels
+            .iter()
+            .zip(previous.iter())
+            .filter(|(new, old)| new != old)
+            .count();
+        let mut sizes = vec![0usize; k];
+        for &l in labels {
+            sizes[l] += 1;
+        }
+        let empty_clusters = sizes.iter().filter(|&&c| c == 0).count();
+        Self {
+            changed,
+            objective,
+            empty_clusters,
+        }
     }
 }
 

@@ -10,44 +10,43 @@
 //! `fit_input` call — sharing changes the accounting, never the arithmetic.
 //!
 //! Every kernel family's solver ([`crate::KernelSolver`]) runs `fit_batch`
-//! through the shared-source **lockstep** driver in this module
-//! ([`drive_shared_source_with`]): all jobs advance one iteration at a time
-//! so a single tile pass over the [`KernelSource`] feeds every job — which is
+//! through [`drive_shared_source_with`], which hands each job to the one
+//! iteration loop, `pipeline::lockstep`, as a run on its own fork
+//! of the shared executor: all jobs advance one iteration at a time, so a
+//! single panel pass over the [`KernelSource`] feeds every job — which is
 //! what makes the batched-tiled combination pay off when `K` is recomputed
-//! per tile. Lloyd's algorithm has no kernel matrix to share but still
-//! charges its single points upload once per batch
-//! ([`drive_shared_kernel_with`]). [`BatchReport`] records what the sharing
-//! bought: the modeled cost of the batch as executed (shared phase charged
-//! once) next to the modeled cost of the same jobs run independently.
+//! per tile. A fit is the same loop with one run and no fork. Lloyd's
+//! algorithm has no kernel matrix to share but still charges its single
+//! points upload once per batch ([`drive_shared_kernel_with`]).
+//! [`BatchReport`] records what the sharing bought: the modeled cost of the
+//! batch as executed (shared phase charged once) next to the modeled cost of
+//! the same jobs run independently.
 //!
 //! Large sweeps additionally run **host-parallel**: per-job engine work fans
 //! out across host threads ([`BatchOptions::host_threads`], CLI
-//! `--host-threads`). The lockstep driver runs one sequence of phases — seed,
-//! begin, one fold per tile, finish — and each phase is one scoped fan-out
-//! over `min(threads, jobs)` balanced contiguous job chunks that joins before
-//! the driver moves on; at one host thread it runs inline and spawns
-//! nothing. A tile's borrow never leaves the source's visitor, so no pointer,
-//! channel or barrier crosses threads. All merging happens on the driver
-//! thread in fixed job order, so results and traces stay bit-identical to the
-//! inline drive at any thread count. [`BatchReport::host_seconds`] carries
-//! the measured wall-clock of the drive, and
-//! [`BatchReport::modeled_concurrent_seconds`] the stream-aware modeled
-//! wall-clock (jobs sharing one device serialize on the compute engine but
-//! overlap transfers across streams).
+//! `--host-threads`). The loop runs one sequence of phases — seed, begin,
+//! one fold per tile, finish — and each phase is one scoped fan-out
+//! (`par_over`) over `min(threads, jobs)` balanced contiguous job chunks
+//! that joins before the loop moves on; at one host thread it runs inline
+//! and spawns nothing. A tile's borrow never leaves the source's visitor, so
+//! no pointer, channel or barrier crosses threads. All merging happens on
+//! the driver thread in fixed job order, so results and traces stay
+//! bit-identical to the inline drive at any thread count.
+//! [`BatchReport::host_seconds`] carries the measured wall-clock of the
+//! drive, and [`BatchReport::modeled_concurrent_seconds`] the stream-aware
+//! modeled wall-clock (jobs sharing one device serialize on the compute
+//! engine but overlap transfers across streams).
 
 use crate::config::KernelKmeansConfig;
 use crate::errors::CoreError;
-use crate::init::initial_assignments_source;
 use crate::kernel_source::KernelSource;
-use crate::pipeline::{DistanceEngine, LoopState};
+use crate::pipeline::{self, DistanceEngine, LoopState, Run};
 use crate::result::ClusteringResult;
 use crate::solver::FitInput;
 use crate::Result;
 use popcorn_dense::parallel::split_ranges;
 use popcorn_dense::Scalar;
-use popcorn_gpusim::{
-    DeviceEngine, EngineSeconds, Executor, OpTrace, StreamMeter, Streaming, StreamingReport,
-};
+use popcorn_gpusim::{DeviceEngine, Executor, OpTrace, StreamMeter, StreamingReport};
 use std::time::Instant;
 
 /// How many host threads a batch driver may fan per-job work out across.
@@ -134,8 +133,21 @@ impl FitJob {
 
     /// The sweep protocol: `restarts` seeded jobs per `k` value (seeds
     /// `base.seed, base.seed + 1, …`), the full grid the paper's tables run.
-    pub fn k_sweep(base: &KernelKmeansConfig, k_values: &[usize], restarts: usize) -> Vec<Self> {
-        let mut jobs = Vec::with_capacity(k_values.len() * restarts);
+    /// A grid whose jobs cannot be allocated is
+    /// [`CoreError::HostAllocationFailed`].
+    pub fn k_sweep(
+        base: &KernelKmeansConfig,
+        k_values: &[usize],
+        restarts: usize,
+    ) -> Result<Vec<Self>> {
+        let failed = || CoreError::HostAllocationFailed {
+            what: "the batch's jobs",
+            shape: (k_values.len(), restarts),
+            bytes: k_values.len() as u128 * restarts as u128 * std::mem::size_of::<Self>() as u128,
+        };
+        let mut jobs = Vec::new();
+        let count = k_values.len().checked_mul(restarts).ok_or_else(failed)?;
+        jobs.try_reserve_exact(count).map_err(|_| failed())?;
         for &k in k_values {
             for r in 0..restarts {
                 let mut config = base.clone();
@@ -143,7 +155,7 @@ impl FitJob {
                 jobs.push(Self::new(config, base.seed.wrapping_add(r as u64)));
             }
         }
-        jobs
+        Ok(jobs)
     }
 }
 
@@ -435,48 +447,39 @@ pub fn trace_since(executor: &dyn Executor, mark: usize) -> OpTrace {
     trace
 }
 
-/// Fan `f` out over the jobs' per-job slots on exactly
-/// `min(threads, jobs.len())` scoped host threads (one balanced contiguous
-/// chunk each), preserving sequential semantics:
+/// Fan `f` out over `slots` on exactly `min(threads, slots.len())` scoped
+/// host threads (one balanced contiguous chunk each), preserving sequential
+/// semantics:
 ///
-/// * [`split_ranges`] cuts the slots into contiguous chunks in **job
+/// * [`split_ranges`] cuts the slots into contiguous chunks in **slot
 ///   order**, as many as [`BatchReport::host_threads`] reports; each worker
-///   owns its chunk exclusively, and within a chunk jobs run in order;
-/// * the returned error is the error of the earliest failing job (chunks are
-///   ordered and each worker stops at its first failure, so the first
-///   failing chunk's error belongs to the globally earliest failing job);
-/// * a worker panic is resumed on the driver thread, exactly as if the job
-///   had panicked inline.
+///   owns its chunk exclusively, and within a chunk slots run in order;
+/// * the returned error is the error of the earliest failing slot (chunks
+///   are ordered and each worker stops at its first failure, so the first
+///   failing chunk's error belongs to the globally earliest failing slot);
+/// * a worker panic is resumed on the calling thread, exactly as if the
+///   slot had panicked inline.
 ///
-/// With `threads <= 1` (or a single job) everything runs on the calling
-/// thread with no spawning at all — the classic sequential driver.
-fn par_over_jobs<S: Send, F>(jobs: &[FitJob], slots: &mut [S], threads: usize, f: F) -> Result<()>
-where
-    F: Fn(&FitJob, &mut S) -> Result<()> + Sync,
-{
-    debug_assert_eq!(jobs.len(), slots.len());
-    if threads <= 1 || jobs.len() <= 1 {
-        for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
-            f(job, slot)?;
-        }
-        return Ok(());
+/// With `threads <= 1` (or a single slot) everything runs on the calling
+/// thread with no spawning at all.
+pub(crate) fn par_over<S: Send>(
+    slots: &mut [S],
+    threads: usize,
+    f: impl Fn(&mut S) -> Result<()> + Sync,
+) -> Result<()> {
+    if threads <= 1 || slots.len() <= 1 {
+        return slots.iter_mut().try_for_each(f);
     }
-    let ranges = split_ranges(jobs.len(), threads);
+    let ranges = split_ranges(slots.len(), threads);
     let outcomes: Vec<std::thread::Result<Result<()>>> = std::thread::scope(|scope| {
         let mut rest = slots;
         let handles: Vec<_> = ranges
             .iter()
             .map(|range| {
-                let (slot_chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
                 rest = tail;
-                let job_chunk = &jobs[range.clone()];
                 let f = &f;
-                scope.spawn(move || -> Result<()> {
-                    for (job, slot) in job_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        f(job, slot)?;
-                    }
-                    Ok(())
-                })
+                scope.spawn(move || chunk.iter_mut().try_for_each(f))
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
@@ -510,35 +513,28 @@ pub fn drive_shared_kernel_with(
     run_job: impl Fn(&FitJob, &dyn Executor) -> Result<ClusteringResult> + Sync,
 ) -> Result<BatchResult> {
     let threads = options.host_threads.resolve().min(jobs.len().max(1));
-    struct Slot {
-        executor: Box<dyn Executor>,
-        result: Option<ClusteringResult>,
-    }
     // Forks are created up front, in job order, so every fork sees the same
     // residency baseline it would in the sequential drive (absorb/merge on
     // the shared executor never move its resident counter).
-    let mut slots: Vec<Slot> = jobs
+    let mut slots: Vec<(&FitJob, Box<dyn Executor>, Option<ClusteringResult>)> = jobs
         .iter()
-        .map(|_| Slot {
-            executor: shared_executor.fork(),
-            result: None,
-        })
+        .map(|job| (job, shared_executor.fork(), None))
         .collect();
     // The host clock starts only now: building O(jobs) forks above is driver
     // bookkeeping, not per-job clustering work, and charging it made
     // `host_seconds` grow with batch size even for trivially small jobs.
     let start = Instant::now();
-    par_over_jobs(jobs, &mut slots, threads, |job, slot| {
-        slot.result = Some(run_job(job, &*slot.executor)?);
+    par_over(&mut slots, threads, |(job, executor, result)| {
+        *result = Some(run_job(job, &**executor)?);
         Ok(())
     })?;
     let mut results = Vec::with_capacity(jobs.len());
     let mut job_reports = Vec::with_capacity(jobs.len());
-    for (job, slot) in jobs.iter().zip(slots) {
-        let result = slot.result.expect("par_over_jobs filled every slot");
-        let job_trace = slot.executor.trace();
+    for (job, executor, result) in slots {
+        let result = result.expect("par_over filled every slot");
+        let job_trace = executor.trace();
         shared_executor.absorb(&job_trace);
-        shared_executor.merge_peak(slot.executor.peak_resident_bytes());
+        shared_executor.merge_peak(executor.peak_resident_bytes());
         job_reports.push(JobReport::new(job, &result, &job_trace));
         results.push(result);
     }
@@ -556,115 +552,10 @@ pub fn drive_shared_kernel_with(
     ))
 }
 
-/// Per-job state owned by the lockstep driver: the job's forked executor,
-/// its distance engine and its iteration state. Each phase's fan-out hands
-/// every worker a disjoint contiguous chunk of these.
-struct JobRun<T: Scalar> {
-    executor: Box<dyn Executor>,
-    engine: Box<dyn DistanceEngine<T>>,
-    state: LoopState,
-}
-
-/// One phase of the lockstep loop: [`par_over_jobs`] over the jobs that are
-/// still iterating; jobs that stopped skip the phase.
-fn over_active<T: Scalar>(
-    jobs: &[FitJob],
-    runs: &mut [JobRun<T>],
-    threads: usize,
-    f: impl Fn(&FitJob, &mut JobRun<T>) -> Result<()> + Sync,
-) -> Result<()> {
-    par_over_jobs(jobs, runs, threads, |job, run| {
-        if run.state.active(&job.config) {
-            f(job, run)
-        } else {
-            Ok(())
-        }
-    })
-}
-
-/// Seeding plus the lockstep iteration loop over `runs`: per global
-/// iteration, `begin_iteration`, one tile pass over `K` serving every active
-/// job, then `finish_iteration` and the assignment step. Seeding, each of
-/// those phases and every tile of the pass is one [`par_over_jobs`] fan-out,
-/// so the per-job work and its order within a chunk are the same at every
-/// thread count, and everything downstream of this call is bit-identical.
-/// A tile's borrow never leaves the source's visitor: the fan-out over it
-/// joins before the visitor returns.
-///
-/// A tiled source charges the recomputation once, to the shared executor,
-/// on the driver thread; a CSR-resident source streams zero-copy sparse
-/// panels instead. Streaming accounting prices the pass as it goes: produce
-/// segments are the tile recomputation on the shared executor, consume
-/// segments the per-job folds measured off each fork's own trace and summed
-/// in job order.
-fn lockstep<T: Scalar>(
-    jobs: &[FitJob],
-    runs: &mut [JobRun<T>],
-    source: &dyn KernelSource<T>,
-    shared_executor: &dyn Executor,
-    threads: usize,
-    meter: &mut StreamMeter,
-) -> Result<()> {
-    // Kernel k-means++ row pulls on a *sharded* source go through the
-    // shared shard-activation state (`Executor::activate_shard` on the
-    // topology every fork shares), so seeding fans out only on single-shard
-    // topologies; per-fork row charges are deterministic either way.
-    let seed_threads = if shared_executor.shard_count() == 1 {
-        threads
-    } else {
-        1
-    };
-    par_over_jobs(jobs, runs, seed_threads, |job, run| {
-        let KernelKmeansConfig { k, init, seed, .. } = job.config;
-        let labels = initial_assignments_source(source, k, init, seed, &*run.executor)?;
-        run.state = LoopState::new(labels, k);
-        Ok(())
-    })?;
-    let measure = meter.active();
-    while jobs
-        .iter()
-        .zip(runs.iter())
-        .any(|(job, run)| run.state.active(&job.config))
-    {
-        over_active(jobs, runs, threads, |_, run| {
-            let (iteration, labels) = (run.state.iteration(), run.state.labels());
-            run.engine
-                .begin_iteration(iteration, source, labels, &*run.executor)
-        })?;
-        meter.begin_pass(shared_executor);
-        // One tile's folds: a fan-out of `consume` over the active jobs.
-        let mut fold = |consume: &(dyn Fn(&mut JobRun<T>) -> Result<()> + Sync)| {
-            meter.tile_produced(shared_executor);
-            let marks: Vec<usize> = if measure {
-                runs.iter().map(|run| run.executor.trace_len()).collect()
-            } else {
-                Vec::new()
-            };
-            over_active(jobs, runs, threads, |_, run| consume(run))?;
-            let mut seconds = EngineSeconds::default();
-            for (run, &mark) in runs.iter().zip(&marks) {
-                seconds.accumulate(run.executor.engine_seconds_since(mark));
-            }
-            meter.tile_consumed_external(seconds);
-            Ok(())
-        };
-        source.for_each_panel(shared_executor, None, &mut |rows, panel| {
-            fold(&|run| run.engine.consume(rows.clone(), panel, &*run.executor))
-        })?;
-        meter.finish_pass();
-        over_active(jobs, runs, threads, |job, run| {
-            let distances = run.engine.finish_iteration(&*run.executor)?;
-            run.state.step(&distances, &job.config, &*run.executor);
-            run.engine.recycle_distances(distances);
-            Ok(())
-        })?;
-    }
-    Ok(())
-}
-
 /// Drive every job's clustering iterations over one shared [`KernelSource`]
-/// in **lockstep**: per global iteration, a single tile pass over `K` feeds
-/// every still-active job.
+/// in **lockstep**: each job is one run of `pipeline::lockstep` on a fork
+/// of `shared_executor`, so per global iteration a single panel pass over
+/// `K` feeds every still-active job.
 ///
 /// This is what makes the batched-tiled combination pay off — with a
 /// streamed source ([`crate::ShardedKernelSource`], which
@@ -673,34 +564,30 @@ fn lockstep<T: Scalar>(
 /// once to the shared executor and serves the whole restart/k-sweep,
 /// instead of once per job; with a single-tile [`crate::FullKernel`] the
 /// pass is free and this reduces to the classic shared-`K` driver. Each
-/// job's own operations (SpMM over the tile, argmin, ...) run on a forked
-/// executor, so per-job results stay bit-identical to standalone
-/// `fit_input` calls and per-job modeled times stay attributable. The caller
-/// charged the shared phase (data preparation, and the kernel matrix when
-/// in-core) starting at trace index `mark`. The driver adds `diag(K)` to it
-/// when a job's engine reads the source's diagonal
+/// job's own operations (SpMM over the tile, argmin, ...) run on its fork,
+/// so per-job results stay bit-identical to standalone `fit_input` calls
+/// and per-job modeled times stay attributable. The caller charged the
+/// shared phase (data preparation, and the kernel matrix when in-core)
+/// starting at trace index `mark`. The driver adds `diag(K)` to it when a
+/// job's engine reads the source's diagonal
 /// ([`DistanceEngine::reads_source_diag`]) or a job seeds with kernel
-/// k-means++, and everything the tile stream charges during the loop lands
+/// k-means++, and everything the panel stream charges during the loop lands
 /// on the shared executor and joins that shared slice. `make_engine` builds
 /// each job's engine ([`crate::ModelFamily::engine`] for the solvers).
 ///
 /// # Host parallelism
 ///
 /// [`BatchOptions::host_threads`] fans the per-job seeding and
-/// `begin_iteration` / `consume` / `finish_iteration` + assignment work
-/// of each phase out across host threads. The tile stream itself stays on
-/// the driver thread (one pass, charged once); workers
-/// own disjoint contiguous job chunks, every job's state/engine/executor is
-/// touched by at most one thread per phase, and all merging back into the
-/// shared executor happens on the driver thread in fixed job order — so
-/// results, traces and residency accounting are **bit-identical at any
-/// thread count**. What changes is only the measured host wall-clock
-/// ([`BatchReport::host_seconds`]).
-///
-/// At one host thread every phase runs inline on the driver thread and
-/// nothing is spawned. Above that, each phase — kernel k-means++ seeding
-/// included, once the shared `diag(K)` cache is pre-warmed — and each tile
-/// of the pass is one scoped fan-out that joins before the driver moves on.
+/// `begin_iteration` / `consume` / `finish_iteration` + assignment work of
+/// each phase out across host threads. The panel stream itself stays on the
+/// driver thread (one pass, charged once); workers own disjoint contiguous
+/// job chunks, every job's state/engine/executor is touched by at most one
+/// thread per phase, and all merging back into the shared executor happens
+/// on the driver thread in fixed job order — so results, traces and
+/// residency accounting are **bit-identical at any thread count**. What
+/// changes is only the measured host wall-clock
+/// ([`BatchReport::host_seconds`]). At one host thread every phase runs
+/// inline and nothing is spawned.
 pub fn drive_shared_source_with<T: Scalar>(
     jobs: &[FitJob],
     source: &dyn KernelSource<T>,
@@ -714,7 +601,7 @@ pub fn drive_shared_source_with<T: Scalar>(
             "fit_batch requires at least one job".into(),
         ));
     }
-    let engines = jobs.iter().map(make_engine).collect::<Result<Vec<_>>>()?;
+    let mut engines = jobs.iter().map(make_engine).collect::<Result<Vec<_>>>()?;
     // diag(K) is identical across jobs. Engines that read it from the source
     // and kernel k-means++ seeding would each pull it on whichever job's
     // fork gets there first, so compute and charge it once in the shared
@@ -734,33 +621,19 @@ pub fn drive_shared_source_with<T: Scalar>(
     let shared_baseline = shared_executor.resident_bytes();
     // Forks are built up front on the driver thread, in job order, so every
     // fork sees the same residency baseline it would in the sequential
-    // drive. Seeding replaces the placeholder states before the first
-    // iteration.
-    let mut runs: Vec<JobRun<T>> = jobs
+    // drive.
+    let forks: Vec<Box<dyn Executor>> = jobs.iter().map(|_| shared_executor.fork()).collect();
+    let mut runs: Vec<Run<'_, T>> = jobs
         .iter()
-        .zip(engines)
-        .map(|(job, engine)| JobRun {
-            executor: shared_executor.fork(),
-            engine,
-            state: LoopState::new(Vec::new(), job.config.k),
-        })
+        .zip(&forks)
+        .zip(&mut engines)
+        .map(|((job, fork), engine)| Run::new(&job.config, &**fork, &mut **engine, None))
         .collect();
-
-    // One meter for the shared tile pass; jobs were validated to share the
-    // streaming policy, so the first job's setting speaks for the batch.
-    let mut meter = StreamMeter::new(
-        jobs.first()
-            .map(|job| job.config.streaming)
-            .unwrap_or(Streaming::Off),
-    );
-    lockstep(
-        jobs,
-        &mut runs,
-        source,
-        shared_executor,
-        threads,
-        &mut meter,
-    )?;
+    // Jobs were validated to share the streaming policy, so the first
+    // job's setting speaks for the batch's one pass.
+    let mut meter = StreamMeter::new(jobs[0].config.streaming);
+    pipeline::lockstep(&mut runs, source, shared_executor, threads, &mut meter)?;
+    let states: Vec<LoopState> = runs.into_iter().map(|run| run.state).collect();
 
     // Slice the shared phase before absorbing per-job records on top of it.
     let shared_trace = trace_since(shared_executor, mark);
@@ -774,13 +647,9 @@ pub fn drive_shared_source_with<T: Scalar>(
     // the modeled accounting.
     let mut persistent_sum = 0u64;
     let mut max_transient = 0u64;
-    for run in &runs {
-        let persistent = run
-            .executor
-            .resident_bytes()
-            .saturating_sub(shared_baseline);
-        let transient = run
-            .executor
+    for fork in &forks {
+        let persistent = fork.resident_bytes().saturating_sub(shared_baseline);
+        let transient = fork
             .peak_resident_bytes()
             .saturating_sub(shared_baseline)
             .saturating_sub(persistent);
@@ -794,10 +663,10 @@ pub fn drive_shared_source_with<T: Scalar>(
     );
     let mut results = Vec::with_capacity(jobs.len());
     let mut job_reports = Vec::with_capacity(jobs.len());
-    for (job, run) in jobs.iter().zip(runs) {
-        let job_trace = run.executor.trace();
+    for ((job, fork), state) in jobs.iter().zip(&forks).zip(states) {
+        let job_trace = fork.trace();
         shared_executor.absorb(&job_trace);
-        let mut result = run.state.into_result(&run.executor);
+        let mut result = state.into_result(&**fork);
         result.approx_error_bound = source.approx_error_bound();
         job_reports.push(JobReport::new(job, &result, &job_trace));
         results.push(result);
@@ -853,7 +722,7 @@ mod tests {
     use crate::solver::Solver;
     use crate::{KernelFunction, KernelMatrixStrategy, TilePolicy};
     use popcorn_dense::DenseMatrix;
-    use popcorn_gpusim::{ExecutorExt, SimExecutor};
+    use popcorn_gpusim::{ExecutorExt, SimExecutor, Streaming};
     use popcorn_gpusim::{OpClass, OpCost, Phase};
 
     fn blob_points() -> DenseMatrix<f64> {
@@ -881,7 +750,7 @@ mod tests {
         assert_eq!(restarts[2].config.seed, 2);
         assert!(restarts.iter().all(|j| j.config.k == 3));
 
-        let sweep = FitJob::k_sweep(&base, &[2, 4], 3);
+        let sweep = FitJob::k_sweep(&base, &[2, 4], 3).unwrap();
         assert_eq!(sweep.len(), 6);
         assert_eq!(sweep[0].config.k, 2);
         assert_eq!(sweep[0].config.seed, 5);
@@ -890,6 +759,12 @@ mod tests {
 
         let from: FitJob = base.clone().into();
         assert_eq!(from.config, base);
+
+        // A grid whose job count overflows is a typed error, not an abort.
+        assert!(matches!(
+            FitJob::k_sweep(&base, &[2, 4], usize::MAX),
+            Err(CoreError::HostAllocationFailed { .. })
+        ));
     }
 
     #[test]
@@ -1026,7 +901,8 @@ mod tests {
                 .with_streaming(Streaming::DoubleBuffered),
             &[2, 3, 5, 7, 11, 13],
             1,
-        );
+        )
+        .unwrap();
         let streaming_bits = |threads: usize| {
             let batch = solver
                 .fit_batch_with(
@@ -1059,6 +935,91 @@ mod tests {
         // Mixed streaming policies cannot share one pass pricing.
         let mixed = vec![jobs_off[0].clone(), jobs_on[1].clone()];
         assert!(validate_jobs(&FitInput::from(&points), &mixed).is_err());
+    }
+
+    /// Popcorn's data preparation and `K` under family `F`'s distance
+    /// engine: the loop runs the engine, so each family's loop is covered.
+    struct EngineOf<const F: usize>;
+
+    impl<const F: usize> crate::KernelFamily for EngineOf<F> {
+        const FAMILY: crate::ModelFamily = [
+            crate::ModelFamily::Popcorn,
+            crate::ModelFamily::CpuReference,
+            crate::ModelFamily::DenseBaseline,
+        ][F];
+
+        fn prepare<T: Scalar>(
+            input: FitInput<'_, T>,
+            executor: &dyn Executor,
+        ) -> Result<Option<DenseMatrix<T>>> {
+            crate::popcorn::Popcorn::prepare(input, executor)
+        }
+
+        fn kernel_matrix<T: Scalar>(
+            input: FitInput<'_, T>,
+            config: &KernelKmeansConfig,
+            executor: &dyn Executor,
+        ) -> Result<popcorn_dense::PackedSymmetric<T>> {
+            crate::popcorn::Popcorn::kernel_matrix(input, config, executor)
+        }
+    }
+
+    fn one_job_batch_is_the_fit<const F: usize>() {
+        let points = DenseMatrix::from_fn(40, 3, |i, j| {
+            (i % 4) as f64 * 4.0 + ((i * 3 + j) as f64 * 0.37).sin() * 2.0
+        });
+        for tiling in [TilePolicy::Full, TilePolicy::Rows(7)] {
+            let config = config(4)
+                .with_tiling(tiling)
+                .with_streaming(Streaming::DoubleBuffered);
+            let solver = crate::KernelSolver::<EngineOf<F>>::new(config.clone());
+            let fit = solver.fit(&points).unwrap();
+            let jobs = [FitJob::from(config)];
+            let batch = solver.fit_batch(FitInput::from(&points), &jobs).unwrap();
+            let job = &batch.results[0];
+            let case = format!("family {F}, {tiling:?}");
+            assert!(fit.iterations > 1, "{case}");
+            assert_eq!(job.labels, fit.labels, "{case}");
+            assert_eq!(job.objective.to_bits(), fit.objective.to_bits(), "{case}");
+            let bits = |result: &ClusteringResult| -> Vec<_> {
+                let history = result.history.iter();
+                history
+                    .map(|h| {
+                        (
+                            h.iteration,
+                            h.objective.to_bits(),
+                            h.changed,
+                            h.empty_clusters,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(bits(job), bits(&fit), "{case}");
+            let report_bits = |report: Option<StreamingReport>| {
+                let r = report.expect("a double-buffered pass is metered");
+                let seconds = [
+                    r.produce.compute,
+                    r.produce.copy,
+                    r.consume.compute,
+                    r.consume.copy,
+                    r.exposed_first_tile_seconds,
+                    r.hidden_seconds,
+                ];
+                (r.passes, r.tiles, seconds.map(f64::to_bits))
+            };
+            assert_eq!(
+                report_bits(batch.report.streaming),
+                report_bits(fit.streaming),
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_job_batch_is_the_fit_for_every_family() {
+        one_job_batch_is_the_fit::<0>();
+        one_job_batch_is_the_fit::<1>();
+        one_job_batch_is_the_fit::<2>();
     }
 
     #[test]
@@ -1116,7 +1077,7 @@ mod tests {
         // 5 jobs on 4 requested threads: exactly 4 workers run and exactly
         // 4 is reported (the div_ceil split used to run 3 but report 4).
         let points = blob_points();
-        let jobs = FitJob::k_sweep(&config(2), &[2], 5);
+        let jobs = FitJob::k_sweep(&config(2), &[2], 5).unwrap();
         assert_eq!(jobs.len(), 5);
         let batch = KernelKmeans::new(config(2))
             .fit_batch_with(
@@ -1143,7 +1104,7 @@ mod tests {
         // source: one phase per tile either way, identical batches.
         let points = blob_points();
         let tiled = config(2).with_tiling(TilePolicy::Rows(5));
-        let jobs = FitJob::k_sweep(&tiled, &[2, 3], 2);
+        let jobs = FitJob::k_sweep(&tiled, &[2, 3], 2).unwrap();
         let drive = |threads: usize| {
             KernelKmeans::new(tiled.clone())
                 .fit_batch_with(
@@ -1242,7 +1203,7 @@ mod tests {
     #[test]
     fn parallel_batch_matches_sequential_batch_exactly() {
         let points = blob_points();
-        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2);
+        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2).unwrap();
         let sequential = KernelKmeans::new(config(2))
             .fit_batch(FitInput::from(&points), &jobs)
             .unwrap();
@@ -1356,7 +1317,7 @@ mod tests {
     #[test]
     fn best_selection_minimizes_objective() {
         let points = blob_points();
-        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2);
+        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2).unwrap();
         let batch = KernelKmeans::new(config(2))
             .fit_batch(FitInput::from(&points), &jobs)
             .unwrap();

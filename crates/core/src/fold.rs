@@ -468,7 +468,7 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Drive {
         /// Full-width tiles whatever the fold requests: a resident source,
-        /// or the lockstep batch driver.
+        /// or a pass two or more runs share.
         Full,
         /// Tiles of exactly the requested columns, full ones when the fold
         /// requests none.
@@ -498,6 +498,7 @@ mod tests {
             _ => (0..N).collect(),
         };
         let packed = PackedSymmetric::from_lower(m).unwrap();
+        let csr = csr_of(m);
         let past_the_end = PackedSymmetric::<T>::zeros(N + 1).unwrap();
         for (t, rows) in bounds.windows(2).map(|w| w[0]..w[1]).enumerate() {
             let broken = fail && t == (bounds.len() - 2).min(1);
@@ -507,10 +508,7 @@ mod tests {
                     let short = CsrMatrix::zeros(rows.len(), width);
                     fold.panel(rows.clone(), Panel::Csr(short.rows_view(0..rows.len())))?
                 }
-                PanelKind::Csr => {
-                    let csr = source.csr().unwrap();
-                    fold.panel(rows.clone(), Panel::Csr(csr.rows_view(rows)))?
-                }
+                PanelKind::Csr => fold.panel(rows.clone(), Panel::Csr(csr.rows_view(rows)))?,
                 PanelKind::Lower if broken => {
                     let panel = past_the_end.rows(rows.start..N + 1);
                     fold.panel(rows, Panel::Lower(panel))?
@@ -694,7 +692,8 @@ mod tests {
             change(&mut labels);
             check(&mut fold, step, s, &labels, dirty, drive);
         }
-        // A request answered with full tiles, as the lockstep driver does.
+        // A request answered with full tiles, as a pass shared by two or
+        // more runs does.
         move_first(&mut labels, 0, 3);
         let full_tiles = "a request answered with full tiles";
         check(&mut fold, full_tiles, 0, &labels, &[0, 3], Drive::Full);

@@ -67,7 +67,7 @@ use popcorn_dense::{
     matmul_nt_rows_with, syrk_packed_with, DenseMatrix, PackedRows, PackedSymmetric, Scalar,
 };
 use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
-use popcorn_sparse::{CsrMatrix, CsrRows, GramIndex};
+use popcorn_sparse::{CsrRows, GramIndex};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -213,13 +213,6 @@ pub trait KernelSource<T: Scalar>: Sync {
     /// [`crate::ClusteringResult::approx_error_bound`] and in the CLI report
     /// footer.
     fn approx_error_bound(&self) -> Option<f64> {
-        None
-    }
-
-    /// The resident CSR form of `K` when this source keeps one — `None` (the
-    /// default) for dense backends, `Some` for
-    /// [`crate::sparsified::SparsifiedKernel`].
-    fn csr(&self) -> Option<&CsrMatrix<T>> {
         None
     }
 }

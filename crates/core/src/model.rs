@@ -39,7 +39,7 @@ use crate::kernel_source::{
 };
 use crate::lloyd;
 use crate::nystrom::{KernelApprox, NystromFactors};
-use crate::pipeline::{self, DistanceEngine, LoopState};
+use crate::pipeline::{self, DistanceEngine, Run};
 use crate::popcorn::PopcornEngine;
 use crate::result::ClusteringResult;
 use crate::rowsum::{self, BaselineEngine, CpuEngine};
@@ -516,12 +516,12 @@ impl<T: Scalar> FittedModel<T> {
         }
     }
 
-    /// Replay one distance pass of the family's own engine over the resident
-    /// state under the stored labels, then one step of the fit loop from
-    /// them. For a converged fit (final iteration changed nothing) this
-    /// reproduces the fit labels bit for bit, charging no kernel-matrix
-    /// recomputation for `full`/`csr`/`nystrom` resident state (`streamed`
-    /// models honestly recompute tiles, exactly as the fit did).
+    /// Replay one pass and one step of the fit's loop with the family's own
+    /// engine over the resident state, from the stored labels. For a
+    /// converged fit (final iteration changed nothing) this reproduces the
+    /// fit labels bit for bit, charging no kernel-matrix recomputation for
+    /// `full`/`csr`/`nystrom` resident state (`streamed` models honestly
+    /// recompute tiles, exactly as the fit did).
     fn assign_training(&self, executor: &dyn Executor) -> Result<Vec<usize>> {
         if self.family == ModelFamily::Lloyd {
             return self.lloyd_assign(self.points.as_input(), executor);
@@ -529,17 +529,13 @@ impl<T: Scalar> FittedModel<T> {
         let mut copy = None;
         let source = ModelSource::new(self, &mut copy, executor)?;
         let mut engine = self.family.engine(self.config.k)?;
-        let distances = pipeline::distance_pass(
-            &source,
-            engine.as_mut(),
-            0,
-            &self.labels,
-            &mut StreamMeter::new(Streaming::Off),
-            executor,
-        )?;
-        let mut state = LoopState::new(self.labels.clone(), self.config.k);
-        state.step(&distances, &self.config, executor);
-        Ok(state.labels().to_vec())
+        // A one-iteration budget: the loop runs one pass and one step.
+        let config = self.config.clone().with_max_iter(1);
+        let labels = Some(self.labels.clone());
+        let mut runs = [Run::new(&config, executor, engine.as_mut(), labels)];
+        let mut meter = StreamMeter::new(Streaming::Off);
+        pipeline::lockstep(&mut runs, &source, executor, 1, &mut meter)?;
+        Ok(runs[0].state.labels().to_vec())
     }
 
     /// Out-of-sample assignment. All kernel families share the exact distance
@@ -1238,13 +1234,6 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
 
     fn approx_error_bound(&self) -> Option<f64> {
         self.model.approx_error_bound
-    }
-
-    fn csr(&self) -> Option<&CsrMatrix<T>> {
-        match self.kernel {
-            ModelKernel::Csr(matrix) => Some(matrix),
-            _ => None,
-        }
     }
 
     fn resident(&self) -> ResidentKernel<T> {

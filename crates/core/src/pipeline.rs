@@ -1,4 +1,4 @@
-//! The shared kernel k-means iteration loop.
+//! The kernel k-means iteration loop, once.
 //!
 //! Popcorn, the CPU reference and the dense GPU baseline all run the same
 //! outer loop (paper Alg. 2 lines 3–14): initial assignment, then per
@@ -6,31 +6,36 @@
 //! repair and a convergence check. The three implementations differ **only**
 //! in how the distance matrix is produced — Popcorn's SpMM/SpMV engine, the
 //! PRMLT-style sequential loops, or the baseline's three hand-written
-//! kernels. [`iterate`] owns the loop; each family supplies a
-//! [`DistanceEngine`] for its distance phase ([`crate::ModelFamily::engine`]),
-//! so the convergence/repair plumbing exists exactly once.
+//! kernels — so each family supplies a [`DistanceEngine`]
+//! ([`crate::ModelFamily::engine`]) and `lockstep` owns everything else.
 //!
 //! The kernel matrix reaches the loop as a [`KernelSource`], never as a
-//! borrowed full matrix: every iteration streams `K` in row panels of the
+//! borrowed full matrix: every pass streams `K` in row panels of the
 //! source's own kind (`begin_iteration` → one [`DistanceEngine::consume`]
 //! per panel of [`KernelSource::for_each_panel`] → `finish_iteration`),
-//! which is the in-core path unchanged when the source is a single-panel
+//! which is the in-core path when the source is a single-panel
 //! [`crate::FullKernel`] and the out-of-core compute-consume path when it is
 //! a streamed [`crate::ShardedKernelSource`] (the source
 //! [`crate::kernel_source::run_with_source`] hands out whenever `K` is not
-//! kept whole, on one device or several). [`LoopState`] factors the
-//! per-iteration assignment/convergence bookkeeping out of the loop so the
-//! batched lockstep driver (`crate::batch`) can run many jobs over one panel
-//! pass.
+//! kept whole, on one device or several).
+//!
+//! `lockstep` drives any number of runs over one source, one pass per
+//! iteration feeding every run still iterating: a fit or refit
+//! ([`iterate_init`]) is one run on the fit's own executor, a restart batch
+//! (`crate::batch`) one run per job on forks of the shared executor, and a
+//! fitted model's training replay one pass and one step of a single run.
+//! [`LoopState`] is a run's assignment/history/convergence bookkeeping, which
+//! Lloyd's loop records its iterations through as well.
 
-use crate::assignment::{assign_clusters_into, repair_empty_clusters};
+use crate::assignment::{assign_clusters_into, repair_empty_clusters, AssignmentStats};
+use crate::batch::par_over;
 use crate::config::KernelKmeansConfig;
 use crate::init::initial_assignments_source;
 use crate::kernel_source::{KernelSource, Panel};
 use crate::result::{ClusteringResult, IterationStats, TimingBreakdown};
 use crate::Result;
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{Executor, StreamMeter};
+use popcorn_gpusim::{EngineSeconds, Executor, StreamMeter};
 use std::ops::Range;
 
 /// Produces the `n × k` distance matrix for one iteration, consuming the
@@ -44,8 +49,8 @@ use std::ops::Range;
 /// through [`DistanceEngine::recycle_distances`] so the engine can reuse the
 /// allocation for the next iteration instead of reallocating per pass.
 ///
-/// Engines are `Send` by contract: the parallel batch driver moves each job's
-/// engine to whichever host thread owns the job for the current phase.
+/// Engines are `Send` by contract: `lockstep` hands each run's engine to
+/// whichever host thread owns the run for the current phase.
 pub trait DistanceEngine<T: Scalar>: Send {
     /// Start one iteration: rebuild per-iteration state from the current
     /// labels (selection matrix, cluster sizes, output buffers).
@@ -89,18 +94,19 @@ pub trait DistanceEngine<T: Scalar>: Send {
         let _ = distances;
     }
 
-    /// Whether `begin_iteration` reads [`KernelSource::diag`]. The lockstep
-    /// batch driver computes and charges that diagonal once, in the shared
-    /// phase, when any job's engine reads it. The default is `false`, for
+    /// Whether `begin_iteration` reads [`KernelSource::diag`]. The restart
+    /// batch computes and charges that diagonal once, in the shared phase,
+    /// when any job's engine reads it. The default is `false`, for
     /// engines that collect the diagonal from the tiles they fold.
     fn reads_source_diag(&self) -> bool {
         false
     }
 }
 
-/// Per-run loop bookkeeping: labels, history, convergence. Shared by the
-/// single-fit loop below and the batched lockstep driver, so the
-/// assignment/repair/convergence semantics exist exactly once.
+/// A run's loop bookkeeping: labels, history, convergence. `lockstep`
+/// steps it from each pass's distances and Lloyd's loop records its own
+/// assignments through it, so the history, the changed and empty-cluster
+/// counts and the convergence rule exist once.
 #[derive(Debug, Clone)]
 pub struct LoopState {
     labels: Vec<usize>,
@@ -153,15 +159,28 @@ impl LoopState {
         config: &KernelKmeansConfig,
         executor: &dyn Executor,
     ) {
-        let iteration = self.iterations;
         let outcome =
             assign_clusters_into(distances, &self.labels, &mut self.scratch_labels, executor);
         if config.repair_empty_clusters && outcome.empty_clusters > 0 {
             repair_empty_clusters(&mut self.scratch_labels, distances, self.k);
         }
+        self.advance(outcome, config);
+    }
 
+    /// Record one iteration whose assignment the caller made itself
+    /// (Lloyd's nearest-centroid sweep): `labels` and their `objective`
+    /// enter the history and the convergence check as a `step`'s would. No
+    /// repair runs.
+    pub fn record(&mut self, labels: Vec<usize>, objective: f64, config: &KernelKmeansConfig) {
+        let outcome = AssignmentStats::of(&labels, &self.labels, self.k, objective);
+        self.scratch_labels = labels;
+        self.advance(outcome, config);
+    }
+
+    /// Make the assignment in `scratch_labels` current and account it.
+    fn advance(&mut self, outcome: AssignmentStats, config: &KernelKmeansConfig) {
         self.history.push(IterationStats {
-            iteration,
+            iteration: self.iterations,
             objective: outcome.objective,
             changed: outcome.changed,
             empty_clusters: outcome.empty_clusters,
@@ -169,7 +188,7 @@ impl LoopState {
         // The new labels become current; the old vector becomes next
         // iteration's scratch (no allocation per pass).
         std::mem::swap(&mut self.labels, &mut self.scratch_labels);
-        self.iterations = iteration + 1;
+        self.iterations += 1;
 
         // Convergence: assignments stopped changing, or the objective's
         // relative improvement fell below the tolerance.
@@ -190,14 +209,25 @@ impl LoopState {
     /// Assemble the [`ClusteringResult`] from the loop state and the
     /// executor's trace.
     pub fn into_result(self, executor: &dyn Executor) -> ClusteringResult {
-        finalize(
-            self.labels,
-            self.k,
-            self.iterations,
-            self.converged,
-            self.history,
-            executor,
-        )
+        let trace = executor.trace();
+        let objective = self.history.last().map_or(f64::NAN, |h| h.objective);
+        ClusteringResult {
+            labels: self.labels,
+            k: self.k,
+            iterations: self.iterations,
+            converged: self.converged,
+            objective,
+            history: self.history,
+            modeled_timings: TimingBreakdown::from_trace_modeled(&trace),
+            host_timings: TimingBreakdown::from_trace_host(&trace),
+            peak_resident_bytes: executor.peak_resident_bytes(),
+            trace,
+            approx_error_bound: None,
+            streaming: None,
+            config: None,
+            recovery: executor.recovery_report().filter(|r| !r.is_empty()),
+            centroids: None,
+        }
     }
 }
 
@@ -216,7 +246,8 @@ pub fn iterate<T: Scalar>(
 /// warm-start entry point used by `Solver::refit`, where the previous fit's
 /// labels seed the loop instead of the configured initialization. `None`
 /// reproduces [`iterate`] exactly (including its RNG draws), so a cold refit
-/// is bit-identical to a cold fit by construction.
+/// is bit-identical to a cold fit by construction. Either way the fit is one
+/// `lockstep` run on `executor`.
 pub fn iterate_init<T: Scalar>(
     source: &dyn KernelSource<T>,
     config: &KernelKmeansConfig,
@@ -227,108 +258,164 @@ pub fn iterate_init<T: Scalar>(
     let n = source.n();
     config.validate(n)?;
     let k = config.k;
-
-    // Initial assignment (Alg. 2 line 3), or the caller's warm start.
-    let labels = match init {
-        Some(labels) => {
-            if labels.len() != n {
-                return Err(crate::CoreError::InvalidInput(format!(
-                    "warm-start labels have length {} but the source has {n} rows",
-                    labels.len()
-                )));
-            }
-            if let Some(&bad) = labels.iter().find(|&&l| l >= k) {
-                return Err(crate::CoreError::InvalidInput(format!(
-                    "warm-start label {bad} is out of range for k = {k}"
-                )));
-            }
-            labels
+    if let Some(labels) = &init {
+        if labels.len() != n {
+            return Err(crate::CoreError::InvalidInput(format!(
+                "warm-start labels have length {} but the source has {n} rows",
+                labels.len()
+            )));
         }
-        None => initial_assignments_source(source, k, config.init, config.seed, executor)?,
-    };
-    let mut state = LoopState::new(labels, k);
-
-    // Measures the per-tile produce (source charges) / consume (engine
-    // charges) segments the double-buffer model prices; a no-op with
-    // streaming off. The trace itself is identical either way — the meter
-    // only reads marks off it.
-    let mut meter = StreamMeter::new(config.streaming);
-    while state.active(config) {
-        let distances = distance_pass(
-            source,
-            engine,
-            state.iteration(),
-            state.labels(),
-            &mut meter,
-            executor,
-        )?;
-        state.step(&distances, config, executor);
-        engine.recycle_distances(distances);
+        if let Some(&bad) = labels.iter().find(|&&l| l >= k) {
+            return Err(crate::CoreError::InvalidInput(format!(
+                "warm-start label {bad} is out of range for k = {k}"
+            )));
+        }
     }
-
-    let mut result = state.into_result(executor);
+    let mut runs = [Run::new(config, executor, engine, init)];
+    // Prices the per-tile produce (source charges) / consume (engine
+    // charges) segments of the double-buffer model; a no-op with streaming
+    // off. The trace itself is identical either way.
+    let mut meter = StreamMeter::new(config.streaming);
+    lockstep(&mut runs, source, executor, 1, &mut meter)?;
+    let [run] = runs;
+    let mut result = run.state.into_result(executor);
     result.approx_error_bound = source.approx_error_bound();
     result.streaming = meter.into_report();
     result.config = Some(config.clone());
     Ok(result)
 }
 
-/// One iteration's distance pass of `engine` over `source` under `labels`:
-/// `begin_iteration`, one fold per panel of the kind the source hands out
-/// ([`KernelSource::for_each_panel`]; dense tiles of the columns the engine
-/// reads, [`DistanceEngine::columns`]), then `finish_iteration`. `meter`
-/// reads the pass's produce/consume segments off the trace and never
-/// changes it.
-pub(crate) fn distance_pass<T: Scalar>(
-    source: &dyn KernelSource<T>,
-    engine: &mut dyn DistanceEngine<T>,
-    iteration: usize,
-    labels: &[usize],
-    meter: &mut StreamMeter,
-    executor: &dyn Executor,
-) -> Result<DenseMatrix<T>> {
-    engine.begin_iteration(iteration, source, labels, executor)?;
-    meter.begin_pass(executor);
-    // A copy, because the panels go back to the engine mutably.
-    let columns = engine.columns().map(<[usize]>::to_vec);
-    source.for_each_panel(executor, columns.as_deref(), &mut |rows, panel| {
-        meter.tile_produced(executor);
-        let folded = engine.consume(rows, panel, executor);
-        meter.tile_consumed(executor);
-        folded
-    })?;
-    meter.finish_pass();
-    engine.finish_iteration(executor)
+/// One run of [`lockstep`]: its config, the executor its own operations
+/// charge to, its distance engine and its loop state. Runs borrow their
+/// executor and engine: a fit's are the fit's own, a batch's the forks and
+/// engines the batch driver owns.
+pub(crate) struct Run<'a, T: Scalar> {
+    config: &'a KernelKmeansConfig,
+    executor: &'a dyn Executor,
+    engine: &'a mut dyn DistanceEngine<T>,
+    /// Warm-start labels, which seeding takes instead of running the
+    /// configured initialization.
+    init: Option<Vec<usize>>,
+    pub(crate) state: LoopState,
 }
 
-/// Assemble a [`ClusteringResult`] from loop state and the executor's trace.
-pub fn finalize(
-    labels: Vec<usize>,
-    k: usize,
-    iterations: usize,
-    converged: bool,
-    history: Vec<IterationStats>,
-    executor: &dyn Executor,
-) -> ClusteringResult {
-    let trace = executor.trace();
-    let objective = history.last().map(|h| h.objective).unwrap_or(f64::NAN);
-    ClusteringResult {
-        labels,
-        k,
-        iterations,
-        converged,
-        objective,
-        history,
-        modeled_timings: TimingBreakdown::from_trace_modeled(&trace),
-        host_timings: TimingBreakdown::from_trace_host(&trace),
-        peak_resident_bytes: executor.peak_resident_bytes(),
-        trace,
-        approx_error_bound: None,
-        streaming: None,
-        config: None,
-        recovery: executor.recovery_report().filter(|r| !r.is_empty()),
-        centroids: None,
+impl<'a, T: Scalar> Run<'a, T> {
+    pub(crate) fn new(
+        config: &'a KernelKmeansConfig,
+        executor: &'a dyn Executor,
+        engine: &'a mut dyn DistanceEngine<T>,
+        init: Option<Vec<usize>>,
+    ) -> Self {
+        Self {
+            config,
+            executor,
+            engine,
+            init,
+            state: LoopState::new(Vec::new(), config.k),
+        }
     }
+
+    fn active(&self) -> bool {
+        self.state.active(self.config)
+    }
+}
+
+/// One phase of the loop: [`par_over`] the runs that are still iterating;
+/// runs that stopped skip the phase.
+fn over_active<T: Scalar>(
+    runs: &mut [Run<'_, T>],
+    threads: usize,
+    f: impl Fn(&mut Run<'_, T>) -> Result<()> + Sync,
+) -> Result<()> {
+    par_over(
+        runs,
+        threads,
+        |run| if run.active() { f(run) } else { Ok(()) },
+    )
+}
+
+/// The iteration loop (paper Alg. 2 lines 3–14) of every run over `source`:
+/// seeding (or each run's warm-start labels), then per pass, while any run
+/// is active, `begin_iteration`, one panel pass over `source` whose every
+/// panel each active run folds, and `finish_iteration` plus the assignment
+/// step. Seeding, each phase and every panel's folds are one [`par_over`]
+/// fan-out over `threads` host threads, so each run's work and its order are
+/// the same at every thread count and everything downstream is bit-identical.
+/// A panel's borrow never leaves the source's visitor: the fan-out over it
+/// joins before the visitor returns.
+///
+/// The source charges what it produces (a tiled source's recomputation) to
+/// `shared_executor`, on the calling thread, once for every run. A pass asks
+/// for the columns of its only active run ([`DistanceEngine::columns`]) and
+/// for every column while two or more runs are active. `meter` prices the
+/// pass as it goes: produce segments off `shared_executor`, consume segments
+/// as the seconds the active runs' folds charged to their own executors,
+/// summed in run order.
+pub(crate) fn lockstep<T: Scalar>(
+    runs: &mut [Run<'_, T>],
+    source: &dyn KernelSource<T>,
+    shared_executor: &dyn Executor,
+    threads: usize,
+    meter: &mut StreamMeter,
+) -> Result<()> {
+    // Kernel k-means++ row pulls on a *sharded* source go through the
+    // shared shard-activation state (`Executor::activate_shard` on the
+    // topology every fork shares), so seeding fans out only on single-shard
+    // topologies; per-fork row charges are deterministic either way.
+    let seed_threads = if shared_executor.shard_count() == 1 {
+        threads
+    } else {
+        1
+    };
+    par_over(runs, seed_threads, |run| {
+        let KernelKmeansConfig { k, init, seed, .. } = *run.config;
+        let labels = match run.init.take() {
+            Some(labels) => labels,
+            None => initial_assignments_source(source, k, init, seed, run.executor)?,
+        };
+        run.state = LoopState::new(labels, k);
+        Ok(())
+    })?;
+    let measure = meter.active();
+    while runs.iter().any(Run::active) {
+        over_active(runs, threads, |run| {
+            let (iteration, labels) = (run.state.iteration(), run.state.labels());
+            run.engine
+                .begin_iteration(iteration, source, labels, run.executor)
+        })?;
+        let mut active = runs.iter().filter(|run| run.active());
+        // A copy, because the panels go back to the engines mutably.
+        let columns = match (active.next(), active.next()) {
+            (Some(run), None) => run.engine.columns().map(<[usize]>::to_vec),
+            _ => None,
+        };
+        meter.begin_pass(shared_executor);
+        source.for_each_panel(shared_executor, columns.as_deref(), &mut |rows, panel| {
+            meter.tile_produced(shared_executor);
+            let marks: Vec<usize> = if measure {
+                runs.iter().map(|run| run.executor.trace_len()).collect()
+            } else {
+                Vec::new()
+            };
+            over_active(runs, threads, |run| {
+                run.engine.consume(rows.clone(), panel, run.executor)
+            })?;
+            let mut seconds = EngineSeconds::default();
+            for (run, &mark) in runs.iter().zip(&marks).filter(|(run, _)| run.active()) {
+                seconds.accumulate(run.executor.engine_seconds_since(mark));
+            }
+            meter.tile_consumed(seconds, shared_executor);
+            Ok(())
+        })?;
+        meter.finish_pass();
+        over_active(runs, threads, |run| {
+            let distances = run.engine.finish_iteration(run.executor)?;
+            run.state.step(&distances, run.config, run.executor);
+            run.engine.recycle_distances(distances);
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -428,7 +515,7 @@ mod tests {
     #[test]
     fn finalize_empty_history_gives_nan_objective() {
         let exec = SimExecutor::a100_f32();
-        let result = finalize(vec![0, 1], 2, 0, false, Vec::new(), &exec);
+        let result = LoopState::new(vec![0, 1], 2).into_result(&exec);
         assert!(result.objective.is_nan());
         assert_eq!(result.iterations, 0);
     }

@@ -176,8 +176,7 @@ mod tests {
     use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
     use popcorn_gpusim::{
-        DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor, SimExecutor, StreamMeter,
-        Streaming,
+        DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor, SimExecutor,
     };
     use popcorn_sparse::CsrMatrix;
     use std::sync::Arc;
@@ -410,7 +409,8 @@ mod tests {
     }
 
     /// One distance pass of a fresh `family` engine over `source`, driven
-    /// as the fit drives it, in the panels the source hands out.
+    /// as a fit's lone run drives it: the panels the source hands out, of
+    /// the columns the engine reads.
     fn engine_distances(
         family: ModelFamily,
         source: &dyn KernelSource<f64>,
@@ -419,10 +419,14 @@ mod tests {
         exec: &dyn Executor,
     ) -> Vec<u64> {
         let mut engine = family.engine::<f64>(k).unwrap();
-        let mut meter = StreamMeter::new(Streaming::Off);
-        let distances =
-            crate::pipeline::distance_pass(source, &mut *engine, 0, labels, &mut meter, exec);
-        let distances = distances.unwrap();
+        engine.begin_iteration(0, source, labels, exec).unwrap();
+        let columns = engine.columns().map(<[usize]>::to_vec);
+        source
+            .for_each_panel(exec, columns.as_deref(), &mut |rows, panel| {
+                engine.consume(rows, panel, exec)
+            })
+            .unwrap();
+        let distances = engine.finish_iteration(exec).unwrap();
         distances.as_slice().iter().map(|d| d.to_bits()).collect()
     }
 

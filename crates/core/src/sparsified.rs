@@ -478,10 +478,6 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
         self.dropped_mass
     }
 
-    fn csr(&self) -> Option<&CsrMatrix<T>> {
-        Some(&self.csr)
-    }
-
     fn resident(&self) -> ResidentKernel<T> {
         ResidentKernel::Csr(Arc::clone(&self.csr))
     }
@@ -738,7 +734,7 @@ mod tests {
             Sparsify::Threshold { tau: 0.8 },
         ] {
             let (source, _) = build(&points, sparsify, TilePolicy::Auto);
-            let csr = KernelSource::csr(&source).unwrap();
+            let csr = &source.csr;
             assert!(csr.nnz() < 17 * 17, "{sparsify:?} must actually drop");
             for i in 0..17 {
                 let (cols, _) = csr.row(i);
@@ -765,10 +761,7 @@ mod tests {
         let (reference, _) = build(&points, sparsify, TilePolicy::Auto);
         for tiling in [TilePolicy::Rows(1), TilePolicy::Rows(7), TilePolicy::Full] {
             let (other, _) = build(&points, sparsify, tiling);
-            let (a, b) = (
-                KernelSource::csr(&reference).unwrap(),
-                KernelSource::csr(&other).unwrap(),
-            );
+            let (a, b) = (&reference.csr, &other.csr);
             assert_eq!(a.row_ptrs(), b.row_ptrs());
             assert_eq!(a.col_indices(), b.col_indices());
             assert_eq!(

@@ -4,10 +4,10 @@
 //! folds distances over tile `t` (the *consume* half), the next tile's panel
 //! GEMM / upload (the *produce* half) runs concurrently on its own stream, so
 //! in steady state production is hidden under consumption. This module prices
-//! that pipeline for a single fit from segments measured off the operation
-//! trace, without touching the trace itself — with streaming on or off, the
-//! recorded operations are bit-identical; only the *wall-clock interpretation*
-//! of the trace changes.
+//! that pipeline for a fit or a restart batch from segments measured off the
+//! operation trace, without touching the trace itself — with streaming on or
+//! off, the recorded operations are bit-identical; only the *wall-clock
+//! interpretation* of the trace changes.
 //!
 //! Dependency rule (per tile pass):
 //!
@@ -83,14 +83,17 @@ struct TileSegments {
     consume: EngineSeconds,
 }
 
-/// Measures per-tile produce/consume segments off an executor's trace and
-/// folds them into a [`StreamingReport`].
+/// Measures per-tile produce/consume segments and folds them into a
+/// [`StreamingReport`].
 ///
-/// Driven by the iteration pipeline: `begin_pass` before streaming tiles,
+/// Driven by the iteration loop: `begin_pass` before streaming tiles,
 /// `tile_produced` on visitor entry (the source just charged the tile's
-/// production), `tile_consumed` after the engine folded it, `finish_pass`
-/// after the pass. With [`Streaming::Off`] every call is a no-op, so the off
-/// path does not even take trace locks.
+/// production to the executor the pass runs on), `tile_consumed` once every
+/// run folded it, `finish_pass` after the pass. A tile's consumption is the
+/// **sum** of the runs' folds, which the loop measures off each run's own
+/// executor (runs share one device, so concurrent folds serialize on its
+/// engines). With [`Streaming::Off`] every call is a no-op, so the off path
+/// does not even take trace locks.
 #[derive(Debug)]
 pub struct StreamMeter {
     mode: Streaming,
@@ -112,14 +115,10 @@ impl StreamMeter {
         }
     }
 
-    fn off(&self) -> bool {
-        self.mode == Streaming::Off
-    }
-
     /// Start measuring a tile pass: everything charged to `executor` from
     /// here on belongs to the first tile's produce segment.
     pub fn begin_pass(&mut self, executor: &dyn Executor) {
-        if self.off() {
+        if !self.active() {
             return;
         }
         self.cursor = executor.trace_len();
@@ -129,7 +128,7 @@ impl StreamMeter {
     /// The source finished producing a tile (visitor entry): close the
     /// produce segment.
     pub fn tile_produced(&mut self, executor: &dyn Executor) {
-        if self.off() {
+        if !self.active() {
             return;
         }
         let produce = executor.engine_seconds_since(self.cursor);
@@ -140,45 +139,31 @@ impl StreamMeter {
         self.cursor = executor.trace_len();
     }
 
-    /// The engine finished folding the tile: close the consume segment.
-    pub fn tile_consumed(&mut self, executor: &dyn Executor) {
-        if self.off() {
+    /// `true` when the meter is measuring (mode is not [`Streaming::Off`]):
+    /// the loop measures the folds' seconds only then, so the off path
+    /// takes no trace locks.
+    pub fn active(&self) -> bool {
+        self.mode != Streaming::Off
+    }
+
+    /// Every run folded the tile: close its consume segment with the
+    /// `consume` seconds their folds charged, summed over the runs, and
+    /// move the cursor past those folds on `executor` (the one the pass
+    /// produces on, where a run without a fork of its own charged them),
+    /// so the next tile's production starts there.
+    pub fn tile_consumed(&mut self, consume: EngineSeconds, executor: &dyn Executor) {
+        if !self.active() {
             return;
         }
-        let consume = executor.engine_seconds_since(self.cursor);
         if let Some(tile) = self.pass.last_mut() {
             tile.consume = consume;
         }
         self.cursor = executor.trace_len();
     }
 
-    /// `true` when the meter is measuring (mode is not [`Streaming::Off`]).
-    /// Callers that gather segment inputs themselves (see
-    /// [`StreamMeter::tile_consumed_external`]) use this to keep the off
-    /// path free of trace locks.
-    pub fn active(&self) -> bool {
-        !self.off()
-    }
-
-    /// Close the current tile's consume segment from seconds the caller
-    /// measured itself — the batched lockstep driver's entry point, where a
-    /// tile's consumption is the **sum** of every job fork's fold charges
-    /// (the forks share one device, so concurrent folds serialize on its
-    /// engines) and no single executor's trace sees the whole segment. The
-    /// produce side keeps being measured off the shared executor via
-    /// [`StreamMeter::tile_produced`].
-    pub fn tile_consumed_external(&mut self, consume: EngineSeconds) {
-        if self.off() {
-            return;
-        }
-        if let Some(tile) = self.pass.last_mut() {
-            tile.consume = consume;
-        }
-    }
-
     /// Fold the finished pass into the report under the double-buffer rule.
     pub fn finish_pass(&mut self) {
-        if self.off() || self.pass.is_empty() {
+        if !self.active() || self.pass.is_empty() {
             return;
         }
         self.report.passes += 1;
@@ -222,6 +207,13 @@ mod tests {
         );
     }
 
+    /// One run's SpMM fold of the tile, measured as the loop measures it.
+    fn fold(meter: &mut StreamMeter, exec: &SimExecutor, flops: u64) {
+        let mark = exec.trace_len();
+        charge(exec, OpClass::SpMM, flops);
+        meter.tile_consumed(exec.engine_seconds_since(mark), exec);
+    }
+
     #[test]
     fn off_meter_reports_nothing() {
         let exec = SimExecutor::a100_f32();
@@ -229,7 +221,7 @@ mod tests {
         meter.begin_pass(&exec);
         charge(&exec, OpClass::Gemm, 1 << 30);
         meter.tile_produced(&exec);
-        meter.tile_consumed(&exec);
+        meter.tile_consumed(EngineSeconds::default(), &exec);
         meter.finish_pass();
         assert!(meter.into_report().is_none());
     }
@@ -241,8 +233,7 @@ mod tests {
         meter.begin_pass(&exec);
         charge(&exec, OpClass::Gemm, 1 << 30);
         meter.tile_produced(&exec);
-        charge(&exec, OpClass::SpMM, 1 << 28);
-        meter.tile_consumed(&exec);
+        fold(&mut meter, &exec, 1 << 28);
         meter.finish_pass();
         let report = meter.into_report().unwrap();
         assert_eq!(report.passes, 1);
@@ -267,8 +258,7 @@ mod tests {
         for _ in 0..tiles {
             charge(&exec, OpClass::Gemm, 1 << 30);
             meter.tile_produced(&exec);
-            charge(&exec, OpClass::SpMM, 1 << 30);
-            meter.tile_consumed(&exec);
+            fold(&mut meter, &exec, 1 << 30);
         }
         meter.finish_pass();
         let report = meter.into_report().unwrap();
@@ -298,8 +288,7 @@ mod tests {
             OpCost::transfer(1 << 24),
         );
         meter.tile_produced(&exec);
-        charge(&exec, OpClass::SpMM, 1 << 28);
-        meter.tile_consumed(&exec);
+        fold(&mut meter, &exec, 1 << 28);
         meter.finish_pass();
         let report = meter.into_report().unwrap();
         assert!(report.produce.copy > 0.0, "upload must land on Copy");

@@ -26,11 +26,15 @@ REQUESTS (executed in order; repeatable):
 OPTIONS:
   --model FILE    the model to serve (written by gpukmeans --save-model);
                   refits run the solver family that fitted it
-  --queue INT     bounded request-queue capacity [default: 64]
+  --queue INT     bounded request-queue capacity, at most 65536
+                  [default: 64]
   --workers INT   worker threads                 [default: 1]
   --labels-out F  write the labels of the LAST assignment to F
   -h, --help      print this help text
 ";
+
+/// The largest `--queue`: the queue allocates every slot up front.
+const MAX_QUEUE: usize = 1 << 16;
 
 enum Scripted {
     AssignFile(String),
@@ -88,6 +92,11 @@ fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
     }
     if queue == 0 || workers == 0 {
         return Err("--queue and --workers must be at least 1".to_string());
+    }
+    if queue > MAX_QUEUE {
+        return Err(format!(
+            "--queue {queue} exceeds {MAX_QUEUE}: the queue allocates every slot up front"
+        ));
     }
     Ok(ServeArgs {
         model: model.ok_or_else(|| format!("--model is required\n\n{USAGE}"))?,

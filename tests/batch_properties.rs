@@ -115,7 +115,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let base = batch_config(2).with_seed(seed);
-        let jobs = FitJob::k_sweep(&base, &[2, 3], 2);
+        let jobs = FitJob::k_sweep(&base, &[2, 3], 2).unwrap();
         prop_assume!(jobs.iter().all(|j| j.config.k <= points.rows()));
         let solver = KernelKmeans::new(base);
         assert_batch_equals_loop(&solver, FitInput::Dense(&points), &jobs)?;

@@ -13,6 +13,7 @@
 
 use popcorn::baselines::SolverKind;
 use popcorn::core::kernel_source::full_kernel_matrix_bytes;
+use popcorn::core::model::ResidentKernel;
 use popcorn::gpusim::OpCost;
 use popcorn::prelude::*;
 use proptest::prelude::*;
@@ -318,7 +319,9 @@ proptest! {
         };
         let first = build().map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let second = build().map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        let csr = KernelSource::csr(&first).expect("a sparsified kernel is CSR-resident");
+        let ResidentKernel::Csr(csr) = KernelSource::resident(&first) else {
+            panic!("a sparsified kernel is CSR-resident")
+        };
         for i in 0..csr.rows() {
             let (cols, vals) = csr.row(i);
             prop_assert!(
@@ -338,7 +341,9 @@ proptest! {
                 );
             }
         }
-        let twin = KernelSource::csr(&second).expect("a sparsified kernel is CSR-resident");
+        let ResidentKernel::Csr(twin) = KernelSource::resident(&second) else {
+            panic!("a sparsified kernel is CSR-resident")
+        };
         prop_assert_eq!(csr.row_ptrs(), twin.row_ptrs(), "indptr must be deterministic");
         prop_assert_eq!(
             csr.col_indices(),
