@@ -3,7 +3,9 @@
 //! one copy of the elastic shard protocol per kernel representation. The
 //! CPU-reference and dense-baseline batch cases and the CSR fit cases were
 //! recorded from the build that still carried one solver shell per kernel
-//! family.
+//! family. The eight device-loss cases were re-recorded, on the build that
+//! still carried a whole-fit retry beside the in-place recovery, when the
+//! recovery hash dropped the event, join, retry and backoff counters.
 //!
 //! The elastic row protocol (pass counter, fault polling, device-loss
 //! recovery, the per-device walk and the all-reduce charge) decides where
@@ -68,16 +70,12 @@ impl Fnv {
             return;
         };
         for word in [
-            r.events as u64,
             r.devices_lost as u64,
-            r.devices_joined as u64,
             r.rows_migrated,
             r.bytes_reuploaded,
             r.replayed_tiles as u64,
             r.replayed_bytes,
             r.reshard_seconds.to_bits(),
-            r.backoff_seconds.to_bits(),
-            r.retries as u64,
         ] {
             self.word(word);
         }
@@ -232,17 +230,17 @@ fn cases() -> Vec<(String, u64)> {
 /// Hashes recorded by running [`cases`] on the earlier build.
 const GOLDEN: &[(&str, u64)] = &[
     ("exact auto, no fault", 0x343ae62a6db10e12),
-    ("exact auto, lose 1@1", 0xa96e3255284dccf0),
-    ("exact auto, lose 2@1, 0@3", 0x15d33ccb82c3f05a),
+    ("exact auto, lose 1@1", 0xa6075997c521d711),
+    ("exact auto, lose 2@1, 0@3", 0x00dcde9c64093b30),
     ("exact rows 7, no fault", 0xc27248083bfb9eaf),
-    ("exact rows 7, lose 1@1", 0xd3e9d17a40e342fb),
-    ("exact rows 7, lose 2@1, 0@3", 0xa10cb7b2772fc541),
+    ("exact rows 7, lose 1@1", 0x4f2c68e6a9128e46),
+    ("exact rows 7, lose 2@1, 0@3", 0x01018a116891c73f),
     ("nystrom m=16, no fault", 0xe693e29620c51146),
-    ("nystrom m=16, lose 1@1", 0x7053121a6afdcbe8),
-    ("nystrom m=16, lose 2@1, 0@3", 0xef341b97caba4e8f),
+    ("nystrom m=16, lose 1@1", 0xda9a67304d29df89),
+    ("nystrom m=16, lose 2@1, 0@3", 0x65b751ee732f1dcd),
     ("sparsified knn:4, no fault", 0x32d969d4912ba08d),
-    ("sparsified knn:4, lose 1@1", 0xfd0003cdde3d924c),
-    ("sparsified knn:4, lose 2@1, 0@3", 0x6f21d20eb6faecef),
+    ("sparsified knn:4, lose 1@1", 0x49a807515a972ddd),
+    ("sparsified knn:4, lose 2@1, 0@3", 0x3a9afd7e81a402b5),
     ("batch rows 6, 1 threads", 0x7daf062cab29406b),
     ("batch rows 6, 2 threads", 0x7daf062cab29406b),
     ("cpu-reference batch rows 6, 1 threads", 0x1b9c8a0ebbf9914d),
