@@ -29,8 +29,8 @@ use popcorn_core::shard::ShardPlan;
 use popcorn_core::{KernelFunction, KernelKmeans, KernelKmeansConfig, Solver, TilePolicy};
 use popcorn_data::synthetic::uniform_dataset;
 use popcorn_gpusim::{
-    CostModel, DeviceSpec, DeviceTopology, FaultPlan, LinkSpec, OpClass, OpCost, RecoveryPolicy,
-    ShardedExecutor, SimExecutor,
+    CostModel, DeviceSpec, DeviceTopology, FaultPlan, LinkSpec, OpClass, OpCost, ShardedExecutor,
+    SimExecutor,
 };
 use std::sync::Arc;
 
@@ -324,10 +324,8 @@ fn main() {
         .fit(uniform_dataset::<f32>(n_elastic, 16, options.seed).points())
         .expect("fresh mixed-pool fit");
 
-    let lossy_executor = Arc::new(
-        ShardedExecutor::new(mixed, ELEM)
-            .with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume),
-    );
+    let lossy_executor =
+        Arc::new(ShardedExecutor::new(mixed, ELEM).with_fault_plan(FaultPlan::new().lose(1, 1)));
     let recovered = KernelKmeans::new(elastic_config)
         .with_shared_executor(lossy_executor.clone())
         .fit(uniform_dataset::<f32>(n_elastic, 16, options.seed).points())

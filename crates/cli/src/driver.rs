@@ -12,7 +12,7 @@ use popcorn_core::{ClusteringResult, KernelApprox, KernelKmeansConfig, TilePolic
 use popcorn_data::dataset::{Dataset, SparseDataset};
 use popcorn_data::synthetic::uniform_dataset;
 use popcorn_data::{csv, libsvm};
-use popcorn_gpusim::{DeviceTopology, FaultPlan, RecoveryPolicy, RecoveryReport};
+use popcorn_gpusim::{DeviceTopology, FaultPlan, RecoveryReport};
 use popcorn_gpusim::{Executor, ShardedExecutor, SimExecutor};
 use std::sync::Arc;
 
@@ -151,13 +151,12 @@ impl ShardingSummary {
         if let Some(recovery) = &self.recovery {
             out.push_str(&format!(
                 "recovered from {} device loss(es): {} row(s) migrated, {} byte(s) \
-                 re-uploaded, {} tile(s) replayed, re-shard {:.6} s, retry backoff {:.6} s\n",
+                 re-uploaded, {} tile(s) replayed, re-shard {:.6} s\n",
                 recovery.devices_lost,
                 recovery.rows_migrated,
                 recovery.bytes_reuploaded,
                 recovery.replayed_tiles,
                 recovery.reshard_seconds,
-                recovery.backoff_seconds,
             ));
         }
         out
@@ -499,9 +498,7 @@ fn sharded_executor_for(args: &CliArgs) -> Option<Arc<ShardedExecutor>> {
     for fault in &args.inject_faults {
         plan = plan.lose(fault.device, fault.at_pass);
     }
-    Some(Arc::new(
-        executor.with_fault_plan(plan, RecoveryPolicy::Resume),
-    ))
+    Some(Arc::new(executor.with_fault_plan(plan)))
 }
 
 /// Build the solver for one run: the invocation-wide sharded topology when

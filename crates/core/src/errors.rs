@@ -34,15 +34,6 @@ pub enum CoreError {
         /// That device's modeled memory capacity.
         available_bytes: u64,
     },
-    /// A device dropped out of the sharded pool mid-fit and the executor's
-    /// recovery policy surfaces the loss instead of resuming in place. The
-    /// retry layers catch this and restart the fit on the surviving pool.
-    DeviceLost {
-        /// Topology index of the lost device.
-        device: usize,
-        /// Kernel-matrix pass at which the loss was observed.
-        pass: usize,
-    },
     /// A host buffer cannot be allocated: its size overflows, or the
     /// allocator refused it (the dense copy of points whose largest feature
     /// index is huge, say).
@@ -84,11 +75,6 @@ impl fmt::Display for CoreError {
                 "device {device} cannot hold its shard: the shard layout needs \
                  {required_bytes} bytes resident but device {device} holds {available_bytes} \
                  bytes; move the boundaries, use the auto tiling policy, or drop the device"
-            ),
-            CoreError::DeviceLost { device, pass } => write!(
-                f,
-                "device {device} was lost at kernel-matrix pass {pass}; the fit must be \
-                 retried on the surviving topology"
             ),
             CoreError::HostAllocationFailed {
                 what,

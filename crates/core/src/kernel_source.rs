@@ -66,7 +66,7 @@ use crate::Result;
 use popcorn_dense::{
     matmul_nt_rows_with, syrk_packed_with, DenseMatrix, PackedRows, PackedSymmetric, Scalar,
 };
-use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase, RecoveryReport};
+use popcorn_gpusim::{DeviceSpec, Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::{CsrRows, GramIndex};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -687,13 +687,10 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
 /// to an exact fit by construction — traces included.
 ///
 /// Multi-device fits are *elastic*: the row partition is throughput-weighted
-/// over the devices the executor reports alive, and a
-/// [`CoreError::DeviceLost`] surfaced mid-fit (the executor's
-/// [`popcorn_gpusim::RecoveryPolicy::Abort`] path) is retried — up to
-/// [`DEVICE_LOSS_RETRIES`] times with exponential modeled backoff — by
-/// re-running `run` against a fresh source planned over the survivors. `run`
-/// is therefore `FnMut`; each retry is accounted on the executor's
-/// [`popcorn_gpusim::RecoveryReport`].
+/// over the devices the executor reports alive, and a device lost mid-fit
+/// is recovered inside the source — its rows move to the survivors at the
+/// next pass boundary and `run` never sees the loss (see
+/// [`crate::shard`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_source<T: Scalar, R>(
     input: FitInput<'_, T>,
@@ -703,58 +700,7 @@ pub fn run_with_source<T: Scalar, R>(
     k_budget: usize,
     executor: &dyn Executor,
     compute_full: impl FnOnce() -> Result<PackedSymmetric<T>>,
-    mut run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
-) -> Result<R> {
-    // A fit killed by a surfaced device loss is restarted on the surviving
-    // pool (the executor's liveness already excludes the dead device when
-    // the error reaches us).
-    let mut compute_full = Some(compute_full);
-    let mut attempt = 0usize;
-    loop {
-        let result = dispatch(
-            input,
-            kernel,
-            approx,
-            tiling,
-            k_budget,
-            executor,
-            &mut compute_full,
-            &mut run,
-        );
-        match result {
-            Err(CoreError::DeviceLost { .. }) if attempt < DEVICE_LOSS_RETRIES => {
-                executor.note_recovery(&RecoveryReport {
-                    retries: 1,
-                    backoff_seconds: DEVICE_LOSS_BACKOFF_SECONDS * (1u64 << attempt) as f64,
-                    ..RecoveryReport::default()
-                });
-                attempt += 1;
-            }
-            result => return result,
-        }
-    }
-}
-
-/// Whole-fit restarts [`run_with_source`] grants a multi-device fit after a
-/// surfaced [`CoreError::DeviceLost`] before giving up.
-pub const DEVICE_LOSS_RETRIES: usize = 2;
-
-/// Modeled seconds of backoff before the first device-loss retry; doubles on
-/// each subsequent attempt.
-pub const DEVICE_LOSS_BACKOFF_SECONDS: f64 = 0.01;
-
-/// One fit attempt of [`run_with_source`]: the approximate source `approx`
-/// asks for, else the exact kernel matrix.
-#[allow(clippy::too_many_arguments)]
-fn dispatch<T: Scalar, R>(
-    input: FitInput<'_, T>,
-    kernel: KernelFunction,
-    approx: KernelApprox,
-    tiling: TilePolicy,
-    k_budget: usize,
-    executor: &dyn Executor,
-    compute_full: &mut Option<impl FnOnce() -> Result<PackedSymmetric<T>>>,
-    run: &mut impl FnMut(&dyn KernelSource<T>) -> Result<R>,
+    run: impl FnOnce(&dyn KernelSource<T>) -> Result<R>,
 ) -> Result<R> {
     let n = input.n();
     match approx {
@@ -791,9 +737,6 @@ fn dispatch<T: Scalar, R>(
         executor,
     )?;
     if executor.shard_count() <= 1 && plan.max_tile_rows() == n {
-        let compute_full = compute_full
-            .take()
-            .expect("only single-shard fits build the in-core matrix, and they never retry");
         return run(&FullKernel::computed(Arc::new(compute_full()?)));
     }
     let source = crate::shard::ShardedKernelSource::new(input, kernel, plan, k_budget, executor)?

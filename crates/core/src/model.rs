@@ -1260,9 +1260,8 @@ pub(crate) fn fit_and_extract<F: KernelFamily, T: Scalar>(
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
     let family = F::FAMILY;
     let mut engine = family.engine(config.k)?;
-    let mut fit = |source: &dyn KernelSource<T>| {
-        let result =
-            pipeline::iterate_init(source, config, executor, engine.as_mut(), init.clone())?;
+    let fit = |source: &dyn KernelSource<T>| {
+        let result = pipeline::iterate_init(source, config, executor, engine.as_mut(), init)?;
         let model = extract(family, config, &result, store_input, source, executor)?;
         Ok((result, model))
     };

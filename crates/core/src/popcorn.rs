@@ -175,9 +175,7 @@ mod tests {
     use crate::solver::Solver;
     use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
-    use popcorn_gpusim::{
-        DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor, SimExecutor,
-    };
+    use popcorn_gpusim::{DeviceSpec, FaultPlan, LinkSpec, ShardedExecutor, SimExecutor};
     use popcorn_sparse::CsrMatrix;
     use std::sync::Arc;
 
@@ -482,7 +480,7 @@ mod tests {
         let tiled = TiledKernel::new(input, kernel, 5, &exec).unwrap();
         let tiled_csr = TiledKernel::new(FitInput::Sparse(&csr), kernel, 7, &exec).unwrap();
         let three = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
-        let losing = three.with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume);
+        let losing = three.with_fault_plan(FaultPlan::new().lose(1, 1));
         let shard = |tiling, exec: &dyn Executor| {
             let bytes = input.upload_bytes();
             let plan = ShardPlan::for_executor(24, k, 8, bytes, tiling, exec).unwrap();
@@ -544,7 +542,7 @@ mod tests {
                 "case {case}"
             );
         }
-        assert_eq!(losing.recovery_report().map(|r| r.events), Some(1));
+        assert_eq!(losing.recovery_report().map(|r| r.devices_lost), Some(1));
 
         // A Nyström source reconstructs just the columns a reader names.
         let whole = panel_pass(&nystrom, &exec, None);

@@ -129,10 +129,9 @@ pub struct ClusteringResult {
     /// `None` only for results assembled outside the shared loop.
     pub config: Option<KernelKmeansConfig>,
     /// Elastic-topology recovery accounting, present when the fit's executor
-    /// observed fault events (device losses/joins) or the retry layer
-    /// restarted the fit after a [`crate::CoreError::DeviceLost`]: rows
-    /// migrated, bytes re-uploaded, tiles replayed and the modeled re-shard
-    /// and backoff time. `None` on a fault-free fit. The report is read off
+    /// lost a device and the row stream resumed on the survivors: devices
+    /// lost, rows migrated, bytes re-uploaded, tiles replayed and the
+    /// modeled re-shard time. `None` on a fault-free fit. The report is read off
     /// the executor, so repeated fits on one executor see the cumulative
     /// recovery history.
     pub recovery: Option<RecoveryReport>,

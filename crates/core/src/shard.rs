@@ -51,10 +51,10 @@
 //! geometric mean of its compute and bandwidth roofs), degenerating *exactly*
 //! to [`ShardPlan::balanced`] on uniform pools. The stream also survives
 //! mid-fit device loss: at every pass boundary it drains the executor's fault
-//! schedule ([`popcorn_gpusim::Executor::poll_fault`]) and — under
-//! [`RecoveryPolicy::Resume`] — re-partitions the lost device's rows over the
-//! surviving devices (throughput-weighted, spliced in place so the global row
-//! order is unchanged) and continues. The re-plan counts what each survivor
+//! schedule ([`popcorn_gpusim::Executor::poll_fault`]), re-partitions each
+//! lost device's rows over the surviving devices (throughput-weighted,
+//! spliced in place so the global row order is unchanged) and continues: a
+//! device loss is always resumed in place, never surfaced to the fit. The re-plan counts what each survivor
 //! already holds: migrated rows stream at the largest tile height that fits
 //! beside those holdings, or through the survivor's own streaming buffer when
 //! that is taller, and a layout that must stay resident and cannot fit is a
@@ -62,11 +62,8 @@
 //! sharding never changes what is computed, a recovered fit is
 //! **bit-identical to a fresh fit on the surviving topology**; the only cost
 //! is the modeled re-shard work, which is accounted on a [`RecoveryReport`].
-//! Under [`RecoveryPolicy::Abort`] the loss surfaces as
-//! [`CoreError::DeviceLost`] for the retry layers instead. Scale-up is lazy:
-//! a joined device becomes eligible immediately but is only drafted by the
-//! *next* re-plan (a later loss, or the next fit) — moving rows onto it
-//! mid-fit would discard survivors' resident tiles for no modeled win.
+//! A lost device stays lost for the executor's life, so later fits on the
+//! same executor plan over the survivors from the start.
 
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{
@@ -79,7 +76,7 @@ use crate::{CoreError, Result};
 use popcorn_dense::{PackedRows, Scalar};
 use popcorn_gpusim::{
     DeviceSpec, DeviceTopology, Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase,
-    RecoveryPolicy, RecoveryReport,
+    RecoveryReport,
 };
 use std::ops::Range;
 use std::sync::Mutex;
@@ -877,27 +874,20 @@ impl ShardStream {
         Ok(())
     }
 
-    /// Drain due fault events at the pass boundary, recover (or surface) any
-    /// device loss, bump the pass counter and return this pass's plan with
-    /// its per-entry holdings.
+    /// Drain due fault events at the pass boundary, resume in place after
+    /// each device loss, bump the pass counter and return this pass's plan
+    /// with its per-entry holdings. The topology is read before polling, so
+    /// every drained loss has one to recover on.
     fn begin_pass<R: ShardRows + ?Sized>(
         &self,
         rows: &R,
         executor: &dyn Executor,
     ) -> Result<(ShardPlan, Vec<u64>)> {
         let mut state = self.state();
-        let pass = state.pass;
-        while let Some(event) = (executor.shard_count() > 1)
-            .then(|| executor.poll_fault(pass))
-            .flatten()
-        {
-            // Scale-up is lazy (scale-down is immediate): a joiner is alive
-            // from now on but only drafted by the next re-plan.
-            if let FaultKind::DeviceLost { device } = event.kind {
-                if executor.recovery_policy() == RecoveryPolicy::Abort {
-                    return Err(CoreError::DeviceLost { device, pass });
-                }
-                self.recover(&mut state, device, pass, rows, executor)?;
+        if let Some(topology) = executor.topology().filter(|_| executor.shard_count() > 1) {
+            while let Some(event) = executor.poll_fault(state.pass) {
+                let FaultKind::DeviceLost { device } = event.kind;
+                self.recover(&mut state, device, topology, rows, executor)?;
             }
         }
         state.pass += 1;
@@ -913,13 +903,10 @@ impl ShardStream {
         &self,
         state: &mut PassState,
         lost: usize,
-        pass: usize,
+        topology: &DeviceTopology,
         rows: &R,
         executor: &dyn Executor,
     ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::DeviceLost { device: lost, pass });
-        };
         let before = executor.total_modeled_seconds();
         let alive = alive_mask(executor, topology);
         let (plan, carry, held) =
@@ -954,9 +941,9 @@ impl ShardStream {
 /// partials against the topology's link.
 ///
 /// The source is *elastic*: every [`KernelSource::for_each_panel`] pass starts
-/// by draining the executor's fault schedule and, on a device loss under
-/// [`RecoveryPolicy::Resume`], re-partitions the lost rows over the survivors
-/// in place (see the module docs). Recovered fits stay bit-identical to a
+/// by draining the executor's fault schedule and, on a device loss,
+/// re-partitions the lost rows over the survivors in place (see the module
+/// docs). Recovered fits stay bit-identical to a
 /// fresh fit on the surviving topology because only pricing attribution ever
 /// moves.
 pub struct ShardedKernelSource<'a, T: Scalar> {
@@ -1365,7 +1352,7 @@ mod tests {
         // the plan after it, the carry map of its last re-plan and the
         // pass's outcome.
         let run = |faults: FaultPlan| {
-            let exec = base.with_fault_plan(faults, RecoveryPolicy::Resume);
+            let exec = base.with_fault_plan(faults);
             let plan =
                 ShardPlan::balanced(90, 5, 8, 0, TilePolicy::Auto, exec.device_topology()).unwrap();
             let budget = RowBudget {
@@ -1531,7 +1518,7 @@ mod tests {
         let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
         // Device 1 dies at the start of pass 1 (after its pass-0 tiles were
         // cached).
-        let faulty = base.with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume);
+        let faulty = base.with_fault_plan(FaultPlan::new().lose(1, 1));
         let plan =
             ShardPlan::for_executor(19, 3, 8, 19 * 4 * 8, TilePolicy::Auto, &faulty).unwrap();
         let source = ShardedKernelSource::new(
@@ -1552,12 +1539,11 @@ mod tests {
             }
         }
         // The plan no longer mentions device 1 and the recovery was
-        // accounted: one event, its rows migrated, its cached tile replayed.
+        // accounted: one loss, its rows migrated, its cached tile replayed.
         let plan = source.plan();
         assert!(plan.shards().iter().all(|s| s.device != 1));
         assert_eq!(plan.participating_devices(), 2);
         let report = faulty.recovery_report().expect("recovery must be recorded");
-        assert_eq!(report.events, 1);
         assert_eq!(report.devices_lost, 1);
         assert!(report.rows_migrated > 0);
         assert_eq!(report.replayed_tiles, 1);
@@ -1566,10 +1552,10 @@ mod tests {
     }
 
     #[test]
-    fn abort_policy_surfaces_device_loss_as_an_error() {
+    fn later_plans_on_a_resumed_executor_skip_the_lost_device() {
         let points = sample_points(11, 3);
         let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 2, LinkSpec::nvlink(), 8);
-        let faulty = base.with_fault_plan(FaultPlan::new().lose(0, 0), RecoveryPolicy::Abort);
+        let faulty = base.with_fault_plan(FaultPlan::new().lose(0, 0));
         let plan =
             ShardPlan::for_executor(11, 2, 8, 11 * 3 * 8, TilePolicy::Auto, &faulty).unwrap();
         let source = ShardedKernelSource::new(
@@ -1580,16 +1566,17 @@ mod tests {
             &faulty,
         )
         .unwrap();
-        let err = source
+        source
             .for_each_panel(&faulty, None, &mut |_, _| Ok(()))
-            .unwrap_err();
-        assert_eq!(err, CoreError::DeviceLost { device: 0, pass: 0 });
-        // The loss was consumed: the executor's liveness now excludes the
-        // device, so a retried fit plans over the survivor alone.
+            .unwrap();
+        // The pass resumed on the survivor, and the loss outlives the
+        // source: the executor's liveness now excludes the device, so the
+        // next fit on it plans over the survivor alone.
+        assert!(source.plan().shards().iter().all(|s| s.device == 1));
         assert_eq!(faulty.device_alive(), vec![false, true]);
-        let retry_plan =
+        let next_plan =
             ShardPlan::for_executor(11, 2, 8, 11 * 3 * 8, TilePolicy::Auto, &faulty).unwrap();
-        assert_eq!(retry_plan.device_count(), 1);
-        assert_eq!(retry_plan.shards()[0].device, 1);
+        assert_eq!(next_plan.device_count(), 1);
+        assert_eq!(next_plan.shards()[0].device, 1);
     }
 }

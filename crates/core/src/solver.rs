@@ -387,7 +387,7 @@ impl<F: KernelFamily> KernelSolver<F> {
         config: &KernelKmeansConfig,
         k_budget: usize,
         executor: &dyn Executor,
-        run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
+        run: impl FnOnce(&dyn KernelSource<T>) -> Result<R>,
     ) -> Result<R> {
         let dense = F::prepare(input, executor)?;
         let input = dense.as_ref().map_or(input, FitInput::Dense);

@@ -17,7 +17,7 @@
 
 use crate::cost::{CostModel, EngineSeconds, OpClass, OpCost};
 use crate::device::{DeviceSpec, DeviceTopology};
-use crate::fault::{FaultEvent, RecoveryPolicy, RecoveryReport};
+use crate::fault::{FaultEvent, RecoveryReport};
 use crate::profiler::Profiler;
 use crate::roofline::Roofline;
 use crate::trace::{OpRecord, OpTrace, Phase};
@@ -108,9 +108,6 @@ pub trait Executor: std::fmt::Debug + Send + Sync {
         self.device().mem_bytes
     }
 
-    /// Clear the trace and residency counters (e.g. between bench trials).
-    fn reset(&self);
-
     /// The multi-device topology behind this executor, when it shards work
     /// across devices. `None` for single-device executors; the streaming
     /// kernel-source layer uses this to build a row-sharded plan.
@@ -145,18 +142,11 @@ pub trait Executor: std::fmt::Debug + Send + Sync {
     }
 
     /// `true` when device shard `shard` is currently alive (has not been
-    /// lost, or has joined). Planners skip dead shards. Always `true` on
-    /// single-device executors.
+    /// lost). Planners skip dead shards. Always `true` on single-device
+    /// executors.
     fn shard_alive(&self, shard: usize) -> bool {
         let _ = shard;
         true
-    }
-
-    /// How sharded sources react to a drained [`FaultEvent`] device loss:
-    /// recover in place ([`RecoveryPolicy::Resume`], the default) or surface
-    /// [`RecoveryPolicy::Abort`] errors for the retry layers.
-    fn recovery_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy::Resume
     }
 
     /// Fold one recovery step's accounting into the executor's cumulative
@@ -165,8 +155,8 @@ pub trait Executor: std::fmt::Debug + Send + Sync {
         let _ = delta;
     }
 
-    /// The cumulative recovery accounting, or `None` when no fault was ever
-    /// consumed and no retry was ever noted (the default).
+    /// The cumulative recovery accounting, or `None` when no device was ever
+    /// lost (the default).
     fn recovery_report(&self) -> Option<RecoveryReport> {
         None
     }
@@ -254,9 +244,6 @@ macro_rules! delegate_executor {
             fn mem_bytes(&self) -> u64 {
                 (**self).mem_bytes()
             }
-            fn reset(&self) {
-                (**self).reset()
-            }
             fn topology(&self) -> Option<&DeviceTopology> {
                 (**self).topology()
             }
@@ -271,9 +258,6 @@ macro_rules! delegate_executor {
             }
             fn shard_alive(&self, shard: usize) -> bool {
                 (**self).shard_alive(shard)
-            }
-            fn recovery_policy(&self) -> RecoveryPolicy {
-                (**self).recovery_policy()
             }
             fn note_recovery(&self, delta: &RecoveryReport) {
                 (**self).note_recovery(delta)
@@ -385,10 +369,6 @@ impl Executor for SimExecutor {
     fn merge_peak(&self, peak: u64) {
         self.profiler.merge_peak(peak);
     }
-
-    fn reset(&self) {
-        self.profiler.reset();
-    }
 }
 
 /// A forked executor that merges its residency peak back into the parent's
@@ -486,14 +466,6 @@ mod tests {
         );
         assert_eq!(exec.trace().len(), 1);
         assert!(exec.total_modeled_seconds() > 0.0);
-    }
-
-    #[test]
-    fn reset_clears_trace() {
-        let exec = SimExecutor::a100_f32();
-        exec.charge("x", Phase::Other, OpClass::Other, OpCost::new(1, 1, 1));
-        exec.reset();
-        assert!(exec.trace().is_empty());
     }
 
     #[test]

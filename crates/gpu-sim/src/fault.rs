@@ -1,22 +1,17 @@
 //! Deterministic fault injection for elastic multi-device topologies:
-//! [`FaultPlan`], [`FaultEvent`], [`RecoveryPolicy`] and [`RecoveryReport`].
+//! [`FaultPlan`], [`FaultEvent`] and [`RecoveryReport`].
 //!
-//! A [`FaultPlan`] is a schedule of device-loss / device-join events pinned
-//! to kernel-matrix *pass* numbers (one pass = one full sweep of the row
-//! tiles, i.e. one fit iteration's streaming phase). The plan is attached to
-//! a [`crate::ShardedExecutor`] via
+//! A [`FaultPlan`] is a schedule of device losses pinned to kernel-matrix
+//! *pass* numbers (one pass = one full sweep of the row tiles, i.e. one fit
+//! iteration's streaming phase). The plan is attached to a
+//! [`crate::ShardedExecutor`] via
 //! [`crate::ShardedExecutor::with_fault_plan`]; the row-sharded kernel
 //! sources drain due events at every pass boundary through
-//! [`crate::Executor::poll_fault`] and either recover in place
-//! ([`RecoveryPolicy::Resume`]) or surface the loss to the retry layers
-//! ([`RecoveryPolicy::Abort`]).
+//! [`crate::Executor::poll_fault`] and resume in place: the lost device's
+//! rows move to the survivors and the fit continues.
 //!
 //! Everything here is deterministic: the same plan against the same fit
-//! produces the same event sequence, and [`FaultPlan::seeded`] derives its
-//! schedule from a splitmix64 stream so experiments are reproducible without
-//! any RNG dependency.
-
-use crate::device::DeviceSpec;
+//! produces the same event sequence.
 
 /// What happened to a device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,17 +21,9 @@ pub enum FaultKind {
         /// Index of the lost device in the executor's topology.
         device: usize,
     },
-    /// Device `device` (topology index) joined the pool. Joined devices are
-    /// pre-registered in the topology at
-    /// [`crate::ShardedExecutor::with_fault_plan`] time and start out
-    /// non-alive; the event flips them alive.
-    DeviceJoined {
-        /// Index of the joining device in the executor's topology.
-        device: usize,
-    },
 }
 
-/// One scheduled fault, resolved against a concrete topology.
+/// One scheduled fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
     /// The kernel-matrix pass at (the start of) which the event fires.
@@ -45,17 +32,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// One entry of a [`FaultPlan`] before it is bound to a topology.
-#[derive(Debug, Clone, PartialEq)]
-enum ScheduledFault {
-    Lose { device: usize, at_pass: usize },
-    Join { spec: DeviceSpec, at_pass: usize },
-}
-
-/// A deterministic schedule of device-loss and device-join events.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A deterministic schedule of device losses.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    schedule: Vec<ScheduledFault>,
+    events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
@@ -67,99 +47,29 @@ impl FaultPlan {
     /// Schedule the loss of topology device `device` at the start of pass
     /// `at_pass` (pass 0 is the first tile sweep).
     pub fn lose(mut self, device: usize, at_pass: usize) -> Self {
-        self.schedule.push(ScheduledFault::Lose { device, at_pass });
-        self
-    }
-
-    /// Schedule `spec` to join the pool at the start of pass `at_pass`. The
-    /// device is appended to the executor's topology (after all initial
-    /// devices, in scheduling order) and participates in planning from the
-    /// first re-plan after its join fires.
-    pub fn join(mut self, spec: DeviceSpec, at_pass: usize) -> Self {
-        self.schedule.push(ScheduledFault::Join { spec, at_pass });
+        self.events.push(FaultEvent {
+            at_pass,
+            kind: FaultKind::DeviceLost { device },
+        });
         self
     }
 
     /// `true` when the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
+        self.events.is_empty()
     }
 
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.schedule.len()
+        self.events.len()
     }
 
-    /// A deterministic loss-only schedule derived from `seed`: up to
-    /// `losses` distinct devices of a `devices`-device pool fail at passes in
-    /// `0..passes`, always leaving at least one survivor. The same seed
-    /// always produces the same schedule.
-    pub fn seeded(seed: u64, devices: usize, passes: usize, losses: usize) -> Self {
-        let mut state = seed;
-        let mut next = move || -> u64 {
-            // splitmix64: tiny, deterministic, no dependency.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut plan = Self::new();
-        if devices <= 1 || passes == 0 {
-            return plan;
-        }
-        let losses = losses.min(devices - 1);
-        let mut candidates: Vec<usize> = (0..devices).collect();
-        for _ in 0..losses {
-            let pick = (next() % candidates.len() as u64) as usize;
-            let device = candidates.swap_remove(pick);
-            let at_pass = (next() % passes as u64) as usize;
-            plan = plan.lose(device, at_pass);
-        }
-        plan
+    /// The scheduled events sorted by pass (stable, so same-pass events
+    /// keep scheduling order).
+    pub(crate) fn resolve(mut self) -> Vec<FaultEvent> {
+        self.events.sort_by_key(|e| e.at_pass);
+        self.events
     }
-
-    /// Resolve the schedule against a topology with `base_devices` initial
-    /// devices: join specs are appended to `extra_devices` (their topology
-    /// index is `base_devices + position`), and the returned events are
-    /// sorted by pass (stable, so same-pass events keep scheduling order).
-    pub(crate) fn resolve(self, base_devices: usize) -> (Vec<FaultEvent>, Vec<DeviceSpec>) {
-        let mut extra = Vec::new();
-        let mut events = Vec::with_capacity(self.schedule.len());
-        for fault in self.schedule {
-            match fault {
-                ScheduledFault::Lose { device, at_pass } => events.push(FaultEvent {
-                    at_pass,
-                    kind: FaultKind::DeviceLost { device },
-                }),
-                ScheduledFault::Join { spec, at_pass } => {
-                    let device = base_devices + extra.len();
-                    extra.push(spec);
-                    events.push(FaultEvent {
-                        at_pass,
-                        kind: FaultKind::DeviceJoined { device },
-                    });
-                }
-            }
-        }
-        events.sort_by_key(|e| e.at_pass);
-        (events, extra)
-    }
-}
-
-/// What a sharded source does when a due [`FaultKind::DeviceLost`] event is
-/// drained at a pass boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Recover in place: re-partition the lost shard's rows over the
-    /// surviving devices and continue the fit (the default). Results are
-    /// bit-identical to a fresh fit on the surviving topology.
-    #[default]
-    Resume,
-    /// Surface the loss as an error from the tile pass; the retry layers
-    /// (fit driver, serve) restart the whole fit on the surviving pool.
-    /// Models fleets where mid-fit state cannot be replayed.
-    Abort,
 }
 
 /// Modeled accounting of elastic-recovery work, accumulated on the executor
@@ -167,12 +77,8 @@ pub enum RecoveryPolicy {
 /// results. All counters are cumulative across every fit the executor ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// Fault events consumed (losses + joins).
-    pub events: usize,
     /// Devices lost.
     pub devices_lost: usize,
-    /// Devices joined.
-    pub devices_joined: usize,
     /// Kernel-matrix rows re-partitioned onto surviving devices.
     pub rows_migrated: u64,
     /// Bytes of device-resident state re-uploaded to the survivors (CSR
@@ -187,30 +93,22 @@ pub struct RecoveryReport {
     /// (migration transfers; the replayed tiles are charged in the following
     /// passes and are *not* double-counted here).
     pub reshard_seconds: f64,
-    /// Modeled seconds of retry backoff waits (Abort-policy restarts).
-    pub backoff_seconds: f64,
-    /// Whole-fit retries after surfaced losses (Abort policy).
-    pub retries: usize,
 }
 
 impl RecoveryReport {
-    /// `true` when nothing was recovered or retried.
+    /// `true` when no device was lost.
     pub fn is_empty(&self) -> bool {
-        self.events == 0 && self.retries == 0
+        self.devices_lost == 0
     }
 
     /// Fold `other` into this report (all counters add).
     pub fn merge(&mut self, other: &RecoveryReport) {
-        self.events += other.events;
         self.devices_lost += other.devices_lost;
-        self.devices_joined += other.devices_joined;
         self.rows_migrated += other.rows_migrated;
         self.bytes_reuploaded += other.bytes_reuploaded;
         self.replayed_tiles += other.replayed_tiles;
         self.replayed_bytes += other.replayed_bytes;
         self.reshard_seconds += other.reshard_seconds;
-        self.backoff_seconds += other.backoff_seconds;
-        self.retries += other.retries;
     }
 }
 
@@ -220,21 +118,15 @@ mod tests {
 
     #[test]
     fn builders_accumulate_and_resolve_sorts_by_pass() {
-        let plan = FaultPlan::new()
-            .lose(1, 3)
-            .join(DeviceSpec::v100(), 1)
-            .lose(0, 1);
+        let plan = FaultPlan::new().lose(1, 3).lose(2, 1).lose(0, 1);
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
-        let (events, extra) = plan.resolve(4);
-        assert_eq!(extra.len(), 1);
-        assert_eq!(extra[0].name, "NVIDIA V100");
         assert_eq!(
-            events,
+            plan.resolve(),
             vec![
                 FaultEvent {
                     at_pass: 1,
-                    kind: FaultKind::DeviceJoined { device: 4 },
+                    kind: FaultKind::DeviceLost { device: 2 },
                 },
                 FaultEvent {
                     at_pass: 1,
@@ -249,59 +141,25 @@ mod tests {
     }
 
     #[test]
-    fn seeded_schedules_are_deterministic_and_never_kill_the_pool() {
-        let a = FaultPlan::seeded(42, 4, 6, 2);
-        let b = FaultPlan::seeded(42, 4, 6, 2);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
-        let c = FaultPlan::seeded(43, 4, 6, 2);
-        assert!(c.len() == 2);
-        // Losses are distinct devices and capped below the pool size.
-        let greedy = FaultPlan::seeded(7, 3, 5, 99);
-        assert_eq!(greedy.len(), 2, "must leave one survivor");
-        let (events, _) = greedy.resolve(3);
-        let mut lost: Vec<usize> = events
-            .iter()
-            .map(|e| match e.kind {
-                FaultKind::DeviceLost { device } => device,
-                _ => unreachable!(),
-            })
-            .collect();
-        lost.sort_unstable();
-        lost.dedup();
-        assert_eq!(lost.len(), 2);
-        // Degenerate pools yield empty plans.
-        assert!(FaultPlan::seeded(1, 1, 5, 3).is_empty());
-        assert!(FaultPlan::seeded(1, 4, 0, 3).is_empty());
-    }
-
-    #[test]
     fn recovery_report_merges_and_detects_emptiness() {
         let mut report = RecoveryReport::default();
         assert!(report.is_empty());
-        report.merge(&RecoveryReport {
-            events: 1,
+        let step = RecoveryReport {
             devices_lost: 1,
             rows_migrated: 100,
+            bytes_reuploaded: 64,
             replayed_tiles: 2,
             replayed_bytes: 800,
             reshard_seconds: 0.5,
-            ..Default::default()
-        });
-        report.merge(&RecoveryReport {
-            retries: 1,
-            backoff_seconds: 0.01,
-            ..Default::default()
-        });
+        };
+        report.merge(&step);
+        report.merge(&step);
         assert!(!report.is_empty());
-        assert_eq!(report.events, 1);
-        assert_eq!(report.devices_lost, 1);
-        assert_eq!(report.rows_migrated, 100);
-        assert_eq!(report.replayed_tiles, 2);
-        assert_eq!(report.replayed_bytes, 800);
-        assert_eq!(report.retries, 1);
-        assert!((report.reshard_seconds - 0.5).abs() < 1e-15);
-        assert!((report.backoff_seconds - 0.01).abs() < 1e-15);
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::Resume);
+        assert_eq!(report.devices_lost, 2);
+        assert_eq!(report.rows_migrated, 200);
+        assert_eq!(report.bytes_reuploaded, 128);
+        assert_eq!(report.replayed_tiles, 4);
+        assert_eq!(report.replayed_bytes, 1600);
+        assert!((report.reshard_seconds - 1.0).abs() < 1e-15);
     }
 }

@@ -26,11 +26,10 @@
 //!   attribution bucket per device of a [`device::DeviceTopology`], all-reduce
 //!   pricing against a [`device::LinkSpec`], and an overlap-aware modeled
 //!   wall-clock (max over devices);
-//! * [`fault::FaultPlan`] — deterministic device-loss / device-join schedules
-//!   the sharded executor consumes at pass boundaries, with
-//!   [`fault::RecoveryPolicy`] choosing between in-place recovery and
-//!   surfaced errors, and [`fault::RecoveryReport`] accounting the modeled
-//!   re-shard work;
+//! * [`fault::FaultPlan`] — deterministic device-loss schedules the sharded
+//!   executor consumes at pass boundaries, where the row stream resumes in
+//!   place on the survivors, and [`fault::RecoveryReport`] accounting the
+//!   modeled re-shard work;
 //! * [`streaming::StreamMeter`] — the double-buffered tile-pipeline model: a
 //!   single fit's per-tile produce/consume segments measured off the trace,
 //!   priced with tile `t+1`'s production hidden under tile `t`'s consumption
@@ -49,7 +48,7 @@ pub mod trace;
 pub use cost::{CostModel, DeviceEngine, EngineSeconds, OpClass, OpCost};
 pub use device::{DeviceSpec, DeviceTopology, LinkSpec, GIB};
 pub use executor::{Executor, ExecutorExt, ForkGuard, ResidencyScope, SimExecutor};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, RecoveryReport};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoveryReport};
 pub use profiler::Profiler;
 pub use roofline::Roofline;
 pub use sharded::ShardedExecutor;

@@ -122,12 +122,6 @@ impl Profiler {
         self.lock().engine_split_since(mark)
     }
 
-    /// Discard all collected records and reset the residency counters.
-    pub fn reset(&self) {
-        *self.lock() = OpTrace::new();
-        *self.lock_mem() = MemStats::default();
-    }
-
     /// Total modeled device time collected so far, in seconds.
     pub fn total_modeled_seconds(&self) -> f64 {
         self.lock().total_modeled_seconds()
@@ -161,18 +155,6 @@ mod tests {
         assert!((p.total_modeled_seconds() - 3.0).abs() < 1e-12);
         let snap = p.snapshot();
         assert_eq!(snap.len(), 2);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let p = Profiler::new();
-        p.record(sample_record(1.0));
-        p.track_alloc(100);
-        p.reset();
-        assert!(p.is_empty());
-        assert_eq!(p.total_modeled_seconds(), 0.0);
-        assert_eq!(p.resident_bytes(), 0);
-        assert_eq!(p.peak_resident_bytes(), 0);
     }
 
     #[test]

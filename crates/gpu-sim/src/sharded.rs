@@ -30,11 +30,18 @@
 //! stream activating a shard on the shared executor also routes the per-job
 //! engine work charged on forked executors — and per-job SpMM tiles land on
 //! the device that owns their rows.
+//!
+//! A [`FaultPlan`] attached with [`ShardedExecutor::with_fault_plan`] makes
+//! the pool shrink: each loss the row stream drains
+//! ([`Executor::poll_fault`]) marks its device dead for the rest of the
+//! executor's life, counts it on the shared [`RecoveryReport`], and the
+//! stream resumes on the survivors. Forks share the liveness flags, the
+//! fault cursor and the report.
 
 use crate::cost::{CostModel, OpClass, OpCost};
 use crate::device::{DeviceSpec, DeviceTopology};
 use crate::executor::{Executor, ForkGuard};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, RecoveryReport};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, RecoveryReport};
 use crate::profiler::Profiler;
 use crate::trace::{OpRecord, OpTrace, Phase};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,11 +81,6 @@ impl DeviceBucket {
         let mut mem = self.lock_mem();
         mem.0 = mem.0.saturating_sub(bytes);
     }
-
-    fn reset(&self) {
-        *self.seconds.lock().unwrap_or_else(|p| p.into_inner()) = 0.0;
-        *self.lock_mem() = (0, 0);
-    }
 }
 
 /// Cursor over a resolved fault schedule: events are consumed in pass order,
@@ -98,13 +100,10 @@ struct SharedState {
     active: AtomicUsize,
     serial_seconds: Mutex<f64>,
     comm_seconds: Mutex<f64>,
-    /// Per-device liveness: initial devices start alive, fault-plan joiners
-    /// start dead until their join event fires.
+    /// Per-device liveness: every device starts alive, and a drained loss
+    /// clears its flag for good.
     alive: Vec<AtomicBool>,
-    /// Liveness at construction time (what `reset` restores).
-    born_alive: Vec<bool>,
     faults: Mutex<FaultCursor>,
-    policy: RecoveryPolicy,
     recovery: Mutex<RecoveryReport>,
 }
 
@@ -142,20 +141,13 @@ impl ShardedExecutor {
     /// Create a sharded executor over `topology`, assuming `elem_bytes`-wide
     /// scalars.
     pub fn new(topology: DeviceTopology, elem_bytes: usize) -> Self {
-        Self::build(topology, elem_bytes, Vec::new(), 0, RecoveryPolicy::Resume)
+        Self::build(topology, elem_bytes, Vec::new())
     }
 
-    /// Shared constructor: `joiners` counts trailing topology devices that
-    /// start dead (fault-plan joins), `events` is the resolved schedule.
-    fn build(
-        topology: DeviceTopology,
-        elem_bytes: usize,
-        events: Vec<FaultEvent>,
-        joiners: usize,
-        policy: RecoveryPolicy,
-    ) -> Self {
+    /// Shared constructor: `events` is the resolved fault schedule.
+    fn build(topology: DeviceTopology, elem_bytes: usize, events: Vec<FaultEvent>) -> Self {
         assert!(
-            topology.devices.len() > joiners,
+            !topology.devices.is_empty(),
             "a topology needs at least one device"
         );
         let cost_models = topology
@@ -168,10 +160,11 @@ impl ShardedExecutor {
             .iter()
             .map(|_| DeviceBucket::default())
             .collect();
-        let born_alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| d < topology.devices.len() - joiners)
+        let alive = topology
+            .devices
+            .iter()
+            .map(|_| AtomicBool::new(true))
             .collect();
-        let alive = born_alive.iter().map(|&a| AtomicBool::new(a)).collect();
         Self {
             shared: Arc::new(SharedState {
                 topology,
@@ -181,27 +174,19 @@ impl ShardedExecutor {
                 serial_seconds: Mutex::new(0.0),
                 comm_seconds: Mutex::new(0.0),
                 alive,
-                born_alive,
                 faults: Mutex::new(FaultCursor { events, next: 0 }),
-                policy,
                 recovery: Mutex::new(RecoveryReport::default()),
             }),
             profiler: Profiler::new(),
         }
     }
 
-    /// This executor with `plan`'s fault schedule attached under `policy`.
-    /// Join events pre-register their device at the end of the topology
-    /// (dead until the join fires), because the topology is immutable once
-    /// shared. Must be called before any work is recorded — the returned
-    /// executor starts with fresh buckets and an empty trace.
-    pub fn with_fault_plan(&self, plan: FaultPlan, policy: RecoveryPolicy) -> Self {
-        let mut topology = self.shared.topology.clone();
+    /// This executor's topology with `plan`'s fault schedule attached. Must
+    /// be called before any work is recorded — the returned executor starts
+    /// with fresh buckets and an empty trace.
+    pub fn with_fault_plan(&self, plan: FaultPlan) -> Self {
         let elem_bytes = self.shared.cost_models[0].elem_bytes();
-        let (events, extra) = plan.resolve(topology.devices.len());
-        let joiners = extra.len();
-        topology.devices.extend(extra);
-        Self::build(topology, elem_bytes, events, joiners, policy)
+        Self::build(self.shared.topology.clone(), elem_bytes, plan.resolve())
     }
 
     /// `count` identical `device`s linked by `interconnect` — what the CLI's
@@ -218,8 +203,7 @@ impl ShardedExecutor {
         )
     }
 
-    /// The topology being simulated (including fault-plan joiners that have
-    /// not joined yet and devices already lost — see
+    /// The topology being simulated (including devices already lost — see
     /// [`ShardedExecutor::device_alive`]).
     pub fn device_topology(&self) -> &DeviceTopology {
         &self.shared.topology
@@ -402,37 +386,6 @@ impl Executor for ShardedExecutor {
         self.profiler.merge_peak(peak);
     }
 
-    fn reset(&self) {
-        self.profiler.reset();
-        for device in self.shared.devices.iter() {
-            device.reset();
-        }
-        *self
-            .shared
-            .serial_seconds
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = 0.0;
-        *self
-            .shared
-            .comm_seconds
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = 0.0;
-        self.shared.active.store(NO_SHARD, Ordering::Relaxed);
-        for (flag, &born) in self.shared.alive.iter().zip(&self.shared.born_alive) {
-            flag.store(born, Ordering::Relaxed);
-        }
-        self.shared
-            .faults
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .next = 0;
-        *self
-            .shared
-            .recovery
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = RecoveryReport::default();
-    }
-
     fn topology(&self) -> Option<&DeviceTopology> {
         Some(&self.shared.topology)
     }
@@ -460,25 +413,12 @@ impl Executor for ShardedExecutor {
         let event = cursor.events[cursor.next].clone();
         cursor.next += 1;
         drop(cursor);
-        let mut delta = RecoveryReport {
-            events: 1,
+        let FaultKind::DeviceLost { device } = event.kind;
+        self.shared.alive[device].store(false, Ordering::Relaxed);
+        self.note_recovery(&RecoveryReport {
+            devices_lost: 1,
             ..Default::default()
-        };
-        match event.kind {
-            FaultKind::DeviceLost { device } => {
-                self.shared.alive[device].store(false, Ordering::Relaxed);
-                delta.devices_lost = 1;
-            }
-            FaultKind::DeviceJoined { device } => {
-                self.shared.alive[device].store(true, Ordering::Relaxed);
-                delta.devices_joined = 1;
-            }
-        }
-        self.shared
-            .recovery
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .merge(&delta);
+        });
         Some(event)
     }
 
@@ -490,16 +430,7 @@ impl Executor for ShardedExecutor {
             .unwrap_or(false)
     }
 
-    fn recovery_policy(&self) -> RecoveryPolicy {
-        self.shared.policy
-    }
-
     fn note_recovery(&self, delta: &RecoveryReport) {
-        // Backoff waits are pure modeled stalls of the whole pool: they
-        // extend the serial stream (no op record — nothing computes).
-        if delta.backoff_seconds > 0.0 {
-            self.shared.add_serial(delta.backoff_seconds);
-        }
         self.shared
             .recovery
             .lock()
@@ -684,27 +615,5 @@ mod tests {
             assert_eq!(x.modeled_seconds, y.modeled_seconds);
         }
         assert_eq!(sharded.shard_count(), 1);
-    }
-
-    #[test]
-    fn reset_clears_all_buckets() {
-        let sharded = four_a100s();
-        sharded.activate_shard(Some(0));
-        sharded.charge("x", Phase::Other, OpClass::Gemm, OpCost::new(1000, 1000, 0));
-        sharded.track_alloc(10);
-        sharded.activate_shard(None);
-        sharded.reset();
-        assert!(sharded.trace().is_empty());
-        assert_eq!(sharded.serial_modeled_seconds(), 0.0);
-        assert_eq!(sharded.comm_modeled_seconds(), 0.0);
-        assert!(sharded
-            .per_device_modeled_seconds()
-            .iter()
-            .all(|&s| s == 0.0));
-        assert!(sharded
-            .per_device_peak_resident_bytes()
-            .iter()
-            .all(|&b| b == 0));
-        assert_eq!(sharded.active_shard(), None);
     }
 }

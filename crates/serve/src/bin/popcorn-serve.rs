@@ -176,7 +176,7 @@ fn run(args: &ServeArgs) -> Result<(), String> {
                 },
             ),
         };
-        // The scripted driver retries on backpressure; a networked front-end
+        // The scripted driver resubmits on backpressure; a networked front-end
         // would surface Busy to its client instead.
         let ticket = loop {
             match server.submit(request.clone()) {

@@ -105,9 +105,9 @@ pub struct RefitSummary {
     pub objective: f64,
     /// Modeled device-seconds the refit charged.
     pub modeled_seconds: f64,
-    /// Elastic-topology recovery accounting when the refit's executor saw
-    /// device losses (mid-fit recovery or a retried fit) — the serving path
-    /// degrades gracefully instead of failing the request. `None` on a
+    /// Elastic-topology recovery accounting when the refit's executor lost
+    /// devices and the refit resumed in place on the survivors — the serving
+    /// path degrades gracefully instead of failing the request. `None` on a
     /// fault-free refit. Cumulative across refits on one server, like
     /// [`popcorn_core::ClusteringResult::recovery`].
     pub recovery: Option<RecoveryReport>,
@@ -636,9 +636,6 @@ mod tests {
         fn merge_peak(&self, peak: u64) {
             self.inner.merge_peak(peak)
         }
-        fn reset(&self) {
-            self.inner.reset()
-        }
     }
 
     #[test]
@@ -683,12 +680,12 @@ mod tests {
 
     #[test]
     fn refit_losing_a_device_degrades_gracefully() {
-        use popcorn_gpusim::{DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ShardedExecutor};
+        use popcorn_gpusim::{DeviceSpec, FaultPlan, LinkSpec, ShardedExecutor};
         let (model, _) = fitted_model();
         let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 4);
         // Device 2 dies at the refit's first kernel-matrix pass (a warm
         // refit of a converged model may finish in a single pass).
-        let faulty = base.with_fault_plan(FaultPlan::new().lose(2, 0), RecoveryPolicy::Resume);
+        let faulty = base.with_fault_plan(FaultPlan::new().lose(2, 0));
         let server = Server::start_with_executor(
             model,
             SolverKind::Popcorn,

@@ -54,8 +54,8 @@ pub mod prelude {
     pub use popcorn_data::{Dataset, PaperDataset, SparseDataset};
     pub use popcorn_dense::{DenseMatrix, Scalar};
     pub use popcorn_gpusim::{
-        DeviceSpec, DeviceTopology, Executor, ExecutorExt, FaultPlan, LinkSpec, RecoveryPolicy,
-        RecoveryReport, ShardedExecutor, SimExecutor,
+        DeviceSpec, DeviceTopology, Executor, ExecutorExt, FaultPlan, LinkSpec, RecoveryReport,
+        ShardedExecutor, SimExecutor,
     };
     pub use popcorn_metrics::{
         adjusted_rand_index, normalized_mutual_information, silhouette_score,

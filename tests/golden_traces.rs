@@ -102,7 +102,7 @@ fn three_a100s(faults: FaultPlan) -> Arc<ShardedExecutor> {
             LinkSpec::nvlink(),
             std::mem::size_of::<f64>(),
         )
-        .with_fault_plan(faults, RecoveryPolicy::Resume),
+        .with_fault_plan(faults),
     )
 }
 

@@ -355,10 +355,7 @@ proptest! {
                     LinkSpec::nvlink(),
                     elem,
                 )
-                .with_fault_plan(
-                    FaultPlan::new().lose(lost, at_pass),
-                    RecoveryPolicy::Resume,
-                ),
+                .with_fault_plan(FaultPlan::new().lose(lost, at_pass)),
             );
             let recovered = KernelKmeans::new(config)
                 .with_shared_executor(executor.clone())
@@ -584,7 +581,7 @@ fn recovery_respects_survivor_capacity() {
                 LinkSpec::nvlink(),
                 elem,
             )
-            .with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume),
+            .with_fault_plan(FaultPlan::new().lose(1, 1)),
         )
     };
     let exact = base_config(2).with_seed(7);
