@@ -10,7 +10,7 @@ use popcorn_core::batch::{BatchOptions, BatchReport, FitJob};
 use popcorn_core::solver::{FitInput, Solver};
 use popcorn_core::{ClusteringResult, KernelApprox, KernelKmeansConfig, TilePolicy};
 use popcorn_data::dataset::{Dataset, SparseDataset};
-use popcorn_data::synthetic::uniform_dataset;
+use popcorn_data::synthetic::{uniform_matrix, uniform_name};
 use popcorn_data::{csv, libsvm};
 use popcorn_gpusim::{DeviceTopology, FaultPlan, RecoveryReport};
 use popcorn_gpusim::{Executor, ShardedExecutor, SimExecutor};
@@ -381,8 +381,11 @@ fn resolve_format(path: &str, text: &str, requested: InputFormat) -> InputFormat
 
 fn load_dataset(args: &CliArgs) -> Result<LoadedPoints, String> {
     let Some(path) = &args.input else {
-        return Ok(LoadedPoints::Dense(uniform_dataset::<f32>(
-            args.n, args.d, args.seed,
+        let (n, d) = (args.n, args.d);
+        let points = uniform_matrix::<f32>(n, d, args.seed).map_err(|e| e.to_string())?;
+        return Ok(LoadedPoints::Dense(Dataset::new(
+            uniform_name(n, d),
+            points,
         )));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

@@ -54,10 +54,11 @@
 //! schedule ([`popcorn_gpusim::Executor::poll_fault`]), re-partitions each
 //! lost device's rows over the surviving devices (throughput-weighted,
 //! spliced in place so the global row order is unchanged) and continues: a
-//! device loss is always resumed in place, never surfaced to the fit. The re-plan counts what each survivor
-//! already holds: migrated rows stream at the largest tile height that fits
-//! beside those holdings, or through the survivor's own streaming buffer when
-//! that is taller, and a layout that must stay resident and cannot fit is a
+//! device loss is always resumed in place, never surfaced to the fit. The
+//! re-plan counts what each survivor already holds: migrated rows stream at
+//! the largest tile height that fits beside those holdings, or through the
+//! survivor's own streaming buffer when that is taller, and a layout that
+//! must stay resident and cannot fit is a
 //! [`CoreError::DeviceShardMemoryExceeded`] naming the survivor. Because
 //! sharding never changes what is computed, a recovered fit is
 //! **bit-identical to a fresh fit on the surviving topology**; the only cost
@@ -943,9 +944,8 @@ impl ShardStream {
 /// The source is *elastic*: every [`KernelSource::for_each_panel`] pass starts
 /// by draining the executor's fault schedule and, on a device loss,
 /// re-partitions the lost rows over the survivors in place (see the module
-/// docs). Recovered fits stay bit-identical to a
-/// fresh fit on the surviving topology because only pricing attribution ever
-/// moves.
+/// docs). Recovered fits stay bit-identical to a fresh fit on the surviving
+/// topology because only pricing attribution ever moves.
 pub struct ShardedKernelSource<'a, T: Scalar> {
     inner: TiledKernel<'a, T>,
     stream: ShardStream,

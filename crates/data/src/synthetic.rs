@@ -12,7 +12,7 @@
 //! All generators are deterministic given a seed.
 
 use crate::dataset::{Dataset, SparseDataset};
-use popcorn_dense::{DenseMatrix, Scalar};
+use popcorn_dense::{DenseError, DenseMatrix, Scalar};
 use popcorn_sparse::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,18 +27,39 @@ fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
-/// An `n × d` matrix with i.i.d. uniform entries in `[0, 1)`.
-pub fn uniform_matrix<T: Scalar>(n: usize, d: usize, seed: u64) -> DenseMatrix<T> {
+/// An `n × d` matrix with i.i.d. uniform entries in `[0, 1)`, drawn in
+/// row-major order. The shape comes from the caller's input, so the entry
+/// count is checked and the buffer reserved fallibly: a shape whose bytes
+/// overflow, or that the allocator refuses, is
+/// [`DenseError::AllocationFailed`] instead of an abort.
+pub fn uniform_matrix<T: Scalar>(
+    n: usize,
+    d: usize,
+    seed: u64,
+) -> Result<DenseMatrix<T>, DenseError> {
+    let failed = || DenseError::AllocationFailed {
+        what: "the generated points",
+        bytes: n as u128 * d as u128 * std::mem::size_of::<T>() as u128,
+    };
+    let len = n.checked_mul(d).ok_or_else(failed)?;
+    let mut data = Vec::new();
+    data.try_reserve_exact(len).map_err(|_| failed())?;
     let mut rng = StdRng::seed_from_u64(seed);
-    DenseMatrix::from_fn(n, d, |_, _| T::from_f64(rng.gen::<f64>()))
+    data.extend((0..len).map(|_| T::from_f64(rng.gen::<f64>())));
+    DenseMatrix::from_vec(n, d, data)
 }
 
-/// A dataset wrapping [`uniform_matrix`], named after its shape.
+/// A dataset wrapping [`uniform_matrix`], named after its shape
+/// ([`uniform_name`]). Panics where [`uniform_matrix`] returns an error:
+/// a caller sizing it from input calls [`uniform_matrix`] instead.
 pub fn uniform_dataset<T: Scalar>(n: usize, d: usize, seed: u64) -> Dataset<T> {
-    Dataset::new(
-        format!("synthetic-uniform-n{n}-d{d}"),
-        uniform_matrix(n, d, seed),
-    )
+    let points = uniform_matrix(n, d, seed).unwrap_or_else(|e| panic!("{e}"));
+    Dataset::new(uniform_name(n, d), points)
+}
+
+/// The name [`uniform_dataset`] gives an `n × d` uniform dataset.
+pub fn uniform_name(n: usize, d: usize) -> String {
+    format!("synthetic-uniform-n{n}-d{d}")
 }
 
 /// Isotropic Gaussian blobs: `k` cluster centres drawn uniformly in
@@ -326,12 +347,34 @@ mod tests {
 
     #[test]
     fn uniform_matrix_is_deterministic_and_in_range() {
-        let a = uniform_matrix::<f64>(20, 5, 42);
-        let b = uniform_matrix::<f64>(20, 5, 42);
-        let c = uniform_matrix::<f64>(20, 5, 43);
+        let a = uniform_matrix::<f64>(20, 5, 42).unwrap();
+        let b = uniform_matrix::<f64>(20, 5, 42).unwrap();
+        let c = uniform_matrix::<f64>(20, 5, 43).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.as_slice().iter().all(|&x| (0.0..1.0).contains(&x)));
+        // Row-major draws: element (i, j) is the (i·d + j)-th sample.
+        let mut rng = StdRng::seed_from_u64(42);
+        let draws: Vec<f64> = (0..100).map(|_| rng.gen::<f64>()).collect();
+        assert_eq!(a.as_slice(), &draws[..]);
+    }
+
+    #[test]
+    fn oversized_uniform_shapes_are_typed_errors() {
+        // Neither shape reaches the allocator: the first overflows the entry
+        // count, the second the largest buffer a `Vec` may hold.
+        for (n, d, bytes) in [
+            (1usize << 32, 1usize << 32, 1u128 << 66),
+            (usize::MAX / 4, 2, (usize::MAX / 4) as u128 * 8),
+        ] {
+            assert_eq!(
+                uniform_matrix::<f32>(n, d, 0),
+                Err(DenseError::AllocationFailed {
+                    what: "the generated points",
+                    bytes
+                })
+            );
+        }
     }
 
     #[test]

@@ -98,6 +98,14 @@ fn parse_args(args: &[String]) -> Result<ServeArgs, String> {
             "--queue {queue} exceeds {MAX_QUEUE}: the queue allocates every slot up front"
         ));
     }
+    // Checked before the model loads: a script without an assignment has
+    // no labels to write, whatever its refits do.
+    let assigns = script
+        .iter()
+        .any(|step| matches!(step, Scripted::AssignFile(_) | Scripted::AssignTraining));
+    if labels_out.is_some() && !assigns {
+        return Err("--labels-out needs at least one --assign or --train".to_string());
+    }
     Ok(ServeArgs {
         model: model.ok_or_else(|| format!("--model is required\n\n{USAGE}"))?,
         queue,
@@ -227,7 +235,8 @@ fn run(args: &ServeArgs) -> Result<(), String> {
     }
 
     if let Some(path) = &args.labels_out {
-        let labels = last_labels.ok_or("--labels-out needs at least one --assign/--train")?;
+        // Every assignment of the script may have answered an error.
+        let labels = last_labels.ok_or("--labels-out found no answered assignment to write")?;
         let mut text = String::new();
         for (i, label) in labels.iter().enumerate() {
             text.push_str(&format!("{i},{label}\n"));
@@ -268,5 +277,34 @@ fn main() {
     if let Err(message) = run(&parsed) {
         eprintln!("popcorn-serve: {message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<ServeArgs, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn labels_out_needs_an_assignment_in_the_script() {
+        for line in [
+            "--model m.model --labels-out x.labels",
+            "--model m.model --refit warm --labels-out x.labels",
+            "--model m.model --labels-out x.labels --refit cold",
+        ] {
+            let err = parse(line).err().unwrap_or_else(|| panic!("{line} parsed"));
+            assert!(err.contains("--labels-out"), "{line}: {err}");
+        }
+        for line in [
+            "--model m.model --assign q.csv --labels-out x.labels",
+            "--model m.model --labels-out x.labels --train --refit warm",
+        ] {
+            let parsed = parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parsed.labels_out.as_deref(), Some("x.labels"));
+        }
     }
 }

@@ -144,16 +144,25 @@ proptest! {
     /// `fit_batch` over a sharded topology: every per-job result matches the
     /// single-device batch and the standalone sharded fit, for all solvers
     /// and both layouts — the lockstep driver never notices the sharding.
+    /// Nor does it notice a device lost while the jobs share one pass
+    /// (`loss`, when drawn, is `lose(device, pass)`): the fault-free
+    /// single-device batch is still every job's answer.
     #[test]
     fn sharded_batch_is_bit_identical_to_single_device_batch(
         points in mixed_points(16, 5),
         k in 2usize..4,
         base_seed in 0u64..50,
         devices in 2usize..=16,
+        loss in (0usize..3, 0usize..16, 0usize..4)
+            .prop_map(|(draw, device, pass)| (draw > 0).then_some((device, pass))),
     ) {
         prop_assume!(k <= points.rows());
         let csr = CsrMatrix::from_dense(&points);
         let jobs = FitJob::restarts(&base_config(k), base_seed..base_seed + 3);
+        let loss = loss.map(|(device, pass)| (device % devices, pass));
+        let faults = loss.map_or_else(FaultPlan::new, |(device, pass)| {
+            FaultPlan::new().lose(device, pass)
+        });
         for kind in SolverKind::ALL {
             for (layout, input) in [
                 ("dense", FitInput::Dense(&points)),
@@ -163,19 +172,32 @@ proptest! {
                     .build::<f64>(base_config(k))
                     .fit_batch(input, &jobs)
                     .map_err(|e| TestCaseError::fail(format!("{}: {e}", kind.name())))?;
+                let executor =
+                    Arc::new(sharded_executor(kind, devices).with_fault_plan(faults.clone()));
                 let sharded_solver =
-                    kind.build_with_executor::<f64>(base_config(k), sharded_executor(kind, devices));
+                    kind.build_with_executor::<f64>(base_config(k), executor.clone());
                 let sharded = sharded_solver
                     .fit_batch(input, &jobs)
                     .map_err(|e| TestCaseError::fail(format!("{}: {e}", kind.name())))?;
                 prop_assert_eq!(single.best, sharded.best);
+                // A fired loss is accounted on the executor, once.
+                let lost = executor.device_alive().iter().filter(|alive| !**alive).count();
+                prop_assert_eq!(
+                    executor.recovery_report().map_or(0, |r| r.devices_lost),
+                    lost,
+                    "{} (layout {}, devices {}, loss {:?})",
+                    kind.name(),
+                    layout,
+                    devices,
+                    loss
+                );
                 for ((job, a), b) in jobs
                     .iter()
                     .zip(single.results.iter())
                     .zip(sharded.results.iter())
                 {
                     let context = format!(
-                        "(layout {layout}, devices {devices}, seed {})",
+                        "(layout {layout}, devices {devices}, loss {loss:?}, seed {})",
                         job.config.seed
                     );
                     assert_bit_identical(kind.name(), a, b, &context)?;
